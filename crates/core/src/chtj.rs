@@ -5,77 +5,55 @@
 //! regions without synchronization; the probe phase is chunk-parallel
 //! against the one global (read-only) CHT, exactly like NOP.
 
-use std::time::Instant;
-
-use mmjoin_hashtable::ConciseHashTable;
-use mmjoin_util::checksum::JoinChecksum;
+use mmjoin_hashtable::{ConciseHashTable, MultiplicativeHash};
 use mmjoin_util::Relation;
 
 use crate::config::JoinConfig;
-use crate::exec::{merge_checksums, parallel_chunks, MORSEL};
-use crate::fault::{CtxPool, FaultCtx};
+use crate::nop::probe_global;
 use crate::plan::JoinError;
-use crate::spec::{self, ops};
+use crate::run::JoinRun;
+use crate::spec::{self, ops, PhaseModel};
 use crate::stats::JoinResult;
 use crate::Algorithm;
 
-/// CHTJ: bulkloaded concise hash table + chunk-parallel probe.
-pub fn join_chtj(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResult, JoinError> {
-    let ctx = FaultCtx::begin(Algorithm::Chtj, cfg);
-    let mut result = JoinResult::new(Algorithm::Chtj);
-    let pool = cfg.executor();
-    pool.start_recording(cfg.profile.enabled);
-    let cpool = CtxPool::new(pool.as_ref(), &ctx);
-
-    // Build (region-parallel bulkload inside).
-    ctx.enter_phase("build");
+/// CHTJ's build phase (region-parallel bulkload inside).
+pub(crate) fn build_chtj(
+    run: &mut JoinRun,
+    r: &Relation,
+) -> Result<ConciseHashTable<MultiplicativeHash>, JoinError> {
+    let cfg = run.cfg();
     // CHT footprint: bitmap word + dense tuple array, ~16 B per build
     // tuple.
-    let _table_charge = ctx.charge(r.len() * 16)?;
-    let start = Instant::now();
-    let cht =
-        ConciseHashTable::<mmjoin_hashtable::MultiplicativeHash>::build_on(r.tuples(), &cpool);
-    let build_wall = start.elapsed();
-    let table_bytes = cht.memory_bytes() as f64;
-    // Build = scan + radix scatter by hash prefix + bulkload writes.
-    let build_specs =
-        spec::global_build_specs(cfg, r.len(), r.placement(), table_bytes, ops::BUILD + 2.0);
-    let order: Vec<usize> = (0..build_specs.len()).collect();
-    let (build_sim, _) = spec::run_phase(cfg, &build_specs, &order);
-    result.push_phase_pool("build", build_wall, build_sim, &pool);
-    ctx.checkpoint(&result)?;
+    run.reserve("build", r.len() * 16)?;
+    run.phase(
+        "build",
+        |p| Ok(ConciseHashTable::build_on(r.tuples(), p)),
+        // Build = scan + radix scatter by hash prefix + bulkload writes.
+        |cht| {
+            PhaseModel::pass(spec::global_build_specs(
+                cfg,
+                r.len(),
+                r.placement(),
+                cht.memory_bytes() as f64,
+                ops::BUILD + 2.0,
+            ))
+        },
+    )
+}
 
+/// CHTJ: bulkloaded concise hash table + chunk-parallel probe.
+pub fn join_chtj(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResult, JoinError> {
+    let mut run = JoinRun::begin(Algorithm::Chtj, cfg);
+    let cht = build_chtj(&mut run, r)?;
     // Probe: every lookup touches the bitmap word *and* the dense array —
     // the "at least two random accesses for every operation" that makes
     // CHTJ the most data-size-sensitive NOP*-algorithm (Section 7.3,
     // Table 4).
-    ctx.enter_phase("probe");
-    let start = Instant::now();
-    let checksums = parallel_chunks(&cpool, s.tuples(), |_, chunk| {
-        let mut c = JoinChecksum::new();
-        for block in chunk.chunks(MORSEL) {
-            if ctx.should_stop() {
-                return c;
-            }
-            cht.probe_batch(block, |t, bp| c.add(t.key, bp, t.payload));
-        }
-        c
-    });
-    let probe_wall = start.elapsed();
-    result.set_checksum(merge_checksums(checksums));
-    let probe_specs = spec::global_probe_specs(
-        cfg,
-        s.len(),
-        s.placement(),
-        table_bytes,
-        2.0,
-        ops::CHT_PROBE,
-    );
-    let order: Vec<usize> = (0..probe_specs.len()).collect();
-    let (probe_sim, _) = spec::run_phase(cfg, &probe_specs, &order);
-    result.push_phase_pool("probe", probe_wall, probe_sim, &pool);
-    ctx.checkpoint(&result)?;
-    Ok(result)
+    let table_bytes = cht.memory_bytes() as f64;
+    let checksum = probe_global(&mut run, s, table_bytes, 2.0, ops::CHT_PROBE, |block, c| {
+        cht.probe_batch(block, |t, bp| c.add(t.key, bp, t.payload))
+    })?;
+    Ok(run.finish(checksum, None))
 }
 
 #[cfg(test)]

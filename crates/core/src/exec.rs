@@ -1,10 +1,10 @@
 //! Thread-parallel execution helpers shared by all joins.
 //!
 //! Every helper here runs on a [`WorkerPool`] — in practice the
-//! persistent [`Executor`](crate::executor::Executor) obtained from
-//! [`JoinConfig::executor`](crate::config::JoinConfig::executor) — so a
-//! join's phases share one set of worker threads instead of spawning
-//! their own.
+//! [`RunCtx`] of the join's [`JoinRun`](crate::run::JoinRun), i.e. the
+//! persistent [`Executor`](crate::executor::Executor) bound to that
+//! run's sink — so a join's phases share one set of worker threads
+//! instead of spawning their own.
 //!
 //! The pool's `broadcast` return is the **phase barrier**: it carries
 //! release/acquire semantics, so all writes performed inside a phase
@@ -20,7 +20,8 @@ use mmjoin_util::chunk_range;
 use mmjoin_util::pool::{broadcast_map, into_inner_recover, lock_recover, WorkerPool};
 use mmjoin_util::tuple::Tuple;
 
-use crate::executor::{build_queues, Executor, QueuePolicy};
+use crate::executor::{build_queues, QueuePolicy};
+use crate::run::RunCtx;
 
 /// Tuples processed between cancellation/deadline checks inside a
 /// worker's chunk — shared by every chunk-parallel driver phase and the
@@ -49,15 +50,6 @@ pub fn merge_checksums(parts: Vec<JoinChecksum>) -> JoinChecksum {
     total
 }
 
-/// Run `worker(worker_idx)` on every pool worker and merge their
-/// checksums — the shape of every task-queue join phase.
-pub fn parallel_workers<F>(pool: &dyn WorkerPool, worker: F) -> JoinChecksum
-where
-    F: Fn(usize) -> JoinChecksum + Sync,
-{
-    merge_checksums(broadcast_map(pool, pool.workers(), worker))
-}
-
 /// Run a co-partition join phase as a morsel queue on the executor:
 /// `order` lists the partitions to join (already filtered of skewed
 /// ones), `parts` is the total fanout (for NUMA-node mapping), and
@@ -66,7 +58,7 @@ where
 /// sequential scheduling, [`QueuePolicy::NumaLocal`] the *iS variants'
 /// NUMA-aware scheduling with work stealing.
 pub fn join_morsels<F>(
-    pool: &Executor,
+    pool: &RunCtx,
     order: &[usize],
     parts: usize,
     policy: QueuePolicy,
@@ -90,7 +82,7 @@ where
 /// phases that materialize per-partition data, e.g. MWAY's sort phase).
 /// Result order is unspecified — callers sort by partition id.
 pub fn morsel_map<R, F>(
-    pool: &Executor,
+    pool: &RunCtx,
     order: &[usize],
     parts: usize,
     policy: QueuePolicy,
@@ -135,32 +127,30 @@ mod tests {
     }
 
     #[test]
-    fn workers_merge() {
-        let exec = Executor::new(8);
-        let total = parallel_workers(&exec, |t| {
-            let mut c = JoinChecksum::new();
-            c.add(t as u32 + 1, 0, 0);
-            c
-        });
-        assert_eq!(total.count, 8);
-    }
-
-    #[test]
     fn empty_items() {
         let exec = Executor::new(4);
         let out = parallel_chunks(&exec, &[], |_, chunk| chunk.len());
         assert_eq!(out, vec![0]);
     }
 
+    /// Run `f` as the one phase of a throwaway join run.
+    fn in_phase<T>(threads: usize, f: impl FnOnce(&RunCtx) -> T) -> T {
+        let cfg = crate::JoinConfig::new(threads);
+        crate::run::JoinRun::begin(crate::Algorithm::Pro, &cfg)
+            .phase("join", |p| Ok(f(p)), |_| crate::spec::PhaseModel::none())
+            .unwrap()
+    }
+
     #[test]
     fn morsels_join_every_partition_once() {
-        let exec = Executor::new(4);
         let order: Vec<usize> = (0..37).collect();
         for policy in [QueuePolicy::Shared, QueuePolicy::NumaLocal { nodes: 4 }] {
-            let total = join_morsels(&exec, &order, 37, policy, |p| {
-                let mut c = JoinChecksum::new();
-                c.add(p as u32 + 1, 0, 0);
-                c
+            let total = in_phase(4, |p| {
+                join_morsels(p, &order, 37, policy, |part| {
+                    let mut c = JoinChecksum::new();
+                    c.add(part as u32 + 1, 0, 0);
+                    c
+                })
             });
             assert_eq!(total.count, 37, "{policy:?}");
         }
@@ -168,15 +158,9 @@ mod tests {
 
     #[test]
     fn morsel_map_collects_all() {
-        let exec = Executor::new(3);
         let order: Vec<usize> = (0..20).collect();
-        let mut got = morsel_map(
-            &exec,
-            &order,
-            20,
-            QueuePolicy::NumaLocal { nodes: 2 },
-            |p| p,
-        );
+        let policy = QueuePolicy::NumaLocal { nodes: 2 };
+        let mut got = in_phase(3, |p| morsel_map(p, &order, 20, policy, |part| part));
         got.sort_unstable();
         assert_eq!(got, (0..20).collect::<Vec<_>>());
     }

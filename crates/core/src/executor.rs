@@ -16,8 +16,10 @@
 //!   scheduling of the *iS join variants is thereby a queue-assignment
 //!   policy of the executor, not a property of task insertion order.
 //! * **Per-phase counters** ([`ExecCounters`]): tasks executed, steals,
-//!   and per-worker idle time at the phase barrier, drained by the join
-//!   drivers into each [`crate::stats::PhaseStat`].
+//!   and per-worker idle time at the phase barrier — handed, with the
+//!   per-worker spans of a profiled run, to the [`ExecSink`] the phase
+//!   was submitted with. The pool itself remembers nothing between
+//!   phases, so joins sharing it cannot see each other's numbers.
 //! * **Panic containment**: the pool is a process-lifetime resource
 //!   shared by every join, so a panicking morsel task must not take it
 //!   down. Every phase closure runs under `catch_unwind`; a panic is
@@ -47,7 +49,7 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -154,21 +156,53 @@ struct Shared {
     /// epoch was either accounted by a previous poll or finished the
     /// phase before dying.
     done_epoch: Vec<AtomicU64>,
-    /// Morsels each worker ran in the current `run_morsels` phase
-    /// (stored once per worker at the end of its drain loop; reset by
-    /// `broadcast_inner` when profiling).
-    worker_tasks: Vec<AtomicU64>,
-    /// Morsels each worker stole in the current `run_morsels` phase.
-    worker_steals: Vec<AtomicU64>,
     /// Per-worker PMU deltas for the current profiled phase.
     deltas: Vec<Mutex<CounterDelta>>,
 }
 
-/// Span-recording state for one profiling window (normally one join):
-/// the common time base and the spans accumulated since the last drain.
-struct Recording {
-    start: Instant,
-    spans: Vec<WorkerPhaseStat>,
+/// Where the executor puts what it measured about a phase: the
+/// [`ExecCounters`] of every phase submitted with this sink and, when
+/// the sink is profiled, one [`WorkerPhaseStat`] span per worker per
+/// barrier broadcast (timestamps relative to the sink's creation, plus
+/// native PMU deltas where the host exposes counters).
+///
+/// A sink belongs to whoever submits the phases — one per join run — so
+/// joins running concurrently on one pool each see exactly their own
+/// work. [`ExecSink::take`] empties it at the run's phase boundaries.
+#[derive(Debug)]
+pub struct ExecSink {
+    /// Time base of span timestamps; `None` when the run is not
+    /// profiled (phases then take no PMU snapshots and record no spans).
+    profile_epoch: Option<Instant>,
+    acc: Mutex<(ExecCounters, Vec<WorkerPhaseStat>)>,
+}
+
+impl ExecSink {
+    pub fn new(profile: bool) -> Self {
+        ExecSink {
+            profile_epoch: profile.then(Instant::now),
+            acc: Mutex::new((ExecCounters::new(), Vec::new())),
+        }
+    }
+
+    /// Take the counters and spans recorded since the last take.
+    pub fn take(&self) -> (ExecCounters, Vec<WorkerPhaseStat>) {
+        std::mem::take(&mut *lock_recover(&self.acc))
+    }
+
+    fn record(&self, counters: ExecCounters, spans: impl IntoIterator<Item = WorkerPhaseStat>) {
+        let mut acc = lock_recover(&self.acc);
+        acc.0.merge(counters);
+        acc.1.extend(spans);
+    }
+}
+
+/// Morsels one worker ran (and stole) in one `run_morsels` phase; owned
+/// by the call, so a nested inline phase cannot clobber its parent's.
+#[derive(Default)]
+struct Tally {
+    tasks: AtomicU64,
+    steals: AtomicU64,
 }
 
 /// A persistent pool of `workers` threads executing one phase at a time.
@@ -181,13 +215,6 @@ pub struct Executor {
     workers: usize,
     /// Serializes phases from different submitting threads.
     submit: Mutex<()>,
-    /// Accumulated counters since the last [`Executor::drain_counters`].
-    counters: Mutex<ExecCounters>,
-    /// Whether phases record per-worker spans + PMU deltas. One atomic
-    /// load per phase when off — the zero-cost disabled path.
-    profile: AtomicBool,
-    /// Spans accumulated since [`Executor::start_recording`].
-    recording: Mutex<Recording>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -218,8 +245,6 @@ impl Executor {
             done_cv: Condvar::new(),
             finish_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             done_epoch: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            worker_tasks: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            worker_steals: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             deltas: (0..workers)
                 .map(|_| Mutex::new(CounterDelta::none()))
                 .collect(),
@@ -229,12 +254,6 @@ impl Executor {
             shared,
             workers,
             submit: Mutex::new(()),
-            counters: Mutex::new(ExecCounters::new()),
-            profile: AtomicBool::new(false),
-            recording: Mutex::new(Recording {
-                start: Instant::now(),
-                spans: Vec::new(),
-            }),
             handles: Mutex::new(handles),
         }
     }
@@ -263,43 +282,6 @@ impl Executor {
         TOTAL_SPAWNED.load(Ordering::Relaxed)
     }
 
-    /// Take the counters accumulated since the last drain (phase
-    /// boundaries in the join drivers).
-    pub fn drain_counters(&self) -> ExecCounters {
-        std::mem::take(&mut *lock_recover(&self.counters))
-    }
-
-    /// Start a fresh recording window (a join): clear any stale counters
-    /// and spans and, when `profile` is set, record a [`WorkerPhaseStat`]
-    /// span per worker per phase — timestamps relative to this call, plus
-    /// native PMU deltas where the host exposes counters.
-    ///
-    /// The window belongs to the pool, not to a join: two joins profiled
-    /// concurrently on the *same* pool interleave their spans, the same
-    /// (documented) sharing the aggregate counters already have. When
-    /// `profile` is false this leaves the pool on its zero-cost path —
-    /// phases pay one relaxed atomic load.
-    pub fn start_recording(&self, profile: bool) {
-        self.profile.store(profile, Ordering::Relaxed);
-        {
-            let mut rec = lock_recover(&self.recording);
-            rec.start = Instant::now();
-            rec.spans.clear();
-        }
-        self.drain_counters();
-    }
-
-    /// Take the spans recorded since the last drain (phase boundaries in
-    /// the join drivers). Empty when profiling is off.
-    pub fn drain_spans(&self) -> Vec<WorkerPhaseStat> {
-        std::mem::take(&mut lock_recover(&self.recording).spans)
-    }
-
-    /// Whether span recording is currently on.
-    pub fn profiling(&self) -> bool {
-        self.profile.load(Ordering::Relaxed)
-    }
-
     /// Respawn any worker thread that has died. Task panics are caught
     /// in [`worker_loop`] and never kill a worker, so this is a backstop
     /// for threads lost to causes the pool cannot intercept; it is
@@ -323,8 +305,8 @@ impl Executor {
     /// a single queue means shared scheduling), invoking `f(worker,
     /// task)` for every task exactly once. Worker `w`'s home node is
     /// `w * nodes / workers`; it pops home tasks first and steals from
-    /// the other nodes in ring order once home is dry. Task and steal
-    /// counts flow into the drained counters.
+    /// the other nodes in ring order once home is dry. Nothing is
+    /// recorded; see [`Executor::run_morsels_into`].
     ///
     /// # Panics
     ///
@@ -333,12 +315,28 @@ impl Executor {
     /// as a [`WorkerPanic`] (converted to `JoinError::WorkerPanicked` at
     /// the dispatch boundary).
     pub fn run_morsels(&self, queues: &[Vec<usize>], f: &(dyn Fn(usize, usize) + Sync)) {
+        self.run_morsels_into(None, queues, f);
+    }
+
+    /// [`WorkerPool::broadcast`] with the phase's counters (one task per
+    /// worker) and, if it is profiled, spans handed to `sink`.
+    pub fn broadcast_into(&self, sink: Option<&ExecSink>, f: &(dyn Fn(usize) + Sync)) {
+        self.raise(self.phase(f, None, sink));
+    }
+
+    /// [`Executor::run_morsels`], with the phase's task, steal and idle
+    /// counts and, if it is profiled, per-worker spans handed to `sink`.
+    pub fn run_morsels_into(
+        &self,
+        sink: Option<&ExecSink>,
+        queues: &[Vec<usize>],
+        f: &(dyn Fn(usize, usize) + Sync),
+    ) {
         let nodes = queues.len().max(1);
         let workers = self.workers;
         let cursors: Vec<AtomicUsize> = (0..nodes).map(|_| AtomicUsize::new(0)).collect();
-        let tasks = AtomicU64::new(0);
-        let steals = AtomicU64::new(0);
-        let outcome = self.broadcast_inner(
+        let tally: Vec<Tally> = (0..workers).map(|_| Tally::default()).collect();
+        let outcome = self.phase(
             &|w| {
                 let home = (w * nodes / workers).min(nodes - 1);
                 let mut my_tasks = 0u64;
@@ -363,20 +361,19 @@ impl Executor {
                         }
                     }
                 }
-                tasks.fetch_add(my_tasks, Ordering::Relaxed);
-                steals.fetch_add(my_steals, Ordering::Relaxed);
-                // Per-worker totals for span recording (one store per
-                // worker per phase; read only when profiling).
-                self.shared.worker_tasks[w].store(my_tasks, Ordering::Relaxed);
-                self.shared.worker_steals[w].store(my_steals, Ordering::Relaxed);
+                // One store per worker per phase; the phase barrier
+                // publishes them to the submitting thread.
+                tally[w].tasks.store(my_tasks, Ordering::Relaxed);
+                tally[w].steals.store(my_steals, Ordering::Relaxed);
             },
-            false,
+            Some(&tally),
+            sink,
         );
-        {
-            let mut c = lock_recover(&self.counters);
-            c.tasks += tasks.load(Ordering::Relaxed);
-            c.steals += steals.load(Ordering::Relaxed);
-        }
+        self.raise(outcome);
+    }
+
+    /// Re-raise a failed phase's worker panics on the submitting thread.
+    fn raise(&self, outcome: Result<(), Vec<String>>) {
         if let Err(panics) = outcome {
             self.heal();
             std::panic::panic_any(WorkerPanic(panics));
@@ -385,39 +382,62 @@ impl Executor {
 
     /// Run one phase; `Err` carries the panic messages of every worker
     /// task that panicked (the phase barrier completed regardless).
-    fn broadcast_inner(
+    /// `tally` is `Some` for a morsel phase (per-worker task counts) and
+    /// `None` for a plain broadcast (one task per worker). What the
+    /// phase measured reaches `sink` before the `submit` lock is
+    /// released, so it can never be attributed to another submitter.
+    fn phase(
         &self,
         f: &(dyn Fn(usize) + Sync),
-        count_tasks: bool,
+        tally: Option<&[Tally]>,
+        sink: Option<&ExecSink>,
     ) -> Result<(), Vec<String>> {
+        let worker_counts = |w: usize| match tally {
+            Some(t) => (
+                t[w].tasks.load(Ordering::Relaxed),
+                t[w].steals.load(Ordering::Relaxed),
+            ),
+            None => (1, 0),
+        };
+        let totals = |idle_ns: u64| {
+            let mut c = ExecCounters {
+                idle_ns,
+                ..ExecCounters::new()
+            };
+            for w in 0..self.workers {
+                let (tasks, steals) = worker_counts(w);
+                c.tasks += tasks;
+                c.steals += steals;
+            }
+            c
+        };
+
         // A broadcast from inside a worker thread (nested phase) cannot
         // wait on the pool it is part of; run the phase inline. Semantics
         // are preserved (every index invoked once, writes visible to the
         // continuation), only parallelism is lost. An inline panic
         // unwinds into the enclosing worker task's own catch_unwind.
-        // When profiling, an inline nested phase emits no spans of its
-        // own — its time and counters fold into the enclosing worker's
-        // span (its tasks still reach the aggregate counters).
+        // An inline nested phase emits no spans of its own — its time
+        // and PMU counters fold into the enclosing worker's span — but
+        // its tasks still reach the sink's aggregate counters.
         if IN_WORKER.with(|c| c.get()) {
             for w in 0..self.workers {
                 f(w);
             }
-            if count_tasks {
-                lock_recover(&self.counters).tasks += self.workers as u64;
+            if let Some(sink) = sink {
+                sink.record(totals(0), None);
             }
             return Ok(());
         }
 
         let _phase = lock_recover(&self.submit);
-        let profile = self.profile.load(Ordering::Relaxed);
+        let profile_epoch = sink.and_then(|s| s.profile_epoch);
         for slot in &self.shared.finish_ns {
             slot.store(0, Ordering::Relaxed);
         }
-        if profile {
-            for w in 0..self.workers {
-                self.shared.worker_tasks[w].store(0, Ordering::Relaxed);
-                self.shared.worker_steals[w].store(0, Ordering::Relaxed);
-                *lock_recover(&self.shared.deltas[w]) = CounterDelta::none();
+        if profile_epoch.is_some() {
+            for delta in &self.shared.deltas {
+                *lock_recover(delta) = CounterDelta::none();
             }
         }
         // SAFETY: only the lifetime is erased; the job slot is cleared
@@ -433,7 +453,7 @@ impl Executor {
             ctl.epoch += 1;
             ctl.remaining = self.workers;
             ctl.start = Instant::now();
-            ctl.profile = profile;
+            ctl.profile = profile_epoch.is_some();
             ctl.panics.clear();
             self.shared.work_cv.notify_all();
             (ctl.epoch, ctl.start)
@@ -483,49 +503,35 @@ impl Executor {
             ctl.job = None;
             std::mem::take(&mut ctl.panics)
         };
-        let finishes: Vec<u64> = self
-            .shared
-            .finish_ns
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect();
-        let slowest = finishes.iter().copied().max().unwrap_or(0);
-        let idle: u64 = finishes.iter().map(|&t| slowest - t).sum();
-        let mut c = lock_recover(&self.counters);
-        c.idle_ns += idle;
-        if count_tasks {
-            c.tasks += self.workers as u64;
-        }
-        drop(c);
-        if profile {
-            // One span per worker per broadcast. For a plain broadcast
-            // each worker ran exactly one task; for a morsel phase the
-            // per-worker totals were stored by the drain loop — either
-            // way the spans of a phase sum to its ExecCounters.
-            let mut rec = lock_recover(&self.recording);
-            let start_ns = phase_start
-                .checked_duration_since(rec.start)
-                .map(|d| d.as_nanos() as u64)
-                .unwrap_or(0);
-            for (w, &dur_ns) in finishes.iter().enumerate() {
-                let counters = std::mem::take(&mut *lock_recover(&self.shared.deltas[w]));
-                let (tasks, steals) = if count_tasks {
-                    (1, 0)
-                } else {
-                    (
-                        self.shared.worker_tasks[w].load(Ordering::Relaxed),
-                        self.shared.worker_steals[w].load(Ordering::Relaxed),
-                    )
-                };
-                rec.spans.push(WorkerPhaseStat {
-                    worker: w,
-                    start_ns,
-                    dur_ns,
-                    tasks,
-                    steals,
-                    counters,
-                });
-            }
+        if let Some(sink) = sink {
+            let finishes: Vec<u64> = self
+                .shared
+                .finish_ns
+                .iter()
+                .map(|a| a.load(Ordering::Relaxed))
+                .collect();
+            let slowest = finishes.iter().copied().max().unwrap_or(0);
+            let idle = finishes.iter().map(|&t| slowest - t).sum();
+            // One span per worker per broadcast, carrying the same
+            // per-worker counts the totals are summed from — so the
+            // spans of a phase always sum to its ExecCounters.
+            let spans = profile_epoch.map(|run_start| {
+                let start_ns = phase_start
+                    .checked_duration_since(run_start)
+                    .map_or(0, |d| d.as_nanos() as u64);
+                finishes.iter().enumerate().map(move |(w, &dur_ns)| {
+                    let (tasks, steals) = worker_counts(w);
+                    WorkerPhaseStat {
+                        worker: w,
+                        start_ns,
+                        dur_ns,
+                        tasks,
+                        steals,
+                        counters: std::mem::take(&mut *lock_recover(&self.shared.deltas[w])),
+                    }
+                })
+            });
+            sink.record(totals(idle), spans.into_iter().flatten());
         }
         if panics.is_empty() {
             Ok(())
@@ -541,10 +547,7 @@ impl WorkerPool for Executor {
     }
 
     fn broadcast(&self, f: &(dyn Fn(usize) + Sync)) {
-        if let Err(panics) = self.broadcast_inner(f, true) {
-            self.heal();
-            std::panic::panic_any(WorkerPanic(panics));
-        }
+        self.broadcast_into(None, f);
     }
 }
 
@@ -594,7 +597,7 @@ fn worker_loop(shared: &Shared, w: usize, start_epoch: u64) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        // SAFETY: `broadcast_inner` keeps the closure alive until every
+        // SAFETY: `Executor::phase` keeps the closure alive until every
         // worker has decremented `remaining` for this epoch.
         let f: &(dyn Fn(usize) + Sync) = unsafe { &*job };
         // Native counter snapshot around the task, only when profiling —
@@ -689,18 +692,18 @@ mod tests {
     #[test]
     fn morsels_cover_all_tasks_and_count_steals() {
         let exec = Executor::new(4);
-        exec.drain_counters();
+        let sink = ExecSink::new(false);
         // Heavily skewed queues: all tasks on node 0 of 2 — workers homed
         // on node 1 must steal everything they run.
         let queues = vec![(0..64).collect::<Vec<_>>(), Vec::new()];
         let done: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-        exec.run_morsels(&queues, &|_, t| {
+        exec.run_morsels_into(Some(&sink), &queues, &|_, t| {
             done[t].fetch_add(1, Ordering::Relaxed);
         });
         for d in &done {
             assert_eq!(d.load(Ordering::Relaxed), 1);
         }
-        let c = exec.drain_counters();
+        let (c, _) = sink.take();
         assert_eq!(c.tasks, 64);
         // Node-1 workers can only have run stolen tasks.
         assert!(c.steals <= 64);
@@ -719,14 +722,15 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate_and_drain() {
+    fn counters_accumulate_in_the_sink_and_drain() {
         let exec = Executor::new(2);
-        exec.drain_counters();
+        let sink = ExecSink::new(false);
+        exec.broadcast_into(Some(&sink), &|_| {});
+        exec.broadcast_into(Some(&sink), &|_| {});
+        // A phase submitted without a sink is nobody's business.
         exec.broadcast(&|_| {});
-        exec.broadcast(&|_| {});
-        let c = exec.drain_counters();
-        assert_eq!(c.tasks, 4);
-        assert_eq!(exec.drain_counters(), ExecCounters::new());
+        assert_eq!(sink.take().0.tasks, 4);
+        assert_eq!(sink.take().0, ExecCounters::new());
     }
 
     #[test]
@@ -739,16 +743,22 @@ mod tests {
     #[test]
     fn nested_broadcast_runs_inline() {
         let exec = Executor::new(2);
+        let sink = ExecSink::new(true);
         let inner_hits = AtomicUsize::new(0);
-        exec.broadcast(&|w| {
+        exec.broadcast_into(Some(&sink), &|w| {
             if w == 0 {
                 // A phase nested inside a worker must not deadlock.
-                exec.broadcast(&|_| {
+                exec.broadcast_into(Some(&sink), &|_| {
                     inner_hits.fetch_add(1, Ordering::Relaxed);
                 });
             }
         });
         assert_eq!(inner_hits.load(Ordering::Relaxed), 2);
+        // The inline phase's tasks reach the sink it was submitted with
+        // (2 outer + 2 inline); only the outer broadcast has spans.
+        let (c, spans) = sink.take();
+        assert_eq!(c.tasks, 4);
+        assert_eq!(spans.len(), 2);
     }
 
     #[test]
@@ -801,7 +811,6 @@ mod tests {
     #[test]
     fn run_morsels_contains_task_panics() {
         let exec = Executor::new(4);
-        exec.drain_counters();
         let queues = vec![(0..32).collect::<Vec<_>>()];
         let caught = catch_unwind(AssertUnwindSafe(|| {
             exec.run_morsels(&queues, &|_, t| {
@@ -825,29 +834,29 @@ mod tests {
     #[test]
     fn spans_empty_when_profiling_off() {
         let exec = Executor::new(3);
-        exec.start_recording(false);
-        exec.broadcast(&|_| {});
-        exec.run_morsels(&[(0..8).collect()], &|_, _| {});
-        assert!(exec.drain_spans().is_empty());
-        assert!(!exec.profiling());
+        let sink = ExecSink::new(false);
+        exec.broadcast_into(Some(&sink), &|_| {});
+        exec.run_morsels_into(Some(&sink), &[(0..8).collect()], &|_, _| {});
+        let (c, spans) = sink.take();
+        assert_eq!(c.tasks, 3 + 8);
+        assert!(spans.is_empty());
     }
 
     #[test]
     fn profiled_spans_sum_to_counters() {
         let exec = Executor::new(4);
-        exec.start_recording(true);
-        assert!(exec.profiling());
-        exec.broadcast(&|_| {});
+        let sink = ExecSink::new(true);
+        exec.broadcast_into(Some(&sink), &|_| {});
         let queues = vec![(0..32).collect::<Vec<_>>(), Vec::new()];
-        exec.run_morsels(&queues, &|_, _| {
+        exec.run_morsels_into(Some(&sink), &queues, &|_, _| {
             std::hint::black_box((0..500).sum::<u64>());
         });
-        let c = exec.drain_counters();
-        let spans = exec.drain_spans();
+        let (c, spans) = sink.take();
         // One span per worker per broadcast: one plain + one morsel phase.
         assert_eq!(spans.len(), 2 * 4);
         let span_tasks: u64 = spans.iter().map(|s| s.tasks).sum();
         let span_steals: u64 = spans.iter().map(|s| s.steals).sum();
+        assert_eq!(c.tasks, 4 + 32);
         assert_eq!(
             span_tasks, c.tasks,
             "span tasks must sum to the phase total"
@@ -857,25 +866,37 @@ mod tests {
         for s in &spans {
             assert!(s.worker < 4);
         }
-        // Timestamps are relative to start_recording and ordered: the
-        // second broadcast starts no earlier than the first.
+        // Timestamps are relative to the sink's creation and ordered:
+        // the second broadcast starts no earlier than the first.
         let first_start = spans[0].start_ns;
         let second_start = spans[spans.len() - 1].start_ns;
         assert!(second_start >= first_start);
-        exec.start_recording(false);
     }
 
+    /// Two submitters, one pool, one profiled and one not: each sink
+    /// ends up with exactly its own phases — the property the pool-
+    /// resident counters could not give.
     #[test]
-    fn start_recording_clears_stale_spans() {
-        let exec = Executor::new(2);
-        exec.start_recording(true);
-        exec.broadcast(&|_| {});
-        // A fresh window drops anything the last join left behind.
-        exec.start_recording(true);
-        assert!(exec.drain_spans().is_empty());
-        exec.broadcast(&|_| {});
-        assert_eq!(exec.drain_spans().len(), 2);
-        exec.start_recording(false);
+    fn concurrent_submitters_see_only_their_own_work() {
+        let exec = Executor::new(3);
+        let rounds = 200;
+        std::thread::scope(|scope| {
+            for profile in [true, false] {
+                let exec = &exec;
+                scope.spawn(move || {
+                    let sink = ExecSink::new(profile);
+                    let queues = vec![(0..7).collect::<Vec<_>>()];
+                    for _ in 0..rounds {
+                        exec.broadcast_into(Some(&sink), &|_| {});
+                        exec.run_morsels_into(Some(&sink), &queues, &|_, _| {});
+                        let (c, spans) = sink.take();
+                        assert_eq!(c.tasks, 3 + 7);
+                        assert_eq!(spans.len(), if profile { 2 * 3 } else { 0 });
+                        assert_eq!(spans.iter().map(|s| s.tasks).sum::<u64>() > 0, profile);
+                    }
+                });
+            }
+        });
     }
 
     #[test]

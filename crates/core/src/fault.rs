@@ -4,8 +4,8 @@
 //! The persistent executor ([`crate::executor`]) made worker threads a
 //! process-lifetime resource shared by every join — so a join can no
 //! longer be allowed to take the pool down with it. This module holds
-//! the per-join fault state the thirteen drivers thread through their
-//! phases:
+//! the building blocks of the per-join fault state that a
+//! [`crate::run::JoinRun`] threads through every phase of a driver:
 //!
 //! * [`CancelToken`] — cooperative cancellation, checked at morsel
 //!   granularity inside the join/build/probe loops and at every phase
@@ -26,40 +26,13 @@
 //!   thread ([`failpoints::arm_local`]) or process-wide via the
 //!   `MMJOIN_FAILPOINTS` environment variable
 //!   (`"NOP.build=panic,PRO.join=sleep:25"`).
-//!
-//! A [`FaultCtx`] is created once per join by each driver
-//! ([`FaultCtx::begin`]); workers reach it through the closures they
-//! run, so no global state is involved in the hot path. With none of
-//! the knobs set, every check is one or two relaxed atomic loads.
 
 use std::any::Any;
-use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::Arc;
 
-use mmjoin_util::pool::{lock_recover, WorkerPool};
-
-use crate::config::JoinConfig;
+#[cfg(doc)]
 use crate::plan::JoinError;
-use crate::stats::JoinResult;
-use crate::Algorithm;
-
-#[cfg(feature = "failpoints")]
-use std::sync::atomic::{AtomicU64, AtomicU8};
-#[cfg(feature = "failpoints")]
-use std::time::Duration;
-
-thread_local! {
-    /// The phase the join submitted from this thread is currently in —
-    /// read by `plan::dispatch` to label `WorkerPanicked` errors.
-    static CURRENT_PHASE: Cell<&'static str> = const { Cell::new("plan") };
-}
-
-/// The phase label of the join currently executing on this thread.
-pub(crate) fn current_phase() -> &'static str {
-    CURRENT_PHASE.with(|c| c.get())
-}
 
 /// Carrier for worker panic messages re-raised by the executor on the
 /// submitting thread; `panic_message` unwraps it into the payload shown
@@ -188,241 +161,16 @@ pub struct MemCharge<'a> {
     bytes: usize,
 }
 
+impl<'a> MemCharge<'a> {
+    /// Wrap `bytes` already reserved against `budget`.
+    pub(crate) fn new(budget: &'a MemBudget, bytes: usize) -> Self {
+        MemCharge { budget, bytes }
+    }
+}
+
 impl Drop for MemCharge<'_> {
     fn drop(&mut self) {
         self.budget.release(self.bytes);
-    }
-}
-
-/// Per-join fault state threaded through every phase of a driver.
-pub struct FaultCtx {
-    alg: Algorithm,
-    cancel: CancelToken,
-    deadline_at: Option<Instant>,
-    started: Instant,
-    budget: MemBudget,
-    /// Current phase label (written at phase boundaries, read on error
-    /// paths only).
-    phase: Mutex<&'static str>,
-    /// First worker-side failure (budget trip), surfaced at the next
-    /// phase boundary.
-    tripped: Mutex<Option<JoinError>>,
-    /// Sticky fast flag: some stop condition has been observed.
-    stopped: AtomicBool,
-    /// Active failpoint for the current phase: 0 none, 1 panic, 2 sleep.
-    #[cfg(feature = "failpoints")]
-    fp_mode: AtomicU8,
-    #[cfg(feature = "failpoints")]
-    fp_sleep_ms: AtomicU64,
-}
-
-impl FaultCtx {
-    /// Start fault tracking for one join under `cfg`'s knobs. Must be
-    /// called on the submitting thread (failpoints armed with
-    /// [`failpoints::arm_local`] are resolved against it).
-    pub fn begin(alg: Algorithm, cfg: &JoinConfig) -> FaultCtx {
-        CURRENT_PHASE.with(|c| c.set("plan"));
-        if let Some(mode) = cfg.kernel_mode {
-            mmjoin_util::kernels::set_mode(mode);
-        }
-        if let Some(policy) = cfg.alloc_policy {
-            mmjoin_util::mem::set_policy(policy);
-        }
-        FaultCtx {
-            alg,
-            cancel: cfg.cancel.clone(),
-            deadline_at: cfg.deadline.map(|d| Instant::now() + d),
-            started: Instant::now(),
-            budget: match cfg.mem_limit {
-                Some(bytes) => MemBudget::limited(bytes),
-                None => MemBudget::unlimited(),
-            },
-            phase: Mutex::new("plan"),
-            tripped: Mutex::new(None),
-            stopped: AtomicBool::new(false),
-            #[cfg(feature = "failpoints")]
-            fp_mode: AtomicU8::new(0),
-            #[cfg(feature = "failpoints")]
-            fp_sleep_ms: AtomicU64::new(0),
-        }
-    }
-
-    pub fn algorithm(&self) -> Algorithm {
-        self.alg
-    }
-
-    /// The phase the join is currently in.
-    pub fn phase(&self) -> &'static str {
-        *lock_recover(&self.phase)
-    }
-
-    /// Enter a named phase: updates the error label and arms the phase's
-    /// failpoint (`"<ALG>.<phase>"`), if any.
-    pub fn enter_phase(&self, name: &'static str) {
-        *lock_recover(&self.phase) = name;
-        CURRENT_PHASE.with(|c| c.set(name));
-        #[cfg(feature = "failpoints")]
-        {
-            let key = format!("{}.{name}", self.alg.name());
-            let (mode, ms) = match failpoints::active(&key) {
-                Some(failpoints::FailAction::Panic) => (1, 0),
-                Some(failpoints::FailAction::Sleep(ms)) => (2, ms),
-                None => (0, 0),
-            };
-            self.fp_sleep_ms.store(ms, Ordering::Relaxed);
-            self.fp_mode.store(mode, Ordering::Relaxed);
-        }
-    }
-
-    /// Should in-flight work bail out? Checked at morsel granularity;
-    /// sticky once true. With no cancel token fired and no deadline this
-    /// is one relaxed load (+ one for the token).
-    pub fn should_stop(&self) -> bool {
-        if self.stopped.load(Ordering::Relaxed) {
-            return true;
-        }
-        if self.cancel.is_cancelled() || self.deadline_at.is_some_and(|d| Instant::now() >= d) {
-            self.stopped.store(true, Ordering::Relaxed);
-            return true;
-        }
-        false
-    }
-
-    /// Worker-side per-morsel hook: fires the phase's failpoint (if the
-    /// `failpoints` feature armed one) and reports whether the task
-    /// should bail out.
-    pub fn tick(&self) -> bool {
-        self.on_worker();
-        self.should_stop()
-    }
-
-    /// Failpoint evaluation only (used by [`CtxPool`] for phases whose
-    /// inner loops live in other crates).
-    #[inline]
-    pub(crate) fn on_worker(&self) {
-        #[cfg(feature = "failpoints")]
-        self.fire();
-    }
-
-    #[cfg(feature = "failpoints")]
-    fn fire(&self) {
-        match self.fp_mode.load(Ordering::Relaxed) {
-            1 => panic!("failpoint {}.{} fired", self.alg.name(), self.phase()),
-            2 => std::thread::sleep(Duration::from_millis(
-                self.fp_sleep_ms.load(Ordering::Relaxed),
-            )),
-            _ => {}
-        }
-    }
-
-    /// The join's byte budget, for drivers (the spilling join's
-    /// eviction planner) that need raw reserve/release control.
-    pub(crate) fn budget(&self) -> &MemBudget {
-        &self.budget
-    }
-
-    /// Build the typed budget error for a refused reservation in the
-    /// current phase.
-    pub(crate) fn budget_error(&self, bytes: usize, be: BudgetExceeded) -> JoinError {
-        JoinError::MemoryBudgetExceeded {
-            phase: self.phase(),
-            requested: bytes,
-            limit: be.limit,
-            available: be.available,
-        }
-    }
-
-    /// Reserve `bytes` for a driver-side allocation, or fail the join.
-    pub fn charge(&self, bytes: usize) -> Result<MemCharge<'_>, JoinError> {
-        match self.budget.try_reserve(bytes) {
-            Ok(()) => Ok(MemCharge {
-                budget: &self.budget,
-                bytes,
-            }),
-            Err(be) => Err(self.budget_error(bytes, be)),
-        }
-    }
-
-    /// Worker-side reservation: on failure the error is recorded (to be
-    /// surfaced at the next [`FaultCtx::checkpoint`]) and `None` is
-    /// returned so the morsel can bail out.
-    pub fn try_charge(&self, bytes: usize) -> Option<MemCharge<'_>> {
-        match self.budget.try_reserve(bytes) {
-            Ok(()) => Some(MemCharge {
-                budget: &self.budget,
-                bytes,
-            }),
-            Err(be) => {
-                self.trip(self.budget_error(bytes, be));
-                None
-            }
-        }
-    }
-
-    /// Record a worker-side failure; first one wins. `pub(crate)` so
-    /// drivers with worker-side I/O (the spilling join) can surface a
-    /// typed error at the next checkpoint.
-    pub(crate) fn trip(&self, e: JoinError) {
-        let mut t = lock_recover(&self.tripped);
-        if t.is_none() {
-            *t = Some(e);
-        }
-        self.stopped.store(true, Ordering::Relaxed);
-    }
-
-    /// Phase-boundary check: surfaces a worker-side trip, cancellation,
-    /// or an expired deadline as the matching [`JoinError`], carrying
-    /// the `PhaseStat`s completed so far.
-    pub fn checkpoint(&self, result: &JoinResult) -> Result<(), JoinError> {
-        if let Some(e) = lock_recover(&self.tripped).take() {
-            return Err(e);
-        }
-        if self.cancel.is_cancelled() {
-            return Err(JoinError::Cancelled {
-                phase: self.phase(),
-                partial: result.phases.clone(),
-            });
-        }
-        if let Some(d) = self.deadline_at {
-            if Instant::now() >= d {
-                return Err(JoinError::Timedout {
-                    phase: self.phase(),
-                    elapsed: self.started.elapsed(),
-                    partial: result.phases.clone(),
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
-/// [`WorkerPool`] adapter that evaluates the join's failpoint on every
-/// worker before running the phase closure — the injection path for
-/// phases whose parallel loops live below `mmjoin-core` (partitioning,
-/// CHT bulkload). It never skips the closure: the pool contract (every
-/// index invoked once) is what the result-slot helpers rely on.
-pub struct CtxPool<'a> {
-    inner: &'a dyn WorkerPool,
-    ctx: &'a FaultCtx,
-}
-
-impl<'a> CtxPool<'a> {
-    pub fn new(inner: &'a dyn WorkerPool, ctx: &'a FaultCtx) -> Self {
-        CtxPool { inner, ctx }
-    }
-}
-
-impl WorkerPool for CtxPool<'_> {
-    fn workers(&self) -> usize {
-        self.inner.workers()
-    }
-
-    fn broadcast(&self, f: &(dyn Fn(usize) + Sync)) {
-        let ctx = self.ctx;
-        self.inner.broadcast(&|w| {
-            ctx.on_worker();
-            f(w);
-        });
     }
 }
 
@@ -560,7 +308,6 @@ pub mod failpoints {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn cancel_token_shared_across_clones() {
@@ -593,81 +340,6 @@ mod tests {
         assert!(b.try_reserve(usize::MAX / 2).is_ok());
         assert!(b.try_reserve(usize::MAX / 2).is_ok());
         assert_eq!(b.used(), 0, "unlimited budget does no accounting");
-    }
-
-    #[test]
-    fn charge_guard_releases_on_drop() {
-        let mut cfg = JoinConfig::new(1);
-        cfg.mem_limit = Some(64);
-        let ctx = FaultCtx::begin(Algorithm::Nop, &cfg);
-        {
-            let _c = ctx.charge(64).expect("fits");
-            assert!(ctx.charge(1).is_err());
-        }
-        assert!(ctx.charge(64).is_ok(), "guard drop released the bytes");
-    }
-
-    #[test]
-    fn worker_trip_surfaces_at_checkpoint() {
-        let mut cfg = JoinConfig::new(1);
-        cfg.mem_limit = Some(10);
-        let ctx = FaultCtx::begin(Algorithm::Cprl, &cfg);
-        ctx.enter_phase("join");
-        assert!(ctx.try_charge(100).is_none());
-        assert!(ctx.should_stop());
-        let result = JoinResult::new(Algorithm::Cprl);
-        match ctx.checkpoint(&result) {
-            Err(JoinError::MemoryBudgetExceeded {
-                phase,
-                requested,
-                limit,
-                available,
-            }) => {
-                assert_eq!(phase, "join");
-                assert_eq!(requested, 100);
-                assert_eq!(limit, 10);
-                assert_eq!(available, 10, "nothing was reserved yet");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn deadline_zero_stops_immediately() {
-        let mut cfg = JoinConfig::new(1);
-        cfg.deadline = Some(Duration::ZERO);
-        let ctx = FaultCtx::begin(Algorithm::Pro, &cfg);
-        ctx.enter_phase("partition");
-        assert!(ctx.should_stop());
-        let result = JoinResult::new(Algorithm::Pro);
-        assert!(matches!(
-            ctx.checkpoint(&result),
-            Err(JoinError::Timedout {
-                phase: "partition",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn cancellation_reports_partial_phases() {
-        let mut cfg = JoinConfig::new(1);
-        let token = CancelToken::new();
-        cfg.cancel = token.clone();
-        let ctx = FaultCtx::begin(Algorithm::Mway, &cfg);
-        ctx.enter_phase("sort");
-        let mut result = JoinResult::new(Algorithm::Mway);
-        result.push_phase("partition", Duration::from_millis(1), 0.0);
-        assert!(ctx.checkpoint(&result).is_ok());
-        token.cancel();
-        match ctx.checkpoint(&result) {
-            Err(JoinError::Cancelled { phase, partial }) => {
-                assert_eq!(phase, "sort");
-                assert_eq!(partial.len(), 1);
-                assert_eq!(partial[0].name, "partition");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

@@ -69,6 +69,7 @@ pub mod plan;
 pub mod prb;
 pub mod pro;
 pub mod reference;
+pub mod run;
 pub mod shhj;
 pub mod skew;
 pub mod spec;

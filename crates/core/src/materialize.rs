@@ -21,8 +21,10 @@ use mmjoin_util::{Placement, Relation, Tuple};
 use crate::config::JoinConfig;
 use crate::exec::morsel_map;
 use crate::executor::QueuePolicy;
-use crate::fault::{CtxPool, FaultCtx};
 use crate::plan::JoinError;
+use crate::pro::{partition_phase, swwcb_partition_bytes};
+use crate::run::JoinRun;
+use crate::spec::PhaseModel;
 use crate::Algorithm;
 
 /// One materialized match.
@@ -48,69 +50,69 @@ pub fn join_index(
     s: &Relation,
     cfg: &JoinConfig,
 ) -> Result<Vec<JoinMatch>, JoinError> {
-    let ctx = FaultCtx::begin(Algorithm::Cprl, cfg);
-    let mut result = crate::stats::JoinResult::new(Algorithm::Cprl);
+    let mut run = JoinRun::begin(Algorithm::Cprl, cfg);
     let bits = cfg.bits_for_hash_tables(r.len());
     let f = RadixFn::new(bits);
-    let pool = cfg.executor();
-    let cpool = CtxPool::new(pool.as_ref(), &ctx);
     let parts = f.fanout();
 
-    ctx.enter_phase("partition");
-    let _part_charge = ctx.charge((r.len() + s.len()) * 8 + cfg.threads * parts * 64)?;
-    let cr = chunked_partition_on(r.tuples(), f, &cpool, ScatterMode::Swwcb);
-    let cs = chunked_partition_on(s.tuples(), f, &cpool, ScatterMode::Swwcb);
-    ctx.checkpoint(&result)?;
+    let (cr, cs) = partition_phase(
+        &mut run,
+        r,
+        s,
+        swwcb_partition_bytes(cfg, r, s, parts),
+        PhaseModel::none(),
+        |tuples, p| chunked_partition_on(tuples, f, p, ScatterMode::Swwcb),
+    )?;
 
-    ctx.enter_phase("join");
     let order: Vec<usize> = (0..parts).collect();
-    let mut tasks: Vec<(usize, AlignedVec<JoinMatch>)> =
-        morsel_map(&pool, &order, parts, QueuePolicy::Shared, |p| {
-            if ctx.tick() {
-                return (p, AlignedVec::new());
-            }
-            let spec_bytes = (2 * cr.part_len(p).max(1)).next_power_of_two() * 8;
-            let _table_charge = match ctx.try_charge(spec_bytes) {
-                Some(charge) => charge,
-                None => return (p, AlignedVec::new()),
-            };
-            let mut table = StLinearTable::<IdentityHash>::with_capacity(cr.part_len(p).max(1));
-            cr.for_each_slice(p, |slice| {
-                for &t in slice {
-                    table.insert(t);
+    let mut tasks: Vec<(usize, AlignedVec<JoinMatch>)> = run.phase(
+        "join",
+        |ctx| {
+            let tasks = morsel_map(ctx, &order, parts, QueuePolicy::Shared, |p| {
+                if ctx.tick() {
+                    return (p, AlignedVec::new());
                 }
+                let spec_bytes = (2 * cr.part_len(p).max(1)).next_power_of_two() * 8;
+                let Some(_table_charge) = ctx.try_charge(spec_bytes) else {
+                    return (p, AlignedVec::new());
+                };
+                let mut table = StLinearTable::<IdentityHash>::with_capacity(cr.part_len(p).max(1));
+                cr.for_each_slice(p, |slice| {
+                    for &t in slice {
+                        table.insert(t);
+                    }
+                });
+                // Output buffer: at least one JoinMatch per probe tuple of
+                // the partition under the FK workloads; charge that bound.
+                let out_bytes = cs.part_len(p) * std::mem::size_of::<JoinMatch>();
+                let Some(_out_charge) = ctx.try_charge(out_bytes) else {
+                    return (p, AlignedVec::new());
+                };
+                // Policy-aware output buffer: the per-partition gather is
+                // the write-heavy allocation of materialization.
+                let mut out = AlignedVec::with_capacity(cs.part_len(p));
+                cs.for_each_slice(p, |slice| {
+                    for &t in slice {
+                        table.probe(t.key, |bp| {
+                            out.push(JoinMatch {
+                                key: t.key,
+                                build_payload: bp,
+                                probe_payload: t.payload,
+                            })
+                        });
+                    }
+                });
+                (p, out)
             });
-            // Output buffer: at least one JoinMatch per probe tuple of
-            // the partition under the FK workloads; charge that bound.
-            let out_bytes = cs.part_len(p) * std::mem::size_of::<JoinMatch>();
-            let _out_charge = match ctx.try_charge(out_bytes) {
-                Some(charge) => charge,
-                None => return (p, AlignedVec::new()),
-            };
-            // Policy-aware output buffer: the per-partition gather is
-            // the write-heavy allocation of materialization.
-            let mut out = AlignedVec::with_capacity(cs.part_len(p));
-            cs.for_each_slice(p, |slice| {
-                for &t in slice {
-                    table.probe(t.key, |bp| {
-                        out.push(JoinMatch {
-                            key: t.key,
-                            build_payload: bp,
-                            probe_payload: t.payload,
-                        })
-                    });
-                }
-            });
-            (p, out)
-        })
-        .into_iter()
-        .filter(|(_, v)| !v.is_empty())
-        .collect();
+            Ok(tasks.into_iter().filter(|(_, v)| !v.is_empty()).collect())
+        },
+        |_| PhaseModel::none(),
+    )?;
 
     // Deterministic order: by partition id.
     tasks.sort_by_key(|(p, _)| *p);
     let total: usize = tasks.iter().map(|(_, v)| v.len()).sum();
-    let _out_charge = ctx.charge(total * std::mem::size_of::<JoinMatch>())?;
+    run.reserve("join", total * std::mem::size_of::<JoinMatch>())?;
     let mut out = Vec::new();
     if out.try_reserve_exact(total).is_err() {
         return Err(JoinError::MemoryBudgetExceeded {
@@ -123,8 +125,6 @@ pub fn join_index(
     for (_, v) in tasks {
         out.extend_from_slice(&v);
     }
-    result.set_checksum(mmjoin_util::checksum::JoinChecksum::new());
-    ctx.checkpoint(&result)?;
     Ok(out)
 }
 

@@ -10,8 +10,6 @@
 //! has no such restriction (tasks come from a queue), but the harness
 //! mirrors the paper and caps MWAY at 32 threads in Figure 1-style runs.
 
-use std::time::Instant;
-
 use mmjoin_partition::{partition_parallel_on, task_order, RadixFn, ScatterMode, ScheduleOrder};
 use mmjoin_sort::{sort_packed, LoserTree};
 use mmjoin_util::alloc::AlignedVec;
@@ -22,9 +20,10 @@ use mmjoin_util::{next_pow2, Relation};
 use crate::config::JoinConfig;
 use crate::exec::{join_morsels, morsel_map};
 use crate::executor::QueuePolicy;
-use crate::fault::{CtxPool, FaultCtx};
 use crate::plan::JoinError;
-use crate::spec::{self, ops, PartitionLayout, PartitionWrites};
+use crate::pro::{partition_phase, swwcb_partition_bytes, CoPartitions};
+use crate::run::JoinRun;
+use crate::spec::{self, ops, PartitionLayout, PartitionWrites, PhaseModel};
 use crate::stats::JoinResult;
 use crate::Algorithm;
 
@@ -33,101 +32,81 @@ const MERGE_WAYS: usize = 4;
 
 /// MWAY join.
 pub fn join_mway(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResult, JoinError> {
-    let ctx = FaultCtx::begin(Algorithm::Mway, cfg);
-    let mut result = JoinResult::new(Algorithm::Mway);
+    let mut run = JoinRun::begin(Algorithm::Mway, cfg);
     // Few partitions: enough for task parallelism, not cache-sized.
     let parts = next_pow2(cfg.threads * 4).max(4);
     let bits = parts.trailing_zeros();
-    result.radix_bits = Some(bits);
     let f = RadixFn::new(bits);
 
-    let pool = cfg.executor();
-    pool.start_recording(cfg.profile.enabled);
-    let cpool = CtxPool::new(pool.as_ref(), &ctx);
-
     // Phase 1: partition both inputs (single pass, SWWCB).
-    ctx.enter_phase("partition");
-    // Partitioned copies of both inputs (8 B/tuple) plus the per-worker
-    // SWWCB pools (one cache line per partition per worker).
-    let _part_charge = ctx.charge((r.len() + s.len()) * 8 + cfg.threads * parts * 64)?;
-    let start = Instant::now();
-    let pr = partition_parallel_on(r.tuples(), f, &cpool, ScatterMode::Swwcb);
-    let ps = partition_parallel_on(s.tuples(), f, &cpool, ScatterMode::Swwcb);
-    let part_wall = start.elapsed();
-    let mut part_sim = 0.0;
-    for (rel, len) in [(r, r.len()), (s, s.len())] {
-        let specs = spec::partition_pass_specs(
-            cfg,
-            len,
-            rel.placement(),
-            parts,
-            true,
-            PartitionWrites::GlobalInterleaved,
-        );
-        let order: Vec<usize> = (0..specs.len()).collect();
-        part_sim += spec::run_phase(cfg, &specs, &order).0;
-    }
-    result.push_phase_pool("partition", part_wall, part_sim, &pool);
-    ctx.checkpoint(&result)?;
+    let writes = PartitionWrites::GlobalInterleaved;
+    let (pr, ps) = partition_phase(
+        &mut run,
+        r,
+        s,
+        swwcb_partition_bytes(cfg, r, s, parts),
+        spec::partition_model(cfg, &[r, s], &[parts], true, writes),
+        |tuples, p| partition_parallel_on(tuples, f, p, ScatterMode::Swwcb),
+    )?;
 
     // Phase 2: sort every partition of both sides (morsel per partition).
-    ctx.enter_phase("sort");
     // Packed sort runs: both sides copied into u64 arrays.
-    let _sort_charge = ctx.charge((r.len() + s.len()) * 8)?;
-    let start = Instant::now();
-    let sort_order: Vec<usize> = (0..parts).collect();
-    let sorted: Vec<(usize, AlignedVec<u64>, AlignedVec<u64>)> = {
-        let mut slots = morsel_map(&pool, &sort_order, parts, QueuePolicy::Shared, |p| {
-            if ctx.tick() {
-                return (p, AlignedVec::new(), AlignedVec::new());
-            }
-            let mut scratch = AlignedVec::new();
-            (
-                p,
-                sort_partition(pr.partition(p), &mut scratch),
-                sort_partition(ps.partition(p), &mut scratch),
-            )
-        });
-        slots.sort_by_key(|(p, _, _)| *p);
-        slots
-    };
-    let sort_wall = start.elapsed();
-    let sort_specs = sort_phase_specs(cfg, &pr, &ps);
+    run.reserve("sort", (r.len() + s.len()) * 8)?;
     let order = task_order(parts, ScheduleOrder::Sequential);
-    let (sort_sim, _) = spec::run_phase(cfg, &sort_specs, &order);
-    result.push_phase_pool("sort", sort_wall, sort_sim, &pool);
-    ctx.checkpoint(&result)?;
+    let sorted: Vec<(usize, AlignedVec<u64>, AlignedVec<u64>)> = run.phase(
+        "sort",
+        |p| {
+            let mut slots = morsel_map(p, &order, parts, QueuePolicy::Shared, |part| {
+                if p.tick() {
+                    return (part, AlignedVec::new(), AlignedVec::new());
+                }
+                let mut scratch = AlignedVec::new();
+                (
+                    part,
+                    sort_partition(pr.partition(part), &mut scratch),
+                    sort_partition(ps.partition(part), &mut scratch),
+                )
+            });
+            slots.sort_by_key(|(part, _, _)| *part);
+            Ok(slots)
+        },
+        |_| PhaseModel::ordered(sort_phase_specs(cfg, &pr, &ps), order.clone()),
+    )?;
 
     // Phase 3: merge-join co-partitions.
-    ctx.enter_phase("join");
-    let start = Instant::now();
-    let sorted_ref = &sorted;
-    let checksum = join_morsels(&pool, &sort_order, parts, QueuePolicy::Shared, |p| {
-        let mut c = JoinChecksum::new();
-        if ctx.tick() {
-            return c;
-        }
-        let (_, ref rs, ref ss) = sorted_ref[p];
-        merge_join_sorted(rs, ss, &mut c);
-        c
-    });
-    let join_wall = start.elapsed();
-    result.set_checksum(checksum);
-    let r_sizes: Vec<usize> = (0..parts).map(|p| pr.part_len(p)).collect();
-    let s_sizes: Vec<usize> = (0..parts).map(|p| ps.part_len(p)).collect();
-    let tasks = spec::join_task_specs(
-        cfg,
-        &r_sizes,
-        &s_sizes,
-        PartitionLayout::Contiguous,
-        ops::MERGE_JOIN,
-        ops::MERGE_JOIN,
-        0.0, // no table: pure streaming merge
-    );
-    let (join_sim, _) = spec::run_phase(cfg, &tasks, &order);
-    result.push_phase_pool("join", join_wall, join_sim, &pool);
-    ctx.checkpoint(&result)?;
-    Ok(result)
+    let checksum = run.phase(
+        "join",
+        |p| {
+            Ok(join_morsels(
+                p,
+                &order,
+                parts,
+                QueuePolicy::Shared,
+                |part| {
+                    let mut c = JoinChecksum::new();
+                    if p.tick() {
+                        return c;
+                    }
+                    let (_, ref rs, ref ss) = sorted[part];
+                    merge_join_sorted(rs, ss, &mut c);
+                    c
+                },
+            ))
+        },
+        |_| {
+            let tasks = spec::join_task_specs(
+                cfg,
+                &pr.sizes(),
+                &ps.sizes(),
+                PartitionLayout::Contiguous,
+                ops::MERGE_JOIN,
+                ops::MERGE_JOIN,
+                0.0, // no table: pure streaming merge
+            );
+            PhaseModel::ordered(tasks, order.clone())
+        },
+    )?;
+    Ok(run.finish(checksum, Some(bits)))
 }
 
 /// Sort one partition: pack tuples, sort MERGE_WAYS sub-runs with the

@@ -9,137 +9,150 @@
 //! NOPA (this paper): same skeleton, but the "table" is a plain payload
 //! array indexed by the (dense) key.
 
-use std::time::Instant;
-
 use mmjoin_hashtable::{ConcurrentArrayTable, ConcurrentLinearTable, IdentityHash};
 use mmjoin_util::checksum::JoinChecksum;
+use mmjoin_util::tuple::Tuple;
 use mmjoin_util::Relation;
 
 use crate::config::JoinConfig;
 use crate::exec::{merge_checksums, parallel_chunks, MORSEL};
-use crate::fault::{CtxPool, FaultCtx};
 use crate::plan::JoinError;
-use crate::spec::{self, ops};
+use crate::run::JoinRun;
+use crate::spec::{self, ops, PhaseModel};
 use crate::stats::JoinResult;
 use crate::Algorithm;
 
-/// NOP: lock-free linear-probing global table.
-pub fn join_nop(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResult, JoinError> {
-    let ctx = FaultCtx::begin(Algorithm::Nop, cfg);
-    let mut result = JoinResult::new(Algorithm::Nop);
-    let pool = cfg.executor();
-    pool.start_recording(cfg.profile.enabled);
-    let cpool = CtxPool::new(pool.as_ref(), &ctx);
+/// The "build" phase over one global table: every worker inserts its
+/// chunk of `r`, a morsel at a time, through `insert`.
+fn build_global(
+    run: &mut JoinRun,
+    r: &Relation,
+    table_bytes: f64,
+    cpu_per_tuple: f64,
+    insert: impl Fn(&[Tuple]) + Sync,
+) -> Result<(), JoinError> {
+    let cfg = run.cfg();
+    run.phase(
+        "build",
+        |p| {
+            parallel_chunks(p, r.tuples(), |_, chunk| {
+                for block in chunk.chunks(MORSEL) {
+                    if p.should_stop() {
+                        return;
+                    }
+                    insert(block);
+                }
+            });
+            Ok(())
+        },
+        |_| {
+            PhaseModel::pass(spec::global_build_specs(
+                cfg,
+                r.len(),
+                r.placement(),
+                table_bytes,
+                cpu_per_tuple,
+            ))
+        },
+    )
+}
 
-    // Build phase.
-    ctx.enter_phase("build");
+/// The "probe" phase against one global (by now read-only) table — NOP,
+/// NOPA and CHTJ alike: every worker probes its chunk of `s`, a morsel
+/// at a time, through `probe`. `accesses_per_probe` and `cpu_per_tuple`
+/// are the table's cost-model shape.
+pub(crate) fn probe_global(
+    run: &mut JoinRun,
+    s: &Relation,
+    table_bytes: f64,
+    accesses_per_probe: f64,
+    cpu_per_tuple: f64,
+    probe: impl Fn(&[Tuple], &mut JoinChecksum) + Sync,
+) -> Result<JoinChecksum, JoinError> {
+    let cfg = run.cfg();
+    run.phase(
+        "probe",
+        |p| {
+            Ok(merge_checksums(parallel_chunks(
+                p,
+                s.tuples(),
+                |_, chunk| {
+                    let mut c = JoinChecksum::new();
+                    for block in chunk.chunks(MORSEL) {
+                        if p.should_stop() {
+                            return c;
+                        }
+                        probe(block, &mut c);
+                    }
+                    c
+                },
+            )))
+        },
+        |_| {
+            PhaseModel::pass(spec::global_probe_specs(
+                cfg,
+                s.len(),
+                s.placement(),
+                table_bytes,
+                accesses_per_probe,
+                cpu_per_tuple,
+            ))
+        },
+    )
+}
+
+/// NOP's build phase: the global lock-free linear-probing table over `r`.
+pub(crate) fn build_nop(
+    run: &mut JoinRun,
+    r: &Relation,
+) -> Result<ConcurrentLinearTable<IdentityHash>, JoinError> {
     // The global table: capacity rounds |R| up to the next power of two
     // at 2x load headroom, 8 B per slot.
-    let _table_charge = ctx.charge((2 * r.len().max(1)).next_power_of_two() * 8)?;
+    run.reserve("build", (2 * r.len().max(1)).next_power_of_two() * 8)?;
     let table = ConcurrentLinearTable::<IdentityHash>::with_capacity(r.len());
-    let table_bytes = table.memory_bytes() as f64;
-    let start = Instant::now();
-    parallel_chunks(&cpool, r.tuples(), |_, chunk| {
-        for block in chunk.chunks(MORSEL) {
-            if ctx.should_stop() {
-                return;
-            }
-            table.insert_batch(block);
-        }
-    });
-    let build_wall = start.elapsed();
-    let build_specs =
-        spec::global_build_specs(cfg, r.len(), r.placement(), table_bytes, ops::BUILD);
-    let order: Vec<usize> = (0..build_specs.len()).collect();
-    let (build_sim, build_phase) = spec::run_phase(cfg, &build_specs, &order);
-    result.push_phase_pool("build", build_wall, build_sim, &pool);
-    if cfg.keep_timelines {
-        result.timelines.push(("build", build_phase));
-    }
-    ctx.checkpoint(&result)?;
+    build_global(run, r, table.memory_bytes() as f64, ops::BUILD, |block| {
+        table.insert_batch(block)
+    })?;
+    Ok(table)
+}
 
-    // Probe phase.
-    ctx.enter_phase("probe");
-    let start = Instant::now();
-    let checksums = parallel_chunks(&cpool, s.tuples(), |_, chunk| {
-        let mut c = JoinChecksum::new();
-        for block in chunk.chunks(MORSEL) {
-            if ctx.should_stop() {
-                return c;
-            }
-            table.probe_batch(block, cfg.unique_build_keys, |t, bp| {
-                c.add(t.key, bp, t.payload)
-            });
-        }
-        c
-    });
-    let probe_wall = start.elapsed();
-    result.set_checksum(merge_checksums(checksums));
-    let probe_specs =
-        spec::global_probe_specs(cfg, s.len(), s.placement(), table_bytes, 1.0, ops::PROBE);
-    let order: Vec<usize> = (0..probe_specs.len()).collect();
-    let (probe_sim, probe_phase) = spec::run_phase(cfg, &probe_specs, &order);
-    result.push_phase_pool("probe", probe_wall, probe_sim, &pool);
-    if cfg.keep_timelines {
-        result.timelines.push(("probe", probe_phase));
-    }
-    ctx.checkpoint(&result)?;
-    Ok(result)
+/// NOPA's build phase: the global payload array over the key domain.
+pub(crate) fn build_nopa(
+    run: &mut JoinRun,
+    r: &Relation,
+) -> Result<ConcurrentArrayTable, JoinError> {
+    let domain = run.cfg().domain(r.len());
+    // The payload array: one 8 B slot per domain value.
+    run.reserve("build", (domain + 1) * 8)?;
+    let table = ConcurrentArrayTable::new(domain + 1, 1);
+    build_global(run, r, table.memory_bytes() as f64, ops::ARRAY, |block| {
+        table.insert_batch(block)
+    })?;
+    Ok(table)
+}
+
+/// NOP: lock-free linear-probing global table.
+pub fn join_nop(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResult, JoinError> {
+    let mut run = JoinRun::begin(Algorithm::Nop, cfg);
+    let table = build_nop(&mut run, r)?;
+    let table_bytes = table.memory_bytes() as f64;
+    let checksum = probe_global(&mut run, s, table_bytes, 1.0, ops::PROBE, |block, c| {
+        table.probe_batch(block, cfg.unique_build_keys, |t, bp| {
+            c.add(t.key, bp, t.payload)
+        })
+    })?;
+    Ok(run.finish(checksum, None))
 }
 
 /// NOPA: global payload array over the key domain.
 pub fn join_nopa(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResult, JoinError> {
-    let ctx = FaultCtx::begin(Algorithm::Nopa, cfg);
-    let mut result = JoinResult::new(Algorithm::Nopa);
-    let pool = cfg.executor();
-    pool.start_recording(cfg.profile.enabled);
-    let cpool = CtxPool::new(pool.as_ref(), &ctx);
-
-    ctx.enter_phase("build");
-    let domain = cfg.domain(r.len());
-    // The payload array: one 8 B slot per domain value.
-    let _table_charge = ctx.charge((domain + 1) * 8)?;
-    let table = ConcurrentArrayTable::new(domain + 1, 1);
+    let mut run = JoinRun::begin(Algorithm::Nopa, cfg);
+    let table = build_nopa(&mut run, r)?;
     let table_bytes = table.memory_bytes() as f64;
-
-    let start = Instant::now();
-    parallel_chunks(&cpool, r.tuples(), |_, chunk| {
-        for block in chunk.chunks(MORSEL) {
-            if ctx.should_stop() {
-                return;
-            }
-            table.insert_batch(block);
-        }
-    });
-    let build_wall = start.elapsed();
-    let build_specs =
-        spec::global_build_specs(cfg, r.len(), r.placement(), table_bytes, ops::ARRAY);
-    let order: Vec<usize> = (0..build_specs.len()).collect();
-    let (build_sim, _) = spec::run_phase(cfg, &build_specs, &order);
-    result.push_phase_pool("build", build_wall, build_sim, &pool);
-    ctx.checkpoint(&result)?;
-
-    ctx.enter_phase("probe");
-    let start = Instant::now();
-    let checksums = parallel_chunks(&cpool, s.tuples(), |_, chunk| {
-        let mut c = JoinChecksum::new();
-        for block in chunk.chunks(MORSEL) {
-            if ctx.should_stop() {
-                return c;
-            }
-            table.probe_batch(block, |t, bp| c.add(t.key, bp, t.payload));
-        }
-        c
-    });
-    let probe_wall = start.elapsed();
-    result.set_checksum(merge_checksums(checksums));
-    let probe_specs =
-        spec::global_probe_specs(cfg, s.len(), s.placement(), table_bytes, 1.0, ops::ARRAY);
-    let order: Vec<usize> = (0..probe_specs.len()).collect();
-    let (probe_sim, _) = spec::run_phase(cfg, &probe_specs, &order);
-    result.push_phase_pool("probe", probe_wall, probe_sim, &pool);
-    ctx.checkpoint(&result)?;
-    Ok(result)
+    let checksum = probe_global(&mut run, s, table_bytes, 1.0, ops::ARRAY, |block, c| {
+        table.probe_batch(block, |t, bp| c.add(t.key, bp, t.payload))
+    })?;
+    Ok(run.finish(checksum, None))
 }
 
 #[cfg(test)]

@@ -22,14 +22,13 @@
 //! materialization), so an `n`-join chain avoids `n-1` materialized
 //! intermediate relations entirely.
 //!
-//! Fault plumbing (PR 2) and per-phase spans (PR 4) flow through
-//! unchanged: every phase runs under a [`FaultCtx`] with deadline /
-//! cancellation checks at morsel granularity, memory charges before
-//! large allocations, and `push_phase_pool` span collection.
+//! Fault plumbing and per-phase spans flow through unchanged: the build
+//! and the fused probe are each a [`JoinRun`] whose phases go through
+//! [`JoinRun::phase`] like any classic driver's — deadline and
+//! cancellation checks at morsel granularity, memory reserved before
+//! large allocations, counters and spans from the run's own sink.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
 
 use mmjoin_hashtable::{
     ArrayTable, ConciseHashTable, ConcurrentArrayTable, ConcurrentLinearTable, IdentityHash,
@@ -43,12 +42,13 @@ use mmjoin_util::tuple::{Payload, Tuple};
 use mmjoin_util::Relation;
 
 use crate::config::{JoinConfig, TableKind};
-use crate::exec::{morsel_map, parallel_chunks, MORSEL};
-use crate::executor::{Executor, QueuePolicy};
-use crate::fault::{CtxPool, FaultCtx};
-use crate::plan::{JoinConfigBuilder, JoinError};
-use crate::spec::{self, ops, FusedStageModel, PartitionLayout, PartitionWrites};
-use crate::stats::{JoinResult, PhaseStat};
+use crate::exec::{morsel_map, MORSEL};
+use crate::executor::QueuePolicy;
+use crate::plan::JoinError;
+use crate::pro::{CoPartitions, PartTable};
+use crate::run::{contain_panics, JoinRun, RunCtx};
+use crate::spec::{self, ops, FusedStageModel, PartitionLayout, PartitionWrites, PhaseModel};
+use crate::stats::PhaseStat;
 use crate::Algorithm;
 
 /// Bytes of one materialized intermediate tuple a fused stage avoids —
@@ -205,13 +205,7 @@ impl BuildSide {
         r: &Relation,
         cfg: &JoinConfig,
     ) -> Result<Arc<BuildSide>, JoinError> {
-        match catch_unwind(AssertUnwindSafe(|| prepare_inner(algorithm, r, cfg))) {
-            Ok(res) => res,
-            Err(payload) => Err(JoinError::WorkerPanicked {
-                phase: crate::fault::current_phase(),
-                payload: crate::fault::panic_message(payload.as_ref()),
-            }),
-        }
+        contain_panics(|| prepare_inner(algorithm, r, cfg))
     }
 
     /// The driver this side was built for.
@@ -302,94 +296,22 @@ fn prepare_inner(
     if !is_ported(algorithm) {
         return Err(JoinError::PipelineUnsupported { algorithm });
     }
-    // Same front-door validation as `Join::run`: array sides index a
-    // payload array by key.
-    if algorithm.needs_dense_domain() {
-        if let Some(max_key) = r.tuples().iter().map(|t| t.key).max() {
-            let domain = cfg.domain(r.len());
-            if max_key as usize > domain {
-                return Err(JoinError::DomainExceeded {
-                    algorithm,
-                    max_key,
-                    domain,
-                });
-            }
-        }
-    }
+    crate::plan::check_dense_domain(algorithm, r, cfg)?;
 
-    let ctx = FaultCtx::begin(algorithm, cfg);
-    let mut result = JoinResult::new(algorithm);
-    let pool = cfg.executor();
-    pool.start_recording(cfg.profile.enabled);
-    let cpool = CtxPool::new(pool.as_ref(), &ctx);
-
+    let mut run = JoinRun::begin(algorithm, cfg);
     let mut radix_bits = None;
+    // The classic drivers' own build phases, minus everything probe-side.
     let (inner, accesses, cpu) = match algorithm {
         Algorithm::Nop => {
-            ctx.enter_phase("build");
-            let _table_charge = ctx.charge((2 * r.len().max(1)).next_power_of_two() * 8)?;
-            let table = ConcurrentLinearTable::<IdentityHash>::with_capacity(r.len());
-            let table_bytes = table.memory_bytes() as f64;
-            let start = Instant::now();
-            parallel_chunks(&cpool, r.tuples(), |_, chunk| {
-                for block in chunk.chunks(MORSEL) {
-                    if ctx.should_stop() {
-                        return;
-                    }
-                    table.insert_batch(block);
-                }
-            });
-            let build_wall = start.elapsed();
-            let specs =
-                spec::global_build_specs(cfg, r.len(), r.placement(), table_bytes, ops::BUILD);
-            let order: Vec<usize> = (0..specs.len()).collect();
-            let (build_sim, _) = spec::run_phase(cfg, &specs, &order);
-            result.push_phase_pool("build", build_wall, build_sim, &pool);
-            ctx.checkpoint(&result)?;
+            let table = crate::nop::build_nop(&mut run, r)?;
             (BuildInner::Linear(table), 1.0, ops::PROBE)
         }
         Algorithm::Nopa => {
-            ctx.enter_phase("build");
-            let domain = cfg.domain(r.len());
-            let _table_charge = ctx.charge((domain + 1) * 8)?;
-            let table = ConcurrentArrayTable::new(domain + 1, 1);
-            let table_bytes = table.memory_bytes() as f64;
-            let start = Instant::now();
-            parallel_chunks(&cpool, r.tuples(), |_, chunk| {
-                for block in chunk.chunks(MORSEL) {
-                    if ctx.should_stop() {
-                        return;
-                    }
-                    table.insert_batch(block);
-                }
-            });
-            let build_wall = start.elapsed();
-            let specs =
-                spec::global_build_specs(cfg, r.len(), r.placement(), table_bytes, ops::ARRAY);
-            let order: Vec<usize> = (0..specs.len()).collect();
-            let (build_sim, _) = spec::run_phase(cfg, &specs, &order);
-            result.push_phase_pool("build", build_wall, build_sim, &pool);
-            ctx.checkpoint(&result)?;
+            let table = crate::nop::build_nopa(&mut run, r)?;
             (BuildInner::Array(table), 1.0, ops::ARRAY)
         }
         Algorithm::Chtj => {
-            ctx.enter_phase("build");
-            let _table_charge = ctx.charge(r.len() * 16)?;
-            let start = Instant::now();
-            let cht = ConciseHashTable::<MultiplicativeHash>::build_on(r.tuples(), &cpool);
-            let build_wall = start.elapsed();
-            let table_bytes = cht.memory_bytes() as f64;
-            let specs = spec::global_build_specs(
-                cfg,
-                r.len(),
-                r.placement(),
-                table_bytes,
-                ops::BUILD + 2.0,
-            );
-            let order: Vec<usize> = (0..specs.len()).collect();
-            let (build_sim, _) = spec::run_phase(cfg, &specs, &order);
-            result.push_phase_pool("build", build_wall, build_sim, &pool);
-            ctx.checkpoint(&result)?;
+            let cht = crate::chtj::build_chtj(&mut run, r)?;
             (BuildInner::Concise(cht), 2.0, ops::CHT_PROBE)
         }
         Algorithm::Pro | Algorithm::Prl | Algorithm::Pra => {
@@ -398,61 +320,51 @@ fn prepare_inner(
                 Algorithm::Prl => TableKind::Linear,
                 _ => TableKind::Array,
             };
-            let bits = crate::pro::radix_bits(cfg, kind, r.len());
-            radix_bits = Some(bits);
-            let f = RadixFn::new(bits);
+            let table = PartTable::for_join(cfg, kind, r.len());
+            radix_bits = Some(table.bits);
+            let f = RadixFn::new(table.bits);
             let parts = f.fanout();
-            let domain = cfg.domain(r.len());
 
             // Partition phase — build side only: the probe input is
             // routed batch-by-batch at probe time, never copied.
-            ctx.enter_phase("partition");
-            let _part_charge = ctx.charge(r.len() * 8 + cfg.threads * parts * 64)?;
-            let start = Instant::now();
-            let pr = partition_parallel_on(r.tuples(), f, &cpool, ScatterMode::Swwcb);
-            let part_wall = start.elapsed();
-            let specs = spec::partition_pass_specs(
-                cfg,
-                r.len(),
-                r.placement(),
-                parts,
-                true,
-                PartitionWrites::GlobalInterleaved,
-            );
-            let order: Vec<usize> = (0..specs.len()).collect();
-            let (part_sim, part_phase) = spec::run_phase(cfg, &specs, &order);
-            result.push_phase_pool("partition", part_wall, part_sim, &pool);
-            if cfg.keep_timelines {
-                result.timelines.push(("partition", part_phase));
-            }
-            ctx.checkpoint(&result)?;
+            run.reserve("partition", r.len() * 8 + cfg.threads * parts * 64)?;
+            let pr = run.phase(
+                "partition",
+                |p| Ok(partition_parallel_on(r.tuples(), f, p, ScatterMode::Swwcb)),
+                |_| {
+                    let writes = PartitionWrites::GlobalInterleaved;
+                    spec::partition_model(cfg, &[r], &[parts], true, writes)
+                },
+            )?;
 
             // Build phase: one table per partition off the morsel queue.
-            ctx.enter_phase("build");
-            let table_bytes_total: usize = (0..parts)
-                .map(|p| crate::pro::spec_for(kind, bits, domain, pr.part_len(p)).table_bytes())
-                .sum();
-            let _table_charge = ctx.charge(table_bytes_total)?;
-            let start = Instant::now();
-            let tables = build_part_tables(&pool, &ctx, &pr, kind, bits, domain);
-            let build_wall = start.elapsed();
-            let r_sizes: Vec<usize> = (0..parts).map(|p| pr.part_len(p)).collect();
-            let no_probes = vec![0usize; parts];
-            let (cpu_build, cpu_probe) = crate::pro::table_cpu(kind);
-            let specs = spec::join_task_specs(
-                cfg,
-                &r_sizes,
-                &no_probes,
-                PartitionLayout::Contiguous,
-                cpu_build,
-                cpu_probe,
-                crate::pro::table_bytes_per_tuple(kind, domain, bits, r.len()),
-            );
-            let order: Vec<usize> = (0..specs.len()).collect();
-            let (build_sim, _) = spec::run_phase(cfg, &specs, &order);
-            result.push_phase_pool("build", build_wall, build_sim, &pool);
-            ctx.checkpoint(&result)?;
-            (BuildInner::Partitioned { radix: f, tables }, 1.0, cpu_probe)
+            run.reserve(
+                "build",
+                (0..parts)
+                    .map(|p| table.spec(pr.part_len(p)).table_bytes())
+                    .sum(),
+            )?;
+            let tables = run.phase(
+                "build",
+                |p| Ok(build_part_tables(p, &pr, table)),
+                |_| {
+                    let (cpu_build, cpu_probe) = table.cpu();
+                    PhaseModel::pass(spec::join_task_specs(
+                        cfg,
+                        &pr.sizes(),
+                        &vec![0usize; parts],
+                        PartitionLayout::Contiguous,
+                        cpu_build,
+                        cpu_probe,
+                        table.bytes_per_tuple(r.len()),
+                    ))
+                },
+            )?;
+            (
+                BuildInner::Partitioned { radix: f, tables },
+                1.0,
+                table.cpu().1,
+            )
         }
         // `is_ported` gated everything else above.
         _ => unreachable!("unported algorithm passed the is_ported gate"),
@@ -467,7 +379,7 @@ fn prepare_inner(
     Ok(Arc::new(BuildSide {
         algorithm,
         inner,
-        phases: result.phases,
+        phases: run.finish(JoinChecksum::new(), radix_bits).phases,
         radix_bits,
         memory_bytes,
         tuples: r.len(),
@@ -477,38 +389,27 @@ fn prepare_inner(
     }))
 }
 
-fn build_part_tables(
-    pool: &Executor,
-    ctx: &FaultCtx,
-    pr: &PartitionedRelation,
-    kind: TableKind,
-    bits: u32,
-    domain: usize,
-) -> PartTables {
-    match kind {
-        TableKind::Chained => PartTables::Chained(build_tables(pool, ctx, pr, kind, bits, domain)),
-        TableKind::Linear => PartTables::Linear(build_tables(pool, ctx, pr, kind, bits, domain)),
-        TableKind::Array => PartTables::Array(build_tables(pool, ctx, pr, kind, bits, domain)),
+fn build_part_tables(p: &RunCtx, pr: &PartitionedRelation, table: PartTable) -> PartTables {
+    match table.kind {
+        TableKind::Chained => PartTables::Chained(build_tables(p, pr, table)),
+        TableKind::Linear => PartTables::Linear(build_tables(p, pr, table)),
+        TableKind::Array => PartTables::Array(build_tables(p, pr, table)),
     }
 }
 
 fn build_tables<T: JoinTable + Send>(
-    pool: &Executor,
-    ctx: &FaultCtx,
+    p: &RunCtx,
     pr: &PartitionedRelation,
-    kind: TableKind,
-    bits: u32,
-    domain: usize,
+    table: PartTable,
 ) -> Vec<T> {
     let parts = pr.parts();
     let order: Vec<usize> = (0..parts).collect();
-    let mut tabs: Vec<(usize, T)> = morsel_map(pool, &order, parts, QueuePolicy::Shared, |p| {
-        let spec = crate::pro::spec_for(kind, bits, domain, pr.part_len(p));
-        let mut t = T::with_spec(&spec);
-        if !ctx.tick() {
-            t.insert_batch(pr.partition(p));
+    let mut tabs: Vec<(usize, T)> = morsel_map(p, &order, parts, QueuePolicy::Shared, |part| {
+        let mut t = T::with_spec(&table.spec(pr.part_len(part)));
+        if !p.tick() {
+            t.insert_batch(pr.partition(part));
         }
-        (p, t)
+        (part, t)
     });
     tabs.sort_unstable_by_key(|t| t.0);
     tabs.into_iter().map(|(_, t)| t).collect()
@@ -566,19 +467,10 @@ impl PipelineResult {
 /// assert_eq!(res.matches, 4_000);
 /// ```
 #[must_use = "a Pipeline does nothing until run"]
-#[derive(Clone, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Pipeline {
     stages: Vec<Arc<BuildSide>>,
-    builder: JoinConfigBuilder,
     config: Option<JoinConfig>,
-}
-
-impl std::fmt::Debug for Pipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pipeline")
-            .field("stages", &self.stages)
-            .finish_non_exhaustive()
-    }
 }
 
 impl Pipeline {
@@ -595,68 +487,8 @@ impl Pipeline {
         self
     }
 
-    /// Host worker threads.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.builder = self.builder.with_threads(threads);
-        self
-    }
-
-    /// Cost-model thread count.
-    pub fn with_sim_threads(mut self, sim_threads: usize) -> Self {
-        self.builder = self.builder.with_sim_threads(sim_threads);
-        self
-    }
-
-    /// Simulated NUMA timing on/off.
-    pub fn with_simulate(mut self, on: bool) -> Self {
-        self.builder = self.builder.with_simulate(on);
-        self
-    }
-
-    /// Unique-build-keys (PK) assumption for every stage's probes.
-    pub fn with_unique_build_keys(mut self, unique: bool) -> Self {
-        self.builder = self.builder.with_unique_build_keys(unique);
-        self
-    }
-
-    /// Tuples per inter-operator batch (must be >= 1).
-    pub fn with_batch_size(mut self, tuples: usize) -> Self {
-        self.builder = self.builder.with_pipeline_batch(tuples);
-        self
-    }
-
-    /// Hardware-kernel selection (see
-    /// [`JoinConfigBuilder::with_kernel_mode`]).
-    pub fn with_kernel_mode(mut self, mode: mmjoin_util::kernels::KernelMode) -> Self {
-        self.builder = self.builder.with_kernel_mode(mode);
-        self
-    }
-
-    /// Wall-clock bound on the probe phase.
-    pub fn with_deadline(mut self, deadline: std::time::Duration) -> Self {
-        self.builder = self.builder.with_deadline(deadline);
-        self
-    }
-
-    /// Byte budget for the pipeline's allocations.
-    pub fn with_mem_limit(mut self, bytes: usize) -> Self {
-        self.builder = self.builder.with_mem_limit(bytes);
-        self
-    }
-
-    /// Cancellation handle for this pipeline's runs.
-    pub fn with_cancel_token(mut self, token: crate::fault::CancelToken) -> Self {
-        self.builder = self.builder.with_cancel_token(token);
-        self
-    }
-
-    /// Per-worker span + native-counter recording.
-    pub fn with_profile(mut self, profile: crate::config::ProfileConfig) -> Self {
-        self.builder = self.builder.with_profile(profile);
-        self
-    }
-
-    /// Use a fully-formed configuration, bypassing the builder knobs.
+    /// The configuration of the probe run (threads, batch size, deadline,
+    /// budget, profiling, ...; default: `JoinConfig::builder().build()`).
     /// Should match the configuration the stages were prepared with.
     pub fn with_config(mut self, cfg: JoinConfig) -> Self {
         self.config = Some(cfg);
@@ -692,97 +524,85 @@ impl Pipeline {
         }
         let cfg = match &self.config {
             Some(cfg) => cfg.clone(),
-            None => self.builder.clone().build()?,
+            None => JoinConfig::builder().build()?,
         };
-        match catch_unwind(AssertUnwindSafe(|| self.run_fused(s, &cfg))) {
-            Ok(res) => res,
-            Err(payload) => Err(JoinError::WorkerPanicked {
-                phase: crate::fault::current_phase(),
-                payload: crate::fault::panic_message(payload.as_ref()),
-            }),
-        }
+        contain_panics(|| self.run_fused(s, &cfg))
     }
 
     fn run_fused(&self, s: &Relation, cfg: &JoinConfig) -> Result<PipelineResult, JoinError> {
         let stages = &self.stages[..];
-        let ctx = FaultCtx::begin(stages[0].algorithm, cfg);
-        let mut result = JoinResult::new(stages[0].algorithm);
-        result.radix_bits = stages[0].radix_bits;
-        for side in stages {
-            result.phases.extend(side.phases.iter().cloned());
-        }
-        let pool = cfg.executor();
-        pool.start_recording(cfg.profile.enabled);
-        let cpool = CtxPool::new(pool.as_ref(), &ctx);
+        let mut run = JoinRun::begin(stages[0].algorithm, cfg);
+        run.extend_phases(stages.iter().flat_map(|side| side.phases.iter().cloned()));
 
-        ctx.enter_phase("probe");
         let batch = cfg.pipeline_batch.max(1);
         // Per-worker staging batches, one per stage depth.
-        let _batch_charge = ctx.charge(cfg.threads * stages.len() * batch * 8)?;
+        run.reserve("probe", cfg.threads * stages.len() * batch * 8)?;
         let s_tuples = s.tuples();
         let unique = cfg.unique_build_keys;
-        let active = pool.workers().clamp(1, s_tuples.len().max(1));
-        let start = Instant::now();
-        let outs: Vec<(JoinChecksum, Vec<u64>)> = broadcast_map(&cpool, active, |w| {
-            let range = chunk_range(s_tuples.len(), active, w);
-            let mut rid = range.start as u32;
-            let mut c = JoinChecksum::new();
-            let mut inter = vec![0u64; stages.len() - 1];
-            let mut input: Vec<Tuple> = Vec::with_capacity(batch);
-            for block in s_tuples[range].chunks(MORSEL) {
-                if ctx.should_stop() {
-                    return (c, inter);
-                }
-                for sub in block.chunks(batch) {
-                    input.clear();
-                    for t in sub {
-                        // Late materialization: only (key, rid) flows.
-                        input.push(Tuple::new(t.key, rid));
-                        rid += 1;
+        let (checksum, inter) = run.phase(
+            "probe",
+            |p| {
+                let active = p.workers().clamp(1, s_tuples.len().max(1));
+                let outs: Vec<(JoinChecksum, Vec<u64>)> = broadcast_map(p, active, |w| {
+                    let range = chunk_range(s_tuples.len(), active, w);
+                    let mut rid = range.start as u32;
+                    let mut c = JoinChecksum::new();
+                    let mut inter = vec![0u64; stages.len() - 1];
+                    let mut input: Vec<Tuple> = Vec::with_capacity(batch);
+                    for block in s_tuples[range].chunks(MORSEL) {
+                        if p.should_stop() {
+                            return (c, inter);
+                        }
+                        for sub in block.chunks(batch) {
+                            input.clear();
+                            for t in sub {
+                                // Late materialization: only (key, rid) flows.
+                                input.push(Tuple::new(t.key, rid));
+                                rid += 1;
+                            }
+                            cascade_batch(
+                                stages, 0, &input, unique, batch, s_tuples, &mut c, &mut inter,
+                            );
+                        }
                     }
-                    cascade_batch(
-                        stages, 0, &input, unique, batch, s_tuples, &mut c, &mut inter,
-                    );
+                    (c, inter)
+                });
+                let mut checksum = JoinChecksum::new();
+                let mut inter = vec![0u64; stages.len() - 1];
+                for (c, i) in outs {
+                    checksum.merge(c);
+                    for (total, part) in inter.iter_mut().zip(i) {
+                        *total += part;
+                    }
                 }
-            }
-            (c, inter)
-        });
-        let probe_wall = start.elapsed();
+                Ok((checksum, inter))
+            },
+            // Cost-model view: per stage, the tuples that actually reached
+            // it probing that stage's resident structure.
+            |(_, inter)| {
+                let mut models = Vec::with_capacity(stages.len());
+                let mut tuples_in = s_tuples.len();
+                for (k, side) in stages.iter().enumerate() {
+                    models.push(FusedStageModel {
+                        tuples_in,
+                        table_bytes: side.memory_bytes as f64,
+                        accesses_per_probe: side.accesses_per_probe,
+                        cpu_per_tuple: side.cpu_per_probe,
+                    });
+                    if k < inter.len() {
+                        tuples_in = inter[k] as usize;
+                    }
+                }
+                PhaseModel::pass(spec::fused_probe_specs(
+                    cfg,
+                    s.len(),
+                    s.placement(),
+                    &models,
+                ))
+            },
+        )?;
 
-        let mut checksum = JoinChecksum::new();
-        let mut inter = vec![0u64; stages.len() - 1];
-        for (c, i) in outs {
-            checksum.merge(c);
-            for (total, part) in inter.iter_mut().zip(i) {
-                *total += part;
-            }
-        }
-
-        // Cost-model view: per stage, the tuples that actually reached it
-        // probing that stage's resident structure.
-        let mut models = Vec::with_capacity(stages.len());
-        let mut tuples_in = s_tuples.len();
-        for (k, side) in stages.iter().enumerate() {
-            models.push(FusedStageModel {
-                tuples_in,
-                table_bytes: side.memory_bytes as f64,
-                accesses_per_probe: side.accesses_per_probe,
-                cpu_per_tuple: side.cpu_per_probe,
-            });
-            if k < inter.len() {
-                tuples_in = inter[k] as usize;
-            }
-        }
-        let specs = spec::fused_probe_specs(cfg, s.len(), s.placement(), &models);
-        let order: Vec<usize> = (0..specs.len()).collect();
-        let (probe_sim, probe_phase) = spec::run_phase(cfg, &specs, &order);
-        result.set_checksum(checksum);
-        result.push_phase_pool("probe", probe_wall, probe_sim, &pool);
-        if cfg.keep_timelines {
-            result.timelines.push(("probe", probe_phase));
-        }
-        ctx.checkpoint(&result)?;
-
+        let result = run.finish(checksum, stages[0].radix_bits);
         let intermediate_matches: u64 = inter.iter().sum();
         Ok(PipelineResult {
             matches: result.matches,
@@ -950,11 +770,15 @@ mod tests {
         let expect = reference_join(&r, &s);
         let side = BuildSide::prepare(Algorithm::Chtj, &r, &cfg(2)).unwrap();
         for batch in [1, 7, 1024] {
-            let res = Pipeline::new()
-                .with_stage(Arc::clone(&side))
+            let cfg = JoinConfig::builder()
                 .with_threads(2)
                 .with_simulate(false)
-                .with_batch_size(batch)
+                .with_pipeline_batch(batch)
+                .build()
+                .unwrap();
+            let res = Pipeline::new()
+                .with_stage(Arc::clone(&side))
+                .with_config(cfg)
                 .run(&s)
                 .unwrap();
             assert_eq!(res.matches, expect.count, "batch={batch}");

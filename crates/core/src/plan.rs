@@ -20,7 +20,6 @@
 //! absurd radix fanout) surface here as [`JoinError`] values before any
 //! partitioning work starts.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 use mmjoin_util::kernels::KernelMode;
@@ -29,6 +28,7 @@ use mmjoin_util::Relation;
 
 use crate::config::{JoinConfig, ProfileConfig, TableKind};
 use crate::fault::CancelToken;
+use crate::run::contain_panics;
 use crate::stats::{JoinResult, PhaseStat};
 use crate::Algorithm;
 
@@ -742,30 +742,11 @@ impl Join {
 
     /// Validate the plan against the actual relations and execute it.
     pub fn run(&self, r: &Relation, s: &Relation) -> Result<JoinResult, JoinError> {
-        self.run_inner(r, s)
-    }
-}
-
-impl Join {
-    fn run_inner(&self, r: &Relation, s: &Relation) -> Result<JoinResult, JoinError> {
         let cfg = match &self.config {
             Some(cfg) => cfg.clone(),
             None => self.builder.clone().build()?,
         };
-        // Array joins index a payload array by key; a key beyond the
-        // domain would be an out-of-bounds write deep in the build loop.
-        if self.algorithm.needs_dense_domain() {
-            if let Some(max_key) = r.tuples().iter().map(|t| t.key).max() {
-                let domain = cfg.domain(r.len());
-                if max_key as usize > domain {
-                    return Err(JoinError::DomainExceeded {
-                        algorithm: self.algorithm,
-                        max_key,
-                        domain,
-                    });
-                }
-            }
-        }
+        check_dense_domain(self.algorithm, r, &cfg)?;
         if self.pipeline {
             let side = crate::pipeline::BuildSide::prepare(self.algorithm, r, &cfg)?;
             let radix_bits = side.radix_bits();
@@ -784,36 +765,38 @@ impl Join {
     }
 }
 
-/// Dispatch underneath [`Join::run`].
-///
-/// The `catch_unwind` here is the outer fault boundary: a panic that
-/// escapes a driver — a [`crate::fault::WorkerPanic`] re-raised by the
-/// executor, or a panic on the submitting thread itself — becomes
-/// [`JoinError::WorkerPanicked`] instead of unwinding into the caller.
-/// The executor has already completed the phase barrier and healed the
-/// pool by the time the payload reaches this frame.
+/// Front-door validation shared by [`Join::run`] and
+/// [`crate::pipeline::BuildSide::prepare`]: array joins index a payload
+/// array by key, so a build key beyond the domain would be an
+/// out-of-bounds write deep in the build loop.
+pub(crate) fn check_dense_domain(
+    algorithm: Algorithm,
+    r: &Relation,
+    cfg: &JoinConfig,
+) -> Result<(), JoinError> {
+    if !algorithm.needs_dense_domain() {
+        return Ok(());
+    }
+    let domain = cfg.domain(r.len());
+    match r.tuples().iter().map(|t| t.key).max() {
+        Some(max_key) if max_key as usize > domain => Err(JoinError::DomainExceeded {
+            algorithm,
+            max_key,
+            domain,
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// Dispatch underneath [`Join::run`], under the outer fault boundary
+/// (see [`contain_panics`]).
 pub(crate) fn dispatch(
     algorithm: Algorithm,
     r: &Relation,
     s: &Relation,
     cfg: &JoinConfig,
 ) -> Result<JoinResult, JoinError> {
-    match catch_unwind(AssertUnwindSafe(|| dispatch_inner(algorithm, r, s, cfg))) {
-        Ok(res) => res,
-        Err(payload) => Err(JoinError::WorkerPanicked {
-            phase: crate::fault::current_phase(),
-            payload: crate::fault::panic_message(payload.as_ref()),
-        }),
-    }
-}
-
-fn dispatch_inner(
-    algorithm: Algorithm,
-    r: &Relation,
-    s: &Relation,
-    cfg: &JoinConfig,
-) -> Result<JoinResult, JoinError> {
-    match algorithm {
+    contain_panics(|| match algorithm {
         Algorithm::Nop => crate::nop::join_nop(r, s, cfg),
         Algorithm::Nopa => crate::nop::join_nopa(r, s, cfg),
         Algorithm::Chtj => crate::chtj::join_chtj(r, s, cfg),
@@ -828,7 +811,7 @@ fn dispatch_inner(
         Algorithm::Cprl => crate::pro::join_cpr(r, s, cfg, TableKind::Linear),
         Algorithm::Cpra => crate::pro::join_cpr(r, s, cfg, TableKind::Array),
         Algorithm::Shhj => crate::shhj::join_shhj(r, s, cfg),
-    }
+    })
 }
 
 #[cfg(test)]

@@ -11,14 +11,12 @@
 //!   slices (large sequential, possibly remote reads) instead of having
 //!   partitioned them with random remote writes.
 
-use std::time::Instant;
-
 use mmjoin_hashtable::{
     ArrayTable, IdentityHash, JoinTable, StChainedTable, StLinearTable, TableSpec,
 };
 use mmjoin_partition::{
-    chunked_partition_on, partition_parallel_on, task_order, ChunkedPartitions,
-    PartitionedRelation, RadixFn, ScatterMode, ScheduleOrder,
+    chunked_partition_on, partition_parallel_on, task_order, two_pass_partition_on,
+    ChunkedPartitions, PartitionedRelation, RadixFn, ScatterMode, ScheduleOrder,
 };
 use mmjoin_util::checksum::JoinChecksum;
 use mmjoin_util::tuple::Tuple;
@@ -26,38 +24,104 @@ use mmjoin_util::Relation;
 
 use crate::config::{JoinConfig, TableKind};
 use crate::exec::join_morsels;
-use crate::executor::{Executor, QueuePolicy};
-use crate::fault::{CtxPool, FaultCtx};
+use crate::executor::QueuePolicy;
 use crate::plan::JoinError;
-use crate::spec::{self, ops, PartitionLayout, PartitionWrites};
+use crate::run::{JoinRun, RunCtx};
+use crate::spec::{self, ops, PartitionLayout, PartitionWrites, PhaseModel};
 use crate::stats::JoinResult;
 use crate::Algorithm;
 
-/// Per-tuple CPU cost of build/probe for a table kind.
-pub(crate) fn table_cpu(kind: TableKind) -> (f64, f64) {
-    match kind {
-        TableKind::Chained | TableKind::Linear => (ops::BUILD, ops::PROBE),
-        TableKind::Array => (ops::ARRAY, ops::ARRAY),
+/// The per-partition table of a partitioned join: its kind, and the
+/// radix bits and key domain that size it.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct PartTable {
+    pub kind: TableKind,
+    pub bits: u32,
+    pub domain: usize,
+}
+
+impl PartTable {
+    /// Equation (1) bits for `kind` over `r_len` build tuples, unless
+    /// the configuration overrides them.
+    pub fn for_join(cfg: &JoinConfig, kind: TableKind, r_len: usize) -> Self {
+        let bits = match kind {
+            TableKind::Array => cfg.bits_for_array_tables(r_len),
+            _ => cfg.bits_for_hash_tables(r_len),
+        };
+        PartTable {
+            kind,
+            bits,
+            domain: cfg.domain(r_len),
+        }
+    }
+
+    /// Table spec for a partition holding `part_r_len` build tuples.
+    pub fn spec(&self, part_r_len: usize) -> TableSpec {
+        match self.kind {
+            TableKind::Array => TableSpec::array(self.bits, self.domain),
+            // Hash on the bits above the partition digits, or identity
+            // hashing would send every key of the partition to one bucket.
+            _ => TableSpec::hashed_partition(part_r_len.max(1), self.bits),
+        }
+    }
+
+    /// Per-tuple CPU cost of (build, probe).
+    pub fn cpu(&self) -> (f64, f64) {
+        match self.kind {
+            TableKind::Chained | TableKind::Linear => (ops::BUILD, ops::PROBE),
+            TableKind::Array => (ops::ARRAY, ops::ARRAY),
+        }
+    }
+
+    /// Approximate per-build-tuple table footprint for the cost model.
+    pub fn bytes_per_tuple(&self, r_len: usize) -> f64 {
+        match self.kind {
+            // 32-byte bucket holds 2 tuples at the sized load factor.
+            TableKind::Chained => 16.0,
+            // next_pow2(2n) 8-byte slots.
+            TableKind::Linear => 16.0,
+            TableKind::Array => {
+                let slots = (self.domain >> self.bits).max(1) as f64 + 2.0;
+                let avg_part = (r_len as f64 / (1u64 << self.bits) as f64).max(1.0);
+                slots * 4.0 / avg_part
+            }
+        }
     }
 }
 
-/// Approximate per-build-tuple table footprint for the cost model.
-pub(crate) fn table_bytes_per_tuple(
-    kind: TableKind,
-    domain: usize,
-    bits: u32,
-    r_len: usize,
-) -> f64 {
-    match kind {
-        // 32-byte bucket holds 2 tuples at the sized load factor.
-        TableKind::Chained => 16.0,
-        // next_pow2(2n) 8-byte slots.
-        TableKind::Linear => 16.0,
-        TableKind::Array => {
-            let slots = (domain >> bits).max(1) as f64 + 2.0;
-            let avg_part = (r_len as f64 / (1u64 << bits) as f64).max(1.0);
-            slots * 4.0 / avg_part
-        }
+/// A partitioned relation as the join phase reads it: partition `p` is
+/// one slice (contiguous partitioning) or one slice per chunk (chunked).
+pub(crate) trait CoPartitions: Sync {
+    fn parts(&self) -> usize;
+    fn part_len(&self, p: usize) -> usize;
+    fn slices(&self, p: usize) -> impl Iterator<Item = &[Tuple]>;
+
+    fn sizes(&self) -> Vec<usize> {
+        (0..self.parts()).map(|p| self.part_len(p)).collect()
+    }
+}
+
+impl CoPartitions for PartitionedRelation {
+    fn parts(&self) -> usize {
+        PartitionedRelation::parts(self)
+    }
+    fn part_len(&self, p: usize) -> usize {
+        PartitionedRelation::part_len(self, p)
+    }
+    fn slices(&self, p: usize) -> impl Iterator<Item = &[Tuple]> {
+        std::iter::once(self.partition(p))
+    }
+}
+
+impl CoPartitions for ChunkedPartitions {
+    fn parts(&self) -> usize {
+        ChunkedPartitions::parts(self)
+    }
+    fn part_len(&self, p: usize) -> usize {
+        ChunkedPartitions::part_len(self, p)
+    }
+    fn slices(&self, p: usize) -> impl Iterator<Item = &[Tuple]> {
+        self.chunks().iter().map(move |ch| ch.partition(p))
     }
 }
 
@@ -99,21 +163,141 @@ pub(crate) fn join_co_partition(
     }
 }
 
-/// Table spec for partition `p` with `r_len` build tuples in it.
-pub(crate) fn spec_for(kind: TableKind, bits: u32, domain: usize, part_r_len: usize) -> TableSpec {
-    match kind {
-        TableKind::Array => TableSpec::array(bits, domain),
-        // Hash on the bits above the partition digits, or identity
-        // hashing would send every key of the partition to one bucket.
-        _ => TableSpec::hashed_partition(part_r_len.max(1), bits),
+/// One co-partition join task: build `table` over partition `part` of
+/// `r` and probe it with partition `part` of `s`, inside the budget.
+fn join_task<P: CoPartitions>(
+    p: &RunCtx,
+    unique: bool,
+    table: PartTable,
+    r: &P,
+    s: &P,
+    part: usize,
+) -> JoinChecksum {
+    let mut c = JoinChecksum::new();
+    if p.tick() {
+        return c;
     }
+    let spec = table.spec(r.part_len(part));
+    let Some(_table_charge) = p.try_charge(spec.table_bytes()) else {
+        return c;
+    };
+    join_co_partition(
+        table.kind,
+        &spec,
+        unique,
+        &mut r.slices(part),
+        &mut s.slices(part),
+        &mut c,
+    );
+    c
 }
 
-pub(crate) fn radix_bits(cfg: &JoinConfig, kind: TableKind, r_len: usize) -> u32 {
-    match kind {
-        TableKind::Array => cfg.bits_for_array_tables(r_len),
-        _ => cfg.bits_for_hash_tables(r_len),
+/// The host work of a join phase: co-partition tasks pulled off the
+/// morsel queue(s) in `order`, then — with skew handling — the oversized
+/// partitions one at a time, all threads probing (extension: the paper
+/// leaves this unexploited, Appendix A).
+fn join_co_partitions<P: CoPartitions>(
+    p: &RunCtx,
+    cfg: &JoinConfig,
+    table: PartTable,
+    policy: QueuePolicy,
+    r: &P,
+    s: &P,
+    order: &[usize],
+) -> JoinChecksum {
+    let unique = cfg.unique_build_keys;
+    let (queue_order, skewed) = if cfg.skew_handling {
+        let (_, skewed) = crate::skew::classify_partitions(&s.sizes(), cfg.threads);
+        let filtered: Vec<usize> = order
+            .iter()
+            .copied()
+            .filter(|part| !skewed.contains(part))
+            .collect();
+        (filtered, skewed)
+    } else {
+        (order.to_vec(), Vec::new())
+    };
+    let mut total = join_morsels(p, &queue_order, r.parts(), policy, |part| {
+        join_task(p, unique, table, r, s, part)
+    });
+    for part in skewed {
+        if p.should_stop() {
+            break;
+        }
+        let spec = table.spec(r.part_len(part));
+        let Some(_table_charge) = p.try_charge(spec.table_bytes()) else {
+            break;
+        };
+        let r_slices: Vec<&[Tuple]> = r.slices(part).collect();
+        let s_slices: Vec<&[Tuple]> = s.slices(part).collect();
+        total.merge(crate::skew::join_skewed_partition(
+            p, unique, table.kind, &spec, &r_slices, &s_slices,
+        ));
     }
+    total
+}
+
+/// The cost model's view of a join phase over co-partitions `r`/`s`
+/// queued in `order`; `split_skewed` mirrors cooperative skew handling.
+fn join_model<P: CoPartitions>(
+    cfg: &JoinConfig,
+    table: PartTable,
+    layout: PartitionLayout,
+    r: &P,
+    s: &P,
+    order: Vec<usize>,
+    split_skewed: bool,
+) -> PhaseModel {
+    let (r_sizes, s_sizes) = (r.sizes(), s.sizes());
+    let r_len = r_sizes.iter().sum();
+    let (r_sizes, s_sizes, order) = if split_skewed {
+        spec::split_skewed_sizes(&r_sizes, &s_sizes, &order, cfg.sim_threads())
+    } else {
+        (r_sizes, s_sizes, order)
+    };
+    let (cpu_build, cpu_probe) = table.cpu();
+    let tasks = spec::join_task_specs(
+        cfg,
+        &r_sizes,
+        &s_sizes,
+        layout,
+        cpu_build,
+        cpu_probe,
+        table.bytes_per_tuple(r_len),
+    );
+    PhaseModel::ordered(tasks, order)
+}
+
+/// Budget bytes of a one-pass SWWCB partition phase: partitioned copies
+/// of both inputs (8 B/tuple) plus the per-worker SWWCB pools (one cache
+/// line per partition per worker).
+pub(crate) fn swwcb_partition_bytes(
+    cfg: &JoinConfig,
+    r: &Relation,
+    s: &Relation,
+    parts: usize,
+) -> usize {
+    (r.len() + s.len()) * 8 + cfg.threads * parts * 64
+}
+
+/// The partition phase every partitioned driver starts with: reserve
+/// `bytes` of budget, then run R and S (in that order, like the original
+/// drivers) through `partition`; `model` describes the passes to the
+/// cost model.
+pub(crate) fn partition_phase<P>(
+    run: &mut JoinRun,
+    r: &Relation,
+    s: &Relation,
+    bytes: usize,
+    model: PhaseModel,
+    partition: impl Fn(&[Tuple], &RunCtx) -> P,
+) -> Result<(P, P), JoinError> {
+    run.reserve("partition", bytes)?;
+    run.phase(
+        "partition",
+        |p| Ok((partition(r.tuples(), p), partition(s.tuples(), p))),
+        |_| model,
+    )
 }
 
 /// PRO family: contiguous partitioning + task-queue co-partition joins.
@@ -132,171 +316,44 @@ pub fn join_pro(
         (TableKind::Linear, true) => Algorithm::PrlIs,
         (TableKind::Array, true) => Algorithm::PraIs,
     };
-    let ctx = FaultCtx::begin(alg, cfg);
-    let mut result = JoinResult::new(alg);
-    let bits = radix_bits(cfg, kind, r.len());
-    result.radix_bits = Some(bits);
-    let f = RadixFn::new(bits);
+    let mut run = JoinRun::begin(alg, cfg);
+    let table = PartTable::for_join(cfg, kind, r.len());
+    let f = RadixFn::new(table.bits);
     let parts = f.fanout();
-    let domain = cfg.domain(r.len());
 
-    let pool = cfg.executor();
-    pool.start_recording(cfg.profile.enabled);
-    let cpool = CtxPool::new(pool.as_ref(), &ctx);
-
-    // Partition phase (R then S, like the original driver).
-    ctx.enter_phase("partition");
-    // Partitioned copies of both inputs (8 B/tuple) plus the per-worker
-    // SWWCB pools (one cache line per partition per worker).
-    let _part_charge = ctx.charge((r.len() + s.len()) * 8 + cfg.threads * parts * 64)?;
-    let start = Instant::now();
-    let pr = partition_parallel_on(r.tuples(), f, &cpool, ScatterMode::Swwcb);
-    let ps = partition_parallel_on(s.tuples(), f, &cpool, ScatterMode::Swwcb);
-    let part_wall = start.elapsed();
-    let mut part_sim = 0.0;
-    for (rel, len) in [(r, r.len()), (s, s.len())] {
-        let specs = spec::partition_pass_specs(
-            cfg,
-            len,
-            rel.placement(),
-            parts,
-            true,
-            PartitionWrites::GlobalInterleaved,
-        );
-        let order: Vec<usize> = (0..specs.len()).collect();
-        let (t, sim) = spec::run_phase(cfg, &specs, &order);
-        part_sim += t;
-        if cfg.keep_timelines {
-            result.timelines.push(("partition", sim));
-        }
-    }
-    result.push_phase_pool("partition", part_wall, part_sim, &pool);
-    ctx.checkpoint(&result)?;
+    let writes = PartitionWrites::GlobalInterleaved;
+    let (pr, ps) = partition_phase(
+        &mut run,
+        r,
+        s,
+        swwcb_partition_bytes(cfg, r, s, parts),
+        spec::partition_model(cfg, &[r, s], &[parts], true, writes),
+        |tuples, p| partition_parallel_on(tuples, f, p, ScatterMode::Swwcb),
+    )?;
 
     // Join phase. The simulator still sees the queue *insertion order*
     // (sequential vs NUMA round-robin); on the host, improved scheduling
     // is the executor's NUMA-local queue policy with work stealing.
-    ctx.enter_phase("join");
-    let order_kind = if improved_sched {
-        ScheduleOrder::NumaRoundRobin {
-            nodes: cfg.topology.nodes,
-        }
+    let nodes = cfg.topology.nodes;
+    let (order_kind, policy) = if improved_sched {
+        (
+            ScheduleOrder::NumaRoundRobin { nodes },
+            QueuePolicy::NumaLocal { nodes },
+        )
     } else {
-        ScheduleOrder::Sequential
-    };
-    let policy = if improved_sched {
-        QueuePolicy::NumaLocal {
-            nodes: cfg.topology.nodes,
-        }
-    } else {
-        QueuePolicy::Shared
+        (ScheduleOrder::Sequential, QueuePolicy::Shared)
     };
     let order = task_order(parts, order_kind);
-    let start = Instant::now();
-    let checksum = run_contiguous_join_phase(
-        &pool, &ctx, policy, &pr, &ps, &order, cfg, kind, bits, domain,
-    );
-    let join_wall = start.elapsed();
-    result.set_checksum(checksum);
-
-    let (r_sizes, s_sizes) = partition_sizes(&pr, &ps);
-    let (r_sizes, s_sizes, order) = if cfg.skew_handling {
-        spec::split_skewed_sizes(&r_sizes, &s_sizes, &order, cfg.sim_threads())
-    } else {
-        (r_sizes, s_sizes, order)
-    };
-    let (cpu_build, cpu_probe) = table_cpu(kind);
-    let tasks = spec::join_task_specs(
-        cfg,
-        &r_sizes,
-        &s_sizes,
-        PartitionLayout::Contiguous,
-        cpu_build,
-        cpu_probe,
-        table_bytes_per_tuple(kind, domain, bits, r.len()),
-    );
-    let (join_sim, sim) = spec::run_phase(cfg, &tasks, &order);
-    result.push_phase_pool("join", join_wall, join_sim, &pool);
-    if cfg.keep_timelines {
-        result.timelines.push(("join", sim));
-    }
-    ctx.checkpoint(&result)?;
-    Ok(result)
-}
-
-fn partition_sizes(pr: &PartitionedRelation, ps: &PartitionedRelation) -> (Vec<usize>, Vec<usize>) {
-    let parts = pr.parts();
-    (
-        (0..parts).map(|p| pr.part_len(p)).collect(),
-        (0..parts).map(|p| ps.part_len(p)).collect(),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_contiguous_join_phase(
-    pool: &Executor,
-    ctx: &FaultCtx,
-    policy: QueuePolicy,
-    pr: &PartitionedRelation,
-    ps: &PartitionedRelation,
-    order: &[usize],
-    cfg: &JoinConfig,
-    kind: TableKind,
-    bits: u32,
-    domain: usize,
-) -> JoinChecksum {
-    let (queue_order, skewed) = if cfg.skew_handling {
-        let s_sizes: Vec<usize> = (0..ps.parts()).map(|p| ps.part_len(p)).collect();
-        let (_, skewed) = crate::skew::classify_partitions(&s_sizes, cfg.threads);
-        let filtered: Vec<usize> = order
-            .iter()
-            .copied()
-            .filter(|p| !skewed.contains(p))
-            .collect();
-        (filtered, skewed)
-    } else {
-        (order.to_vec(), Vec::new())
-    };
-    let mut total = join_morsels(pool, &queue_order, pr.parts(), policy, |p| {
-        let mut c = JoinChecksum::new();
-        if ctx.tick() {
-            return c;
-        }
-        let spec = spec_for(kind, bits, domain, pr.part_len(p));
-        let _table_charge = match ctx.try_charge(spec.table_bytes()) {
-            Some(charge) => charge,
-            None => return c,
-        };
-        join_co_partition(
-            kind,
-            &spec,
-            cfg.unique_build_keys,
-            &mut std::iter::once(pr.partition(p)),
-            &mut std::iter::once(ps.partition(p)),
-            &mut c,
-        );
-        c
-    });
-    // Oversized partitions: one build, all threads probing (extension —
-    // the paper leaves this unexploited, Appendix A).
-    for p in skewed {
-        if ctx.should_stop() {
-            break;
-        }
-        let spec = spec_for(kind, bits, domain, pr.part_len(p));
-        let _table_charge = match ctx.try_charge(spec.table_bytes()) {
-            Some(charge) => charge,
-            None => break,
-        };
-        total.merge(crate::skew::join_skewed_partition(
-            cfg,
-            kind,
-            &spec,
-            &[pr.partition(p)],
-            &[ps.partition(p)],
-        ));
-    }
-    total
+    let checksum = run.phase(
+        "join",
+        |p| Ok(join_co_partitions(p, cfg, table, policy, &pr, &ps, &order)),
+        |_| {
+            let layout = PartitionLayout::Contiguous;
+            let split = cfg.skew_handling;
+            join_model(cfg, table, layout, &pr, &ps, order.clone(), split)
+        },
+    )?;
+    Ok(run.finish(checksum, Some(table.bits)))
 }
 
 /// PRO with *two-pass* partitioning (total bits split evenly across the
@@ -308,92 +365,51 @@ pub fn join_pro_two_pass(
     cfg: &JoinConfig,
     kind: TableKind,
 ) -> Result<JoinResult, JoinError> {
-    let ctx = FaultCtx::begin(Algorithm::Pro, cfg);
-    let mut result = JoinResult::new(Algorithm::Pro);
-    let total_bits = cfg
-        .radix_bits
-        .unwrap_or_else(|| radix_bits(cfg, kind, r.len()))
-        .max(2);
-    let bits1 = total_bits / 2;
-    let bits2 = total_bits - bits1;
-    result.radix_bits = Some(total_bits);
-    let parts = 1usize << total_bits;
-    let domain = cfg.domain(r.len());
+    let mut table = PartTable::for_join(cfg, kind, r.len());
+    table.bits = table.bits.max(2);
+    two_pass_join(Algorithm::Pro, r, s, cfg, table, ScatterMode::Swwcb)
+}
 
-    let pool = cfg.executor();
-    pool.start_recording(cfg.profile.enabled);
-    let cpool = CtxPool::new(pool.as_ref(), &ctx);
+/// Two radix passes over both inputs (total bits split evenly), then
+/// the co-partition joins in sequential task order — PRB, and PRO's
+/// two-pass configuration.
+pub(crate) fn two_pass_join(
+    alg: Algorithm,
+    r: &Relation,
+    s: &Relation,
+    cfg: &JoinConfig,
+    table: PartTable,
+    mode: ScatterMode,
+) -> Result<JoinResult, JoinError> {
+    let mut run = JoinRun::begin(alg, cfg);
+    let bits1 = table.bits / 2;
+    let bits2 = table.bits - bits1;
 
-    ctx.enter_phase("partition");
-    // Two passes: the pass-1 output lives until pass 2 finishes, so the
-    // peak holds two full copies of both inputs.
-    let _part_charge = ctx.charge(2 * (r.len() + s.len()) * 8)?;
-    let start = Instant::now();
-    let pr = mmjoin_partition::two_pass_partition_on(
-        r.tuples(),
-        bits1,
-        bits2,
-        &cpool,
-        ScatterMode::Swwcb,
-    );
-    let ps = mmjoin_partition::two_pass_partition_on(
-        s.tuples(),
-        bits1,
-        bits2,
-        &cpool,
-        ScatterMode::Swwcb,
-    );
-    let part_wall = start.elapsed();
-    let mut part_sim = 0.0;
-    for (rel, len) in [(r, r.len()), (s, s.len())] {
-        for pass_bits in [bits1, bits2] {
-            let specs = spec::partition_pass_specs(
-                cfg,
-                len,
-                rel.placement(),
-                1usize << pass_bits,
-                true,
-                PartitionWrites::GlobalInterleaved,
-            );
-            let order: Vec<usize> = (0..specs.len()).collect();
-            part_sim += spec::run_phase(cfg, &specs, &order).0;
-        }
-    }
-    result.push_phase_pool("partition", part_wall, part_sim, &pool);
-    ctx.checkpoint(&result)?;
+    let fanouts = [1usize << bits1, 1usize << bits2];
+    let swwcb = mode == ScatterMode::Swwcb;
+    let writes = PartitionWrites::GlobalInterleaved;
+    let (pr, ps) = partition_phase(
+        &mut run,
+        r,
+        s,
+        // Two passes: the pass-1 output lives until pass 2 finishes, so
+        // the peak holds two full copies of both inputs (8 B/tuple).
+        2 * (r.len() + s.len()) * 8,
+        spec::partition_model(cfg, &[r, s], &fanouts, swwcb, writes),
+        |tuples, p| two_pass_partition_on(tuples, bits1, bits2, p, mode),
+    )?;
 
-    ctx.enter_phase("join");
-    let order = task_order(parts, ScheduleOrder::Sequential);
-    let start = Instant::now();
-    let checksum = run_contiguous_join_phase(
-        &pool,
-        &ctx,
-        QueuePolicy::Shared,
-        &pr,
-        &ps,
-        &order,
-        cfg,
-        kind,
-        total_bits,
-        domain,
-    );
-    let join_wall = start.elapsed();
-    result.set_checksum(checksum);
-    let (r_sizes, s_sizes) = partition_sizes(&pr, &ps);
-    let (cpu_build, cpu_probe) = table_cpu(kind);
-    let tasks = spec::join_task_specs(
-        cfg,
-        &r_sizes,
-        &s_sizes,
-        PartitionLayout::Contiguous,
-        cpu_build,
-        cpu_probe,
-        table_bytes_per_tuple(kind, domain, total_bits, r.len()),
-    );
-    let (join_sim, _) = spec::run_phase(cfg, &tasks, &order);
-    result.push_phase_pool("join", join_wall, join_sim, &pool);
-    ctx.checkpoint(&result)?;
-    Ok(result)
+    let order = task_order(1usize << table.bits, ScheduleOrder::Sequential);
+    let policy = QueuePolicy::Shared;
+    let checksum = run.phase(
+        "join",
+        |p| Ok(join_co_partitions(p, cfg, table, policy, &pr, &ps, &order)),
+        |_| {
+            let layout = PartitionLayout::Contiguous;
+            join_model(cfg, table, layout, &pr, &ps, order.clone(), false)
+        },
+    )?;
+    Ok(run.finish(checksum, Some(table.bits)))
 }
 
 /// CPR family: chunked partitioning + gather-style co-partition joins.
@@ -408,156 +424,34 @@ pub fn join_cpr(
         TableKind::Array => Algorithm::Cpra,
         TableKind::Chained => Algorithm::Cprl, // not a paper variant; linear is canonical
     };
-    let ctx = FaultCtx::begin(alg, cfg);
-    let mut result = JoinResult::new(alg);
-    let bits = radix_bits(cfg, kind, r.len());
-    result.radix_bits = Some(bits);
-    let f = RadixFn::new(bits);
+    let mut run = JoinRun::begin(alg, cfg);
+    let table = PartTable::for_join(cfg, kind, r.len());
+    let f = RadixFn::new(table.bits);
     let parts = f.fanout();
-    let domain = cfg.domain(r.len());
-
-    let pool = cfg.executor();
-    pool.start_recording(cfg.profile.enabled);
-    let cpool = CtxPool::new(pool.as_ref(), &ctx);
 
     // Chunk-local partition phase.
-    ctx.enter_phase("partition");
-    // Chunk-local partitioned copies plus per-worker SWWCB pools.
-    let _part_charge = ctx.charge((r.len() + s.len()) * 8 + cfg.threads * parts * 64)?;
-    let start = Instant::now();
-    let cr = chunked_partition_on(r.tuples(), f, &cpool, ScatterMode::Swwcb);
-    let cs = chunked_partition_on(s.tuples(), f, &cpool, ScatterMode::Swwcb);
-    let part_wall = start.elapsed();
-    let mut part_sim = 0.0;
-    for (rel, len) in [(r, r.len()), (s, s.len())] {
-        let specs = spec::partition_pass_specs(
-            cfg,
-            len,
-            rel.placement(),
-            parts,
-            true,
-            PartitionWrites::Local,
-        );
-        let order: Vec<usize> = (0..specs.len()).collect();
-        let (t, sim) = spec::run_phase(cfg, &specs, &order);
-        part_sim += t;
-        if cfg.keep_timelines {
-            result.timelines.push(("partition", sim));
-        }
-    }
-    result.push_phase_pool("partition", part_wall, part_sim, &pool);
-    ctx.checkpoint(&result)?;
+    let (cr, cs) = partition_phase(
+        &mut run,
+        r,
+        s,
+        swwcb_partition_bytes(cfg, r, s, parts),
+        spec::partition_model(cfg, &[r, s], &[parts], true, PartitionWrites::Local),
+        |tuples, p| chunked_partition_on(tuples, f, p, ScatterMode::Swwcb),
+    )?;
 
     // Join phase: gather chunk slices per partition.
-    ctx.enter_phase("join");
     let order = task_order(parts, ScheduleOrder::Sequential);
-    let start = Instant::now();
-    let checksum = run_chunked_join_phase(
-        &pool,
-        &ctx,
-        QueuePolicy::Shared,
-        &cr,
-        &cs,
-        &order,
-        cfg,
-        kind,
-        bits,
-        domain,
-    );
-    let join_wall = start.elapsed();
-    result.set_checksum(checksum);
-
-    let r_sizes: Vec<usize> = (0..parts).map(|p| cr.part_len(p)).collect();
-    let s_sizes: Vec<usize> = (0..parts).map(|p| cs.part_len(p)).collect();
-    let (r_sizes, s_sizes, order) = if cfg.skew_handling {
-        spec::split_skewed_sizes(&r_sizes, &s_sizes, &order, cfg.sim_threads())
-    } else {
-        (r_sizes, s_sizes, order)
-    };
-    let (cpu_build, cpu_probe) = table_cpu(kind);
-    let tasks = spec::join_task_specs(
-        cfg,
-        &r_sizes,
-        &s_sizes,
-        PartitionLayout::Spread,
-        cpu_build,
-        cpu_probe,
-        table_bytes_per_tuple(kind, domain, bits, r.len()),
-    );
-    let (join_sim, sim) = spec::run_phase(cfg, &tasks, &order);
-    result.push_phase_pool("join", join_wall, join_sim, &pool);
-    if cfg.keep_timelines {
-        result.timelines.push(("join", sim));
-    }
-    ctx.checkpoint(&result)?;
-    Ok(result)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_chunked_join_phase(
-    pool: &Executor,
-    ctx: &FaultCtx,
-    policy: QueuePolicy,
-    cr: &ChunkedPartitions,
-    cs: &ChunkedPartitions,
-    order: &[usize],
-    cfg: &JoinConfig,
-    kind: TableKind,
-    bits: u32,
-    domain: usize,
-) -> JoinChecksum {
-    let (queue_order, skewed) = if cfg.skew_handling {
-        let s_sizes: Vec<usize> = (0..cs.parts()).map(|p| cs.part_len(p)).collect();
-        let (_, skewed) = crate::skew::classify_partitions(&s_sizes, cfg.threads);
-        let filtered: Vec<usize> = order
-            .iter()
-            .copied()
-            .filter(|p| !skewed.contains(p))
-            .collect();
-        (filtered, skewed)
-    } else {
-        (order.to_vec(), Vec::new())
-    };
-    let mut total = join_morsels(pool, &queue_order, cr.parts(), policy, |p| {
-        let mut c = JoinChecksum::new();
-        if ctx.tick() {
-            return c;
-        }
-        let spec = spec_for(kind, bits, domain, cr.part_len(p));
-        let _table_charge = match ctx.try_charge(spec.table_bytes()) {
-            Some(charge) => charge,
-            None => return c,
-        };
-        let mut r_iter = cr.chunks().iter().map(|ch| ch.partition(p));
-        let mut s_iter = cs.chunks().iter().map(|ch| ch.partition(p));
-        join_co_partition(
-            kind,
-            &spec,
-            cfg.unique_build_keys,
-            &mut r_iter,
-            &mut s_iter,
-            &mut c,
-        );
-        c
-    });
-    for p in skewed {
-        if ctx.should_stop() {
-            break;
-        }
-        let spec = spec_for(kind, bits, domain, cr.part_len(p));
-        let _table_charge = match ctx.try_charge(spec.table_bytes()) {
-            Some(charge) => charge,
-            None => break,
-        };
-        let r_slices: Vec<&[mmjoin_util::Tuple]> =
-            cr.chunks().iter().map(|ch| ch.partition(p)).collect();
-        let s_slices: Vec<&[mmjoin_util::Tuple]> =
-            cs.chunks().iter().map(|ch| ch.partition(p)).collect();
-        total.merge(crate::skew::join_skewed_partition(
-            cfg, kind, &spec, &r_slices, &s_slices,
-        ));
-    }
-    total
+    let policy = QueuePolicy::Shared;
+    let checksum = run.phase(
+        "join",
+        |p| Ok(join_co_partitions(p, cfg, table, policy, &cr, &cs, &order)),
+        |_| {
+            let layout = PartitionLayout::Spread;
+            let split = cfg.skew_handling;
+            join_model(cfg, table, layout, &cr, &cs, order.clone(), split)
+        },
+    )?;
+    Ok(run.finish(checksum, Some(table.bits)))
 }
 
 #[cfg(test)]

@@ -31,22 +31,22 @@
 
 use std::io;
 use std::sync::Mutex;
-use std::time::Instant;
 
 use mmjoin_hashtable::{IdentityHash, JoinTable, StLinearTable, TableSpec};
 use mmjoin_partition::histogram::histogram;
 use mmjoin_partition::RadixFn;
 use mmjoin_util::checksum::JoinChecksum;
-use mmjoin_util::pool::lock_recover;
+use mmjoin_util::pool::{into_inner_recover, lock_recover};
 use mmjoin_util::spill::{SpillDir, SpillRun, SpillWriter, READER_BYTES, WRITER_BYTES};
 use mmjoin_util::tuple::Tuple;
 use mmjoin_util::Relation;
 
 use crate::config::JoinConfig;
-use crate::exec::{merge_checksums, parallel_chunks, MORSEL};
+use crate::exec::{merge_checksums, morsel_map, parallel_chunks, MORSEL};
 use crate::executor::QueuePolicy;
-use crate::fault::{CtxPool, FaultCtx};
 use crate::plan::JoinError;
+use crate::run::{JoinRun, RunCtx};
+use crate::spec::PhaseModel;
 use crate::stats::{JoinResult, SpillCounters};
 use crate::Algorithm;
 
@@ -88,9 +88,9 @@ fn shhj_bits(cfg: &JoinConfig, r_len: usize) -> u32 {
         .clamp(1, crate::plan::MAX_RADIX_BITS)
 }
 
-fn io_error(ctx: &FaultCtx, e: &io::Error) -> JoinError {
+fn io_error(ctx: &RunCtx, e: &io::Error) -> JoinError {
     JoinError::Io {
-        phase: ctx.phase(),
+        phase: ctx.phase_name(),
         source: e.to_string(),
     }
 }
@@ -99,7 +99,7 @@ fn io_error(ctx: &FaultCtx, e: &io::Error) -> JoinError {
 /// `.recurse`), resolved on the submitting thread where the sequential
 /// spill phase runs — `arm_local` works. Worker-side loops are covered
 /// by the per-phase keys (`SHHJ.partition` etc.) through
-/// [`FaultCtx::tick`] like every other driver.
+/// [`RunCtx::tick`] like every other driver.
 #[cfg(feature = "failpoints")]
 fn spill_failpoint(point: &str) {
     use crate::fault::failpoints::{active, FailAction};
@@ -113,283 +113,316 @@ fn spill_failpoint(point: &str) {
 #[cfg(not(feature = "failpoints"))]
 fn spill_failpoint(_point: &str) {}
 
+/// What the partition phase leaves behind for the probe and spill
+/// phases.
+struct Partitioned {
+    /// Whether each partition stayed in memory.
+    resident: Vec<bool>,
+    spilled_parts: Vec<usize>,
+    /// Budget bytes held for the resident partitions / the spill
+    /// writers and staging buffers.
+    resident_bytes: usize,
+    overhead_bytes: usize,
+    spilldir: Option<SpillDir>,
+    r_writers: Vec<Option<Mutex<SpillWriter>>>,
+    s_writers: Vec<Option<Mutex<SpillWriter>>>,
+    /// Per-chunk, per-partition scattered R tuples (the resident ones;
+    /// evicted ones were flushed to their run). Their bytes stay charged
+    /// with the tables' until the spill phase drops both.
+    chunk_outs: Vec<Vec<Vec<Tuple>>>,
+    tables: Vec<Option<StLinearTable<IdentityHash>>>,
+}
+
+/// Bytes appended so far to the runs of `spilled_parts`.
+fn spilled_bytes(writers: &[Option<Mutex<SpillWriter>>], spilled_parts: &[usize]) -> u64 {
+    spilled_parts
+        .iter()
+        .map(|&p| {
+            writers[p]
+                .as_ref()
+                .map_or(0, |w| lock_recover(w).tuples() * 8)
+        })
+        .sum()
+}
+
 /// Spilling hybrid hash join driver.
 pub fn join_shhj(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResult, JoinError> {
-    let ctx = FaultCtx::begin(Algorithm::Shhj, cfg);
-    let mut result = JoinResult::new(Algorithm::Shhj);
+    let mut run = JoinRun::begin(Algorithm::Shhj, cfg);
     let bits = shhj_bits(cfg, r.len());
-    result.radix_bits = Some(bits);
     let f = RadixFn::new(bits);
     let parts = f.fanout();
     let unique = cfg.unique_build_keys;
 
-    let pool = cfg.executor();
-    pool.start_recording(cfg.profile.enabled);
-    let cpool = CtxPool::new(pool.as_ref(), &ctx);
-
     // ---- partition phase: histogram, residency plan, scatter, build --
-    ctx.enter_phase("partition");
-    let start = Instant::now();
-    let locals: Vec<Vec<usize>> =
-        parallel_chunks(&cpool, r.tuples(), |_, chunk| histogram(chunk, f));
-    let mut hist = vec![0usize; parts];
-    for l in &locals {
-        for (p, n) in l.iter().enumerate() {
-            hist[p] += n;
-        }
-    }
-
-    // Residency plan: charge tuples + table for every resident
-    // partition, plus fixed spill overhead (two run writers and the
-    // workers' staging buffers) per evicted one. Each refused
-    // reservation evicts the costliest resident partition and retries.
-    let part_cost: Vec<usize> = hist
-        .iter()
-        .map(|&n| {
-            if n == 0 {
-                0
-            } else {
-                n * 8 + TableSpec::hashed_partition(n, bits).table_bytes()
-            }
-        })
-        .collect();
-    let overhead_per_spilled = 2 * WRITER_BYTES + cfg.threads * STAGE_TUPLES * 8;
-    let mut resident = vec![true; parts];
-    let (resident_bytes, overhead_bytes) = loop {
-        let resident_bytes: usize = (0..parts)
-            .filter(|&p| resident[p])
-            .map(|p| part_cost[p])
-            .sum();
-        let spilled = (0..parts).filter(|&p| !resident[p]).count();
-        let overhead_bytes = spilled * overhead_per_spilled;
-        match ctx.budget().try_reserve(resident_bytes + overhead_bytes) {
-            Ok(()) => break (resident_bytes, overhead_bytes),
-            Err(be) => {
-                let victim = if cfg.spill {
-                    (0..parts)
-                        .filter(|&p| resident[p] && hist[p] > 0)
-                        .max_by_key(|&p| part_cost[p])
-                } else {
-                    None
-                };
-                match victim {
-                    Some(v) => resident[v] = false,
-                    // Spilling disabled, or even the all-spilled
-                    // overhead exceeds the budget: classic abort.
-                    None => return Err(ctx.budget_error(resident_bytes + overhead_bytes, be)),
-                }
-            }
-        }
-    };
-    let spilled_parts: Vec<usize> = (0..parts).filter(|&p| !resident[p]).collect();
-
-    let spilldir = if spilled_parts.is_empty() {
-        None
-    } else {
-        Some(SpillDir::create(cfg.spill_dir.as_deref()).map_err(|e| {
-            ctx.budget().release(resident_bytes + overhead_bytes);
-            io_error(&ctx, &e)
-        })?)
-    };
-    let mut r_writers: Vec<Option<Mutex<SpillWriter>>> = (0..parts).map(|_| None).collect();
-    let mut s_writers: Vec<Option<Mutex<SpillWriter>>> = (0..parts).map(|_| None).collect();
-    if let Some(dir) = &spilldir {
-        for &p in &spilled_parts {
-            let rw = dir
-                .writer(&format!("r-{p}"))
-                .map_err(|e| io_error(&ctx, &e))?;
-            let sw = dir
-                .writer(&format!("s-{p}"))
-                .map_err(|e| io_error(&ctx, &e))?;
-            r_writers[p] = Some(Mutex::new(rw));
-            s_writers[p] = Some(Mutex::new(sw));
-        }
-    }
-
-    // Scatter R: resident tuples into chunk-local vectors (gathered as
-    // slices at build time, like CPR), evicted tuples staged and
-    // appended to the partition's run under its writer lock.
-    let chunk_outs: Vec<Vec<Vec<Tuple>>> = parallel_chunks(&cpool, r.tuples(), |w, chunk| {
-        let mut local: Vec<Vec<Tuple>> = (0..parts)
-            .map(|p| {
-                if resident[p] {
-                    Vec::with_capacity(locals[w][p])
-                } else {
-                    Vec::with_capacity(STAGE_TUPLES.min(locals[w][p]))
-                }
-            })
-            .collect();
-        for block in chunk.chunks(MORSEL) {
-            if ctx.tick() {
-                return local;
-            }
-            for t in block {
-                let p = f.part(t.key);
-                local[p].push(*t);
-                if !resident[p] && local[p].len() >= STAGE_TUPLES {
-                    if let Err(e) = flush_stage(&r_writers[p], &mut local[p]) {
-                        ctx.trip(io_error(&ctx, &e));
-                        return local;
-                    }
-                }
-            }
-        }
-        for &p in &spilled_parts {
-            if let Err(e) = flush_stage(&r_writers[p], &mut local[p]) {
-                ctx.trip(io_error(&ctx, &e));
-                return local;
-            }
-        }
-        local
-    });
-
-    // Build the resident partitions' tables (task-queue parallel).
-    let build_order: Vec<usize> = (0..parts).filter(|&p| resident[p] && hist[p] > 0).collect();
-    let built: Vec<(usize, StLinearTable<IdentityHash>)> =
-        crate::exec::morsel_map(&pool, &build_order, parts, QueuePolicy::Shared, |p| {
-            let spec = TableSpec::hashed_partition(hist[p].max(1), bits);
-            let mut table = StLinearTable::<IdentityHash>::with_spec(&spec);
-            if !ctx.tick() {
-                for out in &chunk_outs {
-                    table.insert_batch(&out[p]);
-                }
-            }
-            (p, table)
-        });
-    let mut tables: Vec<Option<StLinearTable<IdentityHash>>> = (0..parts).map(|_| None).collect();
-    for (p, t) in built {
-        tables[p] = Some(t);
-    }
-    let r_spilled_bytes: u64 = spilled_parts
-        .iter()
-        .map(|&p| {
-            r_writers[p]
-                .as_ref()
-                .map_or(0, |w| lock_recover(w).tuples() * 8)
-        })
-        .sum();
-    result.push_phase_pool_spill(
+    let part = run.phase(
         "partition",
-        start.elapsed(),
-        0.0,
-        &pool,
-        SpillCounters {
-            bytes_spilled: r_spilled_bytes,
-            partitions_spilled: spilled_parts.len() as u64,
-            recursion_depth: 0,
-        },
-    );
-    ctx.checkpoint(&result)?;
-
-    // ---- probe phase: one pass over S ---------------------------------
-    ctx.enter_phase("probe");
-    let start = Instant::now();
-    let probe_outs: Vec<JoinChecksum> = parallel_chunks(&cpool, s.tuples(), |_, chunk| {
-        let mut c = JoinChecksum::new();
-        let mut stage: Vec<Vec<Tuple>> = (0..parts).map(|_| Vec::new()).collect();
-        for block in chunk.chunks(MORSEL) {
-            if ctx.tick() {
-                return c;
+        |ctx| {
+            let locals: Vec<Vec<usize>> =
+                parallel_chunks(ctx, r.tuples(), |_, chunk| histogram(chunk, f));
+            let mut hist = vec![0usize; parts];
+            for l in &locals {
+                for (p, n) in l.iter().enumerate() {
+                    hist[p] += n;
+                }
             }
-            for t in block {
-                let p = f.part(t.key);
-                if resident[p] {
-                    if let Some(table) = &tables[p] {
-                        table.probe_batch(std::slice::from_ref(t), unique, |t, bp| {
-                            c.add(t.key, bp, t.payload)
-                        });
+
+            // Residency plan: charge tuples + table for every resident
+            // partition, plus fixed spill overhead (two run writers and
+            // the workers' staging buffers) per evicted one. Each refused
+            // reservation evicts the costliest resident partition and
+            // retries.
+            let part_cost: Vec<usize> = hist
+                .iter()
+                .map(|&n| {
+                    if n == 0 {
+                        0
+                    } else {
+                        n * 8 + TableSpec::hashed_partition(n, bits).table_bytes()
                     }
-                } else {
-                    stage[p].push(*t);
-                    if stage[p].len() >= STAGE_TUPLES {
-                        if let Err(e) = flush_stage(&s_writers[p], &mut stage[p]) {
-                            ctx.trip(io_error(&ctx, &e));
-                            return c;
+                })
+                .collect();
+            let overhead_per_spilled = 2 * WRITER_BYTES + cfg.threads * STAGE_TUPLES * 8;
+            let mut resident = vec![true; parts];
+            let (resident_bytes, overhead_bytes) = loop {
+                let resident_bytes: usize = (0..parts)
+                    .filter(|&p| resident[p])
+                    .map(|p| part_cost[p])
+                    .sum();
+                let spilled = (0..parts).filter(|&p| !resident[p]).count();
+                let overhead_bytes = spilled * overhead_per_spilled;
+                match ctx.budget().try_reserve(resident_bytes + overhead_bytes) {
+                    Ok(()) => break (resident_bytes, overhead_bytes),
+                    Err(be) => {
+                        let victim = if cfg.spill {
+                            (0..parts)
+                                .filter(|&p| resident[p] && hist[p] > 0)
+                                .max_by_key(|&p| part_cost[p])
+                        } else {
+                            None
+                        };
+                        match victim {
+                            Some(v) => resident[v] = false,
+                            // Spilling disabled, or even the all-spilled
+                            // overhead exceeds the budget: classic abort.
+                            None => {
+                                return Err(ctx.budget_error(resident_bytes + overhead_bytes, be))
+                            }
                         }
                     }
                 }
+            };
+            let spilled_parts: Vec<usize> = (0..parts).filter(|&p| !resident[p]).collect();
+
+            let spilldir = if spilled_parts.is_empty() {
+                None
+            } else {
+                Some(SpillDir::create(cfg.spill_dir.as_deref()).map_err(|e| {
+                    ctx.budget().release(resident_bytes + overhead_bytes);
+                    io_error(ctx, &e)
+                })?)
+            };
+            let mut r_writers: Vec<Option<Mutex<SpillWriter>>> = (0..parts).map(|_| None).collect();
+            let mut s_writers: Vec<Option<Mutex<SpillWriter>>> = (0..parts).map(|_| None).collect();
+            if let Some(dir) = &spilldir {
+                for &p in &spilled_parts {
+                    let rw = dir
+                        .writer(&format!("r-{p}"))
+                        .map_err(|e| io_error(ctx, &e))?;
+                    let sw = dir
+                        .writer(&format!("s-{p}"))
+                        .map_err(|e| io_error(ctx, &e))?;
+                    r_writers[p] = Some(Mutex::new(rw));
+                    s_writers[p] = Some(Mutex::new(sw));
+                }
             }
-        }
-        for &p in &spilled_parts {
-            if let Err(e) = flush_stage(&s_writers[p], &mut stage[p]) {
-                ctx.trip(io_error(&ctx, &e));
-                return c;
+
+            // Scatter R: resident tuples into chunk-local vectors
+            // (gathered as slices at build time, like CPR), evicted tuples
+            // staged and appended to the partition's run under its writer
+            // lock.
+            let chunk_outs: Vec<Vec<Vec<Tuple>>> = parallel_chunks(ctx, r.tuples(), |w, chunk| {
+                let mut local: Vec<Vec<Tuple>> = (0..parts)
+                    .map(|p| {
+                        if resident[p] {
+                            Vec::with_capacity(locals[w][p])
+                        } else {
+                            Vec::with_capacity(STAGE_TUPLES.min(locals[w][p]))
+                        }
+                    })
+                    .collect();
+                for block in chunk.chunks(MORSEL) {
+                    if ctx.tick() {
+                        return local;
+                    }
+                    for t in block {
+                        let p = f.part(t.key);
+                        local[p].push(*t);
+                        if !resident[p] && local[p].len() >= STAGE_TUPLES {
+                            if let Err(e) = flush_stage(&r_writers[p], &mut local[p]) {
+                                ctx.trip(io_error(ctx, &e));
+                                return local;
+                            }
+                        }
+                    }
+                }
+                for &p in &spilled_parts {
+                    if let Err(e) = flush_stage(&r_writers[p], &mut local[p]) {
+                        ctx.trip(io_error(ctx, &e));
+                        return local;
+                    }
+                }
+                local
+            });
+
+            // Build the resident partitions' tables (task-queue parallel).
+            let build_order: Vec<usize> =
+                (0..parts).filter(|&p| resident[p] && hist[p] > 0).collect();
+            let built: Vec<(usize, StLinearTable<IdentityHash>)> =
+                morsel_map(ctx, &build_order, parts, QueuePolicy::Shared, |p| {
+                    let spec = TableSpec::hashed_partition(hist[p].max(1), bits);
+                    let mut table = StLinearTable::<IdentityHash>::with_spec(&spec);
+                    if !ctx.tick() {
+                        for out in &chunk_outs {
+                            table.insert_batch(&out[p]);
+                        }
+                    }
+                    (p, table)
+                });
+            let mut tables: Vec<Option<StLinearTable<IdentityHash>>> =
+                (0..parts).map(|_| None).collect();
+            for (p, t) in built {
+                tables[p] = Some(t);
             }
-        }
-        c
-    });
-    let mut checksum = merge_checksums(probe_outs);
-    let s_spilled_bytes: u64 = spilled_parts
-        .iter()
-        .map(|&p| {
-            s_writers[p]
-                .as_ref()
-                .map_or(0, |w| lock_recover(w).tuples() * 8)
-        })
-        .sum();
-    result.push_phase_pool_spill(
-        "probe",
-        start.elapsed(),
-        0.0,
-        &pool,
-        SpillCounters {
-            bytes_spilled: s_spilled_bytes,
-            partitions_spilled: 0,
-            recursion_depth: 0,
+            ctx.add_spill(SpillCounters {
+                bytes_spilled: spilled_bytes(&r_writers, &spilled_parts),
+                partitions_spilled: spilled_parts.len() as u64,
+                recursion_depth: 0,
+            });
+            Ok(Partitioned {
+                resident,
+                spilled_parts,
+                resident_bytes,
+                overhead_bytes,
+                spilldir,
+                r_writers,
+                s_writers,
+                chunk_outs,
+                tables,
+            })
         },
-    );
-    ctx.checkpoint(&result)?;
+        |_| PhaseModel::none(),
+    )?;
+
+    // ---- probe phase: one pass over S ---------------------------------
+    let mut checksum = run.phase(
+        "probe",
+        |ctx| {
+            let probe_outs: Vec<JoinChecksum> = parallel_chunks(ctx, s.tuples(), |_, chunk| {
+                let mut c = JoinChecksum::new();
+                let mut stage: Vec<Vec<Tuple>> = (0..parts).map(|_| Vec::new()).collect();
+                for block in chunk.chunks(MORSEL) {
+                    if ctx.tick() {
+                        return c;
+                    }
+                    for t in block {
+                        let p = f.part(t.key);
+                        if part.resident[p] {
+                            if let Some(table) = &part.tables[p] {
+                                table.probe_batch(std::slice::from_ref(t), unique, |t, bp| {
+                                    c.add(t.key, bp, t.payload)
+                                });
+                            }
+                        } else {
+                            stage[p].push(*t);
+                            if stage[p].len() >= STAGE_TUPLES {
+                                if let Err(e) = flush_stage(&part.s_writers[p], &mut stage[p]) {
+                                    ctx.trip(io_error(ctx, &e));
+                                    return c;
+                                }
+                            }
+                        }
+                    }
+                }
+                for &p in &part.spilled_parts {
+                    if let Err(e) = flush_stage(&part.s_writers[p], &mut stage[p]) {
+                        ctx.trip(io_error(ctx, &e));
+                        return c;
+                    }
+                }
+                c
+            });
+            ctx.add_spill(SpillCounters {
+                bytes_spilled: spilled_bytes(&part.s_writers, &part.spilled_parts),
+                partitions_spilled: 0,
+                recursion_depth: 0,
+            });
+            Ok(merge_checksums(probe_outs))
+        },
+        |_| PhaseModel::none(),
+    )?;
 
     // ---- spill phase: join the evicted partitions from disk ----------
-    ctx.enter_phase("spill");
-    let start = Instant::now();
-    // The resident tables and slices are done; hand their bytes back so
-    // the recursion below can use the whole budget.
-    drop(tables);
-    drop(chunk_outs);
-    ctx.budget().release(resident_bytes);
-    let mut spill_counters = SpillCounters::default();
-    if let Some(dir) = &spilldir {
-        let mut pairs: Vec<(usize, SpillRun, SpillRun)> = Vec::with_capacity(spilled_parts.len());
-        for &p in &spilled_parts {
-            let rw = r_writers[p].take().expect("writer for spilled partition");
-            let sw = s_writers[p].take().expect("writer for spilled partition");
-            // The initial eviction bytes were counted in the partition
-            // and probe phases; this phase counts only recursion writes.
-            let r_run = into_inner_writer(rw)
-                .finish()
-                .map_err(|e| io_error(&ctx, &e))?;
-            let s_run = into_inner_writer(sw)
-                .finish()
-                .map_err(|e| io_error(&ctx, &e))?;
-            pairs.push((p, r_run, s_run));
-        }
-        // Writers are finished; their buffers are gone.
-        ctx.budget().release(overhead_bytes);
-        for (p, r_run, s_run) in pairs {
-            if ctx.tick() {
-                break;
+    let spilled = run.phase(
+        "spill",
+        |ctx| {
+            let mut part = part;
+            // The resident tables and slices are done; hand their bytes
+            // back so the recursion below can use the whole budget.
+            drop(part.tables);
+            drop(part.chunk_outs);
+            ctx.budget().release(part.resident_bytes);
+            let mut spill_counters = SpillCounters::default();
+            let mut checksum = JoinChecksum::new();
+            if let Some(dir) = &part.spilldir {
+                let mut pairs: Vec<(usize, SpillRun, SpillRun)> =
+                    Vec::with_capacity(part.spilled_parts.len());
+                for &p in &part.spilled_parts {
+                    let rw = part.r_writers[p]
+                        .take()
+                        .expect("writer for spilled partition");
+                    let sw = part.s_writers[p]
+                        .take()
+                        .expect("writer for spilled partition");
+                    // The initial eviction bytes were counted in the
+                    // partition and probe phases; this phase counts only
+                    // recursion writes.
+                    let r_run = into_inner_recover(rw)
+                        .finish()
+                        .map_err(|e| io_error(ctx, &e))?;
+                    let s_run = into_inner_recover(sw)
+                        .finish()
+                        .map_err(|e| io_error(ctx, &e))?;
+                    pairs.push((p, r_run, s_run));
+                }
+                // Writers are finished; their buffers are gone.
+                ctx.budget().release(part.overhead_bytes);
+                for (p, r_run, s_run) in pairs {
+                    if ctx.tick() {
+                        break;
+                    }
+                    let c = join_spilled(
+                        ctx,
+                        dir,
+                        r_run,
+                        s_run,
+                        bits,
+                        0,
+                        p,
+                        unique,
+                        &mut spill_counters,
+                    )?;
+                    checksum.merge(c);
+                }
+            } else {
+                ctx.budget().release(part.overhead_bytes);
             }
-            let c = join_spilled(
-                &ctx,
-                dir,
-                r_run,
-                s_run,
-                bits,
-                0,
-                p,
-                unique,
-                &mut spill_counters,
-            )?;
-            checksum.merge(c);
-        }
-    } else {
-        ctx.budget().release(overhead_bytes);
-    }
-    result.set_checksum(checksum);
-    result.push_phase_pool_spill("spill", start.elapsed(), 0.0, &pool, spill_counters);
-    ctx.checkpoint(&result)?;
-    Ok(result)
+            ctx.add_spill(spill_counters);
+            Ok(checksum)
+        },
+        |_| PhaseModel::none(),
+    )?;
+    checksum.merge(spilled);
+    Ok(run.finish(checksum, Some(bits)))
 }
 
 /// Append a worker's staged tuples to the partition's run under its
@@ -407,17 +440,12 @@ fn flush_stage(writer: &Option<Mutex<SpillWriter>>, stage: &mut Vec<Tuple>) -> i
     res
 }
 
-fn into_inner_writer(m: Mutex<SpillWriter>) -> SpillWriter {
-    m.into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// Join one spilled partition pair: load the smaller side if it fits
 /// (role reversal), else recursively repartition both runs on the next
 /// [`SPILL_SUB_BITS`] key bits.
 #[allow(clippy::too_many_arguments)]
 fn join_spilled(
-    ctx: &FaultCtx,
+    ctx: &RunCtx,
     dir: &SpillDir,
     r_run: SpillRun,
     s_run: SpillRun,
@@ -496,7 +524,11 @@ fn join_spilled(
         .min(32 - consumed_bits);
     let f = RadixFn::pass(sub_bits, consumed_bits);
     let overhead = 2 * f.fanout() * WRITER_BYTES + READER_BYTES;
-    let _ov = ctx.charge(overhead)?;
+    // Held until both runs are split; an error in between ends the run
+    // and its budget with it.
+    ctx.budget()
+        .try_reserve(overhead)
+        .map_err(|be| ctx.budget_error(overhead, be))?;
     counters.partitions_spilled += 1;
     let sub_r = repartition(
         ctx,
@@ -518,7 +550,7 @@ fn join_spilled(
     // disk high-water mark stays ~2x the spilled data per level.
     drop(r_run);
     drop(s_run);
-    drop(_ov);
+    ctx.budget().release(overhead);
     for (rr, ss) in sub_r.into_iter().zip(sub_s) {
         if ctx.should_stop() {
             break;
@@ -541,7 +573,7 @@ fn join_spilled(
 
 /// Split one run into `f.fanout()` sub-runs on the pass's key bits.
 fn repartition(
-    ctx: &FaultCtx,
+    ctx: &RunCtx,
     dir: &SpillDir,
     run: &SpillRun,
     f: RadixFn,

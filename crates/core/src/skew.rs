@@ -24,7 +24,7 @@ use mmjoin_util::chunk_range;
 use mmjoin_util::pool::{broadcast_map, WorkerPool};
 use mmjoin_util::tuple::Tuple;
 
-use crate::config::{JoinConfig, TableKind};
+use crate::config::TableKind;
 use crate::exec::merge_checksums;
 use crate::pro::join_co_partition;
 
@@ -55,10 +55,12 @@ pub fn classify_partitions(s_sizes: &[usize], threads: usize) -> (Vec<usize>, Ve
 }
 
 /// Cooperatively join one skewed co-partition: single build, then all
-/// threads probe disjoint chunks. `r_slices`/`s_slices` are the chunked
-/// (or single) slices of the partition's build and probe sides.
+/// of `pool`'s threads probe disjoint chunks. `r_slices`/`s_slices` are
+/// the chunked (or single) slices of the partition's build and probe
+/// sides; `unique` selects first-match probes.
 pub fn join_skewed_partition(
-    cfg: &JoinConfig,
+    pool: &dyn WorkerPool,
+    unique: bool,
     kind: TableKind,
     spec: &TableSpec,
     r_slices: &[&[Tuple]],
@@ -66,7 +68,6 @@ pub fn join_skewed_partition(
 ) -> JoinChecksum {
     // Flatten the probe side into per-thread ranges over the slice list.
     let total_probe: usize = s_slices.iter().map(|s| s.len()).sum();
-    let pool = cfg.executor();
     let threads = pool.workers().clamp(1, total_probe.max(1));
 
     // Build once (single-threaded: skewed partitions have an ordinary-
@@ -83,7 +84,7 @@ pub fn join_skewed_partition(
                 }
             }
             let table = &table;
-            let parts: Vec<JoinChecksum> = broadcast_map(pool.as_ref(), threads, |t| {
+            let parts: Vec<JoinChecksum> = broadcast_map(pool, threads, |t| {
                 let range = chunk_range(total_probe, threads, t);
                 let mut c = JoinChecksum::new();
                 // Walk the slice list, probing only the global
@@ -94,7 +95,7 @@ pub fn join_skewed_partition(
                     if end > range.start && pos < range.end {
                         let lo = range.start.max(pos) - pos;
                         let hi = range.end.min(end) - pos;
-                        if cfg.unique_build_keys {
+                        if unique {
                             for &tu in &slice[lo..hi] {
                                 table.probe_unique(tu.key, |bp| c.add(tu.key, bp, tu.payload));
                             }
@@ -144,6 +145,7 @@ pub fn join_partition_serial(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmjoin_util::pool::ScopedPool;
     use mmjoin_util::tuple::Tuple;
 
     #[test]
@@ -174,7 +176,7 @@ mod tests {
 
     #[test]
     fn cooperative_join_matches_serial() {
-        let cfg = JoinConfig::new(4);
+        let pool = ScopedPool::new(4);
         let build: Vec<Tuple> = (1..=100u32).map(|k| Tuple::new(k, k)).collect();
         let probe: Vec<Tuple> = (0..10_000u32).map(|i| Tuple::new(i % 100 + 1, i)).collect();
         // Split both sides into uneven slices to exercise the walker.
@@ -182,7 +184,7 @@ mod tests {
         let s_slices: Vec<&[Tuple]> = vec![&probe[..1], &probe[1..5000], &probe[5000..]];
         let spec = TableSpec::hashed(build.len());
         for kind in [TableKind::Chained, TableKind::Linear] {
-            let coop = join_skewed_partition(&cfg, kind, &spec, &r_slices, &s_slices);
+            let coop = join_skewed_partition(&pool, true, kind, &spec, &r_slices, &s_slices);
             let serial = join_partition_serial(kind, &spec, &r_slices, &s_slices);
             assert_eq!(coop, serial, "{kind:?}");
             assert_eq!(coop.count, 10_000);
@@ -191,13 +193,14 @@ mod tests {
 
     #[test]
     fn cooperative_join_with_array_table() {
-        let cfg = JoinConfig::new(3);
+        let pool = ScopedPool::new(3);
         let build: Vec<Tuple> = (1..=50u32).map(|k| Tuple::new(k, k + 7)).collect();
         let probe: Vec<Tuple> = (0..5_000u32).map(|i| Tuple::new(i % 50 + 1, i)).collect();
         let r_slices: Vec<&[Tuple]> = vec![&build];
         let s_slices: Vec<&[Tuple]> = vec![&probe];
         let spec = TableSpec::array(0, 51);
-        let coop = join_skewed_partition(&cfg, TableKind::Array, &spec, &r_slices, &s_slices);
+        let coop =
+            join_skewed_partition(&pool, true, TableKind::Array, &spec, &r_slices, &s_slices);
         assert_eq!(coop.count, 5_000);
     }
 }

@@ -17,7 +17,7 @@
 
 use mmjoin_numamodel::{simulate_phase, PhaseSim, TaskSpec};
 use mmjoin_partition::task::node_of_partition;
-use mmjoin_util::{Placement, TUPLES_PER_CACHELINE};
+use mmjoin_util::{Placement, Relation, TUPLES_PER_CACHELINE};
 
 use crate::config::JoinConfig;
 
@@ -119,6 +119,37 @@ pub fn run_phase(cfg: &JoinConfig, tasks: &[TaskSpec], order: &[usize]) -> (f64,
     }
     let sim = simulate_phase(&cfg.topology, &cfg.cost, cfg.sim_threads(), tasks, order);
     (sim.duration, sim)
+}
+
+/// What a driver phase tells the cost model: the simulator passes the
+/// phase is made of (a partition phase over R then S is two), each a set
+/// of task specs and the order they are queued in. Their simulated
+/// times add up to the phase's `sim_seconds`.
+#[derive(Default)]
+pub struct PhaseModel(pub(crate) Vec<(Vec<TaskSpec>, Vec<usize>)>);
+
+impl PhaseModel {
+    /// A phase the cost model does not describe (simulated time 0).
+    pub fn none() -> Self {
+        PhaseModel::default()
+    }
+
+    /// One pass whose tasks are queued in spec order.
+    pub fn pass(specs: Vec<TaskSpec>) -> Self {
+        PhaseModel::none().and_pass(specs)
+    }
+
+    /// One pass whose tasks are queued in `order`.
+    pub fn ordered(specs: Vec<TaskSpec>, order: Vec<usize>) -> Self {
+        PhaseModel(vec![(specs, order)])
+    }
+
+    /// Append a pass queued in spec order.
+    pub fn and_pass(mut self, specs: Vec<TaskSpec>) -> Self {
+        let order = (0..specs.len()).collect();
+        self.0.push((specs, order));
+        self
+    }
 }
 
 /// Stream `bytes` of a buffer with `placement` into/out of a task homed on
@@ -256,6 +287,31 @@ pub enum PartitionWrites {
     GlobalInterleaved,
     /// Thread-local output (CPR*).
     Local,
+}
+
+/// The model of a partition phase: every relation of `inputs` goes
+/// through one pass per entry of `fanouts`, in that order.
+pub fn partition_model(
+    cfg: &JoinConfig,
+    inputs: &[&Relation],
+    fanouts: &[usize],
+    swwcb: bool,
+    writes: PartitionWrites,
+) -> PhaseModel {
+    let mut model = PhaseModel::none();
+    for rel in inputs {
+        for &fanout in fanouts {
+            model = model.and_pass(partition_pass_specs(
+                cfg,
+                rel.len(),
+                rel.placement(),
+                fanout,
+                swwcb,
+                writes,
+            ));
+        }
+    }
+    model
 }
 
 /// One partitioning pass over `tuples` tuples with fanout `fanout`.

@@ -9,7 +9,6 @@ use mmjoin_util::mem::{self, AllocSnapshot};
 use mmjoin_util::perf::CounterDelta;
 use mmjoin_util::pool::{ExecCounters, WorkerPhaseStat};
 
-use crate::executor::Executor;
 use crate::Algorithm;
 
 /// Disk-spill activity of one phase (the spilling hybrid hash join;
@@ -154,7 +153,7 @@ impl JoinResult {
 
     /// Delta of the global alloc counters since the last phase boundary;
     /// advances the mark.
-    fn take_alloc(&mut self) -> AllocCounters {
+    pub(crate) fn take_alloc(&mut self) -> AllocCounters {
         let now = mem::stats();
         let delta = now.delta(&self.alloc_mark);
         self.alloc_mark = now;
@@ -166,63 +165,18 @@ impl JoinResult {
         self.checksum = c.digest;
     }
 
+    /// Append a hand-built phase (tests, synthetic results). Real runs
+    /// record their phases through [`crate::run::JoinRun::phase`].
     pub fn push_phase(&mut self, name: &'static str, wall: Duration, sim_seconds: f64) {
-        self.push_phase_exec(name, wall, sim_seconds, ExecCounters::new());
-    }
-
-    /// `push_phase` carrying the executor's scheduling counters for the
-    /// phase (drained at the phase boundary).
-    pub fn push_phase_exec(
-        &mut self,
-        name: &'static str,
-        wall: Duration,
-        sim_seconds: f64,
-        exec: ExecCounters,
-    ) {
         let alloc = self.take_alloc();
         self.phases.push(PhaseStat {
             name,
             wall,
             sim_seconds,
-            exec,
+            exec: ExecCounters::new(),
             spill: SpillCounters::default(),
             alloc,
             workers: Vec::new(),
-        });
-    }
-
-    /// The phase-boundary drain every driver uses: take the aggregate
-    /// counters *and* the per-worker spans accumulated on `pool` since
-    /// the previous boundary and record them as one phase.
-    pub fn push_phase_pool(
-        &mut self,
-        name: &'static str,
-        wall: Duration,
-        sim_seconds: f64,
-        pool: &Executor,
-    ) {
-        self.push_phase_pool_spill(name, wall, sim_seconds, pool, SpillCounters::default());
-    }
-
-    /// [`JoinResult::push_phase_pool`] with the phase's disk-spill
-    /// counters attached (the spilling join's drain).
-    pub fn push_phase_pool_spill(
-        &mut self,
-        name: &'static str,
-        wall: Duration,
-        sim_seconds: f64,
-        pool: &Executor,
-        spill: SpillCounters,
-    ) {
-        let alloc = self.take_alloc();
-        self.phases.push(PhaseStat {
-            name,
-            wall,
-            sim_seconds,
-            exec: pool.drain_counters(),
-            spill,
-            alloc,
-            workers: pool.drain_spans(),
         });
     }
 

@@ -256,6 +256,14 @@ fn parse_load(v: &Value) -> Result<LoadSpec, ProtoError> {
         "probe_zipf" => LoadKind::ProbeZipf,
         other => return Err(bad(format!("unknown load kind '{other}'"))),
     };
+    // The generators assert these; an assert on the reactor thread would
+    // take the whole service down, so refuse the frame instead.
+    if !matches!(kind, LoadKind::Build) && domain == 0 {
+        return Err(bad("'domain' must be positive for a probe relation"));
+    }
+    if matches!(kind, LoadKind::ProbeZipf) && !(0.0..1.0).contains(&theta) {
+        return Err(bad("'theta' must be in [0, 1) for kind 'probe_zipf'"));
+    }
     Ok(LoadSpec {
         name,
         kind,

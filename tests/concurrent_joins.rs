@@ -1,0 +1,88 @@
+//! Several joins at once on one shared pool — the service's normal
+//! state. Every join must come back with the reference answer and with
+//! *its own* executor counters and worker spans: the pool keeps no
+//! per-join state, so nothing another join does can leak into a
+//! `PhaseStat` (DESIGN.md §5, §10).
+//!
+//! Per result:
+//! * checksum and match count equal `core::reference`;
+//! * every phase that runs on the pool reports executor work;
+//! * profiled ⇒ per phase, the worker spans' tasks and steals sum
+//!   exactly to the phase's `ExecCounters`;
+//! * unprofiled ⇒ no spans at all.
+
+use std::sync::Barrier;
+
+use mmjoin::core::executor::Executor;
+use mmjoin::core::reference::reference_join;
+use mmjoin::core::{Algorithm, Join, JoinConfig, JoinResult, ProfileConfig};
+use mmjoin::datagen::{gen_build_dense, gen_probe_fk};
+use mmjoin::util::Placement;
+
+const THREADS: usize = 3;
+const SUBMITTERS: usize = 4;
+const ROUNDS: usize = 3;
+
+fn check(res: &JoinResult, profiled: bool, tag: &str) {
+    for p in &res.phases {
+        let tag = format!("{tag}/{}", p.name);
+        // SHHJ's spill phase is sequential on the submitting thread.
+        if p.name != "spill" {
+            assert!(p.exec.tasks > 0, "{tag}: no executor work: {p:?}");
+        }
+        if profiled {
+            let span_tasks: u64 = p.workers.iter().map(|w| w.tasks).sum();
+            let span_steals: u64 = p.workers.iter().map(|w| w.steals).sum();
+            assert_eq!(span_tasks, p.exec.tasks, "{tag}: span tasks vs aggregate");
+            assert_eq!(
+                span_steals, p.exec.steals,
+                "{tag}: span steals vs aggregate"
+            );
+            assert!(p.workers.iter().all(|w| w.worker < THREADS), "{tag}");
+        } else {
+            assert!(p.workers.is_empty(), "{tag}: stray spans: {p:?}");
+        }
+    }
+}
+
+#[test]
+fn joins_sharing_one_pool_keep_their_own_counters_and_spans() {
+    let placement = Placement::Chunked { parts: THREADS };
+    let r = gen_build_dense(6_000, 0xC0C0, placement);
+    let s = gen_probe_fk(24_000, 6_000, 0xC0C1, placement);
+    let expect = reference_join(&r, &s);
+    // Every config below resolves to this one pool.
+    let pool = Executor::shared(THREADS);
+    let start = Barrier::new(SUBMITTERS);
+
+    std::thread::scope(|scope| {
+        for submitter in 0..SUBMITTERS {
+            let (r, s, pool, start) = (&r, &s, &pool, &start);
+            scope.spawn(move || {
+                start.wait();
+                for round in 0..ROUNDS {
+                    for (i, alg) in Algorithm::WITH_EXTENSIONS.into_iter().enumerate() {
+                        // Neighbouring submitters disagree on profiling
+                        // for the same algorithm at the same time.
+                        let profiled = (submitter + round + i) % 2 == 0;
+                        let mut cfg = JoinConfig::new(THREADS);
+                        cfg.simulate = false;
+                        cfg.radix_bits = Some(4);
+                        if profiled {
+                            cfg.profile = ProfileConfig::on();
+                        }
+                        assert!(std::sync::Arc::ptr_eq(&cfg.executor(), pool));
+                        let res = Join::new(alg)
+                            .with_config(cfg)
+                            .run(r, s)
+                            .expect("valid plan");
+                        let tag = format!("{alg} submitter={submitter} round={round}");
+                        assert_eq!(res.matches, expect.count, "{tag}");
+                        assert_eq!(res.checksum, expect.digest, "{tag}");
+                        check(&res, profiled, &tag);
+                    }
+                }
+            });
+        }
+    });
+}

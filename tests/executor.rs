@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mmjoin::core::executor::{build_queues, Executor, QueuePolicy};
+use mmjoin::core::executor::{build_queues, ExecSink, Executor, QueuePolicy};
 use mmjoin::core::{Algorithm, Join, JoinConfig};
 use mmjoin::datagen::{gen_build_dense, gen_probe_fk};
 use mmjoin::util::pool::{broadcast_map, WorkerPool};
@@ -46,13 +46,13 @@ fn steal_counters_under_skewed_queues() {
     assert_eq!(queues[0].len(), 64);
     assert!(queues[1].is_empty());
 
-    pool.drain_counters();
+    let sink = ExecSink::new(false);
     let ran: Vec<AtomicU64> = (0..parts).map(|_| AtomicU64::new(0)).collect();
-    pool.run_morsels(&queues, &|_, p| {
+    pool.run_morsels_into(Some(&sink), &queues, &|_, p| {
         ran[p].fetch_add(1, Ordering::Relaxed);
         std::thread::sleep(std::time::Duration::from_micros(500));
     });
-    let c = pool.drain_counters();
+    let (c, _) = sink.take();
     assert_eq!(c.tasks, 64, "every morsel ran exactly once");
     for (p, r) in ran.iter().enumerate().take(64) {
         assert_eq!(r.load(Ordering::Relaxed), 1, "partition {p}");

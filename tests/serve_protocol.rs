@@ -325,6 +325,38 @@ fn malformed_frames_get_protocol_errors_not_panics() {
     server.shutdown();
 }
 
+/// `load` parameters the generators would assert on (a Zipf θ outside
+/// [0, 1), an empty probe domain) are refused with a typed error; they
+/// used to panic on the reactor thread and take the listener with it,
+/// so the proof is a good `stat` on a *second* connection afterwards.
+#[test]
+fn out_of_range_load_parameters_are_typed_errors_not_reactor_panics() {
+    let server = Server::spawn(ServeConfig::default().with_runners(1)).unwrap();
+    for bad_load in [
+        r#"{"op":"load","name":"z","kind":"probe_zipf","rows":100,"domain":50,"theta":1.5}"#,
+        r#"{"op":"load","name":"z","kind":"probe_zipf","rows":100,"domain":50,"theta":-0.1}"#,
+        r#"{"op":"load","name":"z","kind":"probe_zipf","rows":100,"domain":0,"theta":0.5}"#,
+        r#"{"op":"load","name":"f","kind":"probe_fk","rows":100,"domain":0}"#,
+    ] {
+        let mut c = client(&server);
+        let v = c.request(bad_load).unwrap();
+        assert_eq!(err_code(&v), "bad_request", "{bad_load}: {v:?}");
+        drop(c);
+        let mut c2 = client(&server);
+        let v = c2.request(r#"{"op":"stat"}"#).unwrap();
+        assert!(ok(&v), "server must survive {bad_load}: {v:?}");
+    }
+    // The boundary that is allowed still loads.
+    let mut c = client(&server);
+    let v = c
+        .request(
+            r#"{"op":"load","name":"z","kind":"probe_zipf","rows":100,"domain":50,"theta":0.99}"#,
+        )
+        .unwrap();
+    assert!(ok(&v), "{v:?}");
+    server.shutdown();
+}
+
 /// A cache hit must return byte-identical results to the cold run that
 /// populated it — and to the classic (uncached) driver.
 #[test]
