@@ -1,10 +1,10 @@
-//! Criterion benches for the MWAY sorting substrate: networks vs std
-//! sort, and binary vs multiway merging (ablation 6's kin).
+//! Criterion benches for the MWAY sorting substrate: the run sort
+//! against std's sort (the yardstick), and the multiway merge.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mmjoin_sort::mergesort::sort_packed;
 use mmjoin_sort::multiway::merge_runs;
-use mmjoin_sort::network::{sort8, sort_network};
+use mmjoin_sort::network::sort8;
+use mmjoin_sort::sort_packed;
 use mmjoin_util::rng::Xoshiro256;
 
 fn rand_u64(n: usize, seed: u64) -> Vec<u64> {
@@ -13,7 +13,7 @@ fn rand_u64(n: usize, seed: u64) -> Vec<u64> {
 }
 
 fn bench_networks(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sort/network-vs-std");
+    let mut g = c.benchmark_group("sort/network");
     let data = rand_u64(1 << 16, 1);
     g.throughput(Throughput::Elements(data.len() as u64));
     g.bench_function("sort8-blocks", |b| {
@@ -25,30 +25,32 @@ fn bench_networks(c: &mut Criterion) {
             d
         })
     });
-    g.bench_function("batcher16-blocks", |b| {
-        b.iter(|| {
-            let mut d = data.clone();
-            for chunk in d.chunks_exact_mut(16) {
-                sort_network(chunk);
-            }
-            d
-        })
-    });
-    g.bench_function("mergesort-full", |b| {
-        let mut scratch = mmjoin_util::alloc::AlignedVec::new();
-        b.iter(|| {
-            let mut d = data.clone();
-            sort_packed(&mut d, &mut scratch);
-            d
-        })
-    });
-    g.bench_function("std-sort-full", |b| {
-        b.iter(|| {
-            let mut d = data.clone();
-            d.sort_unstable();
-            d
-        })
-    });
+    g.finish();
+}
+
+/// `sort_packed` beside `sort_unstable`: one run (64 Ki), four runs
+/// and their multiway merge (256 Ki), sixteen (1 Mi).
+fn bench_run_sort(c: &mut Criterion) {
+    let mut g = c.benchmark_group("sort/run-sort-vs-std");
+    for ki in [64usize, 256, 1024] {
+        let data = rand_u64(ki << 10, ki as u64);
+        g.throughput(Throughput::Elements(data.len() as u64));
+        g.bench_with_input(BenchmarkId::new("run-sort", ki), &data, |b, data| {
+            let mut scratch = mmjoin_util::alloc::AlignedVec::new();
+            b.iter(|| {
+                let mut d = data.clone();
+                sort_packed(&mut d, &mut scratch);
+                d
+            })
+        });
+        g.bench_with_input(BenchmarkId::new("std-sort-full", ki), &data, |b, data| {
+            b.iter(|| {
+                let mut d = data.clone();
+                d.sort_unstable();
+                d
+            })
+        });
+    }
     g.finish();
 }
 
@@ -72,7 +74,7 @@ fn bench_multiway(c: &mut Criterion) {
 
 criterion_group! {
     name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_networks, bench_multiway
+    config = Criterion::default().sample_size(30);
+    targets = bench_networks, bench_run_sort, bench_multiway
 }
 criterion_main!(benches);

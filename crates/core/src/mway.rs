@@ -1,17 +1,19 @@
 //! MWAY — the multi-way sort-merge join (Balkesen et al. 2013).
 //!
 //! Pipeline: (1) one radix pass with SWWCB into a *small* number of
-//! partitions; (2) each partition's build and probe sides are sorted
-//! independently — runs formed and merged with sorting networks, combined
-//! with a bandwidth-saving multiway (loser-tree) merge; (3) co-partitions
-//! are merge-joined.
+//! partitions; (2) each partition's build and probe sides are packed and
+//! sorted independently by [`mmjoin_sort::sort_packed`] — runs formed
+//! with a sorting network and merged in cache, combined with one
+//! bandwidth-saving multiway (loser-tree) merge; (3) co-partitions are
+//! merge-joined.
 //!
 //! The original requires a power-of-two thread count; this implementation
 //! has no such restriction (tasks come from a queue), but the harness
 //! mirrors the paper and caps MWAY at 32 threads in Figure 1-style runs.
 
 use mmjoin_partition::{partition_parallel_on, task_order, RadixFn, ScatterMode, ScheduleOrder};
-use mmjoin_sort::{sort_packed, LoserTree};
+use mmjoin_sort::mergesort::memory_passes;
+use mmjoin_sort::sort_packed;
 use mmjoin_util::alloc::AlignedVec;
 use mmjoin_util::checksum::JoinChecksum;
 use mmjoin_util::tuple::Tuple;
@@ -26,9 +28,6 @@ use crate::run::JoinRun;
 use crate::spec::{self, ops, PartitionLayout, PartitionWrites, PhaseModel};
 use crate::stats::JoinResult;
 use crate::Algorithm;
-
-/// Sub-runs sorted independently and combined by the multiway merge.
-const MERGE_WAYS: usize = 4;
 
 /// MWAY join.
 pub fn join_mway(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResult, JoinError> {
@@ -50,8 +49,14 @@ pub fn join_mway(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinRes
     )?;
 
     // Phase 2: sort every partition of both sides (morsel per partition).
-    // Packed sort runs: both sides copied into u64 arrays.
-    run.reserve("sort", (r.len() + s.len()) * 8)?;
+    // Kept for the join: both sides packed into u64 arrays. Held while a
+    // worker sorts: one scratch as long as the longer side of its
+    // partition.
+    let longest = (0..parts)
+        .map(|p| pr.part_len(p).max(ps.part_len(p)))
+        .max()
+        .unwrap_or(0);
+    run.reserve("sort", (r.len() + s.len() + cfg.threads * longest) * 8)?;
     let order = task_order(parts, ScheduleOrder::Sequential);
     let sorted: Vec<(usize, AlignedVec<u64>, AlignedVec<u64>)> = run.phase(
         "sort",
@@ -109,31 +114,12 @@ pub fn join_mway(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinRes
     Ok(run.finish(checksum, Some(bits)))
 }
 
-/// Sort one partition: pack tuples, sort MERGE_WAYS sub-runs with the
-/// network mergesort, combine with the loser-tree multiway merge.
+/// Sort one partition: pack its tuples into one buffer, sort that with
+/// `scratch` as the other.
 fn sort_partition(tuples: &[Tuple], scratch: &mut AlignedVec<u64>) -> AlignedVec<u64> {
-    let mut packed = AlignedVec::with_capacity(tuples.len());
-    for t in tuples {
-        packed.push(t.pack());
-    }
-    let n = packed.len();
-    if n <= 1 {
-        return packed;
-    }
-    if n < MERGE_WAYS * 8 {
-        sort_packed(&mut packed, scratch);
-        return packed;
-    }
-    let run_len = n.div_ceil(MERGE_WAYS);
-    for chunk in packed.chunks_mut(run_len) {
-        sort_packed(chunk, scratch);
-    }
-    let runs: Vec<&[u64]> = packed.chunks(run_len).collect();
-    let mut merged = AlignedVec::with_capacity(n);
-    for v in LoserTree::new(runs) {
-        merged.push(v);
-    }
-    merged
+    let mut packed = AlignedVec::from_exact_iter(tuples.iter().map(|t| t.pack()));
+    sort_packed(&mut packed, scratch);
+    packed
 }
 
 /// Merge-join two key-sorted packed arrays (duplicates expand to the
@@ -169,8 +155,10 @@ fn merge_join_sorted(rs: &[u64], ss: &[u64], c: &mut JoinChecksum) {
     }
 }
 
-/// Cost specs for the sort phase: each partition streams its bytes ~3×
-/// (run formation + one multiway pass) and pays n·log2(n) compares.
+/// Cost specs for the sort phase: each side of a partition is written
+/// once packed, streams through memory once per pass of the sort (the
+/// cache-blocked run sort, then one multiway merge if it has several
+/// runs), and pays n·log2(n) compares.
 fn sort_phase_specs(
     cfg: &JoinConfig,
     pr: &mmjoin_partition::PartitionedRelation,
@@ -180,13 +168,17 @@ fn sort_phase_specs(
     let nodes = cfg.topology.nodes;
     (0..parts)
         .map(|p| {
-            let n = (pr.part_len(p) + ps.part_len(p)) as f64;
-            let bytes = n * 8.0;
+            let sides = [pr.part_len(p), ps.part_len(p)];
+            let n = (sides[0] + sides[1]) as f64;
+            let streamed: f64 = sides
+                .iter()
+                .map(|&len| (len * 8 * (1 + memory_passes(len))) as f64)
+                .sum();
             let mut spec = mmjoin_numamodel::TaskSpec::new(nodes);
             let node = mmjoin_partition::task::node_of_partition(p, parts, nodes);
-            spec.stream(node, bytes * 3.0);
+            spec.stream(node, streamed);
             spec.cpu(n * (n.max(2.0)).log2() * ops::SORT_CMP);
-            spec.tlb(spec::seq_tlb_misses(bytes * 3.0, cfg));
+            spec.tlb(spec::seq_tlb_misses(streamed, cfg));
             spec
         })
         .collect()

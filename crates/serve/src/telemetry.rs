@@ -788,6 +788,36 @@ mod tests {
         assert!(frag.contains("\"tenant\":\"t0\""));
     }
 
+    /// Flags standing after one window of `baseline` latencies (ms)
+    /// and one of `current`, at the shipped factor 1.5 and alpha 0.01.
+    fn flags_after(baseline: &[f64], current: &[f64]) -> u64 {
+        let tel = Telemetry::new(TelemetryConfig::default(), Instant::now());
+        for window in [baseline, current] {
+            for &ms in window {
+                tel.record_join(facts("t0", ms));
+            }
+            tel.rotate_and_watch();
+        }
+        tel.watch_flag_count().0
+    }
+
+    #[test]
+    fn watch_decision_rule_on_fixed_samples() {
+        let steady = [10.0, 11.0, 9.0, 10.5, 9.5, 10.2, 9.8, 10.1, 10.0, 9.9];
+        let scaled = |by: f64| steady.iter().map(|ms| ms * by).collect::<Vec<f64>>();
+        // Median ratio below the factor: no flag, however cleanly the
+        // two windows separate.
+        assert_eq!(flags_after(&steady, &scaled(1.4)), 0);
+        // Ratio above the factor (5.5 -> 10), but two modes that mostly
+        // overlap: the U-test's p is far above alpha and the medians'
+        // confidence intervals both span 1..10.
+        let low = [1.0, 1.0, 1.0, 1.0, 1.0, 10.0, 10.0, 10.0, 10.0, 10.0];
+        let high = [1.0, 1.0, 1.0, 1.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0];
+        assert_eq!(flags_after(&low, &high), 0);
+        // Above the factor and separated: flagged.
+        assert_eq!(flags_after(&steady, &scaled(2.0)), 1);
+    }
+
     #[test]
     fn flight_recorder_bounded_and_drained() {
         let cfg = TelemetryConfig {

@@ -4,11 +4,12 @@
 //! networks and combines runs with a bandwidth-saving multiway merge.
 //! This crate reproduces that structure portably:
 //!
-//! * [`network`] — Batcher odd-even sorting networks over packed
-//!   `u64` tuples (key in the high 32 bits, so integer comparison orders
-//!   by key). Branch-free min/max compare-exchange pairs are exactly what
-//!   the SIMD versions vectorize; LLVM auto-vectorizes these.
-//! * [`mergesort`] — run formation with the networks + bottom-up merging.
+//! * [`network`] — the 8-wide sorting network over packed `u64` tuples
+//!   (key in the high 32 bits, so integer comparison orders by key)
+//!   that forms the initial runs.
+//! * [`mergesort`] — [`sort_packed`], the whole sort of one array: run
+//!   formation, branch-free merge passes over cache-sized blocks, one
+//!   multiway merge.
 //! * [`multiway`] — a loser-tree k-way merge that replaces `log k` binary
 //!   merge passes over DRAM with a single pass.
 //!
@@ -19,4 +20,3 @@ pub mod multiway;
 pub mod network;
 
 pub use mergesort::sort_packed;
-pub use multiway::LoserTree;

@@ -4,122 +4,133 @@
 //! the "multi-way merging to save memory bandwidth" of MWAY — instead of
 //! `ceil(log2 k)` binary passes. The tournament (loser) tree does one
 //! comparison per level per emitted element.
+//!
+//! A tournament is one serial dependency chain (the next winner is not
+//! known before the last replay ends), so [`merge_runs_into`] runs two
+//! of them at once, like the binary passes of
+//! [`mergesort`](crate::mergesort): one takes the smallest elements
+//! from the front of the runs and fills the output upwards, the other
+//! takes the largest from their backs and fills it downwards, and they
+//! stop where they meet.
 
-/// A k-way merging iterator over sorted `u64` runs.
-pub struct LoserTree<'a> {
-    runs: Vec<&'a [u64]>,
-    /// Cursor into each run.
-    pos: Vec<usize>,
-    /// Internal nodes hold the *loser* run index; `tree[0]` the winner.
-    tree: Vec<usize>,
-    /// Number of leaves (power of two ≥ runs).
-    k: usize,
-    remaining: usize,
-}
-
+/// Head key of a run that has no elements left; it loses every game.
 const EXHAUSTED: u64 = u64::MAX;
 
-impl<'a> LoserTree<'a> {
-    pub fn new(runs: Vec<&'a [u64]>) -> Self {
-        let remaining = runs.iter().map(|r| r.len()).sum();
-        let k = runs.len().max(1).next_power_of_two();
-        let mut lt = LoserTree {
-            pos: vec![0; runs.len()],
-            runs,
-            tree: vec![usize::MAX; k],
-            k,
-            remaining,
-        };
-        lt.build();
-        lt
-    }
+/// A tournament over the current head key of each of `k` (a power of
+/// two) key streams. The heads sit beside the tree, so a game loads two
+/// words and never looks into a run.
+struct LoserTree<I> {
+    /// What each stream has not yet handed out.
+    rest: Vec<I>,
+    /// Head key per stream, [`EXHAUSTED`] once it is empty. A run may
+    /// hold that value for real: when such a tie lets an empty stream
+    /// win, every head left equals `u64::MAX`, so the value popped is
+    /// the right one anyway — and the caller pops only as many keys as
+    /// the runs hold.
+    head: Vec<u64>,
+    /// Node `1..k`: the stream that lost the game played there.
+    loser: Vec<usize>,
+    /// The stream whose head is smallest.
+    winner: usize,
+}
 
-    #[inline]
-    fn key_of(&self, run: usize) -> u64 {
-        if run >= self.runs.len() {
-            return EXHAUSTED;
-        }
-        match self.runs[run].get(self.pos[run]) {
-            Some(&v) => v,
-            // Exhausted runs sort last; ties with a real u64::MAX value
-            // are fine because `remaining` bounds the number of pops.
-            None => EXHAUSTED,
-        }
-    }
-
-    /// Initial tournament.
-    fn build(&mut self) {
-        // Play every leaf pair up the tree.
-        let mut winners: Vec<usize> = (0..self.k).collect();
-        let mut level = self.k;
+impl<I: Iterator<Item = u64>> LoserTree<I> {
+    fn new(mut rest: Vec<I>) -> Self {
+        let k = rest.len();
+        assert!(k.is_power_of_two());
+        let head: Vec<u64> = rest
+            .iter_mut()
+            .map(|r| r.next().unwrap_or(EXHAUSTED))
+            .collect();
+        // Play every game once, leaf pairs first.
+        let mut loser = vec![0; k];
+        let mut winners: Vec<usize> = (0..k).collect();
+        let mut level = k;
         while level > 1 {
             level /= 2;
             for i in 0..level {
-                let a = winners[2 * i];
-                let b = winners[2 * i + 1];
-                let (win, lose) = if self.key_of(a) <= self.key_of(b) {
-                    (a, b)
-                } else {
-                    (b, a)
-                };
-                self.tree[level + i] = lose;
+                let (a, b) = (winners[2 * i], winners[2 * i + 1]);
+                let (win, lose) = if head[a] <= head[b] { (a, b) } else { (b, a) };
+                loser[level + i] = lose;
                 winners[i] = win;
             }
         }
-        self.tree[0] = winners[0];
+        LoserTree {
+            rest,
+            head,
+            loser,
+            winner: winners[0],
+        }
     }
 
-    /// Replay the path from the winner's leaf to the root after advancing.
-    fn replay(&mut self) {
-        let mut winner = self.tree[0];
-        let mut node = (self.k + winner) / 2;
+    /// Take the smallest head, refill it from its stream and replay the
+    /// games on its path to the root.
+    #[inline(always)]
+    fn pop(&mut self) -> u64 {
+        let k = self.head.len();
+        // `& mask` keeps every index below `k`, which spares the loop
+        // its bounds checks; it never changes an index, all are < k.
+        let mask = k - 1;
+        let (head, loser) = (&mut self.head[..k], &mut self.loser[..k]);
+        let mut winner = self.winner & mask;
+        let popped = head[winner];
+        let mut key = self.rest[winner].next().unwrap_or(EXHAUSTED);
+        head[winner] = key;
+        let mut node = (k + winner) >> 1;
         while node != 0 {
-            let challenger = self.tree[node];
-            if self.key_of(challenger) < self.key_of(winner) {
-                self.tree[node] = winner;
-                winner = challenger;
-            }
-            node /= 2;
+            let rival = loser[node & mask];
+            let rival_key = head[rival & mask];
+            // Swap winner and rival if the rival's key is smaller — with
+            // masks, not `if`: on random keys the outcome is a coin
+            // flip, and LLVM turns the `if` form into a branch.
+            let swap = ((rival_key < key) as usize).wrapping_neg();
+            let flip = (winner ^ rival) & swap;
+            loser[node & mask] = rival ^ flip;
+            winner ^= flip;
+            key ^= (key ^ rival_key) & swap as u64;
+            node >>= 1;
         }
-        self.tree[0] = winner;
+        self.winner = winner;
+        popped
     }
 }
 
-impl Iterator for LoserTree<'_> {
-    type Item = u64;
-
-    #[inline]
-    fn next(&mut self) -> Option<u64> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let winner = self.tree[0];
-        let v = self.key_of(winner);
-        self.pos[winner] += 1;
-        self.remaining -= 1;
-        self.replay();
-        Some(v)
+/// Merge the sorted `runs` into `out`, which must be exactly as long as
+/// all of them together.
+pub fn merge_runs_into(runs: &[&[u64]], out: &mut [u64]) {
+    let total: usize = runs.iter().map(|r| r.len()).sum();
+    assert_eq!(total, out.len(), "output must hold every run");
+    let k = runs.len().next_power_of_two();
+    let leaves = || {
+        runs.iter()
+            .copied()
+            .chain(std::iter::repeat(&[][..]))
+            .take(k)
+    };
+    let mut low = LoserTree::new(leaves().map(|r| r.iter().copied()).collect());
+    // The largest key first is the smallest complement first.
+    let mut high = LoserTree::new(leaves().map(|r| r.iter().rev().map(|&v| !v)).collect());
+    let (front, back) = out.split_at_mut(total / 2);
+    let mut back = back.iter_mut().rev();
+    for (lo, hi) in front.iter_mut().zip(&mut back) {
+        *lo = low.pop();
+        *hi = !high.pop();
     }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
+    if let Some(middle) = back.next() {
+        *middle = low.pop();
     }
 }
-
-impl ExactSizeIterator for LoserTree<'_> {}
 
 /// Merge `runs` into a fresh vector.
 pub fn merge_runs(runs: Vec<&[u64]>) -> Vec<u64> {
-    let lt = LoserTree::new(runs);
-    let mut out = Vec::with_capacity(lt.len());
-    out.extend(lt);
+    let mut out = vec![0; runs.iter().map(|r| r.len()).sum()];
+    merge_runs_into(&runs, &mut out);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmjoin_util::rng::Xoshiro256;
 
     #[test]
     fn merges_simple_runs() {
@@ -130,30 +141,12 @@ mod tests {
     }
 
     #[test]
-    fn handles_non_power_of_two_run_counts() {
-        for k in 1usize..=9 {
-            let mut rng = Xoshiro256::new(k as u64);
-            let runs: Vec<Vec<u64>> = (0..k)
-                .map(|_| {
-                    let n = (rng.next_u64() % 50) as usize;
-                    let mut r: Vec<u64> = (0..n).map(|_| rng.next_u64() % 1000).collect();
-                    r.sort_unstable();
-                    r
-                })
-                .collect();
-            let mut expect: Vec<u64> = runs.iter().flatten().copied().collect();
-            expect.sort_unstable();
-            let got = merge_runs(runs.iter().map(|r| r.as_slice()).collect());
-            assert_eq!(got, expect, "k={k}");
-        }
-    }
-
-    #[test]
     fn empty_runs_and_empty_input() {
         assert_eq!(merge_runs(vec![]), Vec::<u64>::new());
         let empty: &[u64] = &[];
         let a = [1u64, 2];
         assert_eq!(merge_runs(vec![empty, &a, empty]), vec![1, 2]);
+        assert_eq!(merge_runs(vec![empty, empty]), Vec::<u64>::new());
     }
 
     #[test]
@@ -164,36 +157,21 @@ mod tests {
     }
 
     #[test]
-    fn max_values_survive() {
-        // Real u64::MAX data must not be confused with the exhausted
-        // sentinel thanks to the `remaining` counter.
-        let a = [1u64, u64::MAX];
+    fn sentinel_values_survive_in_both_directions() {
+        // Real u64::MAX data ties with the exhausted sentinel of the
+        // ascending tree, real 0 with that of the descending one.
+        let a = [0u64, 1, u64::MAX];
         let b = [u64::MAX];
-        assert_eq!(merge_runs(vec![&a, &b]), vec![1, u64::MAX, u64::MAX]);
+        let c = [0u64, 0];
+        assert_eq!(
+            merge_runs(vec![&a, &b, &c]),
+            vec![0, 0, 0, 1, u64::MAX, u64::MAX]
+        );
     }
 
     #[test]
-    fn size_hint_exact() {
-        let a = [1u64, 3];
-        let b = [2u64];
-        let lt = LoserTree::new(vec![&a, &b]);
-        assert_eq!(lt.len(), 3);
-    }
-
-    #[test]
-    fn large_randomized_merge() {
-        let mut rng = Xoshiro256::new(77);
-        let runs: Vec<Vec<u64>> = (0..16)
-            .map(|_| {
-                let n = 1000 + (rng.next_u64() % 1000) as usize;
-                let mut r: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
-                r.sort_unstable();
-                r
-            })
-            .collect();
-        let mut expect: Vec<u64> = runs.iter().flatten().copied().collect();
-        expect.sort_unstable();
-        let got = merge_runs(runs.iter().map(|r| r.as_slice()).collect());
-        assert_eq!(got, expect);
+    #[should_panic(expected = "output must hold every run")]
+    fn wrong_output_length_is_refused() {
+        merge_runs_into(&[&[1, 2]], &mut [0; 3]);
     }
 }

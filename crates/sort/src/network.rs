@@ -1,14 +1,16 @@
-//! Batcher odd-even merge-exchange sorting networks.
+//! The sorting network that forms the initial runs.
 //!
-//! Sorting networks execute a fixed, data-independent sequence of
-//! compare-exchange operations — the property that makes them
-//! vectorizable (the original MWAY uses AVX bitonic networks; the
-//! network *structure* is what matters for the algorithm, and LLVM turns
-//! these branch-free min/max pairs into SIMD on its own).
+//! A sorting network executes a fixed, data-independent sequence of
+//! compare-exchange operations. The original MWAY runs AVX bitonic
+//! networks; here the same structure is scalar: on x86-64 each
+//! comparator compiles to one `cmp` and two `cmov`s with all eight
+//! values held in registers — no branch, hence nothing to mispredict on
+//! random keys, but no SIMD either (baseline x86-64 has no 64-bit
+//! vector min/max for LLVM to use).
 //!
 //! The 0-1 principle guarantees correctness: a comparator network that
-//! sorts all 0-1 sequences sorts all sequences; the tests exhaustively
-//! verify all 2^n 0-1 inputs for n ≤ 16.
+//! sorts all 0-1 sequences sorts all sequences; the test verifies all
+//! 2^8 of them.
 
 /// Branch-free compare-exchange: after the call `data[i] <= data[j]`.
 #[inline(always)]
@@ -19,57 +21,6 @@ fn cmpx(data: &mut [u64], i: usize, j: usize) {
     let hi = a.max(b);
     data[i] = lo;
     data[j] = hi;
-}
-
-/// Comparator pairs of Batcher's odd-even merge-exchange network for a
-/// power-of-two size `n`.
-pub fn batcher_pairs(n: usize) -> Vec<(usize, usize)> {
-    assert!(n.is_power_of_two(), "network size must be a power of two");
-    let mut pairs = Vec::new();
-    let mut p = 1;
-    while p < n {
-        let mut k = p;
-        while k >= 1 {
-            let mut j = k % p;
-            while j <= n - 1 - k {
-                for i in 0..k.min(n - j - k) {
-                    if (i + j) / (p * 2) == (i + j + k) / (p * 2) {
-                        pairs.push((i + j, i + j + k));
-                    }
-                }
-                j += 2 * k;
-            }
-            k /= 2;
-        }
-        p *= 2;
-    }
-    pairs
-}
-
-/// Sort a power-of-two-sized slice with Batcher's network.
-#[inline]
-pub fn sort_network(data: &mut [u64]) {
-    match data.len() {
-        0 | 1 => {}
-        4 => sort4(data),
-        8 => sort8(data),
-        n => {
-            for (i, j) in batcher_pairs(n) {
-                cmpx(data, i, j);
-            }
-        }
-    }
-}
-
-/// Hand-unrolled optimal 4-element network (5 comparators).
-#[inline(always)]
-pub fn sort4(d: &mut [u64]) {
-    debug_assert_eq!(d.len(), 4);
-    cmpx(d, 0, 1);
-    cmpx(d, 2, 3);
-    cmpx(d, 0, 2);
-    cmpx(d, 1, 3);
-    cmpx(d, 1, 2);
 }
 
 /// Hand-unrolled optimal 8-element network (19 comparators).
@@ -97,107 +48,38 @@ pub fn sort8(d: &mut [u64]) {
     cmpx(d, 3, 4);
 }
 
-/// Bitonic merge network: merges two sorted halves of `data` in place.
-/// `data.len()` must be a power of two.
-pub fn bitonic_merge(data: &mut [u64]) {
-    let n = data.len();
-    assert!(n.is_power_of_two());
-    if n <= 1 {
-        return;
-    }
-    // Reverse the second half to form a bitonic sequence, then run the
-    // bitonic merger.
-    data[n / 2..].reverse();
-    let mut k = n / 2;
-    while k >= 1 {
-        for i in 0..n {
-            if i & k == 0 {
-                cmpx(data, i, i | k);
-            }
-        }
-        k /= 2;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn is_sorted(d: &[u64]) -> bool {
-        d.windows(2).all(|w| w[0] <= w[1])
-    }
-
     /// 0-1 principle: exhaustively verify all binary inputs.
-    fn zero_one_check(n: usize, sorter: impl Fn(&mut [u64])) {
-        for bits in 0u32..(1 << n) {
-            let mut d: Vec<u64> = (0..n).map(|i| ((bits >> i) & 1) as u64).collect();
-            sorter(&mut d);
-            assert!(is_sorted(&d), "n={n} bits={bits:b} -> {d:?}");
-        }
-    }
-
-    #[test]
-    fn sort4_zero_one_principle() {
-        zero_one_check(4, sort4);
-    }
-
     #[test]
     fn sort8_zero_one_principle() {
-        zero_one_check(8, sort8);
-    }
-
-    #[test]
-    fn batcher16_zero_one_principle() {
-        zero_one_check(16, sort_network);
-    }
-
-    #[test]
-    fn batcher32_random() {
-        let mut rng = mmjoin_util::rng::Xoshiro256::new(9);
-        for _ in 0..200 {
-            let mut d: Vec<u64> = (0..32).map(|_| rng.next_u64() % 100).collect();
-            let mut expect = d.clone();
-            expect.sort_unstable();
-            sort_network(&mut d);
-            assert_eq!(d, expect);
+        for bits in 0u32..(1 << 8) {
+            let mut d: Vec<u64> = (0..8).map(|i| ((bits >> i) & 1) as u64).collect();
+            sort8(&mut d);
+            assert!(d.windows(2).all(|w| w[0] <= w[1]), "bits={bits:b} -> {d:?}");
         }
     }
 
     #[test]
-    fn bitonic_merge_two_sorted_halves() {
-        let mut rng = mmjoin_util::rng::Xoshiro256::new(10);
-        for n in [2usize, 4, 8, 16, 64] {
-            for _ in 0..50 {
-                let mut d: Vec<u64> = (0..n).map(|_| rng.next_u64() % 50).collect();
-                d[..n / 2].sort_unstable();
-                d[n / 2..].sort_unstable();
-                let mut expect = d.clone();
-                expect.sort_unstable();
-                bitonic_merge(&mut d);
-                assert_eq!(d, expect, "n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn networks_are_stable_on_equal_keys_by_value() {
+    fn equal_keys_order_by_payload() {
         // Packed tuples with equal keys but different payloads still sort
         // deterministically (payload is in the low bits of the u64).
+        let key = |k: u64, p: u64| (k << 32) | p;
         let mut d = vec![
-            (5u64 << 32) | 3,
-            (5u64 << 32) | 1,
-            (2u64 << 32) | 9,
-            (5u64 << 32) | 2,
+            key(5, 3),
+            key(5, 1),
+            key(2, 9),
+            key(5, 2),
+            key(9, 0),
+            key(2, 1),
+            key(5, 0),
+            key(1, 7),
         ];
-        sort4(&mut d);
-        assert_eq!(
-            d,
-            vec![
-                (2u64 << 32) | 9,
-                (5u64 << 32) | 1,
-                (5u64 << 32) | 2,
-                (5u64 << 32) | 3
-            ]
-        );
+        let mut expect = d.clone();
+        expect.sort_unstable();
+        sort8(&mut d);
+        assert_eq!(d, expect);
     }
 }

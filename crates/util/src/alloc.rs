@@ -252,6 +252,34 @@ impl<T: Copy> AlignedVec<T> {
         }
     }
 
+    /// `len` elements of unspecified value: the allocation is not
+    /// filled (sort scratch: the first merge pass overwrites all of it,
+    /// so a fill would be a wasted pass over memory).
+    ///
+    /// # Safety
+    /// Every slot holds whatever the allocator handed back; the caller
+    /// must write a slot before reading it.
+    pub unsafe fn unfilled(len: usize) -> Self {
+        AlignedVec {
+            buf: AlignedBuf::allocate(len, false, false),
+            len,
+        }
+    }
+
+    /// Collect an exact-size iterator straight into a fresh allocation
+    /// of that size: no zero-fill first and no capacity check per
+    /// element (packing a partition's tuples for the sort).
+    pub fn from_exact_iter(iter: impl ExactSizeIterator<Item = T>) -> Self {
+        let mut buf = AlignedBuf::<T>::allocate(iter.len(), false, false);
+        let mut len = 0;
+        for (slot, value) in buf.as_mut_slice_uninit().iter_mut().zip(iter) {
+            *slot = value;
+            len += 1;
+        }
+        // Only the written prefix is exposed, whatever `iter.len()` said.
+        AlignedVec { buf, len }
+    }
+
     #[inline]
     pub fn len(&self) -> usize {
         self.len
@@ -489,5 +517,19 @@ mod tests {
         v.reserve(100);
         assert!(v.capacity() >= 108);
         assert_eq!(v.len(), 8);
+    }
+
+    #[test]
+    fn aligned_vec_unfilled_constructors() {
+        let v = AlignedVec::from_exact_iter((0..1000u32).map(|i| u64::from(i) * 3));
+        assert_eq!(v.len(), 1000);
+        assert!(v.iter().enumerate().all(|(i, &x)| x == i as u64 * 3));
+        assert!(AlignedVec::<u64>::from_exact_iter(std::iter::empty()).is_empty());
+
+        // SAFETY: every slot is written by `fill` before any read.
+        let mut v = unsafe { AlignedVec::<u64>::unfilled(100) };
+        assert_eq!(v.len(), 100);
+        v.fill(1);
+        assert_eq!(v.iter().sum::<u64>(), 100);
     }
 }

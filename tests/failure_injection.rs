@@ -98,6 +98,44 @@ fn boundary_keys() {
 }
 
 #[test]
+fn mway_boundary_keys_through_the_multiway_merge() {
+    // `boundary_keys` above sorts four tuples with one network. Here
+    // every MWAY partition holds more than three runs of the probe side
+    // (and, at one thread, of the build side), so the loser trees run —
+    // over tuples that pack to their exhausted-run sentinels
+    // (`u64::MAX` ascending, 0 descending; no hash table, so key 0 is
+    // a key like any other) and over one hot key whose duplicates are
+    // spread through the input, hence through every run of its
+    // partition, on both sides.
+    use mmjoin::sort::mergesort::RUN_LEN;
+    const HOT: u32 = 12_345;
+    let (n_r, n_s) = (4 * 3 * RUN_LEN + 4_000, 16 * 3 * RUN_LEN + 16_000);
+    let salted = |n: usize, fk: usize, every: usize, extremes: usize| -> Vec<Tuple> {
+        let mut tuples: Vec<Tuple> = (0..n)
+            .map(|i| match i % every {
+                0 => Tuple::new(HOT, i as u32),
+                _ => Tuple::new((i % fk) as u32 + 1, i as u32),
+            })
+            .collect();
+        for i in 0..extremes {
+            tuples.insert(i * 1_000, Tuple::new(u32::MAX, u32::MAX));
+            tuples.insert(i * 777 + 5, Tuple::new(0, 0));
+        }
+        tuples
+    };
+    // 600 hot tuples in R, 900 in S; 5 x 7 of each extreme.
+    let r = Relation::from_tuples(&salted(n_r, n_r, n_r / 600, 5), Placement::Interleaved);
+    let s = Relation::from_tuples(&salted(n_s, n_r, n_s / 900, 7), Placement::Interleaved);
+    let expect = reference_join(&r, &s);
+    assert!(expect.count > 600 * 900 + 2 * 35);
+    for threads in [1, 2, 3] {
+        let res = run_join(Algorithm::Mway, &r, &s, &cfg(threads, None));
+        assert_eq!(res.matches, expect.count, "threads={threads}");
+        assert_eq!(res.checksum, expect.digest, "threads={threads}");
+    }
+}
+
+#[test]
 fn zero_bit_partitioning_degenerates_gracefully() {
     // fanout 2^1 = 2 with everything in one partition.
     let tuples: Vec<Tuple> = (0..500).map(|i| Tuple::new(2 * i + 2, i)).collect(); // all even
@@ -176,6 +214,43 @@ fn runtime_limits_honored_by_all_thirteen() {
             other => panic!("{name}: expected MemoryBudgetExceeded at 1 byte, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn mway_budget_counts_the_sort_scratch() {
+    // MWAY's sort phase holds, besides the packed copy of both inputs
+    // it keeps for the join, one scratch per worker as long as the
+    // longer side of the partition being sorted. The budget must admit
+    // the join at exactly what it reserves and refuse it one byte short.
+    let r = mmjoin::datagen::gen_build_dense(3_000, 21, Placement::Chunked { parts: 4 });
+    let s = mmjoin::datagen::gen_probe_fk(12_000, 3_000, 22, Placement::Chunked { parts: 4 });
+    let expect = reference_join(&r, &s);
+    let (threads, parts) = (2, 8);
+    let run = |limit: usize| {
+        let mut c = cfg(threads, None);
+        c.mem_limit = Some(limit);
+        Join::new(Algorithm::Mway).with_config(c).run(&r, &s)
+    };
+    let refused = |limit: usize, in_phase: &str| match run(limit) {
+        Err(JoinError::MemoryBudgetExceeded {
+            phase, requested, ..
+        }) => {
+            assert_eq!(phase, in_phase, "limit {limit}");
+            requested
+        }
+        other => panic!("limit {limit}: expected MemoryBudgetExceeded, got {other:?}"),
+    };
+    let partition = refused(1, "partition");
+    let sort = refused(partition, "sort");
+    let retained = (r.len() + s.len()) * 8;
+    assert!(
+        sort >= retained + threads * (s.len() / parts) * 8,
+        "sort reserves {sort}: its output alone is {retained}"
+    );
+    refused(partition + sort - 1, "sort");
+    let res = run(partition + sort).expect("the budget MWAY asks for is enough");
+    assert_eq!(res.matches, expect.count);
+    assert_eq!(res.checksum, expect.digest);
 }
 
 #[test]
