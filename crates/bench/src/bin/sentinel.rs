@@ -24,10 +24,10 @@
 use std::path::{Path, PathBuf};
 
 use mmjoin_bench::harness::HarnessOpts;
-use mmjoin_bench::jsonv;
 use mmjoin_bench::ledger::{self, Entry};
 use mmjoin_bench::sentinel::{self, CompareOpts};
 use mmjoin_core::Algorithm;
+use mmjoin_util::jsonv;
 
 fn usage() -> ! {
     eprintln!(

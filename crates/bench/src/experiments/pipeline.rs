@@ -18,25 +18,22 @@ use mmjoin_util::Relation;
 use crate::harness::{HarnessOpts, Table};
 
 /// One fused-vs-two-step comparison of a two-join chain.
-pub struct ChainRun {
+struct ChainRun {
     /// End-to-end fused wall seconds (both prepares + fused probe).
-    pub fused_secs: f64,
+    fused_secs: f64,
     /// End-to-end two-step wall seconds (join index + final driver).
-    pub two_step_secs: f64,
-    /// Matches reaching the sink (identical on both paths when
-    /// `checksum_ok`).
-    pub matches: u64,
+    two_step_secs: f64,
     /// Stage-boundary matches the fused plan never materialized.
-    pub intermediate_matches: u64,
+    intermediate_matches: u64,
     /// `intermediate_matches` × bytes of one intermediate tuple.
-    pub bytes_avoided: u64,
+    bytes_avoided: u64,
     /// Fused checksum equals the two-step baseline's.
-    pub checksum_ok: bool,
+    checksum_ok: bool,
 }
 
 /// The chain workload: `R1` with payloads linking into `R2`'s dense key
 /// domain, and a uniform FK probe over `R1`.
-pub fn chain_workload(
+fn chain_workload(
     opts: &HarnessOpts,
     r1_m: usize,
     r2_m: usize,
@@ -52,7 +49,7 @@ pub fn chain_workload(
 }
 
 /// Run the chain both ways under `threads` host workers and compare.
-pub fn run_chain(
+fn run_chain(
     alg: Algorithm,
     r1: &Relation,
     r2: &Relation,
@@ -80,7 +77,6 @@ pub fn run_chain(
     ChainRun {
         fused_secs,
         two_step_secs,
-        matches: fused.matches,
         intermediate_matches: fused.intermediate_matches,
         bytes_avoided: fused.bytes_avoided,
         checksum_ok: fused.checksum == base.checksum && fused.matches == base.matches,

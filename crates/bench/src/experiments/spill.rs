@@ -15,7 +15,7 @@ use crate::harness::{HarnessOpts, Table};
 
 /// The budget sweep, as fractions `(num, den)` of the build side's
 /// tuple bytes; `None` is unlimited (fully resident mode).
-pub const TIERS: [(&str, Option<(usize, usize)>); 6] = [
+const TIERS: [(&str, Option<(usize, usize)>); 6] = [
     ("none", None),
     ("2x", Some((2, 1))),
     ("1x", Some((1, 1))),
@@ -25,17 +25,12 @@ pub const TIERS: [(&str, Option<(usize, usize)>); 6] = [
 ];
 
 /// A tier's byte budget for a given build side.
-pub fn tier_budget(build_bytes: usize, frac: Option<(usize, usize)>) -> Option<usize> {
+fn tier_budget(build_bytes: usize, frac: Option<(usize, usize)>) -> Option<usize> {
     frac.map(|(num, den)| (build_bytes * num / den).max(1))
 }
 
-/// Ledger-safe cell name for a tier label ("1/2" -> "shhj_1_2").
-pub fn tier_cell(label: &str) -> String {
-    format!("shhj_{}", label.replace('/', "_"))
-}
-
 /// Plain wall-clock join config (no simulation) at `budget`.
-pub fn spill_cfg(threads: usize, budget: Option<usize>) -> JoinConfig {
+fn spill_cfg(threads: usize, budget: Option<usize>) -> JoinConfig {
     let mut cfg = JoinConfig::new(threads);
     cfg.simulate = false;
     cfg.mem_limit = budget;
@@ -43,7 +38,7 @@ pub fn spill_cfg(threads: usize, budget: Option<usize>) -> JoinConfig {
 }
 
 /// One driver run at one budget.
-pub fn run_at(
+fn run_at(
     alg: Algorithm,
     r: &Relation,
     s: &Relation,
@@ -56,29 +51,29 @@ pub fn run_at(
 }
 
 /// SHHJ's completed run at one tier.
-pub struct TierOk {
+struct TierOk {
     /// SHHJ wall seconds.
-    pub secs: f64,
-    pub spill: SpillCounters,
+    secs: f64,
+    spill: SpillCounters,
     /// SHHJ checksum equals the unconstrained reference's.
-    pub checksum_ok: bool,
+    checksum_ok: bool,
 }
 
 /// One point of the degradation curve. SHHJ itself refuses a budget
 /// only when it sits below the all-spilled buffer floor (tiny
 /// workloads at extreme fractions), which comes back as the same
 /// `MemoryBudgetExceeded` a classic driver raises.
-pub struct TierRun {
-    pub label: &'static str,
-    pub budget: Option<usize>,
-    pub shhj: Result<TierOk, JoinError>,
+struct TierRun {
+    label: &'static str,
+    budget: Option<usize>,
+    shhj: Result<TierOk, JoinError>,
     /// What the classic in-memory driver (PRO) did at this budget.
-    pub classic: Result<f64, JoinError>,
+    classic: Result<f64, JoinError>,
 }
 
 /// Sweep all tiers once. `reference` is an unconstrained run whose
 /// checksum every feasible tier must reproduce.
-pub fn sweep(r: &Relation, s: &Relation, threads: usize, reference: &JoinResult) -> Vec<TierRun> {
+fn sweep(r: &Relation, s: &Relation, threads: usize, reference: &JoinResult) -> Vec<TierRun> {
     TIERS
         .iter()
         .map(|&(label, frac)| {

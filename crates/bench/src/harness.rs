@@ -7,6 +7,7 @@ use std::time::Duration;
 
 use mmjoin_core::{JoinConfig, JoinError, JoinResult};
 use mmjoin_numamodel::Topology;
+use mmjoin_util::jsonv::quote;
 use mmjoin_util::{Placement, Relation};
 
 /// Trials that failed twice (initial run + retry) across the process.
@@ -133,16 +134,6 @@ where
         record_sample(label, res.total_wall().as_secs_f64());
     }
     res
-}
-
-/// Trials that failed both attempts so far in this process.
-pub fn failed_trials() -> u64 {
-    TrialCounters::snapshot().failed
-}
-
-/// Trials whose first attempt failed so far in this process.
-pub fn retried_trials() -> u64 {
-    TrialCounters::snapshot().retried
 }
 
 /// Table cell for a metric of an optional (possibly failed) trial.
@@ -306,13 +297,13 @@ impl Table {
     /// JSON object for `--json` output (hand-rolled; no serde offline).
     pub fn to_json(&self) -> String {
         let str_arr = |items: &[String]| {
-            let cells: Vec<String> = items.iter().map(|s| json_escape(s)).collect();
+            let cells: Vec<String> = items.iter().map(|s| quote(s)).collect();
             format!("[{}]", cells.join(", "))
         };
         let rows: Vec<String> = self.rows.iter().map(|r| str_arr(r)).collect();
         format!(
             "{{\"title\": {}, \"headers\": {}, \"rows\": [{}], \"notes\": {}}}",
-            json_escape(&self.title),
+            quote(&self.title),
             str_arr(&self.headers),
             rows.join(", "),
             str_arr(&self.notes)
@@ -342,48 +333,24 @@ pub fn cpu_model() -> String {
 }
 
 /// Host-metadata block stamped into every machine-readable artifact
-/// (`BENCH_*.json`, `repro --json`, profile metrics): the CPU model,
-/// the resolved hardware-kernel mode, and whether native perf counters
-/// are usable by this process. Numbers from two hosts are only
-/// comparable when these match.
+/// (`repro --json`, profile metrics): the CPU model, the resolved
+/// hardware-kernel mode, and whether native perf counters are usable by
+/// this process. Numbers from two hosts are only comparable when these
+/// match.
 pub fn meta_json() -> String {
-    let mode = match mmjoin_util::kernels::effective_mode() {
-        mmjoin_util::kernels::KernelMode::Simd => "simd",
-        mmjoin_util::kernels::KernelMode::Portable => "portable",
-        mmjoin_util::kernels::KernelMode::Auto => "auto",
-    };
     let topo = mmjoin_util::mem::host_topology();
     format!(
-        "{{\"cpu_model\": {}, \"kernel_mode\": \"{}\", \"perf_counters\": {}, \
+        "{{\"cpu_model\": {}, \"kernel_mode\": {}, \"perf_counters\": {}, \
          \"alloc_policy\": {}, \"numa_nodes\": {}, \"thp_enabled\": {}, \
          \"free_hugepages_2m\": {}}}",
-        json_escape(&cpu_model()),
-        mode,
+        quote(&cpu_model()),
+        quote(&crate::ledger::kernel_mode_name()),
         mmjoin_util::perf::available(),
-        json_escape(&mmjoin_util::mem::policy_name()),
+        quote(&mmjoin_util::mem::policy_name()),
         topo.nodes,
         topo.thp_enabled,
         topo.free_hugepages_2m
     )
-}
-
-/// Quote and escape `s` as a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Format seconds as milliseconds with 2 decimals.

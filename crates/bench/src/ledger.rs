@@ -1,10 +1,10 @@
 //! The benchmark run ledger: an append-only JSONL store
 //! (`.mmjoin/ledger.jsonl` by default, `--ledger PATH` to override)
-//! where every `repro`, `kernels`, `profile`, and `sentinel record`
-//! invocation appends one provenance-stamped entry. Each entry carries
-//! the git sha + dirty flag, a host fingerprint, the kernel mode and
-//! thread count, the sweep's retry/failure counts, and the **raw repeat
-//! vectors** of every measured cell — so later comparisons (the
+//! where every `repro --ledger`, `mmjoin join --ledger` and `sentinel
+//! record` invocation appends one provenance-stamped entry. Each entry
+//! carries the git sha + dirty flag, a host fingerprint, the kernel
+//! mode and thread count, the sweep's retry/failure counts, and the
+//! **raw repeat vectors** of every measured cell — so later comparisons (the
 //! `sentinel` bin) can be distribution-aware instead of diffing two
 //! medians. See DESIGN.md §11 for the schema and comparison semantics.
 
@@ -13,8 +13,9 @@ use std::path::Path;
 use std::process::Command;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::harness::{self, json_escape};
-use crate::jsonv::{self, Value};
+use mmjoin_util::jsonv::{self, quote, Value};
+
+use crate::harness;
 
 /// Bumped when an incompatible field change lands; readers refuse newer
 /// schemas instead of guessing.
@@ -28,8 +29,8 @@ pub const DEFAULT_PATH: &str = ".mmjoin/ledger.jsonl";
 /// (plus the entry-level thread count and host fingerprint).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SampleSet {
-    /// What was measured: an algorithm ("PRO"), a microkernel
-    /// ("partition"), or a repro trial label ("fig2 PRO 1-pass bits=4").
+    /// What was measured: an algorithm ("PRO") or a repro trial label
+    /// ("fig2 PRO 1-pass bits=4").
     pub algorithm: String,
     /// Workload discriminator ("quick"/"full"/"repro"/...): cells from
     /// different workloads are never comparable.
@@ -101,7 +102,7 @@ pub fn fingerprint_of(cpu_model: &str, threads_avail: usize, arch: &str) -> Stri
 #[derive(Clone, Debug, PartialEq)]
 pub struct Entry {
     pub schema: u64,
-    /// Producer: "kernels", "repro", "profile", "sentinel", or "cli".
+    /// Producer: "repro", "sentinel", or "cli".
     pub kind: String,
     /// Free-form annotation ("" when unused; `sentinel perturb` marks
     /// its synthetic entries here).
@@ -173,9 +174,9 @@ impl Entry {
                 let secs: Vec<String> = s.secs.iter().map(|v| json_num(*v)).collect();
                 format!(
                     "{{\"algorithm\": {}, \"workload\": {}, \"kernel_mode\": {}, \"secs\": [{}]}}",
-                    json_escape(&s.algorithm),
-                    json_escape(&s.workload),
-                    json_escape(&s.kernel_mode),
+                    quote(&s.algorithm),
+                    quote(&s.workload),
+                    quote(&s.kernel_mode),
                     secs.join(", ")
                 )
             })
@@ -188,18 +189,18 @@ impl Entry {
              \"retried_trials\": {}, \"failed_trials\": {}, \
              \"failed_resource_trials\": {}, \"failed_io_trials\": {}, \"samples\": [{}]}}",
             self.schema,
-            json_escape(&self.kind),
-            json_escape(&self.label),
+            quote(&self.kind),
+            quote(&self.label),
             self.timestamp,
-            json_escape(&self.git_sha),
+            quote(&self.git_sha),
             self.git_dirty,
-            json_escape(&self.host.cpu_model),
+            quote(&self.host.cpu_model),
             self.host.threads_avail,
-            json_escape(&self.host.arch),
-            json_escape(&self.host.fingerprint),
+            quote(&self.host.arch),
+            quote(&self.host.fingerprint),
             self.threads,
-            json_escape(&self.kernel_mode),
-            json_escape(&self.alloc_policy),
+            quote(&self.kernel_mode),
+            quote(&self.alloc_policy),
             self.retried_trials,
             self.failed_trials,
             self.failed_resource_trials,
@@ -332,7 +333,7 @@ pub fn read_all(path: &Path) -> Result<Vec<Entry>, String> {
 /// `(sha, dirty)` of the enclosing git work tree; `("unknown", true)`
 /// when git is unavailable — unknown provenance is treated as dirty so
 /// it never silently becomes a baseline.
-pub fn git_provenance() -> (String, bool) {
+fn git_provenance() -> (String, bool) {
     let sha = Command::new("git")
         .args(["rev-parse", "HEAD"])
         .output()

@@ -15,7 +15,6 @@
 
 pub mod experiments;
 pub mod harness;
-pub mod jsonv;
 pub mod ledger;
 pub mod sentinel;
 

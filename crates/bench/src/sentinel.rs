@@ -6,18 +6,17 @@
 //! with `allow_cross_host` — verdicts are then advisory, and say so).
 //! A cell only counts as a **confirmed regression** when the median
 //! slowdown exceeds the threshold *and* the raw repeat vectors back it
-//! up: either a Mann-Whitney U test at `alpha`, or — because tiny
-//! repeat counts bound the U test's p-value away from any usable alpha
-//! (n = 3 vs 3 cannot reach 0.05) — disjoint bootstrap confidence
-//! intervals of the median. A slowdown past the threshold that clears
-//! neither bar is reported as *suspect* but does not fail the check.
-//! See DESIGN.md §11 for the verdict JSON schema.
+//! up (`mmjoin_util::stats::judge_shift`: a Mann-Whitney U test at
+//! `alpha`, or disjoint bootstrap confidence intervals of the median).
+//! A slowdown past the threshold that clears neither bar is reported as
+//! *suspect* but does not fail the check. See DESIGN.md §11 for the
+//! verdict JSON schema.
 
 use mmjoin_core::{Algorithm, Join, JoinResult};
-use mmjoin_util::stats;
+use mmjoin_util::jsonv::{quote, Value};
+use mmjoin_util::stats::{judge_shift, ShiftTest, ShiftVerdict};
 
-use crate::harness::{json_escape, HarnessOpts, Table};
-use crate::jsonv::Value;
+use crate::harness::{HarnessOpts, Table};
 use crate::ledger::{json_num, Entry, SampleSet};
 
 /// Knobs of one comparison.
@@ -108,9 +107,9 @@ impl Cell {
              \"median_baseline_s\": {}, \"median_candidate_s\": {}, \"delta\": {}, \
              \"p_value\": {}, \"ci_baseline_s\": [{}, {}], \"ci_candidate_s\": [{}, {}], \
              \"status\": {}}}",
-            json_escape(&self.algorithm),
-            json_escape(&self.workload),
-            json_escape(&self.kernel_mode),
+            quote(&self.algorithm),
+            quote(&self.workload),
+            quote(&self.kernel_mode),
             self.n_baseline,
             self.n_candidate,
             json_num(self.median_baseline_s),
@@ -121,7 +120,7 @@ impl Cell {
             json_num(self.ci_baseline_s.1),
             json_num(self.ci_candidate_s.0),
             json_num(self.ci_candidate_s.1),
-            json_escape(self.status.as_str())
+            quote(self.status.as_str())
         )
     }
 }
@@ -164,19 +163,19 @@ impl Verdict {
             format!(
                 "{{\"git_sha\": {}, \"git_dirty\": {}, \"timestamp\": {}, \"kind\": {}, \
                  \"label\": {}, \"threads\": {}, \"host_fingerprint\": {}}}",
-                json_escape(&e.git_sha),
+                quote(&e.git_sha),
                 e.git_dirty,
                 e.timestamp,
-                json_escape(&e.kind),
-                json_escape(&e.label),
+                quote(&e.kind),
+                quote(&e.label),
                 e.threads,
-                json_escape(&e.host.fingerprint)
+                quote(&e.host.fingerprint)
             )
         };
         let cells: Vec<String> = self.cells.iter().map(Cell::to_json).collect();
         let regressions: Vec<String> = self.regressions().iter().map(|c| c.to_json()).collect();
         let str_arr = |keys: &[String]| {
-            let items: Vec<String> = keys.iter().map(|k| json_escape(k)).collect();
+            let items: Vec<String> = keys.iter().map(|k| quote(k)).collect();
             format!("[{}]", items.join(", "))
         };
         format!(
@@ -313,49 +312,36 @@ fn same_key(a: &SampleSet, b: &SampleSet) -> bool {
 
 /// Judge one joined cell under `opts`.
 fn judge(a: &SampleSet, b: &SampleSet, opts: &CompareOpts) -> Cell {
-    let median_a = stats::median(&a.secs);
-    let median_b = stats::median(&b.secs);
-    let delta = median_b / median_a.max(1e-12) - 1.0;
-    let p_value = if a.secs.len() >= 2 && b.secs.len() >= 2 {
-        Some(stats::mann_whitney(&a.secs, &b.secs).p)
-    } else {
-        None
-    };
-    let ci_a =
-        stats::bootstrap_median_ci(&a.secs, opts.boot_iters, opts.confidence, opts.boot_seed);
-    let ci_b =
-        stats::bootstrap_median_ci(&b.secs, opts.boot_iters, opts.confidence, opts.boot_seed);
-    let significant = p_value.is_some_and(|p| p <= opts.alpha);
-    // A single observation has a degenerate (point) bootstrap CI; two
-    // points always "separate", which is no evidence at all. CI-based
-    // confirmation needs at least two repeats on both sides.
-    let resampled = a.secs.len() >= 2 && b.secs.len() >= 2;
-    let status = if delta > opts.threshold {
-        // Slower beyond threshold: confirmed only when the distributions
-        // separate (U test, or disjoint bootstrap CIs in this direction).
-        if significant || (resampled && ci_b.0 > ci_a.1) {
-            CellStatus::Regressed
-        } else {
-            CellStatus::Suspect
-        }
-    } else if delta < -opts.threshold && (significant || (resampled && ci_b.1 < ci_a.0)) {
-        CellStatus::Improved
-    } else {
-        CellStatus::Ok
-    };
+    let shift = judge_shift(
+        &a.secs,
+        &b.secs,
+        &ShiftTest {
+            threshold: opts.threshold,
+            alpha: opts.alpha,
+            min_samples: 2,
+            boot_iters: opts.boot_iters,
+            confidence: opts.confidence,
+            boot_seed: opts.boot_seed,
+        },
+    );
     Cell {
         algorithm: a.algorithm.clone(),
         workload: a.workload.clone(),
         kernel_mode: a.kernel_mode.clone(),
         n_baseline: a.secs.len(),
         n_candidate: b.secs.len(),
-        median_baseline_s: median_a,
-        median_candidate_s: median_b,
-        delta,
-        p_value,
-        ci_baseline_s: ci_a,
-        ci_candidate_s: ci_b,
-        status,
+        median_baseline_s: shift.median_a,
+        median_candidate_s: shift.median_b,
+        delta: shift.delta,
+        p_value: shift.p_value,
+        ci_baseline_s: shift.ci_a,
+        ci_candidate_s: shift.ci_b,
+        status: match shift.verdict {
+            ShiftVerdict::Unchanged => CellStatus::Ok,
+            ShiftVerdict::Higher => CellStatus::Regressed,
+            ShiftVerdict::HigherUnconfirmed => CellStatus::Suspect,
+            ShiftVerdict::Lower => CellStatus::Improved,
+        },
     }
 }
 

@@ -5,8 +5,6 @@ use std::time::Duration;
 
 use mmjoin_numamodel::{CostModel, Topology};
 use mmjoin_partition::{predict_radix_bits, BitsInput};
-use mmjoin_util::kernels::KernelMode;
-use mmjoin_util::mem::AllocPolicy;
 
 use crate::executor::Executor;
 use crate::fault::CancelToken;
@@ -92,18 +90,6 @@ pub struct JoinConfig {
     /// hash tables, SWWCB pools, materialization vectors). Exceeding it
     /// yields `JoinError::MemoryBudgetExceeded` instead of an abort.
     pub mem_limit: Option<usize>,
-    /// Hardware-kernel selection (streaming SWWCB flushes, prefetched
-    /// probe pipelines). `None` leaves the process-wide mode alone
-    /// (resolved from `MMJOIN_KERNELS` / CPU detection on first use);
-    /// `Some(mode)` installs `mode` process-wide when the join starts.
-    pub kernel_mode: Option<KernelMode>,
-    /// Memory-allocation policy for the join's large buffers (hash
-    /// tables, partition buffers, sort runs, materialized output; see
-    /// `mmjoin_util::mem`). `None` leaves the process-wide policy alone
-    /// (resolved from `MMJOIN_ALLOC` on first use); `Some(policy)`
-    /// installs `policy` process-wide when the join starts. Unavailable
-    /// backends (no hugepages, no NUMA syscalls) degrade silently.
-    pub alloc_policy: Option<AllocPolicy>,
     /// Cooperative cancellation handle; cancel any clone of the token to
     /// make in-flight joins on this config return `JoinError::Cancelled`.
     pub cancel: CancelToken,
@@ -146,8 +132,6 @@ impl JoinConfig {
             unique_build_keys: true,
             deadline: None,
             mem_limit: None,
-            kernel_mode: None,
-            alloc_policy: None,
             cancel: CancelToken::new(),
             profile: ProfileConfig::off(),
             pipeline_batch: 1024,

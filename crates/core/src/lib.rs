@@ -78,7 +78,6 @@ pub mod stats;
 pub use config::{JoinConfig, ProfileConfig, TableKind};
 pub use executor::{Executor, QueuePolicy};
 pub use fault::{CancelToken, MemBudget};
-pub use mmjoin_util::kernels::KernelMode;
 pub use mmjoin_util::perf::CounterDelta;
 pub use mmjoin_util::pool::WorkerPhaseStat;
 pub use pipeline::{BuildSide, BuildSideStats, OperatorKind, Pipeline, PipelineResult};
@@ -109,7 +108,6 @@ pub mod prelude {
     };
     pub use crate::stats::{JoinResult, PhaseStat, SpillCounters};
     pub use crate::Algorithm;
-    pub use mmjoin_util::kernels::KernelMode;
     pub use mmjoin_util::tuple::{Key, Payload, Placement, Relation, Tuple};
 }
 

@@ -15,15 +15,10 @@
 //! Native counters that were unavailable are emitted as JSON `null`,
 //! keeping the schema identical on hosts with and without PMU access.
 
+use mmjoin_util::jsonv::escape;
+
 use crate::plan::JoinError;
 use crate::stats::{JoinResult, PhaseStat};
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars) —
-/// the escaping rule every hand-rolled JSON artifact in the workspace
-/// uses, public so the service layer's wire frames share it.
-pub fn json_escape(s: &str) -> String {
-    esc(s)
-}
 
 /// Wire-serializable form of a [`JoinError`]: an object carrying the
 /// stable [`JoinError::code`] (the compatibility contract, DESIGN.md
@@ -34,10 +29,10 @@ pub fn error_json(e: &JoinError) -> String {
     let mut out = format!(
         "{{\"code\": \"{}\", \"message\": \"{}\"",
         e.code(),
-        esc(&e.to_string())
+        escape(&e.to_string())
     );
     if let Some(phase) = e.phase() {
-        out.push_str(&format!(", \"phase\": \"{}\"", esc(phase)));
+        out.push_str(&format!(", \"phase\": \"{}\"", escape(phase)));
     }
     match e {
         JoinError::MemoryBudgetExceeded {
@@ -55,7 +50,7 @@ pub fn error_json(e: &JoinError) -> String {
         JoinError::InvalidConfig { field, value, .. } => {
             out.push_str(&format!(
                 ", \"field\": \"{}\", \"value\": {value}",
-                esc(field)
+                escape(field)
             ));
         }
         JoinError::PipelineUnsupported { algorithm }
@@ -65,23 +60,6 @@ pub fn error_json(e: &JoinError) -> String {
         _ => {}
     }
     out.push('}');
-    out
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }
 
@@ -171,7 +149,7 @@ pub fn chrome_trace(results: &[JoinResult]) -> String {
             &format!(
                 "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": 0, \
                  \"args\": {{\"name\": \"{}\"}}}}",
-                esc(r.algorithm.name())
+                escape(r.algorithm.name())
             ),
         );
         push_event(
@@ -212,7 +190,7 @@ pub fn chrome_trace(results: &[JoinResult]) -> String {
                      \"pid\": {pid}, \"tid\": 0, \"args\": {{\"wall_ms\": {:.3}, \
                      \"sim_ms\": {:.3}, \"tasks\": {}, \"steals\": {}, \"idle_ms\": {:.3}, \
                      {}, {}, {}}}}}",
-                    esc(p.name),
+                    escape(p.name),
                     ts as f64 / 1e3,
                     (end - ts) as f64 / 1e3,
                     p.wall.as_secs_f64() * 1e3,
@@ -234,7 +212,7 @@ pub fn chrome_trace(results: &[JoinResult]) -> String {
                          \"pid\": {pid}, \"tid\": {}, \"args\": {{\"tasks\": {}, \
                          \"steals\": {}, \"cycles\": {}, \"instructions\": {}, \
                          \"llc_misses\": {}, \"dtlb_misses\": {}, \"task_clock_ns\": {}}}}}",
-                        esc(p.name),
+                        escape(p.name),
                         w.start_ns as f64 / 1e3,
                         w.dur_ns as f64 / 1e3,
                         w.worker + 1,
@@ -263,8 +241,8 @@ pub fn trace_name_event(kind: &str, pid: u64, tid: u64, name: &str) -> String {
     format!(
         "{{\"name\": \"{}\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \
          \"args\": {{\"name\": \"{}\"}}}}",
-        esc(kind),
-        esc(name)
+        escape(kind),
+        escape(name)
     )
 }
 
@@ -282,8 +260,8 @@ pub fn trace_complete_event(
     format!(
         "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {ts_us:.3}, \
          \"dur\": {dur_us:.3}, \"pid\": {pid}, \"tid\": {tid}, \"args\": {args_json}}}",
-        esc(name),
-        esc(cat)
+        escape(name),
+        escape(cat)
     )
 }
 
@@ -295,7 +273,7 @@ pub fn phase_rollup_json(p: &PhaseStat) -> String {
     format!(
         "{{\"name\": \"{}\", \"wall_ms\": {:.3}, \"tasks\": {}, \"steals\": {}, \
          \"idle_ms\": {:.3}, {}, {}, {}}}",
-        esc(p.name),
+        escape(p.name),
         p.wall.as_secs_f64() * 1e3,
         p.exec.tasks,
         p.exec.steals,
@@ -331,7 +309,7 @@ fn phase_json(p: &PhaseStat) -> String {
     format!(
         "{{\"name\": \"{}\", \"wall_ms\": {:.3}, \"sim_ms\": {:.3}, \"tasks\": {}, \
          \"steals\": {}, \"idle_ms\": {:.3}, {}, {}, {}, \"workers\": [{}]}}",
-        esc(p.name),
+        escape(p.name),
         p.wall.as_secs_f64() * 1e3,
         p.sim_seconds * 1e3,
         p.exec.tasks,
@@ -353,7 +331,7 @@ fn run_json(r: &JoinResult) -> String {
     format!(
         "{{\"algorithm\": \"{}\", \"matches\": {}, \"checksum\": \"{:#018x}\", \
          \"radix_bits\": {radix}, \"total_wall_ms\": {:.3}, \"phases\": [{}]}}",
-        esc(r.algorithm.name()),
+        escape(r.algorithm.name()),
         r.matches,
         r.checksum,
         r.total_wall().as_secs_f64() * 1e3,
@@ -501,11 +479,5 @@ mod tests {
         assert!(j.contains("\"bytes_spilled\": 4096"));
         assert!(j.contains("\"cycles\": 123"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
-    }
-
-    #[test]
-    fn escaping() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
     }
 }

@@ -22,8 +22,6 @@
 
 use std::time::Duration;
 
-use mmjoin_util::kernels::KernelMode;
-use mmjoin_util::mem::AllocPolicy;
 use mmjoin_util::Relation;
 
 use crate::config::{JoinConfig, ProfileConfig, TableKind};
@@ -366,8 +364,6 @@ pub struct JoinConfigBuilder {
     unique_build_keys: Option<bool>,
     deadline: Option<Duration>,
     mem_limit: Option<usize>,
-    kernel_mode: Option<KernelMode>,
-    alloc_policy: Option<AllocPolicy>,
     cancel: Option<CancelToken>,
     profile: Option<ProfileConfig>,
     pipeline_batch: Option<usize>,
@@ -434,27 +430,6 @@ impl JoinConfigBuilder {
     /// (`JoinError::MemoryBudgetExceeded`).
     pub fn with_mem_limit(mut self, bytes: usize) -> Self {
         self.mem_limit = Some(bytes);
-        self
-    }
-
-    /// Hardware-kernel selection: `KernelMode::Portable` forces the
-    /// plain-copy/no-prefetch fallbacks, `KernelMode::Simd` the
-    /// streaming-store + prefetch paths (where the CPU has them),
-    /// `KernelMode::Auto` re-resolves from `MMJOIN_KERNELS` / CPU
-    /// detection. The mode is installed process-wide when the join runs.
-    pub fn with_kernel_mode(mut self, mode: KernelMode) -> Self {
-        self.kernel_mode = Some(mode);
-        self
-    }
-
-    /// Memory-allocation policy for the join's large buffers:
-    /// `AllocPolicy::Portable` is the plain aligned heap,
-    /// `AllocPolicy::Mapped { .. }` routes them through mmap-backed
-    /// arenas with huge pages and NUMA placement (see
-    /// `mmjoin_util::mem`). Installed process-wide when the join runs;
-    /// unavailable backends degrade silently to the portable path.
-    pub fn with_alloc_policy(mut self, policy: AllocPolicy) -> Self {
-        self.alloc_policy = Some(policy);
         self
     }
 
@@ -554,8 +529,6 @@ impl JoinConfigBuilder {
         }
         cfg.deadline = self.deadline;
         cfg.mem_limit = self.mem_limit;
-        cfg.kernel_mode = self.kernel_mode;
-        cfg.alloc_policy = self.alloc_policy;
         if let Some(token) = self.cancel {
             cfg.cancel = token;
         }
@@ -671,20 +644,6 @@ impl Join {
     /// Byte budget for the join's large allocations.
     pub fn with_mem_limit(mut self, bytes: usize) -> Self {
         self.builder = self.builder.with_mem_limit(bytes);
-        self
-    }
-
-    /// Hardware-kernel selection (see
-    /// [`JoinConfigBuilder::with_kernel_mode`]).
-    pub fn with_kernel_mode(mut self, mode: KernelMode) -> Self {
-        self.builder = self.builder.with_kernel_mode(mode);
-        self
-    }
-
-    /// Memory-allocation policy (see
-    /// [`JoinConfigBuilder::with_alloc_policy`]).
-    pub fn with_alloc_policy(mut self, policy: AllocPolicy) -> Self {
-        self.builder = self.builder.with_alloc_policy(policy);
         self
     }
 
@@ -1087,21 +1046,24 @@ mod tests {
 
     /// All thirteen algorithms must produce the reference checksum with
     /// the hardware kernels force-enabled, and the forced-portable run
-    /// must agree bit-for-bit.
+    /// must agree bit-for-bit. (No other test in this crate forces a
+    /// mode, so the scoped override is not overwritten mid-run.)
     #[test]
     fn all_algorithms_match_reference_under_both_kernel_modes() {
+        use mmjoin_util::kernels::{with_mode, KernelMode};
         let n = 3_000;
         let r = gen_build_dense(n, 81, Placement::Chunked { parts: 4 });
         let s = gen_probe_fk(4 * n, n, 82, Placement::Chunked { parts: 4 });
         let expect = crate::reference::reference_join(&r, &s);
         for alg in Algorithm::ALL {
             let run = |mode| {
-                Join::new(alg)
-                    .with_threads(4)
-                    .with_simulate(false)
-                    .with_kernel_mode(mode)
-                    .run(&r, &s)
-                    .unwrap()
+                with_mode(mode, || {
+                    Join::new(alg)
+                        .with_threads(4)
+                        .with_simulate(false)
+                        .run(&r, &s)
+                        .unwrap()
+                })
             };
             let simd = run(KernelMode::Simd);
             let portable = run(KernelMode::Portable);
@@ -1110,7 +1072,5 @@ mod tests {
             assert_eq!(portable.matches, expect.count, "{alg} portable");
             assert_eq!(portable.checksum, expect.digest, "{alg} portable");
         }
-        // Leave the process-wide mode as the environment would set it.
-        mmjoin_util::kernels::set_mode(KernelMode::Auto);
     }
 }

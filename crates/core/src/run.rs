@@ -273,12 +273,6 @@ impl<'c> JoinRun<'c> {
     /// [`crate::fault::failpoints::arm_local`] are resolved against it).
     pub fn begin(alg: Algorithm, cfg: &'c JoinConfig) -> Self {
         CURRENT_PHASE.with(|c| c.set("plan"));
-        if let Some(mode) = cfg.kernel_mode {
-            mmjoin_util::kernels::set_mode(mode);
-        }
-        if let Some(policy) = cfg.alloc_policy {
-            mmjoin_util::mem::set_policy(policy);
-        }
         let started = Instant::now();
         JoinRun {
             cfg,

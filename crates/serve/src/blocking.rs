@@ -2,9 +2,10 @@
 //! thread plus one writer thread per connection, speaking the exact
 //! same protocol through the same [`ConnState`] machine the epoll
 //! reactor uses. Correctness-equivalent, fd-hungrier — the Linux
-//! reactor is the production path (DESIGN.md §15).
+//! reactor is the production path (DESIGN.md §15). Also compiled for
+//! tests on Linux, where `front_ends_agree` drives both.
 
-#![cfg(not(target_os = "linux"))]
+#![cfg(any(not(target_os = "linux"), test))]
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};

@@ -34,7 +34,7 @@ pub mod engine;
 pub mod protocol;
 pub mod telemetry;
 
-#[cfg(not(target_os = "linux"))]
+#[cfg(any(not(target_os = "linux"), test))]
 mod blocking;
 #[cfg(target_os = "linux")]
 mod reactor;
@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use mmjoin_core::prelude::observe;
+use mmjoin_util::jsonv;
 
 pub use client::Client;
 
@@ -220,7 +220,7 @@ pub(crate) struct Shared {
     #[cfg(target_os = "linux")]
     pub waker: Mutex<Option<std::os::unix::net::UnixStream>>,
     /// Fallback front-end: per-connection completion channels.
-    #[cfg(not(target_os = "linux"))]
+    #[cfg(any(not(target_os = "linux"), test))]
     pub routes: Mutex<HashMap<u64, std::sync::mpsc::Sender<(u64, String)>>>,
 }
 
@@ -249,28 +249,25 @@ impl Shared {
             completions: Mutex::new(Vec::new()),
             #[cfg(target_os = "linux")]
             waker: Mutex::new(None),
-            #[cfg(not(target_os = "linux"))]
+            #[cfg(any(not(target_os = "linux"), test))]
             routes: Mutex::new(HashMap::new()),
             cfg,
         }
     }
 
-    /// Route a finished join's response back to its connection.
+    /// Route a finished join's response back to its connection: through
+    /// the fallback front-end's channel when it owns the connection, to
+    /// the reactor otherwise.
     pub(crate) fn complete(&self, conn: u64, seq: u64, payload: String) {
+        #[cfg(any(not(target_os = "linux"), test))]
+        if let Some(tx) = self.routes.lock().unwrap().get(&conn) {
+            let _ = tx.send((seq, payload));
+            return;
+        }
         #[cfg(target_os = "linux")]
         {
             self.completions.lock().unwrap().push((conn, seq, payload));
-            if let Some(w) = self.waker.lock().unwrap().as_ref() {
-                use std::io::Write;
-                let _ = (&mut &*w).write(&[1u8]);
-            }
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            let tx = self.routes.lock().unwrap().get(&conn).cloned();
-            if let Some(tx) = tx {
-                let _ = tx.send((seq, payload));
-            }
+            self.wake();
         }
     }
 
@@ -318,7 +315,7 @@ impl Shared {
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"queued\":{},\"budget\":{{\"used\":{},\"limit\":{}}},\
                  \"admitted\":{},\"rejected\":{},\"completed\":{},\"errored\":{},\"degraded\":{}}}",
-                observe::json_escape(&t.name),
+                jsonv::escape(&t.name),
                 t.queued,
                 t.budget_used,
                 t.budget_limit,
@@ -336,7 +333,7 @@ impl Shared {
             }
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"rows\":{},\"bytes\":{},\"version\":{},\"kind\":\"{}\"}}",
-                observe::json_escape(&e.name),
+                jsonv::escape(&e.name),
                 e.rel.len(),
                 e.bytes(),
                 e.version,
@@ -527,5 +524,94 @@ fn metrics_loop(listener: TcpListener, shared: Arc<Shared>) {
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(tick),
             Err(_) => std::thread::sleep(tick),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mmjoin_util::jsonv::Value;
+
+    /// What a client sees for load → join → stat → malformed frames →
+    /// stat again on one connection: `(ok, matches, checksum or error
+    /// code)` per response.
+    fn drive(addr: SocketAddr) -> Vec<(bool, Option<f64>, String)> {
+        let mut c = Client::connect(addr).expect("connect");
+        c.set_timeout(Some(std::time::Duration::from_secs(60)))
+            .unwrap();
+        let seen = |v: Value| {
+            let ok = v.get("ok").and_then(Value::as_bool) == Some(true);
+            let matches = v.get("matches").and_then(Value::as_num);
+            let detail = match v.get("error").and_then(|e| e.get("code")) {
+                Some(code) => code.as_str().unwrap_or("").to_string(),
+                None => v
+                    .get("checksum")
+                    .and_then(Value::as_str)
+                    .unwrap_or("")
+                    .to_string(),
+            };
+            (ok, matches, detail)
+        };
+        let mut out = Vec::new();
+        for req in [
+            r#"{"op":"load","name":"r","rows":4096,"kind":"build","seed":7}"#,
+            r#"{"op":"load","name":"s","rows":16384,"kind":"probe_fk","domain":4096,"seed":8}"#,
+            r#"{"op":"join","id":1,"algo":"PRO","build":"r","probe":"s"}"#,
+            r#"{"op":"join","id":2,"algo":"NOP","build":"r","probe":"s"}"#,
+            r#"{"op":"stat"}"#,
+            r#"{"op": <-- nope"#,
+        ] {
+            out.push(seen(c.request(req).expect("response frame")));
+        }
+        // A well-framed payload that is not UTF-8 is answered too, and
+        // the connection stays usable.
+        let mut frame = 4u32.to_be_bytes().to_vec();
+        frame.extend_from_slice(&[0xff, 0xfe, 0xfd, 0xfc]);
+        c.send_raw(&frame).unwrap();
+        out.push(seen(c.recv().expect("bad-frame response")));
+        out.push(seen(
+            c.request(r#"{"op":"stat"}"#).expect("stat after garbage"),
+        ));
+        out
+    }
+
+    /// The portable fallback front-end speaks the protocol exactly as
+    /// the epoll reactor does: the same script gets the same answers.
+    #[test]
+    fn front_ends_agree() {
+        let cfg = || ServeConfig::default().with_runners(1);
+
+        let reactor = Server::spawn(cfg()).unwrap();
+        let via_reactor = drive(reactor.addr());
+        reactor.shutdown();
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shared = Arc::new(Shared::new(cfg()));
+        let threads = [
+            std::thread::spawn({
+                let sh = Arc::clone(&shared);
+                move || runner_loop(sh)
+            }),
+            std::thread::spawn({
+                let sh = Arc::clone(&shared);
+                move || blocking::run(listener, sh)
+            }),
+        ];
+        let via_blocking = drive(addr);
+        shared.stop.store(true, Ordering::Release);
+        shared.admission.stop();
+        for t in threads {
+            t.join().expect("front-end thread");
+        }
+        assert_eq!(shared.stats.open.load(Ordering::Relaxed), 0);
+
+        assert_eq!(via_blocking, via_reactor);
+        let codes: Vec<&str> = via_blocking.iter().map(|s| s.2.as_str()).collect();
+        assert!(via_blocking[..5].iter().all(|s| s.0), "{via_blocking:?}");
+        assert_eq!(via_blocking[2].1, Some(16384.0));
+        assert_eq!(codes[2], codes[3], "PRO and NOP checksums");
+        assert_eq!(codes[5..7], ["bad_frame", "bad_frame"]);
+        assert!(via_blocking[7].0, "connection survives garbage");
     }
 }

@@ -49,7 +49,7 @@ impl ProtoError {
         format!(
             "{{\"code\":\"{}\",\"message\":\"{}\"}}",
             self.code,
-            observe::json_escape(&self.message)
+            jsonv::escape(&self.message)
         )
     }
 }
@@ -340,7 +340,7 @@ pub fn load_response(
     format!(
         "{{{}\"ok\":true,\"op\":\"load\",\"name\":\"{}\",\"rows\":{rows},\"bytes\":{bytes},\"version\":{version}}}",
         id_field(id),
-        observe::json_escape(name)
+        jsonv::escape(name)
     )
 }
 
@@ -414,7 +414,7 @@ pub fn metrics_response(id: Option<f64>, text: &str) -> String {
     format!(
         "{{{}\"ok\":true,\"op\":\"metrics\",\"text\":\"{}\"}}",
         id_field(id),
-        observe::json_escape(text)
+        jsonv::escape(text)
     )
 }
 

@@ -1,6 +1,6 @@
 //! The Linux front-end: a single-threaded epoll reactor over raw
-//! syscalls, in the repo's no-libc idiom (`core::arch::asm!` wrappers,
-//! same shape as `mmjoin_util::perf` and `mmjoin_util::mem`).
+//! syscalls, in the repo's no-libc idiom (`mmjoin_util::sys::syscall6`,
+//! like `mmjoin_util::perf` and `mmjoin_util::mem`).
 //!
 //! One thread owns every socket. Sockets are `std::net` handles flipped
 //! to non-blocking; epoll (level-triggered) multiplexes them. Runner
@@ -28,72 +28,7 @@ mod sys {
     //! `epoll_create1` / `epoll_ctl` / `epoll_pwait` / `close` via raw
     //! syscalls; negative return is `-errno`.
 
-    #[cfg(target_arch = "x86_64")]
-    pub mod nr {
-        pub const CLOSE: usize = 3;
-        pub const EPOLL_CTL: usize = 233;
-        pub const EPOLL_PWAIT: usize = 281;
-        pub const EPOLL_CREATE1: usize = 291;
-    }
-    #[cfg(target_arch = "aarch64")]
-    pub mod nr {
-        pub const EPOLL_CREATE1: usize = 20;
-        pub const EPOLL_CTL: usize = 21;
-        pub const EPOLL_PWAIT: usize = 22;
-        pub const CLOSE: usize = 57;
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    pub unsafe fn syscall6(
-        n: usize,
-        a1: usize,
-        a2: usize,
-        a3: usize,
-        a4: usize,
-        a5: usize,
-        a6: usize,
-    ) -> isize {
-        let ret: isize;
-        core::arch::asm!(
-            "syscall",
-            inlateout("rax") n as isize => ret,
-            in("rdi") a1,
-            in("rsi") a2,
-            in("rdx") a3,
-            in("r10") a4,
-            in("r8") a5,
-            in("r9") a6,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack),
-        );
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    pub unsafe fn syscall6(
-        n: usize,
-        a1: usize,
-        a2: usize,
-        a3: usize,
-        a4: usize,
-        a5: usize,
-        a6: usize,
-    ) -> isize {
-        let ret: isize;
-        core::arch::asm!(
-            "svc 0",
-            in("x8") n,
-            inlateout("x0") a1 as isize => ret,
-            in("x1") a2,
-            in("x2") a3,
-            in("x3") a4,
-            in("x4") a5,
-            in("x5") a6,
-            options(nostack),
-        );
-        ret
-    }
+    use mmjoin_util::sys::{nr, syscall6};
 
     /// `struct epoll_event` — packed on x86_64 (kernel ABI), naturally
     /// aligned everywhere else.

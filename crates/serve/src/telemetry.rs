@@ -13,9 +13,9 @@
 //! The **regression watch** folds each closed window into a
 //! ledger-compatible cell (a raw latency sample vector, seconds, like
 //! the bench ledger's `SampleSet.secs`) and runs the sentinel's
-//! Mann-Whitney U + bootstrap-CI machinery in-process: the latest
-//! closed window is compared against the pooled preceding windows, and
-//! a tenant is flagged only when the median shifted by at least
+//! decision rule (`mmjoin_util::stats::judge_shift`) in-process: the
+//! latest closed window is compared against the pooled preceding
+//! windows, and a tenant is flagged only when the median rose past
 //! `watch_factor` *and* the shift is statistically significant (U-test
 //! p ≤ `watch_alpha`, or disjoint bootstrap median CIs). Flags surface
 //! in `stat` output — no offline `sentinel compare` needed.
@@ -28,8 +28,8 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use mmjoin_core::prelude::observe;
-use mmjoin_util::stats;
 use mmjoin_util::telemetry::{HistSnapshot, LogHistogram, Registry};
+use mmjoin_util::{jsonv, stats};
 
 /// Telemetry knobs (operator decisions, like the rest of
 /// [`ServeConfig`](crate::ServeConfig)).
@@ -474,32 +474,30 @@ impl Telemetry {
             .flat_map(|w| w.samples.iter().copied())
             .collect();
         let cur = &current.samples;
-        if cur.len() < self.cfg.watch_min_samples || baseline.len() < self.cfg.watch_min_samples {
-            return None;
-        }
-        let med_base = stats::median(&baseline);
-        let med_cur = stats::median(cur);
-        if med_base <= 0.0 {
-            return None;
-        }
-        let ratio = med_cur / med_base;
-        if ratio < self.cfg.watch_factor {
-            return None;
-        }
-        let mw = stats::mann_whitney(&baseline, cur);
-        let ci_base = stats::bootstrap_median_ci(&baseline, 500, 0.99, 0x5EED);
-        let ci_cur = stats::bootstrap_median_ci(cur, 500, 0.99, 0x5EED + 1);
-        let ci_disjoint = ci_cur.0 > ci_base.1;
-        if mw.p > self.cfg.watch_alpha && !ci_disjoint {
+        // 500 resamples at 99 %: the watch runs every window inside the
+        // serving process, the offline sentinel can afford 2000 at 95 %.
+        let shift = stats::judge_shift(
+            &baseline,
+            cur,
+            &stats::ShiftTest {
+                threshold: self.cfg.watch_factor - 1.0,
+                alpha: self.cfg.watch_alpha,
+                min_samples: self.cfg.watch_min_samples,
+                boot_iters: 500,
+                confidence: 0.99,
+                boot_seed: 0x5EED,
+            },
+        );
+        if shift.verdict != stats::ShiftVerdict::Higher {
             return None;
         }
         Some(WatchFlag {
             tenant: t.name.clone(),
-            baseline_p50_ms: med_base * 1e3,
-            current_p50_ms: med_cur * 1e3,
-            ratio,
-            p_value: mw.p,
-            ci_disjoint,
+            baseline_p50_ms: shift.median_a * 1e3,
+            current_p50_ms: shift.median_b * 1e3,
+            ratio: shift.delta + 1.0,
+            p_value: shift.p_value.unwrap_or(1.0),
+            ci_disjoint: shift.ci_b.0 > shift.ci_a.1,
             baseline_n: baseline.len(),
             current_n: cur.len(),
         })
@@ -551,7 +549,7 @@ impl Telemetry {
                 "{{\"tenant\": \"{}\", \"seq\": {}, \"ok\": {}, \"error\": {}, \
                  \"queue_ms\": {:.3}, \"queue_depth\": {}, \"cached\": {}, \"degraded\": {}, \
                  \"spill_bytes\": {}, \"matches\": {}, \"phases\": [{}]}}",
-                observe::json_escape(&r.tenant),
+                jsonv::escape(&r.tenant),
                 r.seq,
                 r.ok,
                 match r.error_code {
@@ -650,7 +648,7 @@ impl Telemetry {
                  \"rolling\":{{\"windows\":{windows},\"count\":{},\"errors\":{roll_err},\
                  \"degraded\":{roll_deg},{}}},\
                  \"total\":{{\"count\":{},{}}}}}",
-                observe::json_escape(name),
+                jsonv::escape(name),
                 total.count,
                 errors,
                 degraded,
@@ -688,7 +686,7 @@ impl Telemetry {
             out.push_str(&format!(
                 "{{\"tenant\":\"{}\",\"baseline_p50_ms\":{:.3},\"current_p50_ms\":{:.3},\
                  \"ratio\":{:.3},\"p\":{:.6},\"ci_disjoint\":{},\"baseline_n\":{},\"current_n\":{}}}",
-                observe::json_escape(&f.tenant),
+                jsonv::escape(&f.tenant),
                 f.baseline_p50_ms,
                 f.current_p50_ms,
                 f.ratio,

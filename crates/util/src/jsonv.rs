@@ -1,16 +1,13 @@
-//! A minimal JSON parser, just enough for the workspace's own
-//! hand-rolled artifacts (`BENCH_*.json`, profile traces/metrics, the
-//! run ledger) and the `mmjoin-serve` wire protocol, without an
-//! external serde dependency. Strict where it matters — rejects
-//! trailing garbage, unterminated strings, malformed numbers — and
-//! deliberately simple everywhere else (numbers come back as `f64`;
+//! A minimal JSON parser, and the one string escaper every hand-rolled
+//! writer in the workspace uses ([`escape`] / [`quote`]): just enough
+//! for the workspace's own artifacts (profile traces/metrics, the run
+//! ledger, sentinel verdicts) and the `mmjoin-serve` wire protocol,
+//! without an external serde dependency. Strict where it matters —
+//! rejects trailing garbage, unterminated strings, malformed numbers —
+//! and deliberately simple everywhere else (numbers come back as `f64`;
 //! `\uXXXX` escapes decode the full plane: surrogate pairs combine into
 //! the astral code point they encode, and only *lone* surrogates
 //! degrade to replacement chars).
-//!
-//! Lived in `mmjoin-bench` until the service layer needed it below the
-//! bench crate in the dependency graph; `mmjoin_bench::jsonv` re-exports
-//! this module, so existing callers are unaffected.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -71,6 +68,32 @@ impl Value {
     pub fn is_num_or_null(&self) -> bool {
         matches!(self, Value::Num(_) | Value::Null)
     }
+}
+
+/// Escape `s` for the inside of a JSON string literal — quotes,
+/// backslashes and control characters; everything else (astral code
+/// points included) passes through as UTF-8. No surrounding quotes:
+/// see [`quote`].
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// `s` as a complete JSON string literal, quotes included;
+/// `parse(&quote(s))` is `Value::Str(s)`.
+pub fn quote(s: &str) -> String {
+    format!("\"{}\"", escape(s))
 }
 
 /// Parse `input` as exactly one JSON document.
@@ -353,6 +376,34 @@ mod tests {
         assert_eq!(
             parse("\"😀\"").unwrap(),
             parse("\"\\uD83D\\uDE00\"").unwrap()
+        );
+    }
+
+    #[test]
+    fn quote_round_trips_through_parse() {
+        let all_controls: String = (0u32..0x20).filter_map(char::from_u32).collect();
+        for s in [
+            "",
+            "plain",
+            "a\"b\\c\nd\re\tf",
+            all_controls.as_str(),
+            "\u{7f}\u{80}\u{2028}",
+            "Intel(R) Xeon(R) 😀 \u{10FFFF}",
+            "\\ud83d\\ude00 spelled out is not an escape",
+        ] {
+            assert_eq!(
+                parse(&quote(s)).unwrap(),
+                Value::Str(s.to_string()),
+                "{s:?}"
+            );
+        }
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+        // A writer that spells an astral char as a surrogate pair and
+        // ours that writes it raw parse to the same value.
+        assert_eq!(
+            parse("\"\\ud83d\\ude00\"").unwrap(),
+            parse(&quote("😀")).unwrap()
         );
     }
 

@@ -24,8 +24,9 @@
 //!
 //! Resolution order, first match wins:
 //!
-//! 1. a programmatic override installed with [`set_mode`] (the
-//!    `JoinConfig::kernel_mode` knob in `mmjoin-core` calls this),
+//! 1. a programmatic override installed with [`set_mode`] at start-up
+//!    (no join sets it; [`with_mode`] is the scoped form for
+//!    single-threaded A/B tests),
 //! 2. the `MMJOIN_KERNELS` environment variable
 //!    (`portable` | `simd` | `auto`),
 //! 3. auto-detection (`simd` on `x86_64` with SSE2, else `portable`).
@@ -125,9 +126,13 @@ pub fn simd_active() -> bool {
         RESOLVED_SIMD => true,
         RESOLVED_PORTABLE => false,
         _ => {
+            // Fill the cell only if it is still unresolved: a
+            // `set_mode`/`with_mode` that landed meanwhile wins.
             let state = resolve_from_env();
-            MODE.store(state, Ordering::Relaxed);
-            state == RESOLVED_SIMD
+            match MODE.compare_exchange(UNRESOLVED, state, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => state == RESOLVED_SIMD,
+                Err(installed) => installed == RESOLVED_SIMD,
+            }
         }
     }
 }
@@ -258,7 +263,8 @@ pub fn prefetch_write<T>(ptr: *const T) {
 /// The mode is a *process-wide* property: concurrently running joins see
 /// the forced mode too. That is benign for correctness (both paths are
 /// bit-identical) but matters for benchmarking — A/B harnesses should
-/// not overlap runs. Intended for tests and the kernel bench harness.
+/// not overlap runs. Intended for single-threaded differential tests
+/// and micro-benchmarks.
 pub fn with_mode<R>(mode: KernelMode, f: impl FnOnce() -> R) -> R {
     let before = MODE.load(Ordering::Relaxed);
     set_mode(mode);

@@ -26,6 +26,11 @@ pub mod pool;
 pub mod rng;
 pub mod spill;
 pub mod stats;
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+pub mod sys;
 pub mod telemetry;
 pub mod timer;
 pub mod trace;

@@ -19,8 +19,8 @@
 //! Design constraints mirror [`crate::perf`]:
 //!
 //! * **No dependencies.** The workspace has no `libc`; `mmap`,
-//!   `munmap`, `madvise`, `mbind` and `set_mempolicy` are issued with
-//!   inline assembly, gated to Linux on x86-64/aarch64. Elsewhere a
+//!   `munmap`, `madvise`, `mbind` and `set_mempolicy` are issued
+//!   through [`crate::sys`], gated to Linux on x86-64/aarch64. Elsewhere a
 //!   stub backend reports every mapping as unavailable.
 //! * **Graceful fallback, never an error.** No free 2 MiB hugetlb
 //!   pages → transparent huge pages → plain pages; `mbind`
@@ -29,11 +29,13 @@
 //!   counter (surfaced per phase in `PhaseStat` and in the metrics
 //!   exporters) — behaviour and results are identical.
 //!
-//! The active policy is process-global, exactly like
-//! [`crate::kernels`]: an explicit [`set_policy`] (installed by
-//! `JoinConfig::alloc_policy` when a join starts) wins over the
+//! The active policy is a process setting, exactly like
+//! [`crate::kernels`]: an explicit [`set_policy`] at start-up (the
+//! CLI's `--alloc`, the wall-clock benchmark) wins over the
 //! `MMJOIN_ALLOC` environment variable, which wins over the default
-//! ([`AllocPolicy::Portable`] — the pre-existing aligned heap path).
+//! ([`AllocPolicy::Portable`] — the pre-existing aligned heap path). No
+//! join sets it; [`with_policy`] is the scoped override for
+//! single-threaded A/B tests.
 
 use std::path::Path;
 use std::ptr::NonNull;
@@ -208,8 +210,8 @@ fn decode_policy(v: u32) -> AllocPolicy {
 }
 
 /// Install `p` process-wide: every subsequent policy-eligible
-/// allocation uses it. `JoinConfig::alloc_policy` calls this when a
-/// join begins; tests and benches may call it directly.
+/// allocation uses it. A start-up call, before the first join: joins
+/// running at the time would allocate under a mix of both policies.
 pub fn set_policy(p: AllocPolicy) {
     POLICY.store(encode_policy(p), Ordering::Release);
 }
@@ -222,9 +224,13 @@ pub fn policy() -> AllocPolicy {
     if v != 0 {
         return decode_policy(v);
     }
+    // Fill the cell only if it is still unset: a `set_policy` /
+    // `with_policy` that landed meanwhile wins.
     let p = policy_from_env();
-    POLICY.store(encode_policy(p), Ordering::Release);
-    p
+    match POLICY.compare_exchange(0, encode_policy(p), Ordering::AcqRel, Ordering::Acquire) {
+        Ok(_) => p,
+        Err(installed) => decode_policy(installed),
+    }
 }
 
 /// `policy().name()` — the string stamped into bench metadata and
@@ -245,7 +251,8 @@ fn policy_from_env() -> AllocPolicy {
 }
 
 /// Run `f` under `p`, restoring the previous policy state afterwards —
-/// the A/B hook for differential tests and the alloc bench.
+/// the A/B hook for single-threaded differential tests and
+/// micro-benchmarks.
 pub fn with_policy<R>(p: AllocPolicy, f: impl FnOnce() -> R) -> R {
     let prev = POLICY.swap(encode_policy(p), Ordering::AcqRel);
     struct Restore(u32);
@@ -659,9 +666,9 @@ pub fn detect_topology_from(root: &Path) -> HostTopology {
 }
 
 /// Minor (soft) page faults of this process so far, from
-/// `/proc/self/stat` field 10. `None` off Linux. The alloc bench uses
-/// the delta across back-to-back joins to show pool reuse skipping the
-/// fault storm.
+/// `/proc/self/stat` field 10. `None` off Linux. The delta across
+/// back-to-back joins shows pool reuse skipping the fault storm (the
+/// wall-clock benchmark's `util.minor_faults_per_rep`).
 pub fn minor_faults() -> Option<u64> {
     let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
     // comm (field 2) may contain spaces and parens; fields resume
@@ -682,6 +689,8 @@ pub fn minor_faults() -> Option<u64> {
 mod imp {
     use std::ptr::NonNull;
 
+    use crate::sys::{nr, syscall6};
+
     pub const MAP_HUGETLB: usize = 0x40000;
     pub const MAP_HUGE_2MB: usize = 21 << 26;
     pub const MPOL_BIND: usize = 2;
@@ -692,75 +701,6 @@ mod imp {
     const MAP_PRIVATE: usize = 0x02;
     const MAP_ANONYMOUS: usize = 0x20;
     const MADV_HUGEPAGE: usize = 14;
-
-    #[cfg(target_arch = "x86_64")]
-    mod nr {
-        pub const MMAP: usize = 9;
-        pub const MUNMAP: usize = 11;
-        pub const MADVISE: usize = 28;
-        pub const MBIND: usize = 237;
-        pub const SET_MEMPOLICY: usize = 238;
-    }
-    #[cfg(target_arch = "aarch64")]
-    mod nr {
-        pub const MMAP: usize = 222;
-        pub const MUNMAP: usize = 215;
-        pub const MADVISE: usize = 233;
-        pub const MBIND: usize = 235;
-        pub const SET_MEMPOLICY: usize = 237;
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn syscall6(
-        n: usize,
-        a1: usize,
-        a2: usize,
-        a3: usize,
-        a4: usize,
-        a5: usize,
-        a6: usize,
-    ) -> isize {
-        let ret: isize;
-        core::arch::asm!(
-            "syscall",
-            inlateout("rax") n as isize => ret,
-            in("rdi") a1,
-            in("rsi") a2,
-            in("rdx") a3,
-            in("r10") a4,
-            in("r8") a5,
-            in("r9") a6,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack),
-        );
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn syscall6(
-        n: usize,
-        a1: usize,
-        a2: usize,
-        a3: usize,
-        a4: usize,
-        a5: usize,
-        a6: usize,
-    ) -> isize {
-        let ret: isize;
-        core::arch::asm!(
-            "svc 0",
-            in("x8") n,
-            inlateout("x0") a1 as isize => ret,
-            in("x1") a2,
-            in("x2") a3,
-            in("x3") a4,
-            in("x4") a5,
-            in("x5") a6,
-            options(nostack),
-        );
-        ret
-    }
 
     /// Anonymous private read/write mapping; `extra` adds hugetlb
     /// flags. `None` on any error (negative return = `-errno`).

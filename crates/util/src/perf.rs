@@ -177,6 +177,7 @@ pub fn available() -> bool {
 ))]
 mod imp {
     use super::CounterSnapshot;
+    use crate::sys::{nr, syscall6};
 
     const PERF_TYPE_HARDWARE: u32 = 0;
     const PERF_TYPE_SOFTWARE: u32 = 1;
@@ -230,76 +231,35 @@ mod imp {
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
-    mod nr {
-        pub const READ: usize = 0;
-        pub const CLOSE: usize = 3;
-        pub const PERF_EVENT_OPEN: usize = 298;
-    }
-    #[cfg(target_arch = "aarch64")]
-    mod nr {
-        pub const READ: usize = 63;
-        pub const CLOSE: usize = 57;
-        pub const PERF_EVENT_OPEN: usize = 241;
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn syscall5(n: usize, a1: usize, a2: usize, a3: usize, a4: usize, a5: usize) -> isize {
-        let ret: isize;
-        core::arch::asm!(
-            "syscall",
-            inlateout("rax") n as isize => ret,
-            in("rdi") a1,
-            in("rsi") a2,
-            in("rdx") a3,
-            in("r10") a4,
-            in("r8") a5,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack),
-        );
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn syscall5(n: usize, a1: usize, a2: usize, a3: usize, a4: usize, a5: usize) -> isize {
-        let ret: isize;
-        core::arch::asm!(
-            "svc 0",
-            in("x8") n,
-            inlateout("x0") a1 as isize => ret,
-            in("x1") a2,
-            in("x2") a3,
-            in("x3") a4,
-            in("x4") a5,
-            options(nostack),
-        );
-        ret
-    }
-
     /// `perf_event_open(&attr, pid=0 /* this thread */, cpu=-1, group_fd,
     /// FD_CLOEXEC)`; negative return is `-errno`.
     fn sys_perf_event_open(a: &PerfEventAttr, group_fd: i32) -> i32 {
+        // SAFETY: `a` is a live, fully initialised attr whose `size`
+        // field tells the kernel how many bytes to read.
         let ret = unsafe {
-            syscall5(
+            syscall6(
                 nr::PERF_EVENT_OPEN,
                 a as *const PerfEventAttr as usize,
                 0,
                 -1isize as usize,
                 group_fd as isize as usize,
                 PERF_FLAG_FD_CLOEXEC,
+                0,
             )
         };
         ret as i32
     }
 
     fn sys_read(fd: i32, buf: &mut [u64]) -> isize {
+        // SAFETY: the kernel writes at most `size_of_val(buf)` bytes
+        // into `buf`, which is exclusively borrowed for the call.
         unsafe {
-            syscall5(
+            syscall6(
                 nr::READ,
                 fd as usize,
                 buf.as_mut_ptr() as usize,
                 std::mem::size_of_val(buf),
+                0,
                 0,
                 0,
             )
@@ -307,8 +267,9 @@ mod imp {
     }
 
     fn sys_close(fd: i32) {
+        // SAFETY: `fd` is a perf descriptor this module opened and owns.
         unsafe {
-            syscall5(nr::CLOSE, fd as usize, 0, 0, 0, 0);
+            syscall6(nr::CLOSE, fd as usize, 0, 0, 0, 0, 0);
         }
     }
 

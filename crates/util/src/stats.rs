@@ -61,6 +61,21 @@ pub fn median(xs: &[f64]) -> f64 {
     }
 }
 
+/// [`median`] of a non-empty slice by selection instead of a sort,
+/// reordering `xs`: the bootstrap takes hundreds of medians of one
+/// resample buffer, and the service's regression watch runs it inside
+/// the serving process.
+fn median_unsorted(xs: &mut [f64]) -> f64 {
+    let odd = xs.len() % 2 == 1;
+    let (below, upper, _) = xs.select_nth_unstable_by(xs.len() / 2, |a, b| a.total_cmp(b));
+    if odd {
+        *upper
+    } else {
+        let lower = below.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        (lower + *upper) / 2.0
+    }
+}
+
 /// The `p`-th percentile (0.0..=1.0) by linear interpolation between
 /// order statistics (the "exclusive-inclusive" definition most load
 /// tools use: `percentile(xs, 0.5) == median(xs)`). Sorts a copy.
@@ -127,7 +142,7 @@ pub fn bootstrap_median_ci(xs: &[f64], iters: usize, confidence: f64, seed: u64)
         for slot in buf.iter_mut() {
             *slot = xs[rng.below(xs.len() as u64) as usize];
         }
-        medians.push(median(&buf));
+        medians.push(median_unsorted(&mut buf));
     }
     medians.sort_by(|a, b| a.total_cmp(b));
     let alpha = (1.0 - confidence.clamp(0.0, 1.0)) / 2.0;
@@ -222,6 +237,96 @@ pub fn normal_cdf(z: f64) -> f64 {
             + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429))));
     let erf = sign * (1.0 - poly * (-x * x).exp());
     0.5 * (1.0 + erf)
+}
+
+/// The decision rule of a [`judge_shift`] call.
+#[derive(Clone, Copy, Debug)]
+pub struct ShiftTest {
+    /// Relative median shift that counts (0.05 = 5 %).
+    pub threshold: f64,
+    /// Mann-Whitney significance level.
+    pub alpha: f64,
+    /// Samples needed on each side before a shift can be confirmed.
+    pub min_samples: usize,
+    /// Bootstrap resamples per side.
+    pub boot_iters: usize,
+    /// Bootstrap confidence level.
+    pub confidence: f64,
+    /// Bootstrap seed — fixed, so re-judging the same vectors
+    /// reproduces the verdict.
+    pub boot_seed: u64,
+}
+
+/// What two raw sample vectors say about a shift of the median.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ShiftVerdict {
+    /// Within the threshold, or lower without statistical backing.
+    Unchanged,
+    /// Higher past the threshold, statistically backed.
+    Higher,
+    /// Higher past the threshold but not backed — rerun with more
+    /// samples before believing it.
+    HigherUnconfirmed,
+    /// Lower past the threshold, statistically backed.
+    Lower,
+}
+
+/// The evidence behind a [`ShiftVerdict`].
+#[derive(Clone, Copy, Debug)]
+pub struct Shift {
+    pub median_a: f64,
+    pub median_b: f64,
+    /// `median_b / median_a - 1` (positive = `b` is higher).
+    pub delta: f64,
+    /// Two-sided Mann-Whitney p over the raw vectors; `None` when either
+    /// side has fewer than two samples.
+    pub p_value: Option<f64>,
+    /// Bootstrap confidence intervals of the two medians.
+    pub ci_a: (f64, f64),
+    pub ci_b: (f64, f64),
+    pub verdict: ShiftVerdict,
+}
+
+/// Has the median moved from sample `a` to sample `b`? A shift counts
+/// only when it exceeds `test.threshold` *and* the raw vectors back it
+/// up: a Mann-Whitney U test at `test.alpha`, or — because tiny repeat
+/// counts bound the U test's p-value away from any usable alpha (n = 3
+/// vs 3 cannot reach 0.05) — disjoint bootstrap confidence intervals of
+/// the medians, in the direction of the shift. Either way both sides
+/// need `test.min_samples` observations (and at least two: a single
+/// observation has a point interval, and two points always "separate").
+///
+/// The one decision rule behind the bench sentinel's cell verdicts and
+/// the service's in-process regression watch.
+pub fn judge_shift(a: &[f64], b: &[f64], test: &ShiftTest) -> Shift {
+    let median_a = median(a);
+    let median_b = median(b);
+    let delta = median_b / median_a.max(1e-12) - 1.0;
+    let p_value = (a.len() >= 2 && b.len() >= 2).then(|| mann_whitney(a, b).p);
+    let ci_a = bootstrap_median_ci(a, test.boot_iters, test.confidence, test.boot_seed);
+    let ci_b = bootstrap_median_ci(b, test.boot_iters, test.confidence, test.boot_seed);
+    let enough = a.len().min(b.len()) >= test.min_samples.max(2);
+    let significant = p_value.is_some_and(|p| p <= test.alpha);
+    let verdict = if delta > test.threshold {
+        if enough && (significant || ci_b.0 > ci_a.1) {
+            ShiftVerdict::Higher
+        } else {
+            ShiftVerdict::HigherUnconfirmed
+        }
+    } else if delta < -test.threshold && enough && (significant || ci_b.1 < ci_a.0) {
+        ShiftVerdict::Lower
+    } else {
+        ShiftVerdict::Unchanged
+    };
+    Shift {
+        median_a,
+        median_b,
+        delta,
+        p_value,
+        ci_a,
+        ci_b,
+        verdict,
+    }
 }
 
 #[cfg(test)]
@@ -349,6 +454,81 @@ mod tests {
         assert!(
             ci_slow.0 > ci_fast.1,
             "2x-shifted intervals must be disjoint: {ci_fast:?} vs {ci_slow:?}"
+        );
+    }
+
+    #[test]
+    fn median_unsorted_agrees_with_median() {
+        for xs in [
+            vec![3.0],
+            vec![4.0, 1.0],
+            vec![3.0, 1.0, 2.0],
+            vec![4.0, 1.0, 2.0, 3.0],
+            vec![5.0, 5.0, 1.0, 9.0, 5.0, 0.5],
+        ] {
+            let want = median(&xs);
+            assert_eq!(median_unsorted(&mut xs.clone()), want, "{xs:?}");
+        }
+    }
+
+    #[test]
+    fn judge_shift_known_answers() {
+        let test = ShiftTest {
+            threshold: 0.05,
+            alpha: 0.05,
+            min_samples: 2,
+            boot_iters: 2000,
+            confidence: 0.95,
+            boot_seed: 7,
+        };
+        let fast = [1.0, 1.1, 1.05];
+        let slow = [2.0, 2.2, 2.1];
+        // 2x slower over 3 v 3: the U test cannot reach 0.05 (p = 0.081)
+        // but the bootstrap intervals are disjoint.
+        let s = judge_shift(&fast, &slow, &test);
+        assert_eq!(s.verdict, ShiftVerdict::Higher);
+        assert_eq!((s.median_a, s.median_b), (1.05, 2.1));
+        assert!((s.delta - 1.0).abs() < 1e-12);
+        assert!((s.p_value.unwrap() - 0.0809).abs() < 5e-3);
+        assert!(s.ci_b.0 > s.ci_a.1);
+        assert_eq!(
+            judge_shift(&slow, &fast, &test).verdict,
+            ShiftVerdict::Lower
+        );
+        assert_eq!(
+            judge_shift(&fast, &fast, &test).verdict,
+            ShiftVerdict::Unchanged
+        );
+        // +4 % is inside the threshold however significant.
+        let nudged: Vec<f64> = fast.iter().map(|x| x * 1.04).collect();
+        assert_eq!(
+            judge_shift(&fast, &nudged, &test).verdict,
+            ShiftVerdict::Unchanged
+        );
+        // One observation a side: past the threshold, never confirmed.
+        let s = judge_shift(&[1.0], &[2.0], &test);
+        assert_eq!(s.verdict, ShiftVerdict::HigherUnconfirmed);
+        assert_eq!(s.p_value, None);
+        assert_eq!(
+            judge_shift(&[2.0], &[1.0], &test).verdict,
+            ShiftVerdict::Unchanged
+        );
+        // Overlapping noise around a +10 % median: past the threshold,
+        // neither bar cleared.
+        let a = [1.0, 1.3, 0.8, 1.1, 0.9];
+        let b = [1.1, 0.85, 1.4, 0.95, 1.2];
+        assert_eq!(
+            judge_shift(&a, &b, &test).verdict,
+            ShiftVerdict::HigherUnconfirmed
+        );
+        // The same 2x shift below the caller's sample floor.
+        let strict = ShiftTest {
+            min_samples: 8,
+            ..test
+        };
+        assert_eq!(
+            judge_shift(&fast, &slow, &strict).verdict,
+            ShiftVerdict::HigherUnconfirmed
         );
     }
 }

@@ -153,9 +153,11 @@ fn config(args: &Args, theta: f64) -> JoinConfig {
     if args.has("no-spill") {
         builder = builder.with_spill(false);
     }
+    // The allocation policy is a process setting, not a join's: install
+    // it once, before the command's first join allocates.
     if let Some(policy) = args.get_str("alloc") {
         match mmjoin::util::mem::AllocPolicy::parse(policy) {
-            Ok(p) => builder = builder.with_alloc_policy(p),
+            Ok(p) => mmjoin::util::mem::set_policy(p),
             Err(e) => {
                 eprintln!("invalid value for --alloc: {e}");
                 usage();

@@ -13,7 +13,7 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use mmjoin::core::reference::reference_join;
-use mmjoin::core::{Algorithm, Join, JoinConfig};
+use mmjoin::core::{Algorithm, Join, JoinConfig, JoinError, JoinResult};
 use mmjoin::datagen::{gen_build_dense, gen_probe_fk};
 use mmjoin::util::mem::{self, AllocPolicy, FAIL_HUGETLB, FAIL_MBIND, FAIL_MMAP};
 use mmjoin::util::{Placement, Relation};
@@ -50,12 +50,18 @@ fn cfg(threads: usize) -> JoinConfig {
     c
 }
 
-/// `cfg` with an allocation policy attached. `Join::with_config`
-/// bypasses the builder, so the policy must ride on the config itself.
-fn cfg_under(threads: usize, policy: AllocPolicy) -> JoinConfig {
-    let mut c = cfg(threads);
-    c.alloc_policy = Some(policy);
-    c
+/// One join of `alg` under `policy`, through the scoped override (the
+/// policy is a process setting; the caller holds [`lock`]).
+fn run_under(
+    alg: Algorithm,
+    threads: usize,
+    policy: AllocPolicy,
+    r: &Relation,
+    s: &Relation,
+) -> Result<JoinResult, JoinError> {
+    mem::with_policy(policy, || {
+        Join::new(alg).with_config(cfg(threads)).run(r, s)
+    })
 }
 
 #[test]
@@ -71,9 +77,7 @@ fn all_drivers_identical_checksums_across_policies() {
     ];
     for policy in policies {
         for alg in Algorithm::WITH_EXTENSIONS {
-            let res = Join::new(alg)
-                .with_config(cfg_under(threads, policy))
-                .run(&r, &s)
+            let res = run_under(alg, threads, policy, &r, &s)
                 .unwrap_or_else(|e| panic!("{} under {}: {e}", alg.name(), policy.name()));
             assert_eq!(
                 res.matches,
@@ -99,12 +103,7 @@ fn mapped_policy_actually_maps_and_pools() {
     mem::pool_clear();
     let (r, s) = workload(2);
     let before = mem::stats();
-    let run = || {
-        Join::new(Algorithm::Pro)
-            .with_config(cfg_under(2, AllocPolicy::THP))
-            .run(&r, &s)
-            .expect("join under thp")
-    };
+    let run = || run_under(Algorithm::Pro, 2, AllocPolicy::THP, &r, &s).expect("join under thp");
     run();
     let cold = mem::stats().delta(&before);
     assert!(cold.mapped_blocks > 0, "no arenas mapped under thp");
@@ -122,9 +121,8 @@ fn hugepage_unavailable_degrades_silently_into_phase_stats() {
     // A host with no reserved hugepages: MAP_HUGETLB fails, the arena
     // falls back to plain (THP-advised) pages, the join still answers.
     mem::set_force_fail(FAIL_HUGETLB);
-    let res = Join::new(Algorithm::Pro)
-        .with_config(cfg_under(2, AllocPolicy::parse("hugetlb").unwrap()))
-        .run(&r, &s)
+    let policy = AllocPolicy::parse("hugetlb").unwrap();
+    let res = run_under(Algorithm::Pro, 2, policy, &r, &s)
         .expect("hugetlb fallback must not fail the join");
     mem::set_force_fail(0);
     assert_eq!(res.checksum, expect.digest);
@@ -145,9 +143,8 @@ fn mbind_failure_degrades_to_first_touch() {
     // mbind returning ENOSYS/EPERM (container seccomp, CONFIG_NUMA=n):
     // placement degrades to first-touch, pages still arrive.
     mem::set_force_fail(FAIL_MBIND);
-    let res = Join::new(Algorithm::Pro)
-        .with_config(cfg_under(2, AllocPolicy::parse("thp+interleave").unwrap()))
-        .run(&r, &s)
+    let policy = AllocPolicy::parse("thp+interleave").unwrap();
+    let res = run_under(Algorithm::Pro, 2, policy, &r, &s)
         .expect("mbind fallback must not fail the join");
     mem::set_force_fail(0);
     assert_eq!(res.checksum, expect.digest);
@@ -165,9 +162,7 @@ fn mmap_refused_falls_back_to_heap() {
     // mmap itself refused (strict rlimits, exotic kernels): every
     // would-be arena quietly becomes a heap allocation.
     mem::set_force_fail(FAIL_MMAP);
-    let res = Join::new(Algorithm::Pro)
-        .with_config(cfg_under(2, AllocPolicy::THP))
-        .run(&r, &s)
+    let res = run_under(Algorithm::Pro, 2, AllocPolicy::THP, &r, &s)
         .expect("heap fallback must not fail the join");
     mem::set_force_fail(0);
     assert_eq!(res.checksum, expect.digest);
@@ -180,10 +175,7 @@ fn mmap_refused_falls_back_to_heap() {
 fn portable_policy_records_nothing() {
     let _guard = lock();
     let (r, s) = workload(2);
-    let res = Join::new(Algorithm::Pro)
-        .with_config(cfg_under(2, AllocPolicy::Portable))
-        .run(&r, &s)
-        .expect("portable join");
+    let res = run_under(Algorithm::Pro, 2, AllocPolicy::Portable, &r, &s).expect("portable join");
     let totals = res.alloc_totals();
     assert_eq!(totals, Default::default(), "portable must never touch mmap");
     assert!(!totals.degraded());

@@ -10,14 +10,17 @@
 //! * profiled ⇒ per phase, the worker spans' tasks and steals sum
 //!   exactly to the phase's `ExecCounters`;
 //! * unprofiled ⇒ no spans at all.
+//!
+//! And for the process: kernel mode and allocation policy are settings
+//! no join writes, so they read the same after the storm as before it.
 
 use std::sync::Barrier;
 
 use mmjoin::core::executor::Executor;
 use mmjoin::core::reference::reference_join;
-use mmjoin::core::{Algorithm, Join, JoinConfig, JoinResult, ProfileConfig};
+use mmjoin::core::{Algorithm, BuildSide, Join, JoinConfig, JoinResult, Pipeline, ProfileConfig};
 use mmjoin::datagen::{gen_build_dense, gen_probe_fk};
-use mmjoin::util::Placement;
+use mmjoin::util::{kernels, mem, Placement};
 
 const THREADS: usize = 3;
 const SUBMITTERS: usize = 4;
@@ -54,6 +57,7 @@ fn joins_sharing_one_pool_keep_their_own_counters_and_spans() {
     // Every config below resolves to this one pool.
     let pool = Executor::shared(THREADS);
     let start = Barrier::new(SUBMITTERS);
+    let settings_before = (kernels::effective_mode(), mem::policy());
 
     std::thread::scope(|scope| {
         for submitter in 0..SUBMITTERS {
@@ -85,4 +89,20 @@ fn joins_sharing_one_pool_keep_their_own_counters_and_spans() {
             });
         }
     });
+    // The operator path, once: it shares the run object with the drivers.
+    let mut cfg = JoinConfig::new(THREADS);
+    cfg.simulate = false;
+    let side = BuildSide::prepare(Algorithm::Nop, &r, &cfg).expect("build side");
+    let fused = Pipeline::new()
+        .with_stage(side)
+        .with_config(cfg)
+        .run(&s)
+        .expect("pipeline");
+    assert_eq!(fused.checksum, expect.digest);
+
+    assert_eq!(
+        (kernels::effective_mode(), mem::policy()),
+        settings_before,
+        "a join wrote a process-wide setting"
+    );
 }

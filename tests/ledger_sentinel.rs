@@ -4,7 +4,7 @@
 //! on exactly the perturbed cells, and cross-host comparisons are
 //! refused unless forced.
 
-use mmjoin_bench::jsonv;
+use mmjoin::util::jsonv;
 use mmjoin_bench::ledger::{self, Entry, Host, SampleSet};
 use mmjoin_bench::sentinel::{self, CellStatus, CompareOpts};
 

@@ -8,11 +8,19 @@
 //! Lives in its own binary: `join_api_matrix.rs` pins a process-wide
 //! thread count for its spawn-counter assertions, and this suite wants
 //! its own.
+//!
+//! The kernel mode is a process setting; a chain runs under the scoped
+//! `kernels::with_mode` override, and every test that sets it holds
+//! [`mode_lock`] so parallel test threads cannot overwrite each other's
+//! mode mid-chain.
+
+use std::sync::{Mutex, MutexGuard};
 
 use mmjoin::core::materialize::chain_two_step;
 use mmjoin::core::pipeline::{BuildSide, Pipeline, PORTED};
-use mmjoin::core::{Algorithm, JoinConfig, KernelMode};
+use mmjoin::core::{Algorithm, JoinConfig};
 use mmjoin::datagen::{gen_build_dense, gen_build_linked, gen_probe_fk, gen_probe_zipf};
+use mmjoin::util::kernels::{self, KernelMode};
 use mmjoin::util::{Placement, Relation, Tuple};
 
 const THREADS: usize = 4;
@@ -25,19 +33,23 @@ const M: usize = 8_000;
 
 const MODES: [KernelMode; 2] = [KernelMode::Portable, KernelMode::Simd];
 
-fn chain_cfg(unique: bool, mode: KernelMode) -> JoinConfig {
+fn mode_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn chain_cfg(unique: bool) -> JoinConfig {
     JoinConfig::builder()
         .with_threads(THREADS)
         .with_simulate(false)
         .with_unique_build_keys(unique)
-        .with_kernel_mode(mode)
         .build()
         .expect("valid config")
 }
 
-/// Fused two-stage pipeline vs. materialized two-step plan: identical
-/// matches and checksum, and the fused run reports the intermediate
-/// tuples it never wrote.
+/// Fused two-stage pipeline vs. materialized two-step plan under
+/// `mode`: identical matches and checksum, and the fused run reports the
+/// intermediate tuples it never wrote. The caller holds [`mode_lock`].
 fn assert_fused_equals_two_step(
     alg: Algorithm,
     r1: &Relation,
@@ -47,16 +59,26 @@ fn assert_fused_equals_two_step(
     mode: KernelMode,
     tag: &str,
 ) {
-    let cfg = chain_cfg(unique, mode);
-    let base = chain_two_step(r1, r2, s, alg, &cfg).expect("two-step baseline");
-    let stage1 = BuildSide::prepare(alg, r1, &cfg).expect("stage-1 build side");
-    let stage2 = BuildSide::prepare(alg, r2, &cfg).expect("stage-2 build side");
-    let fused = Pipeline::new()
-        .with_stage(stage1)
-        .with_stage(stage2)
-        .with_config(cfg)
-        .run(s)
-        .expect("fused pipeline");
+    let cfg = chain_cfg(unique);
+    let (base, fused) = kernels::with_mode(mode, || {
+        // `Simd` degrades to `Portable` on CPUs without the kernels.
+        let installed = kernels::effective_mode();
+        let base = chain_two_step(r1, r2, s, alg, &cfg).expect("two-step baseline");
+        let stage1 = BuildSide::prepare(alg, r1, &cfg).expect("stage-1 build side");
+        let stage2 = BuildSide::prepare(alg, r2, &cfg).expect("stage-2 build side");
+        let fused = Pipeline::new()
+            .with_stage(stage1)
+            .with_stage(stage2)
+            .with_config(cfg)
+            .run(s)
+            .expect("fused pipeline");
+        assert_eq!(
+            kernels::effective_mode(),
+            installed,
+            "{alg}/{mode:?}/{tag}: mode overwritten mid-chain"
+        );
+        (base, fused)
+    });
     assert_eq!(fused.matches, base.matches, "{alg}/{mode:?}/{tag}: matches");
     assert_eq!(
         fused.checksum, base.checksum,
@@ -82,6 +104,7 @@ fn chain_builds() -> (Relation, Relation) {
 
 #[test]
 fn uniform_chain_all_ported_drivers_both_kernel_modes() {
+    let _mode = mode_lock();
     let (r1, r2) = chain_builds();
     let s = gen_probe_fk(M, N1, 103, Placement::Chunked { parts: 4 });
     for alg in PORTED {
@@ -93,6 +116,7 @@ fn uniform_chain_all_ported_drivers_both_kernel_modes() {
 
 #[test]
 fn skewed_chain_all_ported_drivers_both_kernel_modes() {
+    let _mode = mode_lock();
     let (r1, r2) = chain_builds();
     let s = gen_probe_zipf(M, N1, 0.99, 104, Placement::Chunked { parts: 4 });
     for alg in PORTED {
@@ -104,6 +128,7 @@ fn skewed_chain_all_ported_drivers_both_kernel_modes() {
 
 #[test]
 fn duplicate_probe_key_chain_all_ported_drivers_both_kernel_modes() {
+    let _mode = mode_lock();
     let (r1, r2) = chain_builds();
     // Every probe key drawn from the 97 hottest slots of R1's domain:
     // massive probe-side duplication, every probe a hit.
@@ -117,6 +142,7 @@ fn duplicate_probe_key_chain_all_ported_drivers_both_kernel_modes() {
 
 #[test]
 fn duplicate_build_key_chain_multiset_drivers_both_kernel_modes() {
+    let _mode = mode_lock();
     // Multiset build: every stage-1 key appears several times, so one
     // probe fans out into several chained probes. Only the hash-table
     // drivers accept duplicate build keys (array and concise-hash sides
@@ -148,7 +174,7 @@ fn join_with_pipeline_agrees_with_explicit_pipeline() {
             .with_pipeline(true)
             .run(&r, &s)
             .expect("fused Join");
-        let cfg = chain_cfg(true, KernelMode::Auto);
+        let cfg = chain_cfg(true);
         let side = BuildSide::prepare(alg, &r, &cfg).expect("build side");
         let via_pipeline = Pipeline::new()
             .with_stage(side)

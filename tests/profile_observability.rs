@@ -16,8 +16,7 @@
 
 use mmjoin::core::{Algorithm, Join, JoinResult, ProfileConfig};
 use mmjoin::datagen::{gen_build_dense, gen_probe_fk};
-use mmjoin::util::Placement;
-use mmjoin_bench::jsonv;
+use mmjoin::util::{jsonv, Placement};
 
 const THREADS: usize = 3;
 
@@ -111,10 +110,19 @@ fn exporters_emit_valid_json() {
     let events = trace.as_arr().expect("trace is an array");
     assert!(events.len() > 4);
     for e in events {
+        assert!(e.get("name").and_then(jsonv::Value::as_str).is_some());
         let ph = e.get("ph").and_then(jsonv::Value::as_str).expect("ph");
         assert!(matches!(ph, "X" | "M"), "unexpected phase type {ph}");
         assert!(e.get("pid").and_then(jsonv::Value::as_num).is_some());
         assert!(e.get("tid").and_then(jsonv::Value::as_num).is_some());
+        if ph == "X" {
+            for key in ["ts", "dur"] {
+                assert!(
+                    e.get(key).and_then(jsonv::Value::as_num).is_some(),
+                    "complete event without {key}: {e:?}"
+                );
+            }
+        }
     }
     // Two runs -> two distinct pids.
     let pids: std::collections::HashSet<u64> = events
@@ -147,17 +155,42 @@ fn exporters_emit_valid_json() {
         let phases = r.get("phases").and_then(jsonv::Value::as_arr).unwrap();
         assert_eq!(phases.len(), res.phases.len());
         for p in phases {
+            assert!(p.get("name").and_then(jsonv::Value::as_str).is_some());
+            for key in ["wall_ms", "tasks", "steals", "idle_ms"] {
+                assert!(
+                    p.get(key).and_then(jsonv::Value::as_num).is_some(),
+                    "phase without numeric {key}: {p:?}"
+                );
+            }
             let workers = p.get("workers").and_then(jsonv::Value::as_arr).unwrap();
             assert!(!workers.is_empty());
+            // Every native counter is a number, or `null` where the host
+            // exposes no PMU: the schema is the same either way.
             for w in workers {
-                assert!(w.get("cycles").unwrap().is_num_or_null());
-                assert!(w.get("task_clock_ns").unwrap().is_num_or_null());
+                for key in [
+                    "cycles",
+                    "instructions",
+                    "llc_misses",
+                    "dtlb_misses",
+                    "task_clock_ns",
+                ] {
+                    assert!(
+                        w.get(key).is_some_and(jsonv::Value::is_num_or_null),
+                        "worker {key} must be a number or null: {w:?}"
+                    );
+                }
             }
         }
     }
-    assert!(metrics
-        .get("meta")
-        .and_then(|m| m.get("perf_counters"))
+    let meta = metrics.get("meta").expect("meta block");
+    for key in ["cpu_model", "kernel_mode", "alloc_policy"] {
+        assert!(
+            meta.get(key).and_then(jsonv::Value::as_str).is_some(),
+            "meta.{key} missing"
+        );
+    }
+    assert!(meta
+        .get("perf_counters")
         .and_then(jsonv::Value::as_bool)
         .is_some());
 }

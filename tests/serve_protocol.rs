@@ -449,3 +449,158 @@ fn queue_overflow_is_a_typed_rejection() {
 
     server.shutdown();
 }
+
+/// The service under its normal state — many connections at once: 256
+/// closed-loop clients over 8 tenants (one starved to a 256 KiB carve)
+/// each send a few joins. Every response must carry the checksum a
+/// direct `Join` computes for the same datagen inputs, nothing may
+/// error or hang up, the starved tenant must degrade to the spilling
+/// join rather than fail, telemetry must have counted exactly the joins
+/// sent — and measured what the clients measured: its p99 agrees with
+/// the client-side p99 — and no spill run may outlive the server.
+#[test]
+fn fleet_of_256_connections_matches_direct_join_and_leaves_no_residue() {
+    use mmjoin::core::{Algorithm, Join};
+    use mmjoin::datagen::{gen_build_dense, gen_probe_fk};
+    use mmjoin::util::Placement;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Barrier, Mutex};
+    use std::time::Instant;
+
+    const CLIENTS: usize = 256;
+    const TENANTS: usize = 8;
+    const JOINS_EACH: usize = 3;
+    // (build rows, probe rows, seed): PRL's admission estimate for the
+    // smaller pair is ~0.7 MiB, already over the starved tenant's carve.
+    const PAIRS: [(usize, usize, u64); 2] = [(8_192, 32_768, 0xF1EE7), (12_288, 24_576, 0xF1EE9)];
+
+    let spill_dir = std::env::temp_dir().join(format!("mmjoin-serve-fleet-{}", std::process::id()));
+    std::fs::create_dir_all(&spill_dir).expect("create spill dir");
+    let mut cfg = ServeConfig::default()
+        .with_runners(2)
+        .with_queue_depth(CLIENTS)
+        .with_spill_dir(&spill_dir)
+        .with_tenant_budget("t0", 256 << 10);
+    for t in 1..TENANTS {
+        cfg = cfg.with_tenant_budget(format!("t{t}"), 512 << 20);
+    }
+    let server = Server::spawn(cfg).unwrap();
+
+    let mut admin = client(&server);
+    let placement = Placement::Chunked { parts: 2 };
+    let truth: Vec<(u64, u64)> = PAIRS
+        .iter()
+        .enumerate()
+        .map(|(i, &(build_rows, probe_rows, seed))| {
+            for load in [
+                format!(
+                    r#"{{"op":"load","name":"r{i}","rows":{build_rows},"kind":"build","seed":{seed}}}"#
+                ),
+                format!(
+                    r#"{{"op":"load","name":"s{i}","rows":{probe_rows},"kind":"probe_fk","domain":{build_rows},"seed":{}}}"#,
+                    seed + 1
+                ),
+            ] {
+                let v = admin.request(&load).unwrap();
+                assert!(ok(&v), "{load}: {v:?}");
+            }
+            let r = gen_build_dense(build_rows, seed, placement);
+            let s = gen_probe_fk(probe_rows, build_rows, seed + 1, placement);
+            let direct = Join::new(Algorithm::Nop)
+                .with_threads(2)
+                .run(&r, &s)
+                .expect("direct join");
+            (direct.matches, direct.checksum)
+        })
+        .collect();
+
+    let degraded = AtomicU64::new(0);
+    let latencies_ms = Mutex::new(Vec::with_capacity(CLIENTS * JOINS_EACH));
+    // Every client connects, *then* waits for all the others: the first
+    // request leaves with 256 connections open.
+    let all_connected = Barrier::new(CLIENTS);
+    std::thread::scope(|scope| {
+        for c in 0..CLIENTS {
+            let (server, truth, degraded, latencies_ms, all_connected) =
+                (&server, &truth, &degraded, &latencies_ms, &all_connected);
+            scope.spawn(move || {
+                let mut conn = client(server);
+                all_connected.wait();
+                for i in 0..JOINS_EACH {
+                    let pair = (c + i) % PAIRS.len();
+                    let sent_at = Instant::now();
+                    let v = conn
+                        .request(&format!(
+                            r#"{{"op":"join","algo":"PRL","build":"r{pair}","probe":"s{pair}","tenant":"t{}"}}"#,
+                            c % TENANTS
+                        ))
+                        .unwrap_or_else(|e| panic!("client {c}: connection died: {e}"));
+                    let ms = sent_at.elapsed().as_secs_f64() * 1e3;
+                    latencies_ms.lock().unwrap().push(ms);
+                    assert!(ok(&v), "client {c}: join errored: {v:?}");
+                    let (matches, digest) = truth[pair];
+                    assert_eq!(
+                        v.get("matches").and_then(|m| m.as_num()),
+                        Some(matches as f64),
+                        "client {c}: {v:?}"
+                    );
+                    assert_eq!(
+                        u64::from_str_radix(checksum(&v), 16).ok(),
+                        Some(digest),
+                        "client {c}: {v:?}"
+                    );
+                    if v.get("degraded").and_then(|d| d.as_bool()) == Some(true) {
+                        assert_eq!(c % TENANTS, 0, "only the starved tenant degrades");
+                        degraded.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+        }
+    });
+
+    let v = admin.request(r#"{"op":"stat"}"#).unwrap();
+    let stat = v.get("stat").expect("stat body");
+    validate_stat(stat);
+    let num = |path: [&str; 2]| {
+        stat.get(path[0])
+            .and_then(|s| s.get(path[1]))
+            .and_then(|n| n.as_num())
+            .unwrap_or_else(|| panic!("stat.{}.{} missing", path[0], path[1]))
+    };
+    let sent = (CLIENTS * JOINS_EACH) as f64;
+    assert_eq!(num(["joins", "err"]), 0.0);
+    assert_eq!(num(["joins", "ok"]), sent);
+    assert!(num(["connections", "accepted"]) >= (CLIENTS + 1) as f64);
+    assert!(degraded.load(Ordering::Relaxed) >= 1, "t0 never degraded");
+    assert_eq!(
+        num(["joins", "degraded"]),
+        degraded.load(Ordering::Relaxed) as f64
+    );
+    let telemetry_count = stat
+        .get("telemetry")
+        .and_then(|t| t.get("overall"))
+        .and_then(|o| o.get("count"))
+        .and_then(|n| n.as_num());
+    assert_eq!(telemetry_count, Some(sent), "telemetry join count");
+    // Histogram resolution plus transport skew: half the value + 10 ms.
+    let client_p99 = mmjoin::util::stats::percentile(&latencies_ms.into_inner().unwrap(), 0.99);
+    let server_p99 = stat
+        .get("telemetry")
+        .and_then(|t| t.get("overall"))
+        .and_then(|o| o.get("p99_ms"))
+        .and_then(|n| n.as_num())
+        .expect("telemetry p99");
+    assert!(
+        (server_p99 - client_p99).abs() <= 0.5 * client_p99 + 10.0,
+        "telemetry p99 {server_p99:.1} ms far from the clients' p99 {client_p99:.1} ms"
+    );
+
+    drop(admin);
+    server.shutdown();
+    let orphans: Vec<_> = std::fs::read_dir(&spill_dir)
+        .expect("spill dir")
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert!(orphans.is_empty(), "orphaned spill runs: {orphans:?}");
+    std::fs::remove_dir_all(&spill_dir).ok();
+}
