@@ -5,7 +5,7 @@
 //! regions without synchronization; the probe phase is chunk-parallel
 //! against the one global (read-only) CHT, exactly like NOP.
 
-use mmjoin_hashtable::{ConciseHashTable, MultiplicativeHash};
+use mmjoin_hashtable::{ConciseHashTable, MultiplicativeHash, ProbeOperator};
 use mmjoin_util::Relation;
 
 use crate::config::JoinConfig;
@@ -22,9 +22,10 @@ pub(crate) fn build_chtj(
     r: &Relation,
 ) -> Result<ConciseHashTable<MultiplicativeHash>, JoinError> {
     let cfg = run.cfg();
-    // CHT footprint: bitmap word + dense tuple array, ~16 B per build
-    // tuple.
-    run.reserve("build", r.len() * 16)?;
+    // The bulkload's peak: the table (bitmap groups + dense array,
+    // ~10 B a tuple) and its per-worker scratch.
+    let peak = ConciseHashTable::<MultiplicativeHash>::build_bytes(r.len(), cfg.threads);
+    run.reserve("build", peak)?;
     run.phase(
         "build",
         |p| Ok(ConciseHashTable::build_on(r.tuples(), p)),
@@ -51,7 +52,9 @@ pub fn join_chtj(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinRes
     // Table 4).
     let table_bytes = cht.memory_bytes() as f64;
     let checksum = probe_global(&mut run, s, table_bytes, 2.0, ops::CHT_PROBE, |block, c| {
-        cht.probe_batch(block, |t, bp| c.add(t.key, bp, t.payload))
+        cht.probe_op(block, cfg.unique_build_keys, |t, bp| {
+            c.add(t.key, bp, t.payload)
+        })
     })?;
     Ok(run.finish(checksum, None))
 }

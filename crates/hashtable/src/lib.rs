@@ -159,9 +159,10 @@ pub trait JoinTable: Sized {
 /// *sink's* job (late materialization), so implementations must not
 /// assume the tuple's payload is a real attribute.
 ///
-/// `unique` requests first-match probes (the study's PK assumption);
-/// tables that physically cannot hold duplicate keys (arrays, the CHT)
-/// ignore it.
+/// `unique` requests first-match probes (the study's PK assumption):
+/// every table that can hold duplicate keys — the CHT and its overflow
+/// table included — stops at a probe's first match. The arrays hold one
+/// payload a slot and have nothing to stop early.
 pub trait ProbeOperator {
     fn probe_op<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], unique: bool, f: F);
 }
@@ -198,12 +199,7 @@ impl ProbeOperator for ConcurrentArrayTable {
     }
 }
 
-impl<H: KeyHash> ProbeOperator for ConciseHashTable<H> {
-    fn probe_op<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], _unique: bool, f: F) {
-        // The bulkloaded CHT keeps one entry per distinct key.
-        self.probe_batch(probes, f)
-    }
-}
+// `ConciseHashTable`'s `probe_op` is its batch probe itself: see `cht`.
 
 #[cfg(test)]
 pub(crate) mod test_support {

@@ -258,6 +258,23 @@ pub fn prefetch_write<T>(ptr: *const T) {
     }
 }
 
+/// True when code compiled with `#[target_feature(enable = "popcnt")]`
+/// may run: the CPU has the instruction and the mode is not portable.
+/// The workspace targets baseline x86-64, where `count_ones()` is a
+/// dozen shift-and-mask operations; the CHT ranks a bitmap word on every
+/// probe and runs its loops under that attribute when this says so.
+#[inline]
+pub fn popcnt_active() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        simd_active() && std::arch::is_x86_feature_detected!("popcnt")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
 /// Run `f` under a forced kernel mode, restoring the previous mode after.
 ///
 /// The mode is a *process-wide* property: concurrently running joins see

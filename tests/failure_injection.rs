@@ -216,6 +216,19 @@ fn runtime_limits_honored_by_all_thirteen() {
     }
 }
 
+/// The bytes a join refused under `limit` had asked for, in `in_phase`.
+fn refused_in(res: Result<JoinResult, JoinError>, limit: usize, in_phase: &str) -> usize {
+    match res {
+        Err(JoinError::MemoryBudgetExceeded {
+            phase, requested, ..
+        }) => {
+            assert_eq!(phase, in_phase, "limit {limit}");
+            requested
+        }
+        other => panic!("limit {limit}: expected MemoryBudgetExceeded, got {other:?}"),
+    }
+}
+
 #[test]
 fn mway_budget_counts_the_sort_scratch() {
     // MWAY's sort phase holds, besides the packed copy of both inputs
@@ -231,15 +244,7 @@ fn mway_budget_counts_the_sort_scratch() {
         c.mem_limit = Some(limit);
         Join::new(Algorithm::Mway).with_config(c).run(&r, &s)
     };
-    let refused = |limit: usize, in_phase: &str| match run(limit) {
-        Err(JoinError::MemoryBudgetExceeded {
-            phase, requested, ..
-        }) => {
-            assert_eq!(phase, in_phase, "limit {limit}");
-            requested
-        }
-        other => panic!("limit {limit}: expected MemoryBudgetExceeded, got {other:?}"),
-    };
+    let refused = |limit: usize, in_phase: &str| refused_in(run(limit), limit, in_phase);
     let partition = refused(1, "partition");
     let sort = refused(partition, "sort");
     let retained = (r.len() + s.len()) * 8;
@@ -249,6 +254,36 @@ fn mway_budget_counts_the_sort_scratch() {
     );
     refused(partition + sort - 1, "sort");
     let res = run(partition + sort).expect("the budget MWAY asks for is enough");
+    assert_eq!(res.matches, expect.count);
+    assert_eq!(res.checksum, expect.digest);
+}
+
+#[test]
+fn chtj_budget_counts_the_bulkload_scratch() {
+    // CHTJ's build holds, besides the table it keeps (bitmap groups +
+    // dense array, at least 10 B a tuple), the bulkload's scratch: one
+    // region's claimed positions and ranked copy (12 B a tuple) per
+    // worker — here 8 regions on 2 workers. The budget must admit the
+    // join at exactly what it reserves and refuse it one byte short.
+    let r = mmjoin::datagen::gen_build_dense(40_000, 25, Placement::Chunked { parts: 4 });
+    let s = mmjoin::datagen::gen_probe_fk(80_000, 40_000, 26, Placement::Chunked { parts: 4 });
+    let expect = reference_join(&r, &s);
+    let (threads, regions) = (2, 8);
+    let run = |limit: usize| {
+        let mut c = cfg(threads, None);
+        c.mem_limit = Some(limit);
+        Join::new(Algorithm::Chtj).with_config(c).run(&r, &s)
+    };
+    let refused = |limit: usize| refused_in(run(limit), limit, "build");
+    let build = refused(1);
+    let retained = r.len() * 10;
+    assert!(
+        build >= retained + threads * (r.len() / regions) * 12,
+        "build reserves {build}: the table alone is {retained}"
+    );
+    assert!(build <= r.len() * 22, "build reserves {build}");
+    refused(build - 1);
+    let res = run(build).expect("the budget CHTJ asks for is enough");
     assert_eq!(res.matches, expect.count);
     assert_eq!(res.checksum, expect.digest);
 }
