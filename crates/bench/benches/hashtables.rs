@@ -145,6 +145,49 @@ fn bench_probe_kernels(c: &mut Criterion) {
     g.finish();
 }
 
+/// The join phase's own shape (Figure 3's "nearly indistinguishable"):
+/// one cache-resident radix partition of a dense primary key — 16 Ki
+/// build tuples sharing their low 6 bits, ten probes per build tuple —
+/// built and probed through the batch interface the co-partition tasks
+/// use, first-match.
+fn bench_partition_tables(c: &mut Criterion) {
+    const PART: usize = 1 << 14;
+    const BITS: u32 = 6;
+    const DIGIT: u32 = 37;
+    let mut rng = Xoshiro256::new(10);
+    let key = |i: u64| ((i as u32) << BITS) | DIGIT;
+    let mut build: Vec<Tuple> = (0..PART as u64)
+        .map(|i| Tuple::new(key(i), i as u32))
+        .collect();
+    rng.shuffle(&mut build);
+    let probes: Vec<Tuple> = (0..10 * PART)
+        .map(|i| Tuple::new(key(rng.below(PART as u64)), i as u32))
+        .collect();
+
+    let mut g = c.benchmark_group("hashtable/partition build+probe");
+    g.throughput(Throughput::Elements((build.len() + probes.len()) as u64));
+    macro_rules! bench_partition {
+        ($name:expr, $ty:ty, $spec:expr) => {
+            g.bench_function($name, |b| {
+                b.iter(|| {
+                    let mut t = <$ty>::with_spec(&$spec);
+                    JoinTable::insert_batch(&mut t, &build);
+                    let mut acc = 0u64;
+                    JoinTable::probe_batch(&t, &probes, true, |_, bp| {
+                        acc = acc.wrapping_add(bp as u64)
+                    });
+                    acc
+                })
+            });
+        };
+    }
+    let hashed = TableSpec::hashed_partition(PART, BITS);
+    bench_partition!("chained", StChainedTable<IdentityHash>, hashed);
+    bench_partition!("linear", StLinearTable<IdentityHash>, hashed);
+    bench_partition!("array", ArrayTable, TableSpec::array(BITS, PART << BITS));
+    g.finish();
+}
+
 fn bench_hash_functions(c: &mut Criterion) {
     let tuples = build_tuples();
     let probes = probe_keys();
@@ -178,6 +221,6 @@ fn bench_hash_functions(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_tables, bench_probe_kernels, bench_hash_functions
+    targets = bench_tables, bench_probe_kernels, bench_partition_tables, bench_hash_functions
 }
 criterion_main!(benches);

@@ -137,7 +137,9 @@ fn traced_partition_join(
         let s_part = &ps.0[ps.1[p]..ps.1[p + 1]];
         match kind {
             TableKind::Chained => {
-                let mut t = StChainedTable::<IdentityHash>::with_capacity(r_part.len());
+                // Hashed above the partition digits, as the join phase
+                // builds it; unshifted, every key lands in one bucket.
+                let mut t = StChainedTable::<IdentityHash>::with_capacity_shift(r_part.len(), bits);
                 for tup in r_part {
                     tr.read(tup as *const Tuple as usize, 8);
                     t.insert_traced(*tup, tr);

@@ -76,7 +76,8 @@ impl PartTable {
     /// Approximate per-build-tuple table footprint for the cost model.
     pub fn bytes_per_tuple(&self, r_len: usize) -> f64 {
         match self.kind {
-            // 32-byte bucket holds 2 tuples at the sized load factor.
+            // next_pow2(n) 4-byte heads + 12 bytes (tuple + link) per
+            // tuple: 16 at a power-of-two partition, 20 just above one.
             TableKind::Chained => 16.0,
             // next_pow2(2n) 8-byte slots.
             TableKind::Linear => 16.0,

@@ -1,60 +1,84 @@
-//! Bucket-chained hash table (Balkesen et al.'s cache-efficient layout).
+//! Bucket-chaining hash table: the per-partition table of the original
+//! radix join (Balkesen et al., `parallel_radix_join.c:bucket_chaining_join`,
+//! after Manegold et al.).
 //!
-//! Each bucket is half a cache line and stores tuples *inline* — the
-//! "single array for both locks and tuples, no head pointers" improvement
-//! over the Blanas et al. linked-list table that the paper credits to [5].
-//! Overflow buckets come from a bump-allocated arena (index-linked, no
-//! pointer chasing across allocations).
+//! Tuples are stored densely in insertion order. `heads[h]` is 1 + the
+//! index of the newest tuple hashing to `h` (0 = empty bucket) and
+//! `next[i]` links tuple `i` to the one inserted into its bucket before
+//! it, so a chain is walked newest to oldest. A probe of a dense-key
+//! partition is two dependent cache-resident loads (head word, tuple) and
+//! one compare that always succeeds — nothing data-dependent to
+//! mispredict, which is what lets PRO run level with PRL and PRA (§5.2).
+//! Against a table that is not resident (an operator's small batch routed
+//! to a cached build side) they are two dependent misses, so batches
+//! smaller than the table are probed a group at a time, prefetching.
 //!
-//! Only the single-threaded variant is provided: in the PRB/PRO join
-//! phase every co-partition table is built and probed by one thread, so
-//! the per-bucket latch of the original degenerates to nothing.
+//! The whole table is *one* allocation, `[heads | tuples | next]`: the
+//! arena allocator rounds every buffer of 64 KiB or more up to a huge
+//! page, so three vectors would triple a cached build side's footprint.
+//! Single-threaded: one thread builds and probes a co-partition's table.
 
-use mmjoin_util::alloc::AlignedVec;
+use mmjoin_util::alloc::AlignedBuf;
 use mmjoin_util::kernels;
 use mmjoin_util::next_pow2;
+use mmjoin_util::trace::MemTracer;
 use mmjoin_util::tuple::{Key, Payload, Tuple};
 
 use crate::hashfn::{IdentityHash, KeyHash};
 use crate::{JoinTable, TableSpec, PROBE_GROUP};
 
-/// Tuples stored inline per bucket (2 × 8 B tuples + metadata = 32 B,
-/// two buckets per cache line, as in the original implementation).
-const BUCKET_CAP: usize = 2;
-
-/// Sentinel "no overflow bucket".
-const NIL: u32 = u32::MAX;
-
-#[derive(Copy, Clone)]
-#[repr(align(32))] // half a cache line, matching the original's bucket_t
-struct Bucket {
-    count: u32,
-    next: u32,
-    tuples: [Tuple; BUCKET_CAP],
-}
-
-impl Bucket {
-    const EMPTY: Bucket = Bucket {
-        count: 0,
-        next: NIL,
-        tuples: [Tuple::new(0, 0); BUCKET_CAP],
-    };
-}
-
 /// Single-threaded chained table for one co-partition join (PRB/PRO).
 pub struct StChainedTable<H: KeyHash = IdentityHash> {
-    /// Primary buckets followed by overflow buckets.
-    buckets: AlignedVec<Bucket>,
+    /// `mask + 1` head words, then `cap` tuples as `(key, payload)` word
+    /// pairs, then `cap` link words. Heads are zeroed; tuple `i` and
+    /// link `i` are written when tuple `i` is inserted (`i < len`).
+    buf: AlignedBuf<u32>,
     mask: u32,
-    hash: H,
+    cap: usize,
     len: usize,
+    hash: H,
     /// Keys are hashed as `key >> shift` (radix-partition tables).
     shift: u32,
 }
 
+/// A buffer laid out for `cap` tuples, heads zeroed: `(buf, mask)`.
+fn layout(cap: usize) -> (AlignedBuf<u32>, u32) {
+    // Heads and links hold tuple indices + 1 in 32 bits.
+    assert!(cap < u32::MAX as usize, "chained table capacity overflow");
+    let heads = next_pow2(cap);
+    // SAFETY: the heads are zeroed right here; tuple and link `i` are
+    // written by the insert that makes `i < len`, and only slots below
+    // `len` are ever read (a head or link word names an inserted tuple).
+    let mut buf = unsafe { AlignedBuf::<u32>::unfilled(heads + 3 * cap) };
+    buf[..heads].fill(0);
+    (buf, (heads - 1) as u32)
+}
+
+/// Walk the chain from `at`, newest tuple first, handing `f` the payload
+/// of every tuple with `key` — of the first one only if `FIRST`.
+#[inline]
+fn walk<const FIRST: bool>(
+    mut at: u32,
+    key: Key,
+    tuples: &[Tuple],
+    next: &[u32],
+    mut f: impl FnMut(Payload),
+) {
+    while at != 0 {
+        let t = tuples[at as usize - 1];
+        if t.key == key {
+            f(t.payload);
+            if FIRST {
+                return;
+            }
+        }
+        at = next[at as usize - 1];
+    }
+}
+
 impl<H: KeyHash + Default> StChainedTable<H> {
-    /// Table sized for `n` tuples: one primary bucket per two tuples
-    /// (matching the original's `nbuckets = n / 2` sizing).
+    /// Table sized for `n` tuples: `next_pow2(n)` buckets, as the
+    /// original sizes it. Inserting more grows it.
     pub fn with_capacity(n: usize) -> Self {
         Self::with_capacity_shift(n, 0)
     }
@@ -62,67 +86,117 @@ impl<H: KeyHash + Default> StChainedTable<H> {
     /// Table whose keys share their low `shift` bits (one radix
     /// partition): hash on the distinguishing high bits.
     pub fn with_capacity_shift(n: usize, shift: u32) -> Self {
-        let nbuckets = next_pow2(n.div_ceil(BUCKET_CAP));
-        let mut buckets = AlignedVec::with_capacity(nbuckets + nbuckets / 2);
-        buckets.resize(nbuckets, Bucket::EMPTY);
+        let (buf, mask) = layout(n);
         StChainedTable {
-            buckets,
-            mask: (nbuckets - 1) as u32,
-            hash: H::default(),
+            buf,
+            mask,
+            cap: n,
             len: 0,
+            hash: H::default(),
             shift,
         }
     }
 }
 
 impl<H: KeyHash> StChainedTable<H> {
+    /// The three regions of the buffer: heads, tuples, links.
     #[inline]
-    fn home(&self, key: Key) -> usize {
-        self.hash.index(key >> self.shift, self.mask) as usize
+    fn regions(&self) -> (&[u32], &[Tuple], &[u32]) {
+        let (heads, rest) = self.buf.split_at(self.mask as usize + 1);
+        let (words, next) = rest.split_at(2 * self.cap);
+        // SAFETY: `Tuple` is `repr(C)` of two `u32`s (size 8, align 4)
+        // and `words` is `2 * cap` initialized-or-unread `u32`s, so the
+        // same bytes are `cap` tuples at a valid alignment.
+        let tuples = unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), self.cap) };
+        (heads, tuples, next)
+    }
+
+    /// Thread the stored tuples `from..to` onto their buckets' chains.
+    #[inline]
+    fn link(&mut self, from: usize, to: usize) {
+        let (hash, shift, mask) = (self.hash, self.shift, self.mask);
+        let (heads, rest) = self.buf.split_at_mut(mask as usize + 1);
+        let (words, next) = rest.split_at_mut(2 * self.cap);
+        let stored = words[2 * from..2 * to].chunks_exact(2);
+        for (at, (t, link)) in (from as u32 + 1..).zip(stored.zip(&mut next[from..to])) {
+            let head = &mut heads[hash.index(t[0] >> shift, mask) as usize];
+            *link = *head;
+            *head = at;
+        }
+    }
+
+    /// Re-lay the table out for at least `need` tuples (at least double
+    /// the capacity) and re-thread every chain over the wider heads.
+    #[cold]
+    fn grow(&mut self, need: usize) {
+        let cap = need.max(2 * self.cap);
+        let (buf, mask) = layout(cap);
+        let old = std::mem::replace(&mut self.buf, buf);
+        let stored = &old[self.mask as usize + 1..][..2 * self.len];
+        self.buf[mask as usize + 1..][..stored.len()].copy_from_slice(stored);
+        (self.mask, self.cap) = (mask, cap);
+        self.link(0, self.len);
     }
 
     #[inline]
     pub fn insert(&mut self, t: Tuple) {
-        let mut idx = self.home(t.key);
-        loop {
-            let b = &mut self.buckets[idx];
-            if (b.count as usize) < BUCKET_CAP {
-                b.tuples[b.count as usize] = t;
-                b.count += 1;
-                self.len += 1;
-                return;
+        self.insert_batch(std::slice::from_ref(&t));
+    }
+
+    /// Append `tuples` and chain them: the state one-by-one inserts leave.
+    #[inline]
+    pub fn insert_batch(&mut self, tuples: &[Tuple]) {
+        let (from, to) = (self.len, self.len + tuples.len());
+        if to > self.cap {
+            self.grow(to);
+        }
+        let stored = &mut self.buf[self.mask as usize + 1..][2 * from..2 * to];
+        for (w, t) in stored.chunks_exact_mut(2).zip(tuples) {
+            (w[0], w[1]) = (t.key, t.payload);
+        }
+        self.len = to;
+        self.link(from, to);
+    }
+
+    /// Invoke `f` with the payload of every stored tuple matching `key`, newest first.
+    #[inline]
+    pub fn probe<F: FnMut(Payload)>(&self, key: Key, f: F) {
+        let (heads, tuples, next) = self.regions();
+        walk::<false>(heads[self.home(key)], key, tuples, next, f);
+    }
+
+    /// Probe under the study's unique-build-key (PK) assumption: the first match only.
+    #[inline]
+    pub fn probe_first<F: FnMut(Payload)>(&self, key: Key, f: F) {
+        let (heads, tuples, next) = self.regions();
+        walk::<true>(heads[self.home(key)], key, tuples, next, f);
+    }
+
+    /// First-match probes a group at a time in three passes (load the head
+    /// words, prefetch the tuples they name, walk the chains), so that the
+    /// two dependent misses of a probe into a cold table overlap with its
+    /// neighbours'. A resident table gains nothing and pays 0.6 ns a probe.
+    fn probe_first_grouped<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], mut f: F) {
+        let (heads, tuples, next) = self.regions();
+        for group in probes.chunks(PROBE_GROUP) {
+            let mut at = [0u32; PROBE_GROUP];
+            for (at, t) in at.iter_mut().zip(group) {
+                *at = heads[self.home(t.key)];
             }
-            if b.next == NIL {
-                // Allocate a fresh overflow bucket at the arena tail and
-                // link it in front of the chain tail.
-                let new_idx = self.buckets.len() as u32;
-                self.buckets[idx].next = new_idx;
-                let mut fresh = Bucket::EMPTY;
-                fresh.tuples[0] = t;
-                fresh.count = 1;
-                self.buckets.push(fresh);
-                self.len += 1;
-                return;
+            for &at in &at[..group.len()] {
+                if at != 0 {
+                    kernels::prefetch_read(&tuples[at as usize - 1]);
+                }
             }
-            idx = self.buckets[idx].next as usize;
+            for (&at, t) in at.iter().zip(group) {
+                walk::<true>(at, t.key, tuples, next, |p| f(t, p));
+            }
         }
     }
 
     #[inline]
-    pub fn probe<F: FnMut(Payload)>(&self, key: Key, mut f: F) {
-        let mut idx = self.home(key);
-        loop {
-            let b = &self.buckets[idx];
-            for i in 0..b.count as usize {
-                if b.tuples[i].key == key {
-                    f(b.tuples[i].payload);
-                }
-            }
-            if b.next == NIL {
-                return;
-            }
-            idx = b.next as usize;
-        }
+    fn home(&self, key: Key) -> usize {
+        self.hash.index(key >> self.shift, self.mask) as usize
     }
 
     pub fn len(&self) -> usize {
@@ -133,140 +207,53 @@ impl<H: KeyHash> StChainedTable<H> {
         self.len == 0
     }
 
-    /// Group-prefetched batch insert: prefetch the home buckets of group
-    /// `k+1` with write intent while inserting group `k`. Same table
-    /// state as inserting in order.
-    pub fn insert_batch(&mut self, tuples: &[Tuple]) {
-        if !kernels::simd_active() {
-            for &t in tuples {
-                self.insert(t);
-            }
-            return;
-        }
-        let mut chunks = tuples.chunks(PROBE_GROUP);
-        let mut cur = match chunks.next() {
-            Some(g) => g,
-            None => return,
-        };
-        for t in cur {
-            kernels::prefetch_write(&self.buckets[self.home(t.key)]);
-        }
-        loop {
-            let next = chunks.next();
-            if let Some(g) = next {
-                for t in g {
-                    kernels::prefetch_write(&self.buckets[self.home(t.key)]);
-                }
-            }
-            for &t in cur {
-                self.insert(t);
-            }
-            match next {
-                Some(g) => cur = g,
-                None => return,
-            }
-        }
-    }
-
-    /// Group-prefetched batch probe: prefetch the home buckets of group
-    /// `k+1` while walking the chains of group `k`. `f` receives
-    /// `(probe_tuple, build_payload)` per match, in probe order.
+    /// All-matches batch probe: `f(probe_tuple, build_payload)` per match, in probe order.
     pub fn probe_batch<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], mut f: F) {
-        if !kernels::simd_active() {
-            for t in probes {
-                self.probe(t.key, |p| f(t, p));
-            }
-            return;
-        }
-        let mut chunks = probes.chunks(PROBE_GROUP);
-        let mut cur = match chunks.next() {
-            Some(g) => g,
-            None => return,
-        };
-        for t in cur {
-            kernels::prefetch_read(&self.buckets[self.home(t.key)]);
-        }
-        loop {
-            let next = chunks.next();
-            if let Some(g) = next {
-                for t in g {
-                    kernels::prefetch_read(&self.buckets[self.home(t.key)]);
-                }
-            }
-            for t in cur {
-                self.probe(t.key, |p| f(t, p));
-            }
-            match next {
-                Some(g) => cur = g,
-                None => return,
-            }
+        for t in probes {
+            self.probe(t.key, |p| f(t, p));
         }
     }
 
-    /// [`StChainedTable::insert`] with memory-access tracing (Table 4).
-    pub fn insert_traced<T: mmjoin_util::trace::MemTracer>(&mut self, t: Tuple, tr: &mut T) {
-        let mut idx = self.home(t.key);
+    /// [`StChainedTable::insert`] with memory-access tracing (Table 4):
+    /// head word read, tuple and link written, head word written.
+    pub fn insert_traced<T: MemTracer>(&mut self, t: Tuple, tr: &mut T) {
+        self.insert(t);
+        let at = self.len - 1;
+        let (heads, tuples, next) = self.regions();
+        let head = &heads[self.home(t.key)] as *const u32 as usize;
+        tr.read(head, 4);
+        tr.write(&tuples[at] as *const Tuple as usize, 8);
+        tr.write(&next[at] as *const u32 as usize, 4);
+        tr.write(head, 4);
+        tr.ops(7);
+    }
+
+    /// [`StChainedTable::probe`] with memory-access tracing (Table 4):
+    /// head word, then tuple and link per chain step.
+    pub fn probe_traced<T: MemTracer, F: FnMut(Payload)>(&self, key: Key, tr: &mut T, mut f: F) {
+        let (heads, tuples, next) = self.regions();
+        let head = &heads[self.home(key)];
         tr.ops(3);
-        loop {
-            tr.read(&self.buckets[idx] as *const Bucket as usize, 32);
-            let b = &mut self.buckets[idx];
-            if (b.count as usize) < BUCKET_CAP {
-                tr.write(&self.buckets[idx] as *const Bucket as usize, 12);
-                tr.ops(2);
-                let b = &mut self.buckets[idx];
-                b.tuples[b.count as usize] = t;
-                b.count += 1;
-                self.len += 1;
-                return;
+        tr.read(head as *const u32 as usize, 4);
+        let mut at = *head;
+        while at != 0 {
+            let (t, link) = (&tuples[at as usize - 1], &next[at as usize - 1]);
+            tr.read(t as *const Tuple as usize, 8);
+            tr.read(link as *const u32 as usize, 4);
+            tr.ops(3);
+            if t.key == key {
+                f(t.payload);
             }
-            if b.next == NIL {
-                let new_idx = self.buckets.len() as u32;
-                self.buckets[idx].next = new_idx;
-                let mut fresh = Bucket::EMPTY;
-                fresh.tuples[0] = t;
-                fresh.count = 1;
-                self.buckets.push(fresh);
-                tr.write(self.buckets.last().unwrap() as *const Bucket as usize, 32);
-                tr.ops(4);
-                self.len += 1;
-                return;
-            }
-            tr.ops(1);
-            idx = self.buckets[idx].next as usize;
+            at = *link;
         }
     }
 
-    /// [`StChainedTable::probe`] with memory-access tracing (Table 4).
-    pub fn probe_traced<T: mmjoin_util::trace::MemTracer, F: FnMut(Payload)>(
-        &self,
-        key: Key,
-        tr: &mut T,
-        mut f: F,
-    ) {
-        let mut idx = self.home(key);
-        tr.ops(3);
-        loop {
-            tr.read(&self.buckets[idx] as *const Bucket as usize, 32);
-            let b = &self.buckets[idx];
-            tr.ops(b.count as u64 + 1);
-            for i in 0..b.count as usize {
-                if b.tuples[i].key == key {
-                    f(b.tuples[i].payload);
-                }
-            }
-            if b.next == NIL {
-                return;
-            }
-            idx = b.next as usize;
-        }
-    }
-
-    /// Length of the chain for `key`'s bucket (diagnostics / tests).
+    /// Number of tuples chained in `key`'s bucket (diagnostics / tests).
     pub fn chain_len(&self, key: Key) -> usize {
-        let mut idx = self.home(key);
-        let mut n = 1;
-        while self.buckets[idx].next != NIL {
-            idx = self.buckets[idx].next as usize;
+        let (heads, _, next) = self.regions();
+        let (mut at, mut n) = (heads[self.home(key)], 0);
+        while at != 0 {
+            at = next[at as usize - 1];
             n += 1;
         }
         n
@@ -289,18 +276,31 @@ impl<H: KeyHash + Default> JoinTable for StChainedTable<H> {
     }
 
     #[inline]
+    fn probe_unique<F: FnMut(Payload)>(&self, key: Key, f: F) {
+        StChainedTable::probe_first(self, key, f)
+    }
+
+    #[inline]
     fn insert_batch(&mut self, tuples: &[Tuple]) {
         StChainedTable::insert_batch(self, tuples)
     }
 
     #[inline]
-    fn probe_batch<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], _unique: bool, f: F) {
-        // Chains hold all duplicates inline; the unique hint saves nothing.
-        StChainedTable::probe_batch(self, probes, f)
+    fn probe_batch<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], unique: bool, mut f: F) {
+        if !unique {
+            StChainedTable::probe_batch(self, probes, f)
+        } else if probes.len() < self.len {
+            // Fewer probes than tuples: this batch cannot warm the table.
+            self.probe_first_grouped(probes, f)
+        } else {
+            for t in probes {
+                self.probe_first(t.key, |p| f(t, p));
+            }
+        }
     }
 
     fn memory_bytes(&self) -> usize {
-        self.buckets.len() * std::mem::size_of::<Bucket>()
+        std::mem::size_of_val(&*self.buf)
     }
 }
 
@@ -308,11 +308,6 @@ impl<H: KeyHash + Default> JoinTable for StChainedTable<H> {
 mod tests {
     use super::*;
     use crate::test_support::{check_join_table, random_tuples};
-
-    #[test]
-    fn bucket_is_half_cache_line() {
-        assert_eq!(std::mem::size_of::<Bucket>(), 32);
-    }
 
     #[test]
     fn insert_probe_unique() {
@@ -334,11 +329,13 @@ mod tests {
         for i in 0..100u32 {
             t.insert(Tuple::new(3, i));
         }
-        assert!(t.chain_len(3) >= 100 / BUCKET_CAP);
+        assert_eq!(t.chain_len(3), 100);
         let mut hits = Vec::new();
         t.probe(3, |p| hits.push(p));
-        hits.sort_unstable();
-        assert_eq!(hits, (0..100).collect::<Vec<_>>());
+        assert_eq!(hits, (0..100).rev().collect::<Vec<_>>(), "newest first");
+        let mut first = Vec::new();
+        t.probe_first(3, |p| first.push(p));
+        assert_eq!(first, vec![99]);
     }
 
     #[test]
@@ -357,6 +354,7 @@ mod tests {
         t.probe(1, |p| hits.push(p));
         assert!(hits.is_empty());
         assert!(t.is_empty());
+        assert_eq!(t.chain_len(1), 0);
     }
 
     #[test]
@@ -372,11 +370,56 @@ mod tests {
     }
 
     #[test]
-    fn tiny_capacity_ok() {
+    fn first_match_batches_agree_on_either_side_of_the_table_size() {
+        // Batches smaller than the table take the grouped, prefetching
+        // walk; both must report what one-by-one first-match probes do.
+        let tuples = random_tuples(400, 90, 23);
+        let mut t = StChainedTable::<IdentityHash>::with_capacity(tuples.len());
+        t.insert_batch(&tuples);
+        for n in [0, 1, 15, 16, 17, 399, 400, 401, 900] {
+            let probes: Vec<Tuple> = (0..n).map(|i| Tuple::new(i % 100 + 1, i)).collect();
+            let mut batched = Vec::new();
+            JoinTable::probe_batch(&t, &probes, true, |p, bp| batched.push((p.payload, bp)));
+            let mut single = Vec::new();
+            for p in &probes {
+                t.probe_first(p.key, |bp| single.push((p.payload, bp)));
+            }
+            assert_eq!(batched, single, "{n} probes");
+        }
+    }
+
+    #[test]
+    fn growth_rehashes_over_wider_heads() {
         let mut t = StChainedTable::<IdentityHash>::with_capacity(0);
-        t.insert(Tuple::new(9, 9));
+        for k in 1..=1000u32 {
+            t.insert(Tuple::new(k, k + 7));
+        }
+        assert_eq!(t.len(), 1000);
+        // Grown by doubling: 1024 heads for 1000 dense keys, so no chain
+        // is longer than one.
+        assert!((1..=1000).all(|k| t.chain_len(k) == 1));
         let mut hits = Vec::new();
-        t.probe(9, |p| hits.push(p));
-        assert_eq!(hits, vec![9]);
+        t.probe(1000, |p| hits.push(p));
+        assert_eq!(hits, vec![1007]);
+        assert_eq!(t.memory_bytes(), 4 * 1024 + 12 * 1024);
+    }
+
+    #[test]
+    fn traced_accesses_follow_the_layout() {
+        use mmjoin_util::trace::CountingTracer;
+        let mut t = StChainedTable::<IdentityHash>::with_capacity(4);
+        let mut tr = CountingTracer::default();
+        t.insert_traced(Tuple::new(5, 50), &mut tr);
+        t.insert_traced(Tuple::new(5, 51), &mut tr);
+        // Per insert: head word read; tuple, link and head word written.
+        assert_eq!((tr.reads, tr.read_bytes), (2, 8));
+        assert_eq!((tr.writes, tr.write_bytes), (6, 32));
+        let mut tr = CountingTracer::default();
+        let mut hits = Vec::new();
+        t.probe_traced(5, &mut tr, |p| hits.push(p));
+        assert_eq!(hits, vec![51, 50]);
+        // Head word, then (tuple, link) per chain step.
+        assert_eq!((tr.reads, tr.read_bytes), (5, 4 + 2 * 12));
+        assert_eq!(tr.writes, 0);
     }
 }

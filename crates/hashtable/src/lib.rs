@@ -17,6 +17,15 @@
 //! Per-partition tables implement [`JoinTable`], which is what makes the
 //! partitioned join phase generic over the hash method.
 //!
+//! The chained table is the original radix join's *bucket chaining*
+//! (`parallel_radix_join.c:bucket_chaining_join`): tuples stored densely
+//! in insertion order, one head word per bucket and one link word per
+//! tuple, all in a single allocation. On a cache-sized dense-key
+//! partition its probe is two dependent loads and a compare that always
+//! hits, which is why PRO, PRL and PRA are "nearly indistinguishable"
+//! (§5.2) — the inline-bucket table of the no-partitioning join, with its
+//! two data-dependent slot compares per bucket, is not what PRO uses.
+//!
 //! Hash functions live in [`hashfn`]; like the paper (Section 7.1) the
 //! default for dense primary keys is the identity function modulo table
 //! size.
@@ -90,13 +99,17 @@ impl TableSpec {
     /// Upper-bound allocation footprint of a table built from this spec.
     /// Lets callers charge a memory budget *before* construction; the
     /// estimate covers the largest of the table kinds the spec can build
-    /// (chained: 32 B buckets at 2 tuples each; linear: pow2(2n) 8 B
-    /// slots; array: 4 B payload + occupancy bit per slot).
+    /// (linear: pow2(2n) 8 B slots, one cache line at least; chained:
+    /// pow2(n) 4 B heads + 12 B per tuple, never more than linear; array:
+    /// 4 B payload + occupancy bit per slot).
     pub fn table_bytes(&self) -> usize {
         if self.array_len > 0 {
             self.array_len * 5
         } else {
-            (2 * self.capacity.max(1)).next_power_of_two() * 8
+            (2 * self.capacity)
+                .max(linear::MIN_SLOTS)
+                .next_power_of_two()
+                * 8
         }
     }
 }
@@ -200,6 +213,41 @@ impl ProbeOperator for ConcurrentArrayTable {
 }
 
 // `ConciseHashTable`'s `probe_op` is its batch probe itself: see `cht`.
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The budget contract of the partitioned join phase: a task charges
+    /// `spec.table_bytes()` *before* it builds, so no table kind may hold
+    /// more than that once `capacity` tuples are in.
+    #[test]
+    fn table_bytes_bounds_every_kind_at_capacity() {
+        fn held<T: JoinTable>(spec: &TableSpec, n: usize) -> usize {
+            let mut t = T::with_spec(spec);
+            for k in 1..=n as u32 {
+                t.insert(Tuple::new(k, k));
+            }
+            t.memory_bytes()
+        }
+        let pow2s = [4usize, 64, 1 << 10, 1 << 14];
+        let caps = [0, 1, 2]
+            .into_iter()
+            .chain(pow2s.into_iter().flat_map(|p| [p - 1, p, p + 1]));
+        for n in caps {
+            let hashed = TableSpec::hashed(n);
+            let bound = hashed.table_bytes();
+            let chained = held::<StChainedTable<IdentityHash>>(&hashed, n);
+            assert!(chained <= bound, "chained n={n}: {chained} > {bound}");
+            assert_eq!(chained, 4 * n.max(1).next_power_of_two() + 12 * n);
+            let linear = held::<StLinearTable<IdentityHash>>(&hashed, n);
+            assert!(linear <= bound, "linear n={n}: {linear} > {bound}");
+            let array = TableSpec::array(0, n);
+            let in_array = held::<ArrayTable>(&array, n);
+            assert!(in_array <= array.table_bytes(), "array n={n}: {in_array}");
+        }
+    }
+}
 
 #[cfg(test)]
 pub(crate) mod test_support {

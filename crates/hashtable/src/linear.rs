@@ -28,7 +28,7 @@ const OVERALLOC: usize = 2;
 /// Minimum slot count: one cache line of slots. Guards the `n = 0` case
 /// (an empty build relation must still produce a probeable table with an
 /// empty-slot terminator) and keeps every table at least one flush granule.
-const MIN_SLOTS: usize = CACHE_LINE / std::mem::size_of::<u64>();
+pub(crate) const MIN_SLOTS: usize = CACHE_LINE / std::mem::size_of::<u64>();
 
 /// Single-threaded linear-probing table (join phase of the PR*/CPR*
 /// linear variants).

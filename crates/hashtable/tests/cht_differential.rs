@@ -9,14 +9,17 @@
 //! (`REGION_SHIFT`) so the same boundaries stay reachable, and only the
 //! portable mode runs: the interpreter models no x86 prefetch.
 
+mod common;
+
 use std::sync::Mutex;
 
 use mmjoin_hashtable::cht::{PROBE_WINDOW, REGION_SHIFT};
 use mmjoin_hashtable::{ConciseHashTable, KeyHash, MultiplicativeHash, ProbeOperator};
 use mmjoin_util::kernels::{with_mode, KernelMode};
-use mmjoin_util::rng::Xoshiro256;
 use mmjoin_util::tuple::{Key, Payload, Tuple};
 use proptest::prelude::*;
+
+use common::{keys_around, multiset, reference_probe};
 
 type Cht = ConciseHashTable<MultiplicativeHash>;
 
@@ -33,27 +36,8 @@ const ONE_REGION: usize = 1 << (REGION_SHIFT - 3);
 /// turns at it.
 static MODE: Mutex<()> = Mutex::new(());
 
-/// Reference semantics: the multiset of payloads per key, sorted (the
-/// crate-private `test_support::reference_probe`).
-fn reference_probe(tuples: &[Tuple], key: Key) -> Vec<Payload> {
-    let mut v: Vec<Payload> = tuples
-        .iter()
-        .filter(|t| t.key == key)
-        .map(|t| t.payload)
-        .collect();
-    v.sort_unstable();
-    v
-}
-
 fn dense(n: usize) -> Vec<Tuple> {
     (1..=n as u32).map(|k| Tuple::new(k, k ^ 0x5a5a)).collect()
-}
-
-fn multiset(n: usize, keys: u32, seed: u64) -> Vec<Tuple> {
-    let mut rng = Xoshiro256::new(seed);
-    (0..n)
-        .map(|i| Tuple::new(rng.below(keys as u64) as u32 + 1, i as u32))
-        .collect()
 }
 
 /// `n` tuples over several regions, among them forty keys — three
@@ -141,18 +125,6 @@ fn assert_matches_reference(what: &str, tuples: &[Tuple], probes: &[Key]) {
             });
         }
     }
-}
-
-/// Every build key and `extra` keys past the largest, none twice,
-/// thinned to about `to` of them.
-fn keys_around(tuples: &[Tuple], extra: u32, to: usize) -> Vec<Key> {
-    let mut keys: Vec<Key> = tuples.iter().map(|t| t.key).collect();
-    let top = keys.iter().copied().max().unwrap_or(0);
-    keys.extend(top + 1..=top + extra);
-    keys.sort_unstable();
-    keys.dedup();
-    let step = keys.len().div_ceil(to).max(1);
-    keys.into_iter().step_by(step).collect()
 }
 
 #[test]

@@ -11,7 +11,6 @@
 //! processes whole pass-1 partitions pulled from a task queue.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use mmjoin_util::alloc::AlignedBuf;
 use mmjoin_util::pool::{broadcast_map, ScopedPool, WorkerPool};
@@ -187,70 +186,48 @@ pub fn two_pass_partition_on(
     let fan1 = 1usize << bits1;
     let fan2 = 1usize << bits2;
 
-    // Per-pass-1-partition second-pass histograms, computed inside the
-    // tasks below; offsets are derived afterwards. To keep phase (3) free
-    // of synchronization we compute the histograms first (task-parallel),
-    // then derive global offsets, then scatter (task-parallel again).
-    let mut hists: Vec<Vec<usize>> = vec![Vec::new(); fan1];
-    {
-        let next = AtomicUsize::new(0);
-        type HistSlot = Mutex<Vec<(usize, Vec<usize>)>>;
-        let slots: Vec<HistSlot> = (0..pool.workers())
-            .map(|_| Mutex::new(Vec::new()))
-            .collect();
-        let pass1 = &pass1;
-        pool.broadcast(&|w| {
-            let mut mine = Vec::new();
-            loop {
-                let p1 = next.fetch_add(1, Ordering::Relaxed);
-                if p1 >= fan1 {
-                    break;
-                }
-                mine.push((p1, histogram(pass1.partition(p1), f2)));
-            }
-            *slots[w].lock().unwrap() = mine;
-        });
-        for slot in slots {
-            for (p1, h) in slot.into_inner().unwrap() {
-                hists[p1] = h;
-            }
-        }
-    }
-
-    // Global offsets: region-major layout.
-    let mut offsets = Vec::with_capacity(fan1 * fan2 + 1);
-    offsets.push(0usize);
-    for h in &hists {
-        debug_assert_eq!(h.len(), fan2);
-        for &c in h {
-            offsets.push(offsets.last().unwrap() + c);
-        }
-    }
-    debug_assert_eq!(*offsets.last().unwrap(), input.len());
-
-    // Pass-2 scatter, one task per pass-1 partition.
-    let mut out = AlignedBuf::<Tuple>::zeroed(input.len());
+    // The layout is region-major, so pass-1 partition `p1` is re-scattered
+    // inside its own range: histogram, local prefix and scatter run in one
+    // task, while the partition is still in cache from the histogram.
+    // SAFETY: every slot is written exactly once before `out` is read.
+    // The counter hands each `p1` to exactly one task, the tasks end only
+    // when it has passed `fan1`, and task `p1` writes
+    // `offsets()[p1]..offsets()[p1 + 1]` in full (its cursors start at the
+    // partition's start and its counts sum to the partition's length). A
+    // worker's panic is raised out of the broadcast, past `out`.
+    let mut out = unsafe { AlignedBuf::<Tuple>::unfilled(input.len()) };
     let out_ptr = SyncPtr(out.as_mut_ptr());
-    {
-        let next = AtomicUsize::new(0);
-        let offsets = &offsets;
-        let pass1 = &pass1;
-        pool.broadcast(&|_| {
-            // Copy the whole SyncPtr so the closure capture stays Sync.
-            let out = out_ptr;
-            loop {
-                let p1 = next.fetch_add(1, Ordering::Relaxed);
-                if p1 >= fan1 {
-                    break;
-                }
-                let base = p1 * fan2;
-                let cursors: Vec<usize> = (0..fan2).map(|p2| offsets[base + p2]).collect();
-                // SAFETY: cursor ranges of distinct p1 tasks are
-                // disjoint (offsets are exact counts); only one
-                // task processes each p1.
-                unsafe { scatter_chunk(pass1.partition(p1), f2, &cursors, out.0, mode) }
+    let next = AtomicUsize::new(0);
+    let pass1 = &pass1;
+    let cursors: Vec<Vec<(usize, Vec<usize>)>> = broadcast_map(pool, pool.workers(), |_| {
+        // Copy the whole SyncPtr so the closure capture stays Sync.
+        let out = out_ptr;
+        let mut mine = Vec::new();
+        loop {
+            let p1 = next.fetch_add(1, Ordering::Relaxed);
+            if p1 >= fan1 {
+                break mine;
             }
-        });
+            let part = pass1.partition(p1);
+            let mut end = pass1.offsets()[p1];
+            let starts: Vec<usize> = histogram(part, f2)
+                .into_iter()
+                .map(|count| {
+                    end += count;
+                    end - count
+                })
+                .collect();
+            // SAFETY: the cursor ranges tile this task's own pass-1
+            // range (exact counts), disjoint from every other task's.
+            unsafe { scatter_chunk(part, f2, &starts, out.0, mode) }
+            mine.push((p1, starts));
+        }
+    });
+
+    // Each task's cursors are its slice of the global offsets.
+    let mut offsets = vec![input.len(); fan1 * fan2 + 1];
+    for (p1, starts) in cursors.into_iter().flatten() {
+        offsets[p1 * fan2..][..fan2].copy_from_slice(&starts);
     }
     PartitionedRelation { data: out, offsets }
 }
@@ -377,6 +354,44 @@ mod tests {
             }
             assert!(rd.iter().all(|&d| rd[0] == d));
             assert!(sd.iter().all(|&d| sd[0] == d));
+        }
+    }
+
+    #[test]
+    fn two_pass_with_empty_and_single_pass1_partitions() {
+        // No key has low bits 0b101: pass-1 partition 5 is empty and its
+        // eight pass-2 partitions must come out empty, in place.
+        let holed: Vec<Tuple> = random_input(6_000, 8)
+            .into_iter()
+            .filter(|t| t.key & 0x7 != 5)
+            .collect();
+        // Every key has low bits 0b011: one pass-1 partition holds it all.
+        let single: Vec<Tuple> = (0..5_000).map(|i| Tuple::new((i << 3) | 3, i)).collect();
+        // Region-major: global partition `p1 * 8 + p2` holds the keys with
+        // low digit `p1` and next digit `p2`; the output is a permutation.
+        let check = |input: &[Tuple], pr: &PartitionedRelation| {
+            assert_eq!(pr.parts(), 64);
+            for p in 0..64 {
+                let of = |t: &Tuple| ((t.key & 7) * 8 + ((t.key >> 3) & 7)) as usize;
+                assert!(pr.partition(p).iter().all(|t| of(t) == p), "partition {p}");
+            }
+            let mut a: Vec<u64> = input.iter().map(|t| t.pack()).collect();
+            let mut b: Vec<u64> = pr.all_tuples().iter().map(|t| t.pack()).collect();
+            a.sort_unstable();
+            b.sort_unstable();
+            assert_eq!(a, b);
+        };
+        for mode in [ScatterMode::Direct, ScatterMode::Swwcb] {
+            for threads in [1, 3] {
+                let pr = two_pass_partition(&holed, 3, 3, threads, mode);
+                check(&holed, &pr);
+                assert!((40..48).all(|p| pr.part_len(p) == 0));
+
+                let pr = two_pass_partition(&single, 3, 3, threads, mode);
+                check(&single, &pr);
+                assert_eq!(pr.offsets()[24], 0);
+                assert_eq!(pr.offsets()[32], single.len());
+            }
         }
     }
 

@@ -119,6 +119,18 @@ impl<T> AlignedBuf<T> {
         Self::allocate(n, true, true)
     }
 
+    /// `n` elements of unspecified value: the allocation is not filled
+    /// (a partition pass's output, a table's tuple region: every slot is
+    /// written once before anything reads it, so a fill would be a
+    /// wasted pass over memory).
+    ///
+    /// # Safety
+    /// Every slot holds whatever the allocator handed back; the caller
+    /// must write a slot before reading it.
+    pub unsafe fn unfilled(n: usize) -> Self {
+        Self::allocate(n, false, false)
+    }
+
     #[inline]
     pub fn len(&self) -> usize {
         self.len
@@ -261,7 +273,7 @@ impl<T: Copy> AlignedVec<T> {
     /// must write a slot before reading it.
     pub unsafe fn unfilled(len: usize) -> Self {
         AlignedVec {
-            buf: AlignedBuf::allocate(len, false, false),
+            buf: AlignedBuf::unfilled(len),
             len,
         }
     }
@@ -531,5 +543,11 @@ mod tests {
         assert_eq!(v.len(), 100);
         v.fill(1);
         assert_eq!(v.iter().sum::<u64>(), 100);
+
+        // SAFETY: every slot is written by `fill` before any read.
+        let mut b = unsafe { AlignedBuf::<u32>::unfilled(50) };
+        assert_eq!(b.as_ptr() as usize % CACHE_LINE, 0);
+        b.fill(7);
+        assert_eq!(b.iter().sum::<u32>(), 350);
     }
 }

@@ -56,6 +56,39 @@ proptest! {
         }
     }
 
+    /// The chained-table joins stop at a probe's first match only under
+    /// the primary-key assumption: over build keys held `copies` times
+    /// each, `unique_build_keys = false` must produce the whole cross
+    /// product, at the drivers' own radix bits (PRB: 2 x 7).
+    #[test]
+    fn chained_joins_first_match_only_under_the_pk_assumption(
+        keys in 1u32..400,
+        copies in 2u32..5,
+        s_tuples in tuples_strategy(2_000, 420),
+        threads in 1usize..4,
+    ) {
+        let r_tuples: Vec<Tuple> = (0..keys * copies)
+            .map(|i| Tuple::new(i % keys + 1, i))
+            .collect();
+        let r = Relation::from_tuples(&r_tuples, Placement::Interleaved);
+        let s = Relation::from_tuples(&s_tuples, Placement::Interleaved);
+        let expect = reference_join(&r, &s);
+        let present = s_tuples.iter().filter(|t| t.key <= keys).count() as u64;
+        prop_assert_eq!(expect.count, present * copies as u64);
+        for alg in [Algorithm::Pro, Algorithm::ProIs, Algorithm::Prb] {
+            let mut cfg = JoinConfig::new(threads);
+            cfg.simulate = false;
+            cfg.unique_build_keys = false;
+            let res = Join::new(alg).with_config(cfg.clone()).run(&r, &s).expect("valid plan");
+            prop_assert_eq!(res.matches, expect.count, "{}", alg.name());
+            prop_assert_eq!(res.checksum, expect.digest, "{}", alg.name());
+            // Told the keys are unique, each probe takes one match.
+            cfg.unique_build_keys = true;
+            let res = Join::new(alg).with_config(cfg).run(&r, &s).expect("valid plan");
+            prop_assert_eq!(res.matches, present, "{} first match", alg.name());
+        }
+    }
+
     #[test]
     fn partitioning_is_a_digit_respecting_permutation(
         tuples in tuples_strategy(800, u32::MAX - 1),
