@@ -98,7 +98,8 @@ pub struct JoinConfig {
     /// Tuples per batch flowing between pipeline operators (see
     /// `mmjoin_core::pipeline` and DESIGN.md §12). 1024 tuples × 8 B
     /// keeps a batch and its per-stage output inside L1 alongside the
-    /// probe pipeline's prefetch groups.
+    /// probe pipeline's prefetch groups. A partitioned side takes more
+    /// at a time: a routing batch sized from its fan-out.
     pub pipeline_batch: usize,
     /// Parent directory for the spilling join's temp directory
     /// (`Algorithm::Shhj`; see DESIGN.md §13). `None` uses the system

@@ -150,14 +150,16 @@ fn traced_partition_join(
                 }
             }
             TableKind::Linear => {
-                let mut t = StLinearTable::<IdentityHash>::with_capacity(r_part.len());
+                // Shifted like the chained table, and first-match probes
+                // (the study's PK assumption): what PRL's join phase runs.
+                let mut t = StLinearTable::<IdentityHash>::with_capacity_shift(r_part.len(), bits);
                 for tup in r_part {
                     tr.read(tup as *const Tuple as usize, 8);
                     t.insert_traced(*tup, tr);
                 }
                 for tup in s_part {
                     tr.read(tup as *const Tuple as usize, 8);
-                    t.probe_traced(tup.key, tr, |_| matches += 1);
+                    t.probe_first_traced(tup.key, tr, |_| matches += 1);
                 }
             }
             TableKind::Array => {
@@ -481,6 +483,23 @@ mod tests {
         let pro = instrument(Algorithm::Pro, &r, &s, SCALE, PageConfig::huge(SCALE), BITS);
         assert_eq!(pra.matches, pro.matches);
         assert!(pra.second.ops < pro.second.ops);
+    }
+
+    #[test]
+    fn prl_join_phase_probes_a_constant_number_of_slots() {
+        // Dense keys under identity hashing: hashed above the partition
+        // digits, a probe finds its key at (or right next to) its home
+        // slot. One read of the probe tuple plus the slots it visits.
+        let (r, s) = workload();
+        let prl = instrument(Algorithm::Prl, &r, &s, SCALE, PageConfig::huge(SCALE), BITS);
+        assert_eq!(prl.matches, 400_000);
+        let build_reads = 2 * r.len() as u64; // tuple + home slot, at least
+        let per_probe = (prl.second.accesses - build_reads) as f64 / s.len() as f64;
+        assert!(per_probe < 4.0, "{per_probe} accesses a probe");
+        // Level with the chained table's join phase, not a scan of the
+        // partition per probe.
+        let pro = instrument(Algorithm::Pro, &r, &s, SCALE, PageConfig::huge(SCALE), BITS);
+        assert!(prl.second.ops < 2 * pro.second.ops);
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub mod prelude {
     };
     pub use crate::plan::{
         AlgorithmDescriptor, Family, Join, JoinConfigBuilder, JoinError, Partitioning, Scheduling,
-        TableFlavor,
+        TableFlavor, MAX_RADIX_BITS,
     };
     pub use crate::stats::{JoinResult, PhaseStat, SpillCounters};
     pub use crate::Algorithm;

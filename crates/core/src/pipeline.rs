@@ -7,8 +7,9 @@
 //! drivers into the four operator roles of a push-based pipeline:
 //!
 //! * **Partition** — radix-route a batch to a partitioned build side's
-//!   per-partition tables (PR* stages only; fused into the probe here,
-//!   it never materializes a partitioned copy of the probe input).
+//!   per-partition tables (PR* stages only; fused into the probe here:
+//!   one in-cache histogram → prefix → scatter per routing batch, never
+//!   a materialized partitioned copy of the probe input).
 //! * **Build** — construct a stage's immutable build side. Runs once,
 //!   at [`BuildSide::prepare`] time; the result is `Arc`-held and
 //!   reusable across pipelines (the hook for a hot-relation cache).
@@ -28,16 +29,17 @@
 //! cancellation checks at morsel granularity, memory reserved before
 //! large allocations, counters and spans from the run's own sink.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use mmjoin_hashtable::{
     ArrayTable, ConciseHashTable, ConcurrentArrayTable, ConcurrentLinearTable, IdentityHash,
     JoinTable, MultiplicativeHash, ProbeOperator, StChainedTable, StLinearTable,
 };
-use mmjoin_partition::{partition_parallel_on, PartitionedRelation, RadixFn, ScatterMode};
+use mmjoin_partition::{
+    partition_parallel_on, route_into, PartitionedRelation, RadixFn, ScatterMode,
+};
 use mmjoin_util::checksum::JoinChecksum;
-use mmjoin_util::chunk_range;
-use mmjoin_util::pool::{broadcast_map, WorkerPool};
+use mmjoin_util::pool::{into_inner_recover, lock_recover, WorkerPool};
 use mmjoin_util::tuple::{Payload, Tuple};
 use mmjoin_util::Relation;
 
@@ -261,31 +263,112 @@ impl BuildSide {
         }
     }
 
+    /// Tuples this side takes per probe call: a partitioned side a
+    /// routing batch — [`ROUTE_RUN`] probes per partition, [`ROUTE_MAX`]
+    /// at most — whatever `batch` flows between the stages; a global
+    /// side `batch`.
+    fn take(&self, batch: usize) -> usize {
+        match &self.inner {
+            BuildInner::Partitioned { radix, .. } => {
+                (ROUTE_RUN * radix.fanout()).min(ROUTE_MAX).max(batch)
+            }
+            _ => batch,
+        }
+    }
+
     /// Probe one batch, invoking `f(probe_tuple, build_payload)` per
-    /// match. Partitioned sides route the batch by radix digit first —
-    /// the fused Partition operator: a sort of ≤ one batch, never a
-    /// materialized partitioned copy of the probe input.
-    fn probe_batch<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], unique: bool, mut f: F) {
+    /// match. `first_rid` marks `input` as source tuples, to be probed
+    /// as `(key, first_rid + i)` (late materialization: only the row id
+    /// flows). Partitioned sides route the batch by radix digit first —
+    /// the fused Partition operator, whose scatter also stamps the row
+    /// id; a global side stages the stamped copy.
+    fn probe_batch<F: FnMut(&Tuple, Payload)>(
+        &self,
+        input: &[Tuple],
+        first_rid: Option<u32>,
+        scratch: &mut StageScratch,
+        unique: bool,
+        mut f: F,
+    ) {
+        let StageScratch { bounds, staged, .. } = scratch;
+        let stamp = |i: usize, t: Tuple| match first_rid {
+            Some(first) => Tuple::new(t.key, first + i as u32),
+            None => t,
+        };
+        let probes = match &self.inner {
+            BuildInner::Partitioned { radix, tables } => {
+                let routed = &mut staged[..input.len()];
+                route_into(input, *radix, bounds, routed, stamp);
+                for (p, w) in bounds.windows(2).enumerate() {
+                    if w[0] < w[1] {
+                        tables.probe(p, &routed[w[0]..w[1]], unique, &mut f);
+                    }
+                }
+                return;
+            }
+            _ if first_rid.is_some() => {
+                staged.clear();
+                staged.extend(input.iter().enumerate().map(|(i, &t)| stamp(i, t)));
+                &staged[..]
+            }
+            _ => input,
+        };
         match &self.inner {
             BuildInner::Linear(t) => t.probe_op(probes, unique, &mut f),
             BuildInner::Array(t) => t.probe_op(probes, unique, &mut f),
             BuildInner::Concise(t) => t.probe_op(probes, unique, &mut f),
-            BuildInner::Partitioned { radix, tables } => {
-                let mut routed = probes.to_vec();
-                routed.sort_unstable_by_key(|t| radix.part(t.key));
-                let mut i = 0;
-                while i < routed.len() {
-                    let p = radix.part(routed[i].key);
-                    let mut j = i + 1;
-                    while j < routed.len() && radix.part(routed[j].key) == p {
-                        j += 1;
-                    }
-                    tables.probe(p, &routed[i..j], unique, &mut f);
-                    i = j;
-                }
-            }
+            BuildInner::Partitioned { .. } => unreachable!("routed above"),
         }
     }
+}
+
+/// Probes per partition a routing batch aims for: a run long enough to
+/// amortise the table call, a batch long enough that the router's
+/// `O(fan-out)` part disappears in its `O(batch)` part.
+const ROUTE_RUN: usize = 256;
+
+/// Longest routing batch: the source slice it reads and the routed copy
+/// it writes are 2 MiB together, half of this host's 4 MiB L2 (the rule
+/// `mmjoin_sort::mergesort::RUN_LEN` follows; sweep in DESIGN.md §12).
+const ROUTE_MAX: usize = (1 << 20) / std::mem::size_of::<Tuple>();
+
+/// One worker's buffers for one stage: `take` tuples go into a probe
+/// call; `bounds` and `staged` are the routed batch of a partitioned
+/// side (`staged` also the row-id-stamped source tuples of a global
+/// first stage); `out` collects `(build_payload, rid)` until the next
+/// stage has a batch of them.
+struct StageScratch {
+    take: usize,
+    bounds: Vec<usize>,
+    staged: Vec<Tuple>,
+    out: Vec<Tuple>,
+}
+
+impl StageScratch {
+    fn new([take, bounds, staged, out]: [usize; 4]) -> Self {
+        StageScratch {
+            take,
+            bounds: vec![0; bounds],
+            staged: vec![Tuple::default(); staged],
+            out: Vec::with_capacity(out),
+        }
+    }
+}
+
+/// `[take, bounds, staged, out]` entries of stage `depth`'s scratch: what
+/// a worker allocates, once per run, and the probe phase reserves.
+fn scratch_shape(stages: &[Arc<BuildSide>], depth: usize, batch: usize) -> [usize; 4] {
+    let take = stages[depth].take(batch);
+    let bounds = match &stages[depth].inner {
+        BuildInner::Partitioned { radix, .. } => radix.fanout() + 1,
+        _ => 0,
+    };
+    let staged = if bounds > 0 || depth == 0 { take } else { 0 };
+    // Matches wait for a full batch of the next stage.
+    let out = stages
+        .get(depth + 1)
+        .map_or(0, |next| take + next.take(batch));
+    [take, bounds, staged, out]
 }
 
 fn prepare_inner(
@@ -296,6 +379,7 @@ fn prepare_inner(
     if !is_ported(algorithm) {
         return Err(JoinError::PipelineUnsupported { algorithm });
     }
+    crate::plan::check_radix_bits(cfg.radix_bits)?;
     crate::plan::check_dense_domain(algorithm, r, cfg)?;
 
     let mut run = JoinRun::begin(algorithm, cfg);
@@ -535,43 +619,51 @@ impl Pipeline {
         run.extend_phases(stages.iter().flat_map(|side| side.phases.iter().cloned()));
 
         let batch = cfg.pipeline_batch.max(1);
-        // Per-worker staging batches, one per stage depth.
-        run.reserve("probe", cfg.threads * stages.len() * batch * 8)?;
+        let shapes: Vec<[usize; 4]> = (0..stages.len())
+            .map(|d| scratch_shape(stages, d, batch))
+            .collect();
+        // Eight bytes an entry: `usize` bounds, `Tuple`s.
+        let per_worker: usize = shapes.iter().map(|[_, b, s, o]| (b + s + o) * 8).sum();
+        run.reserve("probe", cfg.threads * per_worker)?;
         let s_tuples = s.tuples();
-        let unique = cfg.unique_build_keys;
         let (checksum, inter) = run.phase(
             "probe",
             |p| {
-                let active = p.workers().clamp(1, s_tuples.len().max(1));
-                let outs: Vec<(JoinChecksum, Vec<u64>)> = broadcast_map(p, active, |w| {
-                    let range = chunk_range(s_tuples.len(), active, w);
-                    let mut rid = range.start as u32;
-                    let mut c = JoinChecksum::new();
-                    let mut inter = vec![0u64; stages.len() - 1];
-                    let mut input: Vec<Tuple> = Vec::with_capacity(batch);
-                    for block in s_tuples[range].chunks(MORSEL) {
-                        if p.should_stop() {
-                            return (c, inter);
-                        }
-                        for sub in block.chunks(batch) {
-                            input.clear();
-                            for t in sub {
-                                // Late materialization: only (key, rid) flows.
-                                input.push(Tuple::new(t.key, rid));
-                                rid += 1;
-                            }
-                            cascade_batch(
-                                stages, 0, &input, unique, batch, s_tuples, &mut c, &mut inter,
-                            );
-                        }
+                // Morsels of what the first stage takes — four a worker
+                // or more, so the barrier waits for a quarter of a
+                // worker's share at most — but no shorter than 4 * MORSEL.
+                let take = shapes[0][0];
+                let fair = s_tuples.len().div_ceil(4 * p.workers());
+                let morsel = take.min(fair).max(4 * MORSEL);
+                let order: Vec<usize> = (0..s_tuples.len().div_ceil(morsel)).collect();
+                // A worker's state is made on its first morsel and parked
+                // here between morsels.
+                let parked: Mutex<Vec<Worker>> = Mutex::new(Vec::new());
+                p.run_morsels(&[order], &|_, m| {
+                    if p.tick() {
+                        return;
                     }
-                    (c, inter)
+                    let mut worker = lock_recover(&parked).pop().unwrap_or_else(|| Worker {
+                        stages,
+                        s_tuples,
+                        unique: cfg.unique_build_keys,
+                        scratch: shapes.iter().map(|&s| StageScratch::new(s)).collect(),
+                        checksum: JoinChecksum::new(),
+                        inter: vec![0; stages.len() - 1],
+                    });
+                    let mut rid = m * morsel;
+                    for sub in s_tuples[rid..s_tuples.len().min(rid + morsel)].chunks(take) {
+                        worker.push(0, sub, Some(rid as u32));
+                        rid += sub.len();
+                    }
+                    (0..stages.len() - 1).for_each(|depth| worker.hand_on(depth));
+                    lock_recover(&parked).push(worker);
                 });
                 let mut checksum = JoinChecksum::new();
                 let mut inter = vec![0u64; stages.len() - 1];
-                for (c, i) in outs {
-                    checksum.merge(c);
-                    for (total, part) in inter.iter_mut().zip(i) {
+                for worker in into_inner_recover(parked) {
+                    checksum.merge(worker.checksum);
+                    for (total, part) in inter.iter_mut().zip(worker.inter) {
                         *total += part;
                     }
                 }
@@ -614,43 +706,55 @@ impl Pipeline {
     }
 }
 
-/// Push one batch through the stages from `depth` on. Non-sink stages
-/// emit `(build_payload, rid)` into a fresh cache-resident batch (the
-/// rid rides along untouched — that is the whole late-materialization
-/// contract); the sink gathers `s_tuples[rid].payload` and folds into
-/// the checksum.
-#[allow(clippy::too_many_arguments)]
-fn cascade_batch(
-    stages: &[Arc<BuildSide>],
-    depth: usize,
-    input: &[Tuple],
+/// One probe worker's state: its scratch per stage, allocated once per
+/// run, and what it has folded so far.
+struct Worker<'a> {
+    stages: &'a [Arc<BuildSide>],
+    s_tuples: &'a [Tuple],
     unique: bool,
-    batch_cap: usize,
-    s_tuples: &[Tuple],
-    c: &mut JoinChecksum,
-    inter: &mut [u64],
-) {
-    let side = &stages[depth];
-    if depth + 1 == stages.len() {
-        side.probe_batch(input, unique, |t, bp| {
-            c.add(t.key, bp, s_tuples[t.payload as usize].payload)
-        });
-    } else {
-        let mut out: Vec<Tuple> = Vec::with_capacity(batch_cap);
-        side.probe_batch(input, unique, |t, bp| out.push(Tuple::new(bp, t.payload)));
-        inter[depth] += out.len() as u64;
-        for chunk in out.chunks(batch_cap) {
-            cascade_batch(
-                stages,
-                depth + 1,
-                chunk,
-                unique,
-                batch_cap,
-                s_tuples,
-                c,
-                inter,
-            );
+    scratch: Vec<StageScratch>,
+    checksum: JoinChecksum,
+    /// Matches that left each non-sink stage.
+    inter: Vec<u64>,
+}
+
+impl Worker<'_> {
+    /// Push one batch through the stages from `depth` on. Non-sink
+    /// stages emit `(build_payload, rid)` into their `out` buffer (the
+    /// rid rides along untouched — that is the whole late-materialization
+    /// contract), which is handed on once it holds what the next stage
+    /// takes; the sink gathers `s_tuples[rid].payload` and folds into
+    /// the checksum.
+    fn push(&mut self, depth: usize, input: &[Tuple], first_rid: Option<u32>) {
+        let (side, s_tuples, unique) = (&self.stages[depth], self.s_tuples, self.unique);
+        let scratch = &mut self.scratch[depth];
+        if depth + 1 == self.stages.len() {
+            let c = &mut self.checksum;
+            return side.probe_batch(input, first_rid, scratch, unique, |t, bp| {
+                c.add(t.key, bp, s_tuples[t.payload as usize].payload)
+            });
         }
+        let mut out = std::mem::take(&mut scratch.out);
+        side.probe_batch(input, first_rid, scratch, unique, |t, bp| {
+            out.push(Tuple::new(bp, t.payload))
+        });
+        let full = out.len() >= self.scratch[depth + 1].take;
+        self.scratch[depth].out = out;
+        if full {
+            self.hand_on(depth);
+        }
+    }
+
+    /// Hand stage `depth`'s pending matches to the next stage. Called
+    /// for every depth in order, it drains the worker.
+    fn hand_on(&mut self, depth: usize) {
+        let mut out = std::mem::take(&mut self.scratch[depth].out);
+        self.inter[depth] += out.len() as u64;
+        for chunk in out.chunks(self.scratch[depth + 1].take) {
+            self.push(depth + 1, chunk, None);
+        }
+        out.clear();
+        self.scratch[depth].out = out;
     }
 }
 

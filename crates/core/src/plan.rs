@@ -493,15 +493,7 @@ impl JoinConfigBuilder {
                 reason: "must be >= 1 when set",
             });
         }
-        if let Some(bits) = self.radix_bits {
-            if bits == 0 || bits > MAX_RADIX_BITS {
-                return Err(JoinError::InvalidConfig {
-                    field: "radix_bits",
-                    value: bits as usize,
-                    reason: "must be in 1..=MAX_RADIX_BITS (24)",
-                });
-            }
-        }
+        check_radix_bits(self.radix_bits)?;
         if self.pipeline_batch == Some(0) {
             return Err(JoinError::InvalidConfig {
                 field: "pipeline_batch",
@@ -705,6 +697,7 @@ impl Join {
             Some(cfg) => cfg.clone(),
             None => self.builder.clone().build()?,
         };
+        check_radix_bits(cfg.radix_bits)?;
         check_dense_domain(self.algorithm, r, &cfg)?;
         if self.pipeline {
             let side = crate::pipeline::BuildSide::prepare(self.algorithm, r, &cfg)?;
@@ -721,6 +714,22 @@ impl Join {
             return Ok(result);
         }
         dispatch(self.algorithm, r, s, &cfg)
+    }
+}
+
+/// Front-door validation shared by [`JoinConfigBuilder::build`],
+/// [`Join::run`] and [`crate::pipeline::BuildSide::prepare`] — a
+/// `JoinConfig` field set directly never saw the builder: a fan-out
+/// override past [`MAX_RADIX_BITS`] would size histograms and tables by
+/// it before any budget could refuse.
+pub(crate) fn check_radix_bits(bits: Option<u32>) -> Result<(), JoinError> {
+    match bits {
+        Some(bits) if bits == 0 || bits > MAX_RADIX_BITS => Err(JoinError::InvalidConfig {
+            field: "radix_bits",
+            value: bits as usize,
+            reason: "must be in 1..=MAX_RADIX_BITS (24)",
+        }),
+        _ => Ok(()),
     }
 }
 
@@ -833,21 +842,26 @@ mod tests {
     }
 
     /// Regression: 0-bit fanout is a builder-time error, as are absurd
-    /// fanouts past `MAX_RADIX_BITS`.
+    /// fanouts past `MAX_RADIX_BITS` — and the same error where a config
+    /// whose field was set directly enters a join or a build side.
     #[test]
     fn builder_validates_radix_bits() {
-        for bits in [0, MAX_RADIX_BITS + 1, 99] {
-            assert_eq!(
-                JoinConfig::builder()
-                    .with_radix_bits(bits)
-                    .build()
-                    .unwrap_err(),
-                JoinError::InvalidConfig {
-                    field: "radix_bits",
-                    value: bits as usize,
-                    reason: "must be in 1..=MAX_RADIX_BITS (24)",
-                }
-            );
+        let r = gen_build_dense(100, 1, Placement::Interleaved);
+        let s = gen_probe_fk(100, 100, 2, Placement::Interleaved);
+        for bits in [0, MAX_RADIX_BITS + 1, 64, 99] {
+            let invalid = JoinError::InvalidConfig {
+                field: "radix_bits",
+                value: bits as usize,
+                reason: "must be in 1..=MAX_RADIX_BITS (24)",
+            };
+            let built = JoinConfig::builder().with_radix_bits(bits).build();
+            assert_eq!(built.unwrap_err(), invalid);
+            let mut cfg = JoinConfig::new(2);
+            cfg.radix_bits = Some(bits);
+            let joined = Join::new(Algorithm::Pro).with_config(cfg.clone());
+            assert_eq!(joined.run(&r, &s).unwrap_err(), invalid);
+            let side = crate::pipeline::BuildSide::prepare(Algorithm::Prl, &r, &cfg);
+            assert_eq!(side.unwrap_err(), invalid);
         }
         let cfg = JoinConfig::builder().with_radix_bits(10).build().unwrap();
         assert_eq!(cfg.radix_bits, Some(10));

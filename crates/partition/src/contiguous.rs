@@ -119,7 +119,7 @@ pub fn partition_parallel_on(
             // SAFETY: this worker's cursor ranges are disjoint from
             // every other worker's by construction of global_offsets,
             // and in-bounds because the histogram counted this chunk.
-            unsafe { scatter_chunk(chunk, f, &dst[t], out.0, mode) }
+            unsafe { scatter_chunk(chunk, f, &mut dst[t].clone(), out.0, mode, |_, t| t) }
         }
     });
     PartitionedRelation { data: out, offsets }
@@ -137,7 +137,8 @@ pub fn partition_parallel(
     partition_parallel_on(input, f, &ScopedPool::new(threads), mode)
 }
 
-/// Scatter one chunk to precomputed destinations.
+/// Scatter `emit(i, chunk[i])` to `out` at the partition `cursors`,
+/// advancing each cursor past what it wrote.
 ///
 /// # Safety
 /// `cursors[p] .. cursors[p] + count(chunk, p)` must be in-bounds of `out`
@@ -145,26 +146,100 @@ pub fn partition_parallel(
 unsafe fn scatter_chunk(
     chunk: &[Tuple],
     f: RadixFn,
-    cursors: &[usize],
+    cursors: &mut [usize],
     out: *mut Tuple,
     mode: ScatterMode,
+    emit: impl Fn(usize, Tuple) -> Tuple,
 ) {
     match mode {
         ScatterMode::Direct => {
-            let mut cur = cursors.to_vec();
-            for &t in chunk {
-                let p = f.part(t.key);
-                out.add(cur[p]).write(t);
-                cur[p] += 1;
+            for (i, &t) in chunk.iter().enumerate() {
+                let cur = &mut cursors[f.part(t.key)];
+                out.add(*cur).write(emit(i, t));
+                *cur += 1;
             }
         }
         ScatterMode::Swwcb => {
             let mut bank = SwwcBank::new(cursors);
-            for &t in chunk {
-                bank.push(f.part(t.key), t, out);
+            for (i, &t) in chunk.iter().enumerate() {
+                bank.push(f.part(t.key), emit(i, t), out);
             }
             bank.flush_all(out);
+            for (p, cur) in cursors.iter_mut().enumerate() {
+                *cur = bank.cursor(p);
+            }
         }
+    }
+}
+
+/// The serial partitioning step — histogram, exclusive prefix, scatter —
+/// over an input one thread owns: pass 2 of [`two_pass_partition_on`]
+/// runs it per pass-1 partition, [`route_into`] per probe batch.
+///
+/// Writes `emit(i, input[i])` for every `i` to `out[base..][..input.len()]`,
+/// grouped by `f.part(input[i].key)` and in input order within a group,
+/// and leaves partition `p`'s range of `out` in `bounds[p]..bounds[p + 1]`
+/// (`bounds.len() == f.fanout() + 1`). Costs `O(input + fanout)` and
+/// allocates nothing in [`ScatterMode::Direct`].
+///
+/// # Safety
+/// `out[base..][..input.len()]` must be valid for writes and touched by
+/// nobody else meanwhile.
+unsafe fn route_at(
+    input: &[Tuple],
+    f: RadixFn,
+    base: usize,
+    bounds: &mut [usize],
+    out: *mut Tuple,
+    mode: ScatterMode,
+    emit: impl Fn(usize, Tuple) -> Tuple,
+) {
+    assert_eq!(bounds.len(), f.fanout() + 1);
+    // Partition `p`'s cursor lives at `bounds[p + 1]`: it starts at the
+    // partition's first slot and the scatter leaves it one past its
+    // last, which is where partition `p + 1` starts.
+    let (first, cursors) = bounds.split_first_mut().expect("fanout + 1 >= 2");
+    *first = base;
+    cursors.fill(0);
+    for t in input {
+        cursors[f.part(t.key)] += 1;
+    }
+    let mut start = base;
+    for cur in cursors.iter_mut() {
+        let count = *cur;
+        *cur = start;
+        start += count;
+    }
+    // SAFETY: the cursors tile `base..base + input.len()` by exact
+    // counts of this same input; the caller vouches for that range.
+    unsafe { scatter_chunk(input, f, cursors, out, mode, emit) }
+}
+
+/// Radix-route one cache-sized batch: `out[..input.len()]` receives
+/// `emit(i, input[i])` grouped by `f.part(input[i].key)`, input order
+/// kept within a partition, and `bounds[p]..bounds[p + 1]` is partition
+/// `p`'s range of `out` (`bounds.len() == f.fanout() + 1`). `emit` lets
+/// the scatter form the routed tuple (a row id in place of the payload)
+/// instead of a staging copy doing it first. No allocation.
+pub fn route_into(
+    input: &[Tuple],
+    f: RadixFn,
+    bounds: &mut [usize],
+    out: &mut [Tuple],
+    emit: impl Fn(usize, Tuple) -> Tuple,
+) {
+    let out = &mut out[..input.len()];
+    // SAFETY: `out` is exactly `input.len()` slots, exclusively borrowed.
+    unsafe {
+        route_at(
+            input,
+            f,
+            0,
+            bounds,
+            out.as_mut_ptr(),
+            ScatterMode::Direct,
+            emit,
+        )
     }
 }
 
@@ -208,18 +283,20 @@ pub fn two_pass_partition_on(
             if p1 >= fan1 {
                 break mine;
             }
-            let part = pass1.partition(p1);
-            let mut end = pass1.offsets()[p1];
-            let starts: Vec<usize> = histogram(part, f2)
-                .into_iter()
-                .map(|count| {
-                    end += count;
-                    end - count
-                })
-                .collect();
-            // SAFETY: the cursor ranges tile this task's own pass-1
-            // range (exact counts), disjoint from every other task's.
-            unsafe { scatter_chunk(part, f2, &starts, out.0, mode) }
+            let mut starts = vec![0usize; fan2 + 1];
+            // SAFETY: the step writes this task's own pass-1 range in
+            // full, disjoint from every other task's.
+            unsafe {
+                route_at(
+                    pass1.partition(p1),
+                    f2,
+                    pass1.offsets()[p1],
+                    &mut starts,
+                    out.0,
+                    mode,
+                    |_, t| t,
+                )
+            }
             mine.push((p1, starts));
         }
     });
@@ -227,7 +304,7 @@ pub fn two_pass_partition_on(
     // Each task's cursors are its slice of the global offsets.
     let mut offsets = vec![input.len(); fan1 * fan2 + 1];
     for (p1, starts) in cursors.into_iter().flatten() {
-        offsets[p1 * fan2..][..fan2].copy_from_slice(&starts);
+        offsets[p1 * fan2..][..fan2].copy_from_slice(&starts[..fan2]);
     }
     PartitionedRelation { data: out, offsets }
 }
@@ -393,6 +470,68 @@ mod tests {
                 assert_eq!(pr.offsets()[32], single.len());
             }
         }
+    }
+
+    /// Route `input` by `f`, stamping the input index as payload, and
+    /// check the contract: a permutation, partition `p` holds exactly
+    /// the keys with digit `p`, input order kept within a partition.
+    fn route_checked(input: &[Tuple], f: RadixFn) -> Vec<usize> {
+        let mut bounds = vec![usize::MAX; f.fanout() + 1];
+        let mut out = vec![Tuple::new(0, 0); input.len() + 3];
+        route_into(input, f, &mut bounds, &mut out, |i, t| {
+            Tuple::new(t.key, i as u32)
+        });
+        assert_eq!(bounds[0], 0);
+        assert_eq!(bounds[f.fanout()], input.len());
+        let mut seen = vec![false; input.len()];
+        for p in 0..f.fanout() {
+            let part = &out[bounds[p]..bounds[p + 1]];
+            assert!(part.iter().all(|t| f.part(t.key) == p), "partition {p}");
+            assert!(part.windows(2).all(|w| w[0].payload < w[1].payload));
+            for t in part {
+                assert_eq!(t.key, input[t.payload as usize].key);
+                assert!(!std::mem::replace(&mut seen[t.payload as usize], true));
+            }
+        }
+        assert!(seen.iter().all(|&s| s));
+        // Nothing past the input's length is touched.
+        assert!(out[input.len()..].iter().all(|t| *t == Tuple::new(0, 0)));
+        bounds
+    }
+
+    #[test]
+    fn route_is_a_stable_partitioning_permutation() {
+        let input = random_input(700, 21);
+        for f in [RadixFn::new(3), RadixFn::new(6), RadixFn::pass(4, 5)] {
+            let bounds = route_checked(&input, f);
+            let counts = histogram(&input, f);
+            assert_eq!(bounds, crate::histogram::prefix_sum(&counts));
+        }
+    }
+
+    #[test]
+    fn route_degenerate_inputs_and_fanouts() {
+        // Empty input: every partition empty, whatever the bounds held.
+        assert!(route_checked(&[], RadixFn::new(4)).iter().all(|&b| b == 0));
+        // All keys in one partition.
+        let one: Vec<Tuple> = (0..300).map(|i| Tuple::new((i << 4) | 9, i)).collect();
+        let bounds = route_checked(&one, RadixFn::new(4));
+        assert_eq!((bounds[9], bounds[10]), (0, 300));
+        // Fan-out 1: the route is the identity.
+        let input = random_input(200, 22);
+        assert_eq!(route_checked(&input, RadixFn::new(0)), vec![0, 200]);
+        // Fan-out far above the input: almost every partition empty.
+        let bounds = route_checked(&input, RadixFn::new(14));
+        assert_eq!(bounds.len(), (1 << 14) + 1);
+        assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    #[should_panic]
+    fn route_refuses_an_output_shorter_than_its_input() {
+        let input = random_input(10, 23);
+        let mut out = vec![Tuple::new(0, 0); 9];
+        route_into(&input, RadixFn::new(2), &mut [0; 5], &mut out, |_, t| t);
     }
 
     /// Differential kernel test: forced-portable vs dispatched streaming

@@ -6,7 +6,10 @@
 //!   al. / Balkesen et al.: local histograms → global histogram → every
 //!   thread scatters into *one contiguous output buffer* (Figure 4(a)).
 //!   Optional software write-combine buffers + streaming flushes
-//!   ([`swwcb`], Algorithm 1 of the paper), one- or two-pass.
+//!   ([`swwcb`], Algorithm 1 of the paper), one- or two-pass. Its
+//!   serial step — histogram, prefix, scatter of an input one thread
+//!   owns — is also [`route_into`], the operator pipeline's per-batch
+//!   router.
 //! * [`chunked`] — this paper's CPR* partitioning (Figure 4(c)): no
 //!   global histogram; every thread radix-partitions its chunk *locally*,
 //!   eliminating remote writes at the price of non-contiguous partitions.
@@ -32,8 +35,8 @@ pub mod task;
 pub use bits::{predict_radix_bits, BitsInput};
 pub use chunked::{chunked_partition, chunked_partition_on, ChunkedPartitions};
 pub use contiguous::{
-    partition_parallel, partition_parallel_on, two_pass_partition, two_pass_partition_on,
-    PartitionedRelation, ScatterMode,
+    partition_parallel, partition_parallel_on, route_into, two_pass_partition,
+    two_pass_partition_on, PartitionedRelation, ScatterMode,
 };
 pub use generic::{chunked_partition_by, chunked_partition_by_on, GenericChunkedPartitions};
 pub use radix::RadixFn;

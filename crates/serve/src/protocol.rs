@@ -15,7 +15,7 @@
 //! out of submission order — correlate by `"id"`, not position.
 
 use mmjoin_core::prelude::observe;
-use mmjoin_core::prelude::{Algorithm, JoinError, Tuple};
+use mmjoin_core::prelude::{Algorithm, JoinError, Tuple, MAX_RADIX_BITS};
 use mmjoin_util::jsonv::{self, Value};
 
 /// Hard cap on a frame payload. Larger advertisements are answered with
@@ -281,7 +281,17 @@ fn parse_join(v: &Value) -> Result<JoinSpec, ProtoError> {
     let build = req_str(v, "build")?.to_string();
     let probe = req_str(v, "probe")?.to_string();
     let deadline_ms = opt_num(v, "deadline_ms")?.map(|n| n.max(0.0) as u64);
-    let radix_bits = opt_usize(v, "bits")?.map(|b| b as u32);
+    // Checked here, where the number enters: past this line it is a
+    // `u32` that sizes histograms and tables.
+    let radix_bits = match opt_usize(v, "bits")? {
+        None => None,
+        Some(b) if (1..=MAX_RADIX_BITS as usize).contains(&b) => Some(b as u32),
+        Some(b) => {
+            return Err(bad(format!(
+                "field 'bits' must be in 1..={MAX_RADIX_BITS}, got {b}"
+            )))
+        }
+    };
     let cache = match v.get("cache") {
         None => true,
         Some(c) => c
@@ -561,6 +571,21 @@ mod tests {
                 assert!(!j.cache);
             }
             other => panic!("expected join, got {other:?}"),
+        }
+        // `bits` is bounded where it is parsed: both ends of the range
+        // pass, one past either end is a typed `bad_request`.
+        let with_bits = |bits: u64| {
+            let frame = format!(r#"{{"op":"join","build":"r","probe":"s","bits":{bits}}}"#);
+            parse_request(frame.as_bytes())
+        };
+        for bits in [1, MAX_RADIX_BITS as u64] {
+            match with_bits(bits).unwrap().request {
+                Request::Join(j) => assert_eq!(j.radix_bits, Some(bits as u32)),
+                other => panic!("expected join, got {other:?}"),
+            }
+        }
+        for bits in [0, MAX_RADIX_BITS as u64 + 1, 64, 1 << 32] {
+            assert_eq!(with_bits(bits).unwrap_err().code, "bad_request", "{bits}");
         }
     }
 

@@ -474,6 +474,7 @@ mod tests {
     /// the arena rounding is overflow-checked too.
     #[test]
     fn oversized_request_panics_under_mapped_policy() {
+        let _policy = crate::mem::policy_test_lock();
         let r = std::panic::catch_unwind(|| {
             crate::mem::with_policy(crate::mem::AllocPolicy::THP, || {
                 AlignedBuf::<u64>::zeroed(usize::MAX / 8 + 1)
@@ -484,6 +485,7 @@ mod tests {
 
     #[test]
     fn mapped_policy_round_trip_contents() {
+        let _policy = crate::mem::policy_test_lock();
         crate::mem::with_policy(crate::mem::AllocPolicy::THP, || {
             let n = crate::PAGE_2M / 8;
             let mut buf = AlignedBuf::<u64>::zeroed(n);

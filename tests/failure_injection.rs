@@ -217,7 +217,11 @@ fn runtime_limits_honored_by_all_thirteen() {
 }
 
 /// The bytes a join refused under `limit` had asked for, in `in_phase`.
-fn refused_in(res: Result<JoinResult, JoinError>, limit: usize, in_phase: &str) -> usize {
+fn refused_in<T: std::fmt::Debug>(
+    res: Result<T, JoinError>,
+    limit: usize,
+    in_phase: &str,
+) -> usize {
     match res {
         Err(JoinError::MemoryBudgetExceeded {
             phase, requested, ..
@@ -286,6 +290,141 @@ fn chtj_budget_counts_the_bulkload_scratch() {
     let res = run(build).expect("the budget CHTJ asks for is enough");
     assert_eq!(res.matches, expect.count);
     assert_eq!(res.checksum, expect.digest);
+}
+
+#[test]
+fn pipeline_budget_counts_the_probe_scratch() {
+    // The fused probe holds, per worker and stage, the routed batch of a
+    // partitioned side (its partition bounds and the routed copy) and
+    // the matches waiting for the next stage. The budget must admit the
+    // run at exactly what it reserves and refuse it one byte short.
+    use mmjoin::core::materialize::chain_two_step;
+    use mmjoin::core::{BuildSide, Pipeline};
+    let place = Placement::Chunked { parts: 4 };
+    let r1 = mmjoin::datagen::gen_build_linked(6_000, 2_000, 27, place);
+    let r2 = mmjoin::datagen::gen_build_dense(2_000, 28, place);
+    let s = mmjoin::datagen::gen_probe_fk(40_000, 6_000, 29, place);
+    let (threads, bits) = (2, 7);
+    let mut unlimited = cfg(threads, Some(bits));
+    unlimited.unique_build_keys = true;
+    let expect = chain_two_step(&r1, &r2, &s, Algorithm::Prl, &unlimited).unwrap();
+    let first = BuildSide::prepare(Algorithm::Pro, &r1, &unlimited).unwrap();
+    let second = BuildSide::prepare(Algorithm::Prl, &r2, &unlimited).unwrap();
+    let run = |limit: usize| {
+        let mut c = unlimited.clone();
+        c.mem_limit = Some(limit);
+        Pipeline::new()
+            .with_stage(first.clone())
+            .with_stage(second.clone())
+            .with_config(c)
+            .run(&s)
+    };
+    let refused = |limit: usize| refused_in(run(limit), limit, "probe");
+    let probe = refused(1);
+    // Each stage routes 256 probes a partition at a time — bounds and
+    // routed copy for both — and the first holds its matches until the
+    // second has a batch of them.
+    let batch = 256 << bits;
+    let routed = ((1 << bits) + 1) * 8 + batch * 8;
+    let counted = threads * (2 * routed + batch * 8);
+    assert!(probe >= counted, "probe reserves {probe}, holds {counted}");
+    assert!(probe <= 2 * counted, "probe reserves {probe}");
+    refused(probe - 1);
+    let res = run(probe).expect("the budget the probe asks for is enough");
+    assert_eq!(res.matches, expect.matches);
+    assert_eq!(res.checksum, expect.checksum);
+}
+
+#[test]
+fn cancelled_probe_is_typed_and_its_service_lease_returns_to_zero() {
+    // Core half: a probe that finds its token cancelled stops at its
+    // first morsel with the build phases as the partial result, and the
+    // side it was probing serves the next pipeline.
+    use mmjoin::core::{BuildSide, Pipeline};
+    use mmjoin::serve::{Client, ServeConfig, Server};
+    let place = Placement::Chunked { parts: 2 };
+    let r = mmjoin::datagen::gen_build_dense(5_000, 31, place);
+    let s = mmjoin::datagen::gen_probe_fk(50_000, 5_000, 32, place);
+    let mut c = cfg(2, Some(6));
+    c.unique_build_keys = true;
+    let side = BuildSide::prepare(Algorithm::Pro, &r, &c).unwrap();
+    let probe = |c: JoinConfig| {
+        Pipeline::new()
+            .with_stage(side.clone())
+            .with_config(c)
+            .run(&s)
+    };
+    let mut cancelled = c.clone();
+    cancelled.cancel = Default::default();
+    cancelled.cancel.cancel();
+    match probe(cancelled) {
+        Err(JoinError::Cancelled { phase, partial }) => {
+            assert_eq!(phase, "probe");
+            let phases: Vec<&str> = partial.iter().map(|p| p.name).collect();
+            assert_eq!(phases, ["partition", "build", "probe"]);
+        }
+        other => panic!("expected Cancelled in the probe, got {other:?}"),
+    }
+    let expect = reference_join(&r, &s);
+    assert_eq!(probe(c).unwrap().checksum, expect.digest);
+
+    // Service half: a client that hangs up while its hot join probes the
+    // cached side cancels it (or loses the race and it completes);
+    // either way nothing of the request stays reserved.
+    let server = Server::spawn(ServeConfig::default().with_runners(1)).unwrap();
+    let connect = || {
+        let mut c = Client::connect(server.addr()).expect("connect");
+        c.set_timeout(Some(std::time::Duration::from_secs(60)))
+            .unwrap();
+        c
+    };
+    let mut admin = connect();
+    let mut ask = |frame: &str| {
+        let v = admin.request(frame).unwrap();
+        assert_eq!(
+            v.get("ok").and_then(|b| b.as_bool()),
+            Some(true),
+            "{frame}: {v:?}"
+        );
+        v
+    };
+    ask(r#"{"op":"load","name":"r","rows":262144,"kind":"build","seed":7}"#);
+    ask(r#"{"op":"load","name":"s","rows":4194304,"kind":"probe_fk","domain":262144,"seed":8}"#);
+    let join = r#"{"op":"join","algo":"PRO","build":"r","probe":"s"}"#;
+    ask(join); // primes the cache: what follows is the hot path
+    let num = |v: &mmjoin::util::jsonv::Value, k: &str| v.get(k).and_then(|n| n.as_num()).unwrap();
+    // Polls `stat` until the default tenant's counters satisfy `until`.
+    let mut wait_for = |until: &dyn Fn(f64, f64) -> bool| {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        loop {
+            let v = ask(r#"{"op":"stat"}"#);
+            let stat = v.get("stat").expect("stat body").clone();
+            let tenants = stat.get("tenants").and_then(|t| t.as_arr()).unwrap();
+            let t = &tenants[0];
+            if until(num(t, "admitted"), num(t, "completed") + num(t, "errored")) {
+                return stat;
+            }
+            assert!(std::time::Instant::now() < deadline, "stuck: {stat:?}");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    };
+    for hung_up in 1..=4 {
+        let mut gone = connect();
+        gone.send(join).unwrap();
+        // Admitted with an idle runner: the probe is under way.
+        wait_for(&|admitted, _| admitted == 1.0 + hung_up as f64);
+        drop(gone);
+    }
+    let stat = wait_for(&|admitted, finished| admitted == 5.0 && finished == 5.0);
+    assert_eq!(num(stat.get("global_budget").unwrap(), "used"), 0.0);
+    for t in stat.get("tenants").and_then(|t| t.as_arr()).unwrap() {
+        assert_eq!(num(t, "queued"), 0.0, "{t:?}");
+        assert_eq!(num(t.get("budget").unwrap(), "used"), 0.0, "{t:?}");
+    }
+    let v = ask(join);
+    assert_eq!(v.get("matches").and_then(|m| m.as_num()), Some(4_194_304.0));
+    assert_eq!(v.get("cached").and_then(|b| b.as_bool()), Some(true));
+    server.shutdown();
 }
 
 #[test]

@@ -3,7 +3,10 @@
 //! `(R1 ⋈ S) ⋈ R2 ON R1.payload = R2.key` must produce exactly the
 //! matches and checksum of the materialized two-step baseline
 //! (`materialize::chain_two_step`), across uniform, skewed, and
-//! duplicate-key workloads.
+//! duplicate-key workloads. A second grid holds the radix router of
+//! the partitioned sides (fan-out × batch × probe shape × workers ×
+//! stage shape × key multiplicity) to `reference_join` /
+//! `chain_two_step`.
 //!
 //! Lives in its own binary: `join_api_matrix.rs` pins a process-wide
 //! thread count for its spawn-counter assertions, and this suite wants
@@ -183,5 +186,132 @@ fn join_with_pipeline_agrees_with_explicit_pipeline() {
             .expect("explicit pipeline");
         assert_eq!(via_join.matches, via_pipeline.matches, "{alg}");
         assert_eq!(via_join.checksum, via_pipeline.checksum, "{alg}");
+    }
+}
+
+/// The router grid: a partitioned side routes each probe batch by radix
+/// digit, in batches sized from its fan-out and morsels sized from the
+/// worker count; whatever the combination, the answer is the reference
+/// join's (one stage) or the materialized two-step plan's (two stages,
+/// the second partitioned too, behind a partitioned or a global first).
+#[test]
+fn routed_probe_grid_matches_reference() {
+    use mmjoin::core::reference::reference_join;
+    // Just past the last key of `one_partition`, and just past one
+    // morsel (16 Ki tuples), so the workers share the probe.
+    const R1: usize = 13_000;
+    const R2: usize = 3_000;
+    const S: usize = 17_000;
+    let place = Placement::Chunked { parts: 3 };
+    // Keys 4096 k + 5 share their low 12 bits: one partition at every
+    // fan-out of the grid.
+    let one_partition: Vec<Tuple> = (0..S as u32)
+        .map(|i| Tuple::new((i % 4) * 4096 + 5, i))
+        .collect();
+    let probe_tuples = [
+        ("uniform", gen_probe_fk(S, R1, 201, place).tuples().to_vec()),
+        ("one-partition", one_partition),
+        (
+            "zipf-0.99",
+            gen_probe_zipf(S, R1, 0.99, 202, place).tuples().to_vec(),
+        ),
+        ("empty", Vec::new()),
+        ("one-row", vec![Tuple::new(77, 9)]),
+    ];
+    // A multiset build over dense keys makes one collision run of a
+    // linear table, and an all-matches probe walks all of it: the
+    // duplicated-key half of the grid spreads its keys (both builds, the
+    // link between them and the probe) over the u32 range, keeping the
+    // four of `one_partition`.
+    let spread = |key: u32| match key % 4096 {
+        5 if key < 4 * 4096 => key,
+        _ => key.wrapping_mul(0x9E37_79B1),
+    };
+    let spread_all = |tuples: &[Tuple], links: bool| -> Vec<Tuple> {
+        let link = |p: u32| if links { spread(p) } else { p };
+        tuples
+            .iter()
+            .map(|t| Tuple::new(spread(t.key), link(t.payload)))
+            .collect()
+    };
+    let relation = |tuples: &[Tuple]| Relation::from_tuples(tuples, place);
+    for unique in [true, false] {
+        let dense2 = gen_build_dense(R2, 203, place);
+        let (r1, r2, probes) = if unique {
+            let probes = probe_tuples.each_ref().map(|(tag, t)| (*tag, relation(t)));
+            (gen_build_linked(R1, R2, 204, place), dense2, probes)
+        } else {
+            // Duplicated build keys: each of 3 250 keys four times over.
+            let dup: Vec<Tuple> = (0..R1)
+                .map(|i| Tuple::new((i % (R1 / 4)) as u32 * 5 + 5, (i * 31 % R2) as u32 + 1))
+                .collect();
+            let probes = probe_tuples
+                .each_ref()
+                .map(|(tag, t)| (*tag, relation(&spread_all(t, false))));
+            (
+                relation(&spread_all(&dup, true)),
+                relation(&spread_all(dense2.tuples(), false)),
+                probes,
+            )
+        };
+        // Array sides hold one payload a key.
+        let algs: &[Algorithm] = if unique {
+            &[Algorithm::Pro, Algorithm::Prl, Algorithm::Pra]
+        } else {
+            &[Algorithm::Pro, Algorithm::Prl]
+        };
+        let expected: Vec<[(u64, u64); 2]> = probes
+            .iter()
+            .map(|(_, s)| {
+                let one = reference_join(&r1, s);
+                let two = chain_two_step(&r1, &r2, s, Algorithm::Prl, &chain_cfg(unique))
+                    .expect("two-step baseline");
+                [(one.count, one.digest), (two.matches, two.checksum)]
+            })
+            .collect();
+        for threads in [1, 2, 3] {
+            for bits in [1, 6, 12] {
+                let cfg = |batch: usize| {
+                    JoinConfig::builder()
+                        .with_threads(threads)
+                        .with_simulate(false)
+                        .with_unique_build_keys(unique)
+                        .with_radix_bits(bits)
+                        .with_pipeline_batch(batch)
+                        .build()
+                        .expect("valid config")
+                };
+                let global = BuildSide::prepare(Algorithm::Nop, &r1, &cfg(1024)).expect("NOP");
+                for &alg in algs {
+                    let first = BuildSide::prepare(alg, &r1, &cfg(1024)).expect("stage 1");
+                    let second = BuildSide::prepare(alg, &r2, &cfg(1024)).expect("stage 2");
+                    assert_eq!(first.radix_bits(), Some(bits));
+                    let mut shapes = vec![
+                        ("one stage", vec![first.clone()]),
+                        ("two stages", vec![first, second.clone()]),
+                    ];
+                    if alg == Algorithm::Prl {
+                        shapes.push(("global first", vec![global.clone(), second]));
+                    }
+                    for ((probe, s), expect) in probes.iter().zip(&expected) {
+                        for batch in [1, 7, 1024, S + 1] {
+                            for (shape, stages) in &shapes {
+                                let tag = format!(
+                                    "{alg} unique={unique} threads={threads} bits={bits} \
+                                     {probe} batch={batch} {shape}"
+                                );
+                                let mut pipeline = Pipeline::new().with_config(cfg(batch));
+                                for side in stages {
+                                    pipeline = pipeline.with_stage(side.clone());
+                                }
+                                let got = pipeline.run(s).expect("fused pipeline");
+                                let want = expect[stages.len() - 1];
+                                assert_eq!((got.matches, got.checksum), want, "{tag}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

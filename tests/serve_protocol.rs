@@ -357,6 +357,39 @@ fn out_of_range_load_parameters_are_typed_errors_not_reactor_panics() {
     server.shutdown();
 }
 
+/// A wire `bits` outside `1..=24` is refused where it is parsed: it used
+/// to reach `JoinConfig::radix_bits` unchecked (28 came back as a 34 GB
+/// budget refusal, 64 wrapped to 0 and ran).
+#[test]
+fn out_of_range_radix_bits_are_a_typed_bad_request() {
+    let server = Server::spawn(ServeConfig::default().with_runners(1)).unwrap();
+    let mut c = client(&server);
+    load_pair(&mut c, 10_000, 20_000);
+    for bits in ["0", "25", "28", "64", "4294967296", "-1", "2.5"] {
+        for algo in ["PRO", "CPRL"] {
+            let v = c
+                .request(&format!(
+                    r#"{{"op":"join","algo":"{algo}","build":"r","probe":"s","bits":{bits}}}"#
+                ))
+                .unwrap();
+            assert_eq!(err_code(&v), "bad_request", "bits {bits}, {algo}: {v:?}");
+        }
+    }
+    // In range it runs, on the cached and the classic path (the upper
+    // end, 24, is a parser unit test: 16 Mi partitions are not a smoke run).
+    for bits in [1, 12] {
+        let v = c
+            .request(&format!(
+                r#"{{"op":"join","algo":"PRL","build":"r","probe":"s","bits":{bits},"cache":{}}}"#,
+                bits == 1
+            ))
+            .unwrap();
+        assert!(ok(&v), "bits {bits}: {v:?}");
+        assert_eq!(v.get("matches").and_then(|m| m.as_num()), Some(20_000.0));
+    }
+    server.shutdown();
+}
+
 /// A cache hit must return byte-identical results to the cold run that
 /// populated it — and to the classic (uncached) driver.
 #[test]
