@@ -4,8 +4,7 @@
 //! Paper expectation: the predictor lands at (or within noise of) the
 //! best observed configuration for every size.
 
-use mmjoin_core::config::TableKind;
-use mmjoin_core::pro::join_cpr;
+use mmjoin_core::{Algorithm, Join};
 
 use crate::harness::{run_trial_with, HarnessOpts, Table};
 
@@ -37,10 +36,9 @@ pub fn run(opts: &HarnessOpts) -> Vec<Table> {
             cfg.radix_bits = Some(bits);
             // A twice-failed trial ranks as infinitely slow so the bit
             // search skips it instead of aborting the sweep.
-            run_trial_with(&format!("fig12 CPRL bits={bits}"), || {
-                join_cpr(&r, &s, &cfg, TableKind::Linear)
-            })
-            .map_or(f64::INFINITY, |res| res.total_sim() * 1e9 / tuples as f64)
+            let cprl = Join::new(Algorithm::Cprl).with_config(cfg);
+            run_trial_with(&format!("fig12 CPRL bits={bits}"), || cprl.run(&r, &s))
+                .map_or(f64::INFINITY, |res| res.total_sim() * 1e9 / tuples as f64)
         };
 
         let at_eq1 = time_at(eq1);

@@ -6,7 +6,8 @@
 //! passes in the first place).
 
 use mmjoin_core::config::TableKind;
-use mmjoin_core::pro::{join_pro, join_pro_two_pass};
+use mmjoin_core::pro::join_pro_two_pass;
+use mmjoin_core::{Algorithm, Join};
 
 use crate::harness::{cell_or_failed, mtps, run_trial_with, HarnessOpts, Table};
 
@@ -25,8 +26,9 @@ pub fn run(opts: &HarnessOpts) -> Vec<Table> {
         let bits = (paper_bits as i32 - shift).clamp(2, 18) as u32;
         let mut cfg = opts.cfg();
         cfg.radix_bits = Some(bits);
+        let one_pass = Join::new(Algorithm::Pro).with_config(cfg.clone());
         let one = run_trial_with(&format!("fig2 PRO 1-pass bits={bits}"), || {
-            join_pro(&r, &s, &cfg, TableKind::Chained, false)
+            one_pass.run(&r, &s)
         });
         let two = run_trial_with(&format!("fig2 PRO 2-pass bits={bits}"), || {
             join_pro_two_pass(&r, &s, &cfg, TableKind::Chained)

@@ -7,30 +7,22 @@
 //! state outgrows the LLC share, then partitioning costs explode and
 //! fewer bits win (columns (b) vs (d) diverge for |R| ≥ 512 M).
 
-use mmjoin_core::config::TableKind;
-use mmjoin_core::pro::{join_cpr, join_pro};
 use mmjoin_core::stats::JoinResult;
+use mmjoin_core::{Algorithm, Join};
 use mmjoin_util::Relation;
 
 use crate::harness::{run_trial_with, HarnessOpts, Table};
 
-const ALGOS: [(&str, TableKind, Mode); 5] = [
-    ("PROiS", TableKind::Chained, Mode::ProIs),
-    ("PRAiS", TableKind::Array, Mode::ProIs),
-    ("PRLiS", TableKind::Linear, Mode::ProIs),
-    ("CPRL", TableKind::Linear, Mode::Cpr),
-    ("CPRA", TableKind::Array, Mode::Cpr),
+const ALGOS: [Algorithm; 5] = [
+    Algorithm::ProIs,
+    Algorithm::PraIs,
+    Algorithm::PrlIs,
+    Algorithm::Cprl,
+    Algorithm::Cpra,
 ];
 
-#[derive(Copy, Clone, Debug, PartialEq)]
-enum Mode {
-    ProIs,
-    Cpr,
-}
-
 fn run_algo(
-    mode: Mode,
-    kind: TableKind,
+    alg: Algorithm,
     r: &Relation,
     s: &Relation,
     opts: &HarnessOpts,
@@ -38,13 +30,8 @@ fn run_algo(
 ) -> Option<JoinResult> {
     let mut cfg = opts.cfg();
     cfg.radix_bits = Some(bits);
-    run_trial_with(
-        &format!("fig9 {mode:?}/{kind:?} bits={bits}"),
-        || match mode {
-            Mode::ProIs => join_pro(r, s, &cfg, kind, true),
-            Mode::Cpr => join_cpr(r, s, &cfg, kind),
-        },
-    )
+    let join = Join::new(alg).with_config(cfg);
+    run_trial_with(&format!("fig9 {alg} bits={bits}"), || join.run(r, s))
 }
 
 /// Sim ns/tuple of a trial; a twice-failed trial ranks as infinitely
@@ -78,18 +65,17 @@ pub fn run(opts: &HarnessOpts) -> Vec<Table> {
             let r = mmjoin_datagen::gen_build_dense(r_n, r_m as u64, opts.placement());
             let s = mmjoin_datagen::gen_probe_fk(s_n, r_n, r_m as u64 ^ 0x99, opts.placement());
             let tuples = r_n + s_n;
-            for (name, kind, mode) in ALGOS {
+            for alg in ALGOS {
                 let cfg = opts.cfg();
-                let l2fit_bits = match kind {
-                    TableKind::Array => cfg.bits_for_array_tables(r_n),
-                    _ => {
-                        // Pure L2 branch of Equation (1), ignoring the
-                        // LLC cap — the assumption panels (a)/(b) test.
-                        let target = r_n as f64 * 8.0 / (0.5 * cfg.topology.l2_bytes() as f64);
-                        (target.log2().ceil().max(1.0) as u32).clamp(1, 18)
-                    }
+                let l2fit_bits = if alg.needs_dense_domain() {
+                    cfg.bits_for_array_tables(r_n)
+                } else {
+                    // Pure L2 branch of Equation (1), ignoring the LLC
+                    // cap — the assumption panels (a)/(b) test.
+                    let target = r_n as f64 * 8.0 / (0.5 * cfg.topology.l2_bytes() as f64);
+                    (target.log2().ceil().max(1.0) as u32).clamp(1, 18)
                 };
-                let res = run_algo(mode, kind, &r, &s, opts, l2fit_bits);
+                let res = run_algo(alg, &r, &s, opts, l2fit_bits);
                 let at_l2 = ns_per_tuple(&res, tuples);
                 // Search ±2 bits around the heuristic for the optimum.
                 let mut best = (l2fit_bits, at_l2);
@@ -98,14 +84,14 @@ pub fn run(opts: &HarnessOpts) -> Vec<Table> {
                     if !(1..=18).contains(&b) {
                         continue;
                     }
-                    let res = run_algo(mode, kind, &r, &s, opts, b as u32);
+                    let res = run_algo(alg, &r, &s, opts, b as u32);
                     let ns = ns_per_tuple(&res, tuples);
                     if ns < best.1 {
                         best = (b as u32, ns);
                     }
                 }
                 table.row(vec![
-                    name.to_string(),
+                    alg.to_string(),
                     r_m.to_string(),
                     l2fit_bits.to_string(),
                     format!("{:.3}", at_l2),

@@ -78,7 +78,7 @@ fn run_chain(
         fused_secs,
         two_step_secs,
         intermediate_matches: fused.intermediate_matches,
-        bytes_avoided: fused.bytes_avoided,
+        bytes_avoided: fused.bytes_avoided(),
         checksum_ok: fused.checksum == base.checksum && fused.matches == base.matches,
     }
 }

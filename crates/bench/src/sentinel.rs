@@ -12,7 +12,7 @@
 //! *suspect* but does not fail the check. See DESIGN.md §11 for the
 //! verdict JSON schema.
 
-use mmjoin_core::{Algorithm, Join, JoinResult};
+use mmjoin_core::{Algorithm, Join, JoinConfig, JoinResult};
 use mmjoin_util::jsonv::{quote, Value};
 use mmjoin_util::stats::{judge_shift, ShiftTest, ShiftVerdict};
 
@@ -521,13 +521,10 @@ pub fn sample_e2e(
     algorithms
         .iter()
         .map(|&alg| {
-            let run = || -> JoinResult {
-                Join::new(alg)
-                    .with_threads(opts.threads)
-                    .with_simulate(false)
-                    .run(&r, &s)
-                    .expect("join failed")
-            };
+            let mut cfg = JoinConfig::new(opts.threads);
+            cfg.simulate = false;
+            let join = Join::new(alg).with_config(cfg);
+            let run = || -> JoinResult { join.run(&r, &s).expect("join failed") };
             run(); // warm-up
             let secs: Vec<f64> = (0..reps.max(1))
                 .map(|_| {

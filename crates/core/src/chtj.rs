@@ -5,7 +5,7 @@
 //! regions without synchronization; the probe phase is chunk-parallel
 //! against the one global (read-only) CHT, exactly like NOP.
 
-use mmjoin_hashtable::{ConciseHashTable, MultiplicativeHash, ProbeOperator};
+use mmjoin_hashtable::{ConciseHashTable, MultiplicativeHash};
 use mmjoin_util::Relation;
 
 use crate::config::JoinConfig;
@@ -43,7 +43,11 @@ pub(crate) fn build_chtj(
 }
 
 /// CHTJ: bulkloaded concise hash table + chunk-parallel probe.
-pub fn join_chtj(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResult, JoinError> {
+pub(crate) fn join_chtj(
+    r: &Relation,
+    s: &Relation,
+    cfg: &JoinConfig,
+) -> Result<JoinResult, JoinError> {
     let mut run = JoinRun::begin(Algorithm::Chtj, cfg);
     let cht = build_chtj(&mut run, r)?;
     // Probe: every lookup touches the bitmap word *and* the dense array —

@@ -1,4 +1,7 @@
-//! Join execution configuration.
+//! Join execution configuration: [`JoinConfig`] is the one surface a
+//! join is configured through — set its public fields — and
+//! [`JoinConfig::validate`] the one check of them, made first thing by
+//! every public way into a driver.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -8,6 +11,7 @@ use mmjoin_partition::{predict_radix_bits, BitsInput};
 
 use crate::executor::Executor;
 use crate::fault::CancelToken;
+use crate::plan::{JoinError, MAX_RADIX_BITS, MAX_THREADS};
 
 /// Per-partition hash-table choice — the "Choice of Hash Method"
 /// dimension of Section 5.2.
@@ -140,6 +144,42 @@ impl JoinConfig {
             spill: true,
             exec: OnceLock::new(),
         }
+    }
+
+    /// Check every range-bound field, as every public way into a driver
+    /// ([`crate::Join::run`], [`crate::BuildSide::prepare`],
+    /// [`crate::Pipeline::run`], [`crate::materialize::join_index`],
+    /// [`crate::materialize::chain_two_step`],
+    /// [`crate::pro::join_pro_two_pass`]) does before it spawns a worker,
+    /// sizes a histogram or records a phase.
+    pub fn validate(&self) -> Result<(), JoinError> {
+        let invalid = |field, value, reason| {
+            Err(JoinError::InvalidConfig {
+                field,
+                value,
+                reason,
+            })
+        };
+        if self.threads == 0 {
+            return invalid("threads", 0, "must be >= 1");
+        }
+        if self.threads > MAX_THREADS {
+            let reason = "exceeds MAX_THREADS (1024): oversubscribed host";
+            return invalid("threads", self.threads, reason);
+        }
+        if self.sim_threads == Some(0) {
+            return invalid("sim_threads", 0, "must be >= 1 when set");
+        }
+        if let Some(bits) = self.radix_bits {
+            if bits == 0 || bits > MAX_RADIX_BITS {
+                let reason = "must be in 1..=MAX_RADIX_BITS (24)";
+                return invalid("radix_bits", bits as usize, reason);
+            }
+        }
+        if self.pipeline_batch == 0 {
+            return invalid("pipeline_batch", 0, "must be >= 1");
+        }
+        Ok(())
     }
 
     /// The persistent executor this configuration's joins run on: the

@@ -16,10 +16,11 @@
 //!   scheduling of the *iS join variants is thereby a queue-assignment
 //!   policy of the executor, not a property of task insertion order.
 //! * **Per-phase counters** ([`ExecCounters`]): tasks executed, steals,
-//!   and per-worker idle time at the phase barrier — handed, with the
-//!   per-worker spans of a profiled run, to the [`ExecSink`] the phase
-//!   was submitted with. The pool itself remembers nothing between
-//!   phases, so joins sharing it cannot see each other's numbers.
+//!   and per-worker idle time at the phase barrier — handed, with what
+//!   the workers allocated meanwhile and the per-worker spans of a
+//!   profiled run, to the [`ExecSink`] the phase was submitted with.
+//!   The pool itself remembers nothing between phases, so joins sharing
+//!   it cannot see each other's numbers.
 //! * **Panic containment**: the pool is a process-lifetime resource
 //!   shared by every join, so a panicking morsel task must not take it
 //!   down. Every phase closure runs under `catch_unwind`; a panic is
@@ -54,10 +55,12 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use mmjoin_partition::task::node_of_partition;
+use mmjoin_util::mem;
 use mmjoin_util::perf::{CounterDelta, CounterGroup};
 use mmjoin_util::pool::{lock_recover, ExecCounters, WorkerPhaseStat, WorkerPool};
 
 use crate::fault::{panic_message, WorkerPanic};
+use crate::stats::AllocCounters;
 
 /// How long the barrier waits between checks for dead worker threads. A
 /// live pool signals `done_cv` long before this; the timeout only bounds
@@ -138,6 +141,10 @@ struct Control {
     profile: bool,
     /// Panic messages captured from workers during the current phase.
     panics: Vec<String>,
+    /// What the workers' threads allocated while running the current
+    /// phase (each adds its own `mem::thread_stats` delta as it
+    /// finishes).
+    alloc: AllocCounters,
     shutdown: bool,
 }
 
@@ -160,11 +167,22 @@ struct Shared {
     deltas: Vec<Mutex<CounterDelta>>,
 }
 
-/// Where the executor puts what it measured about a phase: the
-/// [`ExecCounters`] of every phase submitted with this sink and, when
-/// the sink is profiled, one [`WorkerPhaseStat`] span per worker per
-/// barrier broadcast (timestamps relative to the sink's creation, plus
-/// native PMU deltas where the host exposes counters).
+/// What the executor measured about the phases submitted with one
+/// [`ExecSink`] since it was last emptied.
+#[derive(Debug, Default)]
+pub struct Measured {
+    /// Tasks run, steals, idle time at the barriers.
+    pub exec: ExecCounters,
+    /// Arena traffic of the worker threads while they ran these phases.
+    pub alloc: AllocCounters,
+    /// One span per worker per barrier broadcast of a profiled sink
+    /// (timestamps relative to the sink's creation, plus native PMU
+    /// deltas where the host exposes counters); empty otherwise.
+    pub spans: Vec<WorkerPhaseStat>,
+}
+
+/// Where the executor puts what it measured about a phase (see
+/// [`Measured`]).
 ///
 /// A sink belongs to whoever submits the phases — one per join run — so
 /// joins running concurrently on one pool each see exactly their own
@@ -174,26 +192,32 @@ pub struct ExecSink {
     /// Time base of span timestamps; `None` when the run is not
     /// profiled (phases then take no PMU snapshots and record no spans).
     profile_epoch: Option<Instant>,
-    acc: Mutex<(ExecCounters, Vec<WorkerPhaseStat>)>,
+    acc: Mutex<Measured>,
 }
 
 impl ExecSink {
     pub fn new(profile: bool) -> Self {
         ExecSink {
             profile_epoch: profile.then(Instant::now),
-            acc: Mutex::new((ExecCounters::new(), Vec::new())),
+            acc: Mutex::new(Measured::default()),
         }
     }
 
-    /// Take the counters and spans recorded since the last take.
-    pub fn take(&self) -> (ExecCounters, Vec<WorkerPhaseStat>) {
+    /// Take what was recorded since the last take.
+    pub fn take(&self) -> Measured {
         std::mem::take(&mut *lock_recover(&self.acc))
     }
 
-    fn record(&self, counters: ExecCounters, spans: impl IntoIterator<Item = WorkerPhaseStat>) {
+    fn record(
+        &self,
+        exec: ExecCounters,
+        alloc: AllocCounters,
+        spans: impl IntoIterator<Item = WorkerPhaseStat>,
+    ) {
         let mut acc = lock_recover(&self.acc);
-        acc.0.merge(counters);
-        acc.1.extend(spans);
+        acc.exec.merge(exec);
+        acc.alloc.merge(alloc);
+        acc.spans.extend(spans);
     }
 }
 
@@ -239,6 +263,7 @@ impl Executor {
                 start: Instant::now(),
                 profile: false,
                 panics: Vec::new(),
+                alloc: AllocCounters::default(),
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
@@ -283,7 +308,7 @@ impl Executor {
     }
 
     /// Respawn any worker thread that has died. Task panics are caught
-    /// in [`worker_loop`] and never kill a worker, so this is a backstop
+    /// in `worker_loop` and never kill a worker, so this is a backstop
     /// for threads lost to causes the pool cannot intercept; it is
     /// called after any phase that reported failures. Holding the submit
     /// lock keeps a phase from starting mid-respawn, so a replacement
@@ -417,15 +442,15 @@ impl Executor {
         // are preserved (every index invoked once, writes visible to the
         // continuation), only parallelism is lost. An inline panic
         // unwinds into the enclosing worker task's own catch_unwind.
-        // An inline nested phase emits no spans of its own — its time
-        // and PMU counters fold into the enclosing worker's span — but
-        // its tasks still reach the sink's aggregate counters.
+        // An inline nested phase emits no spans of its own — its time,
+        // PMU counters and allocations fold into the enclosing worker's
+        // — but its tasks still reach the sink's aggregate counters.
         if IN_WORKER.with(|c| c.get()) {
             for w in 0..self.workers {
                 f(w);
             }
             if let Some(sink) = sink {
-                sink.record(totals(0), None);
+                sink.record(totals(0), AllocCounters::default(), None);
             }
             return Ok(());
         }
@@ -455,10 +480,11 @@ impl Executor {
             ctl.start = Instant::now();
             ctl.profile = profile_epoch.is_some();
             ctl.panics.clear();
+            ctl.alloc = AllocCounters::default();
             self.shared.work_cv.notify_all();
             (ctl.epoch, ctl.start)
         };
-        let panics = {
+        let (panics, alloc) = {
             // Phase barrier: re-acquiring `ctl` after the last worker's
             // decrement makes all workers' writes visible here. The wait
             // is bounded so a crashed worker thread cannot wedge the
@@ -501,7 +527,7 @@ impl Executor {
                 }
             }
             ctl.job = None;
-            std::mem::take(&mut ctl.panics)
+            (std::mem::take(&mut ctl.panics), ctl.alloc)
         };
         if let Some(sink) = sink {
             let finishes: Vec<u64> = self
@@ -531,7 +557,7 @@ impl Executor {
                     }
                 })
             });
-            sink.record(totals(idle), spans.into_iter().flatten());
+            sink.record(totals(idle), alloc, spans.into_iter().flatten());
         }
         if panics.is_empty() {
             Ok(())
@@ -618,8 +644,10 @@ fn worker_loop(shared: &Shared, w: usize, start_epoch: u64) {
         // deadlock. The unwind cannot leave `f`'s data in a state the
         // caller misreads — the submitting thread re-raises the panic
         // before looking at any phase output.
+        let alloc_before = mem::thread_stats();
         let caught = catch_unwind(AssertUnwindSafe(|| f(w))).err();
         shared.finish_ns[w].store(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let alloc = AllocCounters::from_delta(mem::thread_stats().delta(&alloc_before));
         if profile {
             let delta = TL_COUNTERS.with(|c| {
                 match (c.get_or_init(CounterGroup::open).as_ref(), snap.as_ref()) {
@@ -634,6 +662,7 @@ fn worker_loop(shared: &Shared, w: usize, start_epoch: u64) {
             ctl.panics.push(panic_message(payload.as_ref()));
         }
         shared.done_epoch[w].store(seen_epoch, Ordering::Relaxed);
+        ctl.alloc.merge(alloc);
         ctl.remaining = ctl.remaining.saturating_sub(1);
         if ctl.remaining == 0 {
             shared.done_cv.notify_all();
@@ -703,7 +732,7 @@ mod tests {
         for d in &done {
             assert_eq!(d.load(Ordering::Relaxed), 1);
         }
-        let (c, _) = sink.take();
+        let c = sink.take().exec;
         assert_eq!(c.tasks, 64);
         // Node-1 workers can only have run stolen tasks.
         assert!(c.steals <= 64);
@@ -729,8 +758,8 @@ mod tests {
         exec.broadcast_into(Some(&sink), &|_| {});
         // A phase submitted without a sink is nobody's business.
         exec.broadcast(&|_| {});
-        assert_eq!(sink.take().0.tasks, 4);
-        assert_eq!(sink.take().0, ExecCounters::new());
+        assert_eq!(sink.take().exec.tasks, 4);
+        assert_eq!(sink.take().exec, ExecCounters::new());
     }
 
     #[test]
@@ -756,7 +785,7 @@ mod tests {
         assert_eq!(inner_hits.load(Ordering::Relaxed), 2);
         // The inline phase's tasks reach the sink it was submitted with
         // (2 outer + 2 inline); only the outer broadcast has spans.
-        let (c, spans) = sink.take();
+        let Measured { exec: c, spans, .. } = sink.take();
         assert_eq!(c.tasks, 4);
         assert_eq!(spans.len(), 2);
     }
@@ -837,7 +866,7 @@ mod tests {
         let sink = ExecSink::new(false);
         exec.broadcast_into(Some(&sink), &|_| {});
         exec.run_morsels_into(Some(&sink), &[(0..8).collect()], &|_, _| {});
-        let (c, spans) = sink.take();
+        let Measured { exec: c, spans, .. } = sink.take();
         assert_eq!(c.tasks, 3 + 8);
         assert!(spans.is_empty());
     }
@@ -851,7 +880,7 @@ mod tests {
         exec.run_morsels_into(Some(&sink), &queues, &|_, _| {
             std::hint::black_box((0..500).sum::<u64>());
         });
-        let (c, spans) = sink.take();
+        let Measured { exec: c, spans, .. } = sink.take();
         // One span per worker per broadcast: one plain + one morsel phase.
         assert_eq!(spans.len(), 2 * 4);
         let span_tasks: u64 = spans.iter().map(|s| s.tasks).sum();
@@ -889,7 +918,7 @@ mod tests {
                     for _ in 0..rounds {
                         exec.broadcast_into(Some(&sink), &|_| {});
                         exec.run_morsels_into(Some(&sink), &queues, &|_, _| {});
-                        let (c, spans) = sink.take();
+                        let Measured { exec: c, spans, .. } = sink.take();
                         assert_eq!(c.tasks, 3 + 7);
                         assert_eq!(spans.len(), if profile { 2 * 3 } else { 0 });
                         assert_eq!(spans.iter().map(|s| s.tasks).sum::<u64>() > 0, profile);

@@ -23,7 +23,7 @@
 //!   abort.
 //! * Failpoints (`--features failpoints`) — deterministic fault
 //!   injection into every phase of every algorithm, armed per test
-//!   thread ([`failpoints::arm_local`]) or process-wide via the
+//!   thread (`failpoints::arm_local`) or process-wide via the
 //!   `MMJOIN_FAILPOINTS` environment variable
 //!   (`"NOP.build=panic,PRO.join=sleep:25"`).
 
@@ -178,13 +178,14 @@ impl Drop for MemCharge<'_> {
 /// `failpoints` feature.
 ///
 /// A failpoint is named `"<ALG>.<phase>"` (e.g. `"PRO.partition"`,
-/// `"NOP.build"`, `"MWAY.sort"`) and carries a [`FailAction`]:
+/// `"NOP.build"`, `"MWAY.sort"`) and carries a [`failpoints::FailAction`]:
 /// `Panic` makes every worker of that phase panic, `Sleep(ms)` delays
 /// each morsel (for exercising deadlines deterministically).
 ///
-/// Arming is either *process-wide* ([`arm`]/[`disarm`], seeded from the
-/// `MMJOIN_FAILPOINTS` environment variable on first use) or *local to
-/// the submitting thread* ([`arm_local`]) — the latter is what tests
+/// Arming is either *process-wide* ([`failpoints::arm`]/
+/// [`failpoints::disarm`], seeded from the `MMJOIN_FAILPOINTS`
+/// environment variable on first use) or *local to the submitting
+/// thread* ([`failpoints::arm_local`]) — the latter is what tests
 /// use, so concurrently running tests sharing the process-global
 /// executor pools cannot see each other's faults.
 #[cfg(feature = "failpoints")]

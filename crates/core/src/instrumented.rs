@@ -315,27 +315,6 @@ pub fn instrument(
     }
 }
 
-/// Panic-isolating wrapper around [`instrument`]: a panic anywhere in
-/// the traced replay (a kernel bug, a failpoint armed on the thread)
-/// comes back as [`crate::JoinError::WorkerPanicked`] with phase
-/// `"instrument"` instead of unwinding into the caller.
-pub fn try_instrument(
-    algorithm: Algorithm,
-    r: &Relation,
-    s: &Relation,
-    scale: usize,
-    page: PageConfig,
-    bits: u32,
-) -> Result<InstrumentedRun, crate::JoinError> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        instrument(algorithm, r, s, scale, page, bits)
-    }))
-    .map_err(|payload| crate::JoinError::WorkerPanicked {
-        phase: "instrument",
-        payload: crate::fault::panic_message(payload.as_ref()),
-    })
-}
-
 /// Traced bottom-up mergesort (each pass streams the data once).
 fn traced_sort(tuples: &[Tuple], ms: &mut MemSim) -> Vec<u64> {
     let mut packed: Vec<u64> = tuples.iter().map(|t| t.pack()).collect();

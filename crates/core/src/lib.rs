@@ -22,29 +22,31 @@
 //!
 //! # Quickstart
 //!
-//! Plan a join with the fluent [`Join`] builder; misconfigurations come
-//! back as typed [`JoinError`]s instead of panicking mid-phase:
+//! Configure a join by setting [`JoinConfig`]'s public fields — the one
+//! configuration surface — and run it with [`Join`]; misconfigurations
+//! come back as typed [`JoinError`]s instead of panicking mid-phase:
 //!
 //! ```
-//! use mmjoin_core::{Algorithm, Join};
+//! use mmjoin_core::{Algorithm, Join, JoinConfig};
 //! use mmjoin_datagen::{gen_build_dense, gen_probe_fk};
 //! use mmjoin_util::Placement;
 //!
 //! let r = gen_build_dense(10_000, 42, Placement::Chunked { parts: 4 });
 //! let s = gen_probe_fk(100_000, 10_000, 43, Placement::Chunked { parts: 4 });
+//! let mut cfg = JoinConfig::new(4); // 4 worker threads
+//! cfg.probe_theta = 0.0; // ... and any other field
 //! let result = Join::new(Algorithm::Cprl)
-//!     .with_threads(4)
+//!     .with_config(cfg)
 //!     .run(&r, &s)
 //!     .expect("valid plan");
 //! assert_eq!(result.matches, 100_000); // every FK finds its PK
 //! ```
 //!
-//! Shared knobs live on [`JoinConfig`], built the same way
-//! (`JoinConfig::builder().with_threads(8).with_zipf(0.75).build()?`)
-//! and reusable across plans via [`Join::with_config`].
-//! [`Algorithm::descriptor`] exposes
-//! each variant's Table-2 classification (family, table, scheduling,
-//! partitioning) without running it.
+//! One `JoinConfig` is reusable across plans (`Join::with_config`,
+//! `BuildSide::prepare`, `Pipeline::with_config`); every one of those
+//! entry points checks it with [`JoinConfig::validate`] before it starts
+//! a thread or sizes a buffer. The table above is each variant's Table-2
+//! classification; [`Join::run`]'s dispatch is its executable form.
 //!
 //! Every algorithm is genuinely multi-threaded: all phases run as morsels
 //! on one persistent NUMA-aware worker pool (see [`executor`]), created
@@ -80,11 +82,8 @@ pub use executor::{Executor, QueuePolicy};
 pub use fault::{CancelToken, MemBudget};
 pub use mmjoin_util::perf::CounterDelta;
 pub use mmjoin_util::pool::WorkerPhaseStat;
-pub use pipeline::{BuildSide, BuildSideStats, OperatorKind, Pipeline, PipelineResult};
-pub use plan::{
-    AlgorithmDescriptor, Family, Join, JoinConfigBuilder, JoinError, Partitioning, Scheduling,
-    TableFlavor,
-};
+pub use pipeline::{BuildSide, BuildSideStats, OperatorKind, Pipeline};
+pub use plan::{Join, JoinError};
 pub use stats::{JoinResult, PhaseStat, SpillCounters};
 
 /// The public join API in one import: everything an embedder — the
@@ -99,13 +98,9 @@ pub mod prelude {
     pub use crate::fault::{CancelToken, MemBudget};
     pub use crate::observe;
     pub use crate::pipeline::{
-        is_ported, BuildPhaseCounters, BuildSide, BuildSideStats, OperatorKind, Pipeline,
-        PipelineResult, PORTED,
+        is_ported, BuildPhaseCounters, BuildSide, BuildSideStats, OperatorKind, Pipeline, PORTED,
     };
-    pub use crate::plan::{
-        AlgorithmDescriptor, Family, Join, JoinConfigBuilder, JoinError, Partitioning, Scheduling,
-        TableFlavor, MAX_RADIX_BITS,
-    };
+    pub use crate::plan::{Join, JoinError, MAX_RADIX_BITS};
     pub use crate::stats::{JoinResult, PhaseStat, SpillCounters};
     pub use crate::Algorithm;
     pub use mmjoin_util::tuple::{Key, Payload, Placement, Relation, Tuple};

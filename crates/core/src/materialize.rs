@@ -50,6 +50,7 @@ pub fn join_index(
     s: &Relation,
     cfg: &JoinConfig,
 ) -> Result<Vec<JoinMatch>, JoinError> {
+    cfg.validate()?;
     let mut run = JoinRun::begin(Algorithm::Cprl, cfg);
     let bits = cfg.bits_for_hash_tables(r.len());
     let f = RadixFn::new(bits);
@@ -146,6 +147,7 @@ pub fn chain_two_step(
     final_alg: Algorithm,
     cfg: &JoinConfig,
 ) -> Result<crate::stats::JoinResult, JoinError> {
+    // `join_index` validates `cfg` before anything runs.
     let idx = join_index(first, s, cfg)?;
     let mid: Vec<Tuple> = idx
         .iter()

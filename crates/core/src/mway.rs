@@ -30,7 +30,11 @@ use crate::stats::JoinResult;
 use crate::Algorithm;
 
 /// MWAY join.
-pub fn join_mway(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResult, JoinError> {
+pub(crate) fn join_mway(
+    r: &Relation,
+    s: &Relation,
+    cfg: &JoinConfig,
+) -> Result<JoinResult, JoinError> {
     let mut run = JoinRun::begin(Algorithm::Mway, cfg);
     // Few partitions: enough for task parallelism, not cache-sized.
     let parts = next_pow2(cfg.threads * 4).max(4);

@@ -132,7 +132,11 @@ pub(crate) fn build_nopa(
 }
 
 /// NOP: lock-free linear-probing global table.
-pub fn join_nop(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResult, JoinError> {
+pub(crate) fn join_nop(
+    r: &Relation,
+    s: &Relation,
+    cfg: &JoinConfig,
+) -> Result<JoinResult, JoinError> {
     let mut run = JoinRun::begin(Algorithm::Nop, cfg);
     let table = build_nop(&mut run, r)?;
     let table_bytes = table.memory_bytes() as f64;
@@ -145,7 +149,11 @@ pub fn join_nop(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResu
 }
 
 /// NOPA: global payload array over the key domain.
-pub fn join_nopa(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResult, JoinError> {
+pub(crate) fn join_nopa(
+    r: &Relation,
+    s: &Relation,
+    cfg: &JoinConfig,
+) -> Result<JoinResult, JoinError> {
     let mut run = JoinRun::begin(Algorithm::Nopa, cfg);
     let table = build_nopa(&mut run, r)?;
     let table_bytes = table.memory_bytes() as f64;

@@ -16,6 +16,8 @@
 //! keeping the schema identical on hosts with and without PMU access.
 
 use mmjoin_util::jsonv::escape;
+use mmjoin_util::perf::CounterDelta;
+use mmjoin_util::pool::WorkerPhaseStat;
 
 use crate::plan::JoinError;
 use crate::stats::{JoinResult, PhaseStat};
@@ -99,8 +101,9 @@ fn phase_extent(p: &PhaseStat, cursor_ns: u64) -> (u64, u64) {
     }
 }
 
-fn counters_json(p: &PhaseStat) -> String {
-    let t = p.counter_totals();
+/// The five native counters of a span or of a phase's total (`null`
+/// where unavailable).
+fn counters_json(t: &CounterDelta) -> String {
     format!(
         "\"cycles\": {}, \"instructions\": {}, \"llc_misses\": {}, \
          \"dtlb_misses\": {}, \"task_clock_ns\": {}",
@@ -112,26 +115,49 @@ fn counters_json(p: &PhaseStat) -> String {
     )
 }
 
-fn spill_json(p: &PhaseStat) -> String {
+/// What a worker span counted — the fields its trace event's `args` and
+/// its metrics object share.
+fn span_fields(w: &WorkerPhaseStat) -> String {
     format!(
-        "\"bytes_spilled\": {}, \"partitions_spilled\": {}, \"spill_recursion_depth\": {}",
-        p.spill.bytes_spilled, p.spill.partitions_spilled, p.spill.recursion_depth
+        "\"tasks\": {}, \"steals\": {}, {}",
+        w.tasks,
+        w.steals,
+        counters_json(&w.counters)
     )
 }
 
-fn alloc_json(p: &PhaseStat) -> String {
+/// What a phase measured — wall (and, with `sim`, simulated) time,
+/// executor, spill and alloc counters, worker-summed native counters:
+/// the fields of a trace phase bar's `args`, a metrics phase object and
+/// a per-query rollup.
+fn phase_fields(p: &PhaseStat, sim: bool) -> String {
+    let sim_ms = if sim {
+        format!("\"sim_ms\": {:.3}, ", p.sim_seconds * 1e3)
+    } else {
+        String::new()
+    };
     let a = &p.alloc;
     format!(
-        "\"alloc\": {{\"mapped_blocks\": {}, \"mapped_bytes\": {}, \"pool_hits\": {}, \
+        "\"wall_ms\": {:.3}, {sim_ms}\"tasks\": {}, \"steals\": {}, \"idle_ms\": {:.3}, \
+         \"bytes_spilled\": {}, \"partitions_spilled\": {}, \"spill_recursion_depth\": {}, \
+         \"alloc\": {{\"mapped_blocks\": {}, \"mapped_bytes\": {}, \"pool_hits\": {}, \
          \"pool_hit_bytes\": {}, \"degraded_page\": {}, \"degraded_numa\": {}, \
-         \"heap_fallback\": {}}}",
+         \"heap_fallback\": {}}}, {}",
+        p.wall.as_secs_f64() * 1e3,
+        p.exec.tasks,
+        p.exec.steals,
+        p.exec.idle_ns as f64 / 1e6,
+        p.spill.bytes_spilled,
+        p.spill.partitions_spilled,
+        p.spill.recursion_depth,
         a.mapped_blocks,
         a.mapped_bytes,
         a.pool_hits,
         a.pool_hit_bytes,
         a.degraded_page,
         a.degraded_numa,
-        a.heap_fallback
+        a.heap_fallback,
+        counters_json(&p.counter_totals())
     )
 }
 
@@ -187,20 +213,11 @@ pub fn chrome_trace(results: &[JoinResult]) -> String {
                 &mut first,
                 &format!(
                     "{{\"name\": \"{}\", \"ph\": \"X\", \"ts\": {:.3}, \"dur\": {:.3}, \
-                     \"pid\": {pid}, \"tid\": 0, \"args\": {{\"wall_ms\": {:.3}, \
-                     \"sim_ms\": {:.3}, \"tasks\": {}, \"steals\": {}, \"idle_ms\": {:.3}, \
-                     {}, {}, {}}}}}",
+                     \"pid\": {pid}, \"tid\": 0, \"args\": {{{}}}}}",
                     escape(p.name),
                     ts as f64 / 1e3,
                     (end - ts) as f64 / 1e3,
-                    p.wall.as_secs_f64() * 1e3,
-                    p.sim_seconds * 1e3,
-                    p.exec.tasks,
-                    p.exec.steals,
-                    p.exec.idle_ns as f64 / 1e6,
-                    spill_json(p),
-                    alloc_json(p),
-                    counters_json(p)
+                    phase_fields(p, true)
                 ),
             );
             for w in &p.workers {
@@ -209,20 +226,12 @@ pub fn chrome_trace(results: &[JoinResult]) -> String {
                     &mut first,
                     &format!(
                         "{{\"name\": \"{}\", \"ph\": \"X\", \"ts\": {:.3}, \"dur\": {:.3}, \
-                         \"pid\": {pid}, \"tid\": {}, \"args\": {{\"tasks\": {}, \
-                         \"steals\": {}, \"cycles\": {}, \"instructions\": {}, \
-                         \"llc_misses\": {}, \"dtlb_misses\": {}, \"task_clock_ns\": {}}}}}",
+                         \"pid\": {pid}, \"tid\": {}, \"args\": {{{}}}}}",
                         escape(p.name),
                         w.start_ns as f64 / 1e3,
                         w.dur_ns as f64 / 1e3,
                         w.worker + 1,
-                        w.tasks,
-                        w.steals,
-                        opt(w.counters.cycles),
-                        opt(w.counters.instructions),
-                        opt(w.counters.llc_misses),
-                        opt(w.counters.dtlb_misses),
-                        opt(w.counters.task_clock_ns)
+                        span_fields(w)
                     ),
                 );
             }
@@ -271,16 +280,9 @@ pub fn trace_complete_event(
 /// the per-worker span vector, which is too heavy to retain per query.
 pub fn phase_rollup_json(p: &PhaseStat) -> String {
     format!(
-        "{{\"name\": \"{}\", \"wall_ms\": {:.3}, \"tasks\": {}, \"steals\": {}, \
-         \"idle_ms\": {:.3}, {}, {}, {}}}",
+        "{{\"name\": \"{}\", {}}}",
         escape(p.name),
-        p.wall.as_secs_f64() * 1e3,
-        p.exec.tasks,
-        p.exec.steals,
-        p.exec.idle_ns as f64 / 1e6,
-        spill_json(p),
-        alloc_json(p),
-        counters_json(p)
+        phase_fields(p, false)
     )
 }
 
@@ -290,34 +292,18 @@ fn phase_json(p: &PhaseStat) -> String {
         .iter()
         .map(|w| {
             format!(
-                "{{\"worker\": {}, \"start_us\": {:.3}, \"dur_us\": {:.3}, \
-                 \"tasks\": {}, \"steals\": {}, \"cycles\": {}, \"instructions\": {}, \
-                 \"llc_misses\": {}, \"dtlb_misses\": {}, \"task_clock_ns\": {}}}",
+                "{{\"worker\": {}, \"start_us\": {:.3}, \"dur_us\": {:.3}, {}}}",
                 w.worker,
                 w.start_ns as f64 / 1e3,
                 w.dur_ns as f64 / 1e3,
-                w.tasks,
-                w.steals,
-                opt(w.counters.cycles),
-                opt(w.counters.instructions),
-                opt(w.counters.llc_misses),
-                opt(w.counters.dtlb_misses),
-                opt(w.counters.task_clock_ns)
+                span_fields(w)
             )
         })
         .collect();
     format!(
-        "{{\"name\": \"{}\", \"wall_ms\": {:.3}, \"sim_ms\": {:.3}, \"tasks\": {}, \
-         \"steals\": {}, \"idle_ms\": {:.3}, {}, {}, {}, \"workers\": [{}]}}",
+        "{{\"name\": \"{}\", {}, \"workers\": [{}]}}",
         escape(p.name),
-        p.wall.as_secs_f64() * 1e3,
-        p.sim_seconds * 1e3,
-        p.exec.tasks,
-        p.exec.steals,
-        p.exec.idle_ns as f64 / 1e6,
-        spill_json(p),
-        alloc_json(p),
-        counters_json(p),
+        phase_fields(p, true),
         workers.join(", ")
     )
 }
@@ -357,8 +343,7 @@ pub fn metrics(results: &[JoinResult], meta_json: Option<&str>) -> String {
 mod tests {
     use super::*;
     use crate::Algorithm;
-    use mmjoin_util::perf::CounterDelta;
-    use mmjoin_util::pool::{ExecCounters, WorkerPhaseStat};
+    use mmjoin_util::pool::ExecCounters;
     use std::time::Duration;
 
     fn sample() -> JoinResult {
@@ -409,6 +394,28 @@ mod tests {
         });
         r.push_phase("join", Duration::from_millis(5), 0.002);
         r
+    }
+
+    /// The three documents, byte for byte as the exporters wrote them
+    /// before each record had one writer (`tests/golden/observe_*`,
+    /// recorded at bf1f85d from this `sample()`): the service's `trace`
+    /// and `stat` consumers and the ledger parse these.
+    #[test]
+    fn documents_match_their_golden_bytes() {
+        let r = sample();
+        assert_eq!(
+            chrome_trace(std::slice::from_ref(&r)),
+            include_str!("../tests/golden/observe_chrome_trace.json")
+        );
+        assert_eq!(
+            metrics(std::slice::from_ref(&r), Some("{\"cpu_model\": \"test\"}")),
+            include_str!("../tests/golden/observe_metrics.json")
+        );
+        let rollups: Vec<String> = r.phases.iter().map(phase_rollup_json).collect();
+        assert_eq!(
+            rollups.join("\n"),
+            include_str!("../tests/golden/observe_phase_rollups.jsonl")
+        );
     }
 
     #[test]

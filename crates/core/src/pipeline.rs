@@ -33,7 +33,7 @@ use std::sync::{Arc, Mutex};
 
 use mmjoin_hashtable::{
     ArrayTable, ConciseHashTable, ConcurrentArrayTable, ConcurrentLinearTable, IdentityHash,
-    JoinTable, MultiplicativeHash, ProbeOperator, StChainedTable, StLinearTable,
+    JoinTable, MultiplicativeHash, StChainedTable, StLinearTable,
 };
 use mmjoin_partition::{
     partition_parallel_on, route_into, PartitionedRelation, RadixFn, ScatterMode,
@@ -50,14 +50,8 @@ use crate::plan::JoinError;
 use crate::pro::{CoPartitions, PartTable};
 use crate::run::{contain_panics, JoinRun, RunCtx};
 use crate::spec::{self, ops, FusedStageModel, PartitionLayout, PartitionWrites, PhaseModel};
-use crate::stats::PhaseStat;
+use crate::stats::{JoinResult, PhaseStat};
 use crate::Algorithm;
-
-/// Bytes of one materialized intermediate tuple a fused stage avoids —
-/// the [`crate::materialize::JoinMatch`] a two-step plan would write and
-/// re-read per match.
-pub const INTERMEDIATE_TUPLE_BYTES: u64 =
-    std::mem::size_of::<crate::materialize::JoinMatch>() as u64;
 
 /// Drivers ported onto the operator pipeline; the rest still run only
 /// through their monolithic drivers (see the matrix in README.md).
@@ -207,6 +201,7 @@ impl BuildSide {
         r: &Relation,
         cfg: &JoinConfig,
     ) -> Result<Arc<BuildSide>, JoinError> {
+        cfg.validate()?;
         contain_panics(|| prepare_inner(algorithm, r, cfg))
     }
 
@@ -314,8 +309,9 @@ impl BuildSide {
             _ => input,
         };
         match &self.inner {
-            BuildInner::Linear(t) => t.probe_op(probes, unique, &mut f),
-            BuildInner::Array(t) => t.probe_op(probes, unique, &mut f),
+            BuildInner::Linear(t) => t.probe_batch(probes, unique, &mut f),
+            // A slot holds one payload: nothing to stop early at.
+            BuildInner::Array(t) => t.probe_batch(probes, &mut f),
             BuildInner::Concise(t) => t.probe_op(probes, unique, &mut f),
             BuildInner::Partitioned { .. } => unreachable!("routed above"),
         }
@@ -379,7 +375,6 @@ fn prepare_inner(
     if !is_ported(algorithm) {
         return Err(JoinError::PipelineUnsupported { algorithm });
     }
-    crate::plan::check_radix_bits(cfg.radix_bits)?;
     crate::plan::check_dense_domain(algorithm, r, cfg)?;
 
     let mut run = JoinRun::begin(algorithm, cfg);
@@ -499,36 +494,6 @@ fn build_tables<T: JoinTable + Send>(
     tabs.into_iter().map(|(_, t)| t).collect()
 }
 
-/// Result of a fused pipeline run.
-#[derive(Clone, Debug)]
-#[non_exhaustive]
-pub struct PipelineResult {
-    /// Matches reaching the sink.
-    pub matches: u64,
-    /// Order-independent digest over `(key, build_payload,
-    /// probe_payload)` at the sink — comparable to
-    /// [`JoinResult::checksum`](crate::JoinResult) of the equivalent
-    /// materialized plan.
-    pub checksum: u64,
-    /// Build phases of every stage (in stage order) followed by the one
-    /// fused probe phase.
-    pub phases: Vec<PhaseStat>,
-    /// Matches that crossed a stage boundary *without* being
-    /// materialized — what a two-step plan would have written out and
-    /// re-read as an intermediate relation.
-    pub intermediate_matches: u64,
-    /// `intermediate_matches` × the bytes of one materialized
-    /// intermediate tuple ([`INTERMEDIATE_TUPLE_BYTES`]).
-    pub bytes_avoided: u64,
-}
-
-impl PipelineResult {
-    /// Total wall time across all phases.
-    pub fn total_wall(&self) -> std::time::Duration {
-        self.phases.iter().map(|p| p.wall).sum()
-    }
-}
-
 /// A fused multi-join pipeline: probe tuples flow through every staged
 /// build side as cache-resident `(key, rid)` batches, and payloads are
 /// gathered only at the sink.
@@ -554,7 +519,7 @@ impl PipelineResult {
 #[derive(Clone, Debug, Default)]
 pub struct Pipeline {
     stages: Vec<Arc<BuildSide>>,
-    config: Option<JoinConfig>,
+    config: JoinConfig,
 }
 
 impl Pipeline {
@@ -572,10 +537,10 @@ impl Pipeline {
     }
 
     /// The configuration of the probe run (threads, batch size, deadline,
-    /// budget, profiling, ...; default: `JoinConfig::builder().build()`).
+    /// budget, profiling, ...; default: [`JoinConfig::default`]).
     /// Should match the configuration the stages were prepared with.
     pub fn with_config(mut self, cfg: JoinConfig) -> Self {
-        self.config = Some(cfg);
+        self.config = cfg;
         self
     }
 
@@ -597,8 +562,14 @@ impl Pipeline {
         ops
     }
 
-    /// Run the fused probe over `s`.
-    pub fn run(&self, s: &Relation) -> Result<PipelineResult, JoinError> {
+    /// Run the fused probe over `s`. The result is the first stage's
+    /// `algorithm` and `radix_bits`, the sink's `matches` and `checksum`
+    /// — comparable to the equivalent materialized plan's — every
+    /// stage's build phases (in stage order) followed by the one fused
+    /// probe phase, and the matches that crossed a stage boundary
+    /// unmaterialized (`intermediate_matches`).
+    pub fn run(&self, s: &Relation) -> Result<JoinResult, JoinError> {
+        self.config.validate()?;
         if self.stages.is_empty() {
             return Err(JoinError::InvalidConfig {
                 field: "stages",
@@ -606,19 +577,15 @@ impl Pipeline {
                 reason: "a pipeline needs at least one build side",
             });
         }
-        let cfg = match &self.config {
-            Some(cfg) => cfg.clone(),
-            None => JoinConfig::builder().build()?,
-        };
-        contain_panics(|| self.run_fused(s, &cfg))
+        contain_panics(|| self.run_fused(s))
     }
 
-    fn run_fused(&self, s: &Relation, cfg: &JoinConfig) -> Result<PipelineResult, JoinError> {
-        let stages = &self.stages[..];
+    fn run_fused(&self, s: &Relation) -> Result<JoinResult, JoinError> {
+        let (stages, cfg) = (&self.stages[..], &self.config);
         let mut run = JoinRun::begin(stages[0].algorithm, cfg);
         run.extend_phases(stages.iter().flat_map(|side| side.phases.iter().cloned()));
 
-        let batch = cfg.pipeline_batch.max(1);
+        let batch = cfg.pipeline_batch;
         let shapes: Vec<[usize; 4]> = (0..stages.len())
             .map(|d| scratch_shape(stages, d, batch))
             .collect();
@@ -694,15 +661,9 @@ impl Pipeline {
             },
         )?;
 
-        let result = run.finish(checksum, stages[0].radix_bits);
-        let intermediate_matches: u64 = inter.iter().sum();
-        Ok(PipelineResult {
-            matches: result.matches,
-            checksum: result.checksum,
-            phases: result.phases,
-            intermediate_matches,
-            bytes_avoided: intermediate_matches * INTERMEDIATE_TUPLE_BYTES,
-        })
+        let mut result = run.finish(checksum, stages[0].radix_bits);
+        result.intermediate_matches = inter.iter().sum();
+        Ok(result)
     }
 }
 
@@ -791,7 +752,7 @@ mod tests {
             assert_eq!(res.matches, expect.count, "{alg}");
             assert_eq!(res.checksum, expect.digest, "{alg}");
             assert_eq!(res.intermediate_matches, 0, "{alg}: single stage");
-            assert_eq!(res.bytes_avoided, 0, "{alg}");
+            assert_eq!(res.bytes_avoided(), 0, "{alg}");
         }
     }
 
@@ -874,12 +835,8 @@ mod tests {
         let expect = reference_join(&r, &s);
         let side = BuildSide::prepare(Algorithm::Chtj, &r, &cfg(2)).unwrap();
         for batch in [1, 7, 1024] {
-            let cfg = JoinConfig::builder()
-                .with_threads(2)
-                .with_simulate(false)
-                .with_pipeline_batch(batch)
-                .build()
-                .unwrap();
+            let mut cfg = cfg(2);
+            cfg.pipeline_batch = batch;
             let res = Pipeline::new()
                 .with_stage(Arc::clone(&side))
                 .with_config(cfg)

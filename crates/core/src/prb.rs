@@ -20,7 +20,11 @@ const PRB_DEFAULT_BITS: u32 = 14;
 
 /// PRB: two-pass radix partitioning (direct scatter), chained tables,
 /// sequential task order.
-pub fn join_prb(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResult, JoinError> {
+pub(crate) fn join_prb(
+    r: &Relation,
+    s: &Relation,
+    cfg: &JoinConfig,
+) -> Result<JoinResult, JoinError> {
     let table = PartTable {
         kind: TableKind::Chained,
         bits: cfg.radix_bits.unwrap_or(PRB_DEFAULT_BITS).max(2),

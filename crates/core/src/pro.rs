@@ -26,7 +26,7 @@ use crate::config::{JoinConfig, TableKind};
 use crate::exec::join_morsels;
 use crate::executor::QueuePolicy;
 use crate::plan::JoinError;
-use crate::run::{JoinRun, RunCtx};
+use crate::run::{contain_panics, JoinRun, RunCtx};
 use crate::spec::{self, ops, PartitionLayout, PartitionWrites, PhaseModel};
 use crate::stats::JoinResult;
 use crate::Algorithm;
@@ -302,7 +302,7 @@ pub(crate) fn partition_phase<P>(
 }
 
 /// PRO family: contiguous partitioning + task-queue co-partition joins.
-pub fn join_pro(
+pub(crate) fn join_pro(
     r: &Relation,
     s: &Relation,
     cfg: &JoinConfig,
@@ -359,16 +359,18 @@ pub fn join_pro(
 
 /// PRO with *two-pass* partitioning (total bits split evenly across the
 /// passes) — the configuration Figure 2 compares against single-pass
-/// partitioning.
+/// partitioning, and the one driver variant [`crate::Join`] does not
+/// reach: validated and fault-contained like `Join::run`.
 pub fn join_pro_two_pass(
     r: &Relation,
     s: &Relation,
     cfg: &JoinConfig,
     kind: TableKind,
 ) -> Result<JoinResult, JoinError> {
+    cfg.validate()?;
     let mut table = PartTable::for_join(cfg, kind, r.len());
     table.bits = table.bits.max(2);
-    two_pass_join(Algorithm::Pro, r, s, cfg, table, ScatterMode::Swwcb)
+    contain_panics(|| two_pass_join(Algorithm::Pro, r, s, cfg, table, ScatterMode::Swwcb))
 }
 
 /// Two radix passes over both inputs (total bits split evenly), then
@@ -414,7 +416,7 @@ pub(crate) fn two_pass_join(
 }
 
 /// CPR family: chunked partitioning + gather-style co-partition joins.
-pub fn join_cpr(
+pub(crate) fn join_cpr(
     r: &Relation,
     s: &Relation,
     cfg: &JoinConfig,

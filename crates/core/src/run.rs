@@ -9,9 +9,10 @@
 //!
 //! * the fault state (cancellation, deadline, [`MemBudget`],
 //!   failpoints; see [`crate::fault`]),
-//! * the [`ExecSink`] the executor hands this join's counters and
-//!   worker spans to — the shared pool keeps none, so joins running
-//!   concurrently on it cannot contaminate each other's `PhaseStat`s,
+//! * the [`ExecSink`] the executor hands this join's counters, arena
+//!   traffic and worker spans to — the shared pool keeps none, so joins
+//!   running concurrently on it cannot contaminate each other's
+//!   `PhaseStat`s,
 //! * the `Arc<Executor>` its phases run on, and
 //! * the [`JoinResult`] under construction.
 //!
@@ -28,6 +29,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use mmjoin_util::checksum::JoinChecksum;
+use mmjoin_util::mem::{self, AllocSnapshot};
 use mmjoin_util::pool::{lock_recover, WorkerPool};
 
 use crate::config::JoinConfig;
@@ -35,7 +37,7 @@ use crate::executor::{ExecSink, Executor};
 use crate::fault::{panic_message, BudgetExceeded, CancelToken, MemBudget, MemCharge};
 use crate::plan::JoinError;
 use crate::spec::{self, PhaseModel};
-use crate::stats::{JoinResult, PhaseStat, SpillCounters};
+use crate::stats::{AllocCounters, JoinResult, PhaseStat, SpillCounters};
 use crate::Algorithm;
 
 #[cfg(feature = "failpoints")]
@@ -265,12 +267,16 @@ pub struct JoinRun<'c> {
     cfg: &'c JoinConfig,
     ctx: RunCtx,
     result: JoinResult,
+    /// The submitting thread's `mem::thread_stats()` at the previous
+    /// phase boundary: what it allocates itself (reservations made real
+    /// between phases, output buffers) is billed to the next phase.
+    alloc_mark: AllocSnapshot,
 }
 
 impl<'c> JoinRun<'c> {
     /// Start a run of `alg` under `cfg`'s knobs. Must be called on the
     /// submitting thread (failpoints armed with
-    /// [`crate::fault::failpoints::arm_local`] are resolved against it).
+    /// `crate::fault::failpoints::arm_local` are resolved against it).
     pub fn begin(alg: Algorithm, cfg: &'c JoinConfig) -> Self {
         CURRENT_PHASE.with(|c| c.set("plan"));
         let started = Instant::now();
@@ -298,6 +304,7 @@ impl<'c> JoinRun<'c> {
                 fp_sleep_ms: AtomicU64::new(0),
             },
             result: JoinResult::new(alg),
+            alloc_mark: mem::thread_stats(),
         }
     }
 
@@ -330,7 +337,8 @@ impl<'c> JoinRun<'c> {
     /// the cost model. In order: enter the phase (error label,
     /// failpoint), time `work`, simulate the model (keeping timelines
     /// if asked), take what the executor measured for this run since
-    /// the last phase, push the [`PhaseStat`], and check for worker-side
+    /// the last phase, add the submitting thread's own arena traffic,
+    /// push the [`PhaseStat`], and check for worker-side
     /// failures, cancellation and the deadline. An `Err` from `work`
     /// fails the join without recording the phase.
     pub fn phase<T>(
@@ -352,16 +360,19 @@ impl<'c> JoinRun<'c> {
                 self.result.timelines.push((name, sim));
             }
         }
-        let (exec, workers) = ctx.sink.take();
-        let alloc = self.result.take_alloc();
+        let mut measured = ctx.sink.take();
+        let now = mem::thread_stats();
+        let own = AllocCounters::from_delta(now.delta(&self.alloc_mark));
+        measured.alloc.merge(own);
+        self.alloc_mark = now;
         self.result.phases.push(PhaseStat {
             name,
             wall,
             sim_seconds,
-            exec,
+            exec: measured.exec,
             spill: std::mem::take(&mut *lock_recover(&ctx.spill)),
-            alloc,
-            workers,
+            alloc: measured.alloc,
+            workers: measured.spans,
         });
         ctx.checkpoint(&self.result.phases)?;
         Ok(out)

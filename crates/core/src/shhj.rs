@@ -52,7 +52,7 @@ use crate::Algorithm;
 
 /// Maximum recursive repartitioning passes over one spilled partition
 /// before giving up with [`JoinError::SpillRecursionLimit`]. With
-/// [`SPILL_SUB_BITS`] fresh bits per pass this separates any key set
+/// `SPILL_SUB_BITS` fresh bits per pass this separates any key set
 /// that is separable at all within 32-bit keys.
 pub const SPILL_RECURSION_LIMIT: u32 = 6;
 
@@ -146,7 +146,11 @@ fn spilled_bytes(writers: &[Option<Mutex<SpillWriter>>], spilled_parts: &[usize]
 }
 
 /// Spilling hybrid hash join driver.
-pub fn join_shhj(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResult, JoinError> {
+pub(crate) fn join_shhj(
+    r: &Relation,
+    s: &Relation,
+    cfg: &JoinConfig,
+) -> Result<JoinResult, JoinError> {
     let mut run = JoinRun::begin(Algorithm::Shhj, cfg);
     let bits = shhj_bits(cfg, r.len());
     let f = RadixFn::new(bits);

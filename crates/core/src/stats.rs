@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use mmjoin_numamodel::PhaseSim;
 use mmjoin_util::checksum::JoinChecksum;
-use mmjoin_util::mem::{self, AllocSnapshot};
+use mmjoin_util::mem::AllocSnapshot;
 use mmjoin_util::perf::CounterDelta;
 use mmjoin_util::pool::{ExecCounters, WorkerPhaseStat};
 
@@ -32,12 +32,12 @@ impl SpillCounters {
     }
 }
 
-/// Memory-subsystem activity of one phase: deltas of the process-wide
-/// `mmjoin_util::mem` counters between this phase's boundary and the
-/// previous one. All-zero under the portable policy (no mapped arenas)
-/// or when another thread's join interleaves — the counters are global,
-/// so concurrent joins attribute each other's traffic; treat these as
-/// diagnostics, not an exact ledger.
+/// Memory-subsystem activity of one phase: what the threads working for
+/// this join — the pool's workers while they ran its tasks, the
+/// submitting thread between phase boundaries — added to the
+/// `mmjoin_util::mem` counters (`mem::thread_stats` deltas, so joins
+/// running concurrently never see each other's traffic). All-zero under
+/// the portable policy (no mapped arenas).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct AllocCounters {
     /// mmap-backed arena blocks created during this phase.
@@ -57,7 +57,7 @@ pub struct AllocCounters {
 }
 
 impl AllocCounters {
-    fn from_delta(d: AllocSnapshot) -> AllocCounters {
+    pub(crate) fn from_delta(d: AllocSnapshot) -> AllocCounters {
         AllocCounters {
             mapped_blocks: d.mapped_blocks,
             mapped_bytes: d.mapped_bytes,
@@ -119,23 +119,29 @@ impl PhaseStat {
     }
 }
 
-/// Result of one join execution.
-#[derive(Debug)]
+/// Result of one join execution: a monolithic driver's
+/// ([`crate::Join::run`]) or a fused operator pipeline's
+/// ([`crate::Pipeline::run`]).
+#[derive(Clone, Debug)]
 pub struct JoinResult {
+    /// The driver that ran (a pipeline's first stage).
     pub algorithm: Algorithm,
     /// Number of output matches.
     pub matches: u64,
     /// Order-independent digest over all matches.
     pub checksum: u64,
     pub phases: Vec<PhaseStat>,
-    /// Radix bits actually used (partitioned joins).
+    /// Radix bits actually used (partitioned joins; a pipeline's first
+    /// stage).
     pub radix_bits: Option<u32>,
     /// Per-phase simulator outputs, kept only when
     /// `JoinConfig::keep_timelines` is set (Figure 6).
     pub timelines: Vec<(&'static str, PhaseSim)>,
-    /// `mem::stats()` at the previous phase boundary; each pushed phase
-    /// records the delta since this mark and advances it.
-    alloc_mark: AllocSnapshot,
+    /// Matches that crossed a stage boundary of a fused pipeline
+    /// *without* being materialized — what a two-step plan would have
+    /// written out and re-read as an intermediate relation. Zero for a
+    /// monolithic driver and a one-stage pipeline.
+    pub intermediate_matches: u64,
 }
 
 impl JoinResult {
@@ -147,17 +153,15 @@ impl JoinResult {
             phases: Vec::new(),
             radix_bits: None,
             timelines: Vec::new(),
-            alloc_mark: mem::stats(),
+            intermediate_matches: 0,
         }
     }
 
-    /// Delta of the global alloc counters since the last phase boundary;
-    /// advances the mark.
-    pub(crate) fn take_alloc(&mut self) -> AllocCounters {
-        let now = mem::stats();
-        let delta = now.delta(&self.alloc_mark);
-        self.alloc_mark = now;
-        AllocCounters::from_delta(delta)
+    /// Bytes of intermediate relation a fused pipeline never wrote:
+    /// `intermediate_matches` × one materialized
+    /// [`JoinMatch`](crate::materialize::JoinMatch).
+    pub fn bytes_avoided(&self) -> u64 {
+        self.intermediate_matches * std::mem::size_of::<crate::materialize::JoinMatch>() as u64
     }
 
     pub fn set_checksum(&mut self, c: JoinChecksum) {
@@ -168,14 +172,13 @@ impl JoinResult {
     /// Append a hand-built phase (tests, synthetic results). Real runs
     /// record their phases through [`crate::run::JoinRun::phase`].
     pub fn push_phase(&mut self, name: &'static str, wall: Duration, sim_seconds: f64) {
-        let alloc = self.take_alloc();
         self.phases.push(PhaseStat {
             name,
             wall,
             sim_seconds,
             exec: ExecCounters::new(),
             spill: SpillCounters::default(),
-            alloc,
+            alloc: AllocCounters::default(),
             workers: Vec::new(),
         });
     }

@@ -36,7 +36,7 @@ use mmjoin_util::{chunk_range, next_pow2};
 
 use crate::hashfn::{KeyHash, MultiplicativeHash};
 use crate::linear::StLinearTable;
-use crate::{ProbeOperator, PROBE_GROUP};
+use crate::PROBE_GROUP;
 
 /// Bitmap positions per inserted tuple (the "8" in `8·n`).
 const POSITIONS_PER_TUPLE: usize = 8;
@@ -338,9 +338,30 @@ impl<H: KeyHash> ConciseHashTable<H> {
         self.walk(0, self.home(key), key, false, f);
     }
 
-    /// [`ProbeOperator::probe_op`] for every match of every probe.
+    /// [`Self::probe_op`] for every match of every probe.
     pub fn probe_batch<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], f: F) {
         self.probe_op(probes, false, f);
+    }
+
+    /// The batch probe: `f` receives `(probe_tuple, build_payload)` per
+    /// match, in probe order; `unique` requests first-match probes (the
+    /// study's PK assumption), which stop at a probe's first match in
+    /// the dense array and the overflow table alike. A probe tuple's
+    /// payload is handed through untouched — the operator pipeline sends
+    /// row ids in it. Portable mode probes one key at a time; otherwise
+    /// the pipeline runs, with the hardware popcount where the CPU has
+    /// one.
+    pub fn probe_op<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], unique: bool, mut f: F) {
+        if kernels::popcnt_active() {
+            // SAFETY: the CPU has `popcnt`.
+            unsafe { self.probe_pipelined_popcnt(probes, unique, f) }
+        } else if kernels::simd_active() {
+            self.probe_pipelined(probes, unique, f)
+        } else {
+            for t in probes {
+                self.walk(0, self.home(t.key), t.key, unique, |p| f(t, p));
+            }
+        }
     }
 
     /// The batch probe as a three-stage pipeline over groups of
@@ -428,24 +449,6 @@ impl<H: KeyHash> ConciseHashTable<H> {
         self.groups.len() * size_of::<Group>()
             + self.array.len() * size_of::<Tuple>()
             + self.overflow_len * 16
-    }
-}
-
-impl<H: KeyHash> ProbeOperator for ConciseHashTable<H> {
-    /// `f` receives `(probe_tuple, build_payload)` per match, in probe
-    /// order. Portable mode probes one key at a time; otherwise the
-    /// pipeline runs, with the hardware popcount where the CPU has one.
-    fn probe_op<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], unique: bool, mut f: F) {
-        if kernels::popcnt_active() {
-            // SAFETY: the CPU has `popcnt`.
-            unsafe { self.probe_pipelined_popcnt(probes, unique, f) }
-        } else if kernels::simd_active() {
-            self.probe_pipelined(probes, unique, f)
-        } else {
-            for t in probes {
-                self.walk(0, self.home(t.key), t.key, unique, |p| f(t, p));
-            }
-        }
     }
 }
 

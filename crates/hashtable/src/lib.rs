@@ -164,56 +164,6 @@ pub trait JoinTable: Sized {
     fn memory_bytes(&self) -> usize;
 }
 
-/// The batched probe interface of the operator pipeline
-/// (`mmjoin_core::pipeline`): one vocabulary over every table in the
-/// zoo, single-threaded or concurrent. A probe operator receives a
-/// cache-resident batch of `(key, rid)` tuples and invokes
-/// `f(probe_tuple, build_payload)` per match — payload gathering is the
-/// *sink's* job (late materialization), so implementations must not
-/// assume the tuple's payload is a real attribute.
-///
-/// `unique` requests first-match probes (the study's PK assumption):
-/// every table that can hold duplicate keys — the CHT and its overflow
-/// table included — stops at a probe's first match. The arrays hold one
-/// payload a slot and have nothing to stop early.
-pub trait ProbeOperator {
-    fn probe_op<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], unique: bool, f: F);
-}
-
-impl<H: KeyHash + Default> ProbeOperator for StChainedTable<H> {
-    fn probe_op<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], unique: bool, f: F) {
-        JoinTable::probe_batch(self, probes, unique, f)
-    }
-}
-
-impl<H: KeyHash + Default> ProbeOperator for StLinearTable<H> {
-    fn probe_op<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], unique: bool, f: F) {
-        JoinTable::probe_batch(self, probes, unique, f)
-    }
-}
-
-impl ProbeOperator for ArrayTable {
-    fn probe_op<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], unique: bool, f: F) {
-        JoinTable::probe_batch(self, probes, unique, f)
-    }
-}
-
-impl<H: KeyHash> ProbeOperator for ConcurrentLinearTable<H> {
-    fn probe_op<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], unique: bool, f: F) {
-        self.probe_batch(probes, unique, f)
-    }
-}
-
-impl ProbeOperator for ConcurrentArrayTable {
-    fn probe_op<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], _unique: bool, f: F) {
-        // An array slot holds at most one payload: probes are unique by
-        // construction.
-        self.probe_batch(probes, f)
-    }
-}
-
-// `ConciseHashTable`'s `probe_op` is its batch probe itself: see `cht`.
-
 #[cfg(test)]
 mod tests {
     use super::*;

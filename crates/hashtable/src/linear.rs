@@ -502,12 +502,6 @@ impl<H: KeyHash> ConcurrentLinearTable<H> {
     pub fn memory_bytes(&self) -> usize {
         self.slots.len() * 8
     }
-
-    /// Cache lines touched per random probe — 1 for a ≤50% loaded table
-    /// hit within a line; used by the cost model.
-    pub fn lines_per_probe(&self) -> f64 {
-        1.0 + 8.0 / CACHE_LINE as f64
-    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ mod common;
 use std::sync::Mutex;
 
 use mmjoin_hashtable::cht::{PROBE_WINDOW, REGION_SHIFT};
-use mmjoin_hashtable::{ConciseHashTable, KeyHash, MultiplicativeHash, ProbeOperator};
+use mmjoin_hashtable::{ConciseHashTable, KeyHash, MultiplicativeHash};
 use mmjoin_util::kernels::{with_mode, KernelMode};
 use mmjoin_util::tuple::{Key, Payload, Tuple};
 use proptest::prelude::*;

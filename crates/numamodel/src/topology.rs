@@ -106,30 +106,10 @@ impl Topology {
         self.page_size.tlb_entries()
     }
 
-    /// A single-socket machine (for PRB/PRO's original design context).
-    pub fn single_socket(cores: usize) -> Self {
-        Topology {
-            nodes: 1,
-            cores_per_node: cores,
-            smt: 1,
-            l1d: 32 * 1024,
-            l2: 256 * 1024,
-            llc: 20 * 1024 * 1024,
-            page_size: PageSize::Huge2M,
-            capacity_scale: 1,
-        }
-    }
-
     /// Total physical cores.
     #[inline]
     pub fn physical_cores(&self) -> usize {
         self.nodes * self.cores_per_node
-    }
-
-    /// Total hardware contexts.
-    #[inline]
-    pub fn hw_contexts(&self) -> usize {
-        self.physical_cores() * self.smt
     }
 
     /// NUMA node a given logical thread runs on.
@@ -174,7 +154,6 @@ mod tests {
     fn paper_machine_dimensions() {
         let t = Topology::paper_machine();
         assert_eq!(t.physical_cores(), 60);
-        assert_eq!(t.hw_contexts(), 120);
         assert_eq!(t.nodes, 4);
     }
 

@@ -13,9 +13,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mmjoin_util::alloc::AlignedBuf;
+use mmjoin_util::chunk_range;
 use mmjoin_util::pool::{broadcast_map, ScopedPool, WorkerPool};
 use mmjoin_util::tuple::Tuple;
-use mmjoin_util::{chunk_range, CACHE_LINE};
 
 use crate::histogram::{global_offsets, histogram};
 use crate::radix::RadixFn;
@@ -66,13 +66,6 @@ impl PartitionedRelation {
     #[inline]
     pub fn offsets(&self) -> &[usize] {
         &self.offsets
-    }
-
-    /// Starting byte offset of partition `p` — partitions are laid out in
-    /// ascending virtual addresses, the property the task-scheduling
-    /// analysis of Section 6.2 builds on.
-    pub fn byte_offset(&self, p: usize) -> usize {
-        self.offsets[p] * std::mem::size_of::<Tuple>()
     }
 
     pub fn all_tuples(&self) -> &[Tuple] {
@@ -343,12 +336,6 @@ pub fn validate_partitioning(input: &[Tuple], pr: &PartitionedRelation, digit_bi
     a == b
 }
 
-/// Number of SWWCB state bytes for a given fanout — used by Figure 11's
-/// analysis (all banks of all threads must fit in the shared LLC).
-pub fn swwcb_state_bytes(fanout: usize, threads: usize) -> usize {
-    fanout * threads * (CACHE_LINE + 16)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,6 +565,5 @@ mod tests {
         let input = random_input(8_000, 7);
         let pr = two_pass_partition(&input, 3, 3, 4, ScatterMode::Direct);
         assert!(pr.offsets().windows(2).all(|w| w[0] <= w[1]));
-        assert!(pr.byte_offset(10) >= pr.byte_offset(9));
     }
 }

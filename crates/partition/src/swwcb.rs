@@ -137,13 +137,6 @@ impl SwwcBank {
     pub fn cursor(&self, part: usize) -> usize {
         self.cursor[part]
     }
-
-    /// Bytes of buffer state per partition — the quantity that must fit
-    /// in the LLC for partitioning to stay fast (Section 7.3's analysis of
-    /// Figure 11).
-    pub const fn bytes_per_partition() -> usize {
-        CACHE_LINE + 2 * std::mem::size_of::<u8>() + std::mem::size_of::<usize>()
-    }
 }
 
 #[cfg(test)]

@@ -21,8 +21,9 @@
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-use mmjoin_core::prelude::Pipeline;
-use mmjoin_core::prelude::{is_ported, Algorithm, BuildSide, Join, JoinConfig, JoinError, Tuple};
+use mmjoin_core::prelude::{
+    is_ported, Algorithm, BuildSide, Join, JoinConfig, JoinError, JoinResult, Pipeline, Tuple,
+};
 
 use crate::admission::Admitted;
 use crate::cache::CacheKey;
@@ -121,16 +122,6 @@ fn base_config(
     cfg
 }
 
-enum RunOutput {
-    Classic(mmjoin_core::prelude::JoinResult),
-    Pipelined {
-        matches: u64,
-        checksum: u64,
-        cached: bool,
-        phases: Vec<PhaseStat>,
-    },
-}
-
 /// Flight-recorder rollups of a run's phases (DESIGN.md §16).
 fn rollups(phases: &[PhaseStat]) -> Vec<PhaseRollup> {
     phases
@@ -143,13 +134,15 @@ fn rollups(phases: &[PhaseStat]) -> Vec<PhaseRollup> {
         .collect()
 }
 
+/// Run the requested plan in memory; the flag is whether the build side
+/// came out of the cache.
 fn run_resident(
     shared: &Shared,
     spec: &JoinSpec,
     cfg: &JoinConfig,
     build: &CatalogEntry,
     probe: &CatalogEntry,
-) -> Result<RunOutput, JoinError> {
+) -> Result<(JoinResult, bool), JoinError> {
     if spec.cache && is_ported(spec.algorithm) {
         let key = CacheKey {
             relation: build.name.clone(),
@@ -169,17 +162,12 @@ fn run_resident(
             .with_stage(side)
             .with_config(cfg.clone())
             .run(&probe.rel)?;
-        return Ok(RunOutput::Pipelined {
-            matches: out.matches,
-            checksum: out.checksum,
-            cached,
-            phases: out.phases,
-        });
+        return Ok((out, cached));
     }
-    Join::new(spec.algorithm)
+    let out = Join::new(spec.algorithm)
         .with_config(cfg.clone())
-        .run(&build.rel, &probe.rel)
-        .map(RunOutput::Classic)
+        .run(&build.rel, &probe.rel)?;
+    Ok((out, false))
 }
 
 /// Execute one admitted job end to end; returns the response payload.
@@ -277,25 +265,15 @@ pub(crate) fn execute(shared: &Shared, adm: &Admitted) -> String {
     drop(lease);
 
     match result {
-        Ok(out) => {
+        Ok((out, cached)) => {
             adm.counters.completed.fetch_add(1, Ordering::Relaxed);
             if degraded {
                 adm.counters.degraded.fetch_add(1, Ordering::Relaxed);
                 shared.stats.joins_degraded.fetch_add(1, Ordering::Relaxed);
             }
             shared.stats.joins_ok.fetch_add(1, Ordering::Relaxed);
-            let (matches, checksum, cached, spill_bytes, phases) = match out {
-                RunOutput::Classic(r) => {
-                    let spilled = r.spill_totals().bytes_spilled;
-                    (r.matches, r.checksum, false, spilled, rollups(&r.phases))
-                }
-                RunOutput::Pipelined {
-                    matches,
-                    checksum,
-                    cached,
-                    phases,
-                } => (matches, checksum, cached, 0, rollups(&phases)),
-            };
+            let (matches, checksum) = (out.matches, out.checksum);
+            let spill_bytes = out.spill_totals().bytes_spilled;
             let algorithm = if degraded {
                 Algorithm::Shhj
             } else {
@@ -314,7 +292,7 @@ pub(crate) fn execute(shared: &Shared, adm: &Admitted) -> String {
                 degraded,
                 spill_bytes,
                 matches,
-                phases,
+                phases: rollups(&out.phases),
             });
             protocol::join_response(
                 job.id,
@@ -347,17 +325,17 @@ fn run_degraded(
     grant: usize,
     build: &CatalogEntry,
     probe: &CatalogEntry,
-) -> Result<RunOutput, JoinError> {
+) -> Result<(JoinResult, bool), JoinError> {
     let mut cfg = cfg.clone();
     cfg.mem_limit = Some(grant);
     cfg.spill = true;
     if let Some(dir) = &shared.cfg.spill_dir {
         cfg.spill_dir = Some(dir.clone());
     }
-    Join::new(Algorithm::Shhj)
+    let out = Join::new(Algorithm::Shhj)
         .with_config(cfg)
-        .run(&build.rel, &probe.rel)
-        .map(RunOutput::Classic)
+        .run(&build.rel, &probe.rel)?;
+    Ok((out, false))
 }
 
 #[cfg(test)]

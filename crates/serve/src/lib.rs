@@ -2,7 +2,7 @@
 //! `mmjoin_core::prelude` API (DESIGN.md §15).
 //!
 //! The front-end is a single-threaded epoll reactor over raw syscalls
-//! (the repo's no-libc idiom; see [`reactor`]) speaking a length-prefixed
+//! (the repo's no-libc idiom; see `reactor`) speaking a length-prefixed
 //! JSON protocol (see [`protocol`]). Joins are scheduled through an
 //! admission controller — bounded fair queues per tenant, per-tenant
 //! memory budgets carved from a global budget, degradation to the

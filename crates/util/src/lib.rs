@@ -11,7 +11,6 @@
 //! * [`rng`] — small deterministic PRNGs (SplitMix64 / Xoshiro256**).
 //! * [`checksum`] — order-independent join-result checksums used to verify
 //!   that all thirteen algorithms produce identical results.
-//! * [`timer::PhaseTimer`] — named phase wall-clock measurements.
 //! * [`pool::WorkerPool`] — the worker-pool trait every thread-parallel
 //!   phase runs against (implemented by `mmjoin-core`'s persistent
 //!   executor and by the scoped-thread fallback [`pool::ScopedPool`]).
@@ -32,7 +31,6 @@ pub mod stats;
 ))]
 pub mod sys;
 pub mod telemetry;
-pub mod timer;
 pub mod trace;
 pub mod tuple;
 
@@ -55,13 +53,6 @@ pub const PAGE_2M: usize = 2 * 1024 * 1024;
 #[inline]
 pub fn next_pow2(n: usize) -> usize {
     n.max(1).next_power_of_two()
-}
-
-/// Integer log2 of a power of two.
-#[inline]
-pub fn log2_pow2(n: usize) -> u32 {
-    debug_assert!(n.is_power_of_two());
-    n.trailing_zeros()
 }
 
 /// Divide `n` items into `parts` contiguous chunks as evenly as possible,
@@ -116,7 +107,6 @@ mod tests {
         assert_eq!(next_pow2(1), 1);
         assert_eq!(next_pow2(3), 4);
         assert_eq!(next_pow2(1024), 1024);
-        assert_eq!(log2_pow2(1024), 10);
     }
 
     #[test]

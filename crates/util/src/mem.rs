@@ -266,7 +266,8 @@ pub fn with_policy<R>(p: AllocPolicy, f: impl FnOnce() -> R) -> R {
 }
 
 // ---------------------------------------------------------------------------
-// Allocation statistics (process-global, snapshot/delta like perf)
+// Allocation statistics (process-wide and per thread, snapshot/delta
+// like perf)
 // ---------------------------------------------------------------------------
 
 macro_rules! stat_counters {
@@ -277,8 +278,9 @@ macro_rules! stat_counters {
             $(pub static $name: AtomicU64 = AtomicU64::new(0);)*
         }
 
-        /// Point-in-time totals of the process-global allocation
-        /// counters. Meaningful as deltas between two snapshots.
+        /// Point-in-time totals of the allocation counters, of the
+        /// process ([`stats`]) or of one thread ([`thread_stats`]).
+        /// Meaningful as deltas between two snapshots.
         #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
         pub struct AllocSnapshot {
             $(pub $name: u64,)*
@@ -289,6 +291,18 @@ macro_rules! stat_counters {
             AllocSnapshot {
                 $($name: counters::$name.load(Ordering::Relaxed),)*
             }
+        }
+
+        thread_local! {
+            static THREAD_STATS: std::cell::Cell<AllocSnapshot> =
+                const { std::cell::Cell::new(AllocSnapshot { $($name: 0,)* }) };
+        }
+
+        /// What the calling thread alone has added to [`stats`] since it
+        /// started: the counters a join attributes to itself while other
+        /// joins allocate on other threads.
+        pub fn thread_stats() -> AllocSnapshot {
+            THREAD_STATS.with(|c| c.get())
         }
 
         impl AllocSnapshot {
@@ -316,8 +330,17 @@ stat_counters!(
     heap_fallback,
 );
 
-fn bump(c: &AtomicU64, by: u64) {
-    c.fetch_add(by, Ordering::Relaxed);
+/// Count `$by` on counter `$field`, process-wide and for this thread.
+macro_rules! bump {
+    ($field:ident, $by:expr) => {{
+        let by: u64 = $by;
+        counters::$field.fetch_add(by, Ordering::Relaxed);
+        THREAD_STATS.with(|c| {
+            let mut mine = c.get();
+            mine.$field += by;
+            c.set(mine);
+        });
+    }};
 }
 
 // ---------------------------------------------------------------------------
@@ -491,8 +514,8 @@ pub fn acquire(bytes: usize, align: usize) -> Option<Block> {
     let len = round_up(bytes, gran)?;
     let key = encode_policy(p);
     if let Some(ptr) = pool_take(key, len) {
-        bump(&counters::pool_hits, 1);
-        bump(&counters::pool_hit_bytes, len as u64);
+        bump!(pool_hits, 1);
+        bump!(pool_hit_bytes, len as u64);
         return Some(Block {
             ptr,
             len,
@@ -501,13 +524,11 @@ pub fn acquire(bytes: usize, align: usize) -> Option<Block> {
         });
     }
     let ptr = map_block(pages, numa, len).or_else(|| {
-        bump(&counters::heap_fallback, 1);
-        #[cfg(test)]
-        tests::MY_HEAP_FALLBACKS.with(|c| c.set(c.get() + 1));
+        bump!(heap_fallback, 1);
         None
     })?;
-    bump(&counters::mapped_blocks, 1);
-    bump(&counters::mapped_bytes, len as u64);
+    bump!(mapped_blocks, 1);
+    bump!(mapped_bytes, len as u64);
     Some(Block {
         ptr,
         len,
@@ -527,7 +548,7 @@ fn map_block(pages: PagePolicy, numa: NumaPolicy, len: usize) -> Option<NonNull<
             ptr = imp::mmap_anon(len, imp::MAP_HUGETLB | imp::MAP_HUGE_2MB);
         }
         if ptr.is_none() {
-            bump(&counters::degraded_page, 1);
+            bump!(degraded_page, 1);
         }
     }
     if ptr.is_none() {
@@ -539,7 +560,7 @@ fn map_block(pages: PagePolicy, numa: NumaPolicy, len: usize) -> Option<NonNull<
         if pages == PagePolicy::Thp {
             let ok = !forced(FAIL_MADVISE) && imp::madvise_hugepage(got, len);
             if !ok {
-                bump(&counters::degraded_page, 1);
+                bump!(degraded_page, 1);
             }
         }
     }
@@ -555,7 +576,7 @@ fn map_block(pages: PagePolicy, numa: NumaPolicy, len: usize) -> Option<NonNull<
             };
             let ok = !forced(FAIL_MBIND) && imp::mbind(got, len, imp::MPOL_INTERLEAVE, mask);
             if !ok {
-                bump(&counters::degraded_numa, 1);
+                bump!(degraded_numa, 1);
             }
         }
         NumaPolicy::Bind(node) => {
@@ -563,7 +584,7 @@ fn map_block(pages: PagePolicy, numa: NumaPolicy, len: usize) -> Option<NonNull<
                 && !forced(FAIL_MBIND)
                 && imp::mbind(got, len, imp::MPOL_BIND, 1u64 << node);
             if !ok {
-                bump(&counters::degraded_numa, 1);
+                bump!(degraded_numa, 1);
             }
         }
     }
@@ -584,7 +605,7 @@ pub fn numa_available() -> bool {
 // ---------------------------------------------------------------------------
 
 /// What the running host actually provides, parsed from `/sys`. The
-/// simulated [`mmjoin-numamodel`] topology describes the paper's
+/// simulated `mmjoin-numamodel` topology describes the paper's
 /// machine; this one describes the machine under your feet.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HostTopology {
@@ -932,26 +953,19 @@ mod tests {
         });
     }
 
-    thread_local! {
-        /// Heap fallbacks of the calling thread alone. The policy and the
-        /// forced failure are process-wide, so while a test here holds
-        /// them, every other test of the binary that allocates 64 KiB
-        /// moves the process-wide counter too ([`lock`] covers only the
-        /// tests that set them).
-        pub(super) static MY_HEAP_FALLBACKS: std::cell::Cell<u64> =
-            const { std::cell::Cell::new(0) };
-    }
-
     #[test]
     fn forced_mmap_failure_falls_back_to_heap() {
         let _g = lock();
         with_policy(AllocPolicy::THP, || {
             set_force_fail(FAIL_MMAP);
             let before = stats();
-            let mine = MY_HEAP_FALLBACKS.with(|c| c.get());
+            let mine = thread_stats();
             assert!(acquire(PAGE_2M, 64).is_none());
-            // Counted once, and where `stats` reports it.
-            assert_eq!(MY_HEAP_FALLBACKS.with(|c| c.get()) - mine, 1);
+            // Counted once for this thread — the policy and the forced
+            // failure are process-wide, so other tests' allocations move
+            // the process-wide counter meanwhile — and where `stats`
+            // reports it.
+            assert_eq!(thread_stats().delta(&mine).heap_fallback, 1);
             assert!(stats().delta(&before).heap_fallback >= 1);
             set_force_fail(0);
         });

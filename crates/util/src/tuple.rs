@@ -126,22 +126,8 @@ impl Relation {
     }
 
     #[inline]
-    pub fn tuples_mut(&mut self) -> &mut [Tuple] {
-        self.data.as_mut_slice()
-    }
-
-    #[inline]
     pub fn placement(&self) -> Placement {
         self.placement
-    }
-
-    pub fn set_placement(&mut self, placement: Placement) {
-        self.placement = placement;
-    }
-
-    /// Sum of all keys — a cheap sanity invariant preserved by partitioning.
-    pub fn key_sum(&self) -> u64 {
-        self.tuples().iter().map(|t| t.key as u64).sum()
     }
 }
 
@@ -195,6 +181,5 @@ mod tests {
         let r = Relation::from_tuples(&ts, Placement::Interleaved);
         assert_eq!(r.len(), 100);
         assert_eq!(r.tuples(), &ts[..]);
-        assert_eq!(r.key_sum(), (0..100u64).sum());
     }
 }

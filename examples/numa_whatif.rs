@@ -10,7 +10,7 @@
 //! cargo run --release --example numa_whatif
 //! ```
 
-use mmjoin::core::{Algorithm, Join};
+use mmjoin::core::{Algorithm, Join, JoinConfig};
 use mmjoin::datagen::{gen_build_dense, gen_probe_fk};
 use mmjoin::util::Placement;
 
@@ -29,16 +29,19 @@ fn main() {
         "{:>8} {:>16} {:>16} {:>12}",
         "threads", "CPRL [Mtps]", "NOP [Mtps]", "CPRL/NOP"
     );
+    // A join on `host_threads` workers, costed for `sim_threads` of the
+    // paper's machine.
+    let plan = |alg, sim_threads| {
+        let mut cfg = JoinConfig::new(host_threads);
+        cfg.sim_threads = Some(sim_threads);
+        Join::new(alg)
+            .with_config(cfg)
+            .run(&r, &s)
+            .expect("valid plan")
+    };
     for sim_threads in [4usize, 8, 16, 32, 60, 120] {
-        let plan = |alg| {
-            Join::new(alg)
-                .with_threads(host_threads)
-                .with_sim_threads(sim_threads)
-                .run(&r, &s)
-                .expect("valid plan")
-        };
-        let cprl = plan(Algorithm::Cprl);
-        let nop = plan(Algorithm::Nop);
+        let cprl = plan(Algorithm::Cprl, sim_threads);
+        let nop = plan(Algorithm::Nop, sim_threads);
         let a = cprl.sim_throughput_mtps(r.len(), s.len());
         let b = nop.sim_throughput_mtps(r.len(), s.len());
         let smt = if sim_threads > 60 { " (SMT)" } else { "" };
@@ -46,15 +49,8 @@ fn main() {
     }
 
     println!("\nwhat-if: what does bad task scheduling cost PRO? (Fig. 6/7)");
-    let plan = |alg| {
-        Join::new(alg)
-            .with_threads(host_threads)
-            .with_sim_threads(60)
-            .run(&r, &s)
-            .expect("valid plan")
-    };
-    let pro = plan(Algorithm::Pro);
-    let prois = plan(Algorithm::ProIs);
+    let pro = plan(Algorithm::Pro, 60);
+    let prois = plan(Algorithm::ProIs, 60);
     println!(
         "  PRO   join phase: {:>8.2} ms (sequential task order, one hot node)",
         pro.sim_of("join") * 1e3

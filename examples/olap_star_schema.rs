@@ -30,12 +30,9 @@ fn main() {
     let dim = gen_build_dense(customers, 7, placement);
     let fact = gen_probe_zipf(sales, customers, 0.5, 8, placement);
 
-    let cfg = JoinConfig::builder()
-        .with_threads(threads)
-        .with_sim_threads(32)
-        .with_zipf(0.5)
-        .build()
-        .expect("valid configuration");
+    let mut cfg = JoinConfig::new(threads);
+    cfg.sim_threads = Some(32);
+    cfg.probe_theta = 0.5;
 
     println!(
         "{:<22} {:>14} {:>16} {:>10}",

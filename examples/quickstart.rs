@@ -22,11 +22,8 @@ fn main() {
     let r = gen_build_dense(r_n, 42, placement);
     let s = gen_probe_fk(s_n, r_n, 43, placement);
 
-    let cfg = JoinConfig::builder()
-        .with_threads(threads)
-        .with_sim_threads(32) // evaluate on the paper's 32-thread setup
-        .build()
-        .expect("valid configuration");
+    let mut cfg = JoinConfig::new(threads);
+    cfg.sim_threads = Some(32); // evaluate on the paper's 32-thread setup
 
     let mut rows: Vec<(String, f64, f64, u64)> = Vec::new();
     for alg in Algorithm::ALL {

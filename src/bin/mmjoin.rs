@@ -132,27 +132,24 @@ fn workload(args: &Args) -> (mmjoin::util::Relation, mmjoin::util::Relation, f64
 }
 
 fn config(args: &Args, theta: f64) -> JoinConfig {
-    let mut builder = JoinConfig::builder()
-        .with_threads(args.get("threads", 4))
-        .with_zipf(theta)
-        .with_skew_handling(args.has("skew-handling"));
+    let mut cfg = JoinConfig::new(4);
+    // Set directly: `new` would clamp the 0 that `validate` refuses.
+    cfg.threads = args.get("threads", 4);
+    cfg.probe_theta = theta;
+    cfg.skew_handling = args.has("skew-handling");
     if args.get_str("bits").is_some() {
-        builder = builder.with_radix_bits(args.get("bits", 0));
+        cfg.radix_bits = Some(args.get("bits", 0));
     }
     if args.get_str("deadline-ms").is_some() {
         let ms: u64 = args.get("deadline-ms", 0);
-        builder = builder.with_deadline(std::time::Duration::from_millis(ms));
+        cfg.deadline = Some(std::time::Duration::from_millis(ms));
     }
     if args.get_str("mem-limit-mb").is_some() {
         let mb: usize = args.get("mem-limit-mb", 0);
-        builder = builder.with_mem_limit(mb.saturating_mul(1024 * 1024));
+        cfg.mem_limit = Some(mb.saturating_mul(1024 * 1024));
     }
-    if let Some(dir) = args.get_str("spill-dir") {
-        builder = builder.with_spill_dir(dir);
-    }
-    if args.has("no-spill") {
-        builder = builder.with_spill(false);
-    }
+    cfg.spill_dir = args.get_str("spill-dir").map(Into::into);
+    cfg.spill = !args.has("no-spill");
     // The allocation policy is a process setting, not a join's: install
     // it once, before the command's first join allocates.
     if let Some(policy) = args.get_str("alloc") {
@@ -170,12 +167,15 @@ fn config(args: &Args, theta: f64) -> JoinConfig {
         || args.get_str("trace-out").is_some()
         || args.get_str("metrics-out").is_some()
     {
-        builder = builder.with_profile(ProfileConfig::on());
+        cfg.profile = ProfileConfig::on();
     }
-    builder.build().unwrap_or_else(|e| {
+    // Every command's joins would refuse it too; say so before the
+    // workload is generated.
+    if let Err(e) = cfg.validate() {
         eprintln!("invalid configuration: {e}");
         std::process::exit(2);
-    })
+    }
+    cfg
 }
 
 fn main() {

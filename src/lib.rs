@@ -24,7 +24,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use mmjoin::core::{Algorithm, Join};
+//! use mmjoin::core::{Algorithm, Join, JoinConfig};
 //! use mmjoin::datagen::{gen_build_dense, gen_probe_fk};
 //! use mmjoin::util::Placement;
 //!
@@ -33,7 +33,7 @@
 //! let s = gen_probe_fk(1_000_000, 100_000, 43, placement);
 //!
 //! let result = Join::new(Algorithm::Cpra)
-//!     .with_threads(4)
+//!     .with_config(JoinConfig::new(4)) // 4 worker threads
 //!     .run(&r, &s)
 //!     .expect("valid plan");
 //! assert_eq!(result.matches, 1_000_000);

@@ -113,6 +113,55 @@ fn mapped_policy_actually_maps_and_pools() {
     assert!(warm.pool_hits > 0, "second join did not reuse the pool");
 }
 
+/// A join's `alloc` counters are its own: NOP run while three other
+/// submitters loop PRB joins on the same shared pool bills itself the
+/// arena bytes it bills itself run alone (mapped or served by the pool —
+/// which of the two depends on what the neighbours left there, their
+/// sum does not). The counters were deltas of the process-wide totals,
+/// so the service's normal state — two runners — put each request's
+/// neighbours on its bill.
+#[test]
+fn concurrent_joins_do_not_bill_each_other() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let _guard = lock();
+    let threads = 2;
+    let (r, s) = workload(threads);
+    let arena_bytes = |res: &JoinResult| {
+        let totals = res.alloc_totals();
+        totals.mapped_bytes + totals.pool_hit_bytes
+    };
+    let nop = || {
+        Join::new(Algorithm::Nop)
+            .with_config(cfg(threads))
+            .run(&r, &s)
+    };
+    mem::with_policy(AllocPolicy::THP, || {
+        let alone = arena_bytes(&nop().expect("NOP alone"));
+        assert!(alone > 0, "NOP's table must come out of an arena");
+        let stop = AtomicBool::new(false);
+        // Every neighbour has a join behind it and is in its loop
+        // before NOP starts.
+        let started = std::sync::Barrier::new(4);
+        let crowded = std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    let prb = Join::new(Algorithm::Prb).with_config(cfg(threads));
+                    prb.run(&r, &s).expect("PRB neighbour");
+                    started.wait();
+                    while !stop.load(Ordering::Relaxed) {
+                        prb.run(&r, &s).expect("PRB neighbour");
+                    }
+                });
+            }
+            started.wait();
+            let crowded = nop();
+            stop.store(true, Ordering::Relaxed);
+            crowded.expect("NOP among neighbours")
+        });
+        assert_eq!(arena_bytes(&crowded), alone);
+    });
+}
+
 #[test]
 fn hugepage_unavailable_degrades_silently_into_phase_stats() {
     let _guard = lock();

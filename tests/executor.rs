@@ -52,7 +52,7 @@ fn steal_counters_under_skewed_queues() {
         ran[p].fetch_add(1, Ordering::Relaxed);
         std::thread::sleep(std::time::Duration::from_micros(500));
     });
-    let (c, _) = sink.take();
+    let c = sink.take().exec;
     assert_eq!(c.tasks, 64, "every morsel ran exactly once");
     for (p, r) in ran.iter().enumerate().take(64) {
         assert_eq!(r.load(Ordering::Relaxed), 1, "partition {p}");
@@ -68,16 +68,10 @@ fn pool_is_reused_across_joins_and_configs() {
     let threads = 5;
     let r = gen_build_dense(2_000, 71, Placement::Chunked { parts: 4 });
     let s = gen_probe_fk(8_000, 2_000, 72, Placement::Chunked { parts: 4 });
-    let cfg_a = JoinConfig::builder()
-        .with_threads(threads)
-        .with_simulate(false)
-        .build()
-        .unwrap();
-    let cfg_b = JoinConfig::builder()
-        .with_threads(threads)
-        .with_simulate(false)
-        .build()
-        .unwrap();
+    let mut cfg_a = JoinConfig::new(threads);
+    cfg_a.simulate = false;
+    let mut cfg_b = JoinConfig::new(threads);
+    cfg_b.simulate = false;
     for alg in [Algorithm::Pro, Algorithm::Cprl] {
         let a = Join::new(alg)
             .with_config(cfg_a.clone())

@@ -1,22 +1,27 @@
-//! The thirteen algorithms through the typed `Join` builder: edge-case
-//! matrix (empty build, empty probe, single tuples), builder-vs-config
-//! equivalence, and the no-respawn guarantee of the persistent executor.
+//! The thirteen algorithms through the `Join` front door: edge-case
+//! matrix (empty build, empty probe, single tuples), refused thread
+//! counts, and the no-respawn guarantee of the persistent executor.
 //!
 //! The spawn-counter assertions live here and nowhere else in this test
 //! binary: `Executor::total_threads_spawned()` is process-global, so the
 //! whole file pins every join to one thread count.
 
-use mmjoin::core::{Algorithm, Executor, Join, JoinConfig, JoinResult};
+use mmjoin::core::{Algorithm, BuildSide, Executor, Join, JoinConfig, JoinError, JoinResult};
 use mmjoin::datagen::{gen_build_dense, gen_probe_fk};
 use mmjoin::util::{Placement, Relation, Tuple};
 
 const THREADS: usize = 3;
 
+fn cfg() -> JoinConfig {
+    let mut cfg = JoinConfig::new(THREADS);
+    cfg.radix_bits = Some(4);
+    cfg.simulate = false;
+    cfg
+}
+
 fn run(alg: Algorithm, r: &Relation, s: &Relation) -> JoinResult {
     Join::new(alg)
-        .with_threads(THREADS)
-        .with_radix_bits(4)
-        .with_simulate(false)
+        .with_config(cfg())
         .run(r, s)
         .expect("valid plan")
 }
@@ -33,40 +38,44 @@ fn edge_case_matrix_all_thirteen() {
         assert_eq!(run(alg, &hundred, &empty).matches, 0, "{alg}: empty probe");
         assert_eq!(run(alg, &empty, &empty).matches, 0, "{alg}: both empty");
         assert_eq!(run(alg, &one_r, &one_hit).matches, 1, "{alg}: single hit");
+        let mut wide = cfg();
+        wide.key_domain = 128; // cover key 77 for the array variants
         let miss = Join::new(alg)
-            .with_threads(THREADS)
-            .with_radix_bits(4)
-            .with_simulate(false)
-            .with_key_domain(128) // cover key 77 for the array variants
+            .with_config(wide)
             .run(&one_r, &one_miss)
             .expect("valid plan");
         assert_eq!(miss.matches, 0, "{alg}: single miss");
     }
 }
 
-/// Per-setter builder calls and a shared pre-built `JoinConfig` describe
-/// the same plan: both paths produce identical matches and checksums.
-/// (This replaces the old equivalence test against the deleted
-/// `run_join` shim.)
+/// A thread count past `MAX_THREADS` is refused where the configuration
+/// enters — through `Join::run` and through `BuildSide::prepare` alike —
+/// before `Executor::shared` is asked for a pool: `threads = 5000` set on
+/// the field ran the join on 5000 parked workers until every entry point
+/// validated.
 #[test]
-fn builder_and_config_agree_on_all_thirteen() {
-    let r = gen_build_dense(3_000, 83, Placement::Chunked { parts: 4 });
-    let s = gen_probe_fk(12_000, 3_000, 84, Placement::Chunked { parts: 4 });
-    let mut cfg = JoinConfig::new(THREADS);
-    cfg.simulate = false;
+fn refused_thread_counts_spawn_no_workers() {
+    let r = gen_build_dense(500, 83, Placement::Interleaved);
+    let s = gen_probe_fk(1_000, 500, 84, Placement::Interleaved);
+    let mut cfg = cfg();
+    cfg.threads = 5000;
+    let refused = |e: JoinError| match e {
+        JoinError::InvalidConfig { field, value, .. } => {
+            assert_eq!((field, value), ("threads", 5000))
+        }
+        other => panic!("unexpected error {other:?}"),
+    };
     for alg in Algorithm::ALL {
-        let via_config = Join::new(alg)
-            .with_config(cfg.clone())
-            .run(&r, &s)
-            .expect("valid plan");
-        let via_setters = Join::new(alg)
-            .with_threads(THREADS)
-            .with_simulate(false)
-            .run(&r, &s)
-            .expect("valid plan");
-        assert_eq!(via_config.matches, via_setters.matches, "{alg}");
-        assert_eq!(via_config.checksum, via_setters.checksum, "{alg}");
+        refused(
+            Join::new(alg)
+                .with_config(cfg.clone())
+                .run(&r, &s)
+                .unwrap_err(),
+        );
     }
+    refused(BuildSide::prepare(Algorithm::Nop, &r, &cfg).unwrap_err());
+    // The other tests of this binary share the one pool of `THREADS`.
+    assert!(Executor::total_threads_spawned() <= THREADS);
 }
 
 /// The tentpole guarantee: racing all thirteen algorithms creates at
@@ -93,9 +102,10 @@ fn thirteen_race_spawns_at_most_threads_workers() {
     };
     let first = race();
     assert!(first.iter().all(|&(m, c)| (m, c) == first[0]), "{first:?}");
-    // NOTE: the edge-case and equivalence tests above may run
-    // concurrently, but every join in this binary uses THREADS workers,
-    // so exactly one pool can ever exist in this process.
+    // NOTE: the edge-case and refusal tests above may run
+    // concurrently, but every join in this binary that is not refused
+    // uses THREADS workers, so exactly one pool can ever exist in this
+    // process.
     let spawned = Executor::total_threads_spawned();
     assert_eq!(spawned, THREADS, "one pool for the whole race");
     let second = race();

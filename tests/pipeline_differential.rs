@@ -42,12 +42,10 @@ fn mode_lock() -> MutexGuard<'static, ()> {
 }
 
 fn chain_cfg(unique: bool) -> JoinConfig {
-    JoinConfig::builder()
-        .with_threads(THREADS)
-        .with_simulate(false)
-        .with_unique_build_keys(unique)
-        .build()
-        .expect("valid config")
+    let mut cfg = JoinConfig::new(THREADS);
+    cfg.simulate = false;
+    cfg.unique_build_keys = unique;
+    cfg
 }
 
 /// Fused two-stage pipeline vs. materialized two-step plan under
@@ -93,7 +91,7 @@ fn assert_fused_equals_two_step(
             "{alg}/{mode:?}/{tag}: a non-empty chain crosses the stage boundary"
         );
         assert!(
-            fused.bytes_avoided > 0,
+            fused.bytes_avoided() > 0,
             "{alg}/{mode:?}/{tag}: late materialization avoided bytes"
         );
     }
@@ -163,29 +161,52 @@ fn duplicate_build_key_chain_multiset_drivers_both_kernel_modes() {
     }
 }
 
-/// The fused flag on the classic `Join` front door agrees with the
-/// explicit `Pipeline` composition for a single stage.
+/// `Pipeline::run` returns the `JoinResult` a monolithic driver does.
+/// One stage: the first stage's algorithm and radix bits, the monolithic
+/// join's matches and checksum, no stage boundary crossed. Two stages:
+/// every stage-one match crossed the boundary unmaterialized, twelve
+/// bytes of `JoinMatch` avoided apiece, and the phases are both sides'
+/// build phases followed by the one fused probe.
 #[test]
-fn join_with_pipeline_agrees_with_explicit_pipeline() {
+fn pipeline_run_returns_the_join_result_of_its_chain() {
+    use mmjoin::core::reference::reference_join;
     use mmjoin::core::Join;
-    let r = gen_build_dense(N1, 108, Placement::Chunked { parts: 4 });
+    let (r1, r2) = chain_builds();
     let s = gen_probe_fk(M, N1, 109, Placement::Chunked { parts: 4 });
+    let cfg = chain_cfg(true);
     for alg in PORTED {
-        let via_join = Join::new(alg)
-            .with_threads(THREADS)
-            .with_simulate(false)
-            .with_pipeline(true)
-            .run(&r, &s)
-            .expect("fused Join");
-        let cfg = chain_cfg(true);
-        let side = BuildSide::prepare(alg, &r, &cfg).expect("build side");
-        let via_pipeline = Pipeline::new()
-            .with_stage(side)
-            .with_config(cfg)
+        let first = BuildSide::prepare(alg, &r1, &cfg).expect("stage 1");
+        let second = BuildSide::prepare(alg, &r2, &cfg).expect("stage 2");
+        let one = Pipeline::new()
+            .with_stage(first.clone())
+            .with_config(cfg.clone())
             .run(&s)
-            .expect("explicit pipeline");
-        assert_eq!(via_join.matches, via_pipeline.matches, "{alg}");
-        assert_eq!(via_join.checksum, via_pipeline.checksum, "{alg}");
+            .expect("one stage");
+        let direct = Join::new(alg).with_config(cfg.clone()).run(&r1, &s);
+        let direct = direct.expect("monolithic join");
+        assert_eq!(one.algorithm, alg);
+        assert_eq!(one.radix_bits, first.radix_bits(), "{alg}");
+        assert_eq!(one.radix_bits, direct.radix_bits, "{alg}");
+        assert_eq!(one.matches, direct.matches, "{alg}");
+        assert_eq!(one.checksum, direct.checksum, "{alg}");
+        assert_eq!(one.intermediate_matches, 0, "{alg}");
+        assert_eq!(one.bytes_avoided(), 0, "{alg}");
+
+        let two = Pipeline::new()
+            .with_stage(first.clone())
+            .with_stage(second.clone())
+            .with_config(cfg.clone())
+            .run(&s)
+            .expect("two stages");
+        assert_eq!(two.algorithm, alg);
+        assert_eq!(two.radix_bits, first.radix_bits(), "{alg}");
+        let crossed = reference_join(&r1, &s).count;
+        assert_eq!(two.intermediate_matches, crossed, "{alg}");
+        assert_eq!(two.bytes_avoided(), 12 * crossed, "{alg}");
+        let built = first.build_phases().iter().chain(second.build_phases());
+        let names: Vec<&str> = built.map(|p| p.name).chain(["probe"]).collect();
+        let got: Vec<&str> = two.phases.iter().map(|p| p.name).collect();
+        assert_eq!(got, names, "{alg}");
     }
 }
 
@@ -272,14 +293,12 @@ fn routed_probe_grid_matches_reference() {
         for threads in [1, 2, 3] {
             for bits in [1, 6, 12] {
                 let cfg = |batch: usize| {
-                    JoinConfig::builder()
-                        .with_threads(threads)
-                        .with_simulate(false)
-                        .with_unique_build_keys(unique)
-                        .with_radix_bits(bits)
-                        .with_pipeline_batch(batch)
-                        .build()
-                        .expect("valid config")
+                    let mut cfg = JoinConfig::new(threads);
+                    cfg.simulate = false;
+                    cfg.unique_build_keys = unique;
+                    cfg.radix_bits = Some(bits);
+                    cfg.pipeline_batch = batch;
+                    cfg
                 };
                 let global = BuildSide::prepare(Algorithm::Nop, &r1, &cfg(1024)).expect("NOP");
                 for &alg in algs {

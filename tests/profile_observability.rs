@@ -14,7 +14,7 @@
 //! nests inline broadcasts, which fold nested task counts into the
 //! enclosing worker's span and void the per-phase sum invariant.
 
-use mmjoin::core::{Algorithm, Join, JoinResult, ProfileConfig};
+use mmjoin::core::{Algorithm, Join, JoinConfig, JoinResult, ProfileConfig};
 use mmjoin::datagen::{gen_build_dense, gen_probe_fk};
 use mmjoin::util::{jsonv, Placement};
 
@@ -24,13 +24,13 @@ fn run(alg: Algorithm, profile: bool) -> JoinResult {
     let placement = Placement::Chunked { parts: THREADS };
     let r = gen_build_dense(9_000, 0xB0B0, placement);
     let s = gen_probe_fk(36_000, 9_000, 0xB0B1, placement);
-    let mut join = Join::new(alg)
-        .with_threads(THREADS)
-        .with_simulate(false)
-        .with_radix_bits(4);
+    let mut cfg = JoinConfig::new(THREADS);
+    cfg.simulate = false;
+    cfg.radix_bits = Some(4);
     if profile {
-        join = join.with_profile(ProfileConfig::on());
+        cfg.profile = ProfileConfig::on();
     }
+    let join = Join::new(alg).with_config(cfg);
     join.run(&r, &s).expect("valid plan")
 }
 

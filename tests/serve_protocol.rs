@@ -493,7 +493,7 @@ fn queue_overflow_is_a_typed_rejection() {
 /// the client-side p99 — and no spill run may outlive the server.
 #[test]
 fn fleet_of_256_connections_matches_direct_join_and_leaves_no_residue() {
-    use mmjoin::core::{Algorithm, Join};
+    use mmjoin::core::{Algorithm, Join, JoinConfig};
     use mmjoin::datagen::{gen_build_dense, gen_probe_fk};
     use mmjoin::util::Placement;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -540,7 +540,7 @@ fn fleet_of_256_connections_matches_direct_join_and_leaves_no_residue() {
             let r = gen_build_dense(build_rows, seed, placement);
             let s = gen_probe_fk(probe_rows, build_rows, seed + 1, placement);
             let direct = Join::new(Algorithm::Nop)
-                .with_threads(2)
+                .with_config(JoinConfig::new(2))
                 .run(&r, &s)
                 .expect("direct join");
             (direct.matches, direct.checksum)
