@@ -8,22 +8,34 @@
 //! capacity-relative behaviour (the source of every qualitative claim in
 //! Table 4) is preserved.
 //!
-//! Fidelity note: the build structures are the *real* tables of this
-//! crate — addresses come from their actual allocations — and the access
-//! sequence is the algorithms' real access sequence. What is simplified
-//! is concurrency (one thread) and, for CHT, the bulkload's scatter
-//! (replayed as its address pattern rather than by re-running the
-//! region-parallel builder).
+//! Fidelity note: every table-based join phase (NOP, NOPA, PR*, CPR*) is
+//! `pro::join_co_partition` — the function the joins' own tasks call, on the
+//! spec `PartTable::spec` gives them — run with the simulator as its
+//! tracer, so the table, its shift and the first-match probe are the
+//! join's by construction (NOP and NOPA as one partition of zero radix
+//! bits: the single-threaded twins of their concurrent tables). The
+//! scatter, the sort and the CHT are *models*: address patterns written
+//! here beside the real kernels. What is simplified throughout is
+//! concurrency (one thread).
 
-use mmjoin_hashtable::{ArrayTable, IdentityHash, StChainedTable, StLinearTable};
+use std::cell::RefCell;
+use std::iter::{once, once_with};
+
+use mmjoin_hashtable::{IdentityHash, StLinearTable};
 use mmjoin_memsim::{Counters, MemSim};
 use mmjoin_partition::{histogram::histogram, RadixFn};
+use mmjoin_util::checksum::JoinChecksum;
 use mmjoin_util::trace::MemTracer;
 use mmjoin_util::tuple::Tuple;
 use mmjoin_util::{Relation, CACHE_LINE, TUPLES_PER_CACHELINE};
 
 use crate::config::TableKind;
+use crate::pro::{join_co_partition, PartTable};
 use crate::Algorithm;
+
+/// First-match probes: the study's PK assumption, as
+/// `JoinConfig::unique_build_keys` defaults.
+const UNIQUE: bool = true;
 
 /// Counters of the two phases Table 4 reports.
 #[derive(Clone, Debug)]
@@ -121,62 +133,22 @@ fn traced_scatter(
     (out, offsets)
 }
 
-/// Per-partition traced build+probe over a partitioned pair.
+/// The join phase over a partitioned pair: build and probe one
+/// co-partition after another, as a join task does.
 fn traced_partition_join(
-    kind: TableKind,
-    bits: u32,
-    domain: usize,
+    table: PartTable,
     pr: &(Vec<Tuple>, Vec<usize>),
     ps: &(Vec<Tuple>, Vec<usize>),
     tr: &mut impl MemTracer,
 ) -> u64 {
-    let fanout = pr.1.len() - 1;
-    let mut matches = 0u64;
-    for p in 0..fanout {
-        let r_part = &pr.0[pr.1[p]..pr.1[p + 1]];
-        let s_part = &ps.0[ps.1[p]..ps.1[p + 1]];
-        match kind {
-            TableKind::Chained => {
-                // Hashed above the partition digits, as the join phase
-                // builds it; unshifted, every key lands in one bucket.
-                let mut t = StChainedTable::<IdentityHash>::with_capacity_shift(r_part.len(), bits);
-                for tup in r_part {
-                    tr.read(tup as *const Tuple as usize, 8);
-                    t.insert_traced(*tup, tr);
-                }
-                for tup in s_part {
-                    tr.read(tup as *const Tuple as usize, 8);
-                    t.probe_traced(tup.key, tr, |_| matches += 1);
-                }
-            }
-            TableKind::Linear => {
-                // Shifted like the chained table, and first-match probes
-                // (the study's PK assumption): what PRL's join phase runs.
-                let mut t = StLinearTable::<IdentityHash>::with_capacity_shift(r_part.len(), bits);
-                for tup in r_part {
-                    tr.read(tup as *const Tuple as usize, 8);
-                    t.insert_traced(*tup, tr);
-                }
-                for tup in s_part {
-                    tr.read(tup as *const Tuple as usize, 8);
-                    t.probe_first_traced(tup.key, tr, |_| matches += 1);
-                }
-            }
-            TableKind::Array => {
-                let len = (domain >> bits) + 2;
-                let mut t = ArrayTable::new(len, bits);
-                for tup in r_part {
-                    tr.read(tup as *const Tuple as usize, 8);
-                    t.insert_traced(*tup, tr);
-                }
-                for tup in s_part {
-                    tr.read(tup as *const Tuple as usize, 8);
-                    t.probe_traced(tup.key, tr, |_| matches += 1);
-                }
-            }
-        }
+    let mut c = JoinChecksum::new();
+    for p in 0..pr.1.len() - 1 {
+        let mut r = once(&pr.0[pr.1[p]..pr.1[p + 1]]);
+        let mut s = once(&ps.0[ps.1[p]..ps.1[p + 1]]);
+        let spec = table.spec(pr.1[p + 1] - pr.1[p]);
+        join_co_partition(table.kind, &spec, UNIQUE, &mut r, &mut s, &mut c, tr);
     }
-    matches
+    c.count
 }
 
 /// Run one algorithm instrumented. `scale` shrinks caches/pages (inputs
@@ -195,34 +167,32 @@ pub fn instrument(
     let mut matches = 0u64;
 
     let (first, second) = match algorithm {
-        Algorithm::Nop => {
-            let mut table = StLinearTable::<IdentityHash>::with_capacity(r.len());
-            for t in r.tuples() {
-                ms.read(t as *const Tuple as usize, 8);
-                table.insert_traced(*t, &mut ms);
-            }
-            let first = ms.reset_counters();
-            // Unique dense build keys: first-match probes (the original
-            // NOP's semantics; scanning the whole collision run would be
-            // O(|R|) per probe here).
-            for t in s.tuples() {
-                ms.read(t as *const Tuple as usize, 8);
-                table.probe_first_traced(t.key, &mut ms, |_| matches += 1);
-            }
-            (first, ms.reset_counters())
-        }
-        Algorithm::Nopa => {
-            let mut table = ArrayTable::new(domain + 2, 0);
-            for t in r.tuples() {
-                ms.read(t as *const Tuple as usize, 8);
-                table.insert_traced(*t, &mut ms);
-            }
-            let first = ms.reset_counters();
-            for t in s.tuples() {
-                ms.read(t as *const Tuple as usize, 8);
-                table.probe_traced(t.key, &mut ms, |_| matches += 1);
-            }
-            (first, ms.reset_counters())
+        Algorithm::Nop | Algorithm::Nopa => {
+            // The global table: one partition of zero radix bits.
+            let kind = match algorithm {
+                Algorithm::Nop => TableKind::Linear,
+                _ => TableKind::Array,
+            };
+            let table = PartTable {
+                kind,
+                bits: 0,
+                domain,
+            };
+            // The join pulls its probe side once its build is done: the
+            // build phase's counters are read there.
+            let (ms, mut first) = (RefCell::new(ms), None);
+            let mut probe = once_with(|| {
+                first = Some(ms.borrow_mut().reset_counters());
+                s.tuples()
+            });
+            let (mut build, mut c) = (once(r.tuples()), JoinChecksum::new());
+            let spec = table.spec(r.len());
+            join_co_partition(
+                kind, &spec, UNIQUE, &mut build, &mut probe, &mut c, &mut &ms,
+            );
+            matches = c.count;
+            let first = first.expect("the probe side is pulled, empty or not");
+            (first, ms.into_inner().reset_counters())
         }
         Algorithm::Chtj => {
             // CHTJ: bitmap (8n positions) + interleaved prefix + dense
@@ -286,7 +256,12 @@ pub fn instrument(
             let p1s = traced_scatter(s.tuples(), RadixFn::new(b1), false, &mut ms);
             let ps = traced_scatter(&p1s.0, RadixFn::new(bits), false, &mut ms);
             let first = ms.reset_counters();
-            matches = traced_partition_join(TableKind::Chained, bits, domain, &pr, &ps, &mut ms);
+            let table = PartTable {
+                kind: TableKind::Chained,
+                bits,
+                domain,
+            };
+            matches = traced_partition_join(table, &pr, &ps, &mut ms);
             (first, ms.reset_counters())
         }
         _ => {
@@ -302,7 +277,8 @@ pub fn instrument(
             let pr = traced_scatter(r.tuples(), f, true, &mut ms);
             let ps = traced_scatter(s.tuples(), f, true, &mut ms);
             let first = ms.reset_counters();
-            matches = traced_partition_join(kind, bits, domain, &pr, &ps, &mut ms);
+            let table = PartTable { kind, bits, domain };
+            matches = traced_partition_join(table, &pr, &ps, &mut ms);
             (first, ms.reset_counters())
         }
     };

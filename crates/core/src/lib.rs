@@ -82,7 +82,7 @@ pub use executor::{Executor, QueuePolicy};
 pub use fault::{CancelToken, MemBudget};
 pub use mmjoin_util::perf::CounterDelta;
 pub use mmjoin_util::pool::WorkerPhaseStat;
-pub use pipeline::{BuildSide, BuildSideStats, OperatorKind, Pipeline};
+pub use pipeline::{BuildSide, Pipeline};
 pub use plan::{Join, JoinError};
 pub use stats::{JoinResult, PhaseStat, SpillCounters};
 
@@ -97,9 +97,7 @@ pub mod prelude {
     pub use crate::config::{JoinConfig, ProfileConfig};
     pub use crate::fault::{CancelToken, MemBudget};
     pub use crate::observe;
-    pub use crate::pipeline::{
-        is_ported, BuildPhaseCounters, BuildSide, BuildSideStats, OperatorKind, Pipeline, PORTED,
-    };
+    pub use crate::pipeline::{is_ported, BuildSide, Pipeline, PORTED};
     pub use crate::plan::{Join, JoinError, MAX_RADIX_BITS};
     pub use crate::stats::{JoinResult, PhaseStat, SpillCounters};
     pub use crate::Algorithm;

@@ -69,20 +69,6 @@ pub fn is_ported(algorithm: Algorithm) -> bool {
     PORTED.contains(&algorithm)
 }
 
-/// The operator roles a pipeline composes (see the module docs).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum OperatorKind {
-    /// Radix-route batches to a partitioned build side's tables.
-    Partition,
-    /// Construct a stage's immutable build side (runs at prepare time).
-    Build,
-    /// Batched probe of one build side.
-    Probe,
-    /// Gather probe payloads by row id and fold into the checksum.
-    Materialize,
-}
-
 /// One stage's immutable build side: the algorithm-specific table(s)
 /// plus the phase stats of their construction. `Arc`-held and reusable
 /// across pipelines — build once, probe from many plans.
@@ -92,48 +78,9 @@ pub struct BuildSide {
     phases: Vec<PhaseStat>,
     radix_bits: Option<u32>,
     memory_bytes: usize,
-    /// Build tuples frozen into the side.
-    tuples: usize,
-    /// Process-wide allocation policy in effect when the side was built.
-    alloc_policy: String,
     /// Cost-model shape of one probe into this side.
     accesses_per_probe: f64,
     cpu_per_probe: f64,
-}
-
-/// Occupancy and provenance summary of a frozen [`BuildSide`] — what a
-/// service cache reports per entry without re-deriving it from the
-/// tables ([`BuildSide::stats`]).
-#[derive(Clone, Debug)]
-#[non_exhaustive]
-pub struct BuildSideStats {
-    /// The driver the side was built for.
-    pub algorithm: Algorithm,
-    /// Build tuples frozen into the side.
-    pub tuples: usize,
-    /// Bytes resident in the frozen table(s).
-    pub bytes: usize,
-    /// Radix bits of a partitioned side (`None` for global tables).
-    pub radix_bits: Option<u32>,
-    /// Allocation policy the tables were built under ("portable",
-    /// "thp", ...; see `mmjoin_util::mem::policy_name`).
-    pub alloc_policy: String,
-    /// Per-phase construction counters, in phase order.
-    pub build_phases: Vec<BuildPhaseCounters>,
-}
-
-/// One build phase's counters inside [`BuildSideStats`].
-#[derive(Clone, Debug)]
-#[non_exhaustive]
-pub struct BuildPhaseCounters {
-    /// Phase label ("partition", "build").
-    pub name: &'static str,
-    /// Wall-clock time of the phase.
-    pub wall: std::time::Duration,
-    /// Morsels executed.
-    pub tasks: u64,
-    /// Morsels claimed from a remote queue.
-    pub steals: u64,
 }
 
 enum BuildInner {
@@ -223,39 +170,6 @@ impl BuildSide {
     /// Phase stats of the build-side construction.
     pub fn build_phases(&self) -> &[PhaseStat] {
         &self.phases
-    }
-
-    /// Occupancy and provenance summary: tuples, resident bytes, the
-    /// allocation policy the tables were built under, and per-phase
-    /// construction counters. Everything a service cache needs to
-    /// report an entry without re-deriving it.
-    pub fn stats(&self) -> BuildSideStats {
-        BuildSideStats {
-            algorithm: self.algorithm,
-            tuples: self.tuples,
-            bytes: self.memory_bytes,
-            radix_bits: self.radix_bits,
-            alloc_policy: self.alloc_policy.clone(),
-            build_phases: self
-                .phases
-                .iter()
-                .map(|p| BuildPhaseCounters {
-                    name: p.name,
-                    wall: p.wall,
-                    tasks: p.exec.tasks,
-                    steals: p.exec.steals,
-                })
-                .collect(),
-        }
-    }
-
-    /// The operator roles this side contributes to a pipeline's probe
-    /// path (build itself already ran).
-    fn probe_operators(&self) -> &'static [OperatorKind] {
-        match self.inner {
-            BuildInner::Partitioned { .. } => &[OperatorKind::Partition, OperatorKind::Probe],
-            _ => &[OperatorKind::Probe],
-        }
     }
 
     /// Tuples this side takes per probe call: a partitioned side a
@@ -461,8 +375,6 @@ fn prepare_inner(
         phases: run.finish(JoinChecksum::new(), radix_bits).phases,
         radix_bits,
         memory_bytes,
-        tuples: r.len(),
-        alloc_policy: mmjoin_util::mem::policy_name(),
         accesses_per_probe: accesses,
         cpu_per_probe: cpu,
     }))
@@ -547,19 +459,6 @@ impl Pipeline {
     /// Number of staged build sides.
     pub fn stage_count(&self) -> usize {
         self.stages.len()
-    }
-
-    /// The operator graph this pipeline executes: every stage's Build
-    /// (already run at prepare time), then the fused probe path —
-    /// per-stage Partition (partitioned sides only) and Probe — ending
-    /// in the one Materialize sink.
-    pub fn operators(&self) -> Vec<OperatorKind> {
-        let mut ops: Vec<OperatorKind> = self.stages.iter().map(|_| OperatorKind::Build).collect();
-        for side in &self.stages {
-            ops.extend_from_slice(side.probe_operators());
-        }
-        ops.push(OperatorKind::Materialize);
-        ops
     }
 
     /// Run the fused probe over `s`. The result is the first stage's
@@ -807,24 +706,13 @@ mod tests {
     }
 
     #[test]
-    fn operator_graph_shape() {
+    fn stages_are_counted() {
         let r = gen_build_dense(500, 18, Placement::Interleaved);
         let cfg = cfg(2);
         let global = BuildSide::prepare(Algorithm::Nop, &r, &cfg).unwrap();
         let parted = BuildSide::prepare(Algorithm::Pro, &r, &cfg).unwrap();
         let p = Pipeline::new().with_stage(global).with_stage(parted);
         assert_eq!(p.stage_count(), 2);
-        assert_eq!(
-            p.operators(),
-            vec![
-                OperatorKind::Build,
-                OperatorKind::Build,
-                OperatorKind::Probe,
-                OperatorKind::Partition,
-                OperatorKind::Probe,
-                OperatorKind::Materialize,
-            ]
-        );
     }
 
     #[test]

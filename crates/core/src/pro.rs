@@ -19,6 +19,7 @@ use mmjoin_partition::{
     ChunkedPartitions, PartitionedRelation, RadixFn, ScatterMode, ScheduleOrder,
 };
 use mmjoin_util::checksum::JoinChecksum;
+use mmjoin_util::trace::{MemTracer, NoTracer};
 use mmjoin_util::tuple::Tuple;
 use mmjoin_util::Relation;
 
@@ -126,41 +127,47 @@ impl CoPartitions for ChunkedPartitions {
     }
 }
 
-/// Build a table of `kind` over `r` slices and probe with `s` slices.
-/// `unique` selects first-match probes (the study's PK assumption).
-fn join_one<T: JoinTable>(
+/// Build a table of `kind` over `r` slices and probe with `s` slices
+/// (pulled only once the build is done). `unique` selects first-match
+/// probes (the study's PK assumption); `tr` sees every tuple read and
+/// every table access.
+fn join_one<T: JoinTable, Tr: MemTracer>(
     spec: &TableSpec,
     unique: bool,
     r_slices: &mut dyn Iterator<Item = &[Tuple]>,
     s_slices: &mut dyn Iterator<Item = &[Tuple]>,
     c: &mut JoinChecksum,
+    tr: &mut Tr,
 ) {
     let mut table = T::with_spec(spec);
     for slice in r_slices {
-        table.insert_batch(slice);
+        table.insert_batch_with(slice, tr);
     }
     for slice in s_slices {
-        table.probe_batch(slice, unique, |t, bp| c.add(t.key, bp, t.payload));
+        table.probe_batch_with(slice, unique, tr, |t, bp| c.add(t.key, bp, t.payload));
     }
 }
 
-/// Dispatch on the table kind (monomorphized join kernels).
-pub(crate) fn join_co_partition(
+/// Dispatch on the table kind (monomorphized join kernels). The joins
+/// pass [`NoTracer`]; Table 4's replay (`instrumented.rs`) passes its
+/// cache simulator.
+pub(crate) fn join_co_partition<Tr: MemTracer>(
     kind: TableKind,
     spec: &TableSpec,
     unique: bool,
     r_slices: &mut dyn Iterator<Item = &[Tuple]>,
     s_slices: &mut dyn Iterator<Item = &[Tuple]>,
     c: &mut JoinChecksum,
+    tr: &mut Tr,
 ) {
     match kind {
         TableKind::Chained => {
-            join_one::<StChainedTable<IdentityHash>>(spec, unique, r_slices, s_slices, c)
+            join_one::<StChainedTable<IdentityHash>, Tr>(spec, unique, r_slices, s_slices, c, tr)
         }
         TableKind::Linear => {
-            join_one::<StLinearTable<IdentityHash>>(spec, unique, r_slices, s_slices, c)
+            join_one::<StLinearTable<IdentityHash>, Tr>(spec, unique, r_slices, s_slices, c, tr)
         }
-        TableKind::Array => join_one::<ArrayTable>(spec, unique, r_slices, s_slices, c),
+        TableKind::Array => join_one::<ArrayTable, Tr>(spec, unique, r_slices, s_slices, c, tr),
     }
 }
 
@@ -189,6 +196,7 @@ fn join_task<P: CoPartitions>(
         &mut r.slices(part),
         &mut s.slices(part),
         &mut c,
+        &mut NoTracer,
     );
     c
 }

@@ -26,7 +26,6 @@ use mmjoin_util::tuple::Tuple;
 
 use crate::config::TableKind;
 use crate::exec::merge_checksums;
-use crate::pro::join_co_partition;
 
 /// A partition is "skewed" when its probe side exceeds this multiple of
 /// the average probe partition size (and is worth splitting at all).
@@ -122,30 +121,12 @@ pub fn join_skewed_partition(
     }
 }
 
-/// Fallback single-threaded processing for a (mis)classified partition,
-/// used by callers when cooperative probing is not worth spawning for.
-pub fn join_partition_serial(
-    kind: TableKind,
-    spec: &TableSpec,
-    r_slices: &[&[Tuple]],
-    s_slices: &[&[Tuple]],
-) -> JoinChecksum {
-    let mut c = JoinChecksum::new();
-    join_co_partition(
-        kind,
-        spec,
-        false,
-        &mut r_slices.iter().copied(),
-        &mut s_slices.iter().copied(),
-        &mut c,
-    );
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pro::join_co_partition;
     use mmjoin_util::pool::ScopedPool;
+    use mmjoin_util::trace::NoTracer;
     use mmjoin_util::tuple::Tuple;
 
     #[test]
@@ -185,7 +166,17 @@ mod tests {
         let spec = TableSpec::hashed(build.len());
         for kind in [TableKind::Chained, TableKind::Linear] {
             let coop = join_skewed_partition(&pool, true, kind, &spec, &r_slices, &s_slices);
-            let serial = join_partition_serial(kind, &spec, &r_slices, &s_slices);
+            let mut serial = JoinChecksum::new();
+            let (mut r, mut s) = (r_slices.iter().copied(), s_slices.iter().copied());
+            join_co_partition(
+                kind,
+                &spec,
+                false,
+                &mut r,
+                &mut s,
+                &mut serial,
+                &mut NoTracer,
+            );
             assert_eq!(coop, serial, "{kind:?}");
             assert_eq!(coop.count, 10_000);
         }

@@ -14,9 +14,10 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use mmjoin_util::alloc::AlignedBuf;
 use mmjoin_util::kernels;
+use mmjoin_util::trace::{MemTracer, NoTracer};
 use mmjoin_util::tuple::{Key, Payload, Tuple};
 
-use crate::{JoinTable, TableSpec, PROBE_GROUP};
+use crate::{group_ahead, JoinTable, TableSpec};
 
 /// Sentinel payload marking an unoccupied slot.
 pub const EMPTY: u32 = u32::MAX;
@@ -43,128 +44,47 @@ impl ArrayTable {
         (key >> self.key_shift) as usize
     }
 
+    /// Where `key`'s slot lies, or would past the array's end: a
+    /// prefetch takes any address.
     #[inline]
-    pub fn insert(&mut self, t: Tuple) {
+    fn slot_addr(&self, key: Key) -> *const u32 {
+        self.payloads.as_ptr().wrapping_add(self.slot(key))
+    }
+
+    /// The insert: one store.
+    #[inline]
+    fn put<Tr: MemTracer>(&mut self, t: Tuple, tr: &mut Tr) {
         debug_assert_ne!(t.payload, EMPTY, "payload sentinel collision");
         let s = self.slot(t.key);
         debug_assert_eq!(
             self.payloads[s], EMPTY,
             "array join requires unique keys (slot {s} taken)"
         );
+        tr.ops(2);
+        tr.write_of(&self.payloads[s]);
         self.payloads[s] = t.payload;
+    }
+
+    /// The probe: one load, none for a key past the array's end.
+    #[inline]
+    fn look<Tr: MemTracer>(&self, key: Key, tr: &mut Tr, mut f: impl FnMut(Payload)) {
+        tr.ops(2);
+        if let Some(p) = self.payloads.get(self.slot(key)) {
+            tr.read_of(p);
+            if *p != EMPTY {
+                f(*p);
+            }
+        }
     }
 
     #[inline]
-    pub fn probe<F: FnMut(Payload)>(&self, key: Key, mut f: F) {
-        if let Some(&p) = self.payloads.get(self.slot(key)) {
-            if p != EMPTY {
-                f(p);
-            }
-        }
+    pub fn insert(&mut self, t: Tuple) {
+        self.put(t, &mut NoTracer)
     }
 
-    /// Group-prefetched batch insert: prefetch the target slots of group
-    /// `k+1` with write intent while storing group `k`. Same table state
-    /// as inserting in order.
-    pub fn insert_batch(&mut self, tuples: &[Tuple]) {
-        if !kernels::simd_active() {
-            for &t in tuples {
-                self.insert(t);
-            }
-            return;
-        }
-        let mut chunks = tuples.chunks(PROBE_GROUP);
-        let mut cur = match chunks.next() {
-            Some(g) => g,
-            None => return,
-        };
-        for t in cur {
-            if let Some(p) = self.payloads.get(self.slot(t.key)) {
-                kernels::prefetch_write(p);
-            }
-        }
-        loop {
-            let next = chunks.next();
-            if let Some(g) = next {
-                for t in g {
-                    if let Some(p) = self.payloads.get(self.slot(t.key)) {
-                        kernels::prefetch_write(p);
-                    }
-                }
-            }
-            for &t in cur {
-                self.insert(t);
-            }
-            match next {
-                Some(g) => cur = g,
-                None => return,
-            }
-        }
-    }
-
-    /// Group-prefetched batch probe. An array probe touches exactly one
-    /// line, so prefetching group `k+1` while resolving group `k`
-    /// overlaps the misses of random out-of-cache lookups. `f` receives
-    /// `(probe_tuple, build_payload)` per match, in probe order.
-    pub fn probe_batch<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], mut f: F) {
-        if !kernels::simd_active() {
-            for t in probes {
-                self.probe(t.key, |p| f(t, p));
-            }
-            return;
-        }
-        let mut chunks = probes.chunks(PROBE_GROUP);
-        let mut cur = match chunks.next() {
-            Some(g) => g,
-            None => return,
-        };
-        for t in cur {
-            if let Some(p) = self.payloads.get(self.slot(t.key)) {
-                kernels::prefetch_read(p);
-            }
-        }
-        loop {
-            let next = chunks.next();
-            if let Some(g) = next {
-                for t in g {
-                    if let Some(p) = self.payloads.get(self.slot(t.key)) {
-                        kernels::prefetch_read(p);
-                    }
-                }
-            }
-            for t in cur {
-                self.probe(t.key, |p| f(t, p));
-            }
-            match next {
-                Some(g) => cur = g,
-                None => return,
-            }
-        }
-    }
-
-    /// [`ArrayTable::insert`] with memory-access tracing (Table 4).
-    pub fn insert_traced<T: mmjoin_util::trace::MemTracer>(&mut self, t: Tuple, tr: &mut T) {
-        let s = self.slot(t.key);
-        tr.ops(2);
-        tr.write(&self.payloads[s] as *const u32 as usize, 4);
-        self.payloads[s] = t.payload;
-    }
-
-    /// [`ArrayTable::probe`] with memory-access tracing (Table 4).
-    pub fn probe_traced<T: mmjoin_util::trace::MemTracer, F: FnMut(Payload)>(
-        &self,
-        key: Key,
-        tr: &mut T,
-        mut f: F,
-    ) {
-        tr.ops(2);
-        let s = self.slot(key);
-        if let Some(&p) = self.payloads.get(s) {
-            tr.read(&self.payloads[s] as *const u32 as usize, 4);
-            if p != EMPTY {
-                f(p);
-            }
-        }
+    #[inline]
+    pub fn probe<F: FnMut(Payload)>(&self, key: Key, f: F) {
+        self.look(key, &mut NoTracer, f)
     }
 }
 
@@ -183,15 +103,26 @@ impl JoinTable for ArrayTable {
         ArrayTable::probe(self, key, f)
     }
 
-    #[inline]
-    fn insert_batch(&mut self, tuples: &[Tuple]) {
-        ArrayTable::insert_batch(self, tuples)
+    /// Target slots prefetched with write intent a group ahead.
+    fn insert_batch_with<Tr: MemTracer>(&mut self, tuples: &[Tuple], tr: &mut Tr) {
+        let touch = |s: &&mut Self, t: &Tuple| kernels::prefetch_write(s.slot_addr(t.key));
+        group_ahead(self, tuples, tr, touch, |s, t, tr| s.put(*t, tr))
     }
 
-    #[inline]
-    fn probe_batch<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], _unique: bool, f: F) {
-        // Array slots hold at most one payload; unique is implied.
-        ArrayTable::probe_batch(self, probes, f)
+    /// An array probe touches exactly one line, so prefetching a group
+    /// ahead overlaps the misses of random out-of-cache lookups. A slot
+    /// holds at most one payload: `unique` is implied.
+    fn probe_batch_with<Tr: MemTracer, F: FnMut(&Tuple, Payload)>(
+        &self,
+        probes: &[Tuple],
+        _unique: bool,
+        tr: &mut Tr,
+        mut f: F,
+    ) {
+        let touch = |s: &&Self, t: &Tuple| kernels::prefetch_read(s.slot_addr(t.key));
+        group_ahead(self, probes, tr, touch, |s, t, tr| {
+            s.look(t.key, tr, |p| f(t, p))
+        })
     }
 
     fn memory_bytes(&self) -> usize {
@@ -220,6 +151,14 @@ impl ConcurrentArrayTable {
         ConcurrentArrayTable { payloads, base }
     }
 
+    /// Where `key`'s slot lies, or would outside the domain: a prefetch
+    /// takes any address.
+    #[inline]
+    fn slot_addr(&self, key: Key) -> *const AtomicU32 {
+        let slot = key.wrapping_sub(self.base) as usize;
+        self.payloads.as_ptr().wrapping_add(slot)
+    }
+
     #[inline]
     pub fn insert(&self, t: Tuple) {
         debug_assert_ne!(t.payload, EMPTY);
@@ -229,10 +168,8 @@ impl ConcurrentArrayTable {
 
     #[inline]
     pub fn probe<F: FnMut(Payload)>(&self, key: Key, mut f: F) {
-        let Some(slot) = key.checked_sub(self.base).map(|s| s as usize) else {
-            return;
-        };
-        if let Some(p) = self.payloads.get(slot) {
+        let slot = key.checked_sub(self.base).map(|s| s as usize);
+        if let Some(p) = slot.and_then(|s| self.payloads.get(s)) {
             let p = p.load(Ordering::Relaxed);
             if p != EMPTY {
                 f(p);
@@ -240,87 +177,21 @@ impl ConcurrentArrayTable {
         }
     }
 
-    #[inline]
-    fn prefetch_slot(&self, key: Key, write: bool) {
-        if let Some(slot) = key.checked_sub(self.base) {
-            if let Some(p) = self.payloads.get(slot as usize) {
-                if write {
-                    kernels::prefetch_write(p);
-                } else {
-                    kernels::prefetch_read(p);
-                }
-            }
-        }
-    }
-
-    /// Group-prefetched batch insert (build phase of NOPA): prefetch the
-    /// target slots of group `k+1` with write intent while storing group
-    /// `k`.
+    /// Batch insert (build phase of NOPA): target slots prefetched with
+    /// write intent a group ahead of their stores.
     pub fn insert_batch(&self, tuples: &[Tuple]) {
-        if !kernels::simd_active() {
-            for &t in tuples {
-                self.insert(t);
-            }
-            return;
-        }
-        let mut chunks = tuples.chunks(PROBE_GROUP);
-        let mut cur = match chunks.next() {
-            Some(g) => g,
-            None => return,
-        };
-        for t in cur {
-            self.prefetch_slot(t.key, true);
-        }
-        loop {
-            let next = chunks.next();
-            if let Some(g) = next {
-                for t in g {
-                    self.prefetch_slot(t.key, true);
-                }
-            }
-            for &t in cur {
-                self.insert(t);
-            }
-            match next {
-                Some(g) => cur = g,
-                None => return,
-            }
-        }
+        let touch = |s: &&Self, t: &Tuple| kernels::prefetch_write(s.slot_addr(t.key));
+        group_ahead(self, tuples, &mut NoTracer, touch, |s, t, _| s.insert(*t))
     }
 
-    /// Group-prefetched batch probe (probe phase of NOPA, after the build
-    /// barrier): prefetch one group ahead of resolution. `f` receives
-    /// `(probe_tuple, build_payload)` per match.
+    /// Batch probe (probe phase of NOPA, after the build barrier): slots
+    /// prefetched a group ahead of their loads. `f` receives
+    /// `(probe_tuple, build_payload)` per match, in probe order.
     pub fn probe_batch<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], mut f: F) {
-        if !kernels::simd_active() {
-            for t in probes {
-                self.probe(t.key, |p| f(t, p));
-            }
-            return;
-        }
-        let mut chunks = probes.chunks(PROBE_GROUP);
-        let mut cur = match chunks.next() {
-            Some(g) => g,
-            None => return,
-        };
-        for t in cur {
-            self.prefetch_slot(t.key, false);
-        }
-        loop {
-            let next = chunks.next();
-            if let Some(g) = next {
-                for t in g {
-                    self.prefetch_slot(t.key, false);
-                }
-            }
-            for t in cur {
-                self.probe(t.key, |p| f(t, p));
-            }
-            match next {
-                Some(g) => cur = g,
-                None => return,
-            }
-        }
+        let touch = |s: &&Self, t: &Tuple| kernels::prefetch_read(s.slot_addr(t.key));
+        group_ahead(self, probes, &mut NoTracer, touch, |s, t, _| {
+            s.probe(t.key, |p| f(t, p))
+        })
     }
 
     pub fn capacity(&self) -> usize {
@@ -396,7 +267,7 @@ mod tests {
         for mode in [KernelMode::Portable, KernelMode::Simd] {
             with_mode(mode, || {
                 let mut got = Vec::new();
-                st.probe_batch(&probes, |p, bp| got.push((p.payload, bp)));
+                JoinTable::probe_batch(&st, &probes, true, |p, bp| got.push((p.payload, bp)));
                 assert_eq!(got, scalar, "st {mode:?}");
                 let mut got = Vec::new();
                 ct.probe_batch(&probes, |p, bp| got.push((p.payload, bp)));

@@ -21,7 +21,7 @@
 use mmjoin_util::alloc::AlignedBuf;
 use mmjoin_util::kernels;
 use mmjoin_util::next_pow2;
-use mmjoin_util::trace::MemTracer;
+use mmjoin_util::trace::{MemTracer, NoTracer};
 use mmjoin_util::tuple::{Key, Payload, Tuple};
 
 use crate::hashfn::{IdentityHash, KeyHash};
@@ -55,17 +55,23 @@ fn layout(cap: usize) -> (AlignedBuf<u32>, u32) {
 }
 
 /// Walk the chain from `at`, newest tuple first, handing `f` the payload
-/// of every tuple with `key` — of the first one only if `FIRST`.
+/// of every tuple with `key` — of the first one only if `FIRST`. A step
+/// is traced as its tuple and its link: a first match does not load the
+/// link, but Table 4 has counted it since its replay walked all matches.
 #[inline]
-fn walk<const FIRST: bool>(
+fn walk<const FIRST: bool, Tr: MemTracer>(
     mut at: u32,
     key: Key,
     tuples: &[Tuple],
     next: &[u32],
+    tr: &mut Tr,
     mut f: impl FnMut(Payload),
 ) {
     while at != 0 {
-        let t = tuples[at as usize - 1];
+        let t = &tuples[at as usize - 1];
+        tr.read_of(t);
+        tr.read(next.as_ptr().wrapping_add(at as usize - 1) as usize, 4);
+        tr.ops(3);
         if t.key == key {
             f(t.payload);
             if FIRST {
@@ -140,12 +146,12 @@ impl<H: KeyHash> StChainedTable<H> {
 
     #[inline]
     pub fn insert(&mut self, t: Tuple) {
-        self.insert_batch(std::slice::from_ref(&t));
+        self.append(std::slice::from_ref(&t), &mut NoTracer);
     }
 
     /// Append `tuples` and chain them: the state one-by-one inserts leave.
     #[inline]
-    pub fn insert_batch(&mut self, tuples: &[Tuple]) {
+    fn append<Tr: MemTracer>(&mut self, tuples: &[Tuple], tr: &mut Tr) {
         let (from, to) = (self.len, self.len + tuples.len());
         if to > self.cap {
             self.grow(to);
@@ -156,32 +162,64 @@ impl<H: KeyHash> StChainedTable<H> {
         }
         self.len = to;
         self.link(from, to);
+        // What one-by-one inserts touch, a tuple at a time: the tuple and
+        // its head word read, the stored tuple, its link and the head word
+        // written. By address only: an untraced build has no loop left here.
+        let heads = self.buf.as_ptr();
+        let stored = heads.wrapping_add(self.mask as usize + 1);
+        let next = stored.wrapping_add(2 * self.cap);
+        for (at, t) in (from..to).zip(tuples) {
+            let head = heads.wrapping_add(self.home(t.key)) as usize;
+            tr.read_of(t);
+            tr.read(head, 4);
+            tr.write(stored.wrapping_add(2 * at) as usize, 8);
+            tr.write(next.wrapping_add(at) as usize, 4);
+            tr.write(head, 4);
+            tr.ops(7);
+        }
+    }
+
+    /// The probe: the head word of `key`'s bucket, then its chain.
+    #[inline]
+    fn find<const FIRST: bool>(&self, key: Key, tr: &mut impl MemTracer, f: impl FnMut(Payload)) {
+        let (heads, tuples, next) = self.regions();
+        let head = &heads[self.home(key)];
+        tr.ops(3);
+        tr.read_of(head);
+        walk::<FIRST, _>(*head, key, tuples, next, tr, f);
     }
 
     /// Invoke `f` with the payload of every stored tuple matching `key`, newest first.
     #[inline]
     pub fn probe<F: FnMut(Payload)>(&self, key: Key, f: F) {
-        let (heads, tuples, next) = self.regions();
-        walk::<false>(heads[self.home(key)], key, tuples, next, f);
+        self.find::<false>(key, &mut NoTracer, f)
     }
 
     /// Probe under the study's unique-build-key (PK) assumption: the first match only.
     #[inline]
     pub fn probe_first<F: FnMut(Payload)>(&self, key: Key, f: F) {
-        let (heads, tuples, next) = self.regions();
-        walk::<true>(heads[self.home(key)], key, tuples, next, f);
+        self.find::<true>(key, &mut NoTracer, f)
     }
 
     /// First-match probes a group at a time in three passes (load the head
     /// words, prefetch the tuples they name, walk the chains), so that the
     /// two dependent misses of a probe into a cold table overlap with its
     /// neighbours'. A resident table gains nothing and pays 0.6 ns a probe.
-    fn probe_first_grouped<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], mut f: F) {
+    fn probe_first_grouped<Tr: MemTracer, F: FnMut(&Tuple, Payload)>(
+        &self,
+        probes: &[Tuple],
+        tr: &mut Tr,
+        mut f: F,
+    ) {
         let (heads, tuples, next) = self.regions();
         for group in probes.chunks(PROBE_GROUP) {
             let mut at = [0u32; PROBE_GROUP];
             for (at, t) in at.iter_mut().zip(group) {
-                *at = heads[self.home(t.key)];
+                let head = &heads[self.home(t.key)];
+                tr.read_of(t);
+                tr.ops(3);
+                tr.read_of(head);
+                *at = *head;
             }
             for &at in &at[..group.len()] {
                 if at != 0 {
@@ -189,7 +227,7 @@ impl<H: KeyHash> StChainedTable<H> {
                 }
             }
             for (&at, t) in at.iter().zip(group) {
-                walk::<true>(at, t.key, tuples, next, |p| f(t, p));
+                walk::<true, _>(at, t.key, tuples, next, tr, |p| f(t, p));
             }
         }
     }
@@ -205,47 +243,6 @@ impl<H: KeyHash> StChainedTable<H> {
 
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// All-matches batch probe: `f(probe_tuple, build_payload)` per match, in probe order.
-    pub fn probe_batch<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], mut f: F) {
-        for t in probes {
-            self.probe(t.key, |p| f(t, p));
-        }
-    }
-
-    /// [`StChainedTable::insert`] with memory-access tracing (Table 4):
-    /// head word read, tuple and link written, head word written.
-    pub fn insert_traced<T: MemTracer>(&mut self, t: Tuple, tr: &mut T) {
-        self.insert(t);
-        let at = self.len - 1;
-        let (heads, tuples, next) = self.regions();
-        let head = &heads[self.home(t.key)] as *const u32 as usize;
-        tr.read(head, 4);
-        tr.write(&tuples[at] as *const Tuple as usize, 8);
-        tr.write(&next[at] as *const u32 as usize, 4);
-        tr.write(head, 4);
-        tr.ops(7);
-    }
-
-    /// [`StChainedTable::probe`] with memory-access tracing (Table 4):
-    /// head word, then tuple and link per chain step.
-    pub fn probe_traced<T: MemTracer, F: FnMut(Payload)>(&self, key: Key, tr: &mut T, mut f: F) {
-        let (heads, tuples, next) = self.regions();
-        let head = &heads[self.home(key)];
-        tr.ops(3);
-        tr.read(head as *const u32 as usize, 4);
-        let mut at = *head;
-        while at != 0 {
-            let (t, link) = (&tuples[at as usize - 1], &next[at as usize - 1]);
-            tr.read(t as *const Tuple as usize, 8);
-            tr.read(link as *const u32 as usize, 4);
-            tr.ops(3);
-            if t.key == key {
-                f(t.payload);
-            }
-            at = *link;
-        }
     }
 
     /// Number of tuples chained in `key`'s bucket (diagnostics / tests).
@@ -281,20 +278,30 @@ impl<H: KeyHash + Default> JoinTable for StChainedTable<H> {
     }
 
     #[inline]
-    fn insert_batch(&mut self, tuples: &[Tuple]) {
-        StChainedTable::insert_batch(self, tuples)
+    fn insert_batch_with<Tr: MemTracer>(&mut self, tuples: &[Tuple], tr: &mut Tr) {
+        self.append(tuples, tr)
     }
 
     #[inline]
-    fn probe_batch<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], unique: bool, mut f: F) {
+    fn probe_batch_with<Tr: MemTracer, F: FnMut(&Tuple, Payload)>(
+        &self,
+        probes: &[Tuple],
+        unique: bool,
+        tr: &mut Tr,
+        mut f: F,
+    ) {
         if !unique {
-            StChainedTable::probe_batch(self, probes, f)
+            for t in probes {
+                tr.read_of(t);
+                self.find::<false>(t.key, tr, |p| f(t, p));
+            }
         } else if probes.len() < self.len {
             // Fewer probes than tuples: this batch cannot warm the table.
-            self.probe_first_grouped(probes, f)
+            self.probe_first_grouped(probes, tr, f)
         } else {
             for t in probes {
-                self.probe_first(t.key, |p| f(t, p));
+                tr.read_of(t);
+                self.find::<true>(t.key, tr, |p| f(t, p));
             }
         }
     }
@@ -402,24 +409,5 @@ mod tests {
         t.probe(1000, |p| hits.push(p));
         assert_eq!(hits, vec![1007]);
         assert_eq!(t.memory_bytes(), 4 * 1024 + 12 * 1024);
-    }
-
-    #[test]
-    fn traced_accesses_follow_the_layout() {
-        use mmjoin_util::trace::CountingTracer;
-        let mut t = StChainedTable::<IdentityHash>::with_capacity(4);
-        let mut tr = CountingTracer::default();
-        t.insert_traced(Tuple::new(5, 50), &mut tr);
-        t.insert_traced(Tuple::new(5, 51), &mut tr);
-        // Per insert: head word read; tuple, link and head word written.
-        assert_eq!((tr.reads, tr.read_bytes), (2, 8));
-        assert_eq!((tr.writes, tr.write_bytes), (6, 32));
-        let mut tr = CountingTracer::default();
-        let mut hits = Vec::new();
-        t.probe_traced(5, &mut tr, |p| hits.push(p));
-        assert_eq!(hits, vec![51, 50]);
-        // Head word, then (tuple, link) per chain step.
-        assert_eq!((tr.reads, tr.read_bytes), (5, 4 + 2 * 12));
-        assert_eq!(tr.writes, 0);
     }
 }

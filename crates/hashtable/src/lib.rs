@@ -42,6 +42,7 @@ pub use cht::ConciseHashTable;
 pub use hashfn::{CrcHash, IdentityHash, KeyHash, MultiplicativeHash, MurmurHash};
 pub use linear::{ConcurrentLinearTable, StLinearTable};
 
+use mmjoin_util::trace::{MemTracer, NoTracer};
 use mmjoin_util::tuple::{Key, Payload, Tuple};
 
 /// Probes hashed and prefetched per group in the batched build/probe
@@ -49,6 +50,43 @@ use mmjoin_util::tuple::{Key, Payload, Tuple};
 /// ~10 in-flight line fills current cores sustain, small enough that all
 /// G home slots stay resident between the prefetch and the resolve pass.
 pub const PROBE_GROUP: usize = 16;
+
+/// The batch loop of the linear and array tables: `touch` (prefetch the
+/// slot of) every tuple of group `k + 1`, then `resolve` group `k` in
+/// order, reporting each tuple to `tr` as read, so that a group's misses
+/// are in flight while the group before it is inserted or probed. `table`
+/// goes to both closures (a build resolves through `&mut`). Portable mode
+/// runs the same loop: `util::kernels` makes its prefetch a no-op.
+#[inline]
+pub(crate) fn group_ahead<T, Tr: MemTracer>(
+    mut table: T,
+    tuples: &[Tuple],
+    tr: &mut Tr,
+    touch: impl Fn(&T, &Tuple),
+    mut resolve: impl FnMut(&mut T, &Tuple, &mut Tr),
+) {
+    let mut groups = tuples.chunks(PROBE_GROUP);
+    let Some(mut cur) = groups.next() else { return };
+    for t in cur {
+        touch(&table, t);
+    }
+    loop {
+        let next = groups.next();
+        // A slice loop: as `next.into_iter().flatten().for_each(..)` the
+        // concurrent linear table's probe measured 12-19 % slower.
+        for t in next.unwrap_or_default() {
+            touch(&table, t);
+        }
+        for t in cur {
+            tr.read_of(t);
+            resolve(&mut table, t, tr);
+        }
+        match next {
+            Some(group) => cur = group,
+            None => return,
+        }
+    }
+}
 
 /// Construction parameters for per-partition join tables.
 #[derive(Copy, Clone, Debug)]
@@ -67,11 +105,7 @@ pub struct TableSpec {
 impl TableSpec {
     /// Spec for hash-based tables over un-partitioned input.
     pub fn hashed(capacity: usize) -> Self {
-        TableSpec {
-            capacity,
-            key_shift: 0,
-            array_len: 0,
-        }
+        Self::hashed_partition(capacity, 0)
     }
 
     /// Spec for hash-based tables over one radix partition of
@@ -133,31 +167,35 @@ pub trait JoinTable: Sized {
         self.probe(key, f)
     }
 
-    /// Insert a batch of build tuples. The default is the scalar loop;
-    /// hash tables override it with a group-prefetched pipeline (hash a
-    /// group of [`PROBE_GROUP`] keys, prefetch their home slots, then
-    /// insert). Semantically identical to inserting one by one in order.
-    fn insert_batch(&mut self, tuples: &[Tuple]) {
-        for &t in tuples {
-            self.insert(t);
-        }
-    }
+    /// Insert a batch of build tuples, reporting to `tr` each tuple read and
+    /// what its insert touches (the linear and array tables prefetch a group of
+    /// [`PROBE_GROUP`] slots ahead). The state inserting one by one in order leaves.
+    fn insert_batch_with<Tr: MemTracer>(&mut self, tuples: &[Tuple], tr: &mut Tr);
 
     /// Probe a batch of tuples, invoking `f(probe_tuple, build_payload)`
-    /// for every match, in probe order. `unique` selects
-    /// [`JoinTable::probe_unique`] semantics per probe. The default is the
-    /// scalar loop; hash tables override it with a group-prefetched
-    /// pipeline. Semantically identical to probing one by one in order.
-    fn probe_batch<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], unique: bool, mut f: F) {
-        if unique {
-            for t in probes {
-                self.probe_unique(t.key, |p| f(t, p));
-            }
-        } else {
-            for t in probes {
-                self.probe(t.key, |p| f(t, p));
-            }
-        }
+    /// for every match, in probe order, and reporting to `tr` each tuple
+    /// read and what its probe touches. `unique` selects
+    /// [`JoinTable::probe_unique`] semantics per probe. The same matches
+    /// as probing one by one in order.
+    fn probe_batch_with<Tr: MemTracer, F: FnMut(&Tuple, Payload)>(
+        &self,
+        probes: &[Tuple],
+        unique: bool,
+        tr: &mut Tr,
+        f: F,
+    );
+
+    /// [`JoinTable::insert_batch_with`] untraced: what the joins run.
+    #[inline]
+    fn insert_batch(&mut self, tuples: &[Tuple]) {
+        self.insert_batch_with(tuples, &mut NoTracer)
+    }
+
+    /// [`JoinTable::probe_batch_with`] untraced: what the joins run. Keep it inlined:
+    /// outlined, `f`'s state lives in memory (`hashtable.probe_ns.chained` +16 %).
+    #[inline]
+    fn probe_batch<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], unique: bool, f: F) {
+        self.probe_batch_with(probes, unique, &mut NoTracer, f)
     }
 
     /// Bytes of memory held (for the memory-footprint comparisons).

@@ -10,16 +10,24 @@
 //! Both reserve the packed value 0 (key 0) as the EMPTY sentinel, exactly
 //! like the original NOP implementation; the workload generators produce
 //! keys ≥ 1.
+//!
+//! Each table has one insert loop and one slot walk, shared by its scalar
+//! calls and batch bodies; the single-threaded table's are generic over a
+//! [`MemTracer`], so Table 4's replay traces what the joins run. A walk
+//! ends at an empty slot: the single-threaded table refuses the insert
+//! that would take its last (`table full`); the concurrent one cannot
+//! count its inserts, may be filled, and bounds a walk to one lap.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mmjoin_util::alloc::AlignedBuf;
 use mmjoin_util::kernels;
+use mmjoin_util::trace::{MemTracer, NoTracer};
 use mmjoin_util::tuple::{Key, Payload, Tuple};
 use mmjoin_util::{next_pow2, CACHE_LINE};
 
 use crate::hashfn::{IdentityHash, KeyHash};
-use crate::{JoinTable, TableSpec, PROBE_GROUP};
+use crate::{group_ahead, JoinTable, TableSpec};
 
 /// Slots per tuple: capacity = next_pow2(2 * n) gives a load factor ≤ 50%,
 /// the configuration used by Lang et al.'s NOP.
@@ -67,158 +75,17 @@ impl<H: KeyHash> StLinearTable<H> {
         self.hash.index(key >> self.shift, self.mask) as usize
     }
 
+    /// The insert: the first empty slot from home on; `table full` if it is the last.
     #[inline]
-    pub fn insert(&mut self, t: Tuple) {
+    fn put<Tr: MemTracer>(&mut self, t: Tuple, tr: &mut Tr) {
         debug_assert_ne!(t.key, 0, "key 0 is the EMPTY sentinel");
-        assert!(self.len < self.slots.len(), "table full");
-        let mut idx = self.home(t.key);
-        loop {
-            if self.slots[idx] == 0 {
-                self.slots[idx] = t.pack();
-                self.len += 1;
-                return;
-            }
-            idx = (idx + 1) & self.mask as usize;
-        }
-    }
-
-    #[inline]
-    pub fn probe<F: FnMut(Payload)>(&self, key: Key, mut f: F) {
-        let mut idx = self.home(key);
-        loop {
-            let slot = self.slots[idx];
-            if slot == 0 {
-                return;
-            }
-            let t = Tuple::unpack(slot);
-            if t.key == key {
-                f(t.payload);
-            }
-            idx = (idx + 1) & self.mask as usize;
-        }
-    }
-
-    /// Probe assuming *unique* build keys (the study's PK assumption):
-    /// stops at the first match instead of scanning the whole collision
-    /// run for duplicates.
-    #[inline]
-    pub fn probe_first<F: FnMut(Payload)>(&self, key: Key, mut f: F) {
-        let mut idx = self.home(key);
-        loop {
-            let slot = self.slots[idx];
-            if slot == 0 {
-                return;
-            }
-            let t = Tuple::unpack(slot);
-            if t.key == key {
-                f(t.payload);
-                return;
-            }
-            idx = (idx + 1) & self.mask as usize;
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Group-prefetched batch insert: prefetch the home slots of group
-    /// `k+1` while inserting group `k`, so each prefetch has a full
-    /// group's worth of work to hide its DRAM miss behind. Same table
-    /// state as inserting in order.
-    pub fn insert_batch(&mut self, tuples: &[Tuple]) {
-        if !kernels::simd_active() {
-            for &t in tuples {
-                self.insert(t);
-            }
-            return;
-        }
-        let mut chunks = tuples.chunks(PROBE_GROUP);
-        let mut cur = match chunks.next() {
-            Some(g) => g,
-            None => return,
-        };
-        for t in cur {
-            kernels::prefetch_write(&self.slots[self.home(t.key)]);
-        }
-        loop {
-            let next = chunks.next();
-            if let Some(g) = next {
-                for t in g {
-                    kernels::prefetch_write(&self.slots[self.home(t.key)]);
-                }
-            }
-            for &t in cur {
-                self.insert(t);
-            }
-            match next {
-                Some(g) => cur = g,
-                None => return,
-            }
-        }
-    }
-
-    /// Group-prefetched batch probe: hash a group of [`PROBE_GROUP`] keys
-    /// and prefetch their home slots one group *ahead* of resolution, so
-    /// resolving group `k` overlaps the misses of group `k+1`. `f`
-    /// receives `(probe_tuple, build_payload)` per match, in probe order.
-    pub fn probe_batch<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], unique: bool, mut f: F) {
-        if !kernels::simd_active() {
-            if unique {
-                for t in probes {
-                    self.probe_first(t.key, |p| f(t, p));
-                }
-            } else {
-                for t in probes {
-                    self.probe(t.key, |p| f(t, p));
-                }
-            }
-            return;
-        }
-        let mut chunks = probes.chunks(PROBE_GROUP);
-        let mut cur = match chunks.next() {
-            Some(g) => g,
-            None => return,
-        };
-        for t in cur {
-            kernels::prefetch_read(&self.slots[self.home(t.key)]);
-        }
-        loop {
-            let next = chunks.next();
-            if let Some(g) = next {
-                for t in g {
-                    kernels::prefetch_read(&self.slots[self.home(t.key)]);
-                }
-            }
-            if unique {
-                for t in cur {
-                    self.probe_first(t.key, |p| f(t, p));
-                }
-            } else {
-                for t in cur {
-                    self.probe(t.key, |p| f(t, p));
-                }
-            }
-            match next {
-                Some(g) => cur = g,
-                None => return,
-            }
-        }
-    }
-
-    /// [`StLinearTable::insert`] with memory-access tracing (Table 4).
-    pub fn insert_traced<T: mmjoin_util::trace::MemTracer>(&mut self, t: Tuple, tr: &mut T) {
-        debug_assert_ne!(t.key, 0);
+        assert!(self.len + 1 < self.slots.len(), "table full");
         let mut idx = self.home(t.key);
         tr.ops(3);
         loop {
-            tr.read(&self.slots[idx] as *const u64 as usize, 8);
+            tr.read_of(&self.slots[idx]);
             if self.slots[idx] == 0 {
-                tr.write(&self.slots[idx] as *const u64 as usize, 8);
+                tr.write_of(&self.slots[idx]);
                 tr.ops(2);
                 self.slots[idx] = t.pack();
                 self.len += 1;
@@ -229,53 +96,59 @@ impl<H: KeyHash> StLinearTable<H> {
         }
     }
 
-    /// [`StLinearTable::probe`] with memory-access tracing (Table 4).
-    pub fn probe_traced<T: mmjoin_util::trace::MemTracer, F: FnMut(Payload)>(
+    /// The probe: walk from the home slot to the first empty one; `f` gets
+    /// every match, only the first if `FIRST`.
+    #[inline]
+    fn walk<const FIRST: bool, Tr: MemTracer>(
         &self,
         key: Key,
-        tr: &mut T,
-        mut f: F,
+        tr: &mut Tr,
+        mut f: impl FnMut(Payload),
     ) {
         let mut idx = self.home(key);
         tr.ops(3);
         loop {
-            tr.read(&self.slots[idx] as *const u64 as usize, 8);
-            let slot = self.slots[idx];
-            if slot == 0 {
+            let slot = &self.slots[idx];
+            tr.read_of(slot);
+            if *slot == 0 {
                 return;
             }
-            let t = Tuple::unpack(slot);
+            let t = Tuple::unpack(*slot);
             tr.ops(2);
             if t.key == key {
                 f(t.payload);
+                if FIRST {
+                    return;
+                }
             }
             idx = (idx + 1) & self.mask as usize;
         }
     }
 
-    /// [`StLinearTable::probe_first`] with memory-access tracing.
-    pub fn probe_first_traced<T: mmjoin_util::trace::MemTracer, F: FnMut(Payload)>(
-        &self,
-        key: Key,
-        tr: &mut T,
-        mut f: F,
-    ) {
-        let mut idx = self.home(key);
-        tr.ops(3);
-        loop {
-            tr.read(&self.slots[idx] as *const u64 as usize, 8);
-            let slot = self.slots[idx];
-            if slot == 0 {
-                return;
-            }
-            let t = Tuple::unpack(slot);
-            tr.ops(2);
-            if t.key == key {
-                f(t.payload);
-                return;
-            }
-            idx = (idx + 1) & self.mask as usize;
-        }
+    #[inline]
+    pub fn insert(&mut self, t: Tuple) {
+        self.put(t, &mut NoTracer)
+    }
+
+    #[inline]
+    pub fn probe<F: FnMut(Payload)>(&self, key: Key, f: F) {
+        self.walk::<false, _>(key, &mut NoTracer, f)
+    }
+
+    /// Probe assuming *unique* build keys (the study's PK assumption):
+    /// stops at the first match instead of scanning the whole collision
+    /// run for duplicates.
+    #[inline]
+    pub fn probe_first<F: FnMut(Payload)>(&self, key: Key, f: F) {
+        self.walk::<true, _>(key, &mut NoTracer, f)
+    }
+
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 }
 
@@ -299,14 +172,30 @@ impl<H: KeyHash + Default> JoinTable for StLinearTable<H> {
         StLinearTable::probe_first(self, key, f)
     }
 
-    #[inline]
-    fn insert_batch(&mut self, tuples: &[Tuple]) {
-        StLinearTable::insert_batch(self, tuples)
+    /// Home slots prefetched with write intent a group ahead of their inserts.
+    fn insert_batch_with<Tr: MemTracer>(&mut self, tuples: &[Tuple], tr: &mut Tr) {
+        let touch = |s: &&mut Self, t: &Tuple| kernels::prefetch_write(&s.slots[s.home(t.key)]);
+        group_ahead(self, tuples, tr, touch, |s, t, tr| s.put(*t, tr))
     }
 
-    #[inline]
-    fn probe_batch<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], unique: bool, f: F) {
-        StLinearTable::probe_batch(self, probes, unique, f)
+    /// Home slots prefetched a group ahead of their walks.
+    fn probe_batch_with<Tr: MemTracer, F: FnMut(&Tuple, Payload)>(
+        &self,
+        probes: &[Tuple],
+        unique: bool,
+        tr: &mut Tr,
+        mut f: F,
+    ) {
+        let touch = |s: &&Self, t: &Tuple| kernels::prefetch_read(&s.slots[s.home(t.key)]);
+        if unique {
+            group_ahead(self, probes, tr, touch, |s, t, tr| {
+                s.walk::<true, _>(t.key, tr, |p| f(t, p))
+            })
+        } else {
+            group_ahead(self, probes, tr, touch, |s, t, tr| {
+                s.walk::<false, _>(t.key, tr, |p| f(t, p))
+            })
+        }
     }
 
     fn memory_bytes(&self) -> usize {
@@ -344,6 +233,11 @@ impl<H: KeyHash + Default> ConcurrentLinearTable<H> {
 }
 
 impl<H: KeyHash> ConcurrentLinearTable<H> {
+    #[inline]
+    fn home(&self, key: Key) -> usize {
+        self.hash.index(key, self.mask) as usize
+    }
+
     /// Insert from any thread.
     ///
     /// Panics as soon as the probe loop wraps all the way back to the
@@ -354,7 +248,7 @@ impl<H: KeyHash> ConcurrentLinearTable<H> {
     pub fn insert(&self, t: Tuple) {
         debug_assert_ne!(t.key, 0, "key 0 is the EMPTY sentinel");
         let packed = t.pack();
-        let home = self.hash.index(t.key, self.mask) as usize;
+        let home = self.home(t.key);
         let mut idx = home;
         loop {
             let slot = &self.slots[idx];
@@ -370,86 +264,30 @@ impl<H: KeyHash> ConcurrentLinearTable<H> {
         }
     }
 
-    /// Group-prefetched batch insert (build phase of NOP): prefetch the
-    /// home slots of group `k+1` with write intent while inserting group
-    /// `k`.
-    pub fn insert_batch(&self, tuples: &[Tuple]) {
-        if !kernels::simd_active() {
-            for &t in tuples {
-                self.insert(t);
+    /// The probe, after the build barrier: [`StLinearTable`]'s walk on
+    /// `Relaxed` loads, over one lap at most. The home slot is stepped apart:
+    /// inside the bounded loop a hit there ran 5-15 % slower (`probe_ns.clinear`).
+    #[inline]
+    fn walk<const FIRST: bool>(&self, key: Key, mut f: impl FnMut(Payload)) {
+        // Whether the walk goes on past slot `idx`.
+        let mut step = |idx: usize| {
+            let slot = self.slots[idx].load(Ordering::Relaxed);
+            if slot == 0 {
+                return false;
             }
+            let t = Tuple::unpack(slot);
+            if t.key == key {
+                f(t.payload);
+            }
+            !(FIRST && t.key == key)
+        };
+        let home = self.home(key);
+        if !step(home) {
             return;
         }
-        let mut chunks = tuples.chunks(PROBE_GROUP);
-        let mut cur = match chunks.next() {
-            Some(g) => g,
-            None => return,
-        };
-        for t in cur {
-            kernels::prefetch_write(&self.slots[self.hash.index(t.key, self.mask) as usize]);
-        }
-        loop {
-            let next = chunks.next();
-            if let Some(g) = next {
-                for t in g {
-                    kernels::prefetch_write(
-                        &self.slots[self.hash.index(t.key, self.mask) as usize],
-                    );
-                }
-            }
-            for &t in cur {
-                self.insert(t);
-            }
-            match next {
-                Some(g) => cur = g,
-                None => return,
-            }
-        }
-    }
-
-    /// Group-prefetched batch probe (probe phase of NOP, after the build
-    /// barrier): prefetch one group ahead of resolution. `f` receives
-    /// `(probe_tuple, build_payload)` per match.
-    pub fn probe_batch<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], unique: bool, mut f: F) {
-        if !kernels::simd_active() {
-            if unique {
-                for t in probes {
-                    self.probe_first(t.key, |p| f(t, p));
-                }
-            } else {
-                for t in probes {
-                    self.probe(t.key, |p| f(t, p));
-                }
-            }
-            return;
-        }
-        let mut chunks = probes.chunks(PROBE_GROUP);
-        let mut cur = match chunks.next() {
-            Some(g) => g,
-            None => return,
-        };
-        for t in cur {
-            kernels::prefetch_read(&self.slots[self.hash.index(t.key, self.mask) as usize]);
-        }
-        loop {
-            let next = chunks.next();
-            if let Some(g) = next {
-                for t in g {
-                    kernels::prefetch_read(&self.slots[self.hash.index(t.key, self.mask) as usize]);
-                }
-            }
-            if unique {
-                for t in cur {
-                    self.probe_first(t.key, |p| f(t, p));
-                }
-            } else {
-                for t in cur {
-                    self.probe(t.key, |p| f(t, p));
-                }
-            }
-            match next {
-                Some(g) => cur = g,
-                None => return,
+        for off in 1..=self.mask as usize {
+            if !step((home + off) & self.mask as usize) {
+                return;
             }
         }
     }
@@ -460,37 +298,33 @@ impl<H: KeyHash> ConcurrentLinearTable<H> {
     /// this O(|R|) per probe — use [`Self::probe_first`] for the study's
     /// unique-PK workloads.
     #[inline]
-    pub fn probe<F: FnMut(Payload)>(&self, key: Key, mut f: F) {
-        let mut idx = self.hash.index(key, self.mask) as usize;
-        loop {
-            let slot = self.slots[idx].load(Ordering::Relaxed);
-            if slot == 0 {
-                return;
-            }
-            let t = Tuple::unpack(slot);
-            if t.key == key {
-                f(t.payload);
-            }
-            idx = (idx + 1) & self.mask as usize;
-        }
+    pub fn probe<F: FnMut(Payload)>(&self, key: Key, f: F) {
+        self.walk::<false>(key, f)
     }
 
     /// Probe assuming unique build keys: stop at the first match (the
     /// original NOP's lookup semantics for primary-key builds).
     #[inline]
-    pub fn probe_first<F: FnMut(Payload)>(&self, key: Key, mut f: F) {
-        let mut idx = self.hash.index(key, self.mask) as usize;
-        loop {
-            let slot = self.slots[idx].load(Ordering::Relaxed);
-            if slot == 0 {
-                return;
-            }
-            let t = Tuple::unpack(slot);
-            if t.key == key {
-                f(t.payload);
-                return;
-            }
-            idx = (idx + 1) & self.mask as usize;
+    pub fn probe_first<F: FnMut(Payload)>(&self, key: Key, f: F) {
+        self.walk::<true>(key, f)
+    }
+
+    /// Batch insert (build phase of NOP): as [`StLinearTable`]'s.
+    pub fn insert_batch(&self, tuples: &[Tuple]) {
+        let touch = |s: &&Self, t: &Tuple| kernels::prefetch_write(&s.slots[s.home(t.key)]);
+        group_ahead(self, tuples, &mut NoTracer, touch, |s, t, _| s.insert(*t))
+    }
+
+    /// Batch probe (probe phase of NOP, after the build barrier): home slots
+    /// prefetched a group ahead; `f(probe_tuple, build_payload)` per match.
+    pub fn probe_batch<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], unique: bool, mut f: F) {
+        let touch = |s: &&Self, t: &Tuple| kernels::prefetch_read(&s.slots[s.home(t.key)]);
+        if unique {
+            let first = |s: &mut &Self, t: &Tuple, _: &mut _| s.walk::<true>(t.key, |p| f(t, p));
+            group_ahead(self, probes, &mut NoTracer, touch, first)
+        } else {
+            let all = |s: &mut &Self, t: &Tuple, _: &mut _| s.walk::<false>(t.key, |p| f(t, p));
+            group_ahead(self, probes, &mut NoTracer, touch, all)
         }
     }
 

@@ -2,9 +2,13 @@
 //!
 //! Table 4 and Figure 8 of the paper rely on hardware performance counters
 //! (cache and TLB misses). This reproduction obtains the same metrics from
-//! a trace-driven simulator (`mmjoin-memsim`). Hot kernels are generic
-//! over a [`MemTracer`]; the default [`NoTracer`] makes every hook a
-//! no-op that the optimizer deletes, so the fast path pays nothing.
+//! a trace-driven simulator (`mmjoin-memsim`). The kernels of a table
+//! join phase are generic over a [`MemTracer`]: the walks, insert bodies
+//! and batch bodies of `mmjoin-hashtable`'s chained, linear and array
+//! tables, and `mmjoin-core`'s `pro::join_one`, which the partitioned
+//! joins and Table 4's replay both call. The joins pass [`NoTracer`],
+//! whose hooks the optimizer deletes, so the fast path pays nothing. (The
+//! replay's scatter, sort and CHT arms are models beside the real code.)
 //!
 //! Addresses are the real virtual addresses of the touched memory, which
 //! keeps spatial locality (cache lines, pages) faithful.
@@ -17,9 +21,20 @@ pub trait MemTracer {
     fn write(&mut self, addr: usize, len: usize);
     /// `n` arithmetic/logic operations retired (the "instruction" proxy).
     fn ops(&mut self, n: u64);
+
+    /// `*value` read where it lies.
+    #[inline(always)]
+    fn read_of<T>(&mut self, value: &T) {
+        self.read(value as *const T as usize, std::mem::size_of::<T>())
+    }
+    /// `*value` written where it lies.
+    #[inline(always)]
+    fn write_of<T>(&mut self, value: &T) {
+        self.write(value as *const T as usize, std::mem::size_of::<T>())
+    }
 }
 
-/// The zero-cost tracer used by all non-instrumented runs.
+/// The zero-cost tracer every join passes.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct NoTracer;
 
@@ -30,6 +45,21 @@ impl MemTracer for NoTracer {
     fn write(&mut self, _addr: usize, _len: usize) {}
     #[inline(always)]
     fn ops(&mut self, _n: u64) {}
+}
+
+/// A tracer shared with code that runs between its calls: Table 4's replay
+/// reads its simulator's counters where the join tracing into it stops
+/// building and starts probing.
+impl<T: MemTracer> MemTracer for &std::cell::RefCell<T> {
+    fn read(&mut self, addr: usize, len: usize) {
+        self.borrow_mut().read(addr, len)
+    }
+    fn write(&mut self, addr: usize, len: usize) {
+        self.borrow_mut().write(addr, len)
+    }
+    fn ops(&mut self, n: u64) {
+        self.borrow_mut().ops(n)
+    }
 }
 
 /// A tracer that simply counts accesses — handy in tests to assert that a
