@@ -10,7 +10,7 @@
 use std::time::Instant;
 
 use mmjoin_core::spec::{self, PartitionWrites};
-use mmjoin_partition::{chunked_partition, partition_parallel, RadixFn, ScatterMode};
+use mmjoin_partition::{chunked_partition_on, partition_parallel_on, RadixFn, ScatterMode};
 
 use crate::harness::{HarnessOpts, Table};
 
@@ -36,12 +36,13 @@ pub fn run(opts: &HarnessOpts) -> Vec<Table> {
         let input = mmjoin_datagen::gen_build_dense(r_n, *r_m as u64, opts.placement());
         let f = RadixFn::new(bits);
         let cfg = opts.cfg();
+        let pool = cfg.executor();
 
         let t0 = Instant::now();
-        let _ = chunked_partition(input.tuples(), f, opts.threads, ScatterMode::Swwcb);
+        let _ = chunked_partition_on(input.tuples(), f, &*pool, ScatterMode::Swwcb);
         let chunked_wall = t0.elapsed();
         let t0 = Instant::now();
-        let _ = partition_parallel(input.tuples(), f, opts.threads, ScatterMode::Swwcb);
+        let _ = partition_parallel_on(input.tuples(), f, &*pool, ScatterMode::Swwcb);
         let contig_wall = t0.elapsed();
 
         let mut sim_ns = Vec::new();

@@ -7,22 +7,24 @@
 //! `(key, build_payload, probe_payload)` triples — e.g. to drive late
 //! materialization like TPC-H Q19's executor.
 //!
-//! `join_index` produces exactly that with a partitioned gather join
-//! (the CPRL machinery: chunk-local partitioning, per-co-partition
-//! linear tables, per-thread output buffers). Every algorithm in this
+//! `join_index` produces exactly that with CPRL's own phases — chunk-local
+//! partitioning, then `pro::join_co_partition` per co-partition with a
+//! match consumer that pushes triples where the driver's adds to a
+//! checksum — so it returns what `Join::run(Cprl)` counts, under the same
+//! configuration (`unique_build_keys` included). Every algorithm in this
 //! crate yields the same match multiset (enforced by the integration
 //! tests), so materialization does not need to be offered per algorithm.
 
-use mmjoin_hashtable::{IdentityHash, StLinearTable};
 use mmjoin_partition::{chunked_partition_on, RadixFn, ScatterMode};
 use mmjoin_util::alloc::AlignedVec;
+use mmjoin_util::trace::NoTracer;
 use mmjoin_util::{Placement, Relation, Tuple};
 
-use crate::config::JoinConfig;
+use crate::config::{JoinConfig, TableKind};
 use crate::exec::morsel_map;
 use crate::executor::QueuePolicy;
 use crate::plan::JoinError;
-use crate::pro::{partition_phase, swwcb_partition_bytes};
+use crate::pro::{join_co_partition, partition_phase, swwcb_partition_bytes, PartTable};
 use crate::run::JoinRun;
 use crate::spec::PhaseModel;
 use crate::Algorithm;
@@ -41,8 +43,9 @@ pub struct JoinMatch {
 /// (partition-id order, then chunk order within a partition) but is not
 /// a semantic guarantee; sort or hash downstream as needed.
 ///
-/// Runs on the CPRL machinery and honours the same fault controls as
-/// the thirteen drivers: `cfg.deadline`, `cfg.cancel`, and
+/// Runs CPRL's phases and honours what the thirteen drivers honour:
+/// `cfg.unique_build_keys` (a build side with duplicate keys needs it
+/// off, as with [`crate::Join`]), `cfg.deadline`, `cfg.cancel`, and
 /// `cfg.mem_limit` (which here also covers the materialized output —
 /// the one allocation the checksum-only drivers never make).
 pub fn join_index(
@@ -52,8 +55,8 @@ pub fn join_index(
 ) -> Result<Vec<JoinMatch>, JoinError> {
     cfg.validate()?;
     let mut run = JoinRun::begin(Algorithm::Cprl, cfg);
-    let bits = cfg.bits_for_hash_tables(r.len());
-    let f = RadixFn::new(bits);
+    let table = PartTable::for_join(cfg, TableKind::Linear, r.len());
+    let f = RadixFn::new(table.bits);
     let parts = f.fanout();
 
     let (cr, cs) = partition_phase(
@@ -73,16 +76,11 @@ pub fn join_index(
                 if ctx.tick() {
                     return (p, AlignedVec::new());
                 }
-                let spec_bytes = (2 * cr.part_len(p).max(1)).next_power_of_two() * 8;
-                let Some(_table_charge) = ctx.try_charge(spec_bytes) else {
+                let part_r_len = cr.part_len(p);
+                let Some(_table_charge) = ctx.try_charge(table.spec(part_r_len).table_bytes())
+                else {
                     return (p, AlignedVec::new());
                 };
-                let mut table = StLinearTable::<IdentityHash>::with_capacity(cr.part_len(p).max(1));
-                cr.for_each_slice(p, |slice| {
-                    for &t in slice {
-                        table.insert(t);
-                    }
-                });
                 // Output buffer: at least one JoinMatch per probe tuple of
                 // the partition under the FK workloads; charge that bound.
                 let out_bytes = cs.part_len(p) * std::mem::size_of::<JoinMatch>();
@@ -92,17 +90,21 @@ pub fn join_index(
                 // Policy-aware output buffer: the per-partition gather is
                 // the write-heavy allocation of materialization.
                 let mut out = AlignedVec::with_capacity(cs.part_len(p));
-                cs.for_each_slice(p, |slice| {
-                    for &t in slice {
-                        table.probe(t.key, |bp| {
-                            out.push(JoinMatch {
-                                key: t.key,
-                                build_payload: bp,
-                                probe_payload: t.payload,
-                            })
-                        });
-                    }
-                });
+                join_co_partition(
+                    table,
+                    cfg.unique_build_keys,
+                    part_r_len,
+                    cr.slices(p),
+                    cs.slices(p),
+                    &mut NoTracer,
+                    |t, bp| {
+                        out.push(JoinMatch {
+                            key: t.key,
+                            build_payload: bp,
+                            probe_payload: t.payload,
+                        })
+                    },
+                );
                 (p, out)
             });
             Ok(tasks.into_iter().filter(|(_, v)| !v.is_empty()).collect())
@@ -187,6 +189,49 @@ mod tests {
         }
     }
 
+    /// `join_index` is CPRL with another match consumer: what `Join::run`
+    /// counts is what it returns, whatever the build side's shape, the
+    /// probe mode and the fan-out — 2^12 partitions are more bits than a
+    /// partition's table has slot bits, where a table hashed on the low
+    /// bits would hold every key at one home slot.
+    #[test]
+    fn index_agrees_with_the_cprl_driver() {
+        let n = 3_000u32;
+        let dense: Vec<Tuple> = (1..=n).map(|k| Tuple::new(k, k ^ 0x55)).collect();
+        let holes: Vec<Tuple> = (0..n).map(|k| Tuple::new(k * 7 + 3, k)).collect();
+        let mut duplicated = dense.clone();
+        duplicated.extend((1..=n / 3).map(|k| Tuple::new(k * 3, k)));
+        let builds = [
+            ("dense", dense),
+            ("duplicated", duplicated),
+            ("holes", holes),
+        ];
+        for (shape, build) in &builds {
+            let r = Relation::from_tuples(build, Placement::Chunked { parts: 4 });
+            let probe: Vec<Tuple> = (0..4 * n)
+                .map(|i| Tuple::new(build[(i as usize * 31) % build.len()].key, i))
+                .collect();
+            let s = Relation::from_tuples(&probe, Placement::Chunked { parts: 4 });
+            for unique in [true, false] {
+                for bits in [None, Some(2), Some(12)] {
+                    let mut cfg = JoinConfig::new(3);
+                    cfg.simulate = false;
+                    cfg.unique_build_keys = unique;
+                    cfg.radix_bits = bits;
+                    let idx = join_index(&r, &s, &cfg).unwrap();
+                    let join = crate::Join::new(Algorithm::Cprl).with_config(cfg);
+                    let res = join.run(&r, &s).unwrap();
+                    let at = format!("{shape} unique={unique} bits={bits:?}");
+                    assert_eq!(idx.len() as u64, res.matches, "{at}");
+                    assert_eq!(checksum_of(&idx).digest, res.checksum, "{at}");
+                    if !unique {
+                        assert_eq!(checksum_of(&idx), reference_join(&r, &s), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn index_is_deterministic() {
         let r = gen_build_dense(1_000, 3, Placement::Interleaved);
@@ -212,6 +257,7 @@ mod tests {
         let mut cfg = JoinConfig::new(2);
         cfg.simulate = false;
         cfg.radix_bits = Some(2);
+        cfg.unique_build_keys = false;
         let mut idx = join_index(&r, &s, &cfg).unwrap();
         idx.sort();
         assert_eq!(idx.len(), 6);

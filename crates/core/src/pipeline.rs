@@ -32,14 +32,14 @@
 use std::sync::{Arc, Mutex};
 
 use mmjoin_hashtable::{
-    ArrayTable, ConciseHashTable, ConcurrentArrayTable, ConcurrentLinearTable, IdentityHash,
-    JoinTable, MultiplicativeHash, StChainedTable, StLinearTable,
+    ConciseHashTable, ConcurrentArrayTable, ConcurrentLinearTable, IdentityHash, MultiplicativeHash,
 };
 use mmjoin_partition::{
     partition_parallel_on, route_into, PartitionedRelation, RadixFn, ScatterMode,
 };
 use mmjoin_util::checksum::JoinChecksum;
 use mmjoin_util::pool::{into_inner_recover, lock_recover, WorkerPool};
+use mmjoin_util::trace::NoTracer;
 use mmjoin_util::tuple::{Payload, Tuple};
 use mmjoin_util::Relation;
 
@@ -47,7 +47,7 @@ use crate::config::{JoinConfig, TableKind};
 use crate::exec::{morsel_map, MORSEL};
 use crate::executor::QueuePolicy;
 use crate::plan::JoinError;
-use crate::pro::{CoPartitions, PartTable};
+use crate::pro::{BuiltTable, CoPartitions, PartTable};
 use crate::run::{contain_panics, JoinRun, RunCtx};
 use crate::spec::{self, ops, FusedStageModel, PartitionLayout, PartitionWrites, PhaseModel};
 use crate::stats::{JoinResult, PhaseStat};
@@ -91,37 +91,10 @@ enum BuildInner {
     /// CHTJ: the bulkloaded, read-only concise hash table.
     Concise(ConciseHashTable<MultiplicativeHash>),
     /// PRO/PRL/PRA: per-partition tables; probes are radix-routed.
-    Partitioned { radix: RadixFn, tables: PartTables },
-}
-
-enum PartTables {
-    Chained(Vec<StChainedTable<IdentityHash>>),
-    Linear(Vec<StLinearTable<IdentityHash>>),
-    Array(Vec<ArrayTable>),
-}
-
-impl PartTables {
-    fn probe<F: FnMut(&Tuple, Payload)>(
-        &self,
-        p: usize,
-        probes: &[Tuple],
-        unique: bool,
-        f: &mut F,
-    ) {
-        match self {
-            PartTables::Chained(v) => JoinTable::probe_batch(&v[p], probes, unique, f),
-            PartTables::Linear(v) => JoinTable::probe_batch(&v[p], probes, unique, f),
-            PartTables::Array(v) => JoinTable::probe_batch(&v[p], probes, unique, f),
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        match self {
-            PartTables::Chained(v) => v.iter().map(|t| t.memory_bytes()).sum(),
-            PartTables::Linear(v) => v.iter().map(|t| t.memory_bytes()).sum(),
-            PartTables::Array(v) => v.iter().map(|t| t.memory_bytes()).sum(),
-        }
-    }
+    Partitioned {
+        radix: RadixFn,
+        tables: Vec<BuiltTable>,
+    },
 }
 
 impl std::fmt::Debug for BuildSide {
@@ -210,7 +183,7 @@ impl BuildSide {
                 route_into(input, *radix, bounds, routed, stamp);
                 for (p, w) in bounds.windows(2).enumerate() {
                     if w[0] < w[1] {
-                        tables.probe(p, &routed[w[0]..w[1]], unique, &mut f);
+                        tables[p].probe_batch(&routed[w[0]..w[1]], unique, &mut NoTracer, &mut f);
                     }
                 }
                 return;
@@ -339,7 +312,7 @@ fn prepare_inner(
             )?;
             let tables = run.phase(
                 "build",
-                |p| Ok(build_part_tables(p, &pr, table)),
+                |p| Ok(build_tables(p, &pr, table)),
                 |_| {
                     let (cpu_build, cpu_probe) = table.cpu();
                     PhaseModel::pass(spec::join_task_specs(
@@ -367,7 +340,7 @@ fn prepare_inner(
         BuildInner::Linear(t) => t.memory_bytes(),
         BuildInner::Array(t) => t.memory_bytes(),
         BuildInner::Concise(t) => t.memory_bytes(),
-        BuildInner::Partitioned { tables, .. } => tables.memory_bytes(),
+        BuildInner::Partitioned { tables, .. } => tables.iter().map(|t| t.memory_bytes()).sum(),
     };
     Ok(Arc::new(BuildSide {
         algorithm,
@@ -380,27 +353,19 @@ fn prepare_inner(
     }))
 }
 
-fn build_part_tables(p: &RunCtx, pr: &PartitionedRelation, table: PartTable) -> PartTables {
-    match table.kind {
-        TableKind::Chained => PartTables::Chained(build_tables(p, pr, table)),
-        TableKind::Linear => PartTables::Linear(build_tables(p, pr, table)),
-        TableKind::Array => PartTables::Array(build_tables(p, pr, table)),
-    }
-}
-
-fn build_tables<T: JoinTable + Send>(
-    p: &RunCtx,
-    pr: &PartitionedRelation,
-    table: PartTable,
-) -> Vec<T> {
+/// One built table per partition of `pr`, off the morsel queue.
+fn build_tables(p: &RunCtx, pr: &PartitionedRelation, table: PartTable) -> Vec<BuiltTable> {
     let parts = pr.parts();
     let order: Vec<usize> = (0..parts).collect();
-    let mut tabs: Vec<(usize, T)> = morsel_map(p, &order, parts, QueuePolicy::Shared, |part| {
-        let mut t = T::with_spec(&table.spec(pr.part_len(part)));
-        if !p.tick() {
-            t.insert_batch(pr.partition(part));
-        }
-        (part, t)
+    let mut tabs = morsel_map(p, &order, parts, QueuePolicy::Shared, |part| {
+        // A stopped run leaves its tables empty.
+        let tuples = if p.tick() {
+            &[][..]
+        } else {
+            pr.partition(part)
+        };
+        let built = table.build(pr.part_len(part), std::iter::once(tuples), &mut NoTracer);
+        (part, built)
     });
     tabs.sort_unstable_by_key(|t| t.0);
     tabs.into_iter().map(|(_, t)| t).collect()

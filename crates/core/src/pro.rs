@@ -20,7 +20,7 @@ use mmjoin_partition::{
 };
 use mmjoin_util::checksum::JoinChecksum;
 use mmjoin_util::trace::{MemTracer, NoTracer};
-use mmjoin_util::tuple::Tuple;
+use mmjoin_util::tuple::{Key, Payload, Tuple};
 use mmjoin_util::Relation;
 
 use crate::config::{JoinConfig, TableKind};
@@ -35,7 +35,7 @@ use crate::Algorithm;
 /// The per-partition table of a partitioned join: its kind, and the
 /// radix bits and key domain that size it.
 #[derive(Copy, Clone, Debug)]
-pub(crate) struct PartTable {
+pub struct PartTable {
     pub kind: TableKind,
     pub bits: u32,
     pub domain: usize,
@@ -66,8 +66,37 @@ impl PartTable {
         }
     }
 
+    /// The build half of a co-partition join: the table of this kind
+    /// over a partition of `part_r_len` build tuples, given as `r_slices`
+    /// (one slice, or one per chunk). `tr` sees every tuple read and
+    /// every table access.
+    pub fn build<'a, Tr: MemTracer>(
+        &self,
+        part_r_len: usize,
+        r_slices: impl IntoIterator<Item = &'a [Tuple]>,
+        tr: &mut Tr,
+    ) -> BuiltTable {
+        fn filled<'a, T: JoinTable, Tr: MemTracer>(
+            spec: &TableSpec,
+            r_slices: impl IntoIterator<Item = &'a [Tuple]>,
+            tr: &mut Tr,
+        ) -> T {
+            let mut table = T::with_spec(spec);
+            for slice in r_slices {
+                table.insert_batch_with(slice, tr);
+            }
+            table
+        }
+        let spec = self.spec(part_r_len);
+        match self.kind {
+            TableKind::Chained => BuiltTable::Chained(filled(&spec, r_slices, tr)),
+            TableKind::Linear => BuiltTable::Linear(filled(&spec, r_slices, tr)),
+            TableKind::Array => BuiltTable::Array(filled(&spec, r_slices, tr)),
+        }
+    }
+
     /// Per-tuple CPU cost of (build, probe).
-    pub fn cpu(&self) -> (f64, f64) {
+    pub(crate) fn cpu(&self) -> (f64, f64) {
         match self.kind {
             TableKind::Chained | TableKind::Linear => (ops::BUILD, ops::PROBE),
             TableKind::Array => (ops::ARRAY, ops::ARRAY),
@@ -75,7 +104,7 @@ impl PartTable {
     }
 
     /// Approximate per-build-tuple table footprint for the cost model.
-    pub fn bytes_per_tuple(&self, r_len: usize) -> f64 {
+    pub(crate) fn bytes_per_tuple(&self, r_len: usize) -> f64 {
         match self.kind {
             // next_pow2(n) 4-byte heads + 12 bytes (tuple + link) per
             // tuple: 16 at a power-of-two partition, 20 just above one.
@@ -87,6 +116,53 @@ impl PartTable {
                 let avg_part = (r_len as f64 / (1u64 << self.bits) as f64).max(1.0);
                 slots * 4.0 / avg_part
             }
+        }
+    }
+}
+
+/// The built table of one co-partition ([`PartTable::build`]), read-only
+/// from here on: the probe half of the join, shareable across threads.
+pub enum BuiltTable {
+    Chained(StChainedTable<IdentityHash>),
+    Linear(StLinearTable<IdentityHash>),
+    Array(ArrayTable),
+}
+
+impl BuiltTable {
+    /// Probe a batch, `f(probe_tuple, build_payload)` per match in probe
+    /// order; `unique` selects first-match probes (the study's PK
+    /// assumption). `tr` sees every tuple read and every table access.
+    #[inline]
+    pub fn probe_batch<Tr: MemTracer, F: FnMut(&Tuple, Payload)>(
+        &self,
+        probes: &[Tuple],
+        unique: bool,
+        tr: &mut Tr,
+        f: F,
+    ) {
+        match self {
+            BuiltTable::Chained(t) => t.probe_batch_with(probes, unique, tr, f),
+            BuiltTable::Linear(t) => t.probe_batch_with(probes, unique, tr, f),
+            BuiltTable::Array(t) => t.probe_batch_with(probes, unique, tr, f),
+        }
+    }
+
+    /// Probe one key of a unique build side: `f` sees the first match.
+    #[inline]
+    pub fn probe_first<F: FnMut(Payload)>(&self, key: Key, f: F) {
+        match self {
+            BuiltTable::Chained(t) => t.probe_unique(key, f),
+            BuiltTable::Linear(t) => t.probe_unique(key, f),
+            BuiltTable::Array(t) => t.probe_unique(key, f),
+        }
+    }
+
+    /// Bytes of memory the table holds.
+    pub fn memory_bytes(&self) -> usize {
+        match self {
+            BuiltTable::Chained(t) => t.memory_bytes(),
+            BuiltTable::Linear(t) => t.memory_bytes(),
+            BuiltTable::Array(t) => t.memory_bytes(),
         }
     }
 }
@@ -123,51 +199,30 @@ impl CoPartitions for ChunkedPartitions {
         ChunkedPartitions::part_len(self, p)
     }
     fn slices(&self, p: usize) -> impl Iterator<Item = &[Tuple]> {
-        self.chunks().iter().map(move |ch| ch.partition(p))
+        ChunkedPartitions::slices(self, p)
     }
 }
 
-/// Build a table of `kind` over `r` slices and probe with `s` slices
-/// (pulled only once the build is done). `unique` selects first-match
-/// probes (the study's PK assumption); `tr` sees every tuple read and
-/// every table access.
-fn join_one<T: JoinTable, Tr: MemTracer>(
-    spec: &TableSpec,
+/// The co-partition join, the one body every partitioned driver, the
+/// skew path's serial twin, `join_index`, Q19 and Table 4's replay run:
+/// build `table` over the `r_slices` of a partition of `part_r_len`
+/// build tuples, then probe it with the `s_slices` (pulled only once the
+/// build is done), `on_match(probe_tuple, build_payload)` per match.
+/// `unique` selects first-match probes; the joins pass [`NoTracer`],
+/// the replay (`instrumented.rs`) its cache simulator.
+#[inline]
+pub fn join_co_partition<'a, Tr: MemTracer>(
+    table: PartTable,
     unique: bool,
-    r_slices: &mut dyn Iterator<Item = &[Tuple]>,
-    s_slices: &mut dyn Iterator<Item = &[Tuple]>,
-    c: &mut JoinChecksum,
+    part_r_len: usize,
+    r_slices: impl IntoIterator<Item = &'a [Tuple]>,
+    s_slices: impl IntoIterator<Item = &'a [Tuple]>,
     tr: &mut Tr,
+    mut on_match: impl FnMut(&Tuple, Payload),
 ) {
-    let mut table = T::with_spec(spec);
-    for slice in r_slices {
-        table.insert_batch_with(slice, tr);
-    }
+    let built = table.build(part_r_len, r_slices, tr);
     for slice in s_slices {
-        table.probe_batch_with(slice, unique, tr, |t, bp| c.add(t.key, bp, t.payload));
-    }
-}
-
-/// Dispatch on the table kind (monomorphized join kernels). The joins
-/// pass [`NoTracer`]; Table 4's replay (`instrumented.rs`) passes its
-/// cache simulator.
-pub(crate) fn join_co_partition<Tr: MemTracer>(
-    kind: TableKind,
-    spec: &TableSpec,
-    unique: bool,
-    r_slices: &mut dyn Iterator<Item = &[Tuple]>,
-    s_slices: &mut dyn Iterator<Item = &[Tuple]>,
-    c: &mut JoinChecksum,
-    tr: &mut Tr,
-) {
-    match kind {
-        TableKind::Chained => {
-            join_one::<StChainedTable<IdentityHash>, Tr>(spec, unique, r_slices, s_slices, c, tr)
-        }
-        TableKind::Linear => {
-            join_one::<StLinearTable<IdentityHash>, Tr>(spec, unique, r_slices, s_slices, c, tr)
-        }
-        TableKind::Array => join_one::<ArrayTable, Tr>(spec, unique, r_slices, s_slices, c, tr),
+        built.probe_batch(slice, unique, tr, &mut on_match);
     }
 }
 
@@ -185,18 +240,18 @@ fn join_task<P: CoPartitions>(
     if p.tick() {
         return c;
     }
-    let spec = table.spec(r.part_len(part));
-    let Some(_table_charge) = p.try_charge(spec.table_bytes()) else {
+    let part_r_len = r.part_len(part);
+    let Some(_table_charge) = p.try_charge(table.spec(part_r_len).table_bytes()) else {
         return c;
     };
     join_co_partition(
-        table.kind,
-        &spec,
+        table,
         unique,
-        &mut r.slices(part),
-        &mut s.slices(part),
-        &mut c,
+        part_r_len,
+        r.slices(part),
+        s.slices(part),
         &mut NoTracer,
+        |t, bp| c.add(t.key, bp, t.payload),
     );
     c
 }
@@ -233,14 +288,14 @@ fn join_co_partitions<P: CoPartitions>(
         if p.should_stop() {
             break;
         }
-        let spec = table.spec(r.part_len(part));
-        let Some(_table_charge) = p.try_charge(spec.table_bytes()) else {
+        let part_r_len = r.part_len(part);
+        let Some(_table_charge) = p.try_charge(table.spec(part_r_len).table_bytes()) else {
             break;
         };
         let r_slices: Vec<&[Tuple]> = r.slices(part).collect();
         let s_slices: Vec<&[Tuple]> = s.slices(part).collect();
         total.merge(crate::skew::join_skewed_partition(
-            p, unique, table.kind, &spec, &r_slices, &s_slices,
+            p, unique, table, &r_slices, &s_slices,
         ));
     }
     total
@@ -519,6 +574,41 @@ mod tests {
             let res = join_pro_two_pass(&r, &s, &cfg_with(4, Some(6)), kind).unwrap();
             assert_eq!(res.matches, expect.count, "{kind:?}");
             assert_eq!(res.checksum, expect.digest, "{kind:?}");
+        }
+    }
+
+    /// A tracer sees of the co-partition join — `PartTable::build`, then
+    /// `BuiltTable::probe_batch` — what the tables report for the same
+    /// build and probes: the counts `hashtable/tests/table_differential.rs`
+    /// pins per table (build + probe here), which `repro tab4` sums.
+    #[test]
+    fn traced_co_partition_join_reports_the_tables_counts() {
+        use mmjoin_util::trace::CountingTracer;
+        // Keys 1 and 9 share a bucket of four and a home slot of eight;
+        // 17 shares them too and is absent.
+        let build = [Tuple::new(1, 10), Tuple::new(9, 90), Tuple::new(2, 20)];
+        let probes: Vec<Tuple> = [1, 9, 17, 2].map(|k| Tuple::new(k, k)).to_vec();
+        let counts = |kind, unique| {
+            let table = PartTable {
+                kind,
+                bits: 0,
+                domain: 9,
+            };
+            let (mut tr, mut hits) = (CountingTracer::default(), 0);
+            let (r, s) = (std::iter::once(&build[..]), std::iter::once(&probes[..]));
+            join_co_partition(table, unique, build.len(), r, s, &mut tr, |_, _| hits += 1);
+            assert_eq!(hits, 3, "{kind:?} unique={unique}");
+            (tr.reads, tr.read_bytes, tr.writes, tr.write_bytes, tr.ops)
+        };
+        let linear = |unique| counts(TableKind::Linear, unique);
+        assert_eq!(linear(false), (8 + 19, 8 * 8 + 19 * 8, 3, 3 * 8, 17 + 34));
+        assert_eq!(linear(true), (8 + 13, 8 * 8 + 13 * 8, 3, 3 * 8, 17 + 28));
+        let chained = |unique| counts(TableKind::Chained, unique);
+        assert_eq!(chained(false), (6 + 22, 36 + 132, 9, 3 * 16, 21 + 33));
+        assert_eq!(chained(true), (6 + 20, 36 + 120, 9, 3 * 16, 21 + 30));
+        for unique in [false, true] {
+            let array = counts(TableKind::Array, unique);
+            assert_eq!(array, (3 + 7, 3 * 8 + 4 * 8 + 3 * 4, 3, 3 * 4, 6 + 8));
         }
     }
 

@@ -18,14 +18,14 @@
 //! The `repro skewfix` experiment ablates this against the paper's
 //! baseline on the Zipf workloads of Figure 15.
 
-use mmjoin_hashtable::TableSpec;
 use mmjoin_util::checksum::JoinChecksum;
 use mmjoin_util::chunk_range;
 use mmjoin_util::pool::{broadcast_map, WorkerPool};
+use mmjoin_util::trace::NoTracer;
 use mmjoin_util::tuple::Tuple;
 
-use crate::config::TableKind;
 use crate::exec::merge_checksums;
+use crate::pro::PartTable;
 
 /// A partition is "skewed" when its probe side exceeds this multiple of
 /// the average probe partition size (and is worth splitting at all).
@@ -53,81 +53,50 @@ pub fn classify_partitions(s_sizes: &[usize], threads: usize) -> (Vec<usize>, Ve
     (normal, skewed)
 }
 
-/// Cooperatively join one skewed co-partition: single build, then all
-/// of `pool`'s threads probe disjoint chunks. `r_slices`/`s_slices` are
-/// the chunked (or single) slices of the partition's build and probe
-/// sides; `unique` selects first-match probes.
+/// Cooperatively join one skewed co-partition: one build of `table`
+/// over `r_slices` (single-threaded: a skewed partition has an
+/// ordinary-sized build side — the skew is in the probe keys), then all
+/// of `pool`'s threads probe disjoint ranges of `s_slices`, the chunked
+/// (or single) slices of the partition's probe side. The built table is
+/// read-only and `Sync`; the pool's barrier publishes the build.
+/// `unique` selects first-match probes.
 pub fn join_skewed_partition(
     pool: &dyn WorkerPool,
     unique: bool,
-    kind: TableKind,
-    spec: &TableSpec,
+    table: PartTable,
     r_slices: &[&[Tuple]],
     s_slices: &[&[Tuple]],
 ) -> JoinChecksum {
-    // Flatten the probe side into per-thread ranges over the slice list.
+    let part_r_len = r_slices.iter().map(|r| r.len()).sum();
+    let built = table.build(part_r_len, r_slices.iter().copied(), &mut NoTracer);
     let total_probe: usize = s_slices.iter().map(|s| s.len()).sum();
     let threads = pool.workers().clamp(1, total_probe.max(1));
-
-    // Build once (single-threaded: skewed partitions have an ordinary-
-    // sized build side — the skew is in the probe keys).
-    // Table kinds are Sync, so sharing it read-only across the probing
-    // workers below is safe; the pool's barrier publishes the build.
-    use mmjoin_hashtable::{ArrayTable, IdentityHash, JoinTable, StChainedTable, StLinearTable};
-    macro_rules! run_with {
-        ($ty:ty) => {{
-            let mut table = <$ty>::with_spec(spec);
-            for slice in r_slices {
-                for &t in *slice {
-                    table.insert(t);
-                }
+    merge_checksums(broadcast_map(pool, threads, |t| {
+        // Walk the slice list, probing only the global positions inside
+        // this worker's range.
+        let range = chunk_range(total_probe, threads, t);
+        let mut c = JoinChecksum::new();
+        let mut pos = 0usize;
+        for slice in s_slices {
+            let end = pos + slice.len();
+            if end > range.start && pos < range.end {
+                let mine = &slice[range.start.max(pos) - pos..range.end.min(end) - pos];
+                built.probe_batch(mine, unique, &mut NoTracer, |tu, bp| {
+                    c.add(tu.key, bp, tu.payload)
+                });
             }
-            let table = &table;
-            let parts: Vec<JoinChecksum> = broadcast_map(pool, threads, |t| {
-                let range = chunk_range(total_probe, threads, t);
-                let mut c = JoinChecksum::new();
-                // Walk the slice list, probing only the global
-                // positions inside `range`.
-                let mut pos = 0usize;
-                for slice in s_slices {
-                    let end = pos + slice.len();
-                    if end > range.start && pos < range.end {
-                        let lo = range.start.max(pos) - pos;
-                        let hi = range.end.min(end) - pos;
-                        if unique {
-                            for &tu in &slice[lo..hi] {
-                                table.probe_unique(tu.key, |bp| c.add(tu.key, bp, tu.payload));
-                            }
-                        } else {
-                            for &tu in &slice[lo..hi] {
-                                table.probe(tu.key, |bp| c.add(tu.key, bp, tu.payload));
-                            }
-                        }
-                    }
-                    pos = end;
-                    if pos >= range.end {
-                        break;
-                    }
-                }
-                c
-            });
-            merge_checksums(parts)
-        }};
-    }
-    match kind {
-        TableKind::Chained => run_with!(StChainedTable<IdentityHash>),
-        TableKind::Linear => run_with!(StLinearTable<IdentityHash>),
-        TableKind::Array => run_with!(ArrayTable),
-    }
+            pos = end;
+        }
+        c
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TableKind;
     use crate::pro::join_co_partition;
     use mmjoin_util::pool::ScopedPool;
-    use mmjoin_util::trace::NoTracer;
-    use mmjoin_util::tuple::Tuple;
 
     #[test]
     fn classification_finds_the_heavy_partition() {
@@ -155,43 +124,54 @@ mod tests {
         assert!(s.is_empty());
     }
 
+    /// The cooperative join is the serial co-partition join, whatever
+    /// the table, the probe mode, the slicing and the pool: more workers
+    /// than probes and (hash tables) a duplicated build key included.
     #[test]
     fn cooperative_join_matches_serial() {
-        let pool = ScopedPool::new(4);
-        let build: Vec<Tuple> = (1..=100u32).map(|k| Tuple::new(k, k)).collect();
-        let probe: Vec<Tuple> = (0..10_000u32).map(|i| Tuple::new(i % 100 + 1, i)).collect();
-        // Split both sides into uneven slices to exercise the walker.
-        let r_slices: Vec<&[Tuple]> = vec![&build[..30], &build[30..]];
-        let s_slices: Vec<&[Tuple]> = vec![&probe[..1], &probe[1..5000], &probe[5000..]];
-        let spec = TableSpec::hashed(build.len());
-        for kind in [TableKind::Chained, TableKind::Linear] {
-            let coop = join_skewed_partition(&pool, true, kind, &spec, &r_slices, &s_slices);
-            let mut serial = JoinChecksum::new();
-            let (mut r, mut s) = (r_slices.iter().copied(), s_slices.iter().copied());
-            join_co_partition(
+        let dense: Vec<Tuple> = (1..=100u32).map(|k| Tuple::new(k, k + 7)).collect();
+        let duplicated: Vec<Tuple> = dense.iter().copied().chain([Tuple::new(7, 0)]).collect();
+        let long: Vec<Tuple> = (0..10_000u32).map(|i| Tuple::new(i % 120 + 1, i)).collect();
+        let short = &long[..5];
+        for kind in [TableKind::Chained, TableKind::Linear, TableKind::Array] {
+            let table = PartTable {
                 kind,
-                &spec,
-                false,
-                &mut r,
-                &mut s,
-                &mut serial,
-                &mut NoTracer,
-            );
-            assert_eq!(coop, serial, "{kind:?}");
-            assert_eq!(coop.count, 10_000);
+                bits: 0,
+                domain: 101,
+            };
+            // An array slot holds one payload: its build keys are unique.
+            let build = match kind {
+                TableKind::Array => &dense,
+                _ => &duplicated,
+            };
+            for (probe, workers) in [(&long[..], 1), (&long[..], 3), (short, 8)] {
+                let pool = ScopedPool::new(workers);
+                // Uneven slices exercise the walker; one slice a side is
+                // the contiguous partitioning's shape.
+                let chunked_r: Vec<&[Tuple]> = vec![&build[..30], &build[30..]];
+                let cut = probe.len() / 2;
+                let chunked_s: Vec<&[Tuple]> = vec![&probe[..1], &probe[1..cut], &probe[cut..]];
+                let slicings = [(chunked_r, chunked_s), (vec![&build[..]], vec![probe])];
+                for (r_slices, s_slices) in slicings {
+                    for unique in [true, false] {
+                        let coop =
+                            join_skewed_partition(&pool, unique, table, &r_slices, &s_slices);
+                        let mut serial = JoinChecksum::new();
+                        join_co_partition(
+                            table,
+                            unique,
+                            build.len(),
+                            r_slices.iter().copied(),
+                            s_slices.iter().copied(),
+                            &mut NoTracer,
+                            |t, bp| serial.add(t.key, bp, t.payload),
+                        );
+                        let at = format!("{kind:?} unique={unique} workers={workers}");
+                        assert_eq!(coop, serial, "{at}, {} slices", s_slices.len());
+                        assert!(coop.count > 0, "{at}");
+                    }
+                }
+            }
         }
-    }
-
-    #[test]
-    fn cooperative_join_with_array_table() {
-        let pool = ScopedPool::new(3);
-        let build: Vec<Tuple> = (1..=50u32).map(|k| Tuple::new(k, k + 7)).collect();
-        let probe: Vec<Tuple> = (0..5_000u32).map(|i| Tuple::new(i % 50 + 1, i)).collect();
-        let r_slices: Vec<&[Tuple]> = vec![&build];
-        let s_slices: Vec<&[Tuple]> = vec![&probe];
-        let spec = TableSpec::array(0, 51);
-        let coop =
-            join_skewed_partition(&pool, true, TableKind::Array, &spec, &r_slices, &s_slices);
-        assert_eq!(coop.count, 5_000);
     }
 }

@@ -11,24 +11,23 @@
 
 use mmjoin_util::alloc::AlignedBuf;
 use mmjoin_util::chunk_range;
-use mmjoin_util::pool::{broadcast_map, ScopedPool, WorkerPool};
+use mmjoin_util::pool::{broadcast_map, WorkerPool};
 use mmjoin_util::tuple::Tuple;
 
-use crate::contiguous::ScatterMode;
-use crate::histogram::{histogram, prefix_sum};
+use crate::contiguous::{route_at, ScatterMode};
 use crate::radix::RadixFn;
-use crate::swwcb::SwwcBank;
 
-/// One thread's locally partitioned chunk.
-pub struct ChunkPart {
-    data: AlignedBuf<Tuple>,
+/// One thread's locally partitioned chunk (of [`Tuple`]s, or of the wide
+/// records of [`crate::generic`]).
+pub struct ChunkPart<T = Tuple> {
+    pub(crate) data: AlignedBuf<T>,
     /// `parts + 1` offsets into `data`.
-    offsets: Vec<usize>,
+    pub(crate) offsets: Vec<usize>,
 }
 
-impl ChunkPart {
+impl<T> ChunkPart<T> {
     #[inline]
-    pub fn partition(&self, p: usize) -> &[Tuple] {
+    pub fn partition(&self, p: usize) -> &[T] {
         &self.data.as_slice()[self.offsets[p]..self.offsets[p + 1]]
     }
 
@@ -45,36 +44,31 @@ impl ChunkPart {
 
 /// A relation partitioned chunk-locally: `chunks[t].partition(p)` holds
 /// thread `t`'s share of partition `p`.
-pub struct ChunkedPartitions {
-    chunks: Vec<ChunkPart>,
-    parts: usize,
+pub struct ChunkedPartitions<T = Tuple> {
+    pub(crate) chunks: Vec<ChunkPart<T>>,
+    pub(crate) parts: usize,
 }
 
-impl ChunkedPartitions {
+impl<T> ChunkedPartitions<T> {
     #[inline]
     pub fn parts(&self) -> usize {
         self.parts
     }
 
     #[inline]
-    pub fn chunks(&self) -> &[ChunkPart] {
+    pub fn chunks(&self) -> &[ChunkPart<T>] {
         &self.chunks
     }
 
     /// Total tuples in partition `p` across all chunks.
     pub fn part_len(&self, p: usize) -> usize {
-        self.chunks.iter().map(|c| c.partition(p).len()).sum()
+        self.slices(p).map(<[T]>::len).sum()
     }
 
-    /// Visit every chunk's slice of partition `p` in chunk order.
+    /// Every chunk's slice of partition `p`, in chunk order.
     #[inline]
-    pub fn for_each_slice<F: FnMut(&[Tuple])>(&self, p: usize, mut f: F) {
-        for c in &self.chunks {
-            let s = c.partition(p);
-            if !s.is_empty() {
-                f(s);
-            }
-        }
+    pub fn slices(&self, p: usize) -> impl Iterator<Item = &[T]> {
+        self.chunks.iter().map(move |c| c.partition(p))
     }
 
     pub fn len(&self) -> usize {
@@ -105,54 +99,26 @@ pub fn chunked_partition_on(
     }
 }
 
-/// Partition `input` chunk-locally with `threads` threads (legacy entry
-/// point: scoped threads; prefer [`chunked_partition_on`]).
-pub fn chunked_partition(
-    input: &[Tuple],
-    f: RadixFn,
-    threads: usize,
-    mode: ScatterMode,
-) -> ChunkedPartitions {
-    chunked_partition_on(input, f, &ScopedPool::new(threads), mode)
-}
-
 /// Single-threaded histogram-based radix partitioning of one chunk into a
 /// fresh local buffer.
 fn partition_chunk_local(chunk: &[Tuple], f: RadixFn, mode: ScatterMode) -> ChunkPart {
-    let hist = histogram(chunk, f);
-    let offsets = prefix_sum(&hist);
     let mut data = AlignedBuf::<Tuple>::zeroed(chunk.len());
-    let out = data.as_mut_ptr();
-    // SAFETY: cursor ranges come straight from this chunk's histogram;
-    // single-threaded, in-bounds by construction.
-    unsafe {
-        match mode {
-            ScatterMode::Direct => {
-                let mut cur = offsets[..f.fanout()].to_vec();
-                for &t in chunk {
-                    let p = f.part(t.key);
-                    out.add(cur[p]).write(t);
-                    cur[p] += 1;
-                }
-            }
-            ScatterMode::Swwcb => {
-                let mut bank = SwwcBank::new(&offsets[..f.fanout()]);
-                for &t in chunk {
-                    bank.push(f.part(t.key), t, out);
-                }
-                bank.flush_all(out);
-            }
-        }
-    }
+    let mut offsets = vec![0usize; f.fanout() + 1];
+    // SAFETY: `data` is `chunk.len()` slots this thread alone holds.
+    unsafe { route_at(chunk, f, 0, &mut offsets, data.as_mut_ptr(), mode, |_, t| t) }
     ChunkPart { data, offsets }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmjoin_util::pool::ScopedPool;
     use mmjoin_util::rng::Xoshiro256;
 
     fn random_input(n: usize, seed: u64) -> Vec<Tuple> {
+        // The interpreter gets the same chunk, cursor and fan-out
+        // boundaries out of a few hundred tuples.
+        let n = if cfg!(miri) { n.min(600) } else { n };
         let mut rng = Xoshiro256::new(seed);
         (0..n)
             .map(|i| Tuple::new(rng.next_u32() | 1, i as u32))
@@ -164,13 +130,13 @@ mod tests {
         let input = random_input(10_000, 1);
         let f = RadixFn::new(5);
         for threads in [1, 2, 4, 7] {
-            let cp = chunked_partition(&input, f, threads, ScatterMode::Swwcb);
+            let cp = chunked_partition_on(&input, f, &ScopedPool::new(threads), ScatterMode::Swwcb);
             assert_eq!(cp.parts(), 32);
             assert_eq!(cp.len(), input.len());
             for p in 0..cp.parts() {
-                cp.for_each_slice(p, |s| {
+                for s in cp.slices(p) {
                     assert!(s.iter().all(|t| f.part(t.key) == p));
-                });
+                }
             }
         }
     }
@@ -178,10 +144,15 @@ mod tests {
     #[test]
     fn union_is_a_permutation_of_input() {
         let input = random_input(7_777, 2);
-        let cp = chunked_partition(&input, RadixFn::new(4), 5, ScatterMode::Direct);
+        let cp = chunked_partition_on(
+            &input,
+            RadixFn::new(4),
+            &ScopedPool::new(5),
+            ScatterMode::Direct,
+        );
         let mut collected: Vec<u64> = Vec::with_capacity(input.len());
         for p in 0..cp.parts() {
-            cp.for_each_slice(p, |s| collected.extend(s.iter().map(|t| t.pack())));
+            collected.extend(cp.slices(p).flatten().map(|t| t.pack()));
         }
         let mut a: Vec<u64> = input.iter().map(|t| t.pack()).collect();
         collected.sort_unstable();
@@ -193,7 +164,7 @@ mod tests {
     fn part_len_sums_chunks() {
         let input = random_input(4_000, 3);
         let f = RadixFn::new(3);
-        let cp = chunked_partition(&input, f, 4, ScatterMode::Swwcb);
+        let cp = chunked_partition_on(&input, f, &ScopedPool::new(4), ScatterMode::Swwcb);
         let total: usize = (0..cp.parts()).map(|p| cp.part_len(p)).sum();
         assert_eq!(total, input.len());
         // Cross-check one partition against a direct count.
@@ -204,8 +175,18 @@ mod tests {
     #[test]
     fn swwcb_equals_direct_chunked() {
         let input = random_input(3_000, 4);
-        let a = chunked_partition(&input, RadixFn::new(4), 3, ScatterMode::Direct);
-        let b = chunked_partition(&input, RadixFn::new(4), 3, ScatterMode::Swwcb);
+        let a = chunked_partition_on(
+            &input,
+            RadixFn::new(4),
+            &ScopedPool::new(3),
+            ScatterMode::Direct,
+        );
+        let b = chunked_partition_on(
+            &input,
+            RadixFn::new(4),
+            &ScopedPool::new(3),
+            ScatterMode::Swwcb,
+        );
         for (ca, cb) in a.chunks().iter().zip(b.chunks()) {
             assert_eq!(ca.offsets, cb.offsets);
             assert_eq!(ca.data.as_slice(), cb.data.as_slice());
@@ -214,14 +195,25 @@ mod tests {
 
     /// Differential kernel test for the chunked partitioner.
     #[test]
+    #[cfg_attr(miri, ignore = "Miri interprets the portable kernels only")]
     fn forced_portable_equals_dispatched_simd() {
         use mmjoin_util::kernels::{with_mode, KernelMode};
         let input = random_input(9_000, 12);
         let a = with_mode(KernelMode::Portable, || {
-            chunked_partition(&input, RadixFn::new(5), 4, ScatterMode::Swwcb)
+            chunked_partition_on(
+                &input,
+                RadixFn::new(5),
+                &ScopedPool::new(4),
+                ScatterMode::Swwcb,
+            )
         });
         let b = with_mode(KernelMode::Simd, || {
-            chunked_partition(&input, RadixFn::new(5), 4, ScatterMode::Swwcb)
+            chunked_partition_on(
+                &input,
+                RadixFn::new(5),
+                &ScopedPool::new(4),
+                ScatterMode::Swwcb,
+            )
         });
         for (ca, cb) in a.chunks().iter().zip(b.chunks()) {
             assert_eq!(ca.offsets, cb.offsets);
@@ -231,10 +223,20 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_inputs() {
-        let cp = chunked_partition(&[], RadixFn::new(4), 8, ScatterMode::Swwcb);
+        let cp = chunked_partition_on(
+            &[],
+            RadixFn::new(4),
+            &ScopedPool::new(8),
+            ScatterMode::Swwcb,
+        );
         assert_eq!(cp.len(), 0);
         let one = [Tuple::new(5, 0)];
-        let cp = chunked_partition(&one, RadixFn::new(4), 8, ScatterMode::Swwcb);
+        let cp = chunked_partition_on(
+            &one,
+            RadixFn::new(4),
+            &ScopedPool::new(8),
+            ScatterMode::Swwcb,
+        );
         assert_eq!(cp.len(), 1);
         assert_eq!(cp.part_len(5), 1);
     }

@@ -6,7 +6,7 @@
 //! scatters its chunk to the precomputed destinations — either directly
 //! (PRB) or through software write-combine buffers (PRO and friends).
 //!
-//! `two_pass_partition` composes two passes with the fanout split evenly,
+//! `two_pass_partition_on` composes two passes with the fanout split evenly,
 //! the original PRB configuration (2 × 7 bits by default), where pass 2
 //! processes whole pass-1 partitions pulled from a task queue.
 
@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mmjoin_util::alloc::AlignedBuf;
 use mmjoin_util::chunk_range;
-use mmjoin_util::pool::{broadcast_map, ScopedPool, WorkerPool};
+use mmjoin_util::pool::{broadcast_map, WorkerPool};
 use mmjoin_util::tuple::Tuple;
 
 use crate::histogram::{global_offsets, histogram};
@@ -83,9 +83,9 @@ unsafe impl Send for SyncPtr {}
 
 /// Single-pass parallel radix partitioning on a caller-provided pool.
 ///
-/// Chunk assignment is identical to the legacy scoped-thread version
-/// (`active = workers.clamp(1, len)` chunks via [`chunk_range`]), so the
-/// output layout is byte-for-byte the same for the same worker count.
+/// Chunks are assigned by [`chunk_range`] over `active =
+/// workers.clamp(1, len)` workers, so the output layout is a function of
+/// the worker count alone.
 pub fn partition_parallel_on(
     input: &[Tuple],
     f: RadixFn,
@@ -116,18 +116,6 @@ pub fn partition_parallel_on(
         }
     });
     PartitionedRelation { data: out, offsets }
-}
-
-/// Single-pass parallel radix partitioning (legacy entry point: spawns
-/// `threads` scoped threads per phase; prefer [`partition_parallel_on`]
-/// with a persistent pool).
-pub fn partition_parallel(
-    input: &[Tuple],
-    f: RadixFn,
-    threads: usize,
-    mode: ScatterMode,
-) -> PartitionedRelation {
-    partition_parallel_on(input, f, &ScopedPool::new(threads), mode)
 }
 
 /// Scatter `emit(i, chunk[i])` to `out` at the partition `cursors`,
@@ -178,7 +166,7 @@ unsafe fn scatter_chunk(
 /// # Safety
 /// `out[base..][..input.len()]` must be valid for writes and touched by
 /// nobody else meanwhile.
-unsafe fn route_at(
+pub(crate) unsafe fn route_at(
     input: &[Tuple],
     f: RadixFn,
     base: usize,
@@ -302,18 +290,6 @@ pub fn two_pass_partition_on(
     PartitionedRelation { data: out, offsets }
 }
 
-/// Two-pass radix partitioning (legacy entry point: scoped threads per
-/// phase; prefer [`two_pass_partition_on`] with a persistent pool).
-pub fn two_pass_partition(
-    input: &[Tuple],
-    bits1: u32,
-    bits2: u32,
-    threads: usize,
-    mode: ScatterMode,
-) -> PartitionedRelation {
-    two_pass_partition_on(input, bits1, bits2, &ScopedPool::new(threads), mode)
-}
-
 /// Sanity helper shared by tests and the harness: every tuple must land
 /// in the partition its radix digit names, and the output must be a
 /// permutation of the input.
@@ -339,9 +315,13 @@ pub fn validate_partitioning(input: &[Tuple], pr: &PartitionedRelation, digit_bi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmjoin_util::pool::ScopedPool;
     use mmjoin_util::rng::Xoshiro256;
 
     fn random_input(n: usize, seed: u64) -> Vec<Tuple> {
+        // The interpreter gets the same chunk, cursor and fan-out
+        // boundaries out of a few hundred tuples.
+        let n = if cfg!(miri) { n.min(600) } else { n };
         let mut rng = Xoshiro256::new(seed);
         (0..n)
             .map(|i| Tuple::new(rng.next_u32() | 1, i as u32))
@@ -352,7 +332,12 @@ mod tests {
     fn single_pass_direct_correct() {
         let input = random_input(10_000, 1);
         for threads in [1, 2, 4, 7] {
-            let pr = partition_parallel(&input, RadixFn::new(6), threads, ScatterMode::Direct);
+            let pr = partition_parallel_on(
+                &input,
+                RadixFn::new(6),
+                &ScopedPool::new(threads),
+                ScatterMode::Direct,
+            );
             assert!(validate_partitioning(&input, &pr, 6), "threads={threads}");
             assert_eq!(pr.parts(), 64);
         }
@@ -362,7 +347,12 @@ mod tests {
     fn single_pass_swwcb_correct() {
         let input = random_input(10_000, 2);
         for threads in [1, 3, 8] {
-            let pr = partition_parallel(&input, RadixFn::new(5), threads, ScatterMode::Swwcb);
+            let pr = partition_parallel_on(
+                &input,
+                RadixFn::new(5),
+                &ScopedPool::new(threads),
+                ScatterMode::Swwcb,
+            );
             assert!(validate_partitioning(&input, &pr, 5), "threads={threads}");
         }
     }
@@ -370,8 +360,18 @@ mod tests {
     #[test]
     fn swwcb_equals_direct() {
         let input = random_input(5_000, 3);
-        let a = partition_parallel(&input, RadixFn::new(4), 4, ScatterMode::Direct);
-        let b = partition_parallel(&input, RadixFn::new(4), 4, ScatterMode::Swwcb);
+        let a = partition_parallel_on(
+            &input,
+            RadixFn::new(4),
+            &ScopedPool::new(4),
+            ScatterMode::Direct,
+        );
+        let b = partition_parallel_on(
+            &input,
+            RadixFn::new(4),
+            &ScopedPool::new(4),
+            ScatterMode::Swwcb,
+        );
         assert_eq!(a.offsets(), b.offsets());
         // Within-partition order may differ only if thread chunking
         // differed — it doesn't, so outputs are identical.
@@ -382,7 +382,8 @@ mod tests {
     fn two_pass_correct() {
         let input = random_input(20_000, 4);
         for threads in [1, 4] {
-            let pr = two_pass_partition(&input, 4, 3, threads, ScatterMode::Direct);
+            let pr =
+                two_pass_partition_on(&input, 4, 3, &ScopedPool::new(threads), ScatterMode::Direct);
             assert_eq!(pr.parts(), 128);
             assert_eq!(pr.len(), input.len());
             // Keys within a global partition share their low 7 bits...
@@ -407,8 +408,8 @@ mod tests {
         // both relations (the co-partition join requirement).
         let r = random_input(3_000, 5);
         let s = random_input(9_000, 6);
-        let pr = two_pass_partition(&r, 3, 3, 2, ScatterMode::Swwcb);
-        let ps = two_pass_partition(&s, 3, 3, 2, ScatterMode::Swwcb);
+        let pr = two_pass_partition_on(&r, 3, 3, &ScopedPool::new(2), ScatterMode::Swwcb);
+        let ps = two_pass_partition_on(&s, 3, 3, &ScopedPool::new(2), ScatterMode::Swwcb);
         for p in 0..64 {
             let digit_of = |t: &Tuple| (t.key & 0x3F) as usize;
             let rd: Vec<usize> = pr.partition(p).iter().map(digit_of).collect();
@@ -447,11 +448,11 @@ mod tests {
         };
         for mode in [ScatterMode::Direct, ScatterMode::Swwcb] {
             for threads in [1, 3] {
-                let pr = two_pass_partition(&holed, 3, 3, threads, mode);
+                let pr = two_pass_partition_on(&holed, 3, 3, &ScopedPool::new(threads), mode);
                 check(&holed, &pr);
                 assert!((40..48).all(|p| pr.part_len(p) == 0));
 
-                let pr = two_pass_partition(&single, 3, 3, threads, mode);
+                let pr = two_pass_partition_on(&single, 3, 3, &ScopedPool::new(threads), mode);
                 check(&single, &pr);
                 assert_eq!(pr.offsets()[24], 0);
                 assert_eq!(pr.offsets()[32], single.len());
@@ -525,6 +526,7 @@ mod tests {
     /// partitioning must be byte-identical (random, skewed, and
     /// duplicate-key inputs).
     #[test]
+    #[cfg_attr(miri, ignore = "Miri interprets the portable kernels only")]
     fn forced_portable_equals_dispatched_simd() {
         use mmjoin_util::kernels::{with_mode, KernelMode};
         let random = random_input(8_000, 11);
@@ -532,10 +534,20 @@ mod tests {
         let dups: Vec<Tuple> = (0..6_000).map(|i| Tuple::new((i % 97) + 1, i)).collect();
         for input in [&random, &skewed, &dups] {
             let a = with_mode(KernelMode::Portable, || {
-                partition_parallel(input, RadixFn::new(5), 3, ScatterMode::Swwcb)
+                partition_parallel_on(
+                    input,
+                    RadixFn::new(5),
+                    &ScopedPool::new(3),
+                    ScatterMode::Swwcb,
+                )
             });
             let b = with_mode(KernelMode::Simd, || {
-                partition_parallel(input, RadixFn::new(5), 3, ScatterMode::Swwcb)
+                partition_parallel_on(
+                    input,
+                    RadixFn::new(5),
+                    &ScopedPool::new(3),
+                    ScatterMode::Swwcb,
+                )
             });
             assert_eq!(a.offsets(), b.offsets());
             assert_eq!(a.all_tuples(), b.all_tuples());
@@ -544,10 +556,15 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let pr = partition_parallel(&[], RadixFn::new(4), 4, ScatterMode::Swwcb);
+        let pr = partition_parallel_on(
+            &[],
+            RadixFn::new(4),
+            &ScopedPool::new(4),
+            ScatterMode::Swwcb,
+        );
         assert_eq!(pr.parts(), 16);
         assert_eq!(pr.len(), 0);
-        let pr2 = two_pass_partition(&[], 2, 2, 4, ScatterMode::Direct);
+        let pr2 = two_pass_partition_on(&[], 2, 2, &ScopedPool::new(4), ScatterMode::Direct);
         assert_eq!(pr2.parts(), 16);
     }
 
@@ -555,7 +572,12 @@ mod tests {
     fn skewed_single_partition() {
         // All keys identical: one partition gets everything.
         let input: Vec<Tuple> = (0..1000).map(|i| Tuple::new(42, i)).collect();
-        let pr = partition_parallel(&input, RadixFn::new(4), 4, ScatterMode::Swwcb);
+        let pr = partition_parallel_on(
+            &input,
+            RadixFn::new(4),
+            &ScopedPool::new(4),
+            ScatterMode::Swwcb,
+        );
         assert_eq!(pr.part_len(42 & 0xF), 1000);
         assert_eq!(pr.len(), 1000);
     }
@@ -563,7 +585,7 @@ mod tests {
     #[test]
     fn offsets_are_monotone_addresses() {
         let input = random_input(8_000, 7);
-        let pr = two_pass_partition(&input, 3, 3, 4, ScatterMode::Direct);
+        let pr = two_pass_partition_on(&input, 3, 3, &ScopedPool::new(4), ScatterMode::Direct);
         assert!(pr.offsets().windows(2).all(|w| w[0] <= w[1]));
     }
 }

@@ -13,65 +13,13 @@
 //! trick is specific to the 8-byte tuple layout; for records of 16+
 //! bytes the write-combining win shrinks proportionally anyway.
 
+use mmjoin_util::alloc::AlignedBuf;
 use mmjoin_util::chunk_range;
-use mmjoin_util::pool::{broadcast_map, ScopedPool, WorkerPool};
+use mmjoin_util::pool::{broadcast_map, WorkerPool};
 
+use crate::chunked::{ChunkPart, ChunkedPartitions};
 use crate::histogram::prefix_sum;
 use crate::radix::RadixFn;
-
-/// One thread's locally partitioned chunk of `T`s.
-pub struct GenericChunkPart<T> {
-    data: Vec<T>,
-    offsets: Vec<usize>,
-}
-
-impl<T> GenericChunkPart<T> {
-    #[inline]
-    pub fn partition(&self, p: usize) -> &[T] {
-        &self.data[self.offsets[p]..self.offsets[p + 1]]
-    }
-}
-
-/// Chunk-locally partitioned wide records.
-pub struct GenericChunkedPartitions<T> {
-    chunks: Vec<GenericChunkPart<T>>,
-    parts: usize,
-}
-
-impl<T> GenericChunkedPartitions<T> {
-    #[inline]
-    pub fn parts(&self) -> usize {
-        self.parts
-    }
-
-    #[inline]
-    pub fn chunks(&self) -> &[GenericChunkPart<T>] {
-        &self.chunks
-    }
-
-    pub fn part_len(&self, p: usize) -> usize {
-        self.chunks.iter().map(|c| c.partition(p).len()).sum()
-    }
-
-    /// Visit every chunk's slice of partition `p`.
-    #[inline]
-    pub fn for_each_slice<F: FnMut(&[T])>(&self, p: usize, mut f: F) {
-        for c in &self.chunks {
-            let s = c.partition(p);
-            if !s.is_empty() {
-                f(s);
-            }
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.chunks.iter().map(|c| c.data.len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// Partition `input` chunk-locally by `key(t) & mask` on a worker pool.
 pub fn chunked_partition_by_on<T, K>(
@@ -79,7 +27,7 @@ pub fn chunked_partition_by_on<T, K>(
     f: RadixFn,
     pool: &dyn WorkerPool,
     key: K,
-) -> GenericChunkedPartitions<T>
+) -> ChunkedPartitions<T>
 where
     T: Copy + Send + Sync,
     K: Fn(&T) -> u32 + Send + Sync + Copy,
@@ -89,59 +37,42 @@ where
         let chunk = &input[chunk_range(input.len(), active, t)];
         partition_chunk_by(chunk, f, key)
     });
-    GenericChunkedPartitions {
+    ChunkedPartitions {
         chunks,
         parts: f.fanout(),
     }
 }
 
-/// Partition `input` chunk-locally by `key(t) & mask` with `threads`
-/// scoped threads (legacy entry point; prefer [`chunked_partition_by_on`]).
-pub fn chunked_partition_by<T, K>(
-    input: &[T],
-    f: RadixFn,
-    threads: usize,
-    key: K,
-) -> GenericChunkedPartitions<T>
-where
-    T: Copy + Send + Sync,
-    K: Fn(&T) -> u32 + Send + Sync + Copy,
-{
-    chunked_partition_by_on(input, f, &ScopedPool::new(threads), key)
-}
-
-fn partition_chunk_by<T: Copy, K: Fn(&T) -> u32>(
-    chunk: &[T],
-    f: RadixFn,
-    key: K,
-) -> GenericChunkPart<T> {
+fn partition_chunk_by<T: Copy, K: Fn(&T) -> u32>(chunk: &[T], f: RadixFn, key: K) -> ChunkPart<T> {
     let mut hist = vec![0usize; f.fanout()];
     for t in chunk {
         hist[f.part(key(t))] += 1;
     }
     let offsets = prefix_sum(&hist);
     let mut cursor = offsets[..f.fanout()].to_vec();
-    // Scatter into a fresh buffer; positions are written exactly once
-    // (the histogram counted them), so a plain Vec of MaybeUninit-free
-    // copies via an initialized template is avoided by collecting through
-    // indices on a Vec pre-sized with the first element.
-    let mut data: Vec<T> = Vec::with_capacity(chunk.len());
-    // SAFETY-free approach: fill with copies of chunk[0] (T: Copy), then
-    // overwrite every slot. Costs one extra pass but stays entirely safe.
-    if let Some(&first) = chunk.first() {
-        data.resize(chunk.len(), first);
-        for t in chunk {
-            let p = f.part(key(t));
-            data[cursor[p]] = *t;
-            cursor[p] += 1;
-        }
+    // SAFETY: every slot is written exactly once before `data` is read.
+    // Partition `p`'s cursor starts at `offsets[p]` and the check below
+    // stops it at `offsets[p + 1]`, so no partition takes more than the
+    // histogram counted for it; the scatter makes `chunk.len()` writes,
+    // the sum of those counts, so each partition takes exactly its count
+    // and the writes tile `0..chunk.len()`. A `key` that answers
+    // differently on the second pass panics, past `data`, unread.
+    let mut data = unsafe { AlignedBuf::<T>::unfilled(chunk.len()) };
+    let out = data.as_mut_ptr();
+    for t in chunk {
+        let p = f.part(key(t));
+        assert!(cursor[p] < offsets[p + 1], "key() changed between passes");
+        // SAFETY: `cursor[p] < offsets[p + 1] <= chunk.len()`, checked above.
+        unsafe { out.add(cursor[p]).write(*t) };
+        cursor[p] += 1;
     }
-    GenericChunkPart { data, offsets }
+    ChunkPart { data, offsets }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmjoin_util::pool::ScopedPool;
 
     #[derive(Copy, Clone, Debug, PartialEq)]
     struct Wide {
@@ -151,6 +82,7 @@ mod tests {
     }
 
     fn input(n: usize) -> Vec<Wide> {
+        let n = if cfg!(miri) { n.min(600) } else { n };
         (0..n as u32)
             .map(|i| Wide {
                 key: i * 7 + 1,
@@ -164,22 +96,22 @@ mod tests {
     fn wide_partitions_respect_digits() {
         let data = input(5_000);
         let f = RadixFn::new(4);
-        let cp = chunked_partition_by(&data, f, 4, |w| w.key);
+        let cp = chunked_partition_by_on(&data, f, &ScopedPool::new(4), |w| w.key);
         assert_eq!(cp.len(), data.len());
         for p in 0..cp.parts() {
-            cp.for_each_slice(p, |s| {
+            for s in cp.slices(p) {
                 assert!(s.iter().all(|w| f.part(w.key) == p));
-            });
+            }
         }
     }
 
     #[test]
     fn wide_partitioning_is_a_permutation() {
         let data = input(3_333);
-        let cp = chunked_partition_by(&data, RadixFn::new(3), 3, |w| w.key);
+        let cp = chunked_partition_by_on(&data, RadixFn::new(3), &ScopedPool::new(3), |w| w.key);
         let mut seen: Vec<u32> = Vec::new();
         for p in 0..cp.parts() {
-            cp.for_each_slice(p, |s| seen.extend(s.iter().map(|w| w.key)));
+            seen.extend(cp.slices(p).flatten().map(|w| w.key));
         }
         seen.sort_unstable();
         let mut expect: Vec<u32> = data.iter().map(|w| w.key).collect();
@@ -190,19 +122,20 @@ mod tests {
     #[test]
     fn payloads_travel_with_keys() {
         let data = input(1_000);
-        let cp = chunked_partition_by(&data, RadixFn::new(5), 2, |w| w.key);
+        let cp = chunked_partition_by_on(&data, RadixFn::new(5), &ScopedPool::new(2), |w| w.key);
         for p in 0..cp.parts() {
-            cp.for_each_slice(p, |s| {
-                for w in s {
-                    assert_eq!(w.b, ((w.key - 1) / 7) as u64 * 3);
-                }
-            });
+            for w in cp.slices(p).flatten() {
+                assert_eq!(w.b, ((w.key - 1) / 7) as u64 * 3);
+            }
         }
     }
 
     #[test]
     fn empty_input() {
-        let cp = chunked_partition_by::<Wide, _>(&[], RadixFn::new(4), 4, |w| w.key);
+        let cp =
+            chunked_partition_by_on::<Wide, _>(&[], RadixFn::new(4), &ScopedPool::new(4), |w| {
+                w.key
+            });
         assert!(cp.is_empty());
         assert_eq!(cp.parts(), 16);
     }

@@ -12,7 +12,14 @@
 //!   router.
 //! * [`chunked`] — this paper's CPR* partitioning (Figure 4(c)): no
 //!   global histogram; every thread radix-partitions its chunk *locally*,
-//!   eliminating remote writes at the price of non-contiguous partitions.
+//!   eliminating remote writes at the price of non-contiguous partitions
+//!   ([`generic`]: the same over records wider than a tuple). A chunk is
+//!   one more input a thread owns: it goes through the same serial step.
+//!
+//! Every partitioner takes the [`mmjoin_util::pool::WorkerPool`] it runs
+//! on (`*_on`): the joins and TPC-H Q19 pass the persistent executor,
+//! this crate's tests and the criterion benches a `ScopedPool`. There is
+//! no entry point that spawns threads of its own.
 //!
 //! Plus the surrounding machinery:
 //!
@@ -33,11 +40,10 @@ pub mod swwcb;
 pub mod task;
 
 pub use bits::{predict_radix_bits, BitsInput};
-pub use chunked::{chunked_partition, chunked_partition_on, ChunkedPartitions};
+pub use chunked::{chunked_partition_on, ChunkedPartitions};
 pub use contiguous::{
-    partition_parallel, partition_parallel_on, route_into, two_pass_partition,
-    two_pass_partition_on, PartitionedRelation, ScatterMode,
+    partition_parallel_on, route_into, two_pass_partition_on, PartitionedRelation, ScatterMode,
 };
-pub use generic::{chunked_partition_by, chunked_partition_by_on, GenericChunkedPartitions};
+pub use generic::chunked_partition_by_on;
 pub use radix::RadixFn;
 pub use task::{task_order, ConcurrentTaskQueue, ScheduleOrder};

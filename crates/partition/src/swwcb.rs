@@ -209,6 +209,7 @@ mod tests {
     /// streaming flush paths must produce bit-identical output for
     /// random interleavings of partitions and start cursors.
     #[test]
+    #[cfg_attr(miri, ignore = "Miri interprets the portable kernels only")]
     fn streaming_flushes_match_portable() {
         let parts = 4usize;
         let cursors = [3usize, 20, 40, 77];

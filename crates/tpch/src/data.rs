@@ -39,6 +39,13 @@ impl LineitemTable {
         self.l_partkey.is_empty()
     }
 
+    /// What a qualifying row adds to Q19's aggregate:
+    /// `l_extendedprice · (1 − l_discount)`.
+    #[inline]
+    pub fn revenue(&self, row: usize) -> f64 {
+        self.l_extendedprice[row] as f64 * (1.0 - self.l_discount[row] as f64)
+    }
+
     /// The pushed-down Q19 selection (Listing 3, `preJoin`).
     #[inline]
     pub fn pre_join(&self, row: usize) -> bool {

@@ -15,11 +15,12 @@
 
 use std::time::{Duration, Instant};
 
+use mmjoin_core::exec::parallel_chunks;
 use mmjoin_hashtable::{ConcurrentLinearTable, IdentityHash};
-use mmjoin_util::chunk_range;
 use mmjoin_util::tuple::Tuple;
 
 use crate::data::{post_join, LineitemTable, PartTable};
+use crate::q19::{config, scan};
 
 /// Timing of one morph variant.
 #[derive(Clone, Debug)]
@@ -33,24 +34,29 @@ pub struct MorphStep {
 
 /// Run all five variants with `threads` threads.
 pub fn run_morph(p: &PartTable, l: &LineitemTable, threads: usize) -> Vec<MorphStep> {
-    let threads = threads.max(1);
+    let pool = config(threads).executor();
+    let pool = &*pool;
 
     // Shared build: all variants join against the same Part table.
     let build = || {
         let table = ConcurrentLinearTable::<IdentityHash>::with_capacity(p.len());
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let range = chunk_range(p.len(), threads, t);
-                let table = &table;
-                let keys = &p.p_partkey;
-                s.spawn(move || {
-                    for &tup in &keys[range] {
-                        table.insert(tup);
-                    }
-                });
-            }
-        });
+        parallel_chunks(pool, &p.p_partkey, |_, chunk| table.insert_batch(chunk));
         table
+    };
+    // The join index of variants (3) and (4): filter, probe, materialize
+    // `(p_row, l_row)`, one vector a worker.
+    let join_index = |table: &ConcurrentLinearTable<IdentityHash>| {
+        scan(pool, l.len(), |range| {
+            let mut idx: Vec<(u32, u32)> = Vec::new();
+            for row in range {
+                if l.pre_join(row) {
+                    table.probe_first(l.l_partkey[row].key, |p_row| {
+                        idx.push((p_row, row as u32));
+                    });
+                }
+            }
+            idx
+        })
     };
 
     // Pre-filtered probe input (materialized OUTSIDE the timed region of
@@ -61,30 +67,36 @@ pub fn run_morph(p: &PartTable, l: &LineitemTable, threads: usize) -> Vec<MorphS
         .collect();
 
     let mut steps = Vec::new();
+    let mut step = |label, start: Instant, outcome| {
+        steps.push(MorphStep {
+            label,
+            wall: start.elapsed(),
+            outcome,
+        })
+    };
 
     // (1) Naked join over pre-filtered input.
     {
         let start = Instant::now();
         let table = build();
-        let matches: u64 = parallel_sum_u64(threads, prefiltered.len(), |range| {
+        let matches: u64 = parallel_chunks(pool, &prefiltered, |_, chunk| {
             let mut m = 0u64;
-            for &tup in &prefiltered[range] {
+            for &tup in chunk {
                 table.probe_first(tup.key, |_| m += 1);
             }
             m
-        });
-        steps.push(MorphStep {
-            label: "(1) microbenchmark, pre-filtered input",
-            wall: start.elapsed(),
-            outcome: matches as f64,
-        });
+        })
+        .iter()
+        .sum();
+        let label = "(1) microbenchmark, pre-filtered input";
+        step(label, start, matches as f64);
     }
 
     // (2) Filter dynamically during the probe scan.
     {
         let start = Instant::now();
         let table = build();
-        let matches: u64 = parallel_sum_u64(threads, l.len(), |range| {
+        let matches: u64 = scan(pool, l.len(), |range| {
             let mut m = 0u64;
             for row in range {
                 if l.pre_join(row) {
@@ -92,149 +104,63 @@ pub fn run_morph(p: &PartTable, l: &LineitemTable, threads: usize) -> Vec<MorphS
                 }
             }
             m
-        });
-        steps.push(MorphStep {
-            label: "(2) like (1), filtering dynamically",
-            wall: start.elapsed(),
-            outcome: matches as f64,
-        });
+        })
+        .iter()
+        .sum();
+        step("(2) like (1), filtering dynamically", start, matches as f64);
     }
 
     // (3) Like (2) plus materializing a join index.
-    let join_index: Vec<Vec<(u32, u32)>>;
     {
         let start = Instant::now();
-        let table = build();
-        join_index = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let range = chunk_range(l.len(), threads, t);
-                    let table = &table;
-                    s.spawn(move || {
-                        let mut idx = Vec::new();
-                        for row in range {
-                            if l.pre_join(row) {
-                                table.probe_first(l.l_partkey[row].key, |p_row| {
-                                    idx.push((p_row, row as u32));
-                                });
-                            }
-                        }
-                        idx
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let total: usize = join_index.iter().map(Vec::len).sum();
-        steps.push(MorphStep {
-            label: "(3) like (2) plus materializing a join index",
-            wall: start.elapsed(),
-            outcome: total as f64,
-        });
+        let total: usize = join_index(&build()).iter().map(Vec::len).sum();
+        let label = "(3) like (2) plus materializing a join index";
+        step(label, start, total as f64);
     }
 
     // (4) Like (3) plus post-filter + aggregate from the join index.
     {
         let start = Instant::now();
-        let table = build();
-        let fresh_index: Vec<Vec<(u32, u32)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let range = chunk_range(l.len(), threads, t);
-                    let table = &table;
-                    s.spawn(move || {
-                        let mut idx = Vec::new();
-                        for row in range {
-                            if l.pre_join(row) {
-                                table.probe_first(l.l_partkey[row].key, |p_row| {
-                                    idx.push((p_row, row as u32));
-                                });
-                            }
-                        }
-                        idx
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let revenue: f64 = std::thread::scope(|s| {
-            let handles: Vec<_> = fresh_index
-                .iter()
-                .map(|chunk| {
-                    s.spawn(move || {
-                        let mut rev = 0.0f64;
-                        for &(p_row, l_row) in chunk {
-                            if post_join(l, p, l_row as usize, p_row as usize) {
-                                rev += l.l_extendedprice[l_row as usize] as f64
-                                    * (1.0 - l.l_discount[l_row as usize] as f64);
-                            }
-                        }
-                        rev
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
-        });
-        steps.push(MorphStep {
-            label: "(4) like (3) plus post-filtering and aggregating",
-            wall: start.elapsed(),
-            outcome: revenue,
-        });
+        let index = join_index(&build());
+        let revenue: f64 = scan(pool, index.len(), |chunks| {
+            let mut rev = 0.0f64;
+            for &(p_row, l_row) in index[chunks].iter().flatten() {
+                if post_join(l, p, l_row as usize, p_row as usize) {
+                    rev += l.revenue(l_row as usize);
+                }
+            }
+            rev
+        })
+        .iter()
+        .sum();
+        let label = "(4) like (3) plus post-filtering and aggregating";
+        step(label, start, revenue);
     }
 
     // (5) Full pipeline, no join index (= Q19's execution strategy).
     {
         let start = Instant::now();
         let table = build();
-        let revenue: f64 = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let range = chunk_range(l.len(), threads, t);
-                    let table = &table;
-                    s.spawn(move || {
-                        let mut rev = 0.0f64;
-                        for row in range {
-                            if !l.pre_join(row) {
-                                continue;
-                            }
-                            table.probe_first(l.l_partkey[row].key, |p_row| {
-                                if post_join(l, p, row, p_row as usize) {
-                                    rev += l.l_extendedprice[row] as f64
-                                        * (1.0 - l.l_discount[row] as f64);
-                                }
-                            });
-                        }
-                        rev
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
-        });
-        steps.push(MorphStep {
-            label: "(5) like (2 and 4) without a join index",
-            wall: start.elapsed(),
-            outcome: revenue,
-        });
+        let revenue: f64 = scan(pool, l.len(), |range| {
+            let mut rev = 0.0f64;
+            for row in range {
+                if !l.pre_join(row) {
+                    continue;
+                }
+                table.probe_first(l.l_partkey[row].key, |p_row| {
+                    if post_join(l, p, row, p_row as usize) {
+                        rev += l.revenue(row);
+                    }
+                });
+            }
+            rev
+        })
+        .iter()
+        .sum();
+        step("(5) like (2 and 4) without a join index", start, revenue);
     }
 
     steps
-}
-
-fn parallel_sum_u64(
-    threads: usize,
-    n: usize,
-    f: impl Fn(std::ops::Range<usize>) -> u64 + Sync,
-) -> u64 {
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let range = chunk_range(n, threads, t);
-                let f = &f;
-                s.spawn(move || f(range))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).sum()
-    })
 }
 
 #[cfg(test)]

@@ -13,16 +13,20 @@
 //! (partitioned; reconstruction follows row ids to arbitrary locations —
 //! the cache-pollution effect Section 8 discusses).
 
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
-use mmjoin_core::JoinConfig;
-use mmjoin_hashtable::{
-    ArrayTable, ConcurrentArrayTable, ConcurrentLinearTable, IdentityHash, JoinTable,
-    StLinearTable, TableSpec,
+use mmjoin_core::exec::parallel_chunks;
+use mmjoin_core::pro::{join_co_partition, PartTable as CoPartitionTable};
+use mmjoin_core::{JoinConfig, TableKind};
+use mmjoin_hashtable::{ConcurrentArrayTable, ConcurrentLinearTable, IdentityHash};
+use mmjoin_partition::{
+    chunked_partition_on, ChunkedPartitions, ConcurrentTaskQueue, RadixFn, ScatterMode,
 };
-use mmjoin_partition::{chunked_partition, ConcurrentTaskQueue, RadixFn, ScatterMode};
 use mmjoin_util::chunk_range;
-use mmjoin_util::tuple::Tuple;
+use mmjoin_util::pool::{broadcast_map, WorkerPool};
+use mmjoin_util::trace::NoTracer;
+use mmjoin_util::tuple::{Key, Payload, Tuple};
 
 use crate::data::{post_join, LineitemTable, PartTable};
 
@@ -66,208 +70,178 @@ impl Q19Result {
     }
 }
 
-/// Run Q19 with the chosen join.
-pub fn run_q19(join: Q19Join, p: &PartTable, l: &LineitemTable, threads: usize) -> Q19Result {
-    match join {
-        Q19Join::Nop => q19_global(p, l, threads, GlobalTable::Linear),
-        Q19Join::Nopa => q19_global(p, l, threads, GlobalTable::Array),
-        Q19Join::Cprl => q19_partitioned(p, l, threads, false),
-        Q19Join::Cpra => q19_partitioned(p, l, threads, true),
+/// The configuration a query's phases run under: `threads` workers of
+/// the persistent executor. A count [`JoinConfig::validate`] refuses
+/// panics with that error's message, before any thread exists.
+pub(crate) fn config(threads: usize) -> JoinConfig {
+    let cfg = JoinConfig::new(threads);
+    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
+    cfg
+}
+
+/// One scan phase: every worker of `pool` runs `f` over its contiguous
+/// range of `0..n`; the results in worker order.
+pub(crate) fn scan<R: Send>(
+    pool: &dyn WorkerPool,
+    n: usize,
+    f: impl Fn(Range<usize>) -> R + Sync,
+) -> Vec<R> {
+    let workers = pool.workers();
+    broadcast_map(pool, workers, |t| f(chunk_range(n, workers, t)))
+}
+
+/// The frame of the partitioned plans (CPRL/CPRA, late or early
+/// materialization). Partition phase: filter Lineitem into one probe
+/// `record(row)` a qualifying row, then chunk-partition Part and
+/// (`partition`) the records, on Equation (1)'s bits for `kind` over
+/// Part — as the CPR* drivers take them, at most 14. Join phase: every
+/// worker pops co-partitions off one queue, `join(table, build, probe,
+/// part, revenue)` adding what a co-partition earns to its worker's
+/// revenue.
+pub(crate) fn partitioned_plan<W: Copy + Send + Sync>(
+    p: &PartTable,
+    l: &LineitemTable,
+    cfg: &JoinConfig,
+    kind: TableKind,
+    record: impl Fn(usize) -> W + Sync,
+    partition: impl Fn(&[W], RadixFn, &dyn WorkerPool) -> ChunkedPartitions<W>,
+    join: impl Fn(CoPartitionTable, &ChunkedPartitions, &ChunkedPartitions<W>, usize, &mut f64) + Sync,
+) -> Q19Result {
+    let pool = cfg.executor();
+    let mut table = CoPartitionTable::for_join(cfg, kind, p.len());
+    table.bits = table.bits.min(14);
+    let f = RadixFn::new(table.bits);
+
+    let start = Instant::now();
+    let records = scan(&*pool, l.len(), |range| {
+        let rows = range.filter(|&row| l.pre_join(row));
+        rows.map(&record).collect::<Vec<W>>()
+    })
+    .concat();
+    let parts_build = chunked_partition_on(&p.p_partkey, f, &*pool, ScatterMode::Swwcb);
+    let parts_probe = partition(&records, f, &*pool);
+    let build_wall = start.elapsed();
+
+    let start = Instant::now();
+    let queue = ConcurrentTaskQueue::new((0..f.fanout()).collect());
+    let revenues = broadcast_map(&*pool, cfg.threads, |_| {
+        let mut revenue = 0.0f64;
+        while let Some(part) = queue.pop() {
+            join(table, &parts_build, &parts_probe, part, &mut revenue);
+        }
+        revenue
+    });
+    Q19Result {
+        revenue: revenues.iter().sum(),
+        build_wall,
+        probe_wall: start.elapsed(),
+        filtered_rows: records.len(),
     }
 }
 
-enum GlobalTable {
-    Linear,
-    Array,
+/// Run Q19 with the chosen join.
+pub fn run_q19(join: Q19Join, p: &PartTable, l: &LineitemTable, threads: usize) -> Q19Result {
+    let cfg = config(threads);
+    // `p_partkey` is a unique PK: a probe has one partner at most.
+    match join {
+        Q19Join::Nop => {
+            let table = ConcurrentLinearTable::<IdentityHash>::with_capacity(p.len());
+            let build = |chunk: &[Tuple]| table.insert_batch(chunk);
+            q19_global(p, l, &cfg, build, |key| {
+                let mut partner = None;
+                table.probe_first(key, |p_row| partner = Some(p_row));
+                partner
+            })
+        }
+        Q19Join::Nopa => {
+            let table = ConcurrentArrayTable::new(p.len() + 1, 1);
+            let build = |chunk: &[Tuple]| table.insert_batch(chunk);
+            q19_global(p, l, &cfg, build, |key| {
+                let mut partner = None;
+                table.probe(key, |p_row| partner = Some(p_row));
+                partner
+            })
+        }
+        Q19Join::Cprl => q19_partitioned(p, l, &cfg, TableKind::Linear),
+        Q19Join::Cpra => q19_partitioned(p, l, &cfg, TableKind::Array),
+    }
 }
 
 /// NOP/NOPA pipeline (Listing 4): concurrent global build, then one
 /// pipelined scan-filter-probe-postfilter-aggregate pass.
-fn q19_global(p: &PartTable, l: &LineitemTable, threads: usize, kind: GlobalTable) -> Q19Result {
-    let threads = threads.max(1);
-    let (linear, array) = match kind {
-        GlobalTable::Linear => (
-            Some(ConcurrentLinearTable::<IdentityHash>::with_capacity(
-                p.len(),
-            )),
-            None,
-        ),
-        GlobalTable::Array => (None, Some(ConcurrentArrayTable::new(p.len() + 1, 1))),
-    };
+fn q19_global(
+    p: &PartTable,
+    l: &LineitemTable,
+    cfg: &JoinConfig,
+    build: impl Fn(&[Tuple]) + Sync,
+    probe: impl Fn(Key) -> Option<Payload> + Sync,
+) -> Q19Result {
+    let pool = cfg.executor();
 
     let start = Instant::now();
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let range = chunk_range(p.len(), threads, t);
-            let linear = &linear;
-            let array = &array;
-            let keys = &p.p_partkey;
-            s.spawn(move || {
-                for &tup in &keys[range] {
-                    match (linear, array) {
-                        (Some(tab), _) => tab.insert(tup),
-                        (_, Some(tab)) => tab.insert(tup),
-                        _ => unreachable!(),
-                    }
-                }
-            });
-        }
-    });
+    parallel_chunks(&*pool, &p.p_partkey, |_, chunk| build(chunk));
     let build_wall = start.elapsed();
 
     let start = Instant::now();
-    let partials: Vec<(f64, usize)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let range = chunk_range(l.len(), threads, t);
-                let linear = &linear;
-                let array = &array;
-                s.spawn(move || {
-                    let mut revenue = 0.0f64;
-                    let mut filtered = 0usize;
-                    for row in range {
-                        if !l.pre_join(row) {
-                            continue;
-                        }
-                        filtered += 1;
-                        let key = l.l_partkey[row].key;
-                        let mut on_match = |p_row: u32| {
-                            if post_join(l, p, row, p_row as usize) {
-                                revenue += l.l_extendedprice[row] as f64
-                                    * (1.0 - l.l_discount[row] as f64);
-                            }
-                        };
-                        // p_partkey is a unique PK: first-match probes.
-                        match (linear, array) {
-                            (Some(tab), _) => tab.probe_first(key, &mut on_match),
-                            (_, Some(tab)) => tab.probe(key, &mut on_match),
-                            _ => unreachable!(),
-                        }
-                    }
-                    (revenue, filtered)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    let partials: Vec<(f64, usize)> = scan(&*pool, l.len(), |range| {
+        let mut revenue = 0.0f64;
+        let mut filtered = 0usize;
+        for row in range {
+            if !l.pre_join(row) {
+                continue;
+            }
+            filtered += 1;
+            if let Some(p_row) = probe(l.l_partkey[row].key) {
+                if post_join(l, p, row, p_row as usize) {
+                    revenue += l.revenue(row);
+                }
+            }
+        }
+        (revenue, filtered)
     });
     let probe_wall = start.elapsed();
-    let revenue = partials.iter().map(|(r, _)| r).sum();
-    let filtered_rows = partials.iter().map(|(_, f)| f).sum();
     Q19Result {
-        revenue,
+        revenue: partials.iter().map(|(r, _)| r).sum(),
         build_wall,
         probe_wall,
-        filtered_rows,
+        filtered_rows: partials.iter().map(|(_, f)| f).sum(),
     }
 }
 
 /// CPRL/CPRA pipeline: filter + materialize the probe keys, chunk-
-/// partition both sides, then co-partition joins with post-filtering and
-/// aggregation through row-id tuple reconstruction.
-fn q19_partitioned(p: &PartTable, l: &LineitemTable, threads: usize, array: bool) -> Q19Result {
-    let threads = threads.max(1);
-    let bits = JoinConfig::new(threads)
-        .bits_for_hash_tables(p.len())
-        .min(14);
-    let f = RadixFn::new(bits);
-
-    // Partition phase: filter Lineitem (materializing qualifying keys),
-    // then chunk-partition both relations.
-    let start = Instant::now();
-    let filtered: Vec<Tuple> = {
-        let per_thread: Vec<Vec<Tuple>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let range = chunk_range(l.len(), threads, t);
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        for row in range {
-                            if l.pre_join(row) {
-                                out.push(l.l_partkey[row]);
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        per_thread.into_iter().flatten().collect()
-    };
-    let filtered_rows = filtered.len();
-    let parts_build = chunked_partition(&p.p_partkey, f, threads, ScatterMode::Swwcb);
-    let parts_probe = chunked_partition(&filtered, f, threads, ScatterMode::Swwcb);
-    let build_wall = start.elapsed();
-
-    // Join phase.
-    let start = Instant::now();
-    let queue = ConcurrentTaskQueue::new((0..f.fanout()).collect());
-    let revenues: Vec<f64> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let queue = &queue;
-                let parts_build = &parts_build;
-                let parts_probe = &parts_probe;
-                s.spawn(move || {
-                    let mut revenue = 0.0f64;
-                    while let Some(part) = queue.pop() {
-                        let spec = if array {
-                            TableSpec::array(bits, p.len())
-                        } else {
-                            TableSpec::hashed(parts_build.part_len(part).max(1))
-                        };
-                        if array {
-                            let mut table = ArrayTable::with_spec(&spec);
-                            parts_build.for_each_slice(part, |slice| {
-                                for &t in slice {
-                                    table.insert(t);
-                                }
-                            });
-                            revenue += probe_partition(&table, parts_probe, part, l, p);
-                        } else {
-                            let mut table = StLinearTable::<IdentityHash>::with_spec(&spec);
-                            parts_build.for_each_slice(part, |slice| {
-                                for &t in slice {
-                                    table.insert(t);
-                                }
-                            });
-                            revenue += probe_partition(&table, parts_probe, part, l, p);
-                        }
-                    }
-                    revenue
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let probe_wall = start.elapsed();
-    Q19Result {
-        revenue: revenues.iter().sum(),
-        build_wall,
-        probe_wall,
-        filtered_rows,
-    }
-}
-
-fn probe_partition<T: JoinTable>(
-    table: &T,
-    parts_probe: &mmjoin_partition::ChunkedPartitions,
-    part: usize,
-    l: &LineitemTable,
+/// partition both sides, then the library's co-partition join per
+/// partition, its match consumer post-filtering and aggregating through
+/// row-id tuple reconstruction.
+fn q19_partitioned(
     p: &PartTable,
-) -> f64 {
-    let mut revenue = 0.0f64;
-    parts_probe.for_each_slice(part, |slice| {
-        for &t in slice {
-            let l_row = t.payload as usize;
-            table.probe(t.key, |p_row| {
-                if post_join(l, p, l_row, p_row as usize) {
-                    revenue += l.l_extendedprice[l_row] as f64 * (1.0 - l.l_discount[l_row] as f64);
-                }
-            });
-        }
-    });
-    revenue
+    l: &LineitemTable,
+    cfg: &JoinConfig,
+    kind: TableKind,
+) -> Q19Result {
+    partitioned_plan(
+        p,
+        l,
+        cfg,
+        kind,
+        |row| l.l_partkey[row],
+        |keys, f, pool| chunked_partition_on(keys, f, pool, ScatterMode::Swwcb),
+        |table, build, probe, part, revenue| {
+            join_co_partition(
+                table,
+                true, // p_partkey is a unique PK
+                build.part_len(part),
+                build.slices(part),
+                probe.slices(part),
+                &mut NoTracer,
+                |t, p_row| {
+                    let l_row = t.payload as usize;
+                    if post_join(l, p, l_row, p_row as usize) {
+                        *revenue += l.revenue(l_row);
+                    }
+                },
+            )
+        },
+    )
 }
 
 /// Reference Q19: a direct, single-threaded evaluation used by tests.
@@ -280,7 +254,7 @@ pub fn reference_q19(p: &PartTable, l: &LineitemTable) -> f64 {
         let p_row = (l.l_partkey[row].key - 1) as usize;
         debug_assert_eq!(p.p_partkey[p_row].key, l.l_partkey[row].key);
         if post_join(l, p, row, p_row) {
-            revenue += l.l_extendedprice[row] as f64 * (1.0 - l.l_discount[row] as f64);
+            revenue += l.revenue(row);
         }
     }
     revenue
@@ -291,32 +265,71 @@ mod tests {
     use super::*;
     use crate::data::{generate_tables, GenParams};
 
-    fn tables() -> (PartTable, LineitemTable) {
+    fn tables_at(pre_selectivity: f64) -> (PartTable, LineitemTable) {
         generate_tables(&GenParams {
             scale_factor: 0.02, // 4k parts, 120k lineitems
-            pre_selectivity: 0.0357,
+            pre_selectivity,
             seed: 99,
         })
     }
 
+    fn tables() -> (PartTable, LineitemTable) {
+        tables_at(0.0357)
+    }
+
+    /// `(p, l)` with Part repeated `times` over (keys renumbered, every
+    /// Lineitem row's key moved into the copy its row number picks): a
+    /// Part large enough for Equation (1) to partition in earnest beside
+    /// a Lineitem small enough for a unit test.
+    fn tile_part(p: &mut PartTable, l: &mut LineitemTable, times: usize) {
+        let n = p.len();
+        p.p_partkey = (0..(n * times) as u32)
+            .map(|i| Tuple::new(i + 1, i))
+            .collect();
+        p.p_brand = p.p_brand.repeat(times);
+        p.p_container = p.p_container.repeat(times);
+        p.p_size = p.p_size.repeat(times);
+        for (row, t) in l.l_partkey.iter_mut().enumerate() {
+            t.key += (n * (row % times)) as u32;
+        }
+    }
+
+    fn assert_revenue(what: &str, got: f64, expect: f64) {
+        // f64 summation order differs per thread count; allow
+        // reassociation error.
+        let rel = (got - expect).abs() / expect;
+        assert!(rel < 1e-6, "{what}: {got} vs {expect}");
+    }
+
     #[test]
     fn all_four_joins_agree_with_reference() {
-        let (p, l) = tables();
-        let expect = reference_q19(&p, &l);
-        assert!(expect > 0.0, "workload produced zero revenue");
-        for join in Q19Join::ALL {
-            for threads in [1, 4] {
-                let res = run_q19(join, &p, &l, threads);
-                // f64 summation order differs per thread count; allow
-                // reassociation error.
-                let rel = (res.revenue - expect).abs() / expect;
-                assert!(
-                    rel < 1e-6,
-                    "{} threads={threads}: {} vs {expect}",
-                    join.name(),
-                    res.revenue
-                );
+        for pre_selectivity in [0.0357, 0.5, 1.0] {
+            let (p, l) = tables_at(pre_selectivity);
+            let expect = reference_q19(&p, &l);
+            assert!(expect > 0.0, "workload produced zero revenue");
+            for join in Q19Join::ALL {
+                for threads in [1, 3, 8] {
+                    let res = run_q19(join, &p, &l, threads);
+                    let what = format!("{} sel={pre_selectivity} threads={threads}", join.name());
+                    assert_revenue(&what, res.revenue, expect);
+                }
             }
+        }
+    }
+
+    /// 400 000 parts: Equation (1) gives CPRL five radix bits, more than
+    /// the slot bits an unshifted table of a 12 500-key partition spreads
+    /// its keys over.
+    #[test]
+    fn partitioned_joins_agree_at_equation_one_bits() {
+        let (mut p, mut l) = tables_at(0.5);
+        tile_part(&mut p, &mut l, 100);
+        assert!(config(2).bits_for_hash_tables(p.len()) >= 5);
+        let expect = reference_q19(&p, &l);
+        assert!(expect > 0.0);
+        for join in [Q19Join::Cprl, Q19Join::Cpra] {
+            let res = run_q19(join, &p, &l, 2);
+            assert_revenue(join.name(), res.revenue, expect);
         }
     }
 

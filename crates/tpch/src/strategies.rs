@@ -18,17 +18,12 @@
 //!   exactly once, sequentially, during the filter scan. The price:
 //!   2× partitioning bytes on the probe side.
 
-use std::time::Instant;
-
-use mmjoin_core::JoinConfig;
-use mmjoin_hashtable::{IdentityHash, JoinTable, StLinearTable, TableSpec};
-use mmjoin_partition::{
-    chunked_partition, chunked_partition_by, ConcurrentTaskQueue, RadixFn, ScatterMode,
-};
-use mmjoin_util::chunk_range;
+use mmjoin_core::TableKind;
+use mmjoin_partition::chunked_partition_by_on;
+use mmjoin_util::trace::NoTracer;
 
 use crate::data::{post_join_parts_only, LineitemTable, PartTable};
-use crate::q19::Q19Result;
+use crate::q19::{config, partitioned_plan, Q19Result};
 
 /// A probe record carrying the attributes Q19 needs post-join.
 #[derive(Copy, Clone, Debug)]
@@ -41,90 +36,35 @@ struct WideProbe {
 
 /// CPRL-based Q19 with early materialization.
 pub fn run_q19_cprl_early(p: &PartTable, l: &LineitemTable, threads: usize) -> Q19Result {
-    let threads = threads.max(1);
-    let bits = JoinConfig::new(threads)
-        .bits_for_hash_tables(p.len())
-        .min(14);
-    let f = RadixFn::new(bits);
-
-    // Partition phase: filter + widen Lineitem, then partition both.
-    let start = Instant::now();
-    let wide: Vec<WideProbe> = {
-        let per_thread: Vec<Vec<WideProbe>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let range = chunk_range(l.len(), threads, t);
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        for row in range {
-                            if l.pre_join(row) {
-                                out.push(WideProbe {
-                                    key: l.l_partkey[row].key,
-                                    quantity: l.l_quantity[row],
-                                    extendedprice: l.l_extendedprice[row],
-                                    discount: l.l_discount[row],
-                                });
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        per_thread.into_iter().flatten().collect()
-    };
-    let filtered_rows = wide.len();
-    let parts_build = chunked_partition(&p.p_partkey, f, threads, ScatterMode::Swwcb);
-    let parts_probe = chunked_partition_by(&wide, f, threads, |w| w.key);
-    let build_wall = start.elapsed();
-
-    // Join phase: the post-join predicate splits into a Part-side check
-    // (random access into Part, like the late strategy) and a
-    // quantity-range check on the inlined attribute; the aggregate reads
-    // only inlined attributes.
-    let start = Instant::now();
-    let queue = ConcurrentTaskQueue::new((0..f.fanout()).collect());
-    let revenues: Vec<f64> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let queue = &queue;
-                let parts_build = &parts_build;
-                let parts_probe = &parts_probe;
-                s.spawn(move || {
-                    let mut revenue = 0.0f64;
-                    while let Some(part) = queue.pop() {
-                        let spec = TableSpec::hashed(parts_build.part_len(part).max(1));
-                        let mut table = StLinearTable::<IdentityHash>::with_spec(&spec);
-                        parts_build.for_each_slice(part, |slice| {
-                            for &t in slice {
-                                table.insert(t);
-                            }
-                        });
-                        parts_probe.for_each_slice(part, |slice| {
-                            for w in slice {
-                                table.probe(w.key, |p_row| {
-                                    if post_join_parts_only(p, p_row as usize, w.quantity) {
-                                        revenue +=
-                                            w.extendedprice as f64 * (1.0 - w.discount as f64);
-                                    }
-                                });
-                            }
-                        });
+    partitioned_plan(
+        p,
+        l,
+        &config(threads),
+        TableKind::Linear,
+        |row| WideProbe {
+            key: l.l_partkey[row].key,
+            quantity: l.l_quantity[row],
+            extendedprice: l.l_extendedprice[row],
+            discount: l.l_discount[row],
+        },
+        |wide, f, pool| chunked_partition_by_on(wide, f, pool, |w| w.key),
+        // The library's build half per co-partition; a 16-byte probe
+        // record is no `Tuple` batch, so it probes key by key. The
+        // post-join predicate splits into a Part-side check (random
+        // access into Part, like the late strategy) and a quantity-range
+        // check on the inlined attribute; the aggregate reads only
+        // inlined attributes.
+        |table, build, probe, part, revenue| {
+            let built = table.build(build.part_len(part), build.slices(part), &mut NoTracer);
+            for w in probe.slices(part).flatten() {
+                built.probe_first(w.key, |p_row| {
+                    if post_join_parts_only(p, p_row as usize, w.quantity) {
+                        *revenue += w.extendedprice as f64 * (1.0 - w.discount as f64);
                     }
-                    revenue
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let probe_wall = start.elapsed();
-    Q19Result {
-        revenue: revenues.iter().sum(),
-        build_wall,
-        probe_wall,
-        filtered_rows,
-    }
+                });
+            }
+        },
+    )
 }
 
 #[cfg(test)]
@@ -135,19 +75,25 @@ mod tests {
 
     #[test]
     fn early_equals_late() {
-        let (p, l) = generate_tables(&GenParams {
-            scale_factor: 0.05,
-            pre_selectivity: 0.05,
-            seed: 0xEA51,
-        });
-        let expect = reference_q19(&p, &l);
-        assert!(expect > 0.0);
-        for threads in [1, 4] {
-            let early = run_q19_cprl_early(&p, &l, threads);
-            let late = run_q19(Q19Join::Cprl, &p, &l, threads);
-            let rel = (early.revenue - expect).abs() / expect;
-            assert!(rel < 1e-6, "early revenue {} vs {expect}", early.revenue);
-            assert_eq!(early.filtered_rows, late.filtered_rows);
+        for pre_selectivity in [0.0357, 0.5, 1.0] {
+            let (p, l) = generate_tables(&GenParams {
+                scale_factor: 0.05,
+                pre_selectivity,
+                seed: 0xEA51,
+            });
+            let expect = reference_q19(&p, &l);
+            assert!(expect > 0.0);
+            for threads in [1, 3, 8] {
+                let early = run_q19_cprl_early(&p, &l, threads);
+                let late = run_q19(Q19Join::Cprl, &p, &l, threads);
+                let rel = (early.revenue - expect).abs() / expect;
+                assert!(
+                    rel < 1e-6,
+                    "sel={pre_selectivity} threads={threads}: early revenue {} vs {expect}",
+                    early.revenue
+                );
+                assert_eq!(early.filtered_rows, late.filtered_rows);
+            }
         }
     }
 }

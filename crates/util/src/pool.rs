@@ -4,9 +4,9 @@
 //! parallel phases against this small trait instead of spawning scoped
 //! threads themselves. `mmjoin-core`'s persistent NUMA-aware executor
 //! implements it, so a whole join — partitioning included — executes on
-//! one long-lived pool; [`ScopedPool`] is the fallback implementation
-//! (one `std::thread::scope` per phase) used by legacy entry points and
-//! unit tests.
+//! one long-lived pool; [`ScopedPool`] (one `std::thread::scope` per
+//! phase) is what the substrate crates' own tests and the criterion
+//! benches pass, having no executor below `mmjoin-core` to pass.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -107,7 +107,7 @@ pub trait WorkerPool: Sync {
 /// Fallback [`WorkerPool`]: spawns `workers` scoped threads per
 /// broadcast. Functionally identical to the persistent executor (the
 /// scope join provides the same happens-before edge) but pays thread
-/// creation at every phase — use only for tests and legacy shims.
+/// creation at every phase — for substrate tests and benches only.
 pub struct ScopedPool {
     workers: usize,
 }

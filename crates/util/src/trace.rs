@@ -5,8 +5,8 @@
 //! a trace-driven simulator (`mmjoin-memsim`). The kernels of a table
 //! join phase are generic over a [`MemTracer`]: the walks, insert bodies
 //! and batch bodies of `mmjoin-hashtable`'s chained, linear and array
-//! tables, and `mmjoin-core`'s `pro::join_one`, which the partitioned
-//! joins and Table 4's replay both call. The joins pass [`NoTracer`],
+//! tables, and `mmjoin-core`'s `pro::join_co_partition`, which the
+//! partitioned joins and Table 4's replay both call. The joins pass [`NoTracer`],
 //! whose hooks the optimizer deletes, so the fast path pays nothing. (The
 //! replay's scatter, sort and CHT arms are models beside the real code.)
 //!
@@ -45,21 +45,6 @@ impl MemTracer for NoTracer {
     fn write(&mut self, _addr: usize, _len: usize) {}
     #[inline(always)]
     fn ops(&mut self, _n: u64) {}
-}
-
-/// A tracer shared with code that runs between its calls: Table 4's replay
-/// reads its simulator's counters where the join tracing into it stops
-/// building and starts probing.
-impl<T: MemTracer> MemTracer for &std::cell::RefCell<T> {
-    fn read(&mut self, addr: usize, len: usize) {
-        self.borrow_mut().read(addr, len)
-    }
-    fn write(&mut self, addr: usize, len: usize) {
-        self.borrow_mut().write(addr, len)
-    }
-    fn ops(&mut self, n: u64) {
-        self.borrow_mut().ops(n)
-    }
 }
 
 /// A tracer that simply counts accesses — handy in tests to assert that a

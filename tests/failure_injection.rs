@@ -5,7 +5,8 @@
 
 use mmjoin::core::reference::reference_join;
 use mmjoin::core::{Algorithm, Join, JoinConfig, JoinError, JoinResult};
-use mmjoin::partition::{chunked_partition, partition_parallel, RadixFn, ScatterMode};
+use mmjoin::partition::{chunked_partition_on, partition_parallel_on, RadixFn, ScatterMode};
+use mmjoin::util::pool::ScopedPool;
 use mmjoin::util::{Placement, Relation, Tuple};
 
 fn cfg(threads: usize, bits: Option<u32>) -> JoinConfig {
@@ -139,10 +140,20 @@ fn mway_boundary_keys_through_the_multiway_merge() {
 fn zero_bit_partitioning_degenerates_gracefully() {
     // fanout 2^1 = 2 with everything in one partition.
     let tuples: Vec<Tuple> = (0..500).map(|i| Tuple::new(2 * i + 2, i)).collect(); // all even
-    let pr = partition_parallel(&tuples, RadixFn::new(1), 4, ScatterMode::Swwcb);
+    let pr = partition_parallel_on(
+        &tuples,
+        RadixFn::new(1),
+        &ScopedPool::new(4),
+        ScatterMode::Swwcb,
+    );
     assert_eq!(pr.part_len(0), 500);
     assert_eq!(pr.part_len(1), 0);
-    let cp = chunked_partition(&tuples, RadixFn::new(1), 4, ScatterMode::Swwcb);
+    let cp = chunked_partition_on(
+        &tuples,
+        RadixFn::new(1),
+        &ScopedPool::new(4),
+        ScatterMode::Swwcb,
+    );
     assert_eq!(cp.part_len(0), 500);
     assert_eq!(cp.part_len(1), 0);
 }
@@ -151,7 +162,12 @@ fn zero_bit_partitioning_degenerates_gracefully() {
 fn fanout_larger_than_input() {
     // 2^12 partitions for 100 tuples: almost all partitions empty.
     let tuples: Vec<Tuple> = (1..=100).map(|k| Tuple::new(k, k)).collect();
-    let pr = partition_parallel(&tuples, RadixFn::new(12), 4, ScatterMode::Swwcb);
+    let pr = partition_parallel_on(
+        &tuples,
+        RadixFn::new(12),
+        &ScopedPool::new(4),
+        ScatterMode::Swwcb,
+    );
     let total: usize = (0..pr.parts()).map(|p| pr.part_len(p)).sum();
     assert_eq!(total, 100);
     // And a join over that fanout still works.

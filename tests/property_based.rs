@@ -11,8 +11,9 @@ use proptest::prelude::*;
 use mmjoin::core::reference::reference_join;
 use mmjoin::core::{Algorithm, Join, JoinConfig};
 use mmjoin::hashtable::ConciseHashTable;
-use mmjoin::partition::{partition_parallel, RadixFn, ScatterMode};
+use mmjoin::partition::{partition_parallel_on, RadixFn, ScatterMode};
 use mmjoin::sort::mergesort::sort_packed;
+use mmjoin::util::pool::ScopedPool;
 use mmjoin::util::{Placement, Relation, Tuple};
 
 fn tuples_strategy(max_len: usize, key_range: u32) -> impl Strategy<Value = Vec<Tuple>> {
@@ -96,7 +97,7 @@ proptest! {
         threads in 1usize..5,
     ) {
         let f = RadixFn::new(bits);
-        let pr = partition_parallel(&tuples, f, threads, ScatterMode::Swwcb);
+        let pr = partition_parallel_on(&tuples, f, &ScopedPool::new(threads), ScatterMode::Swwcb);
         // Digits respected.
         for p in 0..pr.parts() {
             for t in pr.partition(p) {
