@@ -20,7 +20,7 @@ use mmjoin_util::chunk_range;
 use mmjoin_util::pool::{broadcast_map, into_inner_recover, lock_recover, WorkerPool};
 use mmjoin_util::tuple::Tuple;
 
-use crate::executor::{build_queues, QueuePolicy};
+use crate::executor::{build_queues, Pull, QueuePolicy};
 use crate::run::RunCtx;
 
 /// Tuples processed between cancellation/deadline checks inside a
@@ -52,53 +52,69 @@ pub fn merge_checksums(parts: Vec<JoinChecksum>) -> JoinChecksum {
 
 /// Run a co-partition join phase as a morsel queue on the executor:
 /// `order` lists the partitions to join (already filtered of skewed
-/// ones), `parts` is the total fanout (for NUMA-node mapping), and
-/// `f(p)` joins one partition and returns its checksum. `policy` decides
-/// queue assignment — [`QueuePolicy::Shared`] reproduces the original
-/// sequential scheduling, [`QueuePolicy::NumaLocal`] the *iS variants'
-/// NUMA-aware scheduling with work stealing.
+/// ones), `parts` is the total fanout (for NUMA-node mapping) and
+/// `tuples` what the listed partitions hold on both sides together.
+/// Every worker runs `worker(pull)` once: it joins the partitions
+/// `pull()` hands it and returns their checksum, so a worker merges one
+/// checksum per phase and can keep its table from task to task. Workers
+/// take partitions off a queue a `MORSEL` of tuples at a time — one
+/// at a time when partitions are that large, a hundred when a 2^14-way
+/// fan-out left forty tuples in each. `policy` decides queue assignment
+/// — [`QueuePolicy::Shared`] reproduces the original sequential
+/// scheduling, [`QueuePolicy::NumaLocal`] the *iS variants' NUMA-aware
+/// scheduling with work stealing.
 pub fn join_morsels<F>(
     pool: &RunCtx,
     order: &[usize],
     parts: usize,
+    tuples: usize,
     policy: QueuePolicy,
-    f: F,
+    worker: F,
 ) -> JoinChecksum
 where
-    F: Fn(usize) -> JoinChecksum + Sync,
+    F: Fn(&mut Pull) -> JoinChecksum + Sync,
 {
     let queues = build_queues(order, parts, policy);
+    let run = MORSEL * order.len() / tuples.max(1);
     let slots: Vec<Mutex<JoinChecksum>> = (0..pool.workers())
         .map(|_| Mutex::new(JoinChecksum::new()))
         .collect();
-    pool.run_morsels(&queues, &|w, p| {
-        let c = f(p);
+    pool.run_workers(&queues, run, &|w, pull| {
+        let c = worker(pull);
         lock_recover(&slots[w]).merge(c);
     });
     merge_checksums(slots.into_iter().map(into_inner_recover).collect())
 }
 
 /// Morsel-queue phase collecting one arbitrary result per task (used by
-/// phases that materialize per-partition data, e.g. MWAY's sort phase).
-/// Result order is unspecified — callers sort by partition id.
-pub fn morsel_map<R, F>(
+/// phases that materialize per-partition data, e.g. MWAY's sort phase):
+/// `f(state, p)` handles one partition, with the `state()` its worker
+/// made for itself before its first task (a scratch buffer, a table it
+/// rebuilds; `|| ()` for none). Result order is unspecified — callers
+/// sort by partition id.
+pub fn morsel_map<S, R, F>(
     pool: &RunCtx,
     order: &[usize],
     parts: usize,
     policy: QueuePolicy,
+    state: impl Fn() -> S + Sync,
     f: F,
 ) -> Vec<R>
 where
     R: Send,
-    F: Fn(usize) -> R + Sync,
+    F: Fn(&mut S, usize) -> R + Sync,
 {
     let queues = build_queues(order, parts, policy);
     let slots: Vec<Mutex<Vec<R>>> = (0..pool.workers())
         .map(|_| Mutex::new(Vec::new()))
         .collect();
-    pool.run_morsels(&queues, &|w, p| {
-        let r = f(p);
-        lock_recover(&slots[w]).push(r);
+    pool.run_workers(&queues, 1, &|w, pull| {
+        let mut state = state();
+        let mut mine = Vec::new();
+        while let Some(p) = pull() {
+            mine.push(f(&mut state, p));
+        }
+        *lock_recover(&slots[w]) = mine;
     });
     slots.into_iter().flat_map(into_inner_recover).collect()
 }
@@ -145,14 +161,20 @@ mod tests {
     fn morsels_join_every_partition_once() {
         let order: Vec<usize> = (0..37).collect();
         for policy in [QueuePolicy::Shared, QueuePolicy::NumaLocal { nodes: 4 }] {
-            let total = in_phase(4, |p| {
-                join_morsels(p, &order, 37, policy, |part| {
-                    let mut c = JoinChecksum::new();
-                    c.add(part as u32 + 1, 0, 0);
-                    c
-                })
-            });
-            assert_eq!(total.count, 37, "{policy:?}");
+            // Runs of one partition (a morsel of tuples in each) and runs
+            // longer than the queue (one tuple in each).
+            for tuples in [37 * MORSEL, 37] {
+                let total = in_phase(4, |p| {
+                    join_morsels(p, &order, 37, tuples, policy, |pull| {
+                        let mut c = JoinChecksum::new();
+                        while let Some(part) = pull() {
+                            c.add(part as u32 + 1, 0, 0);
+                        }
+                        c
+                    })
+                });
+                assert_eq!(total.count, 37, "{policy:?} {tuples} tuples");
+            }
         }
     }
 
@@ -160,7 +182,9 @@ mod tests {
     fn morsel_map_collects_all() {
         let order: Vec<usize> = (0..20).collect();
         let policy = QueuePolicy::NumaLocal { nodes: 2 };
-        let mut got = in_phase(3, |p| morsel_map(p, &order, 20, policy, |part| part));
+        let mut got = in_phase(3, |p| {
+            morsel_map(p, &order, 20, policy, || (), |_, part| part)
+        });
         got.sort_unstable();
         assert_eq!(got, (0..20).collect::<Vec<_>>());
     }

@@ -85,6 +85,10 @@ pub enum QueuePolicy {
     },
 }
 
+/// How a worker of [`Executor::run_workers_into`] asks for its next
+/// task: `None` once every queue is dry.
+pub type Pull<'a> = dyn FnMut() -> Option<usize> + 'a;
+
 /// Assign `order` (a filtered, ordered list of partition indices out of
 /// `parts` total) to queues according to `policy`.
 pub fn build_queues(order: &[usize], parts: usize, policy: QueuePolicy) -> Vec<Vec<usize>> {
@@ -357,8 +361,31 @@ impl Executor {
         queues: &[Vec<usize>],
         f: &(dyn Fn(usize, usize) + Sync),
     ) {
+        self.run_workers_into(sink, queues, 1, &|w, pull| {
+            while let Some(task) = pull() {
+                f(w, task);
+            }
+        });
+    }
+
+    /// The morsel phase underneath [`Executor::run_morsels_into`], for
+    /// workers that keep something across their tasks (a join worker its
+    /// table and its checksum): every worker runs `worker(w, pull)` once,
+    /// and `pull()` hands it its next task — home queue first, then the
+    /// other nodes' in ring order — or `None` when all are dry. A worker
+    /// takes `run` consecutive entries off a queue at a time, so the
+    /// queue's shared cursor is touched once per run, not once per task.
+    /// Tasks and steals are counted as they are pulled.
+    pub fn run_workers_into(
+        &self,
+        sink: Option<&ExecSink>,
+        queues: &[Vec<usize>],
+        run: usize,
+        worker: &(dyn Fn(usize, &mut Pull) + Sync),
+    ) {
         let nodes = queues.len().max(1);
         let workers = self.workers;
+        let run = run.max(1);
         let cursors: Vec<AtomicUsize> = (0..nodes).map(|_| AtomicUsize::new(0)).collect();
         let tally: Vec<Tally> = (0..workers).map(|_| Tally::default()).collect();
         let outcome = self.phase(
@@ -366,26 +393,29 @@ impl Executor {
                 let home = (w * nodes / workers).min(nodes - 1);
                 let mut my_tasks = 0u64;
                 let mut my_steals = 0u64;
-                for i in 0..nodes {
-                    let node = (home + i) % nodes;
-                    let queue = match queues.get(node) {
-                        Some(q) => q,
-                        None => continue,
-                    };
-                    loop {
-                        let idx = cursors[node].fetch_add(1, Ordering::Relaxed);
-                        match queue.get(idx) {
-                            Some(&task) => {
-                                f(w, task);
-                                my_tasks += 1;
-                                if node != home {
-                                    my_steals += 1;
-                                }
-                            }
-                            None => break,
+                // The queue being drained (`visited` steps round the
+                // ring from home) and the entries of it this worker holds.
+                let mut visited = 0;
+                let mut held = 0..0;
+                let mut pull = || {
+                    while visited < nodes {
+                        let node = (home + visited) % nodes;
+                        let queue = queues.get(node).map_or(&[][..], |q| q);
+                        if let Some(idx) = held.next() {
+                            my_tasks += 1;
+                            my_steals += u64::from(node != home);
+                            return Some(queue[idx]);
+                        }
+                        let from = cursors[node].fetch_add(run, Ordering::Relaxed);
+                        if from < queue.len() {
+                            held = from..queue.len().min(from + run);
+                        } else {
+                            visited += 1;
                         }
                     }
-                }
+                    None
+                };
+                worker(w, &mut pull);
                 // One store per worker per phase; the phase barrier
                 // publishes them to the submitting thread.
                 tally[w].tasks.store(my_tasks, Ordering::Relaxed);

@@ -154,8 +154,8 @@ impl MemBudget {
 }
 
 /// A scoped reservation against a [`MemBudget`]; released on drop, so
-/// phase-scoped allocations (per-partition tables) give their bytes back
-/// when the morsel completes.
+/// phase-scoped allocations (a join worker's table) give their bytes
+/// back when the worker is done with them.
 pub struct MemCharge<'a> {
     budget: &'a MemBudget,
     bytes: usize,
@@ -165,6 +165,17 @@ impl<'a> MemCharge<'a> {
     /// Wrap `bytes` already reserved against `budget`.
     pub(crate) fn new(budget: &'a MemBudget, bytes: usize) -> Self {
         MemCharge { budget, bytes }
+    }
+
+    /// Raise the reservation to `bytes` if it is below that — a buffer
+    /// that is kept and only ever replaced by a larger one is charged at
+    /// the largest it has been. `Err` leaves the reservation as it was
+    /// and carries the bytes that were asked for on top of it.
+    pub(crate) fn grow_to(&mut self, bytes: usize) -> Result<(), (usize, BudgetExceeded)> {
+        let more = bytes.saturating_sub(self.bytes);
+        self.budget.try_reserve(more).map_err(|be| (more, be))?;
+        self.bytes += more;
+        Ok(())
     }
 }
 

@@ -142,12 +142,20 @@ fn traced_partition_join(
     tr: &mut impl MemTracer,
 ) -> u64 {
     let mut matches = 0u64;
+    let built = &mut table.unbuilt();
     for p in 0..pr.1.len() - 1 {
         let r = &pr.0[pr.1[p]..pr.1[p + 1]];
         let s = &ps.0[ps.1[p]..ps.1[p + 1]];
-        join_co_partition(table, UNIQUE, r.len(), once(r), once(s), tr, |_, _| {
-            matches += 1
-        });
+        join_co_partition(
+            table,
+            UNIQUE,
+            built,
+            r.len(),
+            once(r),
+            once(s),
+            tr,
+            |_, _| matches += 1,
+        );
     }
     matches
 }
@@ -179,7 +187,8 @@ pub fn instrument(
                 bits: 0,
                 domain,
             };
-            let built = table.build(r.len(), once(r.tuples()), &mut ms);
+            let mut built = table.unbuilt();
+            table.build(&mut built, r.len(), once(r.tuples()), &mut ms);
             let first = ms.reset_counters();
             built.probe_batch(s.tuples(), UNIQUE, &mut ms, |_, _| matches += 1);
             (first, ms.reset_counters())

@@ -72,15 +72,16 @@ pub fn join_index(
     let mut tasks: Vec<(usize, AlignedVec<JoinMatch>)> = run.phase(
         "join",
         |ctx| {
-            let tasks = morsel_map(ctx, &order, parts, QueuePolicy::Shared, |p| {
-                if ctx.tick() {
+            let policy = QueuePolicy::Shared;
+            // A worker's table, charged at the largest it has been.
+            let unbuilt = || (table.unbuilt(), ctx.empty_charge());
+            let tasks = morsel_map(ctx, &order, parts, policy, unbuilt, |worker, p| {
+                let (built, table_charge) = worker;
+                let part_r_len = cr.part_len(p);
+                let table_bytes = table.spec(part_r_len).table_bytes();
+                if ctx.tick() || !ctx.try_grow(table_charge, table_bytes) {
                     return (p, AlignedVec::new());
                 }
-                let part_r_len = cr.part_len(p);
-                let Some(_table_charge) = ctx.try_charge(table.spec(part_r_len).table_bytes())
-                else {
-                    return (p, AlignedVec::new());
-                };
                 // Output buffer: at least one JoinMatch per probe tuple of
                 // the partition under the FK workloads; charge that bound.
                 let out_bytes = cs.part_len(p) * std::mem::size_of::<JoinMatch>();
@@ -93,6 +94,7 @@ pub fn join_index(
                 join_co_partition(
                     table,
                     cfg.unique_build_keys,
+                    built,
                     part_r_len,
                     cr.slices(p),
                     cs.slices(p),

@@ -65,15 +65,16 @@ pub(crate) fn join_mway(
     let sorted: Vec<(usize, AlignedVec<u64>, AlignedVec<u64>)> = run.phase(
         "sort",
         |p| {
-            let mut slots = morsel_map(p, &order, parts, QueuePolicy::Shared, |part| {
+            let scratch = AlignedVec::new;
+            let policy = QueuePolicy::Shared;
+            let mut slots = morsel_map(p, &order, parts, policy, scratch, |scratch, part| {
                 if p.tick() {
                     return (part, AlignedVec::new(), AlignedVec::new());
                 }
-                let mut scratch = AlignedVec::new();
                 (
                     part,
-                    sort_partition(pr.partition(part), &mut scratch),
-                    sort_partition(ps.partition(part), &mut scratch),
+                    sort_partition(pr.partition(part), scratch),
+                    sort_partition(ps.partition(part), scratch),
                 )
             });
             slots.sort_by_key(|(part, _, _)| *part);
@@ -86,18 +87,22 @@ pub(crate) fn join_mway(
     let checksum = run.phase(
         "join",
         |p| {
+            let tuples = r.len() + s.len();
             Ok(join_morsels(
                 p,
                 &order,
                 parts,
+                tuples,
                 QueuePolicy::Shared,
-                |part| {
+                |pull| {
                     let mut c = JoinChecksum::new();
-                    if p.tick() {
-                        return c;
+                    while let Some(part) = pull() {
+                        if p.tick() {
+                            break;
+                        }
+                        let (_, ref rs, ref ss) = sorted[part];
+                        merge_join_sorted(rs, ss, &mut c);
                     }
-                    let (_, ref rs, ref ss) = sorted[part];
-                    merge_join_sorted(rs, ss, &mut c);
                     c
                 },
             ))

@@ -354,6 +354,7 @@ mod tests {
         r.phases.push(PhaseStat {
             name: "partition",
             wall: Duration::from_millis(3),
+            model_wall: Duration::ZERO,
             sim_seconds: 0.001,
             exec: ExecCounters {
                 tasks: 2,

@@ -357,16 +357,25 @@ fn prepare_inner(
 fn build_tables(p: &RunCtx, pr: &PartitionedRelation, table: PartTable) -> Vec<BuiltTable> {
     let parts = pr.parts();
     let order: Vec<usize> = (0..parts).collect();
-    let mut tabs = morsel_map(p, &order, parts, QueuePolicy::Shared, |part| {
-        // A stopped run leaves its tables empty.
-        let tuples = if p.tick() {
-            &[][..]
-        } else {
-            pr.partition(part)
-        };
-        let built = table.build(pr.part_len(part), std::iter::once(tuples), &mut NoTracer);
-        (part, built)
-    });
+    let mut tabs = morsel_map(
+        p,
+        &order,
+        parts,
+        QueuePolicy::Shared,
+        || (),
+        |_, part| {
+            // A stopped run leaves its tables empty.
+            let tuples = if p.tick() {
+                &[][..]
+            } else {
+                pr.partition(part)
+            };
+            let mut built = table.unbuilt();
+            let r_slices = std::iter::once(tuples);
+            table.build(&mut built, pr.part_len(part), r_slices, &mut NoTracer);
+            (part, built)
+        },
+    );
     tabs.sort_unstable_by_key(|t| t.0);
     tabs.into_iter().map(|(_, t)| t).collect()
 }

@@ -66,32 +66,48 @@ impl PartTable {
         }
     }
 
-    /// The build half of a co-partition join: the table of this kind
-    /// over a partition of `part_r_len` build tuples, given as `r_slices`
-    /// (one slice, or one per chunk). `tr` sees every tuple read and
-    /// every table access.
+    /// A table of this kind with nothing in it and next to no memory,
+    /// for [`PartTable::build`] to fill — the only place in the workspace
+    /// that constructs a per-partition table from a [`TableKind`].
+    pub fn unbuilt(&self) -> BuiltTable {
+        let spec = TableSpec::hashed_partition(0, self.bits);
+        match self.kind {
+            TableKind::Chained => BuiltTable::Chained(JoinTable::with_spec(&spec)),
+            TableKind::Linear => BuiltTable::Linear(JoinTable::with_spec(&spec)),
+            TableKind::Array => BuiltTable::Array(JoinTable::with_spec(&spec)),
+        }
+    }
+
+    /// The build half of a co-partition join, into `built` (from
+    /// [`PartTable::unbuilt`]): what it held is gone, its buffer kept
+    /// unless this partition's table needs a larger one — a join worker
+    /// builds into one table task after task. The partition holds
+    /// `part_r_len` build tuples, given as `r_slices` (one slice, or one
+    /// per chunk). `tr` sees every tuple read and every table access.
     pub fn build<'a, Tr: MemTracer>(
         &self,
+        built: &mut BuiltTable,
         part_r_len: usize,
         r_slices: impl IntoIterator<Item = &'a [Tuple]>,
         tr: &mut Tr,
-    ) -> BuiltTable {
-        fn filled<'a, T: JoinTable, Tr: MemTracer>(
+    ) {
+        fn refill<'a, T: JoinTable, Tr: MemTracer>(
+            table: &mut T,
             spec: &TableSpec,
             r_slices: impl IntoIterator<Item = &'a [Tuple]>,
             tr: &mut Tr,
-        ) -> T {
-            let mut table = T::with_spec(spec);
+        ) {
+            table.reset(spec);
             for slice in r_slices {
                 table.insert_batch_with(slice, tr);
             }
-            table
         }
         let spec = self.spec(part_r_len);
-        match self.kind {
-            TableKind::Chained => BuiltTable::Chained(filled(&spec, r_slices, tr)),
-            TableKind::Linear => BuiltTable::Linear(filled(&spec, r_slices, tr)),
-            TableKind::Array => BuiltTable::Array(filled(&spec, r_slices, tr)),
+        match (self.kind, built) {
+            (TableKind::Chained, BuiltTable::Chained(t)) => refill(t, &spec, r_slices, tr),
+            (TableKind::Linear, BuiltTable::Linear(t)) => refill(t, &spec, r_slices, tr),
+            (TableKind::Array, BuiltTable::Array(t)) => refill(t, &spec, r_slices, tr),
+            (kind, _) => panic!("a {kind:?} table is built into its own `unbuilt()` storage"),
         }
     }
 
@@ -205,59 +221,35 @@ impl CoPartitions for ChunkedPartitions {
 
 /// The co-partition join, the one body every partitioned driver, the
 /// skew path's serial twin, `join_index`, Q19 and Table 4's replay run:
-/// build `table` over the `r_slices` of a partition of `part_r_len`
-/// build tuples, then probe it with the `s_slices` (pulled only once the
-/// build is done), `on_match(probe_tuple, build_payload)` per match.
-/// `unique` selects first-match probes; the joins pass [`NoTracer`],
-/// the replay (`instrumented.rs`) its cache simulator.
+/// build `table` into `built` over the `r_slices` of a partition of
+/// `part_r_len` build tuples, then probe it with the `s_slices` (pulled
+/// only once the build is done), `on_match(probe_tuple, build_payload)`
+/// per match. `built` is the caller's to keep from one co-partition to
+/// the next ([`PartTable::unbuilt`] before the first). `unique` selects
+/// first-match probes; the joins pass [`NoTracer`], the replay
+/// (`instrumented.rs`) its cache simulator.
 #[inline]
+#[allow(clippy::too_many_arguments)]
 pub fn join_co_partition<'a, Tr: MemTracer>(
     table: PartTable,
     unique: bool,
+    built: &mut BuiltTable,
     part_r_len: usize,
     r_slices: impl IntoIterator<Item = &'a [Tuple]>,
     s_slices: impl IntoIterator<Item = &'a [Tuple]>,
     tr: &mut Tr,
     mut on_match: impl FnMut(&Tuple, Payload),
 ) {
-    let built = table.build(part_r_len, r_slices, tr);
+    table.build(built, part_r_len, r_slices, tr);
     for slice in s_slices {
         built.probe_batch(slice, unique, tr, &mut on_match);
     }
 }
 
-/// One co-partition join task: build `table` over partition `part` of
-/// `r` and probe it with partition `part` of `s`, inside the budget.
-fn join_task<P: CoPartitions>(
-    p: &RunCtx,
-    unique: bool,
-    table: PartTable,
-    r: &P,
-    s: &P,
-    part: usize,
-) -> JoinChecksum {
-    let mut c = JoinChecksum::new();
-    if p.tick() {
-        return c;
-    }
-    let part_r_len = r.part_len(part);
-    let Some(_table_charge) = p.try_charge(table.spec(part_r_len).table_bytes()) else {
-        return c;
-    };
-    join_co_partition(
-        table,
-        unique,
-        part_r_len,
-        r.slices(part),
-        s.slices(part),
-        &mut NoTracer,
-        |t, bp| c.add(t.key, bp, t.payload),
-    );
-    c
-}
-
 /// The host work of a join phase: co-partition tasks pulled off the
-/// morsel queue(s) in `order`, then — with skew handling — the oversized
+/// morsel queue(s) in `order` — a worker builds every table it needs
+/// into one buffer, charged to the budget at the largest it has been,
+/// and merges one checksum — then, with skew handling, the oversized
 /// partitions one at a time, all threads probing (extension: the paper
 /// leaves this unexploited, Appendix A).
 fn join_co_partitions<P: CoPartitions>(
@@ -281,8 +273,32 @@ fn join_co_partitions<P: CoPartitions>(
     } else {
         (order.to_vec(), Vec::new())
     };
-    let mut total = join_morsels(p, &queue_order, r.parts(), policy, |part| {
-        join_task(p, unique, table, r, s, part)
+    let tuples = queue_order
+        .iter()
+        .map(|&part| r.part_len(part) + s.part_len(part))
+        .sum();
+    let parts = r.parts();
+    let mut total = join_morsels(p, &queue_order, parts, tuples, policy, |pull| {
+        let mut c = JoinChecksum::new();
+        let (mut built, mut table_charge) = (table.unbuilt(), p.empty_charge());
+        while let Some(part) = pull() {
+            let part_r_len = r.part_len(part);
+            let table_bytes = table.spec(part_r_len).table_bytes();
+            if p.tick() || !p.try_grow(&mut table_charge, table_bytes) {
+                break;
+            }
+            join_co_partition(
+                table,
+                unique,
+                &mut built,
+                part_r_len,
+                r.slices(part),
+                s.slices(part),
+                &mut NoTracer,
+                |t, bp| c.add(t.key, bp, t.payload),
+            );
+        }
+        c
     });
     for part in skewed {
         if p.should_stop() {
@@ -596,7 +612,8 @@ mod tests {
             };
             let (mut tr, mut hits) = (CountingTracer::default(), 0);
             let (r, s) = (std::iter::once(&build[..]), std::iter::once(&probes[..]));
-            join_co_partition(table, unique, build.len(), r, s, &mut tr, |_, _| hits += 1);
+            let (built, n) = (&mut table.unbuilt(), build.len());
+            join_co_partition(table, unique, built, n, r, s, &mut tr, |_, _| hits += 1);
             assert_eq!(hits, 3, "{kind:?} unique={unique}");
             (tr.reads, tr.read_bytes, tr.writes, tr.write_bytes, tr.ops)
         };

@@ -33,7 +33,7 @@ use mmjoin_util::mem::{self, AllocSnapshot};
 use mmjoin_util::pool::{lock_recover, WorkerPool};
 
 use crate::config::JoinConfig;
-use crate::executor::{ExecSink, Executor};
+use crate::executor::{ExecSink, Executor, Pull};
 use crate::fault::{panic_message, BudgetExceeded, CancelToken, MemBudget, MemCharge};
 use crate::plan::JoinError;
 use crate::spec::{self, PhaseModel};
@@ -194,6 +194,24 @@ impl RunCtx {
         }
     }
 
+    /// A reservation of nothing, for [`RunCtx::try_grow`] to raise.
+    pub fn empty_charge(&self) -> MemCharge<'_> {
+        MemCharge::new(&self.budget, 0)
+    }
+
+    /// Worker-side growth of a reservation it holds (its table, reset
+    /// for a larger partition): `false`, with the error recorded like
+    /// [`RunCtx::try_charge`]'s, if the budget refuses the difference.
+    pub fn try_grow(&self, charge: &mut MemCharge<'_>, bytes: usize) -> bool {
+        match charge.grow_to(bytes) {
+            Ok(()) => true,
+            Err((more, be)) => {
+                self.trip(self.budget_error(more, be));
+                false
+            }
+        }
+    }
+
     /// Record a worker-side failure; first one wins. `pub(crate)` so
     /// drivers with worker-side I/O (the spilling join) can surface a
     /// typed error at the end of the phase.
@@ -215,6 +233,19 @@ impl RunCtx {
     /// [`Executor::run_morsels`]), counted towards the current phase.
     pub fn run_morsels(&self, queues: &[Vec<usize>], f: &(dyn Fn(usize, usize) + Sync)) {
         self.exec.run_morsels_into(Some(&self.sink), queues, f);
+    }
+
+    /// A morsel phase whose workers keep state across their tasks (see
+    /// [`Executor::run_workers_into`]), counted towards the current
+    /// phase.
+    pub fn run_workers(
+        &self,
+        queues: &[Vec<usize>],
+        run: usize,
+        worker: &(dyn Fn(usize, &mut Pull) + Sync),
+    ) {
+        self.exec
+            .run_workers_into(Some(&self.sink), queues, run, worker);
     }
 
     /// Phase-boundary check: surfaces a worker-side trip, cancellation,
@@ -333,8 +364,10 @@ impl<'c> JoinRun<'c> {
 
     /// Run one barrier-delimited phase — the only way a driver executes
     /// and records one. `work` does the phase's job on the [`RunCtx`]
-    /// (and only it is timed); `model` then describes what was done to
-    /// the cost model. In order: enter the phase (error label,
+    /// (and only it is timed as the phase's `wall`); `model` then
+    /// describes what was done to the cost model — called only when
+    /// `cfg.simulate` is on, and timed with the simulation as the
+    /// phase's `model_wall`. In order: enter the phase (error label,
     /// failpoint), time `work`, simulate the model (keeping timelines
     /// if asked), take what the executor measured for this run since
     /// the last phase, add the submitting thread's own arena traffic,
@@ -353,13 +386,16 @@ impl<'c> JoinRun<'c> {
         let out = work(ctx)?;
         let wall = start.elapsed();
         let mut sim_seconds = 0.0;
-        for (specs, order) in model(&out).0 {
-            let (seconds, sim) = spec::run_phase(self.cfg, &specs, &order);
-            sim_seconds += seconds;
-            if self.cfg.keep_timelines {
-                self.result.timelines.push((name, sim));
+        if self.cfg.simulate {
+            for (specs, order) in model(&out).0 {
+                let (seconds, sim) = spec::run_phase(self.cfg, &specs, &order);
+                sim_seconds += seconds;
+                if self.cfg.keep_timelines {
+                    self.result.timelines.push((name, sim));
+                }
             }
         }
+        let model_wall = start.elapsed() - wall;
         let mut measured = ctx.sink.take();
         let now = mem::thread_stats();
         let own = AllocCounters::from_delta(now.delta(&self.alloc_mark));
@@ -368,6 +404,7 @@ impl<'c> JoinRun<'c> {
         self.result.phases.push(PhaseStat {
             name,
             wall,
+            model_wall,
             sim_seconds,
             exec: measured.exec,
             spill: std::mem::take(&mut *lock_recover(&ctx.spill)),
@@ -424,6 +461,22 @@ mod tests {
                 available: 24,
             })
         );
+    }
+
+    #[test]
+    fn the_model_is_not_built_when_simulation_is_off() {
+        let mut cfg = JoinConfig::new(1);
+        cfg.simulate = false;
+        let mut run = JoinRun::begin(Algorithm::Prb, &cfg);
+        run.phase(
+            "join",
+            |_| Ok(()),
+            |_| -> PhaseModel { panic!("described a phase nobody simulates") },
+        )
+        .unwrap();
+        let res = run.finish(JoinChecksum::new(), None);
+        assert_eq!(res.phases[0].sim_seconds, 0.0);
+        assert_eq!(res.total_model_wall(), res.phases[0].model_wall);
     }
 
     #[test]

@@ -281,8 +281,13 @@ pub(crate) fn join_shhj(
             // Build the resident partitions' tables (task-queue parallel).
             let build_order: Vec<usize> =
                 (0..parts).filter(|&p| resident[p] && hist[p] > 0).collect();
-            let built: Vec<(usize, StLinearTable<IdentityHash>)> =
-                morsel_map(ctx, &build_order, parts, QueuePolicy::Shared, |p| {
+            let built: Vec<(usize, StLinearTable<IdentityHash>)> = morsel_map(
+                ctx,
+                &build_order,
+                parts,
+                QueuePolicy::Shared,
+                || (),
+                |_, p| {
                     let spec = TableSpec::hashed_partition(hist[p].max(1), bits);
                     let mut table = StLinearTable::<IdentityHash>::with_spec(&spec);
                     if !ctx.tick() {
@@ -291,7 +296,8 @@ pub(crate) fn join_shhj(
                         }
                     }
                     (p, table)
-                });
+                },
+            );
             let mut tables: Vec<Option<StLinearTable<IdentityHash>>> =
                 (0..parts).map(|_| None).collect();
             for (p, t) in built {

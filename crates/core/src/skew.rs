@@ -68,7 +68,13 @@ pub fn join_skewed_partition(
     s_slices: &[&[Tuple]],
 ) -> JoinChecksum {
     let part_r_len = r_slices.iter().map(|r| r.len()).sum();
-    let built = table.build(part_r_len, r_slices.iter().copied(), &mut NoTracer);
+    let mut built = table.unbuilt();
+    table.build(
+        &mut built,
+        part_r_len,
+        r_slices.iter().copied(),
+        &mut NoTracer,
+    );
     let total_probe: usize = s_slices.iter().map(|s| s.len()).sum();
     let threads = pool.workers().clamp(1, total_probe.max(1));
     merge_checksums(broadcast_map(pool, threads, |t| {
@@ -160,6 +166,7 @@ mod tests {
                         join_co_partition(
                             table,
                             unique,
+                            &mut table.unbuilt(),
                             build.len(),
                             r_slices.iter().copied(),
                             s_slices.iter().copied(),

@@ -112,12 +112,14 @@ pub fn total_llc(cfg: &JoinConfig) -> f64 {
 }
 
 /// Run one phase through the simulator. Returns `(seconds, sim)`;
-/// `(0, empty)` when simulation is disabled.
+/// `(0, empty)` when simulation is disabled. The sim carries its
+/// utilization timeline only under `cfg.keep_timelines`.
 pub fn run_phase(cfg: &JoinConfig, tasks: &[TaskSpec], order: &[usize]) -> (f64, PhaseSim) {
     if !cfg.simulate || tasks.is_empty() {
         return (0.0, PhaseSim::empty(cfg.topology.nodes));
     }
-    let sim = simulate_phase(&cfg.topology, &cfg.cost, cfg.sim_threads(), tasks, order);
+    let (topo, threads) = (&cfg.topology, cfg.sim_threads());
+    let sim = simulate_phase(topo, &cfg.cost, threads, tasks, order, cfg.keep_timelines);
     (sim.duration, sim)
 }
 

@@ -92,6 +92,10 @@ pub struct PhaseStat {
     pub name: &'static str,
     /// Wall-clock time on this host.
     pub wall: Duration,
+    /// Host time the cost model took to describe and simulate the phase,
+    /// after `wall` and outside it (zero if simulation off): the part of
+    /// a join's time that no phase's `wall` shows.
+    pub model_wall: Duration,
     /// Simulated time on the configured topology (0 if simulation off).
     pub sim_seconds: f64,
     /// Executor scheduling counters for this phase (tasks run, steals,
@@ -175,6 +179,7 @@ impl JoinResult {
         self.phases.push(PhaseStat {
             name,
             wall,
+            model_wall: Duration::ZERO,
             sim_seconds,
             exec: ExecCounters::new(),
             spill: SpillCounters::default(),
@@ -224,6 +229,12 @@ impl JoinResult {
     /// Total measured wall time.
     pub fn total_wall(&self) -> Duration {
         self.phases.iter().map(|p| p.wall).sum()
+    }
+
+    /// Total host time spent in the cost model, outside the phases'
+    /// `wall` (see [`PhaseStat::model_wall`]).
+    pub fn total_model_wall(&self) -> Duration {
+        self.phases.iter().map(|p| p.model_wall).sum()
     }
 
     /// Total simulated time on the modeled machine.

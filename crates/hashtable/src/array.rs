@@ -27,7 +27,10 @@ pub const EMPTY: u32 = u32::MAX;
 /// Keys of a radix partition share their low `key_shift` bits, so
 /// `key >> key_shift` indexes densely.
 pub struct ArrayTable {
+    /// The table is the first `len` slots; a table reset for a shorter
+    /// array keeps the longer buffer.
     payloads: AlignedBuf<u32>,
+    len: usize,
     key_shift: u32,
 }
 
@@ -35,6 +38,7 @@ impl ArrayTable {
     pub fn new(array_len: usize, key_shift: u32) -> Self {
         ArrayTable {
             payloads: AlignedBuf::filled(array_len, EMPTY),
+            len: array_len,
             key_shift,
         }
     }
@@ -61,15 +65,16 @@ impl ArrayTable {
             "array join requires unique keys (slot {s} taken)"
         );
         tr.ops(2);
-        tr.write_of(&self.payloads[s]);
-        self.payloads[s] = t.payload;
+        let slot = &mut self.payloads[..self.len][s];
+        tr.write_of(slot);
+        *slot = t.payload;
     }
 
     /// The probe: one load, none for a key past the array's end.
     #[inline]
     fn look<Tr: MemTracer>(&self, key: Key, tr: &mut Tr, mut f: impl FnMut(Payload)) {
         tr.ops(2);
-        if let Some(p) = self.payloads.get(self.slot(key)) {
+        if let Some(p) = self.payloads[..self.len].get(self.slot(key)) {
             tr.read_of(p);
             if *p != EMPTY {
                 f(*p);
@@ -91,6 +96,15 @@ impl ArrayTable {
 impl JoinTable for ArrayTable {
     fn with_spec(spec: &TableSpec) -> Self {
         ArrayTable::new(spec.array_len, spec.key_shift)
+    }
+
+    fn reset(&mut self, spec: &TableSpec) {
+        if self.payloads.len() < spec.array_len {
+            *self = Self::with_spec(spec);
+        } else {
+            self.payloads[..spec.array_len].fill(EMPTY);
+            (self.len, self.key_shift) = (spec.array_len, spec.key_shift);
+        }
     }
 
     #[inline]

@@ -41,17 +41,21 @@ pub struct StChainedTable<H: KeyHash = IdentityHash> {
     shift: u32,
 }
 
-/// A buffer laid out for `cap` tuples, heads zeroed: `(buf, mask)`.
-fn layout(cap: usize) -> (AlignedBuf<u32>, u32) {
+/// Lay `buf` out for `cap` tuples, heads zeroed, and return the head
+/// mask; a buffer too short for them is replaced, a longer one kept (a
+/// join worker resets one table from co-partition to co-partition).
+fn layout(buf: &mut AlignedBuf<u32>, cap: usize) -> u32 {
     // Heads and links hold tuple indices + 1 in 32 bits.
     assert!(cap < u32::MAX as usize, "chained table capacity overflow");
     let heads = next_pow2(cap);
-    // SAFETY: the heads are zeroed right here; tuple and link `i` are
-    // written by the insert that makes `i < len`, and only slots below
-    // `len` are ever read (a head or link word names an inserted tuple).
-    let mut buf = unsafe { AlignedBuf::<u32>::unfilled(heads + 3 * cap) };
+    if buf.len() < heads + 3 * cap {
+        // SAFETY: the heads are zeroed right below; tuple and link `i` are
+        // written by the insert that makes `i < len`, and only slots below
+        // `len` are ever read (a head or link word names an inserted tuple).
+        *buf = unsafe { AlignedBuf::<u32>::unfilled(heads + 3 * cap) };
+    }
     buf[..heads].fill(0);
-    (buf, (heads - 1) as u32)
+    (heads - 1) as u32
 }
 
 /// Walk the chain from `at`, newest tuple first, handing `f` the payload
@@ -92,7 +96,8 @@ impl<H: KeyHash + Default> StChainedTable<H> {
     /// Table whose keys share their low `shift` bits (one radix
     /// partition): hash on the distinguishing high bits.
     pub fn with_capacity_shift(n: usize, shift: u32) -> Self {
-        let (buf, mask) = layout(n);
+        let mut buf = AlignedBuf::zeroed(0);
+        let mask = layout(&mut buf, n);
         StChainedTable {
             buf,
             mask,
@@ -136,7 +141,8 @@ impl<H: KeyHash> StChainedTable<H> {
     #[cold]
     fn grow(&mut self, need: usize) {
         let cap = need.max(2 * self.cap);
-        let (buf, mask) = layout(cap);
+        let mut buf = AlignedBuf::zeroed(0);
+        let mask = layout(&mut buf, cap);
         let old = std::mem::replace(&mut self.buf, buf);
         let stored = &old[self.mask as usize + 1..][..2 * self.len];
         self.buf[mask as usize + 1..][..stored.len()].copy_from_slice(stored);
@@ -260,6 +266,11 @@ impl<H: KeyHash> StChainedTable<H> {
 impl<H: KeyHash + Default> JoinTable for StChainedTable<H> {
     fn with_spec(spec: &TableSpec) -> Self {
         Self::with_capacity_shift(spec.capacity, spec.key_shift)
+    }
+
+    fn reset(&mut self, spec: &TableSpec) {
+        self.mask = layout(&mut self.buf, spec.capacity);
+        (self.cap, self.len, self.shift) = (spec.capacity, 0, spec.key_shift);
     }
 
     #[inline]

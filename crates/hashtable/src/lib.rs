@@ -153,6 +153,12 @@ pub trait JoinTable: Sized {
     /// Allocate an empty table per `spec`.
     fn with_spec(spec: &TableSpec) -> Self;
 
+    /// Make this the empty table [`JoinTable::with_spec`] would allocate,
+    /// in the buffer it already has unless `spec` needs a larger one: a
+    /// join worker resets one table from co-partition to co-partition
+    /// instead of allocating and freeing 2^14 of them.
+    fn reset(&mut self, spec: &TableSpec);
+
     /// Insert one build tuple.
     fn insert(&mut self, t: Tuple);
 
@@ -234,6 +240,61 @@ mod tests {
             let in_array = held::<ArrayTable>(&array, n);
             assert!(in_array <= array.table_bytes(), "array n={n}: {in_array}");
         }
+    }
+    /// A reset table is the table `with_spec` would have allocated —
+    /// nothing of what it held before answers a probe — whether the new
+    /// spec fits the buffer it has (smaller partition, other shift) or
+    /// needs a larger one.
+    #[test]
+    fn a_reset_table_answers_like_a_fresh_one() {
+        fn check<T: JoinTable>(specs: &[(TableSpec, Vec<Tuple>)]) {
+            let mut reused = T::with_spec(&specs[0].0);
+            for (round, (spec, tuples)) in specs.iter().enumerate() {
+                let mut fresh = T::with_spec(spec);
+                if round > 0 {
+                    reused.reset(spec);
+                }
+                fresh.insert_batch(tuples);
+                reused.insert_batch(tuples);
+                let probes: Vec<Tuple> = (0..2_100).map(|k| Tuple::new(k << 3 | 5, k)).collect();
+                for unique in [false, true] {
+                    let (mut a, mut b) = (Vec::new(), Vec::new());
+                    fresh.probe_batch(&probes, unique, |t, p| a.push((t.key, p)));
+                    reused.probe_batch(&probes, unique, |t, p| b.push((t.key, p)));
+                    assert_eq!(a, b, "round {round} unique={unique}");
+                    assert_eq!(a.len(), tuples.len(), "round {round}");
+                }
+            }
+        }
+        // Keys of radix partition 5 of 8: 5, 13, 21, ... — big, small
+        // (stale tuples of the big round lie past it), bigger than ever,
+        // empty, then hashed on the whole key (another shift).
+        let part = |n: u32, from: u32| -> Vec<Tuple> {
+            (from..from + n)
+                .map(|k| Tuple::new(k << 3 | 5, k + 7))
+                .collect()
+        };
+        let rounds = [
+            (1_000, 0, 3),
+            (40, 500, 3),
+            (2_000, 100, 3),
+            (0, 0, 3),
+            (300, 1_700, 0),
+        ];
+        let hashed: Vec<(TableSpec, Vec<Tuple>)> = rounds
+            .iter()
+            .map(|&(n, from, shift)| {
+                let spec = TableSpec::hashed_partition(n as usize, shift);
+                (spec, part(n, from))
+            })
+            .collect();
+        check::<StChainedTable<IdentityHash>>(&hashed);
+        check::<StLinearTable<IdentityHash>>(&hashed);
+        let arrays: Vec<(TableSpec, Vec<Tuple>)> = [(1_000, 3_000), (40, 600), (2_000, 2_100)]
+            .iter()
+            .map(|&(n, domain)| (TableSpec::array(3, domain << 3), part(n, 0)))
+            .collect();
+        check::<ArrayTable>(&arrays);
     }
 }
 

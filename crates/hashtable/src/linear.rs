@@ -41,6 +41,8 @@ pub(crate) const MIN_SLOTS: usize = CACHE_LINE / std::mem::size_of::<u64>();
 /// Single-threaded linear-probing table (join phase of the PR*/CPR*
 /// linear variants).
 pub struct StLinearTable<H: KeyHash = IdentityHash> {
+    /// The table is the first `mask + 1` slots; a table reset for a
+    /// smaller partition keeps the longer buffer.
     slots: AlignedBuf<u64>,
     mask: u32,
     hash: H,
@@ -58,18 +60,31 @@ impl<H: KeyHash + Default> StLinearTable<H> {
     /// Table whose keys share their low `shift` bits (one radix
     /// partition): hash on the distinguishing high bits.
     pub fn with_capacity_shift(n: usize, shift: u32) -> Self {
-        let size = next_pow2((n * OVERALLOC).max(MIN_SLOTS));
-        StLinearTable {
-            slots: AlignedBuf::zeroed(size),
-            mask: (size - 1) as u32,
+        let mut table = StLinearTable {
+            slots: AlignedBuf::zeroed(0),
+            mask: 0,
             hash: H::default(),
             len: 0,
             shift,
-        }
+        };
+        table.clear_for(n);
+        table
     }
 }
 
 impl<H: KeyHash> StLinearTable<H> {
+    /// An empty table for `n` tuples, in the buffer it has if that is
+    /// long enough.
+    fn clear_for(&mut self, n: usize) {
+        let size = next_pow2((n * OVERALLOC).max(MIN_SLOTS));
+        if self.slots.len() < size {
+            self.slots = AlignedBuf::zeroed(size);
+        } else {
+            self.slots[..size].fill(0);
+        }
+        (self.mask, self.len) = ((size - 1) as u32, 0);
+    }
+
     #[inline]
     fn home(&self, key: Key) -> usize {
         self.hash.index(key >> self.shift, self.mask) as usize
@@ -79,7 +94,7 @@ impl<H: KeyHash> StLinearTable<H> {
     #[inline]
     fn put<Tr: MemTracer>(&mut self, t: Tuple, tr: &mut Tr) {
         debug_assert_ne!(t.key, 0, "key 0 is the EMPTY sentinel");
-        assert!(self.len + 1 < self.slots.len(), "table full");
+        assert!(self.len < self.mask as usize, "table full");
         let mut idx = self.home(t.key);
         tr.ops(3);
         loop {
@@ -155,6 +170,11 @@ impl<H: KeyHash> StLinearTable<H> {
 impl<H: KeyHash + Default> JoinTable for StLinearTable<H> {
     fn with_spec(spec: &TableSpec) -> Self {
         Self::with_capacity_shift(spec.capacity, spec.key_shift)
+    }
+
+    fn reset(&mut self, spec: &TableSpec) {
+        self.shift = spec.key_shift;
+        self.clear_for(spec.capacity);
     }
 
     #[inline]

@@ -16,20 +16,20 @@
 
 pub use mmjoin_util::mem::{detect_topology_from, host_topology, HostTopology};
 
-use crate::topology::{PageSize, Topology};
+use crate::topology::{PageSize, Topology, MAX_NODES};
 
 /// A [`Topology`] describing the detected host, for simulating on "this
 /// machine" rather than the paper's.
 ///
-/// First-order by construction: node count comes from `/sys`, cores are
-/// split evenly across nodes from `threads`, caches keep the paper's
-/// per-core/per-socket sizes (the model's sensitivity is to *placement*,
-/// not exact cache geometry), and the page size reflects whether the
-/// host can actually back allocations with 2 MiB pages (THP enabled or
-/// hugepages reserved).
+/// First-order by construction: node count comes from `/sys` (capped at
+/// [`MAX_NODES`]), cores are split evenly across nodes from `threads`,
+/// caches keep the paper's per-core/per-socket sizes (the model's
+/// sensitivity is to *placement*, not exact cache geometry), and the page
+/// size reflects whether the host can actually back allocations with
+/// 2 MiB pages (THP enabled or hugepages reserved).
 pub fn host_machine(threads: usize) -> Topology {
     let host = host_topology();
-    let nodes = host.nodes.max(1);
+    let nodes = host.nodes.clamp(1, MAX_NODES);
     let threads = threads.max(1);
     let mut t = Topology::paper_machine();
     t.nodes = nodes;

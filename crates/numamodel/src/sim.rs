@@ -18,13 +18,13 @@
 //!   the compute/stall component (shared execution resources), which is
 //!   what flattens the curves beyond 60 threads in Figure 16.
 //!
-//! The output contains the phase makespan, per-node busy fractions and a
-//! utilization timeline — Figure 6's bandwidth profiles fall directly out
-//! of the timeline.
+//! The output contains the phase makespan, per-node busy fractions and,
+//! when asked for, a utilization timeline — Figure 6's bandwidth profiles
+//! fall directly out of the timeline.
 
 use crate::cost::CostModel;
 use crate::task::TaskSpec;
-use crate::topology::Topology;
+use crate::topology::{Topology, MAX_NODES};
 
 const EPS: f64 = 1e-12;
 
@@ -43,7 +43,8 @@ pub struct PhaseSim {
     pub duration: f64,
     /// Per-node busy time in seconds (integral of utilization).
     pub node_busy: Vec<f64>,
-    /// Utilization timeline (one entry per simulator event interval).
+    /// Utilization timeline (one entry per simulator event interval);
+    /// empty unless the caller asked `simulate_phase` to keep it.
     pub timeline: Vec<TimelineInterval>,
     /// Completion time of every task, indexed like the input.
     pub task_finish: Vec<f64>,
@@ -86,22 +87,69 @@ impl PhaseSim {
     }
 }
 
+/// A running task, all inline: starting one allocates nothing.
 struct ActiveTask {
     idx: usize,
-    remaining_bytes: Vec<f64>,
     remaining_stall: f64,
     home: usize,
+    /// Bytes still to move against each node.
+    remaining_bytes: [f64; MAX_NODES],
+    /// Its streams: the nodes whose bytes are above `EPS`, ascending, in
+    /// `live[..streams]`, and the rate each moves at in this event.
+    live: [u8; MAX_NODES],
+    rate: [f64; MAX_NODES],
+    streams: usize,
+}
+
+/// Who moves bytes right now: per-node memory-controller users, plus
+/// per-socket interconnect egress users. Every remote stream of a task
+/// homed on socket `h` shares socket `h`'s interconnect capacity — this
+/// is what makes remote-heavy access patterns (PRO's scatter, spread-out
+/// reads) slower than node-local ones even at equal per-node byte
+/// totals.
+struct Users {
+    node: [u32; MAX_NODES],
+    egress: [u32; MAX_NODES],
+}
+
+impl ActiveTask {
+    /// Keep of `live[..streams]` the nodes that still have bytes to
+    /// move, and count them among the `users`.
+    #[inline]
+    fn recount(&mut self, users: &mut Users) {
+        let mut kept = 0;
+        for i in 0..self.streams {
+            let n = self.live[i] as usize;
+            if self.remaining_bytes[n] > EPS {
+                self.live[kept] = n as u8;
+                kept += 1;
+                users.node[n] += 1;
+                if n != self.home {
+                    users.egress[self.home] += 1;
+                }
+            }
+        }
+        self.streams = kept;
+    }
 }
 
 /// Simulate one phase. `order` indexes into `tasks` and defines queue
 /// order; workers pull from the front. If `order` is shorter than `tasks`,
-/// remaining tasks are ignored (useful for ablation).
+/// remaining tasks are ignored (useful for ablation). The utilization
+/// timeline is recorded only if `keep_timeline` (Figure 6); every other
+/// output is the same either way.
+///
+/// The event loop allocates nothing per event or per task, and an event
+/// visits the streams that are live, not every node of every task: a
+/// join phase of 2^14 co-partition tasks is ~2^15 events, and it runs
+/// inside every join that has the cost model on.
 pub fn simulate_phase(
     topo: &Topology,
     model: &CostModel,
     threads: usize,
     tasks: &[TaskSpec],
     order: &[usize],
+    keep_timeline: bool,
 ) -> PhaseSim {
     let nodes = topo.nodes;
     let threads = threads.max(1);
@@ -114,44 +162,62 @@ pub fn simulate_phase(
     let mut sim = PhaseSim::empty(nodes);
     sim.task_finish = vec![0.0; tasks.len()];
     let mut queue = order.iter().copied();
-    let mut active: Vec<ActiveTask> = Vec::with_capacity(threads);
+    let slots = threads.min(order.len());
+    let mut active: Vec<ActiveTask> = Vec::with_capacity(slots);
+    let mut users = Users {
+        node: [0; MAX_NODES],
+        egress: [0; MAX_NODES],
+    };
+    let mut util = vec![0.0_f64; nodes];
     let mut now = 0.0_f64;
+    // A node's bandwidth split `k` ways, a socket's link split `k` ways:
+    // looked up, the divisions stay off the event-to-event latency chain.
+    let node_share: Vec<f64> = (0..=slots)
+        .map(|k| model.node_bandwidth / k as f64)
+        .collect();
+    let link_share: Vec<f64> = (0..=slots * nodes)
+        .map(|k| model.link_bandwidth / k as f64)
+        .collect();
 
-    let make_active = |idx: usize, worker_slot: usize| -> ActiveTask {
+    // Start task `idx` on worker `slot`, in place; its streams join the
+    // `users`.
+    let activate = |a: &mut ActiveTask, idx: usize, slot: usize, users: &mut Users| {
         let t = &tasks[idx];
-        let home = t
-            .home_node
-            .unwrap_or_else(|| topo.node_of_thread(worker_slot));
-        let mut remaining_bytes = t.stream_bytes.clone();
-        remaining_bytes.resize(nodes, 0.0);
-        let mut stall = t.cpu_ops * model.cpu_op;
+        a.idx = idx;
+        a.home = t.home_node.unwrap_or_else(|| topo.node_of_thread(slot));
+        // A spec describes the machine it is simulated on: `nodes` demands.
+        a.remaining_bytes[..nodes].copy_from_slice(&t.stream_bytes);
+        a.remaining_stall = t.cpu_ops * model.cpu_op;
         for (n, &cnt) in t.random_accesses.iter().enumerate() {
             if cnt > 0.0 {
                 // Random cache-line reads cost ~2x their bytes in DRAM
                 // bandwidth (row activation, no open-row streaming) — the
                 // effect that bandwidth-saturates NOP's probe phase at
                 // high thread counts (Table 3's sublinear NOP scaling).
-                remaining_bytes[n] += cnt * mmjoin_util::CACHE_LINE as f64 * 2.0;
-                stall += model.random_access_time(cnt, n != home);
+                a.remaining_bytes[n] += cnt * mmjoin_util::CACHE_LINE as f64 * 2.0;
+                a.remaining_stall += model.random_access_time(cnt, n != a.home);
             }
         }
-        stall += t.tlb_misses * model.tlb_miss;
-        stall *= smt_factor;
-        ActiveTask {
-            idx,
-            remaining_bytes,
-            remaining_stall: stall,
-            home,
-        }
+        a.remaining_stall += t.tlb_misses * model.tlb_miss;
+        a.remaining_stall *= smt_factor;
+        a.live = std::array::from_fn(|n| n as u8);
+        a.streams = nodes;
+        a.recount(users);
     };
 
     // Fill initial workers.
-    for slot in 0..threads {
-        if let Some(idx) = queue.next() {
-            active.push(make_active(idx, slot));
-        } else {
-            break;
-        }
+    for slot in 0..slots {
+        let idx = queue.next().expect("one slot per queued task at most");
+        active.push(ActiveTask {
+            idx,
+            remaining_stall: 0.0,
+            home: 0,
+            remaining_bytes: [0.0; MAX_NODES],
+            live: [0; MAX_NODES],
+            rate: [0.0; MAX_NODES],
+            streams: 0,
+        });
+        activate(&mut active[slot], idx, slot, &mut users);
     }
 
     let mut guard = 0usize;
@@ -160,46 +226,25 @@ pub fn simulate_phase(
         guard += 1;
         assert!(guard < guard_max, "simulator failed to converge");
 
-        // Rates: per-node memory-controller users, plus per-socket
-        // interconnect egress users. Every remote stream of a task homed
-        // on socket `h` shares socket `h`'s interconnect capacity — this
-        // is what makes remote-heavy access patterns (PRO's scatter,
-        // spread-out reads) slower than node-local ones even at equal
-        // per-node byte totals.
-        let mut node_users = vec![0u32; nodes];
-        let mut egress_users = vec![0u32; nodes];
-        for a in &active {
-            for (n, bytes) in a.remaining_bytes.iter().enumerate() {
-                if *bytes > EPS {
-                    node_users[n] += 1;
-                    if n != a.home {
-                        egress_users[a.home] += 1;
-                    }
-                }
-            }
-        }
-        let rate = |a: &ActiveTask, n: usize| -> f64 {
-            if a.remaining_bytes[n] <= EPS {
-                return 0.0;
-            }
-            let share = model.node_bandwidth / node_users[n] as f64;
-            if n == a.home {
-                share
-            } else {
-                share.min(model.link_bandwidth / egress_users[a.home] as f64)
-            }
-        };
-
-        // Next event: soonest completion of any byte stream or stall.
+        // This event's rates — a node's bandwidth split among its users,
+        // a remote stream capped by its share of the link — and the next
+        // event: soonest completion of any byte stream or stall.
         let mut dt = f64::INFINITY;
-        for a in &active {
+        for a in &mut active {
             if a.remaining_stall > EPS {
                 dt = dt.min(a.remaining_stall);
             }
-            for n in 0..nodes {
-                let r = rate(a, n);
-                if r > 0.0 {
-                    dt = dt.min(a.remaining_bytes[n] / r);
+            for i in 0..a.streams {
+                let n = a.live[i] as usize;
+                let share = node_share[users.node[n] as usize];
+                let rate = if n == a.home {
+                    share
+                } else {
+                    share.min(link_share[users.egress[a.home] as usize])
+                };
+                a.rate[i] = rate;
+                if rate > 0.0 {
+                    dt = dt.min(a.remaining_bytes[n] / rate);
                 }
             }
         }
@@ -208,34 +253,34 @@ pub fn simulate_phase(
             dt = 0.0;
         }
 
-        // Record utilization for this interval.
-        if dt > 0.0 {
-            let mut util = vec![0.0; nodes];
-            for a in &active {
-                for (n, u) in util.iter_mut().enumerate() {
-                    *u += rate(a, n) / model.node_bandwidth;
+        // Advance by `dt`: utilization over the interval, what is left
+        // of every stream and stall, and who still streams after it.
+        util.fill(0.0);
+        users.node = [0; MAX_NODES];
+        users.egress = [0; MAX_NODES];
+        for a in &mut active {
+            if a.remaining_stall > EPS {
+                a.remaining_stall = (a.remaining_stall - dt).max(0.0);
+            }
+            for i in 0..a.streams {
+                let (n, rate) = (a.live[i] as usize, a.rate[i]);
+                if rate > 0.0 {
+                    util[n] += rate / model.node_bandwidth;
+                    a.remaining_bytes[n] = (a.remaining_bytes[n] - rate * dt).max(0.0);
                 }
             }
+            a.recount(&mut users);
+        }
+        if dt > 0.0 {
             for (busy, u) in sim.node_busy.iter_mut().zip(&util) {
                 *busy += u * dt;
             }
-            sim.timeline.push(TimelineInterval {
-                start: now,
-                len: dt,
-                node_util: util,
-            });
-        }
-
-        // Advance.
-        for a in &mut active {
-            for n in 0..nodes {
-                let r = rate(a, n);
-                if r > 0.0 {
-                    a.remaining_bytes[n] = (a.remaining_bytes[n] - r * dt).max(0.0);
-                }
-            }
-            if a.remaining_stall > EPS {
-                a.remaining_stall = (a.remaining_stall - dt).max(0.0);
+            if keep_timeline {
+                sim.timeline.push(TimelineInterval {
+                    start: now,
+                    len: dt,
+                    node_util: util.clone(),
+                });
             }
         }
         now += dt;
@@ -243,19 +288,16 @@ pub fn simulate_phase(
         // Retire finished tasks, pull replacements.
         let mut slot = 0;
         while slot < active.len() {
-            let done = active[slot].remaining_stall <= EPS
-                && active[slot].remaining_bytes.iter().all(|&b| b <= EPS);
-            if done {
-                sim.task_finish[active[slot].idx] = now;
-                if let Some(next) = queue.next() {
-                    let home_slot = slot;
-                    active[slot] = make_active(next, home_slot);
-                    slot += 1;
-                } else {
-                    active.swap_remove(slot);
-                }
-            } else {
+            if active[slot].remaining_stall > EPS || active[slot].streams > 0 {
                 slot += 1;
+                continue;
+            }
+            sim.task_finish[active[slot].idx] = now;
+            if let Some(next) = queue.next() {
+                activate(&mut active[slot], next, slot, &mut users);
+                slot += 1;
+            } else {
+                active.swap_remove(slot);
             }
         }
     }
@@ -283,7 +325,7 @@ mod tests {
         let (topo, model) = setup();
         let bytes = 1e9;
         let task = stream_task(&topo, 0, bytes, 0);
-        let sim = simulate_phase(&topo, &model, 1, &[task], &[0]);
+        let sim = simulate_phase(&topo, &model, 1, &[task], &[0], false);
         let expected = bytes / model.node_bandwidth;
         assert!((sim.duration - expected).abs() / expected < 1e-9);
     }
@@ -293,7 +335,7 @@ mod tests {
         let (topo, model) = setup();
         let bytes = 1e9;
         let task = stream_task(&topo, 1, bytes, 0);
-        let sim = simulate_phase(&topo, &model, 1, &[task], &[0]);
+        let sim = simulate_phase(&topo, &model, 1, &[task], &[0], false);
         let expected = bytes / model.link_bandwidth;
         assert!((sim.duration - expected).abs() / expected < 1e-9);
     }
@@ -307,7 +349,7 @@ mod tests {
             stream_task(&topo, 0, bytes, 0),
             stream_task(&topo, 0, bytes, 0),
         ];
-        let sim = simulate_phase(&topo, &model, 2, &tasks, &[0, 1]);
+        let sim = simulate_phase(&topo, &model, 2, &tasks, &[0, 1], false);
         let expected = 2.0 * bytes / model.node_bandwidth;
         assert!((sim.duration - expected).abs() / expected < 1e-9);
     }
@@ -320,7 +362,7 @@ mod tests {
             stream_task(&topo, 0, bytes, 0),
             stream_task(&topo, 1, bytes, 1),
         ];
-        let sim = simulate_phase(&topo, &model, 2, &tasks, &[0, 1]);
+        let sim = simulate_phase(&topo, &model, 2, &tasks, &[0, 1], false);
         let expected = bytes / model.node_bandwidth;
         assert!((sim.duration - expected).abs() / expected < 1e-9);
     }
@@ -343,8 +385,8 @@ mod tests {
         }
         let sequential: Vec<usize> = (0..8).collect(); // 0,0,1,1,2,2,3,3 node order
         let round_robin: Vec<usize> = vec![0, 2, 4, 6, 1, 3, 5, 7];
-        let s = simulate_phase(&topo, &model, 4, &tasks, &sequential);
-        let r = simulate_phase(&topo, &model, 4, &tasks, &round_robin);
+        let s = simulate_phase(&topo, &model, 4, &tasks, &sequential, false);
+        let r = simulate_phase(&topo, &model, 4, &tasks, &round_robin, false);
         assert!(
             r.duration < s.duration * 0.75,
             "round robin {} vs sequential {}",
@@ -358,7 +400,7 @@ mod tests {
         let (topo, model) = setup();
         let mut t = TaskSpec::new(topo.nodes);
         t.cpu(1e6).on_node(0);
-        let sim = simulate_phase(&topo, &model, 1, &[t], &[0]);
+        let sim = simulate_phase(&topo, &model, 1, &[t], &[0], false);
         let expected = 1e6 * model.cpu_op;
         assert!((sim.duration - expected).abs() / expected < 1e-9);
     }
@@ -375,8 +417,8 @@ mod tests {
         let tasks120: Vec<TaskSpec> = (0..120).map(|_| mk()).collect();
         let o60: Vec<usize> = (0..60).collect();
         let o120: Vec<usize> = (0..120).collect();
-        let s60 = simulate_phase(&topo, &model, 60, &tasks60, &o60);
-        let s120 = simulate_phase(&topo, &model, 120, &tasks120, &o120);
+        let s60 = simulate_phase(&topo, &model, 60, &tasks60, &o60, false);
+        let s120 = simulate_phase(&topo, &model, 120, &tasks120, &o120, false);
         // 120 threads do 2x the CPU work but with the SMT penalty, so the
         // makespan must be worse than the 60-thread run of half the work.
         assert!(s120.duration > s60.duration);
@@ -386,7 +428,7 @@ mod tests {
     fn zero_work_tasks_terminate() {
         let (topo, model) = setup();
         let tasks = vec![TaskSpec::new(topo.nodes), TaskSpec::new(topo.nodes)];
-        let sim = simulate_phase(&topo, &model, 2, &tasks, &[0, 1]);
+        let sim = simulate_phase(&topo, &model, 2, &tasks, &[0, 1], false);
         assert_eq!(sim.duration, 0.0);
     }
 
@@ -394,7 +436,7 @@ mod tests {
     fn timeline_integrates_to_busy_time() {
         let (topo, model) = setup();
         let tasks = vec![stream_task(&topo, 0, 1e9, 0), stream_task(&topo, 1, 5e8, 1)];
-        let sim = simulate_phase(&topo, &model, 2, &tasks, &[0, 1]);
+        let sim = simulate_phase(&topo, &model, 2, &tasks, &[0, 1], true);
         let mut integral = vec![0.0; topo.nodes];
         for iv in &sim.timeline {
             for (acc, u) in integral.iter_mut().zip(&iv.node_util) {
@@ -414,7 +456,7 @@ mod tests {
         let (topo, model) = setup();
         // One long task on node 0, then one on node 1 (single worker).
         let tasks = vec![stream_task(&topo, 0, 1e9, 0), stream_task(&topo, 1, 1e9, 1)];
-        let sim = simulate_phase(&topo, &model, 1, &tasks, &[0, 1]);
+        let sim = simulate_phase(&topo, &model, 1, &tasks, &[0, 1], true);
         let b = sim.bucketed_utilization(10);
         // First half: node 0 busy; second half: node 1 busy.
         assert!(b[0][0] > 0.9 && b[0][1] < 0.1);
@@ -427,9 +469,9 @@ mod tests {
         let mk = |node: usize| stream_task(&topo, node, 1e8, node);
         let tasks: Vec<TaskSpec> = (0..16).map(|i| mk(i % 4)).collect();
         let order: Vec<usize> = (0..16).collect();
-        let t1 = simulate_phase(&topo, &model, 1, &tasks, &order).duration;
-        let t4 = simulate_phase(&topo, &model, 4, &tasks, &order).duration;
-        let t16 = simulate_phase(&topo, &model, 16, &tasks, &order).duration;
+        let t1 = simulate_phase(&topo, &model, 1, &tasks, &order, false).duration;
+        let t4 = simulate_phase(&topo, &model, 4, &tasks, &order, false).duration;
+        let t16 = simulate_phase(&topo, &model, 16, &tasks, &order, false).duration;
         assert!(t4 < t1);
         assert!(t16 <= t4 + 1e-12);
     }

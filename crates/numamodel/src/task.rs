@@ -7,15 +7,55 @@
 //! missing) accesses it performs against each node, and its pure CPU
 //! component.
 
-use crate::topology::Topology;
+use crate::topology::{Topology, MAX_NODES};
+
+/// One `f64` per node of the machine, stored inline: a slice of the
+/// machine's node count, without the heap allocation of a `Vec`.
+#[derive(Clone, Copy, Debug)]
+pub struct PerNode {
+    vals: [f64; MAX_NODES],
+    nodes: usize,
+}
+
+impl PerNode {
+    fn zeroed(nodes: usize) -> Self {
+        assert!(
+            nodes <= MAX_NODES,
+            "a topology has at most {MAX_NODES} nodes, not {nodes}"
+        );
+        PerNode {
+            vals: [0.0; MAX_NODES],
+            nodes,
+        }
+    }
+}
+
+impl std::ops::Deref for PerNode {
+    type Target = [f64];
+    #[inline]
+    fn deref(&self) -> &[f64] {
+        &self.vals[..self.nodes]
+    }
+}
+
+impl std::ops::DerefMut for PerNode {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [f64] {
+        &mut self.vals[..self.nodes]
+    }
+}
 
 /// One schedulable unit of work for the simulator.
-#[derive(Clone, Debug, Default)]
+///
+/// The per-node demands are inline ([`PerNode`]), not `Vec`s: a 2 × 7-bit
+/// PRB join phase describes 16 384 tasks, and two heap allocations per
+/// spec cost more than simulating them.
+#[derive(Clone, Debug)]
 pub struct TaskSpec {
     /// Sequentially streamed bytes (reads + writes) against each node.
-    pub stream_bytes: Vec<f64>,
+    pub stream_bytes: PerNode,
     /// Random (DRAM-latency) accesses against each node.
-    pub random_accesses: Vec<f64>,
+    pub random_accesses: PerNode,
     /// Per-tuple-style CPU operations (hashing, comparisons, copies).
     pub cpu_ops: f64,
     /// TLB misses attributed to this task (page-size dependent).
@@ -26,10 +66,11 @@ pub struct TaskSpec {
 }
 
 impl TaskSpec {
+    /// An empty task on a machine of `nodes` nodes (at most [`MAX_NODES`]).
     pub fn new(nodes: usize) -> Self {
         TaskSpec {
-            stream_bytes: vec![0.0; nodes],
-            random_accesses: vec![0.0; nodes],
+            stream_bytes: PerNode::zeroed(nodes),
+            random_accesses: PerNode::zeroed(nodes),
             cpu_ops: 0.0,
             tlb_misses: 0.0,
             home_node: None,
@@ -46,7 +87,7 @@ impl TaskSpec {
     /// (interleaved buffers).
     pub fn stream_interleaved(&mut self, bytes: f64) -> &mut Self {
         let n = self.stream_bytes.len() as f64;
-        for b in &mut self.stream_bytes {
+        for b in self.stream_bytes.iter_mut() {
             *b += bytes / n;
         }
         self
@@ -62,7 +103,7 @@ impl TaskSpec {
     /// interleaved global hash table).
     pub fn random_interleaved(&mut self, n: f64) -> &mut Self {
         let k = self.random_accesses.len() as f64;
-        for r in &mut self.random_accesses {
+        for r in self.random_accesses.iter_mut() {
             *r += n / k;
         }
         self

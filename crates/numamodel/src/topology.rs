@@ -34,10 +34,14 @@ impl PageSize {
     }
 }
 
+/// Most NUMA nodes a [`Topology`] may have: task specs keep their
+/// per-node demands inline (see [`crate::task::PerNode`]).
+pub const MAX_NODES: usize = 8;
+
 /// A (simulated) shared-memory machine.
 #[derive(Clone, Debug)]
 pub struct Topology {
-    /// NUMA nodes (= sockets).
+    /// NUMA nodes (= sockets), at most [`MAX_NODES`].
     pub nodes: usize,
     /// Physical cores per socket.
     pub cores_per_node: usize,

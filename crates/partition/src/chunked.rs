@@ -104,8 +104,10 @@ pub fn chunked_partition_on(
 fn partition_chunk_local(chunk: &[Tuple], f: RadixFn, mode: ScatterMode) -> ChunkPart {
     let mut data = AlignedBuf::<Tuple>::zeroed(chunk.len());
     let mut offsets = vec![0usize; f.fanout() + 1];
+    // `offsets[0]` stays 0: partition 0 starts where the chunk does.
+    let (cursors, ptr, len) = (&mut offsets[1..], data.as_mut_ptr(), chunk.len());
     // SAFETY: `data` is `chunk.len()` slots this thread alone holds.
-    unsafe { route_at(chunk, f, 0, &mut offsets, data.as_mut_ptr(), mode, |_, t| t) }
+    unsafe { route_at(chunk, f, 0, cursors, ptr, len, mode, |_, t| t) }
     ChunkPart { data, offsets }
 }
 

@@ -13,9 +13,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mmjoin_util::alloc::AlignedBuf;
-use mmjoin_util::chunk_range;
 use mmjoin_util::pool::{broadcast_map, WorkerPool};
 use mmjoin_util::tuple::Tuple;
+use mmjoin_util::{chunk_range, kernels, CACHE_LINE, TUPLES_PER_CACHELINE};
 
 use crate::histogram::{global_offsets, histogram};
 use crate::radix::RadixFn;
@@ -75,11 +75,11 @@ impl PartitionedRelation {
 
 /// Shared mutable output pointer for the disjoint-region scatter.
 #[derive(Copy, Clone)]
-struct SyncPtr(*mut Tuple);
+struct SyncPtr<T>(*mut T);
 // SAFETY: every thread writes a disjoint index range, established by the
 // global-histogram phase; see scatter_chunk.
-unsafe impl Sync for SyncPtr {}
-unsafe impl Send for SyncPtr {}
+unsafe impl<T> Sync for SyncPtr<T> {}
+unsafe impl<T> Send for SyncPtr<T> {}
 
 /// Single-pass parallel radix partitioning on a caller-provided pool.
 ///
@@ -112,14 +112,38 @@ pub fn partition_parallel_on(
             // SAFETY: this worker's cursor ranges are disjoint from
             // every other worker's by construction of global_offsets,
             // and in-bounds because the histogram counted this chunk.
-            unsafe { scatter_chunk(chunk, f, &mut dst[t].clone(), out.0, mode, |_, t| t) }
+            unsafe {
+                scatter_chunk(
+                    chunk,
+                    f,
+                    &mut dst[t].clone(),
+                    out.0,
+                    input.len(),
+                    mode,
+                    |_, t| t,
+                )
+            }
         }
     });
     PartitionedRelation { data: out, offsets }
 }
 
+/// The direct scatter asks for its cursors' next lines itself from this
+/// fan-out up: at 128 and above there are more write streams than the
+/// hardware prefetcher follows (PRB's 2 × 7 bits), at 64 and below it has
+/// them and a software prefetch per line only costs (0.66–0.96×).
+const PREFETCH_MIN_FANOUT: usize = 128;
+
+/// ... and only into an output of at least this many bytes, 8× this
+/// host's L2: below it a buffer the arena pool hands back is still
+/// cache-resident and there is nothing to fetch (0.80–0.93× at 4–24 MiB
+/// in a back-to-back loop, 1.19–1.34× from 40 MiB up; ROADMAP item 2 has
+/// the grid).
+const PREFETCH_MIN_BYTES: usize = 32 << 20;
+
 /// Scatter `emit(i, chunk[i])` to `out` at the partition `cursors`,
-/// advancing each cursor past what it wrote.
+/// advancing each cursor past what it wrote. `out_len` is the length of
+/// the buffer `out` points into.
 ///
 /// # Safety
 /// `cursors[p] .. cursors[p] + count(chunk, p)` must be in-bounds of `out`
@@ -129,15 +153,20 @@ unsafe fn scatter_chunk(
     f: RadixFn,
     cursors: &mut [usize],
     out: *mut Tuple,
+    out_len: usize,
     mode: ScatterMode,
     emit: impl Fn(usize, Tuple) -> Tuple,
 ) {
     match mode {
         ScatterMode::Direct => {
-            for (i, &t) in chunk.iter().enumerate() {
-                let cur = &mut cursors[f.part(t.key)];
-                out.add(*cur).write(emit(i, t));
-                *cur += 1;
+            let ahead = f.fanout() >= PREFETCH_MIN_FANOUT
+                && out_len * std::mem::size_of::<Tuple>() >= PREFETCH_MIN_BYTES;
+            // Two instances of one loop: below the thresholds the
+            // compiled loop is the plain one, not one with a test in it.
+            if ahead {
+                scatter_direct::<true>(chunk, f, cursors, out, emit)
+            } else {
+                scatter_direct::<false>(chunk, f, cursors, out, emit)
             }
         }
         ScatterMode::Swwcb => {
@@ -153,34 +182,67 @@ unsafe fn scatter_chunk(
     }
 }
 
+/// The direct scatter: one plain store per tuple at its partition's
+/// cursor — no write-combining buffer, no streaming store: PRB as
+/// published. With `AHEAD`, a cursor that has entered a new cache line
+/// asks for the one after it, with write intent: where the hardware
+/// loses track of the write streams, every eighth store would otherwise
+/// wait for its line to be fetched for ownership.
+///
+/// # Safety
+/// As [`scatter_chunk`].
+#[inline(always)]
+unsafe fn scatter_direct<const AHEAD: bool>(
+    chunk: &[Tuple],
+    f: RadixFn,
+    cursors: &mut [usize],
+    out: *mut Tuple,
+    emit: impl Fn(usize, Tuple) -> Tuple,
+) {
+    for (i, &t) in chunk.iter().enumerate() {
+        let cur = &mut cursors[f.part(t.key)];
+        out.add(*cur).write(emit(i, t));
+        *cur += 1;
+        if AHEAD {
+            // An address only, formed wrapping: past the end of the
+            // partition or of `out` it is never dereferenced.
+            let next = out.wrapping_add(*cur);
+            if next as usize & (CACHE_LINE - 1) == 0 {
+                kernels::prefetch_write(next.wrapping_add(TUPLES_PER_CACHELINE));
+            }
+        }
+    }
+}
+
 /// The serial partitioning step — histogram, exclusive prefix, scatter —
 /// over an input one thread owns: pass 2 of [`two_pass_partition_on`]
 /// runs it per pass-1 partition, [`route_into`] per probe batch.
 ///
-/// Writes `emit(i, input[i])` for every `i` to `out[base..][..input.len()]`,
-/// grouped by `f.part(input[i].key)` and in input order within a group,
-/// and leaves partition `p`'s range of `out` in `bounds[p]..bounds[p + 1]`
-/// (`bounds.len() == f.fanout() + 1`). Costs `O(input + fanout)` and
+/// Writes `emit(i, input[i])` for every `i` to `out[base..][..input.len()]`
+/// (`out_len` is the length of the buffer `out` points into), grouped by
+/// `f.part(input[i].key)` and in input order within a group, and leaves
+/// in `cursors[p]` the end of partition `p`'s range of `out` — which is
+/// where partition `p + 1` starts, partition 0 at `base`
+/// (`cursors.len() == f.fanout()`). Costs `O(input + fanout)` and
 /// allocates nothing in [`ScatterMode::Direct`].
 ///
 /// # Safety
 /// `out[base..][..input.len()]` must be valid for writes and touched by
 /// nobody else meanwhile.
+#[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn route_at(
     input: &[Tuple],
     f: RadixFn,
     base: usize,
-    bounds: &mut [usize],
+    cursors: &mut [usize],
     out: *mut Tuple,
+    out_len: usize,
     mode: ScatterMode,
     emit: impl Fn(usize, Tuple) -> Tuple,
 ) {
-    assert_eq!(bounds.len(), f.fanout() + 1);
-    // Partition `p`'s cursor lives at `bounds[p + 1]`: it starts at the
-    // partition's first slot and the scatter leaves it one past its
-    // last, which is where partition `p + 1` starts.
-    let (first, cursors) = bounds.split_first_mut().expect("fanout + 1 >= 2");
-    *first = base;
+    assert_eq!(cursors.len(), f.fanout());
+    // A cursor starts at its partition's first slot and the scatter
+    // leaves it one past the last.
     cursors.fill(0);
     for t in input {
         cursors[f.part(t.key)] += 1;
@@ -193,7 +255,7 @@ pub(crate) unsafe fn route_at(
     }
     // SAFETY: the cursors tile `base..base + input.len()` by exact
     // counts of this same input; the caller vouches for that range.
-    unsafe { scatter_chunk(input, f, cursors, out, mode, emit) }
+    unsafe { scatter_chunk(input, f, cursors, out, out_len, mode, emit) }
 }
 
 /// Radix-route one cache-sized batch: `out[..input.len()]` receives
@@ -210,18 +272,11 @@ pub fn route_into(
     emit: impl Fn(usize, Tuple) -> Tuple,
 ) {
     let out = &mut out[..input.len()];
+    let (first, cursors) = bounds.split_first_mut().expect("fanout + 1 bounds");
+    *first = 0;
+    let (ptr, len) = (out.as_mut_ptr(), out.len());
     // SAFETY: `out` is exactly `input.len()` slots, exclusively borrowed.
-    unsafe {
-        route_at(
-            input,
-            f,
-            0,
-            bounds,
-            out.as_mut_ptr(),
-            ScatterMode::Direct,
-            emit,
-        )
-    }
+    unsafe { route_at(input, f, 0, cursors, ptr, len, ScatterMode::Direct, emit) }
 }
 
 /// Two-pass radix partitioning (PRB): pass 1 over the low `bits1` bits in
@@ -253,18 +308,24 @@ pub fn two_pass_partition_on(
     // worker's panic is raised out of the broadcast, past `out`.
     let mut out = unsafe { AlignedBuf::<Tuple>::unfilled(input.len()) };
     let out_ptr = SyncPtr(out.as_mut_ptr());
+    // Task `p1`'s cursors end up at the ends of its `fan2` partitions,
+    // i.e. at the starts of partitions `p1 * fan2 + 1 ..= (p1 + 1) * fan2`:
+    // its slice of the global offsets, written there once the scatter is
+    // done with them (scattered *through* the shared array, neighbouring
+    // tasks' cursors would share cache lines). Partition 0 starts at 0.
+    let mut offsets = vec![0usize; fan1 * fan2 + 1];
+    let offsets_ptr = SyncPtr(offsets.as_mut_ptr());
     let next = AtomicUsize::new(0);
     let pass1 = &pass1;
-    let cursors: Vec<Vec<(usize, Vec<usize>)>> = broadcast_map(pool, pool.workers(), |_| {
-        // Copy the whole SyncPtr so the closure capture stays Sync.
-        let out = out_ptr;
-        let mut mine = Vec::new();
+    pool.broadcast(&|_| {
+        // Copy the whole SyncPtrs so the closure capture stays Sync.
+        let (out, offsets) = (out_ptr, offsets_ptr);
+        let mut cursors = vec![0usize; fan2];
         loop {
             let p1 = next.fetch_add(1, Ordering::Relaxed);
             if p1 >= fan1 {
-                break mine;
+                break;
             }
-            let mut starts = vec![0usize; fan2 + 1];
             // SAFETY: the step writes this task's own pass-1 range in
             // full, disjoint from every other task's.
             unsafe {
@@ -272,21 +333,23 @@ pub fn two_pass_partition_on(
                     pass1.partition(p1),
                     f2,
                     pass1.offsets()[p1],
-                    &mut starts,
+                    &mut cursors,
                     out.0,
+                    input.len(),
                     mode,
                     |_, t| t,
                 )
             }
-            mine.push((p1, starts));
+            // SAFETY: `offsets[p1 * fan2 + 1..][..fan2]` is in bounds of
+            // the `fan1 * fan2 + 1` offsets and written by this task alone
+            // (the counter hands out each `p1` once); nothing reads
+            // `offsets` until the broadcast is over.
+            unsafe {
+                let mine = offsets.0.add(p1 * fan2 + 1);
+                std::ptr::copy_nonoverlapping(cursors.as_ptr(), mine, fan2);
+            }
         }
     });
-
-    // Each task's cursors are its slice of the global offsets.
-    let mut offsets = vec![input.len(); fan1 * fan2 + 1];
-    for (p1, starts) in cursors.into_iter().flatten() {
-        offsets[p1 * fan2..][..fan2].copy_from_slice(&starts[..fan2]);
-    }
     PartitionedRelation { data: out, offsets }
 }
 
@@ -520,6 +583,81 @@ mod tests {
         let input = random_input(10, 23);
         let mut out = vec![Tuple::new(0, 0); 9];
         route_into(&input, RadixFn::new(2), &mut [0; 5], &mut out, |_, t| t);
+    }
+
+    /// The direct scatter's two regimes against each other and against a
+    /// stable sort by digit: told its output is small it takes the plain
+    /// loop, told it is `PREFETCH_MIN_BYTES` it asks for every cursor's
+    /// next line — an address that, in a buffer of a few tuples, lies
+    /// past the partition and past the end of the buffer, formed wrapping
+    /// and never dereferenced (Miri runs this with the portable kernels:
+    /// the address is still formed). Same tuples, same cursors.
+    #[test]
+    fn direct_scatter_is_the_same_with_and_without_its_prefetch() {
+        use mmjoin_util::kernels::{with_mode, KernelMode};
+        let modes: &[KernelMode] = if cfg!(miri) {
+            &[KernelMode::Portable]
+        } else {
+            &[KernelMode::Portable, KernelMode::Simd]
+        };
+        let big = PREFETCH_MIN_BYTES / std::mem::size_of::<Tuple>();
+        for bits in [3, 6, 7, 8] {
+            let f = RadixFn::new(bits);
+            for n in [0, 1, 7, 8, 9, 4095, 100_003] {
+                let input = random_input(n, 31 + n as u64);
+                let mut sorted = input.clone();
+                sorted.sort_by_key(|t| f.part(t.key));
+                for &mode in modes {
+                    let route = |claimed_len: usize| {
+                        let mut out = vec![Tuple::new(0, 0); input.len()];
+                        let mut cursors = vec![usize::MAX; f.fanout()];
+                        let (ptr, direct) = (out.as_mut_ptr(), ScatterMode::Direct);
+                        // SAFETY: `out` is `input.len()` slots of our own;
+                        // the claimed length only picks the loop.
+                        with_mode(mode, || unsafe {
+                            route_at(
+                                &input,
+                                f,
+                                0,
+                                &mut cursors,
+                                ptr,
+                                claimed_len,
+                                direct,
+                                |_, t| t,
+                            )
+                        });
+                        (out, cursors)
+                    };
+                    let (plain, ahead) = (route(input.len()), route(big));
+                    assert_eq!(plain, ahead, "fan-out {} n={n} {mode:?}", f.fanout());
+                    assert_eq!(plain.0, sorted, "fan-out {} n={n} {mode:?}", f.fanout());
+                }
+            }
+        }
+    }
+
+    /// Through the public door, at a size where the rule turns the
+    /// prefetch on (fan-out 128, a 32 MiB output): the same
+    /// `PartitionedRelation` as the SWWCB scatter, in either kernel mode.
+    #[test]
+    #[cfg_attr(miri, ignore = "4 Mi tuples; the loop itself is interpreted above")]
+    fn prefetching_direct_scatter_equals_swwcb_at_a_large_output() {
+        use mmjoin_util::kernels::{with_mode, KernelMode};
+        let n = PREFETCH_MIN_BYTES / std::mem::size_of::<Tuple>() + 3;
+        let mut rng = Xoshiro256::new(77);
+        let input: Vec<Tuple> = (0..n)
+            .map(|i| Tuple::new(rng.next_u32() | 1, i as u32))
+            .collect();
+        let f = RadixFn::new(7);
+        let pool = ScopedPool::new(2);
+        let swwcb = partition_parallel_on(&input, f, &pool, ScatterMode::Swwcb);
+        for mode in [KernelMode::Portable, KernelMode::Simd] {
+            let direct = with_mode(mode, || {
+                partition_parallel_on(&input, f, &pool, ScatterMode::Direct)
+            });
+            assert_eq!(direct.offsets(), swwcb.offsets(), "{mode:?}");
+            assert!(direct.all_tuples() == swwcb.all_tuples(), "{mode:?}");
+        }
     }
 
     /// Differential kernel test: forced-portable vs dispatched streaming

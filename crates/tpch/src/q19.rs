@@ -17,7 +17,7 @@ use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use mmjoin_core::exec::parallel_chunks;
-use mmjoin_core::pro::{join_co_partition, PartTable as CoPartitionTable};
+use mmjoin_core::pro::{join_co_partition, BuiltTable, PartTable as CoPartitionTable};
 use mmjoin_core::{JoinConfig, TableKind};
 use mmjoin_hashtable::{ConcurrentArrayTable, ConcurrentLinearTable, IdentityHash};
 use mmjoin_partition::{
@@ -105,7 +105,14 @@ pub(crate) fn partitioned_plan<W: Copy + Send + Sync>(
     kind: TableKind,
     record: impl Fn(usize) -> W + Sync,
     partition: impl Fn(&[W], RadixFn, &dyn WorkerPool) -> ChunkedPartitions<W>,
-    join: impl Fn(CoPartitionTable, &ChunkedPartitions, &ChunkedPartitions<W>, usize, &mut f64) + Sync,
+    join: impl Fn(
+            CoPartitionTable,
+            &mut BuiltTable,
+            &ChunkedPartitions,
+            &ChunkedPartitions<W>,
+            usize,
+            &mut f64,
+        ) + Sync,
 ) -> Q19Result {
     let pool = cfg.executor();
     let mut table = CoPartitionTable::for_join(cfg, kind, p.len());
@@ -126,8 +133,11 @@ pub(crate) fn partitioned_plan<W: Copy + Send + Sync>(
     let queue = ConcurrentTaskQueue::new((0..f.fanout()).collect());
     let revenues = broadcast_map(&*pool, cfg.threads, |_| {
         let mut revenue = 0.0f64;
+        // One table per worker, rebuilt partition after partition.
+        let mut built = table.unbuilt();
         while let Some(part) = queue.pop() {
-            join(table, &parts_build, &parts_probe, part, &mut revenue);
+            let (build, probe) = (&parts_build, &parts_probe);
+            join(table, &mut built, build, probe, part, &mut revenue);
         }
         revenue
     });
@@ -225,10 +235,11 @@ fn q19_partitioned(
         kind,
         |row| l.l_partkey[row],
         |keys, f, pool| chunked_partition_on(keys, f, pool, ScatterMode::Swwcb),
-        |table, build, probe, part, revenue| {
+        |table, built, build, probe, part, revenue| {
             join_co_partition(
                 table,
                 true, // p_partkey is a unique PK
+                built,
                 build.part_len(part),
                 build.slices(part),
                 probe.slices(part),

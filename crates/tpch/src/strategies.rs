@@ -54,8 +54,13 @@ pub fn run_q19_cprl_early(p: &PartTable, l: &LineitemTable, threads: usize) -> Q
         // access into Part, like the late strategy) and a quantity-range
         // check on the inlined attribute; the aggregate reads only
         // inlined attributes.
-        |table, build, probe, part, revenue| {
-            let built = table.build(build.part_len(part), build.slices(part), &mut NoTracer);
+        |table, built, build, probe, part, revenue| {
+            table.build(
+                built,
+                build.part_len(part),
+                build.slices(part),
+                &mut NoTracer,
+            );
             for w in probe.slices(part).flatten() {
                 built.probe_first(w.key, |p_row| {
                     if post_join_parts_only(p, p_row as usize, w.quantity) {

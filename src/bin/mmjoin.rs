@@ -215,6 +215,7 @@ fn main() {
             });
             let (r, s, theta) = workload(&args);
             let cfg = config(&args, theta);
+            let started = std::time::Instant::now();
             let res = Join::new(alg)
                 .with_config(cfg.clone())
                 .run(&r, &s)
@@ -222,6 +223,7 @@ fn main() {
                     eprintln!("join failed: {e}");
                     std::process::exit(1);
                 });
+            let run_wall = started.elapsed();
             println!(
                 "{}: |R|={} |S|={} threads={}",
                 alg.name(),
@@ -231,9 +233,10 @@ fn main() {
             );
             for p in &res.phases {
                 println!(
-                    "  {:<10} wall {:>9.2} ms   sim({} thr) {:>9.2} ms",
+                    "  {:<10} wall {:>9.2} ms   model {:>7.2} ms   sim({} thr) {:>9.2} ms",
                     p.name,
                     p.wall.as_secs_f64() * 1e3,
+                    p.model_wall.as_secs_f64() * 1e3,
                     cfg.sim_threads(),
                     p.sim_seconds * 1e3
                 );
@@ -259,6 +262,14 @@ fn main() {
                 res.total_wall().as_secs_f64() * 1e3,
                 res.matches,
                 (r.len() + s.len()) as f64 / res.total_wall().as_secs_f64() / 1e6
+            );
+            // What `Join::run` took beyond its phases' wall time: the cost
+            // model (the `model` column), set-up, and freeing the buffers.
+            println!(
+                "  outside    wall {:>9.2} ms   of {:.2} ms run ({:.2} ms in the cost model)",
+                (run_wall.saturating_sub(res.total_wall())).as_secs_f64() * 1e3,
+                run_wall.as_secs_f64() * 1e3,
+                res.total_model_wall().as_secs_f64() * 1e3
             );
             if let Some(bits) = res.radix_bits {
                 println!("  radix bits: {bits}");

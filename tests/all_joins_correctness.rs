@@ -141,3 +141,76 @@ fn more_threads_than_tuples() {
     let s = gen_probe_fk(7, 10, 14, placement);
     check_all(&r, &s, 32, 0, "tiny input, many threads");
 }
+
+/// A join worker builds every co-partition's table into the one buffer
+/// it keeps, reset between tasks: a table must answer for its own
+/// partition only, whether the one before it was larger, smaller, empty
+/// or all one key. PRB (chained), two-pass PRO (all three tables) and
+/// `join_index` (linear), from 4 partitions to PRB's 2^14.
+#[test]
+fn co_partition_joins_with_one_table_per_worker() {
+    use mmjoin::core::materialize::join_index;
+    use mmjoin::core::pro::join_pro_two_pass;
+    use mmjoin::core::TableKind;
+    use mmjoin::util::checksum::JoinChecksum;
+
+    let rel = |tuples: Vec<Tuple>| Relation::from_tuples(&tuples, Placement::Chunked { parts: 4 });
+    let probes = |keys: &mut dyn Iterator<Item = u32>| -> Relation {
+        rel(keys
+            .enumerate()
+            .map(|(i, k)| Tuple::new(k, i as u32))
+            .collect())
+    };
+    // Holes: every third key, so partitions hold 0 to a few hundred
+    // build tuples and a worker's table shrinks and grows as it goes.
+    let holes: Vec<Tuple> = (0..5_000).map(|i| Tuple::new(i * 3 + 1, i)).collect();
+    let shapes: [(&str, Relation, Relation, bool); 4] = [
+        ("empty", rel(Vec::new()), probes(&mut (1..=300)), true),
+        (
+            "single row",
+            rel(vec![Tuple::new(5, 1)]),
+            probes(&mut (1..=40).chain([5, 5, 5 + (1 << 14)])),
+            true,
+        ),
+        (
+            "all-dup",
+            rel((0..600).map(|i| Tuple::new(9, i)).collect()),
+            probes(&mut [9, 10, 9, 9 + (1 << 7), 9].into_iter()),
+            false,
+        ),
+        ("holes", rel(holes), probes(&mut (1..=20_000)), true),
+    ];
+    for (label, r, s, unique) in &shapes {
+        let expect = reference_join(r, s);
+        for bits in [2, 7, 14] {
+            for threads in [1, 3, 8] {
+                let mut c = cfg(threads);
+                c.radix_bits = Some(bits);
+                c.unique_build_keys = *unique;
+                c.key_domain = 20_000;
+                let at = format!("{label}, {bits} bits, {threads} threads");
+                let same = |what: &str, count: u64, digest: u64| {
+                    assert_eq!(
+                        (count, digest),
+                        (expect.count, expect.digest),
+                        "{what}: {at}"
+                    );
+                };
+                let prb = run_join(Algorithm::Prb, r, s, &c);
+                same("PRB", prb.matches, prb.checksum);
+                for kind in [TableKind::Chained, TableKind::Linear, TableKind::Array] {
+                    if kind == TableKind::Array && !unique {
+                        continue; // an array slot holds one payload
+                    }
+                    let pro = join_pro_two_pass(r, s, &c, kind).expect("valid plan");
+                    same(&format!("two-pass PRO {kind:?}"), pro.matches, pro.checksum);
+                }
+                let mut index = JoinChecksum::new();
+                for m in join_index(r, s, &c).expect("valid plan") {
+                    index.add(m.key, m.build_payload, m.probe_payload);
+                }
+                same("join_index", index.count, index.digest);
+            }
+        }
+    }
+}

@@ -59,3 +59,33 @@ fn json_serialization_works() {
     let json = mmjoin_bench::harness::tables_to_json(&tables);
     assert!(json.contains("Figure 1"));
 }
+
+/// Figure 1's simulated column at `repro`'s default scale, pinned: the
+/// cost model's description of the four black-box joins (PRB's is 2^14
+/// join tasks on 32 simulated threads) and the simulator that runs it
+/// may get faster, not different. EXPERIMENTS.md quotes these numbers.
+#[test]
+fn fig1_simulated_throughput_is_pinned() {
+    let (_, _, fig1) = registry()
+        .into_iter()
+        .find(|(n, _, _)| *n == "fig1")
+        .unwrap();
+    let tables = fig1(&HarnessOpts {
+        scale: 128,
+        threads: 2,
+        sim_threads: 32,
+        json: false,
+    });
+    let column: Vec<(&str, &str)> = tables[0]
+        .rows
+        .iter()
+        .map(|row| (row[0].as_str(), row[1].as_str()))
+        .collect();
+    let pinned = [
+        ("MWAY", "126"),
+        ("CHTJ", "367"),
+        ("PRB", "372"),
+        ("NOP", "676"),
+    ];
+    assert_eq!(column, pinned);
+}

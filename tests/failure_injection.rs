@@ -279,6 +279,59 @@ fn mway_budget_counts_the_sort_scratch() {
 }
 
 #[test]
+fn prb_budget_counts_one_table_per_worker() {
+    // A join worker keeps one table across the co-partitions it pulls,
+    // reset in place and replaced only by a larger one, so the join
+    // phase holds one table per worker at the largest its partitions
+    // needed — not one per task, not the sum of what was ever built.
+    // Partition `p` of 32 holds `10 + 20 p` build tuples, so the one
+    // worker's reservation grows step by step to that maximum. The budget
+    // must admit the join at exactly that and refuse it one byte short.
+    use mmjoin::core::pro::PartTable;
+    use mmjoin::core::TableKind;
+    let tuples: Vec<Tuple> = (0..32u32)
+        .flat_map(|p| (0..10 + 20 * p).map(move |j| Tuple::new((j + 1) << 5 | p, j)))
+        .collect();
+    let r = Relation::from_tuples(&tuples, Placement::Chunked { parts: 4 });
+    let s = mmjoin::datagen::gen_probe_fk(12_000, 9_000, 24, Placement::Chunked { parts: 4 });
+    let expect = reference_join(&r, &s);
+    let bits = 5;
+    let run = |threads: usize, limit: usize| {
+        let mut c = cfg(threads, Some(bits));
+        c.mem_limit = Some(limit);
+        Join::new(Algorithm::Prb).with_config(c).run(&r, &s)
+    };
+    let partition = refused_in(run(1, 1), 1, "partition");
+    let table = PartTable {
+        kind: TableKind::Chained,
+        bits,
+        domain: 0,
+    };
+    let mut part_lens = vec![0usize; 1 << bits];
+    for t in &tuples {
+        part_lens[t.key as usize & ((1 << bits) - 1)] += 1;
+    }
+    let table_bytes = |n: &usize| table.spec(*n).table_bytes();
+    let largest = part_lens.iter().map(table_bytes).max().unwrap();
+    assert!(
+        part_lens.iter().map(table_bytes).min().unwrap() < largest,
+        "the shape needs tables of different sizes: {part_lens:?}"
+    );
+    // One byte short, the refused request is the last growth step.
+    let last_step = refused_in(run(1, partition + largest - 1), 0, "join");
+    assert!(
+        (1..=largest).contains(&last_step),
+        "{last_step} of {largest}"
+    );
+    let res = run(1, partition + largest).expect("one table at its largest is enough");
+    assert_eq!(res.matches, expect.count);
+    assert_eq!(res.checksum, expect.digest);
+    // However the tasks fall, no worker holds more than the largest.
+    let res = run(3, partition + 3 * largest).expect("one largest table per worker");
+    assert_eq!(res.checksum, expect.digest);
+}
+
+#[test]
 fn chtj_budget_counts_the_bulkload_scratch() {
     // CHTJ's build holds, besides the table it keeps (bitmap groups +
     // dense array, at least 10 B a tuple), the bulkload's scratch: one

@@ -37,7 +37,7 @@ proptest! {
         let topo = Topology::paper_machine();
         let model = CostModel::paper_machine();
         let order: Vec<usize> = (0..tasks.len()).collect();
-        let sim = simulate_phase(&topo, &model, threads, &tasks, &order);
+        let sim = simulate_phase(&topo, &model, threads, &tasks, &order, false);
 
         // Lower bound: total bytes over aggregate peak bandwidth
         // (random accesses cost 2 cache lines of DRAM bandwidth each).
@@ -96,8 +96,8 @@ proptest! {
         let topo = Topology::paper_machine();
         let model = CostModel::paper_machine();
         let order: Vec<usize> = (0..tasks.len()).collect();
-        let t2 = simulate_phase(&topo, &model, 2, &tasks, &order).duration;
-        let t8 = simulate_phase(&topo, &model, 8, &tasks, &order).duration;
+        let t2 = simulate_phase(&topo, &model, 2, &tasks, &order, false).duration;
+        let t8 = simulate_phase(&topo, &model, 8, &tasks, &order, false).duration;
         // Greedy list scheduling with bandwidth coupling admits small
         // anomalies; what must not happen is more threads making the
         // phase materially slower.
@@ -113,7 +113,7 @@ proptest! {
         topo.nodes = 3;
         let model = CostModel::paper_machine();
         let order: Vec<usize> = (0..tasks.len()).collect();
-        let sim = simulate_phase(&topo, &model, threads, &tasks, &order);
+        let sim = simulate_phase(&topo, &model, threads, &tasks, &order, false);
         prop_assert_eq!(sim.task_finish.len(), tasks.len());
         for (i, &f) in sim.task_finish.iter().enumerate() {
             prop_assert!(f <= sim.duration + 1e-12, "task {i} finishes after the phase");
