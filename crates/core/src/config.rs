@@ -3,7 +3,7 @@
 //! [`JoinConfig::validate`] the one check of them, made first thing by
 //! every public way into a driver.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 use mmjoin_numamodel::{CostModel, Topology};
@@ -115,9 +115,6 @@ pub struct JoinConfig {
     /// `false`, SHHJ degrades to classic behavior: budget pressure
     /// fails the join with `JoinError::MemoryBudgetExceeded`.
     pub spill: bool,
-    /// The persistent worker pool all phases of a join run on, resolved
-    /// lazily from `threads` on first use (see [`JoinConfig::executor`]).
-    exec: OnceLock<Arc<Executor>>,
 }
 
 impl JoinConfig {
@@ -142,7 +139,6 @@ impl JoinConfig {
             pipeline_batch: 1024,
             spill_dir: None,
             spill: true,
-            exec: OnceLock::new(),
         }
     }
 
@@ -183,10 +179,12 @@ impl JoinConfig {
     }
 
     /// The persistent executor this configuration's joins run on: the
-    /// process-wide pool for `threads` workers, created on first use and
-    /// shared across configs and joins with the same thread count.
+    /// calling thread's pool for `threads` workers ([`Executor::shared`]),
+    /// created on the thread's first join and reused by its later ones,
+    /// whatever config they come with. A config cloned to another thread
+    /// finds that thread's pool there.
     pub fn executor(&self) -> Arc<Executor> {
-        Arc::clone(self.exec.get_or_init(|| Executor::shared(self.threads)))
+        Executor::shared(self.threads)
     }
 
     /// Threads used by the cost model.

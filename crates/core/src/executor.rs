@@ -3,12 +3,17 @@
 //! Every thread-parallel phase of every join used to spawn its own scoped
 //! threads — cheap on a laptop, but it charges thread creation to every
 //! phase and makes NUMA-aware scheduling an ad-hoc property of task
-//! ordering. This module replaces that with one long-lived worker pool:
+//! ordering. This module replaces that with long-lived worker pools:
 //!
-//! * **Workers are spawned once** per thread count (see
-//!   [`Executor::shared`]) and parked on a condvar between phases. A run
-//!   over all thirteen algorithms creates at most `threads` worker
-//!   threads total.
+//! * **A pool belongs to the thread that submits joins to it** (see
+//!   [`Executor::shared`]): a thread gets one pool per thread count,
+//!   spawned on its first join and parked on a condvar between phases;
+//!   every later join on that thread reuses it, and its workers are
+//!   joined when the thread exits. A thread racing all thirteen
+//!   algorithms spawns `threads` workers once. Two threads submitting
+//!   joins run their phases side by side, each on its own workers — a
+//!   running `mmjoin-serve` server has `runners × join_threads` of them
+//!   — instead of taking turns at each other's phase barriers.
 //! * **One task queue per simulated NUMA node** ([`QueuePolicy`]): a
 //!   morsel phase assigns each task to the queue of the node that owns
 //!   its data; workers drain their home node's queue first and *steal*
@@ -21,11 +26,11 @@
 //!   profiled run, to the [`ExecSink`] the phase was submitted with.
 //!   The pool itself remembers nothing between phases, so joins sharing
 //!   it cannot see each other's numbers.
-//! * **Panic containment**: the pool is a process-lifetime resource
-//!   shared by every join, so a panicking morsel task must not take it
-//!   down. Every phase closure runs under `catch_unwind`; a panic is
-//!   recorded, the phase barrier still completes, and the submitting
-//!   thread re-raises the collected messages as a
+//! * **Panic containment**: the pool outlives the join — every later
+//!   join of its thread runs on it — so a panicking morsel task must not
+//!   take it down. Every phase closure runs under `catch_unwind`; a
+//!   panic is recorded, the phase barrier still completes, and the
+//!   submitting thread re-raises the collected messages as a
 //!   [`crate::fault::WorkerPanic`] (which `plan::dispatch` converts to
 //!   `JoinError::WorkerPanicked`). Workers never die from a task panic;
 //!   should a thread die anyway, the barrier detects it (bounded waits +
@@ -48,10 +53,11 @@
 //! the happens-before edge for the workers that *did* finish — survives
 //! any task failure.
 
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use mmjoin_partition::task::node_of_partition;
@@ -105,23 +111,27 @@ pub fn build_queues(order: &[usize], parts: usize, policy: QueuePolicy) -> Vec<V
     }
 }
 
-/// Worker threads ever spawned by any [`Executor`] in this process —
-/// lets tests assert that repeated joins reuse pools instead of
-/// respawning.
-static TOTAL_SPAWNED: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
     /// Set inside executor worker threads; a broadcast issued from one
     /// (which would deadlock on the single-phase control) runs inline
     /// instead.
-    static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 
     /// Each worker thread's native PMU counter group, opened lazily on
     /// the first profiled phase it runs (perf fds count the opening
     /// thread, so the group must be per-thread). `None` when the host
     /// exposes no counters — spans then carry `CounterDelta::none()`.
-    static TL_COUNTERS: std::cell::OnceCell<Option<CounterGroup>> =
-        const { std::cell::OnceCell::new() };
+    static TL_COUNTERS: OnceCell<Option<CounterGroup>> = const { OnceCell::new() };
+
+    /// This thread's pools, one per thread count (see
+    /// [`Executor::shared`]); dropped — their workers joined — when the
+    /// thread exits.
+    static POOLS: RefCell<HashMap<usize, Arc<Executor>>> = RefCell::new(HashMap::new());
+
+    /// Worker threads this thread has spawned, creating or healing a
+    /// pool — lets tests assert that repeated joins reuse their pool
+    /// without counting other tests' threads.
+    static SPAWNED_HERE: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Lifetime-erased pointer to the phase closure. Safe because
@@ -235,20 +245,25 @@ struct Tally {
 
 /// A persistent pool of `workers` threads executing one phase at a time.
 ///
-/// Prefer [`Executor::shared`] (one pool per thread count per process);
-/// [`Executor::new`] spawns a private pool whose threads are joined on
-/// drop.
+/// Prefer [`Executor::shared`] (the calling thread's pool per thread
+/// count); [`Executor::new`] spawns a private pool whose threads are
+/// joined on drop.
 pub struct Executor {
     shared: Arc<Shared>,
     workers: usize,
-    /// Serializes phases from different submitting threads.
+    /// A pool without threads (made on a worker thread by
+    /// [`Executor::shared`]): every phase runs inline on the submitter.
+    inline: bool,
+    /// Serializes phases from different submitting threads — of which
+    /// only an [`Executor::new`] deliberately shared across threads has
+    /// more than one.
     submit: Mutex<()>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 fn spawn_worker(shared: &Arc<Shared>, w: usize, start_epoch: u64) -> std::thread::JoinHandle<()> {
     let shared = Arc::clone(shared);
-    TOTAL_SPAWNED.fetch_add(1, Ordering::Relaxed);
+    SPAWNED_HERE.with(|n| n.set(n.get() + 1));
     std::thread::Builder::new()
         .name(format!("mmjoin-exec-{w}"))
         .spawn(move || worker_loop(&shared, w, start_epoch))
@@ -258,6 +273,10 @@ fn spawn_worker(shared: &Arc<Shared>, w: usize, start_epoch: u64) -> std::thread
 impl Executor {
     /// Spawn a private pool with `workers` threads (clamped to ≥ 1).
     pub fn new(workers: usize) -> Self {
+        Executor::with_threads(workers, true)
+    }
+
+    fn with_threads(workers: usize, spawn: bool) -> Self {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
             ctl: Mutex::new(Control {
@@ -278,37 +297,48 @@ impl Executor {
                 .map(|_| Mutex::new(CounterDelta::none()))
                 .collect(),
         });
-        let handles = (0..workers).map(|w| spawn_worker(&shared, w, 0)).collect();
+        let handles = if spawn {
+            (0..workers).map(|w| spawn_worker(&shared, w, 0)).collect()
+        } else {
+            Vec::new()
+        };
         Executor {
             shared,
             workers,
+            inline: !spawn,
             submit: Mutex::new(()),
             handles: Mutex::new(handles),
         }
     }
 
-    /// The process-wide pool for `workers` threads. Pools are created
-    /// lazily, cached forever, and shared by every join using the same
-    /// thread count — repeated joins never respawn workers.
+    /// The calling thread's pool for `workers` threads: created on the
+    /// thread's first call, returned by every later one, dropped — its
+    /// workers joined — when the thread exits. Repeated joins on one
+    /// thread never respawn workers, and joins submitted from different
+    /// threads never wait for each other's phases. On an executor worker
+    /// thread (a join nested inside a phase) the pool spawns no threads:
+    /// its phases run inline, as any phase submitted there does.
     pub fn shared(workers: usize) -> Arc<Executor> {
-        static REGISTRY: OnceLock<Mutex<HashMap<usize, Arc<Executor>>>> = OnceLock::new();
         let workers = workers.max(1);
-        let reg = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
-        Arc::clone(
-            lock_recover(reg)
-                .entry(workers)
-                .or_insert_with(|| Arc::new(Executor::new(workers))),
-        )
+        POOLS.with(|pools| {
+            let mut pools = pools.borrow_mut();
+            let pool = pools.entry(workers).or_insert_with(|| {
+                Arc::new(Executor::with_threads(workers, !IN_WORKER.with(Cell::get)))
+            });
+            Arc::clone(pool)
+        })
     }
 
-    /// Number of worker threads this pool spawned (== `workers()`).
+    /// Number of worker threads this pool spawned (`workers()`, or 0 for
+    /// the inline pool of a worker thread).
     pub fn spawned_workers(&self) -> usize {
-        self.workers
+        lock_recover(&self.handles).len()
     }
 
-    /// Worker threads ever spawned by all executors in this process.
-    pub fn total_threads_spawned() -> usize {
-        TOTAL_SPAWNED.load(Ordering::Relaxed)
+    /// Worker threads the calling thread has spawned so far, creating
+    /// pools or healing them.
+    pub fn threads_spawned_here() -> usize {
+        SPAWNED_HERE.with(Cell::get)
     }
 
     /// Respawn any worker thread that has died. Task panics are caught
@@ -468,14 +498,15 @@ impl Executor {
         };
 
         // A broadcast from inside a worker thread (nested phase) cannot
-        // wait on the pool it is part of; run the phase inline. Semantics
-        // are preserved (every index invoked once, writes visible to the
+        // wait on the pool it is part of, and an inline pool has nobody
+        // to wait for; run the phase inline. Semantics are preserved
+        // (every index invoked once, writes visible to the
         // continuation), only parallelism is lost. An inline panic
         // unwinds into the enclosing worker task's own catch_unwind.
         // An inline nested phase emits no spans of its own — its time,
         // PMU counters and allocations fold into the enclosing worker's
         // — but its tasks still reach the sink's aggregate counters.
-        if IN_WORKER.with(|c| c.get()) {
+        if self.inline || IN_WORKER.with(Cell::get) {
             for w in 0..self.workers {
                 f(w);
             }
@@ -670,7 +701,7 @@ fn worker_loop(shared: &Shared, w: usize, start_epoch: u64) {
             None
         };
         // Contain task panics: the phase barrier must complete even when
-        // a task fails, or every later join on this shared pool would
+        // a task fails, or every later join on this pool would
         // deadlock. The unwind cannot leave `f`'s data in a state the
         // caller misreads — the submitting thread re-raises the panic
         // before looking at any phase output.
@@ -704,6 +735,7 @@ fn worker_loop(shared: &Shared, w: usize, start_epoch: u64) {
 mod tests {
     use super::*;
     use mmjoin_util::pool::broadcast_map;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn broadcast_hits_every_worker_exactly_once() {
@@ -961,9 +993,79 @@ mod tests {
     #[test]
     fn heal_is_a_noop_on_a_healthy_pool() {
         let exec = Executor::new(4);
-        let before = Executor::total_threads_spawned();
+        let before = Executor::threads_spawned_here();
         exec.heal();
-        assert_eq!(Executor::total_threads_spawned(), before);
+        assert_eq!(Executor::threads_spawned_here(), before);
         exec.broadcast(&|_| {});
+    }
+
+    /// Two threads joining with the same thread count each get a pool of
+    /// their own, so their phases are in flight at once: each closure
+    /// waits for the other thread's to start. Behind one shared pool's
+    /// `submit` lock the first phase would wait out the deadline.
+    #[test]
+    fn submitters_on_two_threads_run_phases_at_once() {
+        let started = [AtomicBool::new(false), AtomicBool::new(false)];
+        let deadline = Duration::from_secs(10);
+        std::thread::scope(|scope| {
+            let submitters: Vec<_> = (0..2)
+                .map(|me| {
+                    let started = &started;
+                    scope.spawn(move || {
+                        let pool = crate::config::JoinConfig::new(2).executor();
+                        let met = AtomicBool::new(true);
+                        pool.broadcast(&|_| {
+                            started[me].store(true, Ordering::Release);
+                            let t0 = Instant::now();
+                            while !started[1 - me].load(Ordering::Acquire) {
+                                if t0.elapsed() > deadline {
+                                    met.store(false, Ordering::Relaxed);
+                                    return;
+                                }
+                                std::thread::sleep(Duration::from_micros(100));
+                            }
+                        });
+                        met.into_inner()
+                    })
+                })
+                .collect();
+            for (me, s) in submitters.into_iter().enumerate() {
+                assert!(
+                    s.join().unwrap(),
+                    "submitter {me} never saw the other's phase"
+                );
+            }
+        });
+    }
+
+    /// A join started inside a worker (a phase nested in a phase) runs
+    /// inline on that worker: the pool it is handed spawns no thread.
+    #[test]
+    fn a_join_on_a_worker_thread_runs_inline_without_a_pool() {
+        use crate::{Algorithm, Join, JoinConfig};
+        use mmjoin_datagen::{gen_build_dense, gen_probe_fk};
+        use mmjoin_util::Placement;
+
+        let r = gen_build_dense(1_000, 61, Placement::Interleaved);
+        let s = gen_probe_fk(4_000, 1_000, 62, Placement::Interleaved);
+        let exec = Executor::new(2);
+        let out: Vec<_> = broadcast_map(&exec, 2, |_| {
+            let before = Executor::threads_spawned_here();
+            let mut cfg = JoinConfig::new(3);
+            cfg.simulate = false;
+            let pool = cfg.executor();
+            let res = Join::new(Algorithm::Pro).with_config(cfg).run(&r, &s);
+            (
+                pool.spawned_workers(),
+                Executor::threads_spawned_here() - before,
+                res,
+            )
+        });
+        for (spawned, spawned_here, res) in out {
+            assert_eq!((spawned, spawned_here), (0, 0));
+            let res = res.expect("nested join");
+            assert_eq!(res.matches, 4_000);
+            assert!(res.phases.iter().all(|p| p.exec.tasks > 0), "{res:?}");
+        }
     }
 }

@@ -197,8 +197,7 @@ impl Drop for MemCharge<'_> {
 /// [`failpoints::disarm`], seeded from the `MMJOIN_FAILPOINTS`
 /// environment variable on first use) or *local to the submitting
 /// thread* ([`failpoints::arm_local`]) — the latter is what tests
-/// use, so concurrently running tests sharing the process-global
-/// executor pools cannot see each other's faults.
+/// use, so concurrently running tests cannot see each other's faults.
 #[cfg(feature = "failpoints")]
 pub mod failpoints {
     use std::cell::RefCell;

@@ -408,8 +408,8 @@ mod tests {
     /// does anything else: each out-of-range value of each range-bound
     /// field comes back as `InvalidConfig` naming the field from all six
     /// doors — with a cancel token already fired, so a door that ran a
-    /// phase first would have reported `Cancelled`, and without the
-    /// refused thread count ever reaching `Executor::shared` — and each
+    /// phase first would have reported `Cancelled`, and without spawning
+    /// a worker for any of them — and each
     /// boundary value that is in range runs to the reference checksum.
     #[test]
     fn every_front_door_validates_before_it_works() {
@@ -446,18 +446,16 @@ mod tests {
             set(&mut cfg);
             assert_eq!(cfg.validate().unwrap_err().code(), "invalid_config");
             for (door, enter) in DOORS {
-                let spawned = Executor::total_threads_spawned();
+                let spawned = Executor::threads_spawned_here();
                 match enter(&inputs, &cfg) {
                     Err(JoinError::InvalidConfig {
                         field: f, value: v, ..
                     }) => assert_eq!((f, v), (field, value), "{door}"),
                     other => panic!("{door} with {field} = {value}: {other:?}"),
                 }
-                // Other tests of this binary start their own (small)
-                // pools meanwhile; a pool of a refused size past the
-                // maximum would add `value` threads on its own.
-                let grew = Executor::total_threads_spawned() - spawned;
-                assert!(value <= MAX_THREADS || grew < value, "{door}: {grew}");
+                // A refused configuration spawns nothing on this thread
+                // (other tests' pools are their own threads').
+                assert_eq!(Executor::threads_spawned_here(), spawned, "{door}");
             }
         }
         let oversubscribed = cfg(MAX_THREADS + 1).validate().unwrap_err();

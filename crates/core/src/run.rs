@@ -10,8 +10,8 @@
 //! * the fault state (cancellation, deadline, [`MemBudget`],
 //!   failpoints; see [`crate::fault`]),
 //! * the [`ExecSink`] the executor hands this join's counters, arena
-//!   traffic and worker spans to — the shared pool keeps none, so joins
-//!   running concurrently on it cannot contaminate each other's
+//!   traffic and worker spans to — the pool keeps none, so joins
+//!   running concurrently on one pool cannot contaminate each other's
 //!   `PhaseStat`s,
 //! * the `Arc<Executor>` its phases run on, and
 //! * the [`JoinResult`] under construction.

@@ -58,10 +58,14 @@ pub use client::Client;
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port (see [`Server::addr`]).
     pub addr: String,
-    /// Runner threads executing admitted joins.
+    /// Runner threads executing admitted joins. Each runner owns a pool
+    /// of `join_threads` workers, so a running server has `runners ×
+    /// join_threads` of them and its runners' joins run side by side.
     pub runners: usize,
-    /// Worker threads *inside* each join. Small by design: service
-    /// throughput comes from concurrent runners, not per-join fan-out.
+    /// Worker threads *inside* each join — the size of each runner's
+    /// own pool (`runners × join_threads` workers in all). Small by
+    /// design: service throughput comes from concurrent runners, not
+    /// per-join fan-out.
     pub join_threads: usize,
     /// Global memory budget all tenants' reservations carve from.
     pub global_budget_bytes: usize,
@@ -474,6 +478,9 @@ impl Server {
     }
 }
 
+/// A runner's joins all run on its thread's own worker pool
+/// (`JoinConfig::executor`), whose workers are joined when the runner
+/// thread exits.
 fn runner_loop(shared: Arc<Shared>) {
     while let Some(adm) = shared.admission.next() {
         let payload = engine::execute(&shared, &adm);

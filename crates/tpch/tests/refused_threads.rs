@@ -1,6 +1,6 @@
 //! A thread count `JoinConfig::validate` refuses stops every Q19 entry
-//! point before it has a pool: alone in its binary, so that no other
-//! test's executor moves the process-wide spawn count.
+//! point before it has a pool. The counts are the test thread's own
+//! (`Executor::threads_spawned_here`), so no other test's pool moves them.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -15,12 +15,12 @@ fn refused_thread_count_panics_naming_threads_and_spawns_nothing() {
         scale_factor: 0.001,
         ..GenParams::default()
     });
-    let spawned = Executor::total_threads_spawned();
+    let spawned = Executor::threads_spawned_here();
     let refused = |what: &str, run: &dyn Fn()| {
         let panic = catch_unwind(AssertUnwindSafe(run)).expect_err(what);
         let message = panic.downcast_ref::<String>().expect("a formatted panic");
         assert!(message.contains("threads"), "{what}: {message}");
-        assert_eq!(Executor::total_threads_spawned(), spawned, "{what}");
+        assert_eq!(Executor::threads_spawned_here(), spawned, "{what}");
     };
     for join in Q19Join::ALL {
         refused(join.name(), &|| {
@@ -33,7 +33,10 @@ fn refused_thread_count_panics_naming_threads_and_spawns_nothing() {
     refused("morph", &|| {
         run_morph(&p, &l, 5000);
     });
-    // An accepted count runs on the shared pool of that many workers.
+    // An accepted count runs on this thread's pool of that many workers,
+    // spawned once.
     run_q19(Q19Join::Cprl, &p, &l, 3);
-    assert_eq!(Executor::total_threads_spawned(), spawned + 3);
+    assert_eq!(Executor::threads_spawned_here(), spawned + 3);
+    run_q19(Q19Join::Nop, &p, &l, 3);
+    assert_eq!(Executor::threads_spawned_here(), spawned + 3);
 }

@@ -1,8 +1,10 @@
-//! Several joins at once on one shared pool — the service's normal
-//! state. Every join must come back with the reference answer and with
-//! *its own* executor counters and worker spans: the pool keeps no
-//! per-join state, so nothing another join does can leak into a
-//! `PhaseStat` (DESIGN.md §5, §10).
+//! Several joins at once from several submitting threads — the
+//! service's normal state. Each submitter runs its joins on a pool of its
+//! own (`JoinConfig::executor` is the calling thread's), and every join
+//! must come back with the reference answer and with *its own* executor
+//! counters and worker spans: nothing another join does can leak into a
+//! `PhaseStat` (DESIGN.md §5, §10). One pool shared by two submitters is
+//! `executor::tests::concurrent_submitters_see_only_their_own_work`.
 //!
 //! Per result:
 //! * checksum and match count equal `core::reference`;
@@ -14,7 +16,7 @@
 //! And for the process: kernel mode and allocation policy are settings
 //! no join writes, so they read the same after the storm as before it.
 
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier, Mutex};
 
 use mmjoin::core::executor::Executor;
 use mmjoin::core::reference::reference_join;
@@ -49,20 +51,23 @@ fn check(res: &JoinResult, profiled: bool, tag: &str) {
 }
 
 #[test]
-fn joins_sharing_one_pool_keep_their_own_counters_and_spans() {
+fn concurrent_joins_keep_their_own_counters_and_spans() {
     let placement = Placement::Chunked { parts: THREADS };
     let r = gen_build_dense(6_000, 0xC0C0, placement);
     let s = gen_probe_fk(24_000, 6_000, 0xC0C1, placement);
     let expect = reference_join(&r, &s);
-    // Every config below resolves to this one pool.
-    let pool = Executor::shared(THREADS);
     let start = Barrier::new(SUBMITTERS);
+    let pools = Mutex::new(Vec::new());
     let settings_before = (kernels::effective_mode(), mem::policy());
 
     std::thread::scope(|scope| {
         for submitter in 0..SUBMITTERS {
-            let (r, s, pool, start) = (&r, &s, &pool, &start);
+            let (r, s, start, pools) = (&r, &s, &start, &pools);
             scope.spawn(move || {
+                // Every config below resolves to this submitter's pool;
+                // all of them are alive at the barrier.
+                let pool = Executor::shared(THREADS);
+                pools.lock().unwrap().push(Arc::as_ptr(&pool) as usize);
                 start.wait();
                 for round in 0..ROUNDS {
                     for (i, alg) in Algorithm::WITH_EXTENSIONS.into_iter().enumerate() {
@@ -75,7 +80,7 @@ fn joins_sharing_one_pool_keep_their_own_counters_and_spans() {
                         if profiled {
                             cfg.profile = ProfileConfig::on();
                         }
-                        assert!(std::sync::Arc::ptr_eq(&cfg.executor(), pool));
+                        assert!(Arc::ptr_eq(&cfg.executor(), &pool));
                         let res = Join::new(alg)
                             .with_config(cfg)
                             .run(r, s)
@@ -89,6 +94,10 @@ fn joins_sharing_one_pool_keep_their_own_counters_and_spans() {
             });
         }
     });
+    let mut pools = pools.into_inner().unwrap();
+    pools.sort_unstable();
+    pools.dedup();
+    assert_eq!(pools.len(), SUBMITTERS, "one pool per submitting thread");
     // The operator path, once: it shares the run object with the drivers.
     let mut cfg = JoinConfig::new(THREADS);
     cfg.simulate = false;

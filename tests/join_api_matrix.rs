@@ -2,9 +2,9 @@
 //! matrix (empty build, empty probe, single tuples), refused thread
 //! counts, and the no-respawn guarantee of the persistent executor.
 //!
-//! The spawn-counter assertions live here and nowhere else in this test
-//! binary: `Executor::total_threads_spawned()` is process-global, so the
-//! whole file pins every join to one thread count.
+//! The spawn counts are `Executor::threads_spawned_here()`: the worker
+//! threads the calling thread has spawned, which no other test's pools
+//! can move.
 
 use mmjoin::core::{Algorithm, BuildSide, Executor, Join, JoinConfig, JoinError, JoinResult};
 use mmjoin::datagen::{gen_build_dense, gen_probe_fk};
@@ -50,15 +50,15 @@ fn edge_case_matrix_all_thirteen() {
 
 /// A thread count past `MAX_THREADS` is refused where the configuration
 /// enters — through `Join::run` and through `BuildSide::prepare` alike —
-/// before `Executor::shared` is asked for a pool: `threads = 5000` set on
-/// the field ran the join on 5000 parked workers until every entry point
-/// validated.
+/// before a pool is made for it: `threads = 5000` set on the field ran
+/// the join on 5000 parked workers until every entry point validated.
 #[test]
 fn refused_thread_counts_spawn_no_workers() {
     let r = gen_build_dense(500, 83, Placement::Interleaved);
     let s = gen_probe_fk(1_000, 500, 84, Placement::Interleaved);
     let mut cfg = cfg();
     cfg.threads = 5000;
+    let spawned = Executor::threads_spawned_here();
     let refused = |e: JoinError| match e {
         JoinError::InvalidConfig { field, value, .. } => {
             assert_eq!((field, value), ("threads", 5000))
@@ -74,14 +74,13 @@ fn refused_thread_counts_spawn_no_workers() {
         );
     }
     refused(BuildSide::prepare(Algorithm::Nop, &r, &cfg).unwrap_err());
-    // The other tests of this binary share the one pool of `THREADS`.
-    assert!(Executor::total_threads_spawned() <= THREADS);
+    assert_eq!(Executor::threads_spawned_here(), spawned, "nothing spawned");
 }
 
-/// The tentpole guarantee: racing all thirteen algorithms creates at
-/// most `THREADS` worker threads in the whole process, and re-racing
-/// them spawns zero more — no join phase spawns threads once the pool
-/// exists.
+/// A thread owns its pool: the first race of all thirteen algorithms on
+/// a fresh thread spawns exactly `THREADS` workers, and re-racing them
+/// on that thread spawns zero more — no join phase spawns threads once
+/// the thread's pool exists.
 #[test]
 fn thirteen_race_spawns_at_most_threads_workers() {
     let r = gen_build_dense(4_000, 85, Placement::Chunked { parts: 4 });
@@ -100,19 +99,26 @@ fn thirteen_race_spawns_at_most_threads_workers() {
         }
         counts
     };
-    let first = race();
-    assert!(first.iter().all(|&(m, c)| (m, c) == first[0]), "{first:?}");
-    // NOTE: the edge-case and refusal tests above may run
-    // concurrently, but every join in this binary that is not refused
-    // uses THREADS workers, so exactly one pool can ever exist in this
-    // process.
-    let spawned = Executor::total_threads_spawned();
-    assert_eq!(spawned, THREADS, "one pool for the whole race");
-    let second = race();
-    assert_eq!(first, second);
-    assert_eq!(
-        Executor::total_threads_spawned(),
-        spawned,
-        "warm re-race spawned no threads"
-    );
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                assert_eq!(Executor::threads_spawned_here(), 0, "a fresh thread");
+                let first = race();
+                assert!(first.iter().all(|&(m, c)| (m, c) == first[0]), "{first:?}");
+                assert_eq!(
+                    Executor::threads_spawned_here(),
+                    THREADS,
+                    "one pool for the whole race"
+                );
+                let second = race();
+                assert_eq!(first, second);
+                assert_eq!(
+                    Executor::threads_spawned_here(),
+                    THREADS,
+                    "warm re-race spawned no threads"
+                );
+            })
+            .join()
+            .unwrap();
+    });
 }
