@@ -15,7 +15,6 @@
 //! memory is a performance cliff here, never an error.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -24,6 +23,7 @@ use mmjoin_core::prelude::{CancelToken, MemBudget};
 use crate::protocol::{JoinSpec, ProtoError};
 
 /// A join admitted to a tenant queue, waiting for a runner.
+#[derive(Debug)]
 pub struct Job {
     /// Connection the response must be routed back to.
     pub conn: u64,
@@ -42,21 +42,13 @@ pub struct Job {
     pub queue_depth: usize,
 }
 
-/// Monotonic per-tenant counters (atomics: bumped by runners without
-/// the admission lock).
-#[derive(Default)]
-pub struct TenantCounters {
-    pub admitted: AtomicU64,
-    pub rejected: AtomicU64,
-    pub completed: AtomicU64,
-    pub errored: AtomicU64,
-    pub degraded: AtomicU64,
-}
-
 struct TenantQ {
     queue: VecDeque<Job>,
     budget: Arc<MemBudget>,
-    counters: Arc<TenantCounters>,
+    /// Admission's own decisions; how a job was answered is counted by
+    /// telemetry.
+    admitted: u64,
+    rejected: u64,
 }
 
 struct Inner {
@@ -72,7 +64,6 @@ struct Inner {
 pub struct Admitted {
     pub job: Job,
     pub budget: Arc<MemBudget>,
-    pub counters: Arc<TenantCounters>,
     pub global: Arc<MemBudget>,
 }
 
@@ -85,10 +76,8 @@ pub struct TenantSnapshot {
     pub budget_used: usize,
     pub budget_limit: usize,
     pub admitted: u64,
+    /// Submissions refused (`queue_full`, `shutting_down`).
     pub rejected: u64,
-    pub completed: u64,
-    pub errored: u64,
-    pub degraded: u64,
 }
 
 /// The admission controller shared by the front-end and the runners.
@@ -153,7 +142,8 @@ impl Admission {
                 TenantQ {
                     queue: VecDeque::new(),
                     budget: Arc::new(MemBudget::limited(bytes)),
-                    counters: Arc::new(TenantCounters::default()),
+                    admitted: 0,
+                    rejected: 0,
                 },
             );
             g.order.push(tenant.to_string());
@@ -161,24 +151,28 @@ impl Admission {
     }
 
     /// Enqueue a job on its tenant's queue. Bounded: a full queue
-    /// rejects synchronously with `queue_full`.
-    pub fn submit(&self, mut job: Job) -> Result<(), ProtoError> {
+    /// rejects synchronously with `queue_full` (a stopped controller
+    /// with `shutting_down`), handing the job back, its `queue_depth`
+    /// stamped, for the caller to answer.
+    pub fn submit(&self, mut job: Job) -> Result<(), (ProtoError, Box<Job>)> {
         let mut g = self.inner.lock().unwrap();
-        if g.stopped {
-            return Err(ProtoError::new("shutting_down", "server is shutting down"));
-        }
         self.ensure_tenant(&mut g, &job.tenant);
-        let depth = self.queue_depth;
+        let (stopped, depth) = (g.stopped, self.queue_depth);
         let t = g.tenants.get_mut(&job.tenant).expect("just ensured");
-        if t.queue.len() >= depth {
-            t.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(ProtoError::new(
-                "queue_full",
-                format!("tenant '{}' already has {depth} queued joins", job.tenant),
-            ));
-        }
-        t.counters.admitted.fetch_add(1, Ordering::Relaxed);
         job.queue_depth = t.queue.len();
+        if stopped || job.queue_depth >= depth {
+            t.rejected += 1;
+            let e = if stopped {
+                ProtoError::new("shutting_down", "server is shutting down")
+            } else {
+                ProtoError::new(
+                    "queue_full",
+                    format!("tenant '{}' already has {depth} queued joins", job.tenant),
+                )
+            };
+            return Err((e, Box::new(job)));
+        }
+        t.admitted += 1;
         t.queue.push_back(job);
         g.queued += 1;
         drop(g);
@@ -199,13 +193,11 @@ impl Admission {
                     let t = g.tenants.get_mut(&name).expect("order entry has a queue");
                     if let Some(job) = t.queue.pop_front() {
                         let budget = Arc::clone(&t.budget);
-                        let counters = Arc::clone(&t.counters);
                         g.queued -= 1;
                         g.cursor = (idx + 1) % n;
                         return Some(Admitted {
                             job,
                             budget,
-                            counters,
                             global: Arc::clone(&self.global),
                         });
                     }
@@ -244,11 +236,8 @@ impl Admission {
                     queued: t.queue.len(),
                     budget_used: t.budget.used(),
                     budget_limit: t.budget.limit(),
-                    admitted: t.counters.admitted.load(Ordering::Relaxed),
-                    rejected: t.counters.rejected.load(Ordering::Relaxed),
-                    completed: t.counters.completed.load(Ordering::Relaxed),
-                    errored: t.counters.errored.load(Ordering::Relaxed),
-                    degraded: t.counters.degraded.load(Ordering::Relaxed),
+                    admitted: t.admitted,
+                    rejected: t.rejected,
                 }
             })
             .collect()
@@ -300,8 +289,9 @@ mod tests {
         let adm = Admission::new(1 << 30, 1 << 20, HashMap::new(), 2);
         adm.submit(job("a", 0)).unwrap();
         adm.submit(job("a", 1)).unwrap();
-        let err = adm.submit(job("a", 2)).unwrap_err();
+        let (err, refused) = adm.submit(job("a", 2)).unwrap_err();
         assert_eq!(err.code, "queue_full");
+        assert_eq!((refused.seq, refused.queue_depth), (2, 2));
         let snap = adm.snapshot();
         assert_eq!(snap[0].rejected, 1);
         assert_eq!(snap[0].admitted, 2);

@@ -16,6 +16,7 @@ use mmjoin_core::prelude::CancelToken;
 
 use crate::admission::Job;
 use crate::protocol::{self, Frame, FrameReader, ProtoError, Request, MAX_FRAME};
+use crate::telemetry::QueryRecord;
 use crate::Shared;
 
 /// A connection may buffer at most this much un-sent response data
@@ -136,12 +137,11 @@ impl ConnState {
                 let seq = shared.next_seq.fetch_add(1, Ordering::Relaxed);
                 let cancel = CancelToken::new();
                 let expires = spec.deadline_ms.map(|ms| now + Duration::from_millis(ms));
-                let algo = spec.algorithm.name();
                 let job = Job {
                     conn: self.id,
                     seq,
                     id: env.id,
-                    tenant: env.tenant.clone(),
+                    tenant: env.tenant,
                     spec,
                     received: now,
                     expires,
@@ -150,25 +150,13 @@ impl ConnState {
                 };
                 match shared.admission.submit(job) {
                     Ok(()) => self.inflight.push((seq, cancel)),
-                    Err(e) => {
+                    Err((e, job)) => {
                         // Synchronous rejection still counts as a join
                         // request in telemetry (the self-consistency
                         // contract: every join answer is recorded).
-                        shared.telemetry.record_join(crate::telemetry::JoinFacts {
-                            seq,
-                            tenant: env.tenant,
-                            algo,
-                            ok: false,
-                            error_code: Some(e.code),
-                            total_ms: now.elapsed().as_secs_f64() * 1e3,
-                            queue_ms: 0.0,
-                            queue_depth: shared.cfg.queue_depth,
-                            cached: false,
-                            degraded: false,
-                            spill_bytes: 0,
-                            matches: 0,
-                            phases: Vec::new(),
-                        });
+                        shared
+                            .telemetry
+                            .record_join(QueryRecord::new(&job, 0.0, Err(e.code)));
                         self.enqueue_response(&protocol::error_response(env.id, &e));
                     }
                 }

@@ -18,7 +18,6 @@
 //! The engine consumes only `mmjoin_core::prelude` — anything it needs
 //! beyond that is a public-API bug (see `prelude`'s docs).
 
-use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use mmjoin_core::prelude::{
@@ -29,11 +28,8 @@ use crate::admission::Admitted;
 use crate::cache::CacheKey;
 use crate::catalog::CatalogEntry;
 use crate::protocol::{self, JoinOutcome, JoinSpec};
-use crate::telemetry::{JoinFacts, PhaseRollup};
+use crate::telemetry::QueryRecord;
 use crate::Shared;
-
-use mmjoin_core::prelude::observe;
-use mmjoin_core::prelude::PhaseStat;
 
 /// Below this grant SHHJ can't even hold its partition buffers; the
 /// degraded path never reserves less.
@@ -122,18 +118,6 @@ fn base_config(
     cfg
 }
 
-/// Flight-recorder rollups of a run's phases (DESIGN.md §16).
-fn rollups(phases: &[PhaseStat]) -> Vec<PhaseRollup> {
-    phases
-        .iter()
-        .map(|p| PhaseRollup {
-            name: p.name,
-            wall_ms: p.wall.as_secs_f64() * 1e3,
-            args_json: observe::phase_rollup_json(p),
-        })
-        .collect()
-}
-
 /// Run the requested plan in memory; the flag is whether the build side
 /// came out of the cache.
 fn run_resident(
@@ -176,24 +160,10 @@ pub(crate) fn execute(shared: &Shared, adm: &Admitted) -> String {
     let started = Instant::now();
     let queue_ms = started.duration_since(job.received).as_secs_f64() * 1e3;
 
-    // Telemetry for a request that never produced a JoinOutcome: the
-    // requested algorithm, the typed error code, latency to now.
     let record_err = |code: &'static str| {
-        shared.telemetry.record_join(JoinFacts {
-            seq: job.seq,
-            tenant: job.tenant.clone(),
-            algo: job.spec.algorithm.name(),
-            ok: false,
-            error_code: Some(code),
-            total_ms: job.received.elapsed().as_secs_f64() * 1e3,
-            queue_ms,
-            queue_depth: job.queue_depth,
-            cached: false,
-            degraded: false,
-            spill_bytes: 0,
-            matches: 0,
-            phases: Vec::new(),
-        });
+        shared
+            .telemetry
+            .record_join(QueryRecord::new(job, queue_ms, Err(code)));
     };
 
     // Deadline already blown in the queue → typed timeout, nothing run.
@@ -201,7 +171,6 @@ pub(crate) fn execute(shared: &Shared, adm: &Admitted) -> String {
         Some(exp) => match exp.checked_duration_since(started) {
             Some(rem) => Some(rem),
             None => {
-                adm.counters.errored.fetch_add(1, Ordering::Relaxed);
                 let err = JoinError::Timedout {
                     phase: "queue",
                     elapsed: started.duration_since(job.received),
@@ -220,7 +189,6 @@ pub(crate) fn execute(shared: &Shared, adm: &Admitted) -> String {
     ) {
         (Ok(b), Ok(p)) => (b, p),
         (Err(e), _) | (_, Err(e)) => {
-            adm.counters.errored.fetch_add(1, Ordering::Relaxed);
             record_err(e.code);
             return protocol::error_response(job.id, &e);
         }
@@ -266,51 +234,28 @@ pub(crate) fn execute(shared: &Shared, adm: &Admitted) -> String {
 
     match result {
         Ok((out, cached)) => {
-            adm.counters.completed.fetch_add(1, Ordering::Relaxed);
-            if degraded {
-                adm.counters.degraded.fetch_add(1, Ordering::Relaxed);
-                shared.stats.joins_degraded.fetch_add(1, Ordering::Relaxed);
-            }
-            shared.stats.joins_ok.fetch_add(1, Ordering::Relaxed);
-            let (matches, checksum) = (out.matches, out.checksum);
-            let spill_bytes = out.spill_totals().bytes_spilled;
-            let algorithm = if degraded {
-                Algorithm::Shhj
-            } else {
-                job.spec.algorithm
-            };
-            shared.telemetry.record_join(JoinFacts {
-                seq: job.seq,
-                tenant: job.tenant.clone(),
-                algo: algorithm.name(),
-                ok: true,
-                error_code: None,
-                total_ms: job.received.elapsed().as_secs_f64() * 1e3,
+            let outcome = JoinOutcome {
+                algorithm: if degraded {
+                    Algorithm::Shhj
+                } else {
+                    job.spec.algorithm
+                },
+                matches: out.matches,
+                checksum: out.checksum,
+                wall_ms: started.elapsed().as_secs_f64() * 1e3,
                 queue_ms,
-                queue_depth: job.queue_depth,
                 cached,
                 degraded,
-                spill_bytes,
-                matches,
-                phases: rollups(&out.phases),
-            });
-            protocol::join_response(
-                job.id,
-                &JoinOutcome {
-                    algorithm,
-                    matches,
-                    checksum,
-                    wall_ms: started.elapsed().as_secs_f64() * 1e3,
-                    queue_ms,
-                    cached,
-                    degraded,
-                    spill_bytes,
-                },
-            )
+                spill_bytes: out.spill_totals().bytes_spilled,
+            };
+            shared.telemetry.record_join(QueryRecord::new(
+                job,
+                queue_ms,
+                Ok((&outcome, out.phases)),
+            ));
+            protocol::join_response(job.id, &outcome)
         }
         Err(err) => {
-            adm.counters.errored.fetch_add(1, Ordering::Relaxed);
-            shared.stats.joins_err.fetch_add(1, Ordering::Relaxed);
             record_err(err.code());
             protocol::join_error_response(job.id, &err)
         }

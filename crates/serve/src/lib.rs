@@ -58,7 +58,8 @@ pub use client::Client;
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port (see [`Server::addr`]).
     pub addr: String,
-    /// Runner threads executing admitted joins. Each runner owns a pool
+    /// Runner threads executing admitted joins (at least 1, or
+    /// [`Server::spawn`] refuses the config). Each runner owns a pool
     /// of `join_threads` workers, so a running server has `runners ×
     /// join_threads` of them and its runners' joins run side by side.
     pub runners: usize,
@@ -115,7 +116,7 @@ impl ServeConfig {
     }
 
     pub fn with_runners(mut self, n: usize) -> Self {
-        self.runners = n.max(1);
+        self.runners = n;
         self
     }
 
@@ -163,8 +164,9 @@ impl ServeConfig {
 
     /// SLO window length in seconds (`0` disables the background
     /// sampler; windows then rotate only via [`Server::telemetry_tick`]).
+    /// [`Server::spawn`] refuses one no `Duration` can hold.
     pub fn with_slo_window_secs(mut self, secs: f64) -> Self {
-        self.telemetry.slo_window_secs = secs.max(0.0);
+        self.telemetry.slo_window_secs = secs;
         self
     }
 
@@ -201,9 +203,6 @@ pub(crate) struct ServerStats {
     pub frames: AtomicU64,
     pub bad_frames: AtomicU64,
     pub bytes_out: AtomicU64,
-    pub joins_ok: AtomicU64,
-    pub joins_err: AtomicU64,
-    pub joins_degraded: AtomicU64,
 }
 
 /// Everything the front-end, runners, and `stat` share.
@@ -283,23 +282,48 @@ impl Shared {
         }
     }
 
-    /// The `op:"stat"` document body.
+    /// The `op:"stat"` document body. Its join outcomes are what
+    /// `Telemetry::record_join` counted: a tenant's `completed`,
+    /// `errored` and `degraded` are read from the registry, and `joins`
+    /// is their sum over tenants.
     pub(crate) fn stat_json(&self) -> String {
+        let mut tenants = String::new();
+        let (mut ok, mut err, mut degraded) = (0, 0, 0);
+        for (i, t) in self.admission.snapshot().iter().enumerate() {
+            let (latency, errors, t_degraded) = self.telemetry.joins(&t.name);
+            let completed = latency.count.saturating_sub(errors);
+            // Every refusal is answered, and counted, as an error too.
+            let errored = errors.saturating_sub(t.rejected);
+            ok += completed;
+            err += errored;
+            degraded += t_degraded;
+            if i > 0 {
+                tenants.push(',');
+            }
+            tenants.push_str(&format!(
+                "{{\"name\":\"{}\",\"queued\":{},\"budget\":{{\"used\":{},\"limit\":{}}},\
+                 \"admitted\":{},\"rejected\":{},\"completed\":{completed},\"errored\":{errored},\
+                 \"degraded\":{t_degraded}}}",
+                jsonv::escape(&t.name),
+                t.queued,
+                t.budget_used,
+                t.budget_limit,
+                t.admitted,
+                t.rejected,
+            ));
+        }
         let mut out = String::with_capacity(1024);
         out.push('{');
         out.push_str(&format!(
             "\"uptime_ms\":{},\"connections\":{{\"accepted\":{},\"open\":{}}},\
              \"frames\":{},\"bad_frames\":{},\"bytes_out\":{},\
-             \"joins\":{{\"ok\":{},\"err\":{},\"degraded\":{}}}",
+             \"joins\":{{\"ok\":{ok},\"err\":{err},\"degraded\":{degraded}}}",
             self.started.elapsed().as_millis(),
             self.stats.accepted.load(Ordering::Relaxed),
             self.stats.open.load(Ordering::Relaxed),
             self.stats.frames.load(Ordering::Relaxed),
             self.stats.bad_frames.load(Ordering::Relaxed),
             self.stats.bytes_out.load(Ordering::Relaxed),
-            self.stats.joins_ok.load(Ordering::Relaxed),
-            self.stats.joins_err.load(Ordering::Relaxed),
-            self.stats.joins_degraded.load(Ordering::Relaxed),
         ));
         let c = self.cache.snapshot();
         out.push_str(&format!(
@@ -312,24 +336,7 @@ impl Shared {
             self.admission.global_budget().limit()
         ));
         out.push_str(",\"tenants\":[");
-        for (i, t) in self.admission.snapshot().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"queued\":{},\"budget\":{{\"used\":{},\"limit\":{}}},\
-                 \"admitted\":{},\"rejected\":{},\"completed\":{},\"errored\":{},\"degraded\":{}}}",
-                jsonv::escape(&t.name),
-                t.queued,
-                t.budget_used,
-                t.budget_limit,
-                t.admitted,
-                t.rejected,
-                t.completed,
-                t.errored,
-                t.degraded
-            ));
-        }
+        out.push_str(&tenants);
         out.push_str("],\"catalog\":[");
         for (i, e) in self.catalog.snapshot().iter().enumerate() {
             if i > 0 {
@@ -368,7 +375,16 @@ pub struct Server {
 
 impl Server {
     /// Bind, spawn the front-end and the runner pool, return immediately.
+    /// A config no server can run — no runners, or an SLO window no
+    /// `Duration` holds — is refused with `InvalidInput`.
     pub fn spawn(cfg: ServeConfig) -> io::Result<Server> {
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
+        if cfg.runners == 0 {
+            return Err(invalid("runners must be at least 1".to_string()));
+        }
+        let secs = cfg.telemetry.slo_window_secs;
+        let window = std::time::Duration::try_from_secs_f64(secs)
+            .map_err(|e| invalid(format!("slo_window_secs {secs}: {e}")))?;
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let metrics_listener = match &cfg.metrics_addr {
@@ -411,12 +427,12 @@ impl Server {
                     .expect("spawn acceptor"),
             );
         }
-        if shared.cfg.telemetry.slo_window_secs > 0.0 {
+        if !window.is_zero() {
             let sh = Arc::clone(&shared);
             threads.push(
                 std::thread::Builder::new()
                     .name("mmjoin-serve-slo".to_string())
-                    .spawn(move || sampler_loop(sh))
+                    .spawn(move || sampler_loop(sh, window))
                     .expect("spawn sampler"),
             );
         }
@@ -489,9 +505,8 @@ fn runner_loop(shared: Arc<Shared>) {
 }
 
 /// Background SLO sampler: rotate windows + run the regression watch
-/// every `slo_window_secs`, polling the stop flag at 50ms granularity.
-fn sampler_loop(shared: Arc<Shared>) {
-    let window = std::time::Duration::from_secs_f64(shared.cfg.telemetry.slo_window_secs);
+/// every `window`, polling the stop flag at 50ms granularity.
+fn sampler_loop(shared: Arc<Shared>, window: std::time::Duration) {
     let tick = std::time::Duration::from_millis(50);
     let mut last = Instant::now();
     while !shared.stop.load(Ordering::Acquire) {

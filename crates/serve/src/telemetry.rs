@@ -2,6 +2,12 @@
 //! latency histograms, a bounded query flight recorder, rolling-window
 //! SLO tracking, and an online regression watch.
 //!
+//! `Telemetry::record_join` is the one place an answered join is
+//! counted: into the labeled registry (`tenant × op × algo`), which
+//! `stat`'s `joins` and per-tenant rows, its SLO view's cumulative
+//! numbers and the Prometheus exposition all read, and into the
+//! tenant's live SLO window and the flight recorder.
+//!
 //! Everything on the per-query hot path is wait-free or nearly so:
 //! latency lands in [`LogHistogram`]s (atomic buckets), counters are
 //! relaxed atomics, and the only locks taken per query are a short
@@ -17,7 +23,7 @@
 //! latest closed window is compared against the pooled preceding
 //! windows, and a tenant is flagged only when the median rose past
 //! `watch_factor` *and* the shift is statistically significant (U-test
-//! p ≤ `watch_alpha`, or disjoint bootstrap median CIs). Flags surface
+//! p ≤ `WATCH_ALPHA`, or disjoint bootstrap median CIs). Flags surface
 //! in `stat` output — no offline `sentinel compare` needed.
 
 use std::collections::{HashMap, VecDeque};
@@ -27,9 +33,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use mmjoin_core::prelude::observe;
+use mmjoin_core::prelude::{observe, PhaseStat};
 use mmjoin_util::telemetry::{HistSnapshot, LogHistogram, Registry};
 use mmjoin_util::{jsonv, stats};
+
+use crate::admission::Job;
+use crate::protocol::JoinOutcome;
 
 /// Telemetry knobs (operator decisions, like the rest of
 /// [`ServeConfig`](crate::ServeConfig)).
@@ -39,8 +48,6 @@ pub struct TelemetryConfig {
     /// the background sampler and fed to the regression watch. `0`
     /// disables the sampler (rotation only via explicit ticks).
     pub slo_window_secs: f64,
-    /// Closed windows merged into the rolling `p50/p99/p999`.
-    pub slo_windows: usize,
     /// Flight-recorder capacity (older records are dropped).
     pub flight_capacity: usize,
     /// Queries at or above this total latency are written to the
@@ -50,23 +57,16 @@ pub struct TelemetryConfig {
     pub slow_query_log: Option<PathBuf>,
     /// Minimum median shift (current/baseline) before a flag.
     pub watch_factor: f64,
-    /// Mann-Whitney significance threshold.
-    pub watch_alpha: f64,
-    /// Minimum samples on each side before the watch judges a tenant.
-    pub watch_min_samples: usize,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> TelemetryConfig {
         TelemetryConfig {
             slo_window_secs: 5.0,
-            slo_windows: 4,
             flight_capacity: 1024,
             slow_query_ms: None,
             slow_query_log: None,
             watch_factor: 1.5,
-            watch_alpha: 0.01,
-            watch_min_samples: 8,
         }
     }
 }
@@ -77,19 +77,15 @@ const RESERVOIR_CAP: usize = 512;
 const HISTORY_CAP: usize = 8;
 /// Baseline windows pooled by the watch (most recent before current).
 const BASELINE_WINDOWS: usize = 4;
+/// Closed windows merged into the rolling `p50/p99/p999`.
+const SLO_WINDOWS: usize = 4;
+/// The watch's Mann-Whitney significance threshold.
+const WATCH_ALPHA: f64 = 0.01;
+/// Minimum samples on each side before the watch judges a tenant.
+const WATCH_MIN_SAMPLES: usize = 8;
 
-/// Compact per-phase rollup retained in a flight record: the phase
-/// name, its wall time (for the chrome-trace child span), and the
-/// pre-rendered rollup JSON (`observe::phase_rollup_json` — executor
-/// counters, spill/alloc counters, perf counter deltas or nulls).
-#[derive(Clone, Debug)]
-pub struct PhaseRollup {
-    pub name: &'static str,
-    pub wall_ms: f64,
-    pub args_json: String,
-}
-
-/// One per-query flight record.
+/// One answered join: what the flight recorder keeps and what
+/// `Telemetry::record_join` counts.
 #[derive(Clone, Debug)]
 pub struct QueryRecord {
     pub seq: u64,
@@ -98,9 +94,9 @@ pub struct QueryRecord {
     pub algo: &'static str,
     pub ok: bool,
     pub error_code: Option<&'static str>,
-    /// Query receipt, microseconds since server start (chrome ts).
-    pub ts_us: f64,
-    /// Frame receipt → response rendered (queue wait included).
+    /// Frame receipt (the chrome `ts`, relative to server start).
+    pub received: Instant,
+    /// Frame receipt → answer (queue wait included).
     pub total_ms: f64,
     pub queue_ms: f64,
     /// Tenant queue length when the job was enqueued.
@@ -109,7 +105,50 @@ pub struct QueryRecord {
     pub degraded: bool,
     pub spill_bytes: u64,
     pub matches: u64,
-    pub phases: Vec<PhaseRollup>,
+    /// The run's phases, rendered with `observe::phase_rollup_json`
+    /// only when `trace` asks (service joins are never profiled, so
+    /// their `workers` are empty).
+    pub phases: Vec<PhaseStat>,
+}
+
+impl QueryRecord {
+    /// The record of `job`'s answer: the outcome and phases of a run,
+    /// or the error code it was refused or failed with.
+    pub(crate) fn new(
+        job: &Job,
+        queue_ms: f64,
+        answer: Result<(&JoinOutcome, Vec<PhaseStat>), &'static str>,
+    ) -> QueryRecord {
+        let mut r = QueryRecord {
+            seq: job.seq,
+            tenant: job.tenant.clone(),
+            algo: job.spec.algorithm.name(),
+            ok: false,
+            error_code: None,
+            received: job.received,
+            total_ms: job.received.elapsed().as_secs_f64() * 1e3,
+            queue_ms,
+            queue_depth: job.queue_depth,
+            cached: false,
+            degraded: false,
+            spill_bytes: 0,
+            matches: 0,
+            phases: Vec::new(),
+        };
+        match answer {
+            Ok((out, phases)) => {
+                r.algo = out.algorithm.name();
+                r.ok = true;
+                r.cached = out.cached;
+                r.degraded = out.degraded;
+                r.spill_bytes = out.spill_bytes;
+                r.matches = out.matches;
+                r.phases = phases;
+            }
+            Err(code) => r.error_code = Some(code),
+        }
+        r
+    }
 }
 
 /// A closed SLO window: histogram snapshot for percentiles plus the
@@ -150,15 +189,12 @@ impl Epoch {
     }
 }
 
+/// A tenant's rolling SLO windows; its cumulative counts are the
+/// registry's.
 struct TenantTelemetry {
     name: String,
     /// Stable chrome-trace tid (1-based; 0 is the phases/meta row).
     tid: u64,
-    /// Cumulative join-latency histogram (never rotated) — the totals
-    /// the bench `--check` gate reconciles against requests sent.
-    total: LogHistogram,
-    errors: AtomicU64,
-    degraded: AtomicU64,
     epochs: [Epoch; 2],
     cur: AtomicUsize,
     history: Mutex<VecDeque<WindowSummary>>,
@@ -169,9 +205,6 @@ impl TenantTelemetry {
         TenantTelemetry {
             name: name.to_string(),
             tid,
-            total: LogHistogram::new(),
-            errors: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
             epochs: [Epoch::new(), Epoch::new()],
             cur: AtomicUsize::new(0),
             history: Mutex::new(VecDeque::new()),
@@ -179,13 +212,6 @@ impl TenantTelemetry {
     }
 
     fn record(&self, ns: u64, secs: f64, ok: bool, degraded: bool) {
-        self.total.record(ns);
-        if !ok {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        if degraded {
-            self.degraded.fetch_add(1, Ordering::Relaxed);
-        }
         let e = &self.epochs[self.cur.load(Ordering::Acquire) & 1];
         e.hist.record(ns);
         if !ok {
@@ -278,24 +304,6 @@ pub struct Telemetry {
     slow_log: Option<Mutex<std::fs::File>>,
 }
 
-/// Everything the engine (or the synchronous reject path) reports
-/// about one finished join request.
-pub(crate) struct JoinFacts {
-    pub seq: u64,
-    pub tenant: String,
-    pub algo: &'static str,
-    pub ok: bool,
-    pub error_code: Option<&'static str>,
-    pub total_ms: f64,
-    pub queue_ms: f64,
-    pub queue_depth: usize,
-    pub cached: bool,
-    pub degraded: bool,
-    pub spill_bytes: u64,
-    pub matches: u64,
-    pub phases: Vec<PhaseRollup>,
-}
-
 impl Telemetry {
     pub(crate) fn new(cfg: TelemetryConfig, started: Instant) -> Telemetry {
         let slow_log = cfg.slow_query_log.as_ref().and_then(|p| {
@@ -324,8 +332,8 @@ impl Telemetry {
         &self.cfg
     }
 
-    /// The server's metric registry (counters/gauges/histograms,
-    /// labeled tenant × op × algorithm).
+    /// The server's metric registry (counters and histograms, labeled
+    /// tenant × op × algorithm).
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
     }
@@ -346,55 +354,40 @@ impl Telemetry {
         t
     }
 
-    /// Record one finished join request (any outcome) — histogram +
-    /// counters + SLO window + flight record + slow-query log.
-    pub(crate) fn record_join(&self, facts: JoinFacts) {
-        let ns = (facts.total_ms.max(0.0) * 1e6) as u64;
+    /// Record one answered join (any outcome) — the only code that
+    /// counts one: registry counters + latency histogram, SLO window,
+    /// flight record, slow-query log.
+    pub(crate) fn record_join(&self, record: QueryRecord) {
+        let ns = (record.total_ms.max(0.0) * 1e6) as u64;
         let labels: &[(&str, &str)] = &[
-            ("tenant", &facts.tenant),
+            ("tenant", &record.tenant),
             ("op", "join"),
-            ("algo", facts.algo),
+            ("algo", record.algo),
         ];
         self.registry.counter("mmjoin_requests_total", labels).inc();
-        if !facts.ok {
+        if !record.ok {
             self.registry.counter("mmjoin_errors_total", labels).inc();
         }
-        if facts.degraded {
+        if record.degraded {
             self.registry.counter("mmjoin_degraded_total", labels).inc();
         }
         self.registry
             .histogram("mmjoin_request_latency_ns", labels)
             .record(ns);
-        if facts.spill_bytes > 0 {
+        if record.spill_bytes > 0 {
             self.registry
                 .histogram("mmjoin_spill_bytes", labels)
-                .record(facts.spill_bytes);
+                .record(record.spill_bytes);
         }
-        let tenant = self.tenant(&facts.tenant);
-        tenant.record(ns, facts.total_ms / 1e3, facts.ok, facts.degraded);
+        let tenant = self.tenant(&record.tenant);
+        tenant.record(ns, record.total_ms / 1e3, record.ok, record.degraded);
 
         if let Some(thresh) = self.cfg.slow_query_ms {
-            if facts.total_ms >= thresh {
-                self.log_slow(&facts);
+            if record.total_ms >= thresh {
+                self.log_slow(&record);
             }
         }
 
-        let record = QueryRecord {
-            seq: facts.seq,
-            tenant: facts.tenant,
-            algo: facts.algo,
-            ok: facts.ok,
-            error_code: facts.error_code,
-            ts_us: (self.started.elapsed().as_secs_f64() * 1e6) - facts.total_ms * 1e3,
-            total_ms: facts.total_ms,
-            queue_ms: facts.queue_ms,
-            queue_depth: facts.queue_depth,
-            cached: facts.cached,
-            degraded: facts.degraded,
-            spill_bytes: facts.spill_bytes,
-            matches: facts.matches,
-            phases: facts.phases,
-        };
         let mut f = self.flight.lock().unwrap();
         if f.len() >= self.cfg.flight_capacity.max(1) {
             f.pop_front();
@@ -416,7 +409,20 @@ impl Telemetry {
             .record(dur_ns);
     }
 
-    fn log_slow(&self, f: &JoinFacts) {
+    /// A tenant's answered joins as the registry counted them: the
+    /// latency histogram merged over algorithms (its count is the
+    /// tenant's join requests), errors, and degraded runs.
+    pub(crate) fn joins(&self, tenant: &str) -> (HistSnapshot, u64, u64) {
+        let filter: &[(&str, &str)] = &[("tenant", tenant), ("op", "join")];
+        let r = &self.registry;
+        (
+            r.histogram_sum("mmjoin_request_latency_ns", filter),
+            r.counter_sum("mmjoin_errors_total", filter),
+            r.counter_sum("mmjoin_degraded_total", filter),
+        )
+    }
+
+    fn log_slow(&self, f: &QueryRecord) {
         let line = format!(
             "[mmjoin-serve] slow-query uptime_ms={:.0} tenant={} algo={} total_ms={:.3} \
              queue_ms={:.3} depth={} cached={} degraded={} spill_bytes={} err={}\n",
@@ -481,8 +487,8 @@ impl Telemetry {
             cur,
             &stats::ShiftTest {
                 threshold: self.cfg.watch_factor - 1.0,
-                alpha: self.cfg.watch_alpha,
-                min_samples: self.cfg.watch_min_samples,
+                alpha: WATCH_ALPHA,
+                min_samples: WATCH_MIN_SAMPLES,
                 boot_iters: 500,
                 confidence: 0.99,
                 boot_seed: 0x5EED,
@@ -545,6 +551,8 @@ impl Telemetry {
                     &format!("tenant {}", r.tenant),
                 ));
             }
+            let phases: Vec<String> = r.phases.iter().map(observe::phase_rollup_json).collect();
+            let ts_us = r.received.duration_since(self.started).as_secs_f64() * 1e6;
             let args = format!(
                 "{{\"tenant\": \"{}\", \"seq\": {}, \"ok\": {}, \"error\": {}, \
                  \"queue_ms\": {:.3}, \"queue_depth\": {}, \"cached\": {}, \"degraded\": {}, \
@@ -562,35 +570,26 @@ impl Telemetry {
                 r.degraded,
                 r.spill_bytes,
                 r.matches,
-                r.phases
-                    .iter()
-                    .map(|p| p.args_json.clone())
-                    .collect::<Vec<_>>()
-                    .join(", ")
+                phases.join(", ")
             );
             events.push(observe::trace_complete_event(
                 r.algo,
                 "join",
                 1,
                 tid,
-                r.ts_us,
+                ts_us,
                 r.total_ms * 1e3,
                 &args,
             ));
             // Phase child spans, laid out sequentially after the queue
-            // wait (their own extents are not retained in the rollup).
-            let mut cursor = r.ts_us + r.queue_ms * 1e3;
-            for p in &r.phases {
+            // wait (a phase keeps its wall time, not its start).
+            let mut cursor = ts_us + r.queue_ms * 1e3;
+            for (p, args) in r.phases.iter().zip(&phases) {
+                let wall_us = p.wall.as_secs_f64() * 1e6;
                 events.push(observe::trace_complete_event(
-                    p.name,
-                    "phase",
-                    1,
-                    tid,
-                    cursor,
-                    p.wall_ms * 1e3,
-                    &p.args_json,
+                    p.name, "phase", 1, tid, cursor, wall_us, args,
                 ));
-                cursor += p.wall_ms * 1e3;
+                cursor += wall_us;
             }
         }
         let json = format!("[{}]", events.join(", "));
@@ -628,13 +627,11 @@ impl Telemetry {
             if i > 0 {
                 out.push(',');
             }
-            let total = t.total.snapshot();
-            let errors = t.errors.load(Ordering::Relaxed);
-            let degraded = t.degraded.load(Ordering::Relaxed);
+            let (total, errors, degraded) = self.joins(name);
             overall.merge(&total);
             overall_errors += errors;
             overall_degraded += degraded;
-            let (rolling, windows, roll_err, roll_deg) = t.rolling(self.cfg.slo_windows);
+            let (rolling, windows, roll_err, roll_deg) = t.rolling(SLO_WINDOWS);
             let rate = |n: u64| {
                 if total.count == 0 {
                     0.0
@@ -700,17 +697,6 @@ impl Telemetry {
         out
     }
 
-    /// Cumulative join-request count across every tenant (the bench
-    /// self-consistency gate: must equal join requests sent).
-    pub fn join_count(&self) -> u64 {
-        self.tenants
-            .read()
-            .unwrap()
-            .values()
-            .map(|t| t.total.count())
-            .sum()
-    }
-
     /// Whether the latest watch pass flagged anything.
     pub fn watch_flag_count(&self) -> (u64, u64) {
         let w = self.watch.lock().unwrap();
@@ -740,13 +726,14 @@ fn quantiles_ms(s: &HistSnapshot) -> String {
 mod tests {
     use super::*;
 
-    fn facts(tenant: &str, ms: f64) -> JoinFacts {
-        JoinFacts {
+    fn facts(tenant: &str, ms: f64) -> QueryRecord {
+        QueryRecord {
             seq: 1,
             tenant: tenant.to_string(),
             algo: "PRO",
             ok: true,
             error_code: None,
+            received: Instant::now(),
             total_ms: ms,
             queue_ms: 0.1,
             queue_depth: 3,
@@ -754,11 +741,7 @@ mod tests {
             degraded: false,
             spill_bytes: 0,
             matches: 10,
-            phases: vec![PhaseRollup {
-                name: "probe",
-                wall_ms: ms * 0.9,
-                args_json: "{\"name\": \"probe\"}".to_string(),
-            }],
+            phases: Vec::new(),
         }
     }
 
@@ -787,7 +770,7 @@ mod tests {
     }
 
     /// Flags standing after one window of `baseline` latencies (ms)
-    /// and one of `current`, at the shipped factor 1.5 and alpha 0.01.
+    /// and one of `current`, at the shipped factor 1.5 and `WATCH_ALPHA`.
     fn flags_after(baseline: &[f64], current: &[f64]) -> u64 {
         let tel = Telemetry::new(TelemetryConfig::default(), Instant::now());
         for window in [baseline, current] {
@@ -841,6 +824,42 @@ mod tests {
         assert!(arr
             .iter()
             .any(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X")));
+    }
+
+    /// A record keeps its run's phases; `trace` renders them into the
+    /// bytes `observe::phase_rollup_json` gave when the join was
+    /// recorded, in the join event's `phases` and as each phase span's
+    /// `args`.
+    #[test]
+    fn trace_renders_kept_phases_as_their_record_time_rollups() {
+        use mmjoin_core::prelude::{Algorithm, Join, JoinConfig, Placement};
+        use mmjoin_datagen::{gen_build_dense, gen_probe_fk};
+
+        let placement = Placement::Chunked { parts: 1 };
+        let out = Join::new(Algorithm::Pro)
+            .with_config(JoinConfig::new(1))
+            .run(
+                &gen_build_dense(4096, 1, placement),
+                &gen_probe_fk(16384, 4096, 2, placement),
+            )
+            .expect("join");
+        assert!(out.phases.len() >= 2);
+        let at_record: Vec<String> = out.phases.iter().map(observe::phase_rollup_json).collect();
+
+        let tel = Telemetry::new(TelemetryConfig::default(), Instant::now());
+        let mut record = facts("t0", 1.0);
+        record.phases = out.phases;
+        tel.record_join(record);
+        let (events, count, _) = tel.render_trace(None, true);
+        assert_eq!(count, 1);
+        assert!(events.contains(&format!("\"phases\": [{}]", at_record.join(", "))));
+        assert_eq!(
+            events.matches("\"cat\": \"phase\"").count(),
+            at_record.len()
+        );
+        for args in &at_record {
+            assert!(events.contains(&format!("\"args\": {args}}}")), "{args}");
+        }
     }
 
     #[test]

@@ -14,19 +14,18 @@
 //! * [`HistSnapshot`] — a plain (non-atomic) copy for window rollups:
 //!   mergeable, quantile-queryable, serializable by hand like every
 //!   other JSON artifact in the workspace.
-//! * [`Counter`] / [`Gauge`] — monotonic and bidirectional atomics.
+//! * [`Counter`] — a monotonic atomic.
 //! * [`Registry`] — a labeled metric registry (name × label set →
-//!   counter/gauge/histogram) with a Prometheus text exposition. A
-//!   process-global instance is available via [`global`]; servers
-//!   embed their own so tests hosting several servers in one process
-//!   stay isolated.
+//!   counter/histogram) with a Prometheus text exposition and
+//!   label-filtered totals. Each server embeds its own, so tests
+//!   hosting several servers in one process stay isolated.
 //!
 //! Values are unit-agnostic `u64`s; the service records latencies in
 //! nanoseconds and byte volumes in bytes, and converts at exposition.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Sub-bucket precision: each power-of-two octave is split into
 /// `2^SUB_BITS` linear sub-buckets, bounding the relative quantile
@@ -271,26 +270,11 @@ impl Counter {
     }
 }
 
-/// Set-to-current-value gauge.
-#[derive(Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 /// A metric's identity: family name plus its sorted label pairs.
 type MetricKey = (String, Vec<(String, String)>);
 
 enum Metric {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<LogHistogram>),
 }
 
@@ -329,17 +313,6 @@ impl Registry {
         }
     }
 
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let mut g = self.metrics.lock().unwrap();
-        match g
-            .entry(key(name, labels))
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default())))
-        {
-            Metric::Gauge(v) => Arc::clone(v),
-            _ => panic!("metric '{name}' already registered with a different kind"),
-        }
-    }
-
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<LogHistogram> {
         let mut g = self.metrics.lock().unwrap();
         match g
@@ -351,31 +324,42 @@ impl Registry {
         }
     }
 
-    /// Sum of `name`'s counter values across every label set (0 when
-    /// the family does not exist).
-    pub fn counter_total(&self, name: &str) -> u64 {
-        let g = self.metrics.lock().unwrap();
-        g.iter()
-            .filter(|((n, _), _)| n == name)
-            .map(|(_, m)| match m {
-                Metric::Counter(c) => c.get(),
-                _ => 0,
-            })
-            .sum()
+    /// Sum of `name`'s counters over every label set that carries all
+    /// of `filter`'s pairs (an empty filter matches every set).
+    pub fn counter_sum(&self, name: &str, filter: &[(&str, &str)]) -> u64 {
+        let mut n = 0;
+        self.each(name, filter, |m| {
+            if let Metric::Counter(c) = m {
+                n += c.get();
+            }
+        });
+        n
     }
 
-    /// Merged snapshot of `name`'s histograms across every label set.
-    pub fn histogram_total(&self, name: &str) -> HistSnapshot {
-        let g = self.metrics.lock().unwrap();
+    /// Merged snapshot of `name`'s histograms over every label set that
+    /// carries all of `filter`'s pairs.
+    pub fn histogram_sum(&self, name: &str, filter: &[(&str, &str)]) -> HistSnapshot {
         let mut out = HistSnapshot::empty();
-        for ((n, _), m) in g.iter() {
-            if n == name {
-                if let Metric::Histogram(h) = m {
-                    out.merge(&h.snapshot());
-                }
+        self.each(name, filter, |m| {
+            if let Metric::Histogram(h) = m {
+                out.merge(&h.snapshot());
+            }
+        });
+        out
+    }
+
+    /// Call `f` on every `name` metric whose labels carry all of `filter`'s pairs.
+    fn each(&self, name: &str, filter: &[(&str, &str)], mut f: impl FnMut(&Metric)) {
+        let g = self.metrics.lock().unwrap();
+        for ((n, labels), m) in g.iter() {
+            if n == name
+                && filter
+                    .iter()
+                    .all(|&(k, v)| labels.iter().any(|(lk, lv)| lk == k && lv == v))
+            {
+                f(m);
             }
         }
-        out
     }
 
     /// Prometheus text exposition (version 0.0.4). Histograms are
@@ -389,7 +373,6 @@ impl Registry {
         for ((name, labels), m) in g.iter() {
             let (family, kind, scale) = match m {
                 Metric::Counter(_) => (name.clone(), "counter", 1.0),
-                Metric::Gauge(_) => (name.clone(), "gauge", 1.0),
                 Metric::Histogram(_) => match name.strip_suffix("_ns") {
                     Some(stem) => (format!("{stem}_seconds"), "summary", 1e-9),
                     None => (name.clone(), "summary", 1.0),
@@ -403,9 +386,6 @@ impl Registry {
             match m {
                 Metric::Counter(c) => {
                     out.push_str(&format!("{family}{label_str} {}\n", c.get()));
-                }
-                Metric::Gauge(v) => {
-                    out.push_str(&format!("{family}{label_str} {}\n", v.get()));
                 }
                 Metric::Histogram(h) => {
                     let s = h.snapshot();
@@ -463,14 +443,6 @@ fn prom_escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// The process-global registry (CLI tools and single-server
-/// processes). Embedded servers hold their own [`Registry`] so tests
-/// spawning several servers per process do not cross-count.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
 }
 
 #[cfg(test)]
@@ -623,17 +595,12 @@ mod tests {
         r.counter("mmjoin_requests_total", &[("op", "join"), ("tenant", "t0")])
             .inc();
         assert_eq!(c.get(), 4);
-        r.gauge("mmjoin_queue_depth", &[("tenant", "t0")]).set(7);
         let h = r.histogram("mmjoin_join_latency_ns", &[("tenant", "t0")]);
         h.record(1_000_000);
         h.record(2_000_000);
-        assert_eq!(r.counter_total("mmjoin_requests_total"), 4);
-        assert_eq!(r.histogram_total("mmjoin_join_latency_ns").count, 2);
         let text = r.expose_prometheus();
         assert!(text.contains("# TYPE mmjoin_requests_total counter"));
         assert!(text.contains("mmjoin_requests_total{op=\"join\",tenant=\"t0\"} 4"));
-        assert!(text.contains("# TYPE mmjoin_queue_depth gauge"));
-        assert!(text.contains("mmjoin_queue_depth{tenant=\"t0\"} 7"));
         // _ns histograms expose as _seconds summaries.
         assert!(text.contains("# TYPE mmjoin_join_latency_seconds summary"));
         assert!(text.contains("quantile=\"0.99\""));
@@ -646,6 +613,52 @@ mod tests {
             let (_, val) = line.rsplit_once(' ').expect("metric line has a value");
             val.parse::<f64>().expect("value parses as a float");
         }
+    }
+
+    /// The per-tenant view of a server reads its registry's label sets
+    /// merged: it must equal the one histogram those samples would have
+    /// filled, digit for digit, and leave out the sets the filter
+    /// excludes.
+    #[test]
+    fn filtered_sums_equal_one_histogram_of_the_same_samples() {
+        let mut rng = crate::rng::Xoshiro256::new(11);
+        let samples: Vec<u64> = (0..3_000).map(|_| 1_000 + rng.below(50_000_000)).collect();
+        let one = LogHistogram::new();
+        let r = Registry::new();
+        for (i, &v) in samples.iter().enumerate() {
+            one.record(v);
+            let algo = ["PRO", "NOP", "SHHJ"][i % 3];
+            let labels = [("tenant", "t0"), ("op", "join"), ("algo", algo)];
+            r.histogram("mmjoin_request_latency_ns", &labels).record(v);
+            r.counter("mmjoin_requests_total", &labels).inc();
+        }
+        // Same tenant, another op; another tenant, same op: both excluded.
+        let stat = [("tenant", "t0"), ("op", "stat"), ("algo", "-")];
+        let other = [("tenant", "t1"), ("op", "join"), ("algo", "PRO")];
+        for labels in [stat, other] {
+            r.histogram("mmjoin_request_latency_ns", &labels).record(7);
+            r.counter("mmjoin_requests_total", &labels).inc();
+        }
+
+        let filter = [("tenant", "t0"), ("op", "join")];
+        let merged = r.histogram_sum("mmjoin_request_latency_ns", &filter);
+        let one = one.snapshot();
+        assert_eq!(merged.count, one.count);
+        assert_eq!(merged.sum, one.sum);
+        for q in [0.5, 0.99, 0.999] {
+            assert_eq!(merged.quantile(q), one.quantile(q), "q={q}");
+        }
+        assert_eq!(r.counter_sum("mmjoin_requests_total", &filter), 3_000);
+        assert_eq!(
+            r.counter_sum("mmjoin_requests_total", &[("op", "join")]),
+            3_001
+        );
+        assert_eq!(r.counter_sum("mmjoin_requests_total", &[]), 3_002);
+        assert_eq!(r.counter_sum("mmjoin_errors_total", &filter), 0);
+        assert_eq!(
+            r.histogram_sum("mmjoin_request_latency_ns", &[]).count,
+            3_002
+        );
     }
 
     #[test]

@@ -128,6 +128,59 @@ fn validate_stat(stat: &Value) {
     n(watch, "rotations");
     n(watch, "flags_total");
     assert!(watch.get("flags").and_then(|f| f.as_arr()).is_some());
+    assert_outcomes_reconcile(stat);
+}
+
+/// Every view of the answered joins in a `stat` body reads one count
+/// (DESIGN.md §15): `joins`, the admission rows and the SLO view agree
+/// exactly once no join is in flight.
+fn assert_outcomes_reconcile(stat: &Value) {
+    let n = |v: &Value, k: &str| v.get(k).and_then(|x| x.as_num()).unwrap();
+    let rows = |v: &Value| v.get("tenants").and_then(|t| t.as_arr()).unwrap().to_vec();
+    let sum = |rows: &[Value], f: &dyn Fn(&Value) -> f64| rows.iter().map(f).sum::<f64>();
+    let joins = stat.get("joins").unwrap();
+    let tenants = rows(stat);
+    let tel = stat.get("telemetry").unwrap();
+    let slo = rows(tel);
+    let requests = sum(&slo, &|t| n(t, "requests"));
+    assert_eq!(
+        n(joins, "ok"),
+        sum(&tenants, &|t| n(t, "completed")),
+        "{stat:?}"
+    );
+    assert_eq!(
+        n(joins, "ok"),
+        sum(&slo, &|t| n(t, "requests") - n(t, "errors")),
+        "{stat:?}"
+    );
+    assert_eq!(
+        n(joins, "err"),
+        sum(&tenants, &|t| n(t, "errored")),
+        "{stat:?}"
+    );
+    assert_eq!(
+        n(joins, "degraded"),
+        sum(&tenants, &|t| n(t, "degraded")),
+        "{stat:?}"
+    );
+    assert_eq!(
+        n(joins, "degraded"),
+        sum(&slo, &|t| n(t, "degraded")),
+        "{stat:?}"
+    );
+    // Each answer is exactly one of completed, errored or rejected.
+    assert_eq!(
+        requests,
+        sum(&tenants, &|t| n(t, "completed")
+            + n(t, "errored")
+            + n(t, "rejected")),
+        "{stat:?}"
+    );
+    assert_eq!(
+        requests,
+        n(tel.get("overall").unwrap(), "count"),
+        "{stat:?}"
+    );
 }
 
 fn load_pair(c: &mut Client, build_rows: usize, probe_rows: usize) {
@@ -480,6 +533,162 @@ fn queue_overflow_is_a_typed_rejection() {
     assert!(ok_count >= 1, "at least one join must be admitted");
     assert!(rejected >= 1, "depth-1 queue must reject a burst of 6");
 
+    server.shutdown();
+}
+
+/// One server answers joins five ways — ok, degraded, unknown relation,
+/// expired in the queue, refused `queue_full` — and every view counts
+/// each answer once: `stat.joins`, the admission rows, the SLO view
+/// (all checked by `validate_stat`) and the Prometheus counters.
+#[test]
+fn every_view_counts_each_outcome_once() {
+    let server = Server::spawn(
+        ServeConfig::default()
+            .with_runners(1)
+            .with_queue_depth(1)
+            .with_tenant_budget("tight", 256 << 10),
+    )
+    .unwrap();
+    let mut c = client(&server);
+    let mut admin = client(&server);
+    // PRL over (8Ki, 32Ki) estimates ~0.7 MiB, above "tight"'s carve.
+    load_pair(&mut c, 8_192, 32_768);
+    for load in [
+        r#"{"op":"load","name":"big_r","rows":500000,"kind":"build","seed":5}"#,
+        r#"{"op":"load","name":"big_s","rows":2000000,"kind":"probe_fk","domain":500000,"seed":6}"#,
+    ] {
+        assert!(ok(&c.request(load).unwrap()), "{load}");
+    }
+
+    for _ in 0..3 {
+        let v = c
+            .request(r#"{"op":"join","tenant":"a","algo":"PRO","build":"r","probe":"s"}"#)
+            .unwrap();
+        assert!(ok(&v), "{v:?}");
+    }
+    for _ in 0..2 {
+        let v = c
+            .request(r#"{"op":"join","tenant":"tight","algo":"PRL","build":"r","probe":"s"}"#)
+            .unwrap();
+        assert_eq!(
+            v.get("degraded").and_then(|d| d.as_bool()),
+            Some(true),
+            "{v:?}"
+        );
+    }
+    let v = c
+        .request(r#"{"op":"join","tenant":"a","algo":"PRO","build":"nope","probe":"s"}"#)
+        .unwrap();
+    assert_eq!(err_code(&v), "unknown_relation");
+
+    // Tenant b: a long join takes the only runner; once it has left the
+    // queue, a join with no time to wait fills b's one slot and two
+    // more are refused.
+    c.send(r#"{"op":"join","id":0,"tenant":"b","algo":"PRO","build":"big_r","probe":"big_s","cache":false}"#)
+        .unwrap();
+    let running = |stat: &Value| {
+        let tenants = stat.get("tenants").and_then(|t| t.as_arr()).unwrap();
+        tenants.iter().any(|t| {
+            t.get("name").and_then(|n| n.as_str()) == Some("b")
+                && t.get("admitted").and_then(|n| n.as_num()) == Some(1.0)
+                && t.get("queued").and_then(|n| n.as_num()) == Some(0.0)
+        })
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while !running(
+        admin
+            .request(r#"{"op":"stat"}"#)
+            .unwrap()
+            .get("stat")
+            .unwrap(),
+    ) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the long join never started"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for id in 1..4 {
+        c.send(&format!(
+            r#"{{"op":"join","id":{id},"tenant":"b","algo":"PRO","build":"r","probe":"s","deadline_ms":0}}"#
+        ))
+        .unwrap();
+    }
+    let mut answers = vec![String::new(); 4];
+    for _ in 0..4 {
+        let v = c.recv().unwrap();
+        let id = v.get("id").and_then(|i| i.as_num()).unwrap() as usize;
+        answers[id] = if ok(&v) {
+            "ok".into()
+        } else {
+            err_code(&v).into()
+        };
+    }
+    assert_eq!(answers, ["ok", "timedout", "queue_full", "queue_full"]);
+
+    let v = admin.request(r#"{"op":"stat"}"#).unwrap();
+    let stat = v.get("stat").expect("stat body");
+    validate_stat(stat);
+    let joins = stat.get("joins").unwrap();
+    let count = |k: &str| joins.get(k).and_then(|n| n.as_num()).unwrap();
+    assert_eq!(
+        (count("ok"), count("err"), count("degraded")),
+        (6.0, 2.0, 2.0)
+    );
+
+    // The exposition's join counters are the same count.
+    let text = admin.metrics_text().expect("metrics op");
+    let total = |family: &str| -> f64 {
+        text.lines()
+            .filter(|l| l.starts_with(&format!("{family}{{")) && l.contains("op=\"join\""))
+            .map(|l| l.rsplit_once(' ').unwrap().1.parse::<f64>().unwrap())
+            .sum()
+    };
+    assert_eq!(total("mmjoin_requests_total"), 10.0);
+    assert_eq!(total("mmjoin_errors_total"), 4.0);
+    assert_eq!(total("mmjoin_degraded_total"), 2.0);
+
+    server.shutdown();
+}
+
+/// A server with no runner would queue every join forever: refused at
+/// spawn, whichever way the config was written.
+#[test]
+fn zero_runners_are_refused_at_spawn() {
+    for cfg in [
+        ServeConfig {
+            runners: 0,
+            ..ServeConfig::default()
+        },
+        ServeConfig::default().with_runners(0),
+    ] {
+        let err = Server::spawn(cfg).err().expect("runners 0 must not spawn");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    }
+}
+
+/// An SLO window no `Duration` holds would panic the sampler thread
+/// (and stop window rotation silently): refused at spawn. Zero still
+/// means "rotate only on `telemetry_tick`".
+#[test]
+fn unrepresentable_slo_windows_are_refused_at_spawn() {
+    for secs in [f64::INFINITY, 1e20, f64::NAN, -1.0] {
+        let cfg = ServeConfig::default()
+            .with_runners(1)
+            .with_slo_window_secs(secs);
+        let err = Server::spawn(cfg).err().expect("window must be refused");
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidInput,
+            "{secs}: {err}"
+        );
+    }
+    let server = Server::spawn(
+        ServeConfig::default()
+            .with_runners(1)
+            .with_slo_window_secs(0.0),
+    )
+    .expect("a zero window disables the sampler");
     server.shutdown();
 }
 
