@@ -4,15 +4,16 @@
 //! partitions; (2) each partition's build and probe sides are packed and
 //! sorted independently by [`mmjoin_sort::sort_packed`] — runs formed
 //! with a sorting network and merged in cache, combined with one
-//! bandwidth-saving multiway (loser-tree) merge; (3) co-partitions are
-//! merge-joined.
+//! bandwidth-saving multiway merge (AVX-512 bitonic kernels and a merge
+//! tree where the CPU has them, scalar networks and a loser tree
+//! elsewhere); (3) co-partitions are merge-joined.
 //!
 //! The original requires a power-of-two thread count; this implementation
 //! has no such restriction (tasks come from a queue), but the harness
 //! mirrors the paper and caps MWAY at 32 threads in Figure 1-style runs.
 
 use mmjoin_partition::{partition_parallel_on, task_order, RadixFn, ScatterMode, ScheduleOrder};
-use mmjoin_sort::mergesort::memory_passes;
+use mmjoin_sort::mergesort::{memory_passes, scratch_len};
 use mmjoin_sort::sort_packed;
 use mmjoin_util::alloc::AlignedVec;
 use mmjoin_util::checksum::JoinChecksum;
@@ -54,13 +55,17 @@ pub(crate) fn join_mway(
 
     // Phase 2: sort every partition of both sides (morsel per partition).
     // Kept for the join: both sides packed into u64 arrays. Held while a
-    // worker sorts: one scratch as long as the longer side of its
-    // partition.
+    // worker sorts: one scratch for the longer side of its partition —
+    // as long as that side, and with the vector kernels the merge
+    // tree's node buffers past it.
     let longest = (0..parts)
         .map(|p| pr.part_len(p).max(ps.part_len(p)))
         .max()
         .unwrap_or(0);
-    run.reserve("sort", (r.len() + s.len() + cfg.threads * longest) * 8)?;
+    run.reserve(
+        "sort",
+        (r.len() + s.len() + cfg.threads * scratch_len(longest)) * 8,
+    )?;
     let order = task_order(parts, ScheduleOrder::Sequential);
     let sorted: Vec<(usize, AlignedVec<u64>, AlignedVec<u64>)> = run.phase(
         "sort",

@@ -1,7 +1,7 @@
 //! Sorting one packed array, the way MWAY sorts a partition.
 //!
 //! 1. **Run formation**: the [`sort8`] network sorts every group of
-//!    eight.
+//!    eight (the AVX-512 kernels: every group of 64, in registers).
 //! 2. **In-cache merge passes** double the run width until it reaches
 //!    [`RUN_LEN`]. They work through the array two runs at a time, so
 //!    every pass of a block reads and writes the cache, not memory. A
@@ -14,14 +14,26 @@
 //!
 //! The scratch buffer is caller-provided so repeated sorts reuse one
 //! allocation; it is never filled, every pass overwrites its output.
+//!
+//! Where [`kernels::avx512_active`] says so, run formation and the
+//! multiway merge run on the bitonic kernels of `crate::avx512`
+//! instead, and the passes start from its runs of 64; the multiway
+//! merge then also takes its node buffers from the scratch
+//! ([`scratch_len`]).
 
 use mmjoin_util::alloc::AlignedVec;
+use mmjoin_util::kernels;
 
+#[cfg(target_arch = "x86_64")]
+use crate::avx512;
 use crate::multiway::merge_runs_into;
 use crate::network::sort8;
 
 /// Width of the network that forms the initial runs.
 const NET: usize = 8;
+
+/// Width of the runs the AVX-512 kernels form in registers.
+pub(crate) const VECTOR_RUN: usize = 64;
 
 /// Elements per run handed to the multiway merge. The merge passes work
 /// on a block of two runs and its scratch, 2 MiB: half of this host's
@@ -39,61 +51,110 @@ pub fn memory_passes(n: usize) -> usize {
     1 + usize::from(n > RUN_LEN)
 }
 
-/// Sort `data` ascending. `scratch` is replaced by one of `data.len()`
-/// if it is shorter, and clobbered.
+/// Words of scratch [`sort_packed`] uses for `n` elements in the
+/// current kernel mode: `n`, and with the AVX-512 kernels the multiway
+/// merge's node buffers too (8 KiB per run, less two) when there is
+/// more than one run. What MWAY reserves per worker — exact only if the
+/// kernel mode does not change between the reservation and the sorts
+/// (a sort that finds its scratch short replaces it, unreserved).
+pub fn scratch_len(n: usize) -> usize {
+    scratch_len_in(n, kernels::avx512_active())
+}
+
+fn scratch_len_in(n: usize, vector: bool) -> usize {
+    match vector {
+        #[cfg(target_arch = "x86_64")]
+        true if n > RUN_LEN => n + avx512::tree_scratch_len(n.div_ceil(RUN_LEN)),
+        _ => n,
+    }
+}
+
+/// Sort `data` ascending. `scratch` is replaced by one of
+/// [`scratch_len`]`(data.len())` if it is shorter, and clobbered.
 pub fn sort_packed(data: &mut [u64], scratch: &mut AlignedVec<u64>) {
     let n = data.len();
     if n < 2 {
         return;
     }
-    if scratch.len() < n {
+    let vector = kernels::avx512_active();
+    let len = scratch_len_in(n, vector);
+    if scratch.len() < len {
         // SAFETY: of `scratch[..n]`, `sort_block` reads only what it has
-        // written: it either starts by copying `data` over it or reads
-        // it as the source of a merge pass, which is the destination —
-        // written in full — of the pass before.
-        *scratch = unsafe { AlignedVec::unfilled(n) };
+        // written: it either starts by copying `data` over it (or
+        // sorting `data` into it) or reads it as the source of a merge
+        // pass, which is the destination — written in full — of the
+        // pass before. The multiway merge writes a node buffer or padded
+        // tail past `n` before it reads it.
+        *scratch = unsafe { AlignedVec::unfilled(len) };
     }
-    let tmp = &mut scratch.as_mut_slice()[..n];
+    let (tmp, _tree) = scratch.as_mut_slice()[..len].split_at_mut(n);
 
-    // Passes double the run width from NET to `top`. Each pass moves the
-    // array to the other buffer; the runs must end in `tmp` if a
-    // multiway merge is to bring them back to `data`, in `data` if not,
-    // which decides where run formation puts them.
+    // Passes double the run width from the formed runs' to `top`. Each
+    // pass moves the array to the other buffer; the runs must end in
+    // `tmp` if a multiway merge is to bring them back to `data`, in
+    // `data` if not, which decides where run formation puts them.
+    let formed = if vector { VECTOR_RUN } else { NET };
     let multiway = n > RUN_LEN;
     let top = RUN_LEN.min(n.next_power_of_two());
-    let passes = (top / NET).max(1).trailing_zeros();
+    let passes = (top / formed).max(1).trailing_zeros();
     let start_in_tmp = (passes % 2 == 1) != multiway;
     for (d, t) in data
         .chunks_mut(2 * RUN_LEN)
         .zip(tmp.chunks_mut(2 * RUN_LEN))
     {
-        sort_block(d, t, top, start_in_tmp);
+        sort_block(d, t, top, start_in_tmp, vector);
     }
     if multiway {
         let runs: Vec<&[u64]> = tmp.chunks(RUN_LEN).collect();
-        merge_runs_into(&runs, data);
+        match vector {
+            // SAFETY: as above; `_tree` holds the words past `n` that
+            // `scratch_len_in` counted for these runs.
+            #[cfg(target_arch = "x86_64")]
+            true => unsafe { avx512::merge_runs_into(&runs, data, _tree) },
+            _ => merge_runs_into(&runs, data),
+        }
     }
 }
 
 /// Sort every `top`-wide run of `data`, using `tmp` (same length) as
 /// the other buffer. The sorted runs end in `tmp` if `start_in_tmp`
 /// differs from the parity of the pass count, else in `data`.
-fn sort_block(data: &mut [u64], tmp: &mut [u64], top: usize, start_in_tmp: bool) {
+fn sort_block(data: &mut [u64], tmp: &mut [u64], top: usize, start_in_tmp: bool, vector: bool) {
+    let mut width = form_runs(data, tmp, start_in_tmp, vector);
     let (mut src, mut dst) = if start_in_tmp {
-        tmp.copy_from_slice(data);
         (tmp, data)
     } else {
         (data, tmp)
     };
-    let mut groups = src.chunks_exact_mut(NET);
-    groups.by_ref().for_each(sort8);
-    insertion_sort(groups.into_remainder());
-    let mut width = NET;
     while width < top {
         merge_pass(src, dst, width);
         std::mem::swap(&mut src, &mut dst);
         width *= 2;
     }
+}
+
+/// Sort every group of `data` as wide as a formed run — into `tmp`
+/// (same length) if `into_tmp`, else in place — and return that width:
+/// 64 with the AVX-512 kernels, the [`sort8`] network's 8 without (a
+/// tail under 8 insertion-sorted).
+fn form_runs(data: &mut [u64], tmp: &mut [u64], into_tmp: bool, vector: bool) -> usize {
+    let runs = match vector {
+        #[cfg(target_arch = "x86_64")]
+        true => {
+            // SAFETY: `avx512_active` checked the CPU.
+            unsafe { avx512::form_runs(data, tmp, into_tmp) };
+            return VECTOR_RUN;
+        }
+        _ if into_tmp => {
+            tmp.copy_from_slice(data);
+            tmp
+        }
+        _ => data,
+    };
+    let mut groups = runs.chunks_exact_mut(NET);
+    groups.by_ref().for_each(sort8);
+    insertion_sort(groups.into_remainder());
+    NET
 }
 
 #[inline]

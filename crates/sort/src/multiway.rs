@@ -12,6 +12,10 @@
 //! from the front of the runs and fills the output upwards, the other
 //! takes the largest from their backs and fills it downwards, and they
 //! stop where they meet.
+//!
+//! Where [`mmjoin_util::kernels::avx512_active`] says so,
+//! [`merge_runs_into`] merges through a binary tree of bitonic 8+8
+//! kernels instead (`crate::avx512`).
 
 /// Head key of a run that has no elements left; it loses every game.
 const EXHAUSTED: u64 = u64::MAX;
@@ -100,6 +104,17 @@ impl<I: Iterator<Item = u64>> LoserTree<I> {
 pub fn merge_runs_into(runs: &[&[u64]], out: &mut [u64]) {
     let total: usize = runs.iter().map(|r| r.len()).sum();
     assert_eq!(total, out.len(), "output must hold every run");
+    #[cfg(target_arch = "x86_64")]
+    if mmjoin_util::kernels::avx512_active() {
+        use crate::avx512;
+        use mmjoin_util::alloc::AlignedVec;
+        // SAFETY: the tree writes a node buffer or a padded tail before
+        // it reads it; `avx512_active` checked the CPU.
+        unsafe {
+            let mut tree = AlignedVec::unfilled(avx512::tree_scratch_len(runs.len()));
+            return avx512::merge_runs_into(runs, out, &mut tree);
+        }
+    }
     let k = runs.len().next_power_of_two();
     let leaves = || {
         runs.iter()

@@ -2,11 +2,13 @@
 //!
 //! A sorting network executes a fixed, data-independent sequence of
 //! compare-exchange operations. The original MWAY runs AVX bitonic
-//! networks; here the same structure is scalar: on x86-64 each
-//! comparator compiles to one `cmp` and two `cmov`s with all eight
-//! values held in registers — no branch, hence nothing to mispredict on
-//! random keys, but no SIMD either (baseline x86-64 has no 64-bit
-//! vector min/max for LLVM to use).
+//! networks; this is the scalar path's: on x86-64 each comparator
+//! compiles to one `cmp` and two `cmov`s with all eight values held in
+//! registers — no branch, hence nothing to mispredict on random keys,
+//! and no SIMD (baseline x86-64 has no 64-bit vector min/max for LLVM
+//! to use). Where the CPU has AVX-512F the sort runs the same 19
+//! comparators on eight registers at once instead, as `vpminuq` /
+//! `vpmaxuq` pairs over eight columns (`crate::avx512`).
 //!
 //! The 0-1 principle guarantees correctness: a comparator network that
 //! sorts all 0-1 sequences sorts all sequences; the test verifies all

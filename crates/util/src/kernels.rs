@@ -275,6 +275,23 @@ pub fn popcnt_active() -> bool {
     }
 }
 
+/// True when code compiled with `#[target_feature(enable = "avx512f")]`
+/// may run: the CPU has AVX-512F and the mode is not portable. The sort
+/// behind MWAY forms runs and merges them with 512-bit bitonic kernels
+/// when this says so. Always false under Miri, which interprets no
+/// AVX-512, so the interpreter checks the scalar sort.
+#[inline]
+pub fn avx512_active() -> bool {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    {
+        simd_active() && std::arch::is_x86_feature_detected!("avx512f")
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    {
+        false
+    }
+}
+
 /// Run `f` under a forced kernel mode, restoring the previous mode after.
 ///
 /// The mode is a *process-wide* property: concurrently running joins see
@@ -307,6 +324,7 @@ mod tests {
     fn forced_modes_resolve() {
         with_mode(KernelMode::Portable, || {
             assert!(!simd_active());
+            assert!(!avx512_active());
             assert_eq!(effective_mode(), KernelMode::Portable);
         });
         #[cfg(target_arch = "x86_64")]

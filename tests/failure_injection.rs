@@ -8,6 +8,7 @@ use mmjoin::core::{Algorithm, Join, JoinConfig, JoinError, JoinResult};
 use mmjoin::partition::{chunked_partition_on, partition_parallel_on, RadixFn, ScatterMode};
 use mmjoin::util::pool::ScopedPool;
 use mmjoin::util::{Placement, Relation, Tuple};
+use std::sync::{Mutex, MutexGuard};
 
 fn cfg(threads: usize, bits: Option<u32>) -> JoinConfig {
     let mut c = JoinConfig::new(threads);
@@ -23,6 +24,14 @@ fn run_join(alg: Algorithm, r: &Relation, s: &Relation, c: &JoinConfig) -> JoinR
         .with_config(c.clone())
         .run(r, s)
         .expect("valid plan")
+}
+
+/// The kernel mode is a process setting and the tests of this file run
+/// on parallel threads: a test that switches it, or whose figures
+/// depend on it (MWAY's sort reservation), holds this.
+fn mode_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Algorithms that tolerate arbitrary key multisets (array joins need
@@ -133,6 +142,35 @@ fn mway_boundary_keys_through_the_multiway_merge() {
         let res = run_join(Algorithm::Mway, &r, &s, &cfg(threads, None));
         assert_eq!(res.matches, expect.count, "threads={threads}");
         assert_eq!(res.checksum, expect.digest, "threads={threads}");
+    }
+}
+
+#[test]
+fn mway_identical_in_both_kernel_modes_through_the_multiway_merge() {
+    // Sizes shaped like the test above: every MWAY partition holds more
+    // than one run on both sides, at one thread (4 partitions) and at
+    // two (8), so each side is sorted by the run sort, the merge passes
+    // and the multiway merge — the AVX-512 run sort and merge tree in
+    // the SIMD mode where the CPU has AVX-512F, the scalar network and
+    // loser trees in the portable one. Both must give the reference's
+    // checksum. The other joins that run meanwhile return the same in
+    // either mode; the budget test below does not reserve the same.
+    use mmjoin::sort::mergesort::RUN_LEN;
+    use mmjoin::util::kernels::{with_mode, KernelMode};
+    let _mode = mode_lock();
+    let n_r = 4 * 3 * RUN_LEN + 4_000;
+    assert!(n_r / 8 > RUN_LEN);
+    let r = mmjoin::datagen::gen_build_dense(n_r, 41, Placement::Chunked { parts: 4 });
+    let s = mmjoin::datagen::gen_probe_fk(3 * n_r, n_r, 42, Placement::Chunked { parts: 4 });
+    let expect = reference_join(&r, &s);
+    for threads in [1, 2] {
+        for mode in [KernelMode::Portable, KernelMode::Simd] {
+            let res = with_mode(mode, || {
+                run_join(Algorithm::Mway, &r, &s, &cfg(threads, None))
+            });
+            assert_eq!(res.matches, expect.count, "threads={threads}, {mode:?}");
+            assert_eq!(res.checksum, expect.digest, "threads={threads}, {mode:?}");
+        }
     }
 }
 
@@ -252,30 +290,62 @@ fn refused_in<T: std::fmt::Debug>(
 #[test]
 fn mway_budget_counts_the_sort_scratch() {
     // MWAY's sort phase holds, besides the packed copy of both inputs
-    // it keeps for the join, one scratch per worker as long as the
-    // longer side of the partition being sorted. The budget must admit
-    // the join at exactly what it reserves and refuse it one byte short.
-    let r = mmjoin::datagen::gen_build_dense(3_000, 21, Placement::Chunked { parts: 4 });
-    let s = mmjoin::datagen::gen_probe_fk(12_000, 3_000, 22, Placement::Chunked { parts: 4 });
-    let expect = reference_join(&r, &s);
-    let (threads, parts) = (2, 8);
-    let run = |limit: usize| {
-        let mut c = cfg(threads, None);
-        c.mem_limit = Some(limit);
-        Join::new(Algorithm::Mway).with_config(c).run(&r, &s)
+    // it keeps for the join, one scratch per worker for the longer side
+    // of the partition being sorted: as long as that side, and — with
+    // the AVX-512 kernels, once a side has more than one run — the merge
+    // tree's node buffers past it (`mergesort::scratch_len`). The budget
+    // must admit the join at exactly what it reserves and refuse it one
+    // byte short: at partitions of one run and of several, in both
+    // kernel modes.
+    use mmjoin::sort::mergesort::{scratch_len, RUN_LEN};
+    use mmjoin::util::kernels::{with_mode, KernelMode};
+    let _mode = mode_lock();
+    let (threads, bits) = (2, 3);
+    let check = |r: &Relation, s: &Relation| {
+        let expect = reference_join(r, s);
+        let run = |limit: usize| {
+            let mut c = cfg(threads, None);
+            c.mem_limit = Some(limit);
+            Join::new(Algorithm::Mway).with_config(c).run(r, s)
+        };
+        let refused = |limit: usize, in_phase: &str| refused_in(run(limit), limit, in_phase);
+        let partition = refused(1, "partition");
+        let sort = refused(partition, "sort");
+        let longest = (0..1 << bits)
+            .map(|p| {
+                let side = |rel: &Relation| {
+                    rel.tuples()
+                        .iter()
+                        .filter(|t| RadixFn::new(bits).part(t.key) == p)
+                        .count()
+                };
+                side(r).max(side(s))
+            })
+            .max()
+            .unwrap();
+        let retained = (r.len() + s.len()) * 8;
+        assert_eq!(
+            sort,
+            retained + threads * scratch_len(longest) * 8,
+            "sort reserves {sort}: its output alone is {retained}"
+        );
+        refused(partition + sort - 1, "sort");
+        let res = run(partition + sort).expect("the budget MWAY asks for is enough");
+        assert_eq!(res.matches, expect.count);
+        assert_eq!(res.checksum, expect.digest);
+        longest
     };
-    let refused = |limit: usize, in_phase: &str| refused_in(run(limit), limit, in_phase);
-    let partition = refused(1, "partition");
-    let sort = refused(partition, "sort");
-    let retained = (r.len() + s.len()) * 8;
-    assert!(
-        sort >= retained + threads * (s.len() / parts) * 8,
-        "sort reserves {sort}: its output alone is {retained}"
-    );
-    refused(partition + sort - 1, "sort");
-    let res = run(partition + sort).expect("the budget MWAY asks for is enough");
-    assert_eq!(res.matches, expect.count);
-    assert_eq!(res.checksum, expect.digest);
+    let r1 = mmjoin::datagen::gen_build_dense(3_000, 21, Placement::Chunked { parts: 4 });
+    let s1 = mmjoin::datagen::gen_probe_fk(12_000, 3_000, 22, Placement::Chunked { parts: 4 });
+    let n = 8 * RUN_LEN + 3_000;
+    let r2 = mmjoin::datagen::gen_build_dense(n, 23, Placement::Chunked { parts: 4 });
+    let s2 = mmjoin::datagen::gen_probe_fk(3 * n, n, 24, Placement::Chunked { parts: 4 });
+    for mode in [KernelMode::Portable, KernelMode::Simd] {
+        with_mode(mode, || {
+            assert!(check(&r1, &s1) <= RUN_LEN, "{mode:?}");
+            assert!(check(&r2, &s2) > 2 * RUN_LEN, "{mode:?}");
+        });
+    }
 }
 
 #[test]
