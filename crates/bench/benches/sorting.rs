@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use mmjoin_sort::multiway::merge_runs;
 use mmjoin_sort::network::sort8;
 use mmjoin_sort::sort_packed;
+use mmjoin_util::kernels::{with_mode, KernelMode};
 use mmjoin_util::rng::Xoshiro256;
 
 fn rand_u64(n: usize, seed: u64) -> Vec<u64> {
@@ -29,20 +30,27 @@ fn bench_networks(c: &mut Criterion) {
 }
 
 /// `sort_packed` beside `sort_unstable`: one run (64 Ki), four runs
-/// and their multiway merge (256 Ki), sixteen (1 Mi).
+/// and their multiway merge (256 Ki), sixteen (1 Mi), and one
+/// `probe_heavy` partition (1.25 Mi) — in each kernel mode, so the
+/// portable and the AVX-512 paths compare side by side.
 fn bench_run_sort(c: &mut Criterion) {
     let mut g = c.benchmark_group("sort/run-sort-vs-std");
-    for ki in [64usize, 256, 1024] {
+    for ki in [64usize, 256, 1024, 1280] {
         let data = rand_u64(ki << 10, ki as u64);
         g.throughput(Throughput::Elements(data.len() as u64));
-        g.bench_with_input(BenchmarkId::new("run-sort", ki), &data, |b, data| {
-            let mut scratch = mmjoin_util::alloc::AlignedVec::new();
-            b.iter(|| {
-                let mut d = data.clone();
-                sort_packed(&mut d, &mut scratch);
-                d
-            })
-        });
+        for mode in [KernelMode::Portable, KernelMode::Simd] {
+            let id = BenchmarkId::new(&format!("run-sort-{mode:?}").to_lowercase(), ki);
+            g.bench_with_input(id, &data, |b, data| {
+                let mut scratch = mmjoin_util::alloc::AlignedVec::new();
+                with_mode(mode, || {
+                    b.iter(|| {
+                        let mut d = data.clone();
+                        sort_packed(&mut d, &mut scratch);
+                        d
+                    })
+                })
+            });
+        }
         g.bench_with_input(BenchmarkId::new("std-sort-full", ki), &data, |b, data| {
             b.iter(|| {
                 let mut d = data.clone();

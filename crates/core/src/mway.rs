@@ -1,23 +1,29 @@
 //! MWAY — the multi-way sort-merge join (Balkesen et al. 2013).
 //!
 //! Pipeline: (1) one radix pass with SWWCB into a *small* number of
-//! partitions; (2) each partition's build and probe sides are packed and
-//! sorted independently by [`mmjoin_sort::sort_packed`] — runs formed
-//! with a sorting network and merged in cache, combined with one
-//! bandwidth-saving multiway merge (AVX-512 bitonic kernels and a merge
-//! tree where the CPU has them, scalar networks and a loser tree
-//! elsewhere); (3) co-partitions are merge-joined.
+//! partitions, which stores every tuple as its packed word
+//! ([`packed_layout`]); (2) each partition's build and probe sides are
+//! sorted independently, in place in the partition buffer, by
+//! [`mmjoin_sort::sort_packed`] — runs formed with a sorting network
+//! and merged in cache, combined with one bandwidth-saving multiway
+//! merge (AVX-512 bitonic kernels where the CPU has them, scalar
+//! networks and loser trees elsewhere); (3) co-partitions are
+//! merge-joined in the same buffer.
 //!
 //! The original requires a power-of-two thread count; this implementation
 //! has no such restriction (tasks come from a queue), but the harness
 //! mirrors the paper and caps MWAY at 32 threads in Figure 1-style runs.
 
-use mmjoin_partition::{partition_parallel_on, task_order, RadixFn, ScatterMode, ScheduleOrder};
+use std::sync::Mutex;
+
+use mmjoin_partition::{
+    packed_layout, partition_parallel_emit_on, task_order, RadixFn, ScatterMode, ScheduleOrder,
+};
 use mmjoin_sort::mergesort::{memory_passes, scratch_len};
 use mmjoin_sort::sort_packed;
 use mmjoin_util::alloc::AlignedVec;
 use mmjoin_util::checksum::JoinChecksum;
-use mmjoin_util::tuple::Tuple;
+use mmjoin_util::pool::lock_recover;
 use mmjoin_util::{next_pow2, Relation};
 
 use crate::config::JoinConfig;
@@ -42,50 +48,57 @@ pub(crate) fn join_mway(
     let bits = parts.trailing_zeros();
     let f = RadixFn::new(bits);
 
-    // Phase 1: partition both inputs (single pass, SWWCB).
+    // Phase 1: partition both inputs (single pass, SWWCB), each tuple
+    // stored so that its bytes are its packed word.
     let writes = PartitionWrites::GlobalInterleaved;
-    let (pr, ps) = partition_phase(
+    let (mut pr, mut ps) = partition_phase(
         &mut run,
         r,
         s,
         swwcb_partition_bytes(cfg, r, s, parts),
         spec::partition_model(cfg, &[r, s], &[parts], true, writes),
-        |tuples, p| partition_parallel_on(tuples, f, p, ScatterMode::Swwcb),
+        |tuples, p| {
+            partition_parallel_emit_on(tuples, f, p, ScatterMode::Swwcb, |_, t| {
+                packed_layout(t)
+            })
+        },
     )?;
+    let (r_sizes, s_sizes) = (pr.sizes(), ps.sizes());
 
-    // Phase 2: sort every partition of both sides (morsel per partition).
-    // Kept for the join: both sides packed into u64 arrays. Held while a
-    // worker sorts: one scratch for the longer side of its partition —
-    // as long as that side, and with the vector kernels the merge
-    // tree's node buffers past it.
-    let longest = (0..parts)
-        .map(|p| pr.part_len(p).max(ps.part_len(p)))
-        .max()
-        .unwrap_or(0);
-    run.reserve(
-        "sort",
-        (r.len() + s.len() + cfg.threads * scratch_len(longest)) * 8,
-    )?;
+    // Phase 2: sort each side of every partition where the scatter left
+    // it (morsel per partition); the join reads the same words. Held
+    // while a worker sorts: one scratch for the longer side of its
+    // partition — as long as that side, and with the vector kernels the
+    // merge tree's node buffers past it.
+    let longest = r_sizes.iter().chain(&s_sizes).copied().max().unwrap_or(0);
+    run.reserve("sort", cfg.threads * scratch_len(longest) * 8)?;
     let order = task_order(parts, ScheduleOrder::Sequential);
-    let sorted: Vec<(usize, AlignedVec<u64>, AlignedVec<u64>)> = run.phase(
+    // Each partition's two sides, taken by the one morsel that sorts it.
+    let sides: Vec<Mutex<Option<(&mut [u64], &mut [u64])>>> = pr
+        .words_mut()
+        .into_iter()
+        .zip(ps.words_mut())
+        .map(|sides| Mutex::new(Some(sides)))
+        .collect();
+    let sorted: Vec<(usize, &[u64], &[u64])> = run.phase(
         "sort",
         |p| {
             let scratch = AlignedVec::new;
             let policy = QueuePolicy::Shared;
             let mut slots = morsel_map(p, &order, parts, policy, scratch, |scratch, part| {
+                let taken = lock_recover(&sides[part]).take();
+                let (rs, ss) = taken.expect("one morsel per partition");
                 if p.tick() {
-                    return (part, AlignedVec::new(), AlignedVec::new());
+                    return (part, &[][..], &[][..]);
                 }
-                (
-                    part,
-                    sort_partition(pr.partition(part), scratch),
-                    sort_partition(ps.partition(part), scratch),
-                )
+                sort_packed(rs, scratch);
+                sort_packed(ss, scratch);
+                (part, &*rs, &*ss)
             });
             slots.sort_by_key(|(part, _, _)| *part);
             Ok(slots)
         },
-        |_| PhaseModel::ordered(sort_phase_specs(cfg, &pr, &ps), order.clone()),
+        |_| PhaseModel::ordered(sort_phase_specs(cfg, &r_sizes, &s_sizes), order.clone()),
     )?;
 
     // Phase 3: merge-join co-partitions.
@@ -115,8 +128,8 @@ pub(crate) fn join_mway(
         |_| {
             let tasks = spec::join_task_specs(
                 cfg,
-                &pr.sizes(),
-                &ps.sizes(),
+                &r_sizes,
+                &s_sizes,
                 PartitionLayout::Contiguous,
                 ops::MERGE_JOIN,
                 ops::MERGE_JOIN,
@@ -126,14 +139,6 @@ pub(crate) fn join_mway(
         },
     )?;
     Ok(run.finish(checksum, Some(bits)))
-}
-
-/// Sort one partition: pack its tuples into one buffer, sort that with
-/// `scratch` as the other.
-fn sort_partition(tuples: &[Tuple], scratch: &mut AlignedVec<u64>) -> AlignedVec<u64> {
-    let mut packed = AlignedVec::from_exact_iter(tuples.iter().map(|t| t.pack()));
-    sort_packed(&mut packed, scratch);
-    packed
 }
 
 /// Merge-join two key-sorted packed arrays (duplicates expand to the
@@ -169,24 +174,25 @@ fn merge_join_sorted(rs: &[u64], ss: &[u64], c: &mut JoinChecksum) {
     }
 }
 
-/// Cost specs for the sort phase: each side of a partition is written
-/// once packed, streams through memory once per pass of the sort (the
-/// cache-blocked run sort, then one multiway merge if it has several
-/// runs), and pays n·log2(n) compares.
+/// Cost specs for the sort phase, from the partition sizes of each
+/// side: each side of a partition, sorted where it lies, streams through
+/// memory once per pass of the sort (the cache-blocked run sort, then
+/// one multiway merge if it has several runs), and pays n·log2(n)
+/// compares.
 fn sort_phase_specs(
     cfg: &JoinConfig,
-    pr: &mmjoin_partition::PartitionedRelation,
-    ps: &mmjoin_partition::PartitionedRelation,
+    r_sizes: &[usize],
+    s_sizes: &[usize],
 ) -> Vec<mmjoin_numamodel::TaskSpec> {
-    let parts = pr.parts();
+    let parts = r_sizes.len();
     let nodes = cfg.topology.nodes;
     (0..parts)
         .map(|p| {
-            let sides = [pr.part_len(p), ps.part_len(p)];
+            let sides = [r_sizes[p], s_sizes[p]];
             let n = (sides[0] + sides[1]) as f64;
             let streamed: f64 = sides
                 .iter()
-                .map(|&len| (len * 8 * (1 + memory_passes(len))) as f64)
+                .map(|&len| (len * 8 * memory_passes(len)) as f64)
                 .sum();
             let mut spec = mmjoin_numamodel::TaskSpec::new(nodes);
             let node = mmjoin_partition::task::node_of_partition(p, parts, nodes);

@@ -71,6 +71,38 @@ impl PartitionedRelation {
     pub fn all_tuples(&self) -> &[Tuple] {
         self.data.as_slice()
     }
+
+    /// Every partition, in order, as the `u64` words its tuples' bytes
+    /// read as, without a copy: the `pack()` of each tuple the scatter
+    /// was given, if it stored [`packed_layout`]s.
+    pub fn words_mut(&mut self) -> Vec<&mut [u64]> {
+        const _: () = assert!(std::mem::size_of::<Tuple>() == std::mem::size_of::<u64>());
+        let tuples = self.data.as_mut_slice();
+        let mut rest: &mut [u64] = if tuples.is_empty() {
+            &mut []
+        } else {
+            let words = tuples.as_mut_ptr().cast::<u64>();
+            assert!(words.is_aligned(), "partition buffer not 8-byte aligned");
+            // SAFETY: a `repr(C)` `Tuple` is two `u32`s, no padding: any
+            // eight bytes are a valid tuple and a valid `u64`. Aligned
+            // (asserted), and `self` stays borrowed while the words are.
+            unsafe { std::slice::from_raw_parts_mut(words, tuples.len()) }
+        };
+        let mut split = |w: &[usize]| rest.split_off_mut(..w[1] - w[0]).expect("tiled");
+        self.offsets.windows(2).map(&mut split).collect()
+    }
+}
+
+/// What to store for `t` so that its bytes read as the `u64` `t.pack()`
+/// ([`PartitionedRelation::words_mut`]): key and payload exchanged on a
+/// little-endian target. An `emit` that leaves the routing key alone.
+#[inline(always)]
+pub const fn packed_layout(t: Tuple) -> Tuple {
+    if cfg!(target_endian = "little") {
+        Tuple::new(t.payload, t.key)
+    } else {
+        t
+    }
 }
 
 /// Shared mutable output pointer for the disjoint-region scatter.
@@ -92,6 +124,20 @@ pub fn partition_parallel_on(
     pool: &dyn WorkerPool,
     mode: ScatterMode,
 ) -> PartitionedRelation {
+    partition_parallel_emit_on(input, f, pool, mode, |_, t| t)
+}
+
+/// [`partition_parallel_on`] storing `emit(i, input[i])` where it
+/// stores `input[i]`, routed by `input[i].key` all the same: the scatter
+/// forms the stored tuple (MWAY's [`packed_layout`]) instead of a pass
+/// over the output doing it after.
+pub fn partition_parallel_emit_on(
+    input: &[Tuple],
+    f: RadixFn,
+    pool: &dyn WorkerPool,
+    mode: ScatterMode,
+    emit: impl Fn(usize, Tuple) -> Tuple + Sync,
+) -> PartitionedRelation {
     let active = pool.workers().clamp(1, input.len().max(1));
     // Phase 1: local histograms.
     let locals: Vec<Vec<usize>> = broadcast_map(pool, active, |t| {
@@ -105,7 +151,9 @@ pub fn partition_parallel_on(
     let dst = &dst;
     pool.broadcast(&|t| {
         if t < active {
-            let chunk = &input[chunk_range(input.len(), active, t)];
+            let range = chunk_range(input.len(), active, t);
+            let start = range.start;
+            let chunk = &input[range];
             // Copy the whole SyncPtr so the closure capture stays Sync
             // (a field capture of the raw pointer would not be).
             let out = out_ptr;
@@ -120,7 +168,7 @@ pub fn partition_parallel_on(
                     out.0,
                     input.len(),
                     mode,
-                    |_, t| t,
+                    |i, t| emit(start + i, t),
                 )
             }
         }
@@ -690,6 +738,55 @@ mod tests {
             assert_eq!(a.offsets(), b.offsets());
             assert_eq!(a.all_tuples(), b.all_tuples());
         }
+    }
+
+    /// MWAY's layout: a relation scattered through [`packed_layout`] is,
+    /// through [`PartitionedRelation::words_mut`], the `pack()` of the
+    /// plain scatter's tuples, partition by partition — the extremes
+    /// (0, 0) and (MAX, MAX) and a mixed pair included — and every word
+    /// unpacks to the tuple it came from. `emit` sees each input tuple
+    /// once, at its index in the whole input. Miri checks the cast.
+    #[test]
+    fn packed_layout_words_are_pack() {
+        let edges = [
+            Tuple::new(0, 0),
+            Tuple::new(u32::MAX, u32::MAX),
+            Tuple::new(u32::MAX, 0),
+            Tuple::new(1, u32::MAX),
+        ];
+        for t in edges {
+            assert_eq!(Tuple::unpack(t.pack()), t);
+        }
+        let mut input = random_input(3_000, 41);
+        input.extend(edges);
+        let f = RadixFn::new(3);
+        for (threads, mode) in [(1, ScatterMode::Swwcb), (3, ScatterMode::Direct)] {
+            let pool = ScopedPool::new(threads);
+            let plain = partition_parallel_on(&input, f, &pool, mode);
+            let seen: Vec<_> = input.iter().map(|_| AtomicUsize::new(0)).collect();
+            let mut packed = partition_parallel_emit_on(&input, f, &pool, mode, |i, t| {
+                assert_eq!(input[i], t);
+                seen[i].fetch_add(1, Ordering::Relaxed);
+                packed_layout(t)
+            });
+            assert!(seen.iter().all(|s| s.load(Ordering::Relaxed) == 1));
+            assert_eq!(packed.offsets(), plain.offsets());
+            let words = packed.words_mut();
+            assert_eq!(words.len(), plain.parts());
+            for (p, part) in words.iter().enumerate() {
+                let tuples = plain.partition(p);
+                assert!(part.iter().copied().eq(tuples.iter().map(|t| t.pack())));
+                assert!(part.iter().map(|&w| Tuple::unpack(w)).eq(tuples.iter().copied()));
+            }
+        }
+        let mut empty = partition_parallel_emit_on(
+            &[],
+            f,
+            &ScopedPool::new(2),
+            ScatterMode::Swwcb,
+            |_, t| packed_layout(t),
+        );
+        assert!(empty.words_mut().iter().all(|w| w.is_empty()));
     }
 
     #[test]

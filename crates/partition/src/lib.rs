@@ -42,7 +42,8 @@ pub mod task;
 pub use bits::{predict_radix_bits, BitsInput};
 pub use chunked::{chunked_partition_on, ChunkedPartitions};
 pub use contiguous::{
-    partition_parallel_on, route_into, two_pass_partition_on, PartitionedRelation, ScatterMode,
+    packed_layout, partition_parallel_emit_on, partition_parallel_on, route_into,
+    two_pass_partition_on, PartitionedRelation, ScatterMode,
 };
 pub use generic::chunked_partition_by_on;
 pub use radix::RadixFn;

@@ -9,13 +9,15 @@
 //!   of the eight columns, an 8×8 transpose makes every column a
 //!   register, and in-register bitonic merges of 8+8, 16+16 and 32+32
 //!   words finish the run. This replaces `sort8` and the scalar path's
-//!   first three merge passes; the in-cache passes after it are the
-//!   scalar ones, which a bitonic 8+8 pass does not beat (DESIGN.md §9).
-//! * **Multiway merge** ([`merge_runs_into`]): a binary tree of bitonic
-//!   8+8 kernels, each merging two inputs eight words at a time. The
-//!   larger half of each merge stays in a carry register; the next
-//!   block comes from the input with the smaller head, picked with
-//!   `cmov`. Each inner node below the root owns a [`FIFO`]-word buffer
+//!   first three merge passes.
+//! * **Merge passes** ([`merge_pass`]) from width 64: each pair of runs
+//!   is merged eight words at a time by a bitonic 8+8 kernel. The larger
+//!   half of each merge stays in a carry register; the next block comes
+//!   from the run with the smaller head, picked with `cmov`. Two pairs
+//!   per loop; a last incomplete quad of runs takes the scalar pass.
+//! * **Multiway merge** ([`merge_runs_into`]): a binary tree of the same
+//!   kernel, each node merging two inputs as a pass merges two runs.
+//!   Each inner node below the root owns a [`FIFO`]-word buffer
 //!   that its parent drains front to back and that is refilled from the
 //!   start when it is empty — pulled from the root, so a buffer is
 //!   always linear, never a ring. Each run's last partial block is
@@ -36,7 +38,7 @@
 use std::arch::x86_64::*;
 use std::ptr;
 
-use crate::mergesort::VECTOR_RUN;
+use crate::mergesort::{self, VECTOR_RUN};
 
 /// Words per register.
 const LANES: usize = 8;
@@ -279,6 +281,87 @@ unsafe fn push(carry: &mut V, out: &mut *mut u64, next: V) {
     store(*out, lo);
     *out = out.add(LANES);
     *carry = hi;
+}
+
+/// The merge of two runs of whole blocks, `a..a_end` and `b..b_end`,
+/// to `out` through `carry`.
+struct Pair {
+    a: *const u64,
+    a_end: *const u64,
+    b: *const u64,
+    b_end: *const u64,
+    out: *mut u64,
+    carry: V,
+}
+
+impl Pair {
+    /// # Safety
+    /// AVX-512F; `w` a non-zero multiple of eight, `src` valid for
+    /// reading and `dst` for writing `2w` words.
+    #[inline(always)]
+    unsafe fn new(src: *const u64, dst: *mut u64, w: usize) -> Self {
+        let (a_end, b_end) = (src.add(w), src.add(2 * w));
+        let (a, b, carry) = (src.add(LANES), a_end, load(src));
+        Pair { a, a_end, b, b_end, out: dst, carry }
+    }
+
+    /// Steps that can be taken before either run may be used up.
+    #[inline(always)]
+    fn steps(&self) -> usize {
+        words(self.a, self.a_end).min(words(self.b, self.b_end)) / LANES
+    }
+
+    /// # Safety
+    /// AVX-512F; only while [`Pair::steps`] is non-zero.
+    #[inline(always)]
+    unsafe fn step(&mut self) {
+        push(&mut self.carry, &mut self.out, pick(&mut self.a, &mut self.b));
+    }
+
+    /// Merge what is left, the carry last.
+    ///
+    /// # Safety
+    /// AVX-512F.
+    #[inline(always)]
+    unsafe fn finish(mut self) {
+        while self.steps() > 0 {
+            self.step();
+        }
+        for (mut pos, end) in [(self.a, self.a_end), (self.b, self.b_end)] {
+            while pos < end {
+                push(&mut self.carry, &mut self.out, load(pos));
+                pos = pos.add(LANES);
+            }
+        }
+        store(self.out, self.carry);
+    }
+}
+
+/// One merge pass of width `w` (a multiple of eight): the scalar
+/// [`merge_pass`](mergesort::merge_pass), but two pairs of runs at a
+/// time through the 8+8 kernel; what follows the last whole quad of runs
+/// goes to the scalar pass.
+///
+/// # Safety
+/// The CPU must have AVX-512F.
+#[target_feature(enable = "avx512f")]
+pub(crate) unsafe fn merge_pass(src: &[u64], dst: &mut [u64], w: usize) {
+    assert!(w > 0 && w % LANES == 0 && src.len() == dst.len());
+    let quads = src.len() - src.len() % (4 * w);
+    for q in (0..quads).step_by(4 * w) {
+        let (s, d) = (src.as_ptr().add(q), dst.as_mut_ptr().add(q));
+        let mut one = Pair::new(s, d, w);
+        let mut two = Pair::new(s.add(2 * w), d.add(2 * w), w);
+        while let steps @ 1.. = one.steps().min(two.steps()) {
+            for _ in 0..steps {
+                one.step();
+                two.step();
+            }
+        }
+        one.finish();
+        two.finish();
+    }
+    mergesort::merge_pass(&src[quads..], &mut dst[quads..], w);
 }
 
 /// Where an input of a tree node gets its next words once its window is
@@ -536,6 +619,40 @@ mod tests {
             // SAFETY: as above, source and destination the same block.
             unsafe { sort64(p, p) };
             assert_eq!(in_place, expect, "in place, round {round}");
+        }
+    }
+
+    /// The vector pass against the scalar one at every width the vector
+    /// path runs, over arrays whose last quad of runs is whole, or
+    /// holds one, two or three runs, or a last run of one word; runs
+    /// drawn from few values, `u64::MAX` among them (the padding value
+    /// of the run sort and the tree), and with a whole block of it.
+    #[test]
+    fn vector_pass_equals_scalar_pass_at_every_width() {
+        if !cpu_has_avx512() {
+            return;
+        }
+        let mut rng = Xoshiro256::new(65);
+        let mut w = VECTOR_RUN;
+        while w <= crate::mergesort::RUN_LEN / 2 {
+            for tail in [0, w, 2 * w, 3 * w, 2 * w + 1, w + LANES + 3] {
+                let n = 4 * w + tail;
+                let mut src: Vec<u64> = (0..n)
+                    .map(|i| match rng.next_u64() % 4 {
+                        _ if i % (3 * w) < LANES => u64::MAX,
+                        0 => u64::MAX,
+                        1 => rng.next_u64() % 5,
+                        _ => rng.next_u64(),
+                    })
+                    .collect();
+                src.chunks_mut(w).for_each(|run| run.sort_unstable());
+                let (mut vector, mut scalar) = (vec![0; n], vec![0; n]);
+                // SAFETY: checked above.
+                unsafe { merge_pass(&src, &mut vector, w) };
+                mergesort::merge_pass(&src, &mut scalar, w);
+                assert!(vector == scalar, "w={w}, n={n}");
+            }
+            w *= 2;
         }
     }
 }

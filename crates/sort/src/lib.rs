@@ -10,15 +10,16 @@
 //!   (key in the high 32 bits, so integer comparison orders by key)
 //!   that forms the initial runs of the scalar path.
 //! * [`mergesort`] — [`sort_packed`], the whole sort of one array: run
-//!   formation, merge passes over cache-sized blocks (scalar on both
-//!   paths), one multiway merge.
+//!   formation, merge passes over cache-sized blocks, one multiway
+//!   merge.
 //! * [`multiway`] — a k-way merge that replaces `log k` binary merge
 //!   passes over DRAM with a single pass: two loser trees on the scalar
 //!   path.
 //! * `avx512` (x86-64) — the vector versions: 64-word runs sorted in
-//!   registers, and a binary tree of bitonic 8+8 merge kernels for the
-//!   multiway pass. `MMJOIN_KERNELS=portable` (or a CPU without
-//!   AVX-512F, or Miri) keeps the scalar path.
+//!   registers, merge passes of bitonic 8+8 kernels, and a binary tree
+//!   of the same kernels for the multiway pass.
+//!   `MMJOIN_KERNELS=portable` (or a CPU without AVX-512F, or Miri)
+//!   keeps the scalar path.
 //!
 //! Tuples are packed with [`mmjoin_util::Tuple::pack`].
 

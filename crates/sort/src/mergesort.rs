@@ -15,11 +15,11 @@
 //! The scratch buffer is caller-provided so repeated sorts reuse one
 //! allocation; it is never filled, every pass overwrites its output.
 //!
-//! Where [`kernels::avx512_active`] says so, run formation and the
-//! multiway merge run on the bitonic kernels of `crate::avx512`
-//! instead, and the passes start from its runs of 64; the multiway
-//! merge then also takes its node buffers from the scratch
-//! ([`scratch_len`]).
+//! Where [`kernels::avx512_active`] says so, all three run on the
+//! bitonic kernels of `crate::avx512` instead: runs of 64 formed in
+//! registers, passes of bitonic 8+8 merges from width 64 (a last
+//! incomplete quad of runs takes the scalar pass), and a merge tree that
+//! takes its node buffers from the scratch ([`scratch_len`]).
 
 use mmjoin_util::alloc::AlignedVec;
 use mmjoin_util::kernels;
@@ -127,7 +127,13 @@ fn sort_block(data: &mut [u64], tmp: &mut [u64], top: usize, start_in_tmp: bool,
         (data, tmp)
     };
     while width < top {
-        merge_pass(src, dst, width);
+        match vector {
+            // SAFETY: `avx512_active` checked the CPU, and the vector
+            // runs make every width a multiple of 64.
+            #[cfg(target_arch = "x86_64")]
+            true => unsafe { avx512::merge_pass(src, dst, width) },
+            _ => merge_pass(src, dst, width),
+        }
         std::mem::swap(&mut src, &mut dst);
         width *= 2;
     }
@@ -172,7 +178,7 @@ fn insertion_sort(d: &mut [u64]) {
 
 /// One pass: merge the sorted `w`-wide runs of `src` pairwise into
 /// `dst`. The last run may be shorter, or have no partner.
-fn merge_pass(src: &[u64], dst: &mut [u64], w: usize) {
+pub(crate) fn merge_pass(src: &[u64], dst: &mut [u64], w: usize) {
     assert_eq!(src.len(), dst.len());
     let paired = src.len() - src.len() % (4 * w);
     let (src_quads, src_tail) = src.split_at(paired);

@@ -3,7 +3,8 @@
 //! run, block of two runs, multiway merge) over the input shapes that
 //! break merges, and the multiway merge over every run count up to 80.
 //! Every case runs with the portable kernels and with the SIMD ones —
-//! the AVX-512 run sort and merge tree where the CPU has them.
+//! the AVX-512 run sort, merge passes and merge tree where the CPU has
+//! them.
 //! These are also what exercises the raw-pointer merge loops under
 //! Miri, where `RUN_LEN` shrinks so that the same boundaries stay
 //! reachable (portable only: the interpreter has no AVX-512).
@@ -95,6 +96,28 @@ fn sort_packed_at_every_length_boundary() {
         let mut scratch = AlignedVec::new();
         for (i, &n) in lens.iter().enumerate() {
             for shape in SHAPES {
+                assert_sorts(shape, n, i as u64, &mut scratch, mode);
+            }
+        }
+    });
+}
+
+#[test]
+fn sort_packed_with_an_incomplete_last_quad_at_every_pass_width() {
+    // A pass merges runs two pairs at a time (the vector pass: whole
+    // quads only, the rest to the scalar pass). At each width from the
+    // vector runs' 64 to the last pass's, lengths whose last quad of
+    // runs holds one, two or three runs, or a last run of one word.
+    let mut lens = Vec::new();
+    let mut w = 64;
+    while w <= RUN_LEN / 2 {
+        lens.extend([w, 2 * w, 3 * w, 2 * w + 1].map(|tail| 4 * w + tail));
+        w *= 2;
+    }
+    in_every_mode(|mode| {
+        let mut scratch = AlignedVec::new();
+        for (i, &n) in lens.iter().enumerate() {
+            for shape in ["random", "few-distinct", "extremes"] {
                 assert_sorts(shape, n, i as u64, &mut scratch, mode);
             }
         }

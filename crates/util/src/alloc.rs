@@ -278,20 +278,6 @@ impl<T: Copy> AlignedVec<T> {
         }
     }
 
-    /// Collect an exact-size iterator straight into a fresh allocation
-    /// of that size: no zero-fill first and no capacity check per
-    /// element (packing a partition's tuples for the sort).
-    pub fn from_exact_iter(iter: impl ExactSizeIterator<Item = T>) -> Self {
-        let mut buf = AlignedBuf::<T>::allocate(iter.len(), false, false);
-        let mut len = 0;
-        for (slot, value) in buf.as_mut_slice_uninit().iter_mut().zip(iter) {
-            *slot = value;
-            len += 1;
-        }
-        // Only the written prefix is exposed, whatever `iter.len()` said.
-        AlignedVec { buf, len }
-    }
-
     #[inline]
     pub fn len(&self) -> usize {
         self.len
@@ -535,11 +521,6 @@ mod tests {
 
     #[test]
     fn aligned_vec_unfilled_constructors() {
-        let v = AlignedVec::from_exact_iter((0..1000u32).map(|i| u64::from(i) * 3));
-        assert_eq!(v.len(), 1000);
-        assert!(v.iter().enumerate().all(|(i, &x)| x == i as u64 * 3));
-        assert!(AlignedVec::<u64>::from_exact_iter(std::iter::empty()).is_empty());
-
         // SAFETY: every slot is written by `fill` before any read.
         let mut v = unsafe { AlignedVec::<u64>::unfilled(100) };
         assert_eq!(v.len(), 100);

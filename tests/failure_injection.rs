@@ -289,14 +289,14 @@ fn refused_in<T: std::fmt::Debug>(
 
 #[test]
 fn mway_budget_counts_the_sort_scratch() {
-    // MWAY's sort phase holds, besides the packed copy of both inputs
-    // it keeps for the join, one scratch per worker for the longer side
-    // of the partition being sorted: as long as that side, and — with
-    // the AVX-512 kernels, once a side has more than one run — the merge
-    // tree's node buffers past it (`mergesort::scratch_len`). The budget
-    // must admit the join at exactly what it reserves and refuse it one
-    // byte short: at partitions of one run and of several, in both
-    // kernel modes.
+    // MWAY sorts each side of a partition where the partition pass put
+    // it, so its sort phase holds nothing besides one scratch per worker
+    // for the longer side of the partition being sorted: as long as
+    // that side, and — with the AVX-512 kernels, once a side has more
+    // than one run — the merge tree's node buffers past it
+    // (`mergesort::scratch_len`). The budget must admit the join at
+    // exactly what it reserves and refuse it one byte short: at
+    // partitions of one run and of several, in both kernel modes.
     use mmjoin::sort::mergesort::{scratch_len, RUN_LEN};
     use mmjoin::util::kernels::{with_mode, KernelMode};
     let _mode = mode_lock();
@@ -323,12 +323,7 @@ fn mway_budget_counts_the_sort_scratch() {
             })
             .max()
             .unwrap();
-        let retained = (r.len() + s.len()) * 8;
-        assert_eq!(
-            sort,
-            retained + threads * scratch_len(longest) * 8,
-            "sort reserves {sort}: its output alone is {retained}"
-        );
+        assert_eq!(sort, threads * scratch_len(longest) * 8);
         refused(partition + sort - 1, "sort");
         let res = run(partition + sort).expect("the budget MWAY asks for is enough");
         assert_eq!(res.matches, expect.count);
