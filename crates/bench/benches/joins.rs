@@ -1,5 +1,6 @@
-//! End-to-end criterion benches: all thirteen joins on one canonical
-//! (scaled) workload, plus the scheduling ablation (ablation 3).
+//! End-to-end criterion benches: all thirteen joins and SHHJ (unbudgeted
+//! and at a quarter of the build bytes) on one canonical (scaled)
+//! workload, plus the scheduling ablation (ablation 3).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mmjoin_core::pipeline::PORTED;
@@ -27,9 +28,16 @@ fn bench_all_joins(c: &mut Criterion) {
     let mut g = c.benchmark_group("join/all-thirteen");
     g.throughput(Throughput::Elements((r_n + s_n) as u64));
     g.sample_size(10);
-    for alg in Algorithm::ALL {
+    for alg in Algorithm::WITH_EXTENSIONS {
         g.bench_function(alg.name(), |b| b.iter(|| run(alg, &r, &s, &cfg)));
     }
+    // SHHJ degraded: a quarter of the build bytes evicts most partitions,
+    // so both scans stage and write runs and the spill phase joins them.
+    let mut spilling = cfg.clone();
+    spilling.mem_limit = Some(r_n * 8 / 4);
+    g.bench_function("SHHJ@1/4", |b| {
+        b.iter(|| run(Algorithm::Shhj, &r, &s, &spilling))
+    });
     g.finish();
 }
 

@@ -60,9 +60,10 @@ struct TierOk {
 }
 
 /// One point of the degradation curve. SHHJ itself refuses a budget
-/// only when it sits below the all-spilled buffer floor (tiny
-/// workloads at extreme fractions), which comes back as the same
-/// `MemoryBudgetExceeded` a classic driver raises.
+/// only when it sits below the all-spilled buffer floor plus the
+/// smallest routing scratch (tiny workloads at extreme fractions),
+/// which comes back as the same `MemoryBudgetExceeded` a classic
+/// driver raises.
 struct TierRun {
     label: &'static str,
     budget: Option<usize>,
@@ -145,9 +146,10 @@ pub fn run(opts: &HarnessOpts) -> Vec<Table> {
                 ]);
                 assert!(ok.checksum_ok, "SHHJ@{}: checksum mismatch", t.label);
             }
-            // Budget below even the all-spilled buffer floor: no plan
-            // exists at this workload size, same refusal as a classic
-            // driver. Only reachable at tiny --scale factors.
+            // Budget below even the all-spilled buffer floor and the
+            // smallest routing scratch: no plan exists at this workload
+            // size, same refusal as a classic driver. Only reachable at
+            // tiny --scale factors.
             Err(_) => {
                 table.row(vec![
                     t.label.to_string(),

@@ -58,9 +58,7 @@ pub(crate) fn join_mway(
         swwcb_partition_bytes(cfg, r, s, parts),
         spec::partition_model(cfg, &[r, s], &[parts], true, writes),
         |tuples, p| {
-            partition_parallel_emit_on(tuples, f, p, ScatterMode::Swwcb, |_, t| {
-                packed_layout(t)
-            })
+            partition_parallel_emit_on(tuples, f, p, ScatterMode::Swwcb, |_, t| packed_layout(t))
         },
     )?;
     let (r_sizes, s_sizes) = (pr.sizes(), ps.sizes());
@@ -74,7 +72,7 @@ pub(crate) fn join_mway(
     run.reserve("sort", cfg.threads * scratch_len(longest) * 8)?;
     let order = task_order(parts, ScheduleOrder::Sequential);
     // Each partition's two sides, taken by the one morsel that sorts it.
-    let sides: Vec<Mutex<Option<(&mut [u64], &mut [u64])>>> = pr
+    let sides: Vec<_> = pr
         .words_mut()
         .into_iter()
         .zip(ps.words_mut())
@@ -118,7 +116,7 @@ pub(crate) fn join_mway(
                         if p.tick() {
                             break;
                         }
-                        let (_, ref rs, ref ss) = sorted[part];
+                        let (_, rs, ss) = sorted[part];
                         merge_join_sorted(rs, ss, &mut c);
                     }
                     c

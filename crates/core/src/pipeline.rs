@@ -205,15 +205,16 @@ impl BuildSide {
     }
 }
 
-/// Probes per partition a routing batch aims for: a run long enough to
-/// amortise the table call, a batch long enough that the router's
-/// `O(fan-out)` part disappears in its `O(batch)` part.
-const ROUTE_RUN: usize = 256;
+/// Probes per partition a routing batch (here and in SHHJ's scans) aims
+/// for: a run long enough to amortise the table call, a batch long
+/// enough that the router's `O(fan-out)` part disappears in its
+/// `O(batch)` part.
+pub(crate) const ROUTE_RUN: usize = 256;
 
 /// Longest routing batch: the source slice it reads and the routed copy
 /// it writes are 2 MiB together, half of this host's 4 MiB L2 (the rule
 /// `mmjoin_sort::mergesort::RUN_LEN` follows; sweep in DESIGN.md §12).
-const ROUTE_MAX: usize = (1 << 20) / std::mem::size_of::<Tuple>();
+pub(crate) const ROUTE_MAX: usize = (1 << 20) / std::mem::size_of::<Tuple>();
 
 /// One worker's buffers for one stage: `take` tuples go into a probe
 /// call; `bounds` and `staged` are the routed batch of a partitioned

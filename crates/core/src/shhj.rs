@@ -7,15 +7,13 @@
 //! that cliff into a gradient, in the lineage of Grace/hybrid hash
 //! joins:
 //!
-//! 1. **partition** — radix-partition R (same substrate as PRO, but
-//!    with a budget-aware fanout). A residency plan charges the budget
-//!    for every partition's tuples + hash table; each refused
-//!    reservation *evicts* the largest still-resident partition to a
-//!    disk run instead of failing the join. Resident partitions build
-//!    their tables now.
-//! 2. **probe** — stream S once: tuples of resident partitions probe
-//!    immediately; tuples of evicted partitions are appended to S-side
-//!    runs.
+//! 1. **partition** — histogram R on a budget-aware radix fanout and
+//!    plan residency: charge every partition's tuples + hash table and,
+//!    while the budget refuses, evict the costliest resident partition
+//!    to a disk run instead of failing the join. Then scatter R and
+//!    build the resident partitions' tables.
+//! 2. **probe** — stream S once: resident partitions probe their
+//!    table, evicted ones are appended to S-side runs.
 //! 3. **spill** — join each evicted partition pair from disk. The
 //!    *smaller* side becomes the build side (role reversal); a pair
 //!    whose smaller side still exceeds the budget is recursively
@@ -23,20 +21,20 @@
 //!    [`SPILL_RECURSION_LIMIT`], past which the typed
 //!    [`JoinError::SpillRecursionLimit`] is returned.
 //!
-//! All spill files live in one [`SpillDir`] whose `Drop` removes them —
-//! cancel/deadline/error paths cannot leak temp files. Cancellation and
-//! deadlines are checked per morsel in the scans and per page inside
-//! the spill I/O loops; spill file I/O failures surface as
-//! [`JoinError::Io`].
+//! Both scans route a block of a worker's chunk by radix digit and act
+//! once per partition window. All spill files live in one [`SpillDir`]
+//! whose `Drop` removes them — cancel/deadline/error paths cannot leak
+//! temp files. Cancellation and deadlines are checked per routed block
+//! and per spill I/O page; I/O failures surface as [`JoinError::Io`].
 
 use std::io;
 use std::sync::Mutex;
 
-use mmjoin_hashtable::{IdentityHash, JoinTable, StLinearTable, TableSpec};
+use mmjoin_hashtable::{IdentityHash, JoinTable, StLinearTable, TableSpec, PROBE_GROUP};
 use mmjoin_partition::histogram::histogram;
-use mmjoin_partition::RadixFn;
+use mmjoin_partition::{route_into, RadixFn};
 use mmjoin_util::checksum::JoinChecksum;
-use mmjoin_util::pool::{into_inner_recover, lock_recover};
+use mmjoin_util::pool::{into_inner_recover, lock_recover, WorkerPool};
 use mmjoin_util::spill::{SpillDir, SpillRun, SpillWriter, READER_BYTES, WRITER_BYTES};
 use mmjoin_util::tuple::Tuple;
 use mmjoin_util::Relation;
@@ -44,6 +42,8 @@ use mmjoin_util::Relation;
 use crate::config::JoinConfig;
 use crate::exec::{merge_checksums, morsel_map, parallel_chunks, MORSEL};
 use crate::executor::QueuePolicy;
+use crate::fault::MemCharge;
+use crate::pipeline::{ROUTE_MAX, ROUTE_RUN};
 use crate::plan::JoinError;
 use crate::run::{JoinRun, RunCtx};
 use crate::spec::PhaseModel;
@@ -175,16 +175,7 @@ pub(crate) fn join_shhj(
             // the workers' staging buffers) per evicted one. Each refused
             // reservation evicts the costliest resident partition and
             // retries.
-            let part_cost: Vec<usize> = hist
-                .iter()
-                .map(|&n| {
-                    if n == 0 {
-                        0
-                    } else {
-                        n * 8 + TableSpec::hashed_partition(n, bits).table_bytes()
-                    }
-                })
-                .collect();
+            let part_cost: Vec<usize> = hist.iter().map(|&n| partition_cost(n, bits)).collect();
             let overhead_per_spilled = 2 * WRITER_BYTES + cfg.threads * STAGE_TUPLES * 8;
             let mut resident = vec![true; parts];
             let (resident_bytes, overhead_bytes) = loop {
@@ -240,41 +231,17 @@ pub(crate) fn join_shhj(
                 }
             }
 
-            // Scatter R: resident tuples into chunk-local vectors
-            // (gathered as slices at build time, like CPR), evicted tuples
-            // staged and appended to the partition's run under its writer
-            // lock.
+            // Scatter R: resident windows into chunk-local vectors
+            // (gathered as slices at build time, like CPR), evicted ones
+            // to the partition's run.
+            let (block, _scratch) = routing_scratch(ctx, r.len(), parts)?;
             let chunk_outs: Vec<Vec<Vec<Tuple>>> = parallel_chunks(ctx, r.tuples(), |w, chunk| {
                 let mut local: Vec<Vec<Tuple>> = (0..parts)
-                    .map(|p| {
-                        if resident[p] {
-                            Vec::with_capacity(locals[w][p])
-                        } else {
-                            Vec::with_capacity(STAGE_TUPLES.min(locals[w][p]))
-                        }
-                    })
+                    .map(|p| Vec::with_capacity(if resident[p] { locals[w][p] } else { 0 }))
                     .collect();
-                for block in chunk.chunks(MORSEL) {
-                    if ctx.tick() {
-                        return local;
-                    }
-                    for t in block {
-                        let p = f.part(t.key);
-                        local[p].push(*t);
-                        if !resident[p] && local[p].len() >= STAGE_TUPLES {
-                            if let Err(e) = flush_stage(&r_writers[p], &mut local[p]) {
-                                ctx.trip(io_error(ctx, &e));
-                                return local;
-                            }
-                        }
-                    }
-                }
-                for &p in &spilled_parts {
-                    if let Err(e) = flush_stage(&r_writers[p], &mut local[p]) {
-                        ctx.trip(io_error(ctx, &e));
-                        return local;
-                    }
-                }
+                route_scan(ctx, chunk, f, block, &resident, &r_writers, |p, ts| {
+                    local[p].extend_from_slice(ts)
+                });
                 local
             });
 
@@ -327,38 +294,22 @@ pub(crate) fn join_shhj(
     let mut checksum = run.phase(
         "probe",
         |ctx| {
+            let (block, _scratch) = routing_scratch(ctx, s.len(), parts)?;
             let probe_outs: Vec<JoinChecksum> = parallel_chunks(ctx, s.tuples(), |_, chunk| {
                 let mut c = JoinChecksum::new();
-                let mut stage: Vec<Vec<Tuple>> = (0..parts).map(|_| Vec::new()).collect();
-                for block in chunk.chunks(MORSEL) {
-                    if ctx.tick() {
-                        return c;
-                    }
-                    for t in block {
-                        let p = f.part(t.key);
-                        if part.resident[p] {
-                            if let Some(table) = &part.tables[p] {
-                                table.probe_batch(std::slice::from_ref(t), unique, |t, bp| {
-                                    c.add(t.key, bp, t.payload)
-                                });
-                            }
-                        } else {
-                            stage[p].push(*t);
-                            if stage[p].len() >= STAGE_TUPLES {
-                                if let Err(e) = flush_stage(&part.s_writers[p], &mut stage[p]) {
-                                    ctx.trip(io_error(ctx, &e));
-                                    return c;
-                                }
-                            }
+                route_scan(
+                    ctx,
+                    chunk,
+                    f,
+                    block,
+                    &part.resident,
+                    &part.s_writers,
+                    |p, ts| {
+                        if let Some(table) = &part.tables[p] {
+                            table.probe_batch(ts, unique, |t, bp| c.add(t.key, bp, t.payload));
                         }
-                    }
-                }
-                for &p in &part.spilled_parts {
-                    if let Err(e) = flush_stage(&part.s_writers[p], &mut stage[p]) {
-                        ctx.trip(io_error(ctx, &e));
-                        return c;
-                    }
-                }
+                    },
+                );
                 c
             });
             ctx.add_spill(SpillCounters {
@@ -427,6 +378,7 @@ pub(crate) fn join_shhj(
                 ctx.budget().release(part.overhead_bytes);
             }
             ctx.add_spill(spill_counters);
+            debug_assert_eq!(ctx.budget().used(), 0, "SHHJ holds budget past its phases");
             Ok(checksum)
         },
         |_| PhaseModel::none(),
@@ -435,19 +387,97 @@ pub(crate) fn join_shhj(
     Ok(run.finish(checksum, Some(bits)))
 }
 
-/// Append a worker's staged tuples to the partition's run under its
-/// writer lock.
-fn flush_stage(writer: &Option<Mutex<SpillWriter>>, stage: &mut Vec<Tuple>) -> io::Result<()> {
-    if stage.is_empty() {
-        return Ok(());
+/// Budget bytes of a resident partition of `n` tuples: the tuples and
+/// their table.
+fn partition_cost(n: usize, bits: u32) -> usize {
+    if n == 0 {
+        0
+    } else {
+        n * 8 + TableSpec::hashed_partition(n, bits).table_bytes()
     }
-    let Some(w) = writer else {
-        stage.clear();
-        return Ok(());
+}
+
+/// Reserve each worker's routing scratch (a block of its chunk of `len`
+/// tuples, `fanout + 1` bounds), halving the block down to [`PROBE_GROUP`]
+/// while the budget refuses; the block length and the phase's charge.
+fn routing_scratch(
+    ctx: &RunCtx,
+    len: usize,
+    fanout: usize,
+) -> Result<(usize, MemCharge<'_>), JoinError> {
+    let workers = ctx.workers().clamp(1, len.max(1));
+    let mut block = (ROUTE_RUN * fanout).clamp(MORSEL, ROUTE_MAX);
+    block = block.min(len.div_ceil(workers)).max(1);
+    let floor = block.min(PROBE_GROUP);
+    loop {
+        let bytes = workers * (block + fanout + 1) * 8;
+        match ctx.budget().try_reserve(bytes) {
+            Ok(()) => return Ok((block, MemCharge::new(ctx.budget(), bytes))),
+            Err(be) if block == floor => return Err(ctx.budget_error(bytes, be)),
+            Err(_) => block = (block / 2).max(floor),
+        }
+    }
+}
+
+/// One worker's scan of `chunk`: route it a `block` at a time by `f`'s
+/// digit (one `tick` per block), hand each resident partition's window
+/// to `resident_window(p, window)` and stage each evicted one for its
+/// writer. A spill I/O error trips the run and ends the scan.
+fn route_scan(
+    ctx: &RunCtx,
+    chunk: &[Tuple],
+    f: RadixFn,
+    block: usize,
+    resident: &[bool],
+    writers: &[Option<Mutex<SpillWriter>>],
+    mut resident_window: impl FnMut(usize, &[Tuple]),
+) {
+    let mut routed = vec![Tuple::default(); block.min(chunk.len())];
+    let mut bounds = vec![0; f.fanout() + 1];
+    let mut stages: Vec<Vec<Tuple>> = resident
+        .iter()
+        .map(|&r| Vec::with_capacity(if r { 0 } else { STAGE_TUPLES }))
+        .collect();
+    for input in chunk.chunks(block) {
+        if ctx.tick() {
+            return;
+        }
+        route_into(input, f, &mut bounds, &mut routed, |_, t| t);
+        for (p, w) in bounds.windows(2).enumerate().filter(|(_, w)| w[0] < w[1]) {
+            let (window, stage) = (&routed[w[0]..w[1]], &mut stages[p]);
+            if resident[p] {
+                resident_window(p, window);
+            } else if stage.len() + window.len() <= STAGE_TUPLES {
+                stage.extend_from_slice(window);
+            } else if !flush_stage(ctx, &writers[p], stage, window) {
+                return;
+            }
+            debug_assert!(stage.len() <= STAGE_TUPLES, "stage past its charge");
+        }
+    }
+    for (p, stage) in stages.iter_mut().enumerate() {
+        if !flush_stage(ctx, &writers[p], stage, &[]) {
+            return;
+        }
+    }
+}
+
+/// Append a worker's staged tuples, then `window`, to the partition's
+/// run under one take of its writer lock and empty the stage; `false`,
+/// with the run tripped, on an I/O error.
+fn flush_stage(
+    ctx: &RunCtx,
+    writer: &Option<Mutex<SpillWriter>>,
+    stage: &mut Vec<Tuple>,
+    window: &[Tuple],
+) -> bool {
+    let Some(w) = writer.as_ref().filter(|_| stage.len() + window.len() > 0) else {
+        return true;
     };
-    let res = lock_recover(w).push_slice(stage);
+    let mut w = lock_recover(w);
+    let res = w.push_slice(stage).and_then(|()| w.push_slice(window));
     stage.clear();
-    res
+    res.map_err(|e| ctx.trip(io_error(ctx, &e))).is_ok()
 }
 
 /// Join one spilled partition pair: load the smaller side if it fits
@@ -617,4 +647,122 @@ fn repartition(
         runs.push(r);
     }
     Ok(runs)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reference::reference_join;
+    use mmjoin_datagen::{gen_build_dense, gen_probe_fk};
+    use mmjoin_util::Placement;
+
+    fn cfg(threads: usize, bits: u32, mem_limit: usize) -> JoinConfig {
+        let mut cfg = JoinConfig::new(threads);
+        cfg.simulate = false;
+        cfg.radix_bits = Some(bits);
+        cfg.mem_limit = Some(mem_limit);
+        cfg
+    }
+
+    fn assert_matches_reference(label: &str, r: &Relation, s: &Relation, res: &JoinResult) {
+        let expect = reference_join(r, s);
+        assert_eq!(res.matches, expect.count, "{label}: matches");
+        assert_eq!(res.checksum, expect.digest, "{label}: checksum");
+    }
+
+    /// The residency plan is charged first; the routing scratch then
+    /// halves its block down to `PROBE_GROUP` tuples before it fails.
+    #[test]
+    fn routing_scratch_halves_to_the_probe_group_floor_then_fails_typed() {
+        let (threads, bits) = (2, 4);
+        let r = gen_build_dense(20_000, 1, Placement::Chunked { parts: threads });
+        let s = gen_probe_fk(60_000, 20_000, 2, Placement::Chunked { parts: threads });
+        let f = RadixFn::new(bits);
+        let plan: usize = histogram(r.tuples(), f)
+            .iter()
+            .map(|&n| partition_cost(n, bits))
+            .sum();
+        let floor = threads * (PROBE_GROUP + f.fanout() + 1) * 8;
+
+        let res = join_shhj(&r, &s, &cfg(threads, bits, plan + floor)).expect("floor block fits");
+        assert_matches_reference("plan + floor", &r, &s, &res);
+        assert_eq!(res.spill_totals().partitions_spilled, 0, "all resident");
+
+        match join_shhj(&r, &s, &cfg(threads, bits, plan + floor - 1)) {
+            Err(JoinError::MemoryBudgetExceeded {
+                phase, requested, ..
+            }) => assert_eq!((phase, requested), ("partition", floor)),
+            other => panic!("one byte below the floor: {other:?}"),
+        }
+    }
+
+    /// `n` distinct keys of partition `p` under radix bits 3, each
+    /// `dup` times.
+    fn keys_in(p: usize, n: usize, dup: usize, payload0: u32) -> Vec<Tuple> {
+        (0..n * dup)
+            .map(|i| Tuple::new((8 * (i % n + 1) + p) as u32, payload0 + i as u32))
+            .collect()
+    }
+
+    /// Every routed block of S holds windows of resident partitions
+    /// (0, 3), evicted ones (1 — windows past `STAGE_TUPLES`, written
+    /// straight from the routed buffer — and 2, a few tuples a block,
+    /// staged) and partitions R left empty (6, 7). Duplicate build keys;
+    /// the driver's own assertion checks that the budget is back to
+    /// zero after the spill phase.
+    #[test]
+    fn a_routed_block_of_resident_evicted_and_empty_windows_matches_reference() {
+        let mut build = keys_in(0, 200, 2, 0);
+        build.extend(keys_in(1, 2_000, 2, 10_000));
+        build.extend(keys_in(2, 1_500, 2, 20_000));
+        build.extend(keys_in(3, 300, 2, 30_000));
+        // 12 000 probes: per 100, 40 to partition 1, 1 to partition 2,
+        // 15 each to 0 and 3, 14 each to 6 and 7.
+        let probe: Vec<Tuple> = (0..12_000)
+            .map(|i| {
+                let (p, n) = match i % 100 {
+                    0..40 => (1, 2_000),
+                    40 => (2, 1_500),
+                    41..56 => (0, 200),
+                    56..71 => (3, 300),
+                    71..85 => (6, 50),
+                    _ => (7, 50),
+                };
+                Tuple::new((8 * (i / 100 % n + 1) + p) as u32, i as u32)
+            })
+            .collect();
+        for threads in [1, 3] {
+            let placement = Placement::Chunked { parts: threads };
+            let r = Relation::from_tuples(&build, placement);
+            let s = Relation::from_tuples(&probe, placement);
+            let hist = histogram(r.tuples(), RadixFn::new(3));
+            let cost = |p: usize| partition_cost(hist[p], 3);
+            let per_spilled = 2 * WRITER_BYTES + threads * STAGE_TUPLES * 8;
+            // Room for partitions 0 and 3, two evictions and some
+            // routing scratch, but not for partition 2 besides.
+            let slack = 40_000;
+            assert!(slack + per_spilled < cost(2) && cost(2) < cost(1));
+            let mut c = cfg(threads, 3, cost(0) + cost(3) + 2 * per_spilled + slack);
+            c.unique_build_keys = false;
+            let dir = std::env::temp_dir().join(format!(
+                "mmjoin-shhj-routed-{threads}-{}",
+                std::process::id()
+            ));
+            std::fs::create_dir_all(&dir).expect("spill parent");
+            c.spill_dir = Some(dir.clone());
+
+            let label = format!("threads {threads}");
+            let res = join_shhj(&r, &s, &c).unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_matches_reference(&label, &r, &s, &res);
+            let evicted = res.phases.iter().find(|p| p.name == "partition");
+            assert_eq!(
+                evicted.map(|p| p.spill.partitions_spilled),
+                Some(2),
+                "{label}"
+            );
+            let left = std::fs::read_dir(&dir).expect("spill parent").count();
+            std::fs::remove_dir_all(&dir).expect("spill parent");
+            assert_eq!(left, 0, "{label}: spill files left behind");
+        }
+    }
 }

@@ -776,16 +776,16 @@ mod tests {
             for (p, part) in words.iter().enumerate() {
                 let tuples = plain.partition(p);
                 assert!(part.iter().copied().eq(tuples.iter().map(|t| t.pack())));
-                assert!(part.iter().map(|&w| Tuple::unpack(w)).eq(tuples.iter().copied()));
+                assert!(part
+                    .iter()
+                    .map(|&w| Tuple::unpack(w))
+                    .eq(tuples.iter().copied()));
             }
         }
-        let mut empty = partition_parallel_emit_on(
-            &[],
-            f,
-            &ScopedPool::new(2),
-            ScatterMode::Swwcb,
-            |_, t| packed_layout(t),
-        );
+        let mut empty =
+            partition_parallel_emit_on(&[], f, &ScopedPool::new(2), ScatterMode::Swwcb, |_, t| {
+                packed_layout(t)
+            });
         assert!(empty.words_mut().iter().all(|w| w.is_empty()));
     }
 

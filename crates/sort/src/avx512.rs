@@ -302,7 +302,14 @@ impl Pair {
     unsafe fn new(src: *const u64, dst: *mut u64, w: usize) -> Self {
         let (a_end, b_end) = (src.add(w), src.add(2 * w));
         let (a, b, carry) = (src.add(LANES), a_end, load(src));
-        Pair { a, a_end, b, b_end, out: dst, carry }
+        Pair {
+            a,
+            a_end,
+            b,
+            b_end,
+            out: dst,
+            carry,
+        }
     }
 
     /// Steps that can be taken before either run may be used up.
@@ -315,7 +322,11 @@ impl Pair {
     /// AVX-512F; only while [`Pair::steps`] is non-zero.
     #[inline(always)]
     unsafe fn step(&mut self) {
-        push(&mut self.carry, &mut self.out, pick(&mut self.a, &mut self.b));
+        push(
+            &mut self.carry,
+            &mut self.out,
+            pick(&mut self.a, &mut self.b),
+        );
     }
 
     /// Merge what is left, the carry last.
@@ -346,7 +357,7 @@ impl Pair {
 /// The CPU must have AVX-512F.
 #[target_feature(enable = "avx512f")]
 pub(crate) unsafe fn merge_pass(src: &[u64], dst: &mut [u64], w: usize) {
-    assert!(w > 0 && w % LANES == 0 && src.len() == dst.len());
+    assert!(w > 0 && w.is_multiple_of(LANES) && src.len() == dst.len());
     let quads = src.len() - src.len() % (4 * w);
     for q in (0..quads).step_by(4 * w) {
         let (s, d) = (src.as_ptr().add(q), dst.as_mut_ptr().add(q));
