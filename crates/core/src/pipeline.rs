@@ -34,6 +34,7 @@ use std::sync::{Arc, Mutex};
 use mmjoin_hashtable::{
     ConciseHashTable, ConcurrentArrayTable, ConcurrentLinearTable, IdentityHash, MultiplicativeHash,
 };
+use mmjoin_partition::swwcb;
 use mmjoin_partition::{
     partition_parallel_on, route_into, PartitionedRelation, RadixFn, ScatterMode,
 };
@@ -294,7 +295,10 @@ fn prepare_inner(
 
             // Partition phase — build side only: the probe input is
             // routed batch-by-batch at probe time, never copied.
-            run.reserve("partition", r.len() * 8 + cfg.threads * parts * 64)?;
+            run.reserve(
+                "partition",
+                r.len() * 8 + cfg.threads * swwcb::bank_bytes(parts),
+            )?;
             let pr = run.phase(
                 "partition",
                 |p| Ok(partition_parallel_on(r.tuples(), f, p, ScatterMode::Swwcb)),

@@ -14,6 +14,7 @@
 use mmjoin_hashtable::{
     ArrayTable, IdentityHash, JoinTable, StChainedTable, StLinearTable, TableSpec,
 };
+use mmjoin_partition::swwcb;
 use mmjoin_partition::{
     chunked_partition_on, partition_parallel_on, task_order, two_pass_partition_on,
     ChunkedPartitions, PartitionedRelation, RadixFn, ScatterMode, ScheduleOrder,
@@ -349,15 +350,14 @@ fn join_model<P: CoPartitions>(
 }
 
 /// Budget bytes of a one-pass SWWCB partition phase: partitioned copies
-/// of both inputs (8 B/tuple) plus the per-worker SWWCB pools (one cache
-/// line per partition per worker).
+/// of both inputs (8 B/tuple) plus one SWWCB bank per worker.
 pub(crate) fn swwcb_partition_bytes(
     cfg: &JoinConfig,
     r: &Relation,
     s: &Relation,
     parts: usize,
 ) -> usize {
-    (r.len() + s.len()) * 8 + cfg.threads * parts * 64
+    (r.len() + s.len()) * 8 + cfg.threads * swwcb::bank_bytes(parts)
 }
 
 /// The partition phase every partitioned driver starts with: reserve

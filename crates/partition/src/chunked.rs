@@ -102,7 +102,10 @@ pub fn chunked_partition_on(
 /// Single-threaded histogram-based radix partitioning of one chunk into a
 /// fresh local buffer.
 fn partition_chunk_local(chunk: &[Tuple], f: RadixFn, mode: ScatterMode) -> ChunkPart {
-    let mut data = AlignedBuf::<Tuple>::zeroed(chunk.len());
+    // SAFETY: every slot is written exactly once before `data` is read:
+    // `route_at` fills `0..chunk.len()` in full, each partition at the
+    // range its own count of this chunk gave it.
+    let mut data = unsafe { AlignedBuf::<Tuple>::unfilled(chunk.len()) };
     let mut offsets = vec![0usize; f.fanout() + 1];
     // `offsets[0]` stays 0: partition 0 starts where the chunk does.
     let (cursors, ptr, len) = (&mut offsets[1..], data.as_mut_ptr(), chunk.len());

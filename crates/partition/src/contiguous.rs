@@ -17,9 +17,9 @@ use mmjoin_util::pool::{broadcast_map, WorkerPool};
 use mmjoin_util::tuple::Tuple;
 use mmjoin_util::{chunk_range, kernels, CACHE_LINE, TUPLES_PER_CACHELINE};
 
-use crate::histogram::{global_offsets, histogram};
+use crate::histogram::{count_digits, global_offsets, histogram};
 use crate::radix::RadixFn;
-use crate::swwcb::SwwcBank;
+use crate::swwcb;
 
 /// How phase (3) writes tuples to their destination.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -146,9 +146,14 @@ pub fn partition_parallel_emit_on(
     // Phase 2: merge into per-thread cursors.
     let (dst, offsets) = global_offsets(&locals);
     // Phase 3: scatter.
-    let mut out = AlignedBuf::<Tuple>::zeroed(input.len());
+    // SAFETY: every slot is written exactly once before `out` is read.
+    // Worker `t` writes `dst[t][p] .. dst[t][p] + locals[t][p]` of each
+    // partition `p` in full (the histogram counted its chunk), and those
+    // ranges tile `0..input.len()` (`global_offsets`). A worker's panic
+    // is raised out of the broadcast, past `out`.
+    let mut out = unsafe { AlignedBuf::<Tuple>::unfilled(input.len()) };
     let out_ptr = SyncPtr(out.as_mut_ptr());
-    let dst = &dst;
+    let (dst, locals) = (&dst, &locals);
     pool.broadcast(&|t| {
         if t < active {
             let range = chunk_range(input.len(), active, t);
@@ -157,20 +162,19 @@ pub fn partition_parallel_emit_on(
             // Copy the whole SyncPtr so the closure capture stays Sync
             // (a field capture of the raw pointer would not be).
             let out = out_ptr;
+            let mut cursors = dst[t].clone();
             // SAFETY: this worker's cursor ranges are disjoint from
             // every other worker's by construction of global_offsets,
             // and in-bounds because the histogram counted this chunk.
             unsafe {
-                scatter_chunk(
-                    chunk,
-                    f,
-                    &mut dst[t].clone(),
-                    out.0,
-                    input.len(),
-                    mode,
-                    |i, t| emit(start + i, t),
-                )
+                scatter_chunk(chunk, f, &mut cursors, out.0, input.len(), mode, |i, t| {
+                    emit(start + i, t)
+                })
             }
+            debug_assert!(
+                (cursors.iter().zip(&dst[t]).zip(&locals[t])).all(|((&c, &d), &n)| c == d + n),
+                "worker {t} did not fill its ranges"
+            );
         }
     });
     PartitionedRelation { data: out, offsets }
@@ -217,16 +221,7 @@ unsafe fn scatter_chunk(
                 scatter_direct::<false>(chunk, f, cursors, out, emit)
             }
         }
-        ScatterMode::Swwcb => {
-            let mut bank = SwwcBank::new(cursors);
-            for (i, &t) in chunk.iter().enumerate() {
-                bank.push(f.part(t.key), emit(i, t), out);
-            }
-            bank.flush_all(out);
-            for (p, cur) in cursors.iter_mut().enumerate() {
-                *cur = bank.cursor(p);
-            }
-        }
+        ScatterMode::Swwcb => swwcb::scatter(chunk, f, cursors, out, emit),
     }
 }
 
@@ -272,7 +267,8 @@ unsafe fn scatter_direct<const AHEAD: bool>(
 /// in `cursors[p]` the end of partition `p`'s range of `out` — which is
 /// where partition `p + 1` starts, partition 0 at `base`
 /// (`cursors.len() == f.fanout()`). Costs `O(input + fanout)` and
-/// allocates nothing in [`ScatterMode::Direct`].
+/// allocates nothing in [`ScatterMode::Direct`] (a debug build keeps a
+/// copy of the partition ends, to check the scatter reached them).
 ///
 /// # Safety
 /// `out[base..][..input.len()]` must be valid for writes and touched by
@@ -288,22 +284,24 @@ pub(crate) unsafe fn route_at(
     mode: ScatterMode,
     emit: impl Fn(usize, Tuple) -> Tuple,
 ) {
-    assert_eq!(cursors.len(), f.fanout());
     // A cursor starts at its partition's first slot and the scatter
     // leaves it one past the last.
     cursors.fill(0);
-    for t in input {
-        cursors[f.part(t.key)] += 1;
-    }
+    count_digits(input, f, |t| t.key, cursors);
     let mut start = base;
     for cur in cursors.iter_mut() {
         let count = *cur;
         *cur = start;
         start += count;
     }
+    // Partition `p` ends where `p + 1` starts, the last at `start`.
+    #[cfg(debug_assertions)]
+    let ends: Vec<usize> = cursors[1..].iter().copied().chain([start]).collect();
     // SAFETY: the cursors tile `base..base + input.len()` by exact
     // counts of this same input; the caller vouches for that range.
     unsafe { scatter_chunk(input, f, cursors, out, out_len, mode, emit) }
+    #[cfg(debug_assertions)]
+    debug_assert_eq!(cursors, &ends[..], "the scatter did not fill its ranges");
 }
 
 /// Radix-route one cache-sized batch: `out[..input.len()]` receives

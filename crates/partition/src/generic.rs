@@ -18,7 +18,7 @@ use mmjoin_util::chunk_range;
 use mmjoin_util::pool::{broadcast_map, WorkerPool};
 
 use crate::chunked::{ChunkPart, ChunkedPartitions};
-use crate::histogram::prefix_sum;
+use crate::histogram::{count_digits, prefix_sum};
 use crate::radix::RadixFn;
 
 /// Partition `input` chunk-locally by `key(t) & mask` on a worker pool.
@@ -45,9 +45,7 @@ where
 
 fn partition_chunk_by<T: Copy, K: Fn(&T) -> u32>(chunk: &[T], f: RadixFn, key: K) -> ChunkPart<T> {
     let mut hist = vec![0usize; f.fanout()];
-    for t in chunk {
-        hist[f.part(key(t))] += 1;
-    }
+    count_digits(chunk, f, &key, &mut hist);
     let offsets = prefix_sum(&hist);
     let mut cursor = offsets[..f.fanout()].to_vec();
     // SAFETY: every slot is written exactly once before `data` is read.

@@ -6,11 +6,27 @@ use crate::radix::RadixFn;
 
 /// Count tuples per partition.
 pub fn histogram(tuples: &[Tuple], f: RadixFn) -> Vec<usize> {
-    let mut h = vec![0usize; f.fanout()];
-    for t in tuples {
-        h[f.part(t.key)] += 1;
-    }
+    let mut h = vec![0; f.fanout()];
+    count_digits(tuples, f, |t| t.key, &mut h);
     h
+}
+
+/// The histogram kernel, under every partitioner of the crate: adds to
+/// `counts[p]` the number of `input`'s records whose `key` has digit `p`
+/// under `f`.
+#[inline(always)]
+pub(crate) fn count_digits<T>(
+    input: &[T],
+    f: RadixFn,
+    key: impl Fn(&T) -> u32,
+    counts: &mut [usize],
+) {
+    assert_eq!(counts.len(), f.fanout());
+    for t in input {
+        // SAFETY: `f.part` masks the key to `f.bits` bits, so the index
+        // is below `f.fanout() == counts.len()` (asserted above).
+        unsafe { *counts.get_unchecked_mut(f.part(key(t))) += 1 };
+    }
 }
 
 /// Exclusive prefix sum; returns offsets of length `h.len() + 1`, with the
@@ -72,6 +88,20 @@ mod tests {
             .collect();
         let h = histogram(&ts, RadixFn::new(2));
         assert_eq!(h, vec![3, 2, 2, 2]); // keys 0,4,8 | 1,5 | 2,6 | 3,7
+
+        // The kernel against a naive count: lengths 0-9, several
+        // fan-outs, a digit above the low bits.
+        let mut rng = mmjoin_util::rng::Xoshiro256::new(5);
+        let keys: Vec<Tuple> = (0..9).map(|_| tup(rng.next_u32())).collect();
+        let fs = [0, 1, 3, 5, 6, 10].map(RadixFn::new);
+        for f in fs.into_iter().chain([RadixFn::pass(4, 7)]) {
+            for n in 0..=9 {
+                let ts = &keys[..n];
+                let mut naive = vec![0usize; f.fanout()];
+                ts.iter().for_each(|t| naive[f.part(t.key)] += 1);
+                assert_eq!(histogram(ts, f), naive, "{f:?} n={n}");
+            }
+        }
     }
 
     #[test]

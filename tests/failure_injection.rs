@@ -344,6 +344,51 @@ fn mway_budget_counts_the_sort_scratch() {
 }
 
 #[test]
+fn pro_budget_counts_the_swwcb_banks() {
+    // PRO's partition phase holds the partitioned copies of R and S and
+    // one SWWCB bank per worker (`swwcb::bank_bytes`). The budget must
+    // refuse the phase one byte short of that, and admit the join at
+    // exactly what its phases ask for: the partition phase, then (one
+    // worker) one table, every partition of dense keys being the same
+    // size.
+    use mmjoin::core::pro::PartTable;
+    use mmjoin::core::TableKind;
+    use mmjoin::partition::swwcb;
+    let bits = 5;
+    let r = mmjoin::datagen::gen_build_dense(4_096, 25, Placement::Chunked { parts: 4 });
+    let s = mmjoin::datagen::gen_probe_fk(12_000, 4_096, 26, Placement::Chunked { parts: 4 });
+    let expect = reference_join(&r, &s);
+    let table = PartTable {
+        kind: TableKind::Chained,
+        bits,
+        domain: 0,
+    };
+    let table = table.spec(r.len() >> bits).table_bytes();
+    for threads in [1, 2] {
+        let run = |limit: usize| {
+            let mut c = cfg(threads, Some(bits));
+            c.mem_limit = Some(limit);
+            Join::new(Algorithm::Pro).with_config(c).run(&r, &s)
+        };
+        let partition = refused_in(run(1), 1, "partition");
+        let banks = threads * swwcb::bank_bytes(1 << bits);
+        assert_eq!(
+            partition,
+            (r.len() + s.len()) * 8 + banks,
+            "{threads} threads"
+        );
+        refused_in(run(partition - 1), partition - 1, "partition");
+        if threads == 1 {
+            assert_eq!(refused_in(run(partition), partition, "join"), table);
+            refused_in(run(partition + table - 1), partition + table - 1, "join");
+            let res = run(partition + table).expect("the budget PRO asks for is enough");
+            assert_eq!(res.matches, expect.count);
+            assert_eq!(res.checksum, expect.digest);
+        }
+    }
+}
+
+#[test]
 fn prb_budget_counts_one_table_per_worker() {
     // A join worker keeps one table across the co-partitions it pulls,
     // reset in place and replaced only by a larger one, so the join
