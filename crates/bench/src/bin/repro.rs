@@ -2,19 +2,13 @@
 //!
 //! ```text
 //! repro <experiment>... [--scale N] [--threads N] [--sim-threads N] [--json]
-//!                       [--ledger PATH]
 //! repro all
 //! repro list
 //! ```
-//!
-//! With `--ledger PATH`, every successful trial's wall time is recorded
-//! (raw, one sample per repeat, keyed by the trial label) and the sweep
-//! appends one provenance-stamped entry to the run ledger for `sentinel`
-//! to compare against history (DESIGN.md §11).
 
 use mmjoin_bench::experiments::registry;
 use mmjoin_bench::harness::TrialCounters;
-use mmjoin_bench::{harness, ledger, HarnessOpts};
+use mmjoin_bench::HarnessOpts;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -25,23 +19,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let mut ledger_path: Option<String> = None;
-    let mut rest_filtered = Vec::new();
-    let mut it = rest.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--ledger" {
-            match it.next() {
-                Some(p) => ledger_path = Some(p),
-                None => {
-                    eprintln!("error: --ledger needs a value");
-                    std::process::exit(2);
-                }
-            }
-        } else {
-            rest_filtered.push(a);
-        }
-    }
-    let rest = rest_filtered;
     let reg = registry();
 
     if rest.is_empty()
@@ -50,7 +27,7 @@ fn main() {
             .any(|a| a == "list" || a == "--help" || a == "-h")
     {
         eprintln!(
-            "usage: repro <experiment>... [--scale N] [--threads N] [--sim-threads N] [--json] [--ledger PATH]"
+            "usage: repro <experiment>... [--scale N] [--threads N] [--sim-threads N] [--json]"
         );
         eprintln!("experiments:");
         for (name, desc, _) in &reg {
@@ -70,10 +47,6 @@ fn main() {
         "# mmjoin repro — scale 1/{}, {} host threads, {} simulated threads",
         opts.scale, opts.threads, opts.sim_threads
     );
-    let counters_before = TrialCounters::snapshot();
-    if ledger_path.is_some() {
-        harness::enable_sample_log();
-    }
     let mut all_tables = Vec::new();
     for name in wanted {
         let Some((_, desc, f)) = reg.iter().find(|(n, _, _)| *n == name) else {
@@ -89,8 +62,7 @@ fn main() {
         eprintln!("[{name} took {:.1}s]", start.elapsed().as_secs_f64());
         all_tables.extend(tables);
     }
-    let delta = counters_before.delta();
-    let (retried, failed) = (delta.retried, delta.failed);
+    let TrialCounters { retried, failed } = TrialCounters::snapshot();
     if retried > 0 {
         eprintln!("[{retried} trial(s) retried, {failed} failed both attempts]");
     }
@@ -100,20 +72,5 @@ fn main() {
             mmjoin_bench::harness::meta_json(),
             mmjoin_bench::harness::tables_to_json(&all_tables)
         );
-    }
-    if let Some(path) = &ledger_path {
-        let samples = ledger::sample_sets_from_log(harness::take_sample_log(), "repro");
-        let mut entry = ledger::Entry::stamped("repro", opts.threads, samples);
-        entry.retried_trials = retried;
-        entry.failed_trials = failed;
-        entry.failed_resource_trials = delta.failed_resource;
-        entry.failed_io_trials = delta.failed_io;
-        match ledger::append(std::path::Path::new(path), &entry) {
-            Ok(()) => eprintln!("ledger: appended {} to {path}", entry.describe()),
-            Err(e) => {
-                eprintln!("error: cannot append to ledger {path}: {e}");
-                std::process::exit(2);
-            }
-        }
     }
 }

@@ -2,7 +2,6 @@
 //! the fault-tolerant trial runner.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use mmjoin_core::{JoinConfig, JoinError, JoinResult};
@@ -14,36 +13,15 @@ use mmjoin_util::{Placement, Relation};
 static FAILED_TRIALS: AtomicU64 = AtomicU64::new(0);
 /// Trials whose first attempt failed (whether or not the retry passed).
 static RETRIED_TRIALS: AtomicU64 = AtomicU64::new(0);
-/// Failed trials whose terminal error was `MemoryBudgetExceeded` — a
-/// resource refusal, not a defect; reported separately so a budget
-/// sweep's expected aborts don't read as harness breakage.
-static FAILED_RESOURCE_TRIALS: AtomicU64 = AtomicU64::new(0);
-/// Failed trials whose terminal error was `JoinError::Io` (spill-file
-/// I/O): disk trouble, also distinct from panics/logic failures.
-static FAILED_IO_TRIALS: AtomicU64 = AtomicU64::new(0);
 
-/// Opt-in per-trial sample log: `(trial label, wall seconds)` for every
-/// successful trial, in completion order. Off (None) unless a ledger
-/// recorder enabled it — the raw repeat vectors behind `repro --ledger`.
-static SAMPLE_LOG: Mutex<Option<Vec<(String, f64)>>> = Mutex::new(None);
-
-/// A point-in-time view of the process-wide retry/failure counters.
-///
-/// The counters themselves are process-global and monotonic; a sweep
-/// that wants *its own* counts (a second sweep in the same process, the
-/// sentinel's back-to-back runs) takes a snapshot before starting and
-/// reads `delta()` after, instead of re-reporting everything that came
-/// before it.
+/// A point-in-time view of the process-wide retry/failure counters,
+/// which are monotonic; `repro` reads them once, after its sweep.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TrialCounters {
     /// Trials whose first attempt failed (retry may have passed).
     pub retried: u64,
-    /// Trials that failed both attempts (all causes).
+    /// Trials that failed both attempts.
     pub failed: u64,
-    /// Subset of `failed` that ended in `MemoryBudgetExceeded`.
-    pub failed_resource: u64,
-    /// Subset of `failed` that ended in `JoinError::Io`.
-    pub failed_io: u64,
 }
 
 impl TrialCounters {
@@ -52,42 +30,7 @@ impl TrialCounters {
         TrialCounters {
             retried: RETRIED_TRIALS.load(Ordering::Relaxed),
             failed: FAILED_TRIALS.load(Ordering::Relaxed),
-            failed_resource: FAILED_RESOURCE_TRIALS.load(Ordering::Relaxed),
-            failed_io: FAILED_IO_TRIALS.load(Ordering::Relaxed),
         }
-    }
-
-    /// Counts accumulated since this snapshot was taken.
-    pub fn delta(&self) -> TrialCounters {
-        let now = TrialCounters::snapshot();
-        TrialCounters {
-            retried: now.retried.saturating_sub(self.retried),
-            failed: now.failed.saturating_sub(self.failed),
-            failed_resource: now.failed_resource.saturating_sub(self.failed_resource),
-            failed_io: now.failed_io.saturating_sub(self.failed_io),
-        }
-    }
-}
-
-/// Start recording `(label, seconds)` for every successful trial.
-/// Clears anything a previous recording left behind.
-pub fn enable_sample_log() {
-    let mut log = SAMPLE_LOG.lock().unwrap_or_else(|e| e.into_inner());
-    *log = Some(Vec::new());
-}
-
-/// Stop recording and hand back everything recorded since
-/// [`enable_sample_log`]. Returns an empty vec when recording was never
-/// enabled.
-pub fn take_sample_log() -> Vec<(String, f64)> {
-    let mut log = SAMPLE_LOG.lock().unwrap_or_else(|e| e.into_inner());
-    log.take().unwrap_or_default()
-}
-
-fn record_sample(label: &str, secs: f64) {
-    let mut log = SAMPLE_LOG.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(samples) = log.as_mut() {
-        samples.push((label.to_string(), secs));
     }
 }
 
@@ -105,7 +48,7 @@ pub fn run_trial_with<F>(label: &str, mut f: F) -> Option<JoinResult>
 where
     F: FnMut() -> Result<JoinResult, JoinError>,
 {
-    let res = match f() {
+    match f() {
         Ok(res) => Some(res),
         Err(first) => {
             RETRIED_TRIALS.fetch_add(1, Ordering::Relaxed);
@@ -115,25 +58,12 @@ where
                 Ok(res) => Some(res),
                 Err(second) => {
                     FAILED_TRIALS.fetch_add(1, Ordering::Relaxed);
-                    match &second {
-                        JoinError::MemoryBudgetExceeded { .. } => {
-                            FAILED_RESOURCE_TRIALS.fetch_add(1, Ordering::Relaxed);
-                        }
-                        JoinError::Io { .. } => {
-                            FAILED_IO_TRIALS.fetch_add(1, Ordering::Relaxed);
-                        }
-                        _ => {}
-                    }
                     eprintln!("warning: trial {label} failed again ({second}); skipping");
                     None
                 }
             }
         }
-    };
-    if let Some(res) = &res {
-        record_sample(label, res.total_wall().as_secs_f64());
     }
-    res
 }
 
 /// Table cell for a metric of an optional (possibly failed) trial.
@@ -344,13 +274,22 @@ pub fn meta_json() -> String {
          \"alloc_policy\": {}, \"numa_nodes\": {}, \"thp_enabled\": {}, \
          \"free_hugepages_2m\": {}}}",
         quote(&cpu_model()),
-        quote(&crate::ledger::kernel_mode_name()),
+        quote(kernel_mode_name()),
         mmjoin_util::perf::available(),
         quote(&mmjoin_util::mem::policy_name()),
         topo.nodes,
         topo.thp_enabled,
         topo.free_hugepages_2m
     )
+}
+
+/// The process-level kernel mode, as `meta_json` reports it.
+fn kernel_mode_name() -> &'static str {
+    match mmjoin_util::kernels::effective_mode() {
+        mmjoin_util::kernels::KernelMode::Simd => "simd",
+        mmjoin_util::kernels::KernelMode::Portable => "portable",
+        mmjoin_util::kernels::KernelMode::Auto => "auto",
+    }
 }
 
 /// Format seconds as milliseconds with 2 decimals.
@@ -421,10 +360,9 @@ mod tests {
     }
 
     #[test]
-    fn trial_counters_snapshot_delta() {
-        // The globals are process-wide and other tests may race on them;
-        // assert on deltas relative to our own snapshots only, and only
-        // with failures we inject ourselves (failures are monotonic).
+    fn failed_trial_counts_one_retry_and_one_failure() {
+        // The counters are process-wide and other tests may bump them
+        // too; they only grow, so compare against our own snapshot.
         let before = TrialCounters::snapshot();
         let res = run_trial_with("snapshot-test", || {
             Err::<JoinResult, _>(JoinError::InvalidConfig {
@@ -434,17 +372,13 @@ mod tests {
             })
         });
         assert!(res.is_none());
-        let d = before.delta();
-        assert!(d.retried >= 1, "our failed trial retried once: {d:?}");
-        assert!(d.failed >= 1, "our failed trial failed twice: {d:?}");
-        // A fresh snapshot taken now sees none of the history.
         let after = TrialCounters::snapshot();
-        let d2 = after.delta();
-        assert_eq!(d2, TrialCounters::default());
+        assert!(after.retried > before.retried, "{before:?} -> {after:?}");
+        assert!(after.failed > before.failed, "{before:?} -> {after:?}");
     }
 
     #[test]
-    fn trial_failures_classified_by_cause() {
+    fn resource_and_io_failures_count_as_failed() {
         let before = TrialCounters::snapshot();
         run_trial_with("oom-test", || {
             Err::<JoinResult, _>(JoinError::MemoryBudgetExceeded {
@@ -460,31 +394,12 @@ mod tests {
                 source: "disk full".to_string(),
             })
         });
-        let d = before.delta();
-        assert!(d.failed >= 2, "{d:?}");
-        assert!(d.failed_resource >= 1, "{d:?}");
-        assert!(d.failed_io >= 1, "{d:?}");
-    }
-
-    #[test]
-    fn sample_log_records_successful_trials() {
-        enable_sample_log();
-        let res = run_trial_with("sample-log-test", || {
-            let mut r = JoinResult::new(mmjoin_core::Algorithm::Nop);
-            r.matches = 1;
-            Ok(r)
-        });
-        assert!(res.is_some());
-        let samples = take_sample_log();
+        let after = TrialCounters::snapshot();
+        assert!(after.failed >= before.failed + 2, "{before:?} -> {after:?}");
         assert!(
-            samples.iter().any(|(l, _)| l == "sample-log-test"),
-            "{samples:?}"
+            after.retried >= before.retried + 2,
+            "{before:?} -> {after:?}"
         );
-        // Disabled again after take: nothing accumulates.
-        run_trial_with("sample-log-test-2", || {
-            Ok(JoinResult::new(mmjoin_core::Algorithm::Nop))
-        });
-        assert!(take_sample_log().is_empty());
     }
 
     #[test]

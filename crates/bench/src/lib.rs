@@ -15,7 +15,5 @@
 
 pub mod experiments;
 pub mod harness;
-pub mod ledger;
-pub mod sentinel;
 
 pub use harness::{HarnessOpts, Table};

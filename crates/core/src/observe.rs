@@ -400,7 +400,7 @@ mod tests {
     /// The three documents, byte for byte as the exporters wrote them
     /// before each record had one writer (`tests/golden/observe_*`,
     /// recorded at bf1f85d from this `sample()`): the service's `trace`
-    /// and `stat` consumers and the ledger parse these.
+    /// and `stat` consumers parse these.
     #[test]
     fn documents_match_their_golden_bytes() {
         let r = sample();

@@ -100,7 +100,7 @@ pub enum JoinError {
         limit: usize,
         available: usize,
     },
-    /// A spill or ledger file operation failed. `source` is the
+    /// A spill file operation failed. `source` is the
     /// rendered `std::io::Error` (this enum is `Clone + PartialEq`, the
     /// raw error is neither).
     Io { phase: &'static str, source: String },

@@ -111,6 +111,8 @@ struct SyncPtr<T>(*mut T);
 // SAFETY: every thread writes a disjoint index range, established by the
 // global-histogram phase; see scatter_chunk.
 unsafe impl<T> Sync for SyncPtr<T> {}
+// SAFETY: as for Sync: the pointer goes to workers that write disjoint
+// ranges of a buffer that outlives the pool's scope.
 unsafe impl<T> Send for SyncPtr<T> {}
 
 /// Single-pass parallel radix partitioning on a caller-provided pool.

@@ -61,12 +61,16 @@ mod sys {
     }
 
     pub fn epoll_create1() -> std::io::Result<i32> {
+        // SAFETY: no argument is a pointer; the call only creates a new
+        // descriptor.
         let ret = unsafe { syscall6(nr::EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0, 0, 0) };
         check(ret).map(|fd| fd as i32)
     }
 
     pub fn epoll_ctl(epfd: i32, op: usize, fd: i32, events: u32, data: u64) -> std::io::Result<()> {
         let ev = EpollEvent { events, data };
+        // SAFETY: the kernel reads one `EpollEvent` through the pointer,
+        // and `ev` is a live local for the whole call.
         let ret = unsafe {
             syscall6(
                 nr::EPOLL_CTL,
@@ -88,6 +92,9 @@ mod sys {
         events: &mut [EpollEvent],
         timeout_ms: i32,
     ) -> std::io::Result<usize> {
+        // SAFETY: the kernel writes at most `events.len()` entries
+        // through the pointer into `events`, a live exclusive borrow;
+        // the sigmask pointer is null.
         let ret = unsafe {
             syscall6(
                 epfd_wait_nr(),
@@ -112,6 +119,8 @@ mod sys {
     }
 
     pub fn close(fd: i32) {
+        // SAFETY: closing a descriptor touches no memory; the one
+        // caller, the reactor's Drop, closes the epoll fd it owns.
         unsafe {
             syscall6(nr::CLOSE, fd as usize, 0, 0, 0, 0, 0);
         }

@@ -16,15 +16,13 @@
 //! the histograms at read time (`stat`, Prometheus exposition), within
 //! the bounded relative error documented in `mmjoin_util::telemetry`.
 //!
-//! The **regression watch** folds each closed window into a
-//! ledger-compatible cell (a raw latency sample vector, seconds, like
-//! the bench ledger's `SampleSet.secs`) and runs the sentinel's
-//! decision rule (`mmjoin_util::stats::judge_shift`) in-process: the
-//! latest closed window is compared against the pooled preceding
-//! windows, and a tenant is flagged only when the median rose past
-//! `watch_factor` *and* the shift is statistically significant (U-test
-//! p ≤ `WATCH_ALPHA`, or disjoint bootstrap median CIs). Flags surface
-//! in `stat` output — no offline `sentinel compare` needed.
+//! The **regression watch** keeps each closed window's raw latency
+//! samples (seconds) and runs `mmjoin_util::stats::judge_shift`
+//! in-process: the latest closed window is compared against the pooled
+//! preceding windows, and a tenant is flagged only when the median rose
+//! past `watch_factor` *and* the shift is statistically significant
+//! (U-test p ≤ `WATCH_ALPHA`, or disjoint bootstrap median CIs). Flags
+//! surface in `stat` output.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
@@ -71,7 +69,7 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// Per-window raw-sample cap for the watch's ledger-compatible cells.
+/// Per-window cap on the raw latency samples the watch keeps.
 const RESERVOIR_CAP: usize = 512;
 /// Closed window summaries retained per tenant.
 const HISTORY_CAP: usize = 8;
@@ -152,7 +150,7 @@ impl QueryRecord {
 }
 
 /// A closed SLO window: histogram snapshot for percentiles plus the
-/// raw reservoir (the ledger-compatible cell the watch tests).
+/// raw latency samples (the reservoir the watch tests).
 struct WindowSummary {
     hist: HistSnapshot,
     errors: u64,
@@ -464,7 +462,7 @@ impl Telemetry {
         w.flags = flags;
     }
 
-    /// The sentinel verdict for one tenant: latest closed window versus
+    /// The `judge_shift` verdict for one tenant: latest closed window versus
     /// the pooled preceding windows.
     fn judge(&self, t: &TenantTelemetry) -> Option<WatchFlag> {
         let h = t.history.lock().unwrap();
@@ -481,7 +479,8 @@ impl Telemetry {
             .collect();
         let cur = &current.samples;
         // 500 resamples at 99 %: the watch runs every window inside the
-        // serving process, the offline sentinel can afford 2000 at 95 %.
+        // serving process, so it keeps resampling cheap and asks for a
+        // stricter level in exchange.
         let shift = stats::judge_shift(
             &baseline,
             cur,

@@ -44,6 +44,8 @@ pub struct AlignedBuf<T> {
 // SAFETY: the buffer uniquely owns its allocation; `T: Send/Sync` carries
 // over like for Vec<T>.
 unsafe impl<T: Send> Send for AlignedBuf<T> {}
+// SAFETY: as for Send: shared access to the buffer only hands out `&T`
+// (`&self` methods never write), so `T: Sync` suffices, as for Vec<T>.
 unsafe impl<T: Sync> Sync for AlignedBuf<T> {}
 
 impl<T> AlignedBuf<T> {

@@ -1,8 +1,8 @@
 //! A minimal JSON parser, and the one string escaper every hand-rolled
 //! writer in the workspace uses ([`escape`] / [`quote`]): just enough
-//! for the workspace's own artifacts (profile traces/metrics, the run
-//! ledger, sentinel verdicts) and the `mmjoin-serve` wire protocol,
-//! without an external serde dependency. Strict where it matters —
+//! for the workspace's own artifacts (profile traces and metrics,
+//! `repro --json`) and the `mmjoin-serve` wire protocol, without an
+//! external serde dependency. Strict where it matters —
 //! rejects trailing garbage, unterminated strings, malformed numbers —
 //! and deliberately simple everywhere else (numbers come back as `f64`;
 //! `\uXXXX` escapes decode the full plane: surrogate pairs combine into
@@ -244,9 +244,8 @@ impl<'a> Parser<'a> {
                             match code {
                                 // High surrogate: only meaningful as the
                                 // first half of a `\uD8xx\uDCxx` pair
-                                // (how the ledger's host/CPU strings
-                                // round-trip emoji and other astral
-                                // chars through other JSON writers).
+                                // (how other JSON writers spell emoji
+                                // and other astral chars).
                                 0xD800..=0xDBFF => {
                                     let paired = self.bytes.get(self.pos + 1) == Some(&b'\\')
                                         && self.bytes.get(self.pos + 2) == Some(&b'u');
@@ -372,7 +371,7 @@ mod tests {
         );
         // Raw (non-escaped) astral chars pass through untouched, so the
         // escaped and raw spellings of the same string round-trip to the
-        // same value — the property the ledger's host strings rely on.
+        // same value, whichever writer produced the document.
         assert_eq!(
             parse("\"😀\"").unwrap(),
             parse("\"\\uD83D\\uDE00\"").unwrap()

@@ -233,8 +233,7 @@ pub fn policy() -> AllocPolicy {
     }
 }
 
-/// `policy().name()` — the string stamped into bench metadata and
-/// ledger entries.
+/// `policy().name()` — the string stamped into bench metadata.
 pub fn policy_name() -> String {
     policy().name()
 }
@@ -395,6 +394,8 @@ pub struct Block {
 
 // SAFETY: a Block uniquely owns its mapping.
 unsafe impl Send for Block {}
+// SAFETY: a Block's `&self` methods only read its pointer, length and
+// flags; they never touch the mapped bytes.
 unsafe impl Sync for Block {}
 
 impl Block {
@@ -728,6 +729,9 @@ mod imp {
     /// Anonymous private read/write mapping; `extra` adds hugetlb
     /// flags. `None` on any error (negative return = `-errno`).
     pub(super) fn mmap_anon(len: usize, extra: usize) -> Option<NonNull<u8>> {
+        // SAFETY: a new anonymous mapping at an address the kernel picks
+        // (addr 0, no MAP_FIXED) overlaps no memory the process uses, and
+        // no argument is a pointer the kernel reads.
         let ret = unsafe {
             syscall6(
                 nr::MMAP,
@@ -746,12 +750,17 @@ mod imp {
     }
 
     pub(super) fn munmap(ptr: NonNull<u8>, len: usize) {
+        // SAFETY: the only callers, `pool_put` and `pool_clear`, pass a
+        // whole mapping from `mmap_anon` whose Block is gone and which
+        // the pool has given up, so nothing references its pages.
         unsafe {
             syscall6(nr::MUNMAP, ptr.as_ptr() as usize, len, 0, 0, 0, 0);
         }
     }
 
     pub(super) fn madvise_hugepage(ptr: NonNull<u8>, len: usize) -> bool {
+        // SAFETY: MADV_HUGEPAGE is advice only: it changes neither the
+        // range's contents nor its validity, whatever range is passed.
         let ret = unsafe {
             syscall6(
                 nr::MADVISE,
@@ -769,6 +778,10 @@ mod imp {
     /// `mbind(addr, len, mode, &nodemask, maxnode=64, flags=0)`.
     pub(super) fn mbind(ptr: NonNull<u8>, len: usize, mode: usize, nodemask: u64) -> bool {
         let mask = [nodemask];
+        // SAFETY: the kernel reads 64 bits of node mask through the
+        // pointer, and `mask` is a live local `[u64; 1]` for the whole
+        // call; a memory policy moves pages between nodes but keeps the
+        // range's contents and addresses.
         let ret = unsafe {
             syscall6(
                 nr::MBIND,
@@ -786,6 +799,8 @@ mod imp {
     /// `set_mempolicy(MPOL_DEFAULT, NULL, 0)` — a harmless no-op that
     /// fails with ENOSYS/EPERM exactly when real policy calls would.
     pub(super) fn set_mempolicy_default() -> bool {
+        // SAFETY: MPOL_DEFAULT with a null mask reads no memory and
+        // only resets this thread's policy for future allocations.
         let ret = unsafe { syscall6(nr::SET_MEMPOLICY, 0, 0, 0, 0, 0, 0) };
         ret == 0
     }
@@ -939,6 +954,9 @@ mod tests {
             assert_eq!(b.len() % PAGE_2M, 0);
             assert_eq!(b.ptr().as_ptr() as usize % PAGE_4K, 0);
             // Fresh kernel pages read zero.
+            // SAFETY: `b` owns `b.len()` mapped, readable bytes at
+            // `b.ptr()` and outlives `s`, which is last used on the next
+            // line.
             let s = unsafe { std::slice::from_raw_parts(b.ptr().as_ptr(), b.len()) };
             assert!(s.iter().all(|&x| x == 0));
             let addr = b.ptr().as_ptr() as usize;

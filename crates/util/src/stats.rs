@@ -1,24 +1,12 @@
-//! Descriptive and comparative statistics for the experiment harness:
-//! median-of-repeats reporting, throughput conversion, and the
-//! distribution-aware tools the regression sentinel runs over raw
-//! repeat vectors (bootstrap confidence intervals, Mann-Whitney U).
+//! Descriptive and comparative statistics: mean, median, percentiles
+//! and time per tuple, and the distribution-aware tools (bootstrap
+//! confidence intervals, Mann-Whitney U, [`judge_shift`]) whose one
+//! user is the service's in-process regression watch, which compares
+//! the raw latency samples of two windows.
 
 use std::time::Duration;
 
 use crate::rng::Xoshiro256;
-
-/// Throughput in the paper's metric: `(|R| + |S|) / runtime`, in million
-/// input tuples per second. (The study deliberately uses the
-/// selectivity-independent *input* definition from Lang et al., not the
-/// output-tuple definition from Balkesen et al.)
-#[inline]
-pub fn throughput_mtps(r_len: usize, s_len: usize, runtime: Duration) -> f64 {
-    let secs = runtime.as_secs_f64();
-    if secs == 0.0 {
-        return f64::INFINITY;
-    }
-    (r_len + s_len) as f64 / secs / 1e6
-}
 
 /// Average time per processed input tuple in nanoseconds (Figure 9/11 metric).
 #[inline]
@@ -35,15 +23,6 @@ pub fn mean(xs: &[f64]) -> f64 {
         return 0.0;
     }
     xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Population standard deviation.
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
 /// Median (sorts a copy).
@@ -126,8 +105,8 @@ pub fn percentiles(xs: &[f64], ps: &[f64]) -> Vec<f64> {
 
 /// Bootstrap confidence interval for the median of `xs`: resample with
 /// replacement `iters` times, take the `(1-confidence)/2` percentiles of
-/// the resampled medians. Deterministic for a given `seed`, so two runs
-/// of the sentinel agree on every verdict.
+/// the resampled medians. Deterministic for a given `seed`, so two
+/// judgements of the same samples agree on every verdict.
 ///
 /// Degenerate inputs collapse gracefully: an empty slice yields
 /// `(0.0, 0.0)`, a single sample yields `(x, x)`.
@@ -163,7 +142,7 @@ pub struct MannWhitney {
     pub z: f64,
     /// Two-sided p-value under the normal approximation. Small sample
     /// counts bound it away from zero (n1 = n2 = 3 cannot reach 0.05),
-    /// which is why the sentinel also consults bootstrap intervals.
+    /// which is why [`judge_shift`] also consults bootstrap intervals.
     pub p: f64,
 }
 
@@ -226,7 +205,7 @@ pub fn mann_whitney(xs: &[f64], ys: &[f64]) -> MannWhitney {
 
 /// Standard normal CDF via the Abramowitz–Stegun 7.1.26 erf
 /// approximation (|error| < 1.5e-7 — far below any decision threshold
-/// the sentinel uses).
+/// [`judge_shift`] uses).
 pub fn normal_cdf(z: f64) -> f64 {
     let x = z / std::f64::consts::SQRT_2;
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
@@ -296,8 +275,7 @@ pub struct Shift {
 /// need `test.min_samples` observations (and at least two: a single
 /// observation has a point interval, and two points always "separate").
 ///
-/// The one decision rule behind the bench sentinel's cell verdicts and
-/// the service's in-process regression watch.
+/// The decision rule behind the service's in-process regression watch.
 pub fn judge_shift(a: &[f64], b: &[f64], test: &ShiftTest) -> Shift {
     let median_a = median(a);
     let median_b = median(b);
@@ -334,13 +312,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn throughput_basic() {
-        // 100M + 900M tuples in 1 s => 1000 M tuples/s.
-        let t = throughput_mtps(100_000_000, 900_000_000, Duration::from_secs(1));
-        assert!((t - 1000.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn ns_per_tuple_basic() {
         let v = ns_per_tuple(1_000_000, Duration::from_millis(1));
         assert!((v - 1.0).abs() < 1e-9);
@@ -351,11 +322,6 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(median(&[]), 0.0);
-    }
-
-    #[test]
-    fn stddev_constant_is_zero() {
-        assert_eq!(stddev(&[5.0, 5.0, 5.0]), 0.0);
     }
 
     #[test]

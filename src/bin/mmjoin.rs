@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! mmjoin join  --algo CPRL --build 1000000 --probe 10000000 [--threads N]
-//!              [--zipf THETA] [--bits B] [--skew-handling] [--ledger FILE.jsonl]
+//!              [--zipf THETA] [--bits B] [--skew-handling]
 //! mmjoin race  --build 1000000 --probe 10000000     # all 13, leaderboard
 //! mmjoin tpch  --sf 0.2 [--threads N]               # Q19 with 4 joins
 //! mmjoin serve --addr 127.0.0.1:7788                # multi-tenant service
@@ -91,7 +91,6 @@ fn usage() -> ! {
     eprintln!(
         "       [--alloc POLICY] [--profile] [--trace-out FILE.json] [--metrics-out FILE.json]"
     );
-    eprintln!("       [--ledger FILE.jsonl]");
     eprintln!("  race --build N --probe N [--threads N] [--zipf T] [--bits B] [--skew-handling]");
     eprintln!("       [--deadline-ms MS] [--mem-limit-mb MB] [--spill-dir DIR] [--no-spill]");
     eprintln!("       [--alloc POLICY]");
@@ -201,7 +200,6 @@ fn main() {
                     "alloc",
                     "trace-out",
                     "metrics-out",
-                    "ledger",
                 ],
                 &["skew-handling", "profile", "no-spill"],
             );
@@ -304,22 +302,6 @@ fn main() {
                     std::process::exit(1);
                 });
                 println!("  metrics written to {path}");
-            }
-            if let Some(path) = args.get_str("ledger") {
-                let samples = vec![mmjoin_bench::ledger::SampleSet {
-                    algorithm: alg.name().to_string(),
-                    workload: format!("cli-b{}-s{}-z{theta}", r.len(), s.len()),
-                    kernel_mode: mmjoin_bench::ledger::kernel_mode_name(),
-                    secs: vec![results[0].total_wall().as_secs_f64()],
-                }];
-                let entry = mmjoin_bench::ledger::Entry::stamped("cli", cfg.threads, samples);
-                match mmjoin_bench::ledger::append(std::path::Path::new(path), &entry) {
-                    Ok(()) => println!("  ledger: appended {} to {path}", entry.describe()),
-                    Err(e) => {
-                        eprintln!("cannot append to ledger {path}: {e}");
-                        std::process::exit(1);
-                    }
-                }
             }
         }
         "race" => {

@@ -1,0 +1,84 @@
+//! The `mmjoin` binary's `join` command: one small join succeeds, and
+//! every malformed command line exits 2 with a message on stderr
+//! instead of panicking or running a join.
+
+use std::process::Command;
+
+/// Run `mmjoin join <args>` (split on whitespace); returns (exit code,
+/// stdout, stderr).
+fn join(args: &str) -> (Option<i32>, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_mmjoin"))
+        .arg("join")
+        .args(args.split_whitespace())
+        .output()
+        .expect("spawn mmjoin");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn small_join_succeeds() {
+    let (code, stdout, stderr) = join("--algo NOP --build 1024 --probe 4096 --threads 1");
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    // A foreign-key probe: every probe tuple finds its one build tuple.
+    assert!(stdout.contains("matches 4096"), "stdout: {stdout}");
+}
+
+#[test]
+fn malformed_command_lines_exit_2_with_a_message() {
+    // (arguments, text stderr must contain). Small sizes keep the cases
+    // that get as far as generating a workload cheap; a valueless option
+    // goes last on the line.
+    let cases = [
+        (
+            "--build 1024 --probe 4096 --algo NOP --frob 1",
+            "unknown option --frob",
+        ),
+        (
+            "--build 1024 --probe 4096 --algo NOP --ledger x",
+            "unknown option --ledger",
+        ),
+        (
+            "--build 1024 --probe 4096 --algo XYZ",
+            "unknown algorithm \"XYZ\"",
+        ),
+        (
+            "--build 1024 --probe 4096",
+            "missing required option --algo",
+        ),
+        (
+            "--build 1024 --probe 4096 --algo NOP --bits",
+            "option --bits needs a value",
+        ),
+        ("--algo NOP --build x", "invalid value \"x\" for --build"),
+        (
+            "--build 1024 --probe 4096 --algo NOP --bits 0",
+            "radix_bits = 0",
+        ),
+        (
+            "--build 1024 --probe 4096 --algo NOP --bits 25",
+            "radix_bits = 25",
+        ),
+        (
+            "--build 1024 --probe 4096 --algo NOP --threads 0",
+            "threads = 0",
+        ),
+        (
+            "--build 1024 --probe 4096 --algo NOP --zipf 1.5",
+            "must be in [0, 1)",
+        ),
+        (
+            "--build 1024 --probe 4096 --algo NOP --alloc bogus",
+            "invalid value for --alloc",
+        ),
+    ];
+    for (args, message) in cases {
+        let (code, stdout, stderr) = join(args);
+        assert_eq!(code, Some(2), "{args}: stderr {stderr}");
+        assert!(stderr.contains(message), "{args}: stderr {stderr}");
+        assert!(stdout.is_empty(), "{args} ran a join: {stdout}");
+    }
+}
