@@ -7,7 +7,6 @@
 //! ```
 
 use mmjoin_bench::experiments::registry;
-use mmjoin_bench::harness::TrialCounters;
 use mmjoin_bench::HarnessOpts;
 
 fn main() {
@@ -62,13 +61,9 @@ fn main() {
         eprintln!("[{name} took {:.1}s]", start.elapsed().as_secs_f64());
         all_tables.extend(tables);
     }
-    let TrialCounters { retried, failed } = TrialCounters::snapshot();
-    if retried > 0 {
-        eprintln!("[{retried} trial(s) retried, {failed} failed both attempts]");
-    }
     if opts.json {
         println!(
-            "{{\"meta\": {}, \"failed_trials\": {failed}, \"retried_trials\": {retried}, \"tables\": {}}}",
+            "{{\"meta\": {}, \"tables\": {}}}",
             mmjoin_bench::harness::meta_json(),
             mmjoin_bench::harness::tables_to_json(&all_tables)
         );

@@ -4,9 +4,10 @@
 //! Paper expectation: the predictor lands at (or within noise of) the
 //! best observed configuration for every size.
 
-use mmjoin_core::{Algorithm, Join};
+use mmjoin_core::Algorithm;
 
-use crate::harness::{run_trial_with, HarnessOpts, Table};
+use super::run_alg;
+use crate::harness::{HarnessOpts, Table};
 
 pub fn run(opts: &HarnessOpts) -> Vec<Table> {
     let mut table = Table::new(
@@ -34,11 +35,7 @@ pub fn run(opts: &HarnessOpts) -> Vec<Table> {
         let time_at = |bits: u32| -> f64 {
             let mut cfg = opts.cfg();
             cfg.radix_bits = Some(bits);
-            // A twice-failed trial ranks as infinitely slow so the bit
-            // search skips it instead of aborting the sweep.
-            let cprl = Join::new(Algorithm::Cprl).with_config(cfg);
-            run_trial_with(&format!("fig12 CPRL bits={bits}"), || cprl.run(&r, &s))
-                .map_or(f64::INFINITY, |res| res.total_sim() * 1e9 / tuples as f64)
+            run_alg(Algorithm::Cprl, &r, &s, &cfg).total_sim() * 1e9 / tuples as f64
         };
 
         let at_eq1 = time_at(eq1);

@@ -7,9 +7,10 @@
 
 use mmjoin_core::config::TableKind;
 use mmjoin_core::pro::join_pro_two_pass;
-use mmjoin_core::{Algorithm, Join};
+use mmjoin_core::Algorithm;
 
-use crate::harness::{cell_or_failed, mtps, run_trial_with, HarnessOpts, Table};
+use super::run_alg;
+use crate::harness::{mtps, HarnessOpts, Table};
 
 pub fn run(opts: &HarnessOpts) -> Vec<Table> {
     let (r, s) = opts.workload(128, 1280, 0xF162);
@@ -26,18 +27,14 @@ pub fn run(opts: &HarnessOpts) -> Vec<Table> {
         let bits = (paper_bits as i32 - shift).clamp(2, 18) as u32;
         let mut cfg = opts.cfg();
         cfg.radix_bits = Some(bits);
-        let one_pass = Join::new(Algorithm::Pro).with_config(cfg.clone());
-        let one = run_trial_with(&format!("fig2 PRO 1-pass bits={bits}"), || {
-            one_pass.run(&r, &s)
-        });
-        let two = run_trial_with(&format!("fig2 PRO 2-pass bits={bits}"), || {
-            join_pro_two_pass(&r, &s, &cfg, TableKind::Chained)
-        });
+        let one = run_alg(Algorithm::Pro, &r, &s, &cfg);
+        let two = join_pro_two_pass(&r, &s, &cfg, TableKind::Chained)
+            .unwrap_or_else(|e| panic!("PRO 2-pass failed: {e}"));
         table.row(vec![
             paper_bits.to_string(),
             bits.to_string(),
-            cell_or_failed(&one, |res| mtps(res.sim_throughput_mtps(r.len(), s.len()))),
-            cell_or_failed(&two, |res| mtps(res.sim_throughput_mtps(r.len(), s.len()))),
+            mtps(one.sim_throughput_mtps(r.len(), s.len())),
+            mtps(two.sim_throughput_mtps(r.len(), s.len())),
         ]);
     }
     table.note("paper: single-pass with 14 bits is the sweet spot; 1-pass ≥ 2-pass throughout");

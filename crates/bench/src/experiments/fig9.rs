@@ -7,11 +7,11 @@
 //! state outgrows the LLC share, then partitioning costs explode and
 //! fewer bits win (columns (b) vs (d) diverge for |R| ≥ 512 M).
 
-use mmjoin_core::stats::JoinResult;
-use mmjoin_core::{Algorithm, Join};
+use mmjoin_core::Algorithm;
 use mmjoin_util::Relation;
 
-use crate::harness::{run_trial_with, HarnessOpts, Table};
+use super::run_alg;
+use crate::harness::{HarnessOpts, Table};
 
 const ALGOS: [Algorithm; 5] = [
     Algorithm::ProIs,
@@ -21,24 +21,11 @@ const ALGOS: [Algorithm; 5] = [
     Algorithm::Cpra,
 ];
 
-fn run_algo(
-    alg: Algorithm,
-    r: &Relation,
-    s: &Relation,
-    opts: &HarnessOpts,
-    bits: u32,
-) -> Option<JoinResult> {
+/// Sim ns per input tuple of `alg` with `bits` radix bits.
+fn ns_per_tuple(alg: Algorithm, r: &Relation, s: &Relation, opts: &HarnessOpts, bits: u32) -> f64 {
     let mut cfg = opts.cfg();
     cfg.radix_bits = Some(bits);
-    let join = Join::new(alg).with_config(cfg);
-    run_trial_with(&format!("fig9 {alg} bits={bits}"), || join.run(r, s))
-}
-
-/// Sim ns/tuple of a trial; a twice-failed trial ranks as infinitely
-/// slow so the bit search never selects it.
-fn ns_per_tuple(res: &Option<JoinResult>, tuples: usize) -> f64 {
-    res.as_ref()
-        .map_or(f64::INFINITY, |r| r.total_sim() * 1e9 / tuples as f64)
+    run_alg(alg, r, s, &cfg).total_sim() * 1e9 / (r.len() + s.len()) as f64
 }
 
 pub fn run(opts: &HarnessOpts) -> Vec<Table> {
@@ -64,7 +51,6 @@ pub fn run(opts: &HarnessOpts) -> Vec<Table> {
             let s_n = opts.tuples(r_m * ratio);
             let r = mmjoin_datagen::gen_build_dense(r_n, r_m as u64, opts.placement());
             let s = mmjoin_datagen::gen_probe_fk(s_n, r_n, r_m as u64 ^ 0x99, opts.placement());
-            let tuples = r_n + s_n;
             for alg in ALGOS {
                 let cfg = opts.cfg();
                 let l2fit_bits = if alg.needs_dense_domain() {
@@ -75,8 +61,7 @@ pub fn run(opts: &HarnessOpts) -> Vec<Table> {
                     let target = r_n as f64 * 8.0 / (0.5 * cfg.topology.l2_bytes() as f64);
                     (target.log2().ceil().max(1.0) as u32).clamp(1, 18)
                 };
-                let res = run_algo(alg, &r, &s, opts, l2fit_bits);
-                let at_l2 = ns_per_tuple(&res, tuples);
+                let at_l2 = ns_per_tuple(alg, &r, &s, opts, l2fit_bits);
                 // Search ±2 bits around the heuristic for the optimum.
                 let mut best = (l2fit_bits, at_l2);
                 for delta in [-2i32, -1, 1, 2] {
@@ -84,8 +69,7 @@ pub fn run(opts: &HarnessOpts) -> Vec<Table> {
                     if !(1..=18).contains(&b) {
                         continue;
                     }
-                    let res = run_algo(alg, &r, &s, opts, b as u32);
-                    let ns = ns_per_tuple(&res, tuples);
+                    let ns = ns_per_tuple(alg, &r, &s, opts, b as u32);
                     if ns < best.1 {
                         best = (b as u32, ns);
                     }

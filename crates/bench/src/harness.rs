@@ -1,78 +1,9 @@
-//! Experiment plumbing: options, workload sizing, result tables, and
-//! the fault-tolerant trial runner.
+//! Experiment plumbing: options, workload sizing and result tables.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
-
-use mmjoin_core::{JoinConfig, JoinError, JoinResult};
+use mmjoin_core::JoinConfig;
 use mmjoin_numamodel::Topology;
 use mmjoin_util::jsonv::quote;
 use mmjoin_util::{Placement, Relation};
-
-/// Trials that failed twice (initial run + retry) across the process.
-static FAILED_TRIALS: AtomicU64 = AtomicU64::new(0);
-/// Trials whose first attempt failed (whether or not the retry passed).
-static RETRIED_TRIALS: AtomicU64 = AtomicU64::new(0);
-
-/// A point-in-time view of the process-wide retry/failure counters,
-/// which are monotonic; `repro` reads them once, after its sweep.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TrialCounters {
-    /// Trials whose first attempt failed (retry may have passed).
-    pub retried: u64,
-    /// Trials that failed both attempts.
-    pub failed: u64,
-}
-
-impl TrialCounters {
-    /// Current value of the process-wide counters.
-    pub fn snapshot() -> TrialCounters {
-        TrialCounters {
-            retried: RETRIED_TRIALS.load(Ordering::Relaxed),
-            failed: FAILED_TRIALS.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Pause before retrying a failed trial, so transient conditions (a
-/// healing worker pool, a contended machine) get a chance to clear.
-const RETRY_BACKOFF: Duration = Duration::from_millis(50);
-
-/// Run one benchmark trial; on failure, retry once after a short
-/// backoff instead of aborting the whole sweep.
-///
-/// A trial that fails twice returns `None` and increments the
-/// process-wide failed-trial counter that `repro --json` reports as
-/// `"failed_trials"`; callers render the affected cell as `failed`.
-pub fn run_trial_with<F>(label: &str, mut f: F) -> Option<JoinResult>
-where
-    F: FnMut() -> Result<JoinResult, JoinError>,
-{
-    match f() {
-        Ok(res) => Some(res),
-        Err(first) => {
-            RETRIED_TRIALS.fetch_add(1, Ordering::Relaxed);
-            eprintln!("warning: trial {label} failed ({first}); retrying once");
-            std::thread::sleep(RETRY_BACKOFF);
-            match f() {
-                Ok(res) => Some(res),
-                Err(second) => {
-                    FAILED_TRIALS.fetch_add(1, Ordering::Relaxed);
-                    eprintln!("warning: trial {label} failed again ({second}); skipping");
-                    None
-                }
-            }
-        }
-    }
-}
-
-/// Table cell for a metric of an optional (possibly failed) trial.
-pub fn cell_or_failed<T>(res: &Option<T>, f: impl FnOnce(&T) -> String) -> String {
-    match res {
-        Some(r) => f(r),
-        None => "failed".to_string(),
-    }
-}
 
 /// Options shared by every experiment.
 #[derive(Clone, Debug)]
@@ -357,49 +288,6 @@ mod tests {
         assert!(m.contains("\"thp_enabled\": "));
         assert!(!cpu_model().is_empty());
         assert_eq!(m.matches('{').count(), m.matches('}').count());
-    }
-
-    #[test]
-    fn failed_trial_counts_one_retry_and_one_failure() {
-        // The counters are process-wide and other tests may bump them
-        // too; they only grow, so compare against our own snapshot.
-        let before = TrialCounters::snapshot();
-        let res = run_trial_with("snapshot-test", || {
-            Err::<JoinResult, _>(JoinError::InvalidConfig {
-                field: "threads",
-                value: 0,
-                reason: "must be >= 1",
-            })
-        });
-        assert!(res.is_none());
-        let after = TrialCounters::snapshot();
-        assert!(after.retried > before.retried, "{before:?} -> {after:?}");
-        assert!(after.failed > before.failed, "{before:?} -> {after:?}");
-    }
-
-    #[test]
-    fn resource_and_io_failures_count_as_failed() {
-        let before = TrialCounters::snapshot();
-        run_trial_with("oom-test", || {
-            Err::<JoinResult, _>(JoinError::MemoryBudgetExceeded {
-                phase: "partition",
-                requested: 100,
-                limit: 50,
-                available: 10,
-            })
-        });
-        run_trial_with("io-test", || {
-            Err::<JoinResult, _>(JoinError::Io {
-                phase: "spill",
-                source: "disk full".to_string(),
-            })
-        });
-        let after = TrialCounters::snapshot();
-        assert!(after.failed >= before.failed + 2, "{before:?} -> {after:?}");
-        assert!(
-            after.retried >= before.retried + 2,
-            "{before:?} -> {after:?}"
-        );
     }
 
     #[test]

@@ -25,30 +25,6 @@ pub enum TableKind {
     Array,
 }
 
-/// Observability configuration (see `mmjoin_core::observe` and
-/// DESIGN.md §10). Off by default; when enabled, every phase of a join
-/// records a [`mmjoin_util::pool::WorkerPhaseStat`] span per worker per
-/// barrier broadcast — start/stop timestamps, morsels run, steals, and
-/// native PMU counter deltas where the host exposes them (all `None`
-/// otherwise, never an error).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct ProfileConfig {
-    /// Record per-worker spans and native counter deltas.
-    pub enabled: bool,
-}
-
-impl ProfileConfig {
-    /// Profiling on.
-    pub const fn on() -> ProfileConfig {
-        ProfileConfig { enabled: true }
-    }
-
-    /// Profiling off (the default; the executor's zero-cost path).
-    pub const fn off() -> ProfileConfig {
-        ProfileConfig { enabled: false }
-    }
-}
-
 /// Configuration shared by all join algorithms.
 #[derive(Clone, Debug)]
 pub struct JoinConfig {
@@ -97,8 +73,13 @@ pub struct JoinConfig {
     /// Cooperative cancellation handle; cancel any clone of the token to
     /// make in-flight joins on this config return `JoinError::Cancelled`.
     pub cancel: CancelToken,
-    /// Per-worker span + native-counter recording (off by default).
-    pub profile: ProfileConfig,
+    /// Observability (see `mmjoin_core::observe` and DESIGN.md §10).
+    /// Off by default, the executor's zero-cost path; when on, every
+    /// phase of a join records a [`mmjoin_util::pool::WorkerPhaseStat`]
+    /// span per worker per barrier broadcast — start/stop timestamps,
+    /// morsels run, steals, and native PMU counter deltas where the host
+    /// exposes them (all `None` otherwise, never an error).
+    pub profile: bool,
     /// Tuples per batch flowing between pipeline operators (see
     /// `mmjoin_core::pipeline` and DESIGN.md §12). 1024 tuples × 8 B
     /// keeps a batch and its per-stage output inside L1 alongside the
@@ -135,7 +116,7 @@ impl JoinConfig {
             deadline: None,
             mem_limit: None,
             cancel: CancelToken::new(),
-            profile: ProfileConfig::off(),
+            profile: false,
             pipeline_batch: 1024,
             spill_dir: None,
             spill: true,

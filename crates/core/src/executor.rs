@@ -32,10 +32,11 @@
 //!   panic is recorded, the phase barrier still completes, and the
 //!   submitting thread re-raises the collected messages as a
 //!   [`crate::fault::WorkerPanic`] (which `plan::dispatch` converts to
-//!   `JoinError::WorkerPanicked`). Workers never die from a task panic;
-//!   should a thread die anyway, the barrier detects it (bounded waits +
-//!   per-worker completion epochs) and [`Executor::heal`] respawns it
-//!   before the next phase.
+//!   `JoinError::WorkerPanicked`). A worker thread ends only at
+//!   shutdown: everything it does for a phase — the task, the
+//!   measurements around it, the drop of a caught panic payload — runs
+//!   under `catch_unwind`, and a panic during an unwind aborts the
+//!   process rather than ending one thread. The pool never respawns.
 //!
 //! # The phase barrier
 //!
@@ -58,7 +59,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use mmjoin_partition::task::node_of_partition;
 use mmjoin_util::mem;
@@ -67,12 +68,6 @@ use mmjoin_util::pool::{lock_recover, ExecCounters, WorkerPhaseStat, WorkerPool}
 
 use crate::fault::{panic_message, WorkerPanic};
 use crate::stats::AllocCounters;
-
-/// How long the barrier waits between checks for dead worker threads. A
-/// live pool signals `done_cv` long before this; the timeout only bounds
-/// how long a crashed worker (a thread that died outside a task panic —
-/// task panics are caught) can stall the barrier.
-const BARRIER_POLL: Duration = Duration::from_millis(50);
 
 /// How a morsel phase distributes its tasks over queues.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -128,9 +123,9 @@ thread_local! {
     /// thread exits.
     static POOLS: RefCell<HashMap<usize, Arc<Executor>>> = RefCell::new(HashMap::new());
 
-    /// Worker threads this thread has spawned, creating or healing a
-    /// pool — lets tests assert that repeated joins reuse their pool
-    /// without counting other tests' threads.
+    /// Worker threads this thread's pools have spawned — lets tests
+    /// assert that repeated joins reuse their pool without counting
+    /// other tests' threads.
     static SPAWNED_HERE: Cell<usize> = const { Cell::new(0) };
 }
 
@@ -170,13 +165,6 @@ struct Shared {
     done_cv: Condvar,
     /// Per-worker phase finish time, ns since phase start.
     finish_ns: Vec<AtomicU64>,
-    /// Last epoch each worker completed (written in the same `ctl`
-    /// critical section as the `remaining` decrement). The barrier's
-    /// dead-worker check uses it to account a crashed thread exactly
-    /// once: a dead worker whose `done_epoch` already equals the current
-    /// epoch was either accounted by a previous poll or finished the
-    /// phase before dying.
-    done_epoch: Vec<AtomicU64>,
     /// Per-worker PMU deltas for the current profiled phase.
     deltas: Vec<Mutex<CounterDelta>>,
 }
@@ -258,15 +246,15 @@ pub struct Executor {
     /// only an [`Executor::new`] deliberately shared across threads has
     /// more than one.
     submit: Mutex<()>,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    handles: Vec<std::thread::JoinHandle<()>>,
 }
 
-fn spawn_worker(shared: &Arc<Shared>, w: usize, start_epoch: u64) -> std::thread::JoinHandle<()> {
+fn spawn_worker(shared: &Arc<Shared>, w: usize) -> std::thread::JoinHandle<()> {
     let shared = Arc::clone(shared);
     SPAWNED_HERE.with(|n| n.set(n.get() + 1));
     std::thread::Builder::new()
         .name(format!("mmjoin-exec-{w}"))
-        .spawn(move || worker_loop(&shared, w, start_epoch))
+        .spawn(move || worker_loop(&shared, w))
         .expect("spawn executor worker")
 }
 
@@ -292,13 +280,12 @@ impl Executor {
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             finish_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            done_epoch: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             deltas: (0..workers)
                 .map(|_| Mutex::new(CounterDelta::none()))
                 .collect(),
         });
         let handles = if spawn {
-            (0..workers).map(|w| spawn_worker(&shared, w, 0)).collect()
+            (0..workers).map(|w| spawn_worker(&shared, w)).collect()
         } else {
             Vec::new()
         };
@@ -307,7 +294,7 @@ impl Executor {
             workers,
             inline: !spawn,
             submit: Mutex::new(()),
-            handles: Mutex::new(handles),
+            handles,
         }
     }
 
@@ -332,32 +319,12 @@ impl Executor {
     /// Number of worker threads this pool spawned (`workers()`, or 0 for
     /// the inline pool of a worker thread).
     pub fn spawned_workers(&self) -> usize {
-        lock_recover(&self.handles).len()
+        self.handles.len()
     }
 
-    /// Worker threads the calling thread has spawned so far, creating
-    /// pools or healing them.
+    /// Worker threads the calling thread's pools have spawned so far.
     pub fn threads_spawned_here() -> usize {
         SPAWNED_HERE.with(Cell::get)
-    }
-
-    /// Respawn any worker thread that has died. Task panics are caught
-    /// in `worker_loop` and never kill a worker, so this is a backstop
-    /// for threads lost to causes the pool cannot intercept; it is
-    /// called after any phase that reported failures. Holding the submit
-    /// lock keeps a phase from starting mid-respawn, so a replacement
-    /// worker's starting epoch is always current.
-    pub fn heal(&self) {
-        let _phase = lock_recover(&self.submit);
-        let epoch = lock_recover(&self.shared.ctl).epoch;
-        let mut handles = lock_recover(&self.handles);
-        for (w, h) in handles.iter_mut().enumerate() {
-            if h.is_finished() {
-                let fresh = spawn_worker(&self.shared, w, epoch);
-                let dead = std::mem::replace(h, fresh);
-                let _ = dead.join();
-            }
-        }
     }
 
     /// Run a morsel phase: workers drain `queues` (one per NUMA node;
@@ -370,7 +337,7 @@ impl Executor {
     /// # Panics
     ///
     /// If any task panics, the phase still runs to completion on the
-    /// surviving workers and the collected messages are re-raised here
+    /// other workers and the collected messages are re-raised here
     /// as a [`WorkerPanic`] (converted to `JoinError::WorkerPanicked` at
     /// the dispatch boundary).
     pub fn run_morsels(&self, queues: &[Vec<usize>], f: &(dyn Fn(usize, usize) + Sync)) {
@@ -380,7 +347,7 @@ impl Executor {
     /// [`WorkerPool::broadcast`] with the phase's counters (one task per
     /// worker) and, if it is profiled, spans handed to `sink`.
     pub fn broadcast_into(&self, sink: Option<&ExecSink>, f: &(dyn Fn(usize) + Sync)) {
-        self.raise(self.phase(f, None, sink));
+        raise(self.phase(f, None, sink));
     }
 
     /// [`Executor::run_morsels`], with the phase's task, steal and idle
@@ -454,15 +421,7 @@ impl Executor {
             Some(&tally),
             sink,
         );
-        self.raise(outcome);
-    }
-
-    /// Re-raise a failed phase's worker panics on the submitting thread.
-    fn raise(&self, outcome: Result<(), Vec<String>>) {
-        if let Err(panics) = outcome {
-            self.heal();
-            std::panic::panic_any(WorkerPanic(panics));
-        }
+        raise(outcome);
     }
 
     /// Run one phase; `Err` carries the panic messages of every worker
@@ -533,7 +492,7 @@ impl Executor {
                 f as *const (dyn Fn(usize) + Sync),
             )
         };
-        let (epoch, phase_start) = {
+        let phase_start = {
             let mut ctl = lock_recover(&self.shared.ctl);
             ctl.job = Some(Job(erased));
             ctl.epoch += 1;
@@ -543,49 +502,19 @@ impl Executor {
             ctl.panics.clear();
             ctl.alloc = AllocCounters::default();
             self.shared.work_cv.notify_all();
-            (ctl.epoch, ctl.start)
+            ctl.start
         };
         let (panics, alloc) = {
             // Phase barrier: re-acquiring `ctl` after the last worker's
-            // decrement makes all workers' writes visible here. The wait
-            // is bounded so a crashed worker thread cannot wedge the
-            // barrier: on each timeout, workers that are dead and never
-            // completed this epoch are accounted as finished (with a
-            // synthetic panic message) exactly once.
+            // decrement makes all workers' writes visible here. Every
+            // worker decrements, task panic or not (see `worker_loop`).
             let mut ctl = lock_recover(&self.shared.ctl);
             while ctl.remaining > 0 {
-                let (guard, timeout) = self
+                ctl = self
                     .shared
                     .done_cv
-                    .wait_timeout(ctl, BARRIER_POLL)
+                    .wait(ctl)
                     .unwrap_or_else(PoisonError::into_inner);
-                ctl = guard;
-                if !timeout.timed_out() || ctl.remaining == 0 {
-                    continue;
-                }
-                // `is_finished` needs the handles lock; never hold it
-                // together with `ctl`.
-                drop(ctl);
-                let dead: Vec<usize> = {
-                    let handles = lock_recover(&self.handles);
-                    handles
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, h)| h.is_finished())
-                        .map(|(w, _)| w)
-                        .collect()
-                };
-                ctl = lock_recover(&self.shared.ctl);
-                for w in dead {
-                    // A worker that finished this epoch before dying (or
-                    // was accounted by an earlier poll) has done_epoch ==
-                    // epoch; only count the ones that never completed.
-                    if self.shared.done_epoch[w].load(Ordering::Relaxed) < epoch {
-                        self.shared.done_epoch[w].store(epoch, Ordering::Relaxed);
-                        ctl.remaining = ctl.remaining.saturating_sub(1);
-                        ctl.panics.push(format!("worker {w} thread died mid-phase"));
-                    }
-                }
             }
             ctl.job = None;
             (std::mem::take(&mut ctl.panics), ctl.alloc)
@@ -628,6 +557,13 @@ impl Executor {
     }
 }
 
+/// Re-raise a failed phase's worker panics on the submitting thread.
+fn raise(outcome: Result<(), Vec<String>>) {
+    if let Err(panics) = outcome {
+        std::panic::panic_any(WorkerPanic(panics));
+    }
+}
+
 impl WorkerPool for Executor {
     fn workers(&self) -> usize {
         self.workers
@@ -648,24 +584,17 @@ impl std::fmt::Debug for Executor {
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        {
-            let mut ctl = lock_recover(&self.shared.ctl);
-            ctl.shutdown = true;
-            // Wake parked workers *and* any stranded barrier waiter (a
-            // foreign thread blocked in broadcast while a worker died
-            // would otherwise stall shutdown until its poll timeout).
-            self.shared.work_cv.notify_all();
-            self.shared.done_cv.notify_all();
-        }
-        for h in lock_recover(&self.handles).drain(..) {
+        lock_recover(&self.shared.ctl).shutdown = true;
+        self.shared.work_cv.notify_all();
+        for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-fn worker_loop(shared: &Shared, w: usize, start_epoch: u64) {
+fn worker_loop(shared: &Shared, w: usize) {
     IN_WORKER.with(|c| c.set(true));
-    let mut seen_epoch = start_epoch;
+    let mut seen_epoch = 0;
     loop {
         let (job, start, profile) = {
             let mut ctl = lock_recover(&shared.ctl);
@@ -687,42 +616,25 @@ fn worker_loop(shared: &Shared, w: usize, start_epoch: u64) {
         // SAFETY: `Executor::phase` keeps the closure alive until every
         // worker has decremented `remaining` for this epoch.
         let f: &(dyn Fn(usize) + Sync) = unsafe { &*job };
-        // Native counter snapshot around the task, only when profiling —
-        // the disabled path never touches the perf module. The group is
-        // opened lazily once per worker thread; on hosts without PMU
-        // access it stays `None` and the span carries empty deltas.
-        let snap = if profile {
-            TL_COUNTERS.with(|c| {
-                c.get_or_init(CounterGroup::open)
-                    .as_ref()
-                    .map(|g| g.snapshot())
-            })
-        } else {
-            None
-        };
-        // Contain task panics: the phase barrier must complete even when
-        // a task fails, or every later join on this pool would
-        // deadlock. The unwind cannot leave `f`'s data in a state the
-        // caller misreads — the submitting thread re-raises the panic
-        // before looking at any phase output.
-        let alloc_before = mem::thread_stats();
-        let caught = catch_unwind(AssertUnwindSafe(|| f(w))).err();
-        shared.finish_ns[w].store(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let alloc = AllocCounters::from_delta(mem::thread_stats().delta(&alloc_before));
-        if profile {
-            let delta = TL_COUNTERS.with(|c| {
-                match (c.get_or_init(CounterGroup::open).as_ref(), snap.as_ref()) {
-                    (Some(g), Some(s)) => g.delta_since(s),
-                    _ => CounterDelta::none(),
-                }
-            });
-            *lock_recover(&shared.deltas[w]) = delta;
-        }
+        // The phase barrier must complete even when a task fails, or
+        // every later join on this pool would deadlock: nothing between
+        // taking the job and the decrement below may unwind. The task
+        // runs under its own `catch_unwind` inside `run_task` so that
+        // the measurements still happen; this one catches what is left —
+        // a panic payload whose `Drop` panics, a failing measurement.
+        // Its own payload is leaked, not dropped: dropping it could
+        // panic again, outside any guard. The unwind cannot leave `f`'s
+        // data in a state the caller misreads — the submitting thread
+        // re-raises the panic before looking at any phase output.
+        let (failed, alloc) =
+            catch_unwind(AssertUnwindSafe(|| run_task(shared, w, f, start, profile)))
+                .unwrap_or_else(|payload| {
+                    let msg = panic_message(payload.as_ref());
+                    std::mem::forget(payload);
+                    (Some(msg), AllocCounters::default())
+                });
         let mut ctl = lock_recover(&shared.ctl);
-        if let Some(payload) = caught {
-            ctl.panics.push(panic_message(payload.as_ref()));
-        }
-        shared.done_epoch[w].store(seen_epoch, Ordering::Relaxed);
+        ctl.panics.extend(failed);
         ctl.alloc.merge(alloc);
         ctl.remaining = ctl.remaining.saturating_sub(1);
         if ctl.remaining == 0 {
@@ -731,11 +643,56 @@ fn worker_loop(shared: &Shared, w: usize, start_epoch: u64) {
     }
 }
 
+/// Worker `w`'s part of one phase: `f(w)` with its finish time, its
+/// allocations and, when the phase is profiled, its PMU delta. Returns
+/// the task's panic message, if it panicked, and the allocation delta.
+fn run_task(
+    shared: &Shared,
+    w: usize,
+    f: &(dyn Fn(usize) + Sync),
+    start: Instant,
+    profile: bool,
+) -> (Option<String>, AllocCounters) {
+    // Native counter snapshot around the task, only when profiling —
+    // the disabled path never touches the perf module. The group is
+    // opened lazily once per worker thread; on hosts without PMU
+    // access it stays `None` and the span carries empty deltas.
+    let snap = if profile {
+        TL_COUNTERS.with(|c| {
+            c.get_or_init(CounterGroup::open)
+                .as_ref()
+                .map(|g| g.snapshot())
+        })
+    } else {
+        None
+    };
+    let alloc_before = mem::thread_stats();
+    // The payload is dropped at the end of this statement, under the
+    // caller's `catch_unwind`.
+    let failed = catch_unwind(AssertUnwindSafe(|| f(w)))
+        .err()
+        .map(|payload| panic_message(payload.as_ref()));
+    shared.finish_ns[w].store(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    let alloc = AllocCounters::from_delta(mem::thread_stats().delta(&alloc_before));
+    if profile {
+        let delta = TL_COUNTERS.with(|c| {
+            match (c.get_or_init(CounterGroup::open).as_ref(), snap.as_ref()) {
+                (Some(g), Some(s)) => g.delta_since(s),
+                _ => CounterDelta::none(),
+            }
+        });
+        *lock_recover(&shared.deltas[w]) = delta;
+    }
+    (failed, alloc)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mmjoin_util::pool::broadcast_map;
     use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc::RecvTimeoutError;
+    use std::time::Duration;
 
     #[test]
     fn broadcast_hits_every_worker_exactly_once() {
@@ -855,6 +812,7 @@ mod tests {
     #[test]
     fn worker_panic_completes_barrier_and_pool_survives() {
         let exec = Executor::new(4);
+        let spawned = Executor::threads_spawned_here();
         let survivors = AtomicUsize::new(0);
         let caught = catch_unwind(AssertUnwindSafe(|| {
             exec.broadcast(&|w| {
@@ -880,6 +838,51 @@ mod tests {
         for h in &hits {
             assert_eq!(h.load(Ordering::Relaxed), 1);
         }
+        assert_eq!(Executor::threads_spawned_here(), spawned);
+        assert_eq!(exec.spawned_workers(), 4);
+    }
+
+    /// A panic payload whose `Drop` panics too: dropping it happens on
+    /// the worker thread after the task's unwind was caught, so the
+    /// worker must contain that second panic as well. No worker thread
+    /// ends and none is spawned, phase after phase. A watchdog turns a
+    /// wedged barrier into a failure instead of a hung test.
+    #[test]
+    fn a_payload_that_panics_on_drop_kills_no_worker() {
+        struct Bomb;
+        impl Drop for Bomb {
+            fn drop(&mut self) {
+                panic!("bomb payload dropped");
+            }
+        }
+
+        let (done, wait) = std::sync::mpsc::channel();
+        let watched = std::thread::spawn(move || {
+            let exec = Executor::new(4);
+            let spawned = Executor::threads_spawned_here();
+            for _ in 0..3 {
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    exec.broadcast(&|_| std::panic::panic_any(Bomb));
+                }))
+                .expect_err("the phase must re-raise");
+                let wp = caught
+                    .downcast_ref::<WorkerPanic>()
+                    .expect("payload is WorkerPanic");
+                assert_eq!(wp.0.len(), 4, "{:?}", wp.0);
+                let hits: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
+                exec.broadcast(&|w| {
+                    hits[w].fetch_add(1, Ordering::Relaxed);
+                });
+                assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+            }
+            assert_eq!(Executor::threads_spawned_here(), spawned);
+            assert_eq!(exec.spawned_workers(), 4);
+            done.send(()).unwrap();
+        });
+        if let Err(RecvTimeoutError::Timeout) = wait.recv_timeout(Duration::from_secs(30)) {
+            panic!("a phase never completed its barrier");
+        }
+        watched.join().expect("pool assertions");
     }
 
     #[test]
@@ -988,15 +991,6 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn heal_is_a_noop_on_a_healthy_pool() {
-        let exec = Executor::new(4);
-        let before = Executor::threads_spawned_here();
-        exec.heal();
-        assert_eq!(Executor::threads_spawned_here(), before);
-        exec.broadcast(&|_| {});
     }
 
     /// Two threads joining with the same thread count each get a pool of

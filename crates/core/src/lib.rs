@@ -77,7 +77,7 @@ pub mod skew;
 pub mod spec;
 pub mod stats;
 
-pub use config::{JoinConfig, ProfileConfig, TableKind};
+pub use config::{JoinConfig, TableKind};
 pub use executor::{Executor, QueuePolicy};
 pub use fault::{CancelToken, MemBudget};
 pub use mmjoin_util::perf::CounterDelta;
@@ -94,7 +94,7 @@ pub use stats::{JoinResult, PhaseStat, SpillCounters};
 /// isn't here is a missing-public-API bug to fix in this prelude, never
 /// a `pub(crate)` workaround (DESIGN.md §15).
 pub mod prelude {
-    pub use crate::config::{JoinConfig, ProfileConfig};
+    pub use crate::config::JoinConfig;
     pub use crate::fault::{CancelToken, MemBudget};
     pub use crate::observe;
     pub use crate::pipeline::{is_ported, BuildSide, Pipeline, PORTED};

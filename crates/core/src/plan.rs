@@ -69,9 +69,9 @@ pub enum JoinError {
     },
     /// An algorithm name that is not one of the thirteen.
     UnknownAlgorithm(String),
-    /// A morsel task panicked. The phase barrier completed, the pool
-    /// healed (any dead worker respawned), and later joins on the same
-    /// persistent pool are unaffected; `payload` carries the panic
+    /// A morsel task panicked. The phase barrier completed, every
+    /// worker thread survived, and later joins on the same persistent
+    /// pool are unaffected; `payload` carries the panic
     /// message(s), `phase` the phase that was running.
     WorkerPanicked {
         phase: &'static str,

@@ -57,8 +57,8 @@ thread_local! {
 /// escapes it — a [`crate::fault::WorkerPanic`] re-raised by the
 /// executor, or a panic on the submitting thread itself — becomes
 /// [`JoinError::WorkerPanicked`] instead of unwinding into the caller.
-/// The executor has already completed the phase barrier and healed the
-/// pool by the time the payload reaches this frame.
+/// The executor has already completed the phase barrier, with every
+/// worker alive, by the time the payload reaches this frame.
 pub(crate) fn contain_panics<T>(f: impl FnOnce() -> Result<T, JoinError>) -> Result<T, JoinError> {
     match catch_unwind(AssertUnwindSafe(f)) {
         Ok(res) => res,
@@ -317,7 +317,7 @@ impl<'c> JoinRun<'c> {
                 #[cfg(feature = "failpoints")]
                 alg,
                 exec: cfg.executor(),
-                sink: ExecSink::new(cfg.profile.enabled),
+                sink: ExecSink::new(cfg.profile),
                 cancel: cfg.cancel.clone(),
                 deadline_at: cfg.deadline.map(|d| started + d),
                 started,
@@ -556,7 +556,7 @@ mod tests {
     #[test]
     fn a_phase_records_exactly_the_work_submitted_through_its_ctx() {
         let mut cfg = JoinConfig::new(3);
-        cfg.profile = crate::config::ProfileConfig::on();
+        cfg.profile = true;
         let mut run = JoinRun::begin(Algorithm::Nop, &cfg);
         run.phase(
             "build",

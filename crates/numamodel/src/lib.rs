@@ -39,7 +39,7 @@ pub mod topology;
 pub mod traffic;
 
 pub use cost::CostModel;
-pub use host::{host_machine, host_topology, HostTopology};
+pub use host::{host_topology, HostTopology};
 pub use sim::{simulate_phase, PhaseSim};
 pub use task::TaskSpec;
 pub use topology::Topology;

@@ -156,12 +156,6 @@ impl ServeConfig {
         self
     }
 
-    /// Replace the whole telemetry configuration.
-    pub fn with_telemetry(mut self, t: telemetry::TelemetryConfig) -> Self {
-        self.telemetry = t;
-        self
-    }
-
     /// SLO window length in seconds (`0` disables the background
     /// sampler; windows then rotate only via [`Server::telemetry_tick`]).
     /// [`Server::spawn`] refuses one no `Duration` can hold.
@@ -179,12 +173,6 @@ impl ServeConfig {
     /// Slow-query log destination (default is stderr).
     pub fn with_slow_query_log(mut self, path: impl Into<PathBuf>) -> Self {
         self.telemetry.slow_query_log = Some(path.into());
-        self
-    }
-
-    /// Flight-recorder capacity (older query records are dropped).
-    pub fn with_flight_capacity(mut self, n: usize) -> Self {
-        self.telemetry.flight_capacity = n.max(1);
         self
     }
 

@@ -312,12 +312,10 @@ fn parse_join(v: &Value) -> Result<JoinSpec, ProtoError> {
 // Response rendering (hand-rolled JSON, matching the repo-wide idiom).
 // ---------------------------------------------------------------------
 
+/// The echoed request id: `f64`'s `Display` writes a whole number
+/// exactly and without a fraction, and `jsonv` admits only finite ones.
 fn id_field(id: Option<f64>) -> String {
-    match id {
-        Some(n) if n.fract() == 0.0 => format!("\"id\":{},", n as i64),
-        Some(n) => format!("\"id\":{n},"),
-        None => String::new(),
-    }
+    id.map_or_else(String::new, |n| format!("\"id\":{n},"))
 }
 
 /// `{"id":..,"ok":false,"error":{..}}` from a protocol error.
@@ -550,6 +548,19 @@ mod tests {
         let e = parse_request(b"{\"op\":\"warp\"}").unwrap_err();
         assert_eq!(e.code, "bad_request");
         let e = parse_request(b"\xff\xfe").unwrap_err();
+        assert_eq!(e.code, "bad_frame");
+    }
+
+    #[test]
+    fn the_request_id_comes_back_unchanged() {
+        for id in ["7", "-3", "1.5", "1e20"] {
+            let env =
+                parse_request(format!("{{\"op\":\"flush\",\"id\":{id}}}").as_bytes()).unwrap();
+            let echoed = jsonv::parse(&flush_response(env.id, 0)).unwrap();
+            let want: f64 = id.parse().unwrap();
+            assert_eq!(echoed.get("id").and_then(Value::as_num), Some(want), "{id}");
+        }
+        let e = parse_request(b"{\"op\":\"flush\",\"id\":1e400}").unwrap_err();
         assert_eq!(e.code, "bad_frame");
     }
 

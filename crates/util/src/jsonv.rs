@@ -327,9 +327,13 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        // Rust reads a number past `f64::MAX` as infinity, which no JSON
+        // document can carry back out; it is malformed here.
         text.parse::<f64>()
+            .ok()
+            .filter(|n| n.is_finite())
             .map(Value::Num)
-            .map_err(|_| format!("bad number {text:?} at byte {start}"))
+            .ok_or_else(|| format!("bad number {text:?} at byte {start}"))
     }
 }
 
@@ -438,6 +442,7 @@ mod tests {
             "nul",
             "[1] garbage",
             "{\"a\":}",
+            "1e400",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }

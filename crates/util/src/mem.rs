@@ -488,12 +488,6 @@ pub fn pool_clear() {
     }
 }
 
-/// `(blocks, bytes)` currently idle in the pool.
-pub fn pool_usage() -> (usize, usize) {
-    let pool = pool_lock();
-    (pool.blocks.len(), pool.bytes)
-}
-
 /// Try to serve `bytes` (alignment `align`) from a policy-aware mapped
 /// arena. `None` when the active policy is portable, the request is
 /// too small to map, the alignment exceeds a page, or no mmap backend
@@ -590,15 +584,6 @@ fn map_block(pages: PagePolicy, numa: NumaPolicy, len: usize) -> Option<NonNull<
         }
     }
     Some(got)
-}
-
-/// Can this process change NUMA memory policies at all? Probes
-/// `set_mempolicy(MPOL_DEFAULT)` once — the classic libnuma
-/// availability check — and caches the answer. Bench metadata only;
-/// allocation never consults it (failures degrade per region instead).
-pub fn numa_available() -> bool {
-    static AVAIL: OnceLock<bool> = OnceLock::new();
-    *AVAIL.get_or_init(imp::set_mempolicy_default)
 }
 
 // ---------------------------------------------------------------------------
@@ -795,15 +780,6 @@ mod imp {
         };
         ret == 0
     }
-
-    /// `set_mempolicy(MPOL_DEFAULT, NULL, 0)` — a harmless no-op that
-    /// fails with ENOSYS/EPERM exactly when real policy calls would.
-    pub(super) fn set_mempolicy_default() -> bool {
-        // SAFETY: MPOL_DEFAULT with a null mask reads no memory and
-        // only resets this thread's policy for future allocations.
-        let ret = unsafe { syscall6(nr::SET_MEMPOLICY, 0, 0, 0, 0, 0, 0) };
-        ret == 0
-    }
 }
 
 #[cfg(not(all(
@@ -831,10 +807,6 @@ mod imp {
     }
 
     pub(super) fn mbind(_ptr: NonNull<u8>, _len: usize, _mode: usize, _mask: u64) -> bool {
-        false
-    }
-
-    pub(super) fn set_mempolicy_default() -> bool {
         false
     }
 }

@@ -15,7 +15,6 @@ pub mod nr {
     pub const MADVISE: usize = 28;
     pub const EPOLL_CTL: usize = 233;
     pub const MBIND: usize = 237;
-    pub const SET_MEMPOLICY: usize = 238;
     pub const EPOLL_PWAIT: usize = 281;
     pub const EPOLL_CREATE1: usize = 291;
     pub const PERF_EVENT_OPEN: usize = 298;
@@ -33,7 +32,6 @@ pub mod nr {
     pub const MMAP: usize = 222;
     pub const MADVISE: usize = 233;
     pub const MBIND: usize = 235;
-    pub const SET_MEMPOLICY: usize = 237;
     pub const PERF_EVENT_OPEN: usize = 241;
 }
 

@@ -8,7 +8,7 @@
 //! mmjoin serve --addr 127.0.0.1:7788                # multi-tenant service
 //! ```
 
-use mmjoin::core::{observe, Algorithm, Join, JoinConfig, ProfileConfig};
+use mmjoin::core::{observe, Algorithm, Join, JoinConfig};
 use mmjoin::datagen::{gen_build_dense, gen_probe_fk, gen_probe_zipf};
 use mmjoin::util::Placement;
 
@@ -166,7 +166,7 @@ fn config(args: &Args, theta: f64) -> JoinConfig {
         || args.get_str("trace-out").is_some()
         || args.get_str("metrics-out").is_some()
     {
-        cfg.profile = ProfileConfig::on();
+        cfg.profile = true;
     }
     // Every command's joins would refuse it too; say so before the
     // workload is generated.
@@ -238,7 +238,7 @@ fn main() {
                     cfg.sim_threads(),
                     p.sim_seconds * 1e3
                 );
-                if cfg.profile.enabled {
+                if cfg.profile {
                     let t = p.counter_totals();
                     let fmt = |v: Option<u64>| match v {
                         Some(x) => format!("{x}"),

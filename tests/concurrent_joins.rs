@@ -20,7 +20,7 @@ use std::sync::{Arc, Barrier, Mutex};
 
 use mmjoin::core::executor::Executor;
 use mmjoin::core::reference::reference_join;
-use mmjoin::core::{Algorithm, BuildSide, Join, JoinConfig, JoinResult, Pipeline, ProfileConfig};
+use mmjoin::core::{Algorithm, BuildSide, Join, JoinConfig, JoinResult, Pipeline};
 use mmjoin::datagen::{gen_build_dense, gen_probe_fk};
 use mmjoin::util::{kernels, mem, Placement};
 
@@ -77,9 +77,7 @@ fn concurrent_joins_keep_their_own_counters_and_spans() {
                         let mut cfg = JoinConfig::new(THREADS);
                         cfg.simulate = false;
                         cfg.radix_bits = Some(4);
-                        if profiled {
-                            cfg.profile = ProfileConfig::on();
-                        }
+                        cfg.profile = profiled;
                         assert!(Arc::ptr_eq(&cfg.executor(), &pool));
                         let res = Join::new(alg)
                             .with_config(cfg)

@@ -4,7 +4,7 @@
 //! the thirteen algorithms surfaces as `JoinError::WorkerPanicked` with
 //! the right phase label — no deadlock, no abort — and the very next
 //! join submitted to the same persistent worker pool completes with the
-//! correct checksum (the pool healed).
+//! correct checksum (the pool survived, every worker thread alive).
 //!
 //! Failpoints are armed thread-locally (`arm_local`), so these tests
 //! can run concurrently with every other test sharing the process-wide
@@ -22,7 +22,7 @@ const THREADS: usize = 4;
 
 /// Serializes the tests that arm (or could observe) a *process-wide*
 /// failpoint on NOPA: global arming is visible to every thread, so the
-/// unarmed healing joins of the full-matrix test must not overlap it.
+/// unarmed follow-up joins of the full-matrix test must not overlap it.
 static GLOBAL_ARMING: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn serialize_global() -> std::sync::MutexGuard<'static, ()> {
@@ -71,7 +71,7 @@ fn assert_panic_contained(alg: Algorithm, phase: &'static str, r: &Relation, s: 
             other => panic!("{name}: expected WorkerPanicked, got {other:?}"),
         }
     }
-    // Pool healed: the same algorithm immediately succeeds.
+    // Pool survived: the same algorithm immediately succeeds.
     let res = run(alg, r, s).unwrap_or_else(|e| panic!("{name}: join after panic failed: {e}"));
     assert_eq!(res.matches, expect.count, "{name}: wrong count after heal");
     assert_eq!(
@@ -98,7 +98,7 @@ fn panic_isolated_in_every_phase_of_headline_algorithms() {
 }
 
 /// Every phase of every one of the thirteen drivers contains an
-/// injected panic and heals.
+/// injected panic and its pool survives.
 #[test]
 fn panic_isolated_in_every_phase_of_all_thirteen() {
     let _serial = serialize_global();

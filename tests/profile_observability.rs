@@ -14,7 +14,7 @@
 //! nests inline broadcasts, which fold nested task counts into the
 //! enclosing worker's span and void the per-phase sum invariant.
 
-use mmjoin::core::{Algorithm, Join, JoinConfig, JoinResult, ProfileConfig};
+use mmjoin::core::{Algorithm, Join, JoinConfig, JoinResult};
 use mmjoin::datagen::{gen_build_dense, gen_probe_fk};
 use mmjoin::util::{jsonv, Placement};
 
@@ -27,9 +27,7 @@ fn run(alg: Algorithm, profile: bool) -> JoinResult {
     let mut cfg = JoinConfig::new(THREADS);
     cfg.simulate = false;
     cfg.radix_bits = Some(4);
-    if profile {
-        cfg.profile = ProfileConfig::on();
-    }
+    cfg.profile = profile;
     let join = Join::new(alg).with_config(cfg);
     join.run(&r, &s).expect("valid plan")
 }
