@@ -16,10 +16,11 @@ use mmjoin_hashtable::{
 };
 use mmjoin_partition::swwcb;
 use mmjoin_partition::{
-    chunked_partition_on, partition_parallel_on, task_order, two_pass_partition_on,
-    ChunkedPartitions, PartitionedRelation, RadixFn, ScatterMode, ScheduleOrder,
+    chunked_partition_on, partition_parallel_on, second_pass_on, task_order, ChunkedPartitions,
+    PartitionedRelation, RadixFn, ScatterMode, ScheduleOrder,
 };
 use mmjoin_util::checksum::JoinChecksum;
+use mmjoin_util::pool::WorkerPool;
 use mmjoin_util::trace::{MemTracer, NoTracer};
 use mmjoin_util::tuple::{Key, Payload, Tuple};
 use mmjoin_util::Relation;
@@ -27,6 +28,7 @@ use mmjoin_util::Relation;
 use crate::config::{JoinConfig, TableKind};
 use crate::exec::join_morsels;
 use crate::executor::QueuePolicy;
+use crate::fault::MemCharge;
 use crate::plan::JoinError;
 use crate::run::{contain_panics, JoinRun, RunCtx};
 use crate::spec::{self, ops, PartitionLayout, PartitionWrites, PhaseModel};
@@ -470,15 +472,27 @@ pub(crate) fn two_pass_join(
     let fanouts = [1usize << bits1, 1usize << bits2];
     let swwcb = mode == ScatterMode::Swwcb;
     let writes = PartitionWrites::GlobalInterleaved;
-    let (pr, ps) = partition_phase(
-        &mut run,
-        r,
-        s,
-        // Two passes: the pass-1 output lives until pass 2 finishes, so
-        // the peak holds two full copies of both inputs (8 B/tuple).
-        2 * (r.len() + s.len()) * 8,
-        spec::partition_model(cfg, &[r, s], &fanouts, swwcb, writes),
-        |tuples, p| two_pass_partition_on(tuples, bits1, bits2, p, mode),
+    // Pass 2 writes back over pass 1's output, so the phase holds one
+    // partitioned copy of both inputs (8 B/tuple), reserved ahead; and,
+    // while a relation's pass 2 runs, each worker's bounce buffer, as long
+    // as its longest pass-1 partition: charged once pass 1 has counted it.
+    run.reserve("partition", (r.len() + s.len()) * 8)?;
+    let (pr, ps) = run.phase(
+        "partition",
+        |p| {
+            let two_pass = |tuples: &[Tuple]| -> Result<PartitionedRelation, JoinError> {
+                let pass1 = partition_parallel_on(tuples, RadixFn::new(bits1), p, mode);
+                let bytes = p.workers() * pass1.longest() * 8;
+                let budget = p.budget();
+                budget
+                    .try_reserve(bytes)
+                    .map_err(|be| p.budget_error(bytes, be))?;
+                let _bounce = MemCharge::new(budget, bytes);
+                Ok(second_pass_on(pass1, bits2, p))
+            };
+            Ok((two_pass(r.tuples())?, two_pass(s.tuples())?))
+        },
+        |_| spec::partition_model(cfg, &[r, s], &fanouts, swwcb, writes),
     )?;
 
     let order = task_order(1usize << table.bits, ScheduleOrder::Sequential);

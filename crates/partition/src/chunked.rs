@@ -108,9 +108,9 @@ fn partition_chunk_local(chunk: &[Tuple], f: RadixFn, mode: ScatterMode) -> Chun
     let mut data = unsafe { AlignedBuf::<Tuple>::unfilled(chunk.len()) };
     let mut offsets = vec![0usize; f.fanout() + 1];
     // `offsets[0]` stays 0: partition 0 starts where the chunk does.
-    let (cursors, ptr, len) = (&mut offsets[1..], data.as_mut_ptr(), chunk.len());
+    let (cursors, ptr) = (&mut offsets[1..], data.as_mut_ptr());
     // SAFETY: `data` is `chunk.len()` slots this thread alone holds.
-    unsafe { route_at(chunk, f, 0, cursors, ptr, len, mode, |_, t| t) }
+    unsafe { route_at(chunk, f, cursors, ptr, mode, |_, t| t) }
     ChunkPart { data, offsets }
 }
 

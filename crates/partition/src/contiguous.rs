@@ -68,6 +68,15 @@ impl PartitionedRelation {
         &self.offsets
     }
 
+    /// The length of the longest partition (0 if there is none).
+    pub fn longest(&self) -> usize {
+        self.offsets
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .max()
+            .unwrap_or(0)
+    }
+
     pub fn all_tuples(&self) -> &[Tuple] {
         self.data.as_slice()
     }
@@ -156,6 +165,7 @@ pub fn partition_parallel_emit_on(
     let mut out = unsafe { AlignedBuf::<Tuple>::unfilled(input.len()) };
     let out_ptr = SyncPtr(out.as_mut_ptr());
     let (dst, locals) = (&dst, &locals);
+    let ahead = f.fanout() >= PREFETCH_MIN_FANOUT;
     pool.broadcast(&|t| {
         if t < active {
             let range = chunk_range(input.len(), active, t);
@@ -169,7 +179,7 @@ pub fn partition_parallel_emit_on(
             // every other worker's by construction of global_offsets,
             // and in-bounds because the histogram counted this chunk.
             unsafe {
-                scatter_chunk(chunk, f, &mut cursors, out.0, input.len(), mode, |i, t| {
+                scatter_chunk(chunk, f, &mut cursors, out.0, mode, ahead, |i, t| {
                     emit(start + i, t)
                 })
             }
@@ -182,22 +192,17 @@ pub fn partition_parallel_emit_on(
     PartitionedRelation { data: out, offsets }
 }
 
-/// The direct scatter asks for its cursors' next lines itself from this
-/// fan-out up: at 128 and above there are more write streams than the
-/// hardware prefetcher follows (PRB's 2 × 7 bits), at 64 and below it has
-/// them and a software prefetch per line only costs (0.66–0.96×).
+/// The direct scatter of a parallel pass asks for its cursors' next
+/// lines itself from this fan-out up, whatever the output's size: at 128
+/// and above there are more write streams than the hardware prefetcher
+/// follows (PRB's 2 × 7 bits), at 64 and below it has them and a software
+/// prefetch per line only costs (0.66–0.96×). [`route_at`] never asks: its
+/// output is a cache-resident bounce buffer or batch.
 const PREFETCH_MIN_FANOUT: usize = 128;
 
-/// ... and only into an output of at least this many bytes, 8× this
-/// host's L2: below it a buffer the arena pool hands back is still
-/// cache-resident and there is nothing to fetch (0.80–0.93× at 4–24 MiB
-/// in a back-to-back loop, 1.19–1.34× from 40 MiB up; ROADMAP item 2 has
-/// the grid).
-const PREFETCH_MIN_BYTES: usize = 32 << 20;
-
 /// Scatter `emit(i, chunk[i])` to `out` at the partition `cursors`,
-/// advancing each cursor past what it wrote. `out_len` is the length of
-/// the buffer `out` points into.
+/// advancing each cursor past what it wrote; in [`ScatterMode::Direct`],
+/// prefetching the cursors' next lines if `ahead`.
 ///
 /// # Safety
 /// `cursors[p] .. cursors[p] + count(chunk, p)` must be in-bounds of `out`
@@ -207,22 +212,15 @@ unsafe fn scatter_chunk(
     f: RadixFn,
     cursors: &mut [usize],
     out: *mut Tuple,
-    out_len: usize,
     mode: ScatterMode,
+    ahead: bool,
     emit: impl Fn(usize, Tuple) -> Tuple,
 ) {
+    // Two instances of one loop: without the prefetch the compiled loop
+    // is the plain one, not one with a test in it.
     match mode {
-        ScatterMode::Direct => {
-            let ahead = f.fanout() >= PREFETCH_MIN_FANOUT
-                && out_len * std::mem::size_of::<Tuple>() >= PREFETCH_MIN_BYTES;
-            // Two instances of one loop: below the thresholds the
-            // compiled loop is the plain one, not one with a test in it.
-            if ahead {
-                scatter_direct::<true>(chunk, f, cursors, out, emit)
-            } else {
-                scatter_direct::<false>(chunk, f, cursors, out, emit)
-            }
-        }
+        ScatterMode::Direct if ahead => scatter_direct::<true>(chunk, f, cursors, out, emit),
+        ScatterMode::Direct => scatter_direct::<false>(chunk, f, cursors, out, emit),
         ScatterMode::Swwcb => swwcb::scatter(chunk, f, cursors, out, emit),
     }
 }
@@ -261,28 +259,25 @@ unsafe fn scatter_direct<const AHEAD: bool>(
 
 /// The serial partitioning step — histogram, exclusive prefix, scatter —
 /// over an input one thread owns: pass 2 of [`two_pass_partition_on`]
-/// runs it per pass-1 partition, [`route_into`] per probe batch.
+/// runs it per pass-1 partition into a bounce buffer, [`route_into`] per
+/// probe batch. The scatter never prefetches: its output is in cache.
 ///
-/// Writes `emit(i, input[i])` for every `i` to `out[base..][..input.len()]`
-/// (`out_len` is the length of the buffer `out` points into), grouped by
-/// `f.part(input[i].key)` and in input order within a group, and leaves
-/// in `cursors[p]` the end of partition `p`'s range of `out` — which is
-/// where partition `p + 1` starts, partition 0 at `base`
+/// Writes `emit(i, input[i])` for every `i` to `out[..input.len()]`,
+/// grouped by `f.part(input[i].key)` and in input order within a group,
+/// and leaves in `cursors[p]` the end of partition `p`'s range of `out` —
+/// which is where partition `p + 1` starts, partition 0 at 0
 /// (`cursors.len() == f.fanout()`). Costs `O(input + fanout)` and
 /// allocates nothing in [`ScatterMode::Direct`] (a debug build keeps a
 /// copy of the partition ends, to check the scatter reached them).
 ///
 /// # Safety
-/// `out[base..][..input.len()]` must be valid for writes and touched by
-/// nobody else meanwhile.
-#[allow(clippy::too_many_arguments)]
+/// `out[..input.len()]` must be valid for writes and touched by nobody
+/// else meanwhile.
 pub(crate) unsafe fn route_at(
     input: &[Tuple],
     f: RadixFn,
-    base: usize,
     cursors: &mut [usize],
     out: *mut Tuple,
-    out_len: usize,
     mode: ScatterMode,
     emit: impl Fn(usize, Tuple) -> Tuple,
 ) {
@@ -290,18 +285,16 @@ pub(crate) unsafe fn route_at(
     // leaves it one past the last.
     cursors.fill(0);
     count_digits(input, f, |t| t.key, cursors);
-    let mut start = base;
+    let mut start = 0;
     for cur in cursors.iter_mut() {
-        let count = *cur;
-        *cur = start;
-        start += count;
+        start += std::mem::replace(cur, start);
     }
     // Partition `p` ends where `p + 1` starts, the last at `start`.
     #[cfg(debug_assertions)]
     let ends: Vec<usize> = cursors[1..].iter().copied().chain([start]).collect();
-    // SAFETY: the cursors tile `base..base + input.len()` by exact
-    // counts of this same input; the caller vouches for that range.
-    unsafe { scatter_chunk(input, f, cursors, out, out_len, mode, emit) }
+    // SAFETY: the cursors tile `0..input.len()` by exact counts of this
+    // same input; the caller vouches for that range.
+    unsafe { scatter_chunk(input, f, cursors, out, mode, false, emit) }
     #[cfg(debug_assertions)]
     debug_assert_eq!(cursors, &ends[..], "the scatter did not fill its ranges");
 }
@@ -322,17 +315,14 @@ pub fn route_into(
     let out = &mut out[..input.len()];
     let (first, cursors) = bounds.split_first_mut().expect("fanout + 1 bounds");
     *first = 0;
-    let (ptr, len) = (out.as_mut_ptr(), out.len());
+    let out = out.as_mut_ptr();
     // SAFETY: `out` is exactly `input.len()` slots, exclusively borrowed.
-    unsafe { route_at(input, f, 0, cursors, ptr, len, ScatterMode::Direct, emit) }
+    unsafe { route_at(input, f, cursors, out, ScatterMode::Direct, emit) }
 }
 
 /// Two-pass radix partitioning (PRB): pass 1 over the low `bits1` bits in
-/// parallel over chunks; pass 2 over the next `bits2` bits, with whole
-/// pass-1 partitions processed as tasks pulled from a shared queue.
-///
-/// The global partition id of a tuple is `p1 * 2^bits2 + p2` (region-major
-/// so offsets stay address-ordered).
+/// parallel over chunks, in `mode`; then [`second_pass_on`] over the next
+/// `bits2` bits.
 pub fn two_pass_partition_on(
     input: &[Tuple],
     bits1: u32,
@@ -341,64 +331,67 @@ pub fn two_pass_partition_on(
     mode: ScatterMode,
 ) -> PartitionedRelation {
     let pass1 = partition_parallel_on(input, RadixFn::new(bits1), pool, mode);
-    let f2 = RadixFn::pass(bits2, bits1);
-    let fan1 = 1usize << bits1;
-    let fan2 = 1usize << bits2;
+    second_pass_on(pass1, bits2, pool)
+}
 
-    // The layout is region-major, so pass-1 partition `p1` is re-scattered
-    // inside its own range: histogram, local prefix and scatter run in one
-    // task, while the partition is still in cache from the histogram.
-    // SAFETY: every slot is written exactly once before `out` is read.
-    // The counter hands each `p1` to exactly one task, the tasks end only
-    // when it has passed `fan1`, and task `p1` writes
-    // `offsets()[p1]..offsets()[p1 + 1]` in full (its cursors start at the
-    // partition's start and its counts sum to the partition's length). A
-    // worker's panic is raised out of the broadcast, past `out`.
-    let mut out = unsafe { AlignedBuf::<Tuple>::unfilled(input.len()) };
-    let out_ptr = SyncPtr(out.as_mut_ptr());
-    // Task `p1`'s cursors end up at the ends of its `fan2` partitions,
-    // i.e. at the starts of partitions `p1 * fan2 + 1 ..= (p1 + 1) * fan2`:
-    // its slice of the global offsets, written there once the scatter is
-    // done with them (scattered *through* the shared array, neighbouring
-    // tasks' cursors would share cache lines). Partition 0 starts at 0.
+/// Pass 2 of [`two_pass_partition_on`], in place: whole pass-1
+/// partitions, pulled as tasks from a shared queue, are each routed over
+/// the next `bits2` bits — plain stores, no prefetch — into their
+/// worker's bounce buffer, as long as the longest pass-1 partition so
+/// that it stays in cache, and copied back over their own range. So
+/// there is no second output, and no store to a line not in cache.
+///
+/// The global partition id of a tuple is `p1 * 2^bits2 + p2` (region-major
+/// so offsets stay address-ordered).
+pub fn second_pass_on(
+    pass1: PartitionedRelation,
+    bits2: u32,
+    pool: &dyn WorkerPool,
+) -> PartitionedRelation {
+    let longest = pass1.longest();
+    let (mut data, offsets1) = (pass1.data, pass1.offsets);
+    let fan1 = offsets1.len() - 1;
+    let f2 = RadixFn::pass(bits2, fan1.trailing_zeros());
+    let fan2 = f2.fanout();
+    let data_ptr = SyncPtr(data.as_mut_ptr());
+    // Task `p1`'s cursors end at its `fan2` partitions' ends, the starts
+    // of partitions `p1 * fan2 + 1 ..= (p1 + 1) * fan2`: written there once
+    // the scatter is done (as the cursors themselves, neighbouring tasks'
+    // would share lines). Partition 0 starts at 0.
     let mut offsets = vec![0usize; fan1 * fan2 + 1];
     let offsets_ptr = SyncPtr(offsets.as_mut_ptr());
     let next = AtomicUsize::new(0);
-    let pass1 = &pass1;
     pool.broadcast(&|_| {
         // Copy the whole SyncPtrs so the closure capture stays Sync.
-        let (out, offsets) = (out_ptr, offsets_ptr);
-        let mut cursors = vec![0usize; fan2];
+        let (data, offsets) = (data_ptr, offsets_ptr);
+        let (mut cursors, mut bounce) = (vec![0usize; fan2], None);
         loop {
             let p1 = next.fetch_add(1, Ordering::Relaxed);
             if p1 >= fan1 {
                 break;
             }
-            // SAFETY: the step writes this task's own pass-1 range in
-            // full, disjoint from every other task's.
+            let (start, len) = (offsets1[p1], offsets1[p1 + 1] - offsets1[p1]);
+            // SAFETY: `route_at` writes the first `len <= longest` slots
+            // in full before the copy back reads them.
+            let bounce = bounce.get_or_insert_with(|| unsafe { AlignedBuf::unfilled(longest) });
+            // SAFETY: the counter hands each `p1` to one task alone, so
+            // `start..start + len`, in bounds of `data`, is this task's to
+            // read and then overwrite, and `offsets[p1 * fan2 + 1..][..fan2]`
+            // (in bounds of the `fan1 * fan2 + 1`) its to write; nothing
+            // reads either until the broadcast is over.
             unsafe {
-                route_at(
-                    pass1.partition(p1),
-                    f2,
-                    pass1.offsets()[p1],
-                    &mut cursors,
-                    out.0,
-                    input.len(),
-                    mode,
-                    |_, t| t,
-                )
-            }
-            // SAFETY: `offsets[p1 * fan2 + 1..][..fan2]` is in bounds of
-            // the `fan1 * fan2 + 1` offsets and written by this task alone
-            // (the counter hands out each `p1` once); nothing reads
-            // `offsets` until the broadcast is over.
-            unsafe {
+                let part = data.0.add(start);
+                let (input, out) = (std::slice::from_raw_parts(part, len), bounce.as_mut_ptr());
+                route_at(input, f2, &mut cursors, out, ScatterMode::Direct, |_, t| t);
+                std::ptr::copy_nonoverlapping(bounce.as_ptr(), part, len);
                 let mine = offsets.0.add(p1 * fan2 + 1);
-                std::ptr::copy_nonoverlapping(cursors.as_ptr(), mine, fan2);
+                for (p2, &end) in cursors.iter().enumerate() {
+                    mine.add(p2).write(start + end);
+                }
             }
         }
     });
-    PartitionedRelation { data: out, offsets }
+    PartitionedRelation { data, offsets }
 }
 
 /// Sanity helper shared by tests and the harness: every tuple must land
@@ -571,6 +564,56 @@ mod tests {
         }
     }
 
+    /// Pass 2 as two buffers would do it: pass 1 as
+    /// [`two_pass_partition_on`] runs it, then each pass-1 partition's
+    /// tuples copied digit by digit, in order, into a second buffer.
+    fn two_buffer_reference(
+        input: &[Tuple],
+        (bits1, bits2): (u32, u32),
+        pool: &ScopedPool,
+        mode: ScatterMode,
+    ) -> (Vec<usize>, Vec<Tuple>) {
+        let pass1 = partition_parallel_on(input, RadixFn::new(bits1), pool, mode);
+        let f2 = RadixFn::pass(bits2, bits1);
+        let (mut offsets, mut out) = (vec![0], Vec::with_capacity(input.len()));
+        for p1 in 0..pass1.parts() {
+            for p2 in 0..f2.fanout() {
+                out.extend(pass1.partition(p1).iter().filter(|t| f2.part(t.key) == p2));
+                offsets.push(out.len());
+            }
+        }
+        (offsets, out)
+    }
+
+    /// Pass 2 in place through a bounce buffer gives the offsets and the
+    /// bytes, in order within each partition, of the two-buffer pass: on
+    /// random keys, keys with a hole, keys all in one pass-1 partition
+    /// and one key throughout, in both scatter modes, on 1 and 3 threads.
+    #[test]
+    fn two_pass_in_place_equals_a_two_buffer_reference() {
+        let random = random_input(5_000, 51);
+        let holed: Vec<Tuple> = random.iter().copied().filter(|t| t.key & 7 != 5).collect();
+        let single: Vec<Tuple> = (0..2_000).map(|i| Tuple::new((i << 3) | 6, i)).collect();
+        let one_key: Vec<Tuple> = (0..1_000).map(|i| Tuple::new(0x2A, i)).collect();
+        for (name, input) in [
+            ("random", &random),
+            ("holed", &holed),
+            ("single", &single),
+            ("one key", &one_key),
+        ] {
+            for mode in [ScatterMode::Direct, ScatterMode::Swwcb] {
+                for threads in [1, 3] {
+                    let pool = ScopedPool::new(threads);
+                    let pr = two_pass_partition_on(input, 3, 4, &pool, mode);
+                    let (offsets, tuples) = two_buffer_reference(input, (3, 4), &pool, mode);
+                    let at = format!("{name} {mode:?} threads={threads}");
+                    assert_eq!(pr.offsets(), &offsets[..], "{at}");
+                    assert!(pr.all_tuples() == &tuples[..], "{at}");
+                }
+            }
+        }
+    }
+
     /// Route `input` by `f`, stamping the input index as payload, and
     /// check the contract: a permutation, partition `p` holds exactly
     /// the keys with digit `p`, input order kept within a partition.
@@ -633,13 +676,13 @@ mod tests {
         route_into(&input, RadixFn::new(2), &mut [0; 5], &mut out, |_, t| t);
     }
 
-    /// The direct scatter's two regimes against each other and against a
-    /// stable sort by digit: told its output is small it takes the plain
-    /// loop, told it is `PREFETCH_MIN_BYTES` it asks for every cursor's
-    /// next line — an address that, in a buffer of a few tuples, lies
-    /// past the partition and past the end of the buffer, formed wrapping
-    /// and never dereferenced (Miri runs this with the portable kernels:
-    /// the address is still formed). Same tuples, same cursors.
+    /// The direct scatter with and without its prefetch against each
+    /// other and against a stable sort by digit. With it, a cursor that
+    /// enters a line asks for the next one — an address that, in a
+    /// buffer of a few tuples, lies past the partition and past the end
+    /// of the buffer, formed wrapping and never dereferenced (Miri runs
+    /// this with the portable kernels: the address is still formed).
+    /// Same tuples, same cursors.
     #[test]
     fn direct_scatter_is_the_same_with_and_without_its_prefetch() {
         use mmjoin_util::kernels::{with_mode, KernelMode};
@@ -648,55 +691,52 @@ mod tests {
         } else {
             &[KernelMode::Portable, KernelMode::Simd]
         };
-        let big = PREFETCH_MIN_BYTES / std::mem::size_of::<Tuple>();
         for bits in [3, 6, 7, 8] {
             let f = RadixFn::new(bits);
             for n in [0, 1, 7, 8, 9, 4095, 100_003] {
                 let input = random_input(n, 31 + n as u64);
                 let mut sorted = input.clone();
                 sorted.sort_by_key(|t| f.part(t.key));
+                let bounds = crate::histogram::prefix_sum(&histogram(&input, f));
                 for &mode in modes {
-                    let route = |claimed_len: usize| {
+                    let scatter = |ahead: bool| {
                         let mut out = vec![Tuple::new(0, 0); input.len()];
-                        let mut cursors = vec![usize::MAX; f.fanout()];
-                        let (ptr, direct) = (out.as_mut_ptr(), ScatterMode::Direct);
-                        // SAFETY: `out` is `input.len()` slots of our own;
-                        // the claimed length only picks the loop.
+                        let mut cursors = bounds[..f.fanout()].to_vec();
+                        let (ptr, c) = (out.as_mut_ptr(), &mut cursors);
+                        // SAFETY: the cursors tile `out`, `input.len()`
+                        // slots of our own, by this input's counts.
                         with_mode(mode, || unsafe {
-                            route_at(
-                                &input,
-                                f,
-                                0,
-                                &mut cursors,
-                                ptr,
-                                claimed_len,
-                                direct,
-                                |_, t| t,
-                            )
+                            if ahead {
+                                scatter_direct::<true>(&input, f, c, ptr, |_, t| t)
+                            } else {
+                                scatter_direct::<false>(&input, f, c, ptr, |_, t| t)
+                            }
                         });
                         (out, cursors)
                     };
-                    let (plain, ahead) = (route(input.len()), route(big));
+                    let (plain, ahead) = (scatter(false), scatter(true));
                     assert_eq!(plain, ahead, "fan-out {} n={n} {mode:?}", f.fanout());
                     assert_eq!(plain.0, sorted, "fan-out {} n={n} {mode:?}", f.fanout());
+                    assert_eq!(plain.1, bounds[1..], "fan-out {} n={n}", f.fanout());
                 }
             }
         }
     }
 
-    /// Through the public door, at a size where the rule turns the
-    /// prefetch on (fan-out 128, a 32 MiB output): the same
+    /// Through the public door, at the fan-out where the direct scatter
+    /// prefetches (128) and an output of 8 MiB: the same
     /// `PartitionedRelation` as the SWWCB scatter, in either kernel mode.
     #[test]
-    #[cfg_attr(miri, ignore = "4 Mi tuples; the loop itself is interpreted above")]
+    #[cfg_attr(miri, ignore = "1 Mi tuples; the loop itself is interpreted above")]
     fn prefetching_direct_scatter_equals_swwcb_at_a_large_output() {
         use mmjoin_util::kernels::{with_mode, KernelMode};
-        let n = PREFETCH_MIN_BYTES / std::mem::size_of::<Tuple>() + 3;
+        let n = (1 << 20) + 3;
         let mut rng = Xoshiro256::new(77);
         let input: Vec<Tuple> = (0..n)
             .map(|i| Tuple::new(rng.next_u32() | 1, i as u32))
             .collect();
         let f = RadixFn::new(7);
+        assert!(f.fanout() >= PREFETCH_MIN_FANOUT);
         let pool = ScopedPool::new(2);
         let swwcb = partition_parallel_on(&input, f, &pool, ScatterMode::Swwcb);
         for mode in [KernelMode::Portable, KernelMode::Simd] {

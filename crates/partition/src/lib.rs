@@ -42,7 +42,7 @@ pub mod task;
 pub use bits::{predict_radix_bits, BitsInput};
 pub use chunked::{chunked_partition_on, ChunkedPartitions};
 pub use contiguous::{
-    packed_layout, partition_parallel_emit_on, partition_parallel_on, route_into,
+    packed_layout, partition_parallel_emit_on, partition_parallel_on, route_into, second_pass_on,
     two_pass_partition_on, PartitionedRelation, ScatterMode,
 };
 pub use generic::chunked_partition_by_on;

@@ -388,19 +388,87 @@ fn pro_budget_counts_the_swwcb_banks() {
     }
 }
 
+/// The tuples of `rel`'s longest partition under `bits` radix bits.
+fn longest_part(rel: &Relation, bits: u32) -> usize {
+    let f = RadixFn::new(bits);
+    let mut lens = vec![0usize; f.fanout()];
+    for t in rel.tuples() {
+        lens[f.part(t.key)] += 1;
+    }
+    lens.into_iter().max().unwrap_or(0)
+}
+
+#[test]
+fn prb_budget_counts_the_bounce_buffers() {
+    // PRB's pass 2 routes each pass-1 partition into its worker's bounce
+    // buffer, as long as the longest pass-1 partition, and copies it back
+    // in place. So the partition phase holds the pass-1 output of R and S
+    // (8 B/tuple), reserved ahead, and — charged once pass 1 has counted
+    // it, while a relation's pass 2 runs — one bounce buffer per worker.
+    // The budget must refuse the phase one byte short of that and admit
+    // the join at exactly that (the shapes' tables fit in what the bounce
+    // buffers gave back): on uniform keys, and on keys that all fall in
+    // one pass-1 partition, on 1 and 3 workers.
+    use mmjoin::core::pro::PartTable;
+    use mmjoin::core::TableKind;
+    let bits = 6;
+    let place = Placement::Chunked { parts: 4 };
+    let r1 = mmjoin::datagen::gen_build_dense(4_096, 27, place);
+    let s1 = mmjoin::datagen::gen_probe_fk(12_000, 4_096, 28, place);
+    // Every key's low three bits are 0b101: one pass-1 partition of 8.
+    let lumped: Vec<Tuple> = (0..3_000u32)
+        .map(|i| Tuple::new((i + 1) << 3 | 5, i))
+        .collect();
+    let probes: Vec<Tuple> = lumped.iter().cycle().take(9_000).copied().collect();
+    let (r2, s2) = (
+        Relation::from_tuples(&lumped, place),
+        Relation::from_tuples(&probes, place),
+    );
+    assert_eq!(longest_part(&s2, bits / 2), s2.len());
+    let table = PartTable {
+        kind: TableKind::Chained,
+        bits,
+        domain: 0,
+    };
+    for (r, s) in [(&r1, &s1), (&r2, &s2)] {
+        let expect = reference_join(r, s);
+        let pass1 = longest_part(r, bits / 2).max(longest_part(s, bits / 2));
+        let largest_table = table.spec(longest_part(r, bits)).table_bytes();
+        for threads in [1, 3] {
+            let run = |limit: usize| {
+                let mut c = cfg(threads, Some(bits));
+                c.mem_limit = Some(limit);
+                Join::new(Algorithm::Prb).with_config(c).run(r, s)
+            };
+            let upfront = refused_in(run(1), 1, "partition");
+            assert_eq!(upfront, (r.len() + s.len()) * 8, "{threads} threads");
+            let bounce = threads * pass1 * 8;
+            assert!(threads * largest_table <= bounce, "{threads} threads");
+            let short = upfront + bounce - 1;
+            assert_eq!(refused_in(run(short), short, "partition"), bounce);
+            let res = run(upfront + bounce).expect("the pass-1 output and the bounce buffers");
+            assert_eq!(res.matches, expect.count, "{threads} threads");
+            assert_eq!(res.checksum, expect.digest, "{threads} threads");
+        }
+    }
+}
+
 #[test]
 fn prb_budget_counts_one_table_per_worker() {
     // A join worker keeps one table across the co-partitions it pulls,
     // reset in place and replaced only by a larger one, so the join
     // phase holds one table per worker at the largest its partitions
     // needed — not one per task, not the sum of what was ever built.
-    // Partition `p` of 32 holds `10 + 20 p` build tuples, so the one
-    // worker's reservation grows step by step to that maximum. The budget
-    // must admit the join at exactly that and refuse it one byte short.
+    // Partition `p` of 32 holds `10 + 20 p` build tuples, the last 3 000,
+    // so the one worker's reservation grows step by step to that maximum
+    // (and past the bounce buffers the partition phase gave back). The
+    // budget must admit the join at exactly that and refuse it one byte
+    // short.
     use mmjoin::core::pro::PartTable;
     use mmjoin::core::TableKind;
+    let part_len = |p: u32| if p == 31 { 3_000 } else { 10 + 20 * p };
     let tuples: Vec<Tuple> = (0..32u32)
-        .flat_map(|p| (0..10 + 20 * p).map(move |j| Tuple::new((j + 1) << 5 | p, j)))
+        .flat_map(|p| (0..part_len(p)).map(move |j| Tuple::new((j + 1) << 5 | p, j)))
         .collect();
     let r = Relation::from_tuples(&tuples, Placement::Chunked { parts: 4 });
     let s = mmjoin::datagen::gen_probe_fk(12_000, 9_000, 24, Placement::Chunked { parts: 4 });
@@ -427,6 +495,11 @@ fn prb_budget_counts_one_table_per_worker() {
         part_lens.iter().map(table_bytes).min().unwrap() < largest,
         "the shape needs tables of different sizes: {part_lens:?}"
     );
+    // The partition phase's bounce buffers, given back before the join
+    // phase (`prb_budget_counts_the_bounce_buffers`), must fit in what
+    // the join asks for, or they and not the tables would trip first.
+    let pass1 = longest_part(&r, bits / 2).max(longest_part(&s, bits / 2));
+    assert!(pass1 * 8 < largest, "{pass1} tuples in pass 1");
     // One byte short, the refused request is the last growth step.
     let last_step = refused_in(run(1, partition + largest - 1), 0, "join");
     assert!(
