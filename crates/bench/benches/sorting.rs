@@ -31,8 +31,9 @@ fn bench_networks(c: &mut Criterion) {
 
 /// `sort_packed` beside `sort_unstable`: one run (64 Ki), four runs
 /// and their multiway merge (256 Ki), sixteen (1 Mi), and one
-/// `probe_heavy` partition (1.25 Mi) — in each kernel mode, so the
-/// portable and the AVX-512 paths compare side by side.
+/// `probe_heavy` partition at the paper's fan-out of 8 (1.25 Mi) — in
+/// each kernel mode, so the portable and the AVX-512 paths compare side
+/// by side.
 fn bench_run_sort(c: &mut Criterion) {
     let mut g = c.benchmark_group("sort/run-sort-vs-std");
     for ki in [64usize, 256, 1024, 1280] {

@@ -27,7 +27,7 @@ pub mod tab3;
 pub mod tab4;
 pub mod tuplerecon;
 
-use mmjoin_core::{Algorithm, Join, JoinConfig, JoinResult};
+use mmjoin_core::{mway, Algorithm, Join, JoinConfig, JoinResult};
 use mmjoin_util::Relation;
 
 use crate::harness::{HarnessOpts, Table};
@@ -36,9 +36,19 @@ use crate::harness::{HarnessOpts, Table};
 /// [`Join`] planner. Experiment configs are constructed in-harness and
 /// known-valid, so any planning or runtime error is a harness bug —
 /// abort the experiment loudly rather than tabulating garbage.
+///
+/// MWAY without `radix_bits` runs at the paper's fan-out
+/// ([`mway::black_box_bits`]), not the library's cache-sized default:
+/// the figures reproduce the paper's black-box MWAY, and at `repro`'s
+/// scaled-down inputs the wide default would sort in cache where the
+/// paper's partitions cannot.
 pub fn run_alg(alg: Algorithm, r: &Relation, s: &Relation, cfg: &JoinConfig) -> JoinResult {
+    let mut cfg = cfg.clone();
+    if alg == Algorithm::Mway && cfg.radix_bits.is_none() {
+        cfg.radix_bits = Some(mway::black_box_bits(cfg.threads));
+    }
     Join::new(alg)
-        .with_config(cfg.clone())
+        .with_config(cfg)
         .run(r, s)
         .unwrap_or_else(|e| panic!("{alg} failed: {e}"))
 }

@@ -1,14 +1,22 @@
 //! MWAY — the multi-way sort-merge join (Balkesen et al. 2013).
 //!
-//! Pipeline: (1) one radix pass with SWWCB into a *small* number of
-//! partitions, which stores every tuple as its packed word
-//! ([`packed_layout`]); (2) each partition's build and probe sides are
-//! sorted independently, in place in the partition buffer, by
-//! [`mmjoin_sort::sort_packed`] — runs formed with a sorting network
-//! and merged in cache, combined with one bandwidth-saving multiway
-//! merge (AVX-512 bitonic kernels where the CPU has them, scalar
-//! networks and loser trees elsewhere); (3) co-partitions are
+//! Pipeline: (1) one radix pass with SWWCB into 2^[`MWAY_DEFAULT_BITS`]
+//! partitions (or `JoinConfig::radix_bits`), which stores every tuple
+//! as its packed word ([`packed_layout`]); (2) each partition's build
+//! and probe sides are sorted independently, in place in the partition
+//! buffer, by [`mmjoin_sort::sort_packed`] — runs formed with a sorting
+//! network and merged in cache, combined with one bandwidth-saving
+//! multiway merge (AVX-512 bitonic kernels where the CPU has them,
+//! scalar networks and loser trees elsewhere); (3) co-partitions are
 //! merge-joined in the same buffer.
+//!
+//! The paper's MWAY partitions only enough for task parallelism
+//! ([`black_box_bits`]: 4 × threads) and sorts partitions far larger
+//! than a cache. The default fan-out here is cache-sized instead: at
+//! 1 Mi ⋈ 10 Mi a co-partition holds about 10 Ki probe tuples and
+//! sorts in L2 with no multiway merge, while the one SWWCB pass still
+//! runs at memory speed. At the paper's full scale a partition still
+//! holds many runs, so the multiway merge stays on MWAY's path.
 //!
 //! The original requires a power-of-two thread count; this implementation
 //! has no such restriction (tasks come from a queue), but the harness
@@ -36,6 +44,26 @@ use crate::spec::{self, ops, PartitionLayout, PartitionWrites, PhaseModel};
 use crate::stats::JoinResult;
 use crate::Algorithm;
 
+/// Default MWAY fan-out, 2^10 partitions, floored at the paper's
+/// [`black_box_bits`]. Swept at 2 threads from 2^8 to 2^12 partitions
+/// (CHANGES.md): 2^11–2^12 run the two large benchmark shapes (1 Mi ⋈
+/// 10 Mi, 5 Mi ⋈ 5 Mi) up to 7 % faster but slow the small one
+/// (128 Ki ⋈ 512 Ki) by 4–23 %; 2^10 is within 8 % of the best on all
+/// three.
+pub const MWAY_DEFAULT_BITS: u32 = 10;
+
+/// The paper's MWAY fan-out for `threads` workers: enough partitions
+/// for task parallelism (4 × threads, a power of two, at least 4), not
+/// cache-sized. `repro` runs MWAY at it, as the paper's black box.
+pub fn black_box_bits(threads: usize) -> u32 {
+    next_pow2(threads * 4).max(4).trailing_zeros()
+}
+
+/// MWAY's fan-out when `radix_bits` is unset.
+fn default_bits(threads: usize) -> u32 {
+    MWAY_DEFAULT_BITS.max(black_box_bits(threads))
+}
+
 /// MWAY join.
 pub(crate) fn join_mway(
     r: &Relation,
@@ -43,9 +71,8 @@ pub(crate) fn join_mway(
     cfg: &JoinConfig,
 ) -> Result<JoinResult, JoinError> {
     let mut run = JoinRun::begin(Algorithm::Mway, cfg);
-    // Few partitions: enough for task parallelism, not cache-sized.
-    let parts = next_pow2(cfg.threads * 4).max(4);
-    let bits = parts.trailing_zeros();
+    let bits = cfg.radix_bits.unwrap_or_else(|| default_bits(cfg.threads));
+    let parts = 1 << bits;
     let f = RadixFn::new(bits);
 
     // Phase 1: partition both inputs (single pass, SWWCB), each tuple
@@ -230,11 +257,23 @@ mod tests {
         let r = gen_build_dense(n, 33, Placement::Interleaved);
         let s = gen_probe_zipf(5_000, n, 0.99, 34, Placement::Interleaved);
         let expect = reference_join(&r, &s);
-        let mut cfg = JoinConfig::new(4);
-        cfg.simulate = false;
-        let res = join_mway(&r, &s, &cfg).unwrap();
-        assert_eq!(res.matches, expect.count);
-        assert_eq!(res.checksum, expect.digest);
+        for threads in [1, 3, 4] {
+            let mut cfg = JoinConfig::new(threads);
+            cfg.simulate = false;
+            let res = join_mway(&r, &s, &cfg).unwrap();
+            assert_eq!(res.radix_bits, Some(MWAY_DEFAULT_BITS), "threads={threads}");
+            assert_eq!(res.matches, expect.count, "threads={threads}");
+            assert_eq!(res.checksum, expect.digest, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn default_fan_out_is_floored_at_the_papers() {
+        // The paper's fan-out: 4 × threads, a power of two, at least 4.
+        let paper: Vec<u32> = [1, 2, 3, 8, 512].map(black_box_bits).to_vec();
+        assert_eq!(paper, [2, 3, 4, 5, 11]);
+        assert_eq!(default_bits(2), MWAY_DEFAULT_BITS);
+        assert_eq!(default_bits(512), 11);
     }
 
     #[test]

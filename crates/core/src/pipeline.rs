@@ -213,8 +213,9 @@ impl BuildSide {
 pub(crate) const ROUTE_RUN: usize = 256;
 
 /// Longest routing batch: the source slice it reads and the routed copy
-/// it writes are 2 MiB together, half of this host's 4 MiB L2 (the rule
-/// `mmjoin_sort::mergesort::RUN_LEN` follows; sweep in DESIGN.md §12).
+/// it writes are 2 MiB together, one core's L2 on the Xeon it was swept
+/// on (`lscpu`: 4 MiB in 2 instances; the size of
+/// `mmjoin_sort::mergesort::RUN_LEN`'s block; sweep in DESIGN.md §12).
 pub(crate) const ROUTE_MAX: usize = (1 << 20) / std::mem::size_of::<Tuple>();
 
 /// One worker's buffers for one stage: `take` tuples go into a probe

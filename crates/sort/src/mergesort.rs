@@ -36,9 +36,10 @@ const NET: usize = 8;
 pub(crate) const VECTOR_RUN: usize = 64;
 
 /// Elements per run handed to the multiway merge. The merge passes work
-/// on a block of two runs and its scratch, 2 MiB: half of this host's
-/// 4 MiB L2, the other half left to the rest of the join. Measured on
-/// 1.25 Mi packed tuples (one `probe_heavy` partition), 16 Ki to 256 Ki
+/// on a block of two runs and its scratch, 2 MiB: a whole core's L2 on
+/// the Xeon this was measured on (`lscpu`: 4 MiB in 2 instances, so
+/// 2 MiB a core). Measured on 1.25 Mi packed tuples (a `probe_heavy`
+/// partition at the paper's fan-out of 8), 16 Ki to 256 Ki
 /// sort within run-to-run spread of each other (23.7–25.6 ns a tuple),
 /// so the cache argument decides. Under Miri the runs are short, to
 /// keep every length boundary within reach of the interpreter.

@@ -28,6 +28,20 @@ fn small_join_succeeds() {
 }
 
 #[test]
+fn mway_reports_the_radix_bits_it_ran_with() {
+    // `--bits` is honoured; without it MWAY runs at its default fan-out.
+    use mmjoin::core::mway::MWAY_DEFAULT_BITS;
+    let default = format!("radix bits: {MWAY_DEFAULT_BITS}");
+    for (bits, expect) in [(" --bits 6", "radix bits: 6"), ("", default.as_str())] {
+        let args = format!("--algo MWAY --build 4096 --probe 16384 --threads 2{bits}");
+        let (code, stdout, stderr) = join(&args);
+        assert_eq!(code, Some(0), "{args}: stderr {stderr}");
+        assert!(stdout.contains(expect), "{args}: stdout {stdout}");
+        assert!(stdout.contains("matches 16384"), "{args}: stdout {stdout}");
+    }
+}
+
+#[test]
 fn malformed_command_lines_exit_2_with_a_message() {
     // (arguments, text stderr must contain). Small sizes keep the cases
     // that get as far as generating a workload cheap; a valueless option

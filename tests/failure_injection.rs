@@ -3,6 +3,7 @@
 //! partition owns everything), boundary keys, degenerate fanouts,
 //! duplicate floods, and queue starvation shapes.
 
+use mmjoin::core::mway::{black_box_bits, MWAY_DEFAULT_BITS};
 use mmjoin::core::reference::reference_join;
 use mmjoin::core::{Algorithm, Join, JoinConfig, JoinError, JoinResult};
 use mmjoin::partition::{chunked_partition_on, partition_parallel_on, RadixFn, ScatterMode};
@@ -116,7 +117,8 @@ fn mway_boundary_keys_through_the_multiway_merge() {
     // (`u64::MAX` ascending, 0 descending; no hash table, so key 0 is
     // a key like any other) and over one hot key whose duplicates are
     // spread through the input, hence through every run of its
-    // partition, on both sides.
+    // partition, on both sides. That takes the paper's fan-out of
+    // 4 × threads partitions (`black_box_bits`), not MWAY's default.
     use mmjoin::sort::mergesort::RUN_LEN;
     const HOT: u32 = 12_345;
     let (n_r, n_s) = (4 * 3 * RUN_LEN + 4_000, 16 * 3 * RUN_LEN + 16_000);
@@ -139,7 +141,8 @@ fn mway_boundary_keys_through_the_multiway_merge() {
     let expect = reference_join(&r, &s);
     assert!(expect.count > 600 * 900 + 2 * 35);
     for threads in [1, 2, 3] {
-        let res = run_join(Algorithm::Mway, &r, &s, &cfg(threads, None));
+        let c = cfg(threads, Some(black_box_bits(threads)));
+        let res = run_join(Algorithm::Mway, &r, &s, &c);
         assert_eq!(res.matches, expect.count, "threads={threads}");
         assert_eq!(res.checksum, expect.digest, "threads={threads}");
     }
@@ -155,6 +158,8 @@ fn mway_identical_in_both_kernel_modes_through_the_multiway_merge() {
     // loser trees in the portable one. Both must give the reference's
     // checksum. The other joins that run meanwhile return the same in
     // either mode; the budget test below does not reserve the same.
+    // Like the test above it runs at the paper's fan-out: at MWAY's
+    // default, partitions this small hold one run.
     use mmjoin::sort::mergesort::RUN_LEN;
     use mmjoin::util::kernels::{with_mode, KernelMode};
     let _mode = mode_lock();
@@ -165,9 +170,8 @@ fn mway_identical_in_both_kernel_modes_through_the_multiway_merge() {
     let expect = reference_join(&r, &s);
     for threads in [1, 2] {
         for mode in [KernelMode::Portable, KernelMode::Simd] {
-            let res = with_mode(mode, || {
-                run_join(Algorithm::Mway, &r, &s, &cfg(threads, None))
-            });
+            let c = cfg(threads, Some(black_box_bits(threads)));
+            let res = with_mode(mode, || run_join(Algorithm::Mway, &r, &s, &c));
             assert_eq!(res.matches, expect.count, "threads={threads}, {mode:?}");
             assert_eq!(res.checksum, expect.digest, "threads={threads}, {mode:?}");
         }
@@ -296,21 +300,29 @@ fn mway_budget_counts_the_sort_scratch() {
     // than one run — the merge tree's node buffers past it
     // (`mergesort::scratch_len`). The budget must admit the join at
     // exactly what it reserves and refuse it one byte short: at
-    // partitions of one run and of several, in both kernel modes.
+    // partitions of one run and of several (3 bits, so a partition of
+    // the larger input holds > 2 × `RUN_LEN` a side), and at the default
+    // fan-out, whose bits the result reports; in both kernel modes.
     use mmjoin::sort::mergesort::{scratch_len, RUN_LEN};
     use mmjoin::util::kernels::{with_mode, KernelMode};
     let _mode = mode_lock();
-    let (threads, bits) = (2, 3);
-    let check = |r: &Relation, s: &Relation| {
+    let threads = 2;
+    let check = |r: &Relation, s: &Relation, fan_out: Option<u32>| {
         let expect = reference_join(r, s);
         let run = |limit: usize| {
-            let mut c = cfg(threads, None);
+            let mut c = cfg(threads, fan_out);
             c.mem_limit = Some(limit);
             Join::new(Algorithm::Mway).with_config(c).run(r, s)
         };
         let refused = |limit: usize, in_phase: &str| refused_in(run(limit), limit, in_phase);
         let partition = refused(1, "partition");
         let sort = refused(partition, "sort");
+        refused(partition + sort - 1, "sort");
+        let res = run(partition + sort).expect("the budget MWAY asks for is enough");
+        assert_eq!(res.matches, expect.count);
+        assert_eq!(res.checksum, expect.digest);
+        let bits = res.radix_bits.expect("MWAY reports its fan-out");
+        assert_eq!(bits, fan_out.unwrap_or(MWAY_DEFAULT_BITS));
         let longest = (0..1 << bits)
             .map(|p| {
                 let side = |rel: &Relation| {
@@ -324,10 +336,6 @@ fn mway_budget_counts_the_sort_scratch() {
             .max()
             .unwrap();
         assert_eq!(sort, threads * scratch_len(longest) * 8);
-        refused(partition + sort - 1, "sort");
-        let res = run(partition + sort).expect("the budget MWAY asks for is enough");
-        assert_eq!(res.matches, expect.count);
-        assert_eq!(res.checksum, expect.digest);
         longest
     };
     let r1 = mmjoin::datagen::gen_build_dense(3_000, 21, Placement::Chunked { parts: 4 });
@@ -337,8 +345,9 @@ fn mway_budget_counts_the_sort_scratch() {
     let s2 = mmjoin::datagen::gen_probe_fk(3 * n, n, 24, Placement::Chunked { parts: 4 });
     for mode in [KernelMode::Portable, KernelMode::Simd] {
         with_mode(mode, || {
-            assert!(check(&r1, &s1) <= RUN_LEN, "{mode:?}");
-            assert!(check(&r2, &s2) > 2 * RUN_LEN, "{mode:?}");
+            assert!(check(&r1, &s1, Some(3)) <= RUN_LEN, "{mode:?}");
+            assert!(check(&r2, &s2, Some(3)) > 2 * RUN_LEN, "{mode:?}");
+            assert!(check(&r2, &s2, None) <= RUN_LEN, "{mode:?}");
         });
     }
 }
