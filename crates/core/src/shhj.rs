@@ -30,9 +30,12 @@
 use std::io;
 use std::sync::Mutex;
 
-use mmjoin_hashtable::{IdentityHash, JoinTable, StLinearTable, TableSpec, PROBE_GROUP};
+use mmjoin_hashtable::{
+    IdentityHash, JoinTable, PackedLinearTables, StLinearTable, TableSpec, PROBE_GROUP,
+};
 use mmjoin_partition::histogram::histogram;
 use mmjoin_partition::{route_into, RadixFn};
+use mmjoin_util::alloc::AlignedBuf;
 use mmjoin_util::checksum::JoinChecksum;
 use mmjoin_util::pool::{into_inner_recover, lock_recover, WorkerPool};
 use mmjoin_util::spill::{SpillDir, SpillRun, SpillWriter, READER_BYTES, WRITER_BYTES};
@@ -126,11 +129,19 @@ struct Partitioned {
     spilldir: Option<SpillDir>,
     r_writers: Vec<Option<Mutex<SpillWriter>>>,
     s_writers: Vec<Option<Mutex<SpillWriter>>>,
-    /// Per-chunk, per-partition scattered R tuples (the resident ones;
-    /// evicted ones were flushed to their run). Their bytes stay charged
-    /// with the tables' until the spill phase drops both.
-    chunk_outs: Vec<Vec<Vec<Tuple>>>,
-    tables: Vec<Option<StLinearTable<IdentityHash>>>,
+    /// Each worker's resident R tuples (evicted ones were flushed to
+    /// their run). Their bytes stay charged with the tables' until the
+    /// spill phase drops both.
+    r_resident: Vec<ResidentR>,
+    /// The resident partitions' tables, packed in one block.
+    tables: PackedLinearTables<IdentityHash>,
+}
+
+/// One worker's resident R tuples, partition by partition: partition
+/// `p`'s are `tuples[bounds[p]..bounds[p + 1]]`.
+struct ResidentR {
+    tuples: AlignedBuf<Tuple>,
+    bounds: Vec<usize>,
 }
 
 /// Bytes appended so far to the runs of `spilled_parts`.
@@ -231,45 +242,57 @@ pub(crate) fn join_shhj(
                 }
             }
 
-            // Scatter R: resident windows into chunk-local vectors
-            // (gathered as slices at build time, like CPR), evicted ones
-            // to the partition's run.
+            // Scatter R: resident windows into the worker's buffer at
+            // its partition's cursor (read as slices at build time, like
+            // CPR), evicted ones to the partition's run.
             let (block, _scratch) = routing_scratch(ctx, r.len(), parts)?;
-            let chunk_outs: Vec<Vec<Vec<Tuple>>> = parallel_chunks(ctx, r.tuples(), |w, chunk| {
-                let mut local: Vec<Vec<Tuple>> = (0..parts)
-                    .map(|p| Vec::with_capacity(if resident[p] { locals[w][p] } else { 0 }))
-                    .collect();
+            let r_resident: Vec<ResidentR> = parallel_chunks(ctx, r.tuples(), |w, chunk| {
+                let mut bounds = vec![0; parts + 1];
+                for p in 0..parts {
+                    bounds[p + 1] = bounds[p] + if resident[p] { locals[w][p] } else { 0 };
+                }
+                // SAFETY: the scan writes each resident window at its
+                // partition's cursor, and the histogram's counts make the
+                // cursors tile the buffer. A scan cut short stops the run
+                // (`tick` and `trip` are sticky), and the build then reads
+                // no tuple.
+                let mut tuples = unsafe { AlignedBuf::<Tuple>::unfilled(bounds[parts]) };
+                let mut cursor = bounds[..parts].to_vec();
                 route_scan(ctx, chunk, f, block, &resident, &r_writers, |p, ts| {
-                    local[p].extend_from_slice(ts)
+                    tuples[cursor[p]..cursor[p] + ts.len()].copy_from_slice(ts);
+                    cursor[p] += ts.len();
                 });
-                local
+                debug_assert!(
+                    ctx.should_stop() || cursor == bounds[1..],
+                    "cursors off the histogram"
+                );
+                ResidentR { tuples, bounds }
             });
 
-            // Build the resident partitions' tables (task-queue parallel).
-            let build_order: Vec<usize> =
-                (0..parts).filter(|&p| resident[p] && hist[p] > 0).collect();
-            let built: Vec<(usize, StLinearTable<IdentityHash>)> = morsel_map(
+            // Build the resident partitions' tables (task-queue parallel),
+            // each clearing its own range of the one block first.
+            let caps: Vec<usize> = (0..parts)
+                .map(|p| if resident[p] { hist[p] } else { 0 })
+                .collect();
+            let mut tables = PackedLinearTables::new(&caps, bits);
+            let ranges: Vec<_> = tables.split_mut().into_iter().map(Mutex::new).collect();
+            let build_order: Vec<usize> = (0..parts).filter(|&p| caps[p] > 0).collect();
+            morsel_map(
                 ctx,
                 &build_order,
                 parts,
                 QueuePolicy::Shared,
                 || (),
                 |_, p| {
-                    let spec = TableSpec::hashed_partition(hist[p].max(1), bits);
-                    let mut table = StLinearTable::<IdentityHash>::with_spec(&spec);
+                    let range = lock_recover(&ranges[p]).take();
+                    let mut table = range.expect("one morsel per resident partition").clear();
                     if !ctx.tick() {
-                        for out in &chunk_outs {
-                            table.insert_batch(&out[p]);
+                        for out in &r_resident {
+                            table.insert_batch(&out.tuples[out.bounds[p]..out.bounds[p + 1]]);
                         }
                     }
-                    (p, table)
                 },
             );
-            let mut tables: Vec<Option<StLinearTable<IdentityHash>>> =
-                (0..parts).map(|_| None).collect();
-            for (p, t) in built {
-                tables[p] = Some(t);
-            }
             ctx.add_spill(SpillCounters {
                 bytes_spilled: spilled_bytes(&r_writers, &spilled_parts),
                 partitions_spilled: spilled_parts.len() as u64,
@@ -283,7 +306,7 @@ pub(crate) fn join_shhj(
                 spilldir,
                 r_writers,
                 s_writers,
-                chunk_outs,
+                r_resident,
                 tables,
             })
         },
@@ -305,7 +328,7 @@ pub(crate) fn join_shhj(
                     &part.resident,
                     &part.s_writers,
                     |p, ts| {
-                        if let Some(table) = &part.tables[p] {
+                        if let Some(table) = part.tables.get(p) {
                             table.probe_batch(ts, unique, |t, bp| c.add(t.key, bp, t.payload));
                         }
                     },
@@ -330,7 +353,7 @@ pub(crate) fn join_shhj(
             // The resident tables and slices are done; hand their bytes
             // back so the recursion below can use the whole budget.
             drop(part.tables);
-            drop(part.chunk_outs);
+            drop(part.r_resident);
             ctx.budget().release(part.resident_bytes);
             let mut spill_counters = SpillCounters::default();
             let mut checksum = JoinChecksum::new();
@@ -694,6 +717,36 @@ mod tests {
             }) => assert_eq!((phase, requested), ("partition", floor)),
             other => panic!("one byte below the floor: {other:?}"),
         }
+    }
+
+    /// The residency plan charges each resident partition its tuples and
+    /// its packed table and nothing else: at the plan plus the routing
+    /// scratch of a full block every partition stays resident; one byte
+    /// short of the plan the costliest one is evicted. (Between the plan
+    /// and the plan plus the scratch the block halves instead, down to
+    /// the floor pinned above.)
+    #[test]
+    fn the_plan_admits_every_partition_exactly_at_its_charge() {
+        let (threads, bits) = (2, 4);
+        let r = gen_build_dense(20_000, 3, Placement::Chunked { parts: threads });
+        let s = gen_probe_fk(60_000, 20_000, 4, Placement::Chunked { parts: threads });
+        let f = RadixFn::new(bits);
+        let plan: usize = histogram(r.tuples(), f)
+            .iter()
+            .map(|&n| partition_cost(n, bits))
+            .sum();
+        let block = (ROUTE_RUN * f.fanout())
+            .clamp(MORSEL, ROUTE_MAX)
+            .min(r.len().div_ceil(threads));
+        let scratch = threads * (block + f.fanout() + 1) * 8;
+
+        let res = join_shhj(&r, &s, &cfg(threads, bits, plan + scratch)).expect("plan fits");
+        assert_matches_reference("plan + scratch", &r, &s, &res);
+        assert_eq!(res.spill_totals().partitions_spilled, 0, "all resident");
+
+        let res = join_shhj(&r, &s, &cfg(threads, bits, plan - 1)).expect("one evicted");
+        assert_matches_reference("plan - 1", &r, &s, &res);
+        assert!(res.spill_totals().partitions_spilled >= 1, "one byte short");
     }
 
     /// `n` distinct keys of partition `p` under radix bits 3, each

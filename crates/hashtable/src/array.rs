@@ -158,10 +158,9 @@ pub struct ConcurrentArrayTable {
 impl ConcurrentArrayTable {
     /// Table over the key domain `[base, base + len)`.
     pub fn new(len: usize, base: Key) -> Self {
-        let payloads = AlignedBuf::<AtomicU32>::zeroed(len);
-        for slot in payloads.as_slice() {
-            slot.store(EMPTY, Ordering::Relaxed);
-        }
+        // SAFETY: the fill below writes every slot before anything reads one.
+        let mut payloads = unsafe { AlignedBuf::<AtomicU32>::unfilled(len) };
+        payloads.fill_with(|| AtomicU32::new(EMPTY));
         ConcurrentArrayTable { payloads, base }
     }
 

@@ -9,6 +9,7 @@
 //! |------|---------|-------------|
 //! | [`StChainedTable`] | PRB/PRO join phase (per partition) | single writer |
 //! | [`StLinearTable`] | PRL/CPRL join phase | single writer |
+//! | [`PackedLinearTables`] | SHHJ resident partitions (one block) | one writer per table |
 //! | [`ArrayTable`] | PRA/CPRA join phase | single writer |
 //! | [`ConcurrentLinearTable`] | NOP global table | lock-free CAS inserts |
 //! | [`ConcurrentArrayTable`] | NOPA global table | atomic stores |
@@ -40,7 +41,9 @@ pub use array::{ArrayTable, ConcurrentArrayTable};
 pub use chained::StChainedTable;
 pub use cht::ConciseHashTable;
 pub use hashfn::{CrcHash, IdentityHash, KeyHash, MultiplicativeHash, MurmurHash};
-pub use linear::{ConcurrentLinearTable, StLinearTable};
+pub use linear::{
+    ConcurrentLinearTable, LinearTable, PackedLinearTables, PackedRange, StLinearTable,
+};
 
 use mmjoin_util::trace::{MemTracer, NoTracer};
 use mmjoin_util::tuple::{Key, Payload, Tuple};
@@ -140,10 +143,7 @@ impl TableSpec {
         if self.array_len > 0 {
             self.array_len * 5
         } else {
-            (2 * self.capacity)
-                .max(linear::MIN_SLOTS)
-                .next_power_of_two()
-                * 8
+            linear::slots_for(self.capacity) * 8
         }
     }
 }

@@ -1,8 +1,10 @@
 //! Linear-probing hash tables.
 //!
-//! * [`StLinearTable`] — the single-threaded open-addressing table used in
-//!   the join phase of PRL/PRLiS/CPRL ("CPRL uses the same linear probing
-//!   hash table as PRL", Section 6.1).
+//! * [`LinearTable`] — the single-threaded open-addressing table, over
+//!   slots it owns ([`StLinearTable`], the join phase of PRL/PRLiS/CPRL:
+//!   "CPRL uses the same linear probing hash table as PRL", Section 6.1)
+//!   or over one table's range of a [`PackedLinearTables`] block (SHHJ's
+//!   resident partitions, all of them in one block).
 //! * [`ConcurrentLinearTable`] — the lock-free table of the NOP join (Lang
 //!   et al.): inserts claim slots with a compare-and-swap, probes are
 //!   entirely synchronization-free.
@@ -18,6 +20,7 @@
 //! that would take its last (`table full`); the concurrent one cannot
 //! count its inserts, may be filled, and bounds a walk to one lap.
 
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mmjoin_util::alloc::AlignedBuf;
@@ -36,21 +39,34 @@ const OVERALLOC: usize = 2;
 /// Minimum slot count: one cache line of slots. Guards the `n = 0` case
 /// (an empty build relation must still produce a probeable table with an
 /// empty-slot terminator) and keeps every table at least one flush granule.
-pub(crate) const MIN_SLOTS: usize = CACHE_LINE / std::mem::size_of::<u64>();
+const MIN_SLOTS: usize = CACHE_LINE / std::mem::size_of::<u64>();
 
-/// Single-threaded linear-probing table (join phase of the PR*/CPR*
-/// linear variants).
-pub struct StLinearTable<H: KeyHash = IdentityHash> {
-    /// The table is the first `mask + 1` slots; a table reset for a
+/// Slots of a table for `n` tuples (what [`TableSpec::table_bytes`]
+/// charges for it, in words).
+pub(crate) fn slots_for(n: usize) -> usize {
+    next_pow2((n * OVERALLOC).max(MIN_SLOTS))
+}
+
+/// Single-threaded linear-probing table over the slots `S`: a buffer of
+/// its own ([`StLinearTable`]) or one table's range of a
+/// [`PackedLinearTables`] block. Every such table inserts and walks
+/// through the methods here.
+pub struct LinearTable<S, H: KeyHash = IdentityHash> {
+    /// The table is the first `mask + 1` slots; an owned table reset for a
     /// smaller partition keeps the longer buffer.
-    slots: AlignedBuf<u64>,
+    slots: S,
     mask: u32,
     hash: H,
+    /// Tuples inserted through this handle.
     len: usize,
     /// Keys are hashed as `key >> shift` (radix-partition tables pass the
     /// partition bits here so identity hashing spreads again).
     shift: u32,
 }
+
+/// The linear table that owns its slots (join phase of the PR*/CPR*
+/// linear variants, SHHJ's spilled partitions).
+pub type StLinearTable<H = IdentityHash> = LinearTable<AlignedBuf<u64>, H>;
 
 impl<H: KeyHash + Default> StLinearTable<H> {
     pub fn with_capacity(n: usize) -> Self {
@@ -60,7 +76,7 @@ impl<H: KeyHash + Default> StLinearTable<H> {
     /// Table whose keys share their low `shift` bits (one radix
     /// partition): hash on the distinguishing high bits.
     pub fn with_capacity_shift(n: usize, shift: u32) -> Self {
-        let mut table = StLinearTable {
+        let mut table = LinearTable {
             slots: AlignedBuf::zeroed(0),
             mask: 0,
             hash: H::default(),
@@ -76,7 +92,7 @@ impl<H: KeyHash> StLinearTable<H> {
     /// An empty table for `n` tuples, in the buffer it has if that is
     /// long enough.
     fn clear_for(&mut self, n: usize) {
-        let size = next_pow2((n * OVERALLOC).max(MIN_SLOTS));
+        let size = slots_for(n);
         if self.slots.len() < size {
             self.slots = AlignedBuf::zeroed(size);
         } else {
@@ -84,31 +100,12 @@ impl<H: KeyHash> StLinearTable<H> {
         }
         (self.mask, self.len) = ((size - 1) as u32, 0);
     }
+}
 
+impl<S: Deref<Target = [u64]>, H: KeyHash> LinearTable<S, H> {
     #[inline]
     fn home(&self, key: Key) -> usize {
         self.hash.index(key >> self.shift, self.mask) as usize
-    }
-
-    /// The insert: the first empty slot from home on; `table full` if it is the last.
-    #[inline]
-    fn put<Tr: MemTracer>(&mut self, t: Tuple, tr: &mut Tr) {
-        debug_assert_ne!(t.key, 0, "key 0 is the EMPTY sentinel");
-        assert!(self.len < self.mask as usize, "table full");
-        let mut idx = self.home(t.key);
-        tr.ops(3);
-        loop {
-            tr.read_of(&self.slots[idx]);
-            if self.slots[idx] == 0 {
-                tr.write_of(&self.slots[idx]);
-                tr.ops(2);
-                self.slots[idx] = t.pack();
-                self.len += 1;
-                return;
-            }
-            tr.ops(1);
-            idx = (idx + 1) & self.mask as usize;
-        }
     }
 
     /// The probe: walk from the home slot to the first empty one; `f` gets
@@ -140,9 +137,25 @@ impl<H: KeyHash> StLinearTable<H> {
         }
     }
 
-    #[inline]
-    pub fn insert(&mut self, t: Tuple) {
-        self.put(t, &mut NoTracer)
+    /// The batch probe: home slots prefetched a group ahead of their walks.
+    #[inline(never)]
+    fn walk_batch<Tr: MemTracer, F: FnMut(&Tuple, Payload)>(
+        &self,
+        probes: &[Tuple],
+        unique: bool,
+        tr: &mut Tr,
+        mut f: F,
+    ) {
+        let touch = |s: &&Self, t: &Tuple| kernels::prefetch_read(&s.slots[s.home(t.key)]);
+        if unique {
+            group_ahead(self, probes, tr, touch, |s, t, tr| {
+                s.walk::<true, _>(t.key, tr, |p| f(t, p))
+            })
+        } else {
+            group_ahead(self, probes, tr, touch, |s, t, tr| {
+                s.walk::<false, _>(t.key, tr, |p| f(t, p))
+            })
+        }
     }
 
     #[inline]
@@ -156,6 +169,42 @@ impl<H: KeyHash> StLinearTable<H> {
     #[inline]
     pub fn probe_first<F: FnMut(Payload)>(&self, key: Key, f: F) {
         self.walk::<true, _>(key, &mut NoTracer, f)
+    }
+}
+
+impl<S: DerefMut<Target = [u64]>, H: KeyHash> LinearTable<S, H> {
+    /// The insert: the first empty slot from home on; `table full` if it is the last.
+    #[inline]
+    fn put<Tr: MemTracer>(&mut self, t: Tuple, tr: &mut Tr) {
+        debug_assert_ne!(t.key, 0, "key 0 is the EMPTY sentinel");
+        assert!(self.len < self.mask as usize, "table full");
+        let mut idx = self.home(t.key);
+        tr.ops(3);
+        loop {
+            tr.read_of(&self.slots[idx]);
+            if self.slots[idx] == 0 {
+                tr.write_of(&self.slots[idx]);
+                tr.ops(2);
+                self.slots[idx] = t.pack();
+                self.len += 1;
+                return;
+            }
+            tr.ops(1);
+            idx = (idx + 1) & self.mask as usize;
+        }
+    }
+
+    /// The batch insert: home slots prefetched with write intent a group
+    /// ahead of their inserts.
+    #[inline(never)]
+    fn put_batch<Tr: MemTracer>(&mut self, tuples: &[Tuple], tr: &mut Tr) {
+        let touch = |s: &&mut Self, t: &Tuple| kernels::prefetch_write(&s.slots[s.home(t.key)]);
+        group_ahead(self, tuples, tr, touch, |s, t, tr| s.put(*t, tr))
+    }
+
+    #[inline]
+    pub fn insert(&mut self, t: Tuple) {
+        self.put(t, &mut NoTracer)
     }
 
     pub fn len(&self) -> usize {
@@ -179,47 +228,171 @@ impl<H: KeyHash + Default> JoinTable for StLinearTable<H> {
 
     #[inline]
     fn insert(&mut self, t: Tuple) {
-        StLinearTable::insert(self, t)
+        LinearTable::insert(self, t)
     }
 
     #[inline]
     fn probe<F: FnMut(Payload)>(&self, key: Key, f: F) {
-        StLinearTable::probe(self, key, f)
+        LinearTable::probe(self, key, f)
     }
 
     #[inline]
     fn probe_unique<F: FnMut(Payload)>(&self, key: Key, f: F) {
-        StLinearTable::probe_first(self, key, f)
+        self.probe_first(key, f)
     }
 
-    /// Home slots prefetched with write intent a group ahead of their inserts.
     fn insert_batch_with<Tr: MemTracer>(&mut self, tuples: &[Tuple], tr: &mut Tr) {
-        let touch = |s: &&mut Self, t: &Tuple| kernels::prefetch_write(&s.slots[s.home(t.key)]);
-        group_ahead(self, tuples, tr, touch, |s, t, tr| s.put(*t, tr))
+        self.put_batch(tuples, tr)
     }
 
-    /// Home slots prefetched a group ahead of their walks.
     fn probe_batch_with<Tr: MemTracer, F: FnMut(&Tuple, Payload)>(
         &self,
         probes: &[Tuple],
         unique: bool,
         tr: &mut Tr,
-        mut f: F,
+        f: F,
     ) {
-        let touch = |s: &&Self, t: &Tuple| kernels::prefetch_read(&s.slots[s.home(t.key)]);
-        if unique {
-            group_ahead(self, probes, tr, touch, |s, t, tr| {
-                s.walk::<true, _>(t.key, tr, |p| f(t, p))
-            })
-        } else {
-            group_ahead(self, probes, tr, touch, |s, t, tr| {
-                s.walk::<false, _>(t.key, tr, |p| f(t, p))
-            })
-        }
+        self.walk_batch(probes, unique, tr, f)
     }
 
     fn memory_bytes(&self) -> usize {
         self.slots.len() * 8
+    }
+}
+
+/// Linear tables packed end to end in one block, one per partition of a
+/// radix fan-out (SHHJ's resident partitions): table `p` is the
+/// [`StLinearTable`] of `capacities[p]` tuples, in a range of the block
+/// instead of a buffer of its own. Under huge-page arenas a buffer of its
+/// own costs a whole 2 MiB page however small the table; the block costs
+/// at most one page beyond its tables.
+///
+/// The block is allocated unfilled. [`PackedLinearTables::split_mut`]
+/// hands each range to the task that builds its table, and
+/// [`PackedRange::clear`] zeroes it there: the clear runs in the build's
+/// parallel tasks, not in one pass before them.
+pub struct PackedLinearTables<H: KeyHash = IdentityHash> {
+    /// Unfilled: a range is read only once its table was cleared.
+    slots: AlignedBuf<u64>,
+    /// Per table, `None` for a capacity of 0.
+    tables: Vec<Option<Packed>>,
+    shift: u32,
+    hash: H,
+}
+
+/// Where one packed table lies, and whether its range was zeroed.
+struct Packed {
+    start: usize,
+    mask: u32,
+    cleared: bool,
+}
+
+impl<H: KeyHash + Default> PackedLinearTables<H> {
+    /// One table per capacity, each hashing `key >> shift` like a radix
+    /// partition's; a capacity of 0 has no table.
+    pub fn new(capacities: &[usize], shift: u32) -> Self {
+        let mut end = 0;
+        let tables = capacities
+            .iter()
+            .map(|&n| {
+                (n > 0).then(|| {
+                    let start = end;
+                    end += slots_for(n);
+                    let mask = (end - start - 1) as u32;
+                    Packed {
+                        start,
+                        mask,
+                        cleared: false,
+                    }
+                })
+            })
+            .collect();
+        PackedLinearTables {
+            // SAFETY: nothing reads a range before `PackedRange::clear`
+            // has zeroed it: `get` hands out only cleared tables.
+            slots: unsafe { AlignedBuf::unfilled(end) },
+            tables,
+            shift,
+            hash: H::default(),
+        }
+    }
+}
+
+impl<H: KeyHash> PackedLinearTables<H> {
+    /// Every table's range, for the task that builds it, in the order of
+    /// the capacities: `None` where the capacity was 0.
+    pub fn split_mut(&mut self) -> Vec<Option<PackedRange<'_, H>>> {
+        let (shift, hash) = (self.shift, self.hash);
+        let mut rest = self.slots.as_mut_slice();
+        self.tables
+            .iter_mut()
+            .map(|t| {
+                let t = t.as_mut()?;
+                let (slots, tail) = std::mem::take(&mut rest).split_at_mut(t.mask as usize + 1);
+                rest = tail;
+                let table = LinearTable {
+                    slots,
+                    mask: t.mask,
+                    hash,
+                    len: 0,
+                    shift,
+                };
+                Some(PackedRange {
+                    table,
+                    cleared: &mut t.cleared,
+                })
+            })
+            .collect()
+    }
+
+    /// Table `p`, to probe: `None` where the capacity was 0 or the range
+    /// was never cleared (its build was cut short).
+    #[inline]
+    pub fn get(&self, p: usize) -> Option<LinearTable<&[u64], H>> {
+        let t = self.tables[p].as_ref().filter(|t| t.cleared)?;
+        Some(LinearTable {
+            slots: &self.slots[t.start..=t.start + t.mask as usize],
+            mask: t.mask,
+            hash: self.hash,
+            len: 0,
+            shift: self.shift,
+        })
+    }
+
+    /// Bytes of the block: the sum of the tables' [`TableSpec::table_bytes`].
+    pub fn memory_bytes(&self) -> usize {
+        self.slots.len() * 8
+    }
+}
+
+/// One table's range of a [`PackedLinearTables`] block, not yet zeroed.
+pub struct PackedRange<'a, H: KeyHash = IdentityHash> {
+    table: LinearTable<&'a mut [u64], H>,
+    cleared: &'a mut bool,
+}
+
+impl<'a, H: KeyHash> PackedRange<'a, H> {
+    /// Zero the range: the empty table, to build.
+    pub fn clear(self) -> LinearTable<&'a mut [u64], H> {
+        let table = self.table;
+        table.slots.fill(0);
+        *self.cleared = true;
+        table
+    }
+}
+
+impl<H: KeyHash> LinearTable<&mut [u64], H> {
+    /// [`JoinTable::insert_batch`] on a packed table.
+    pub fn insert_batch(&mut self, tuples: &[Tuple]) {
+        self.put_batch(tuples, &mut NoTracer)
+    }
+}
+
+impl<H: KeyHash> LinearTable<&[u64], H> {
+    /// [`JoinTable::probe_batch`] on a packed table.
+    #[inline]
+    pub fn probe_batch<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], unique: bool, f: F) {
+        self.walk_batch(probes, unique, &mut NoTracer, f)
     }
 }
 
@@ -241,7 +414,7 @@ pub struct ConcurrentLinearTable<H: KeyHash = IdentityHash> {
 
 impl<H: KeyHash + Default> ConcurrentLinearTable<H> {
     pub fn with_capacity(n: usize) -> Self {
-        let size = next_pow2((n * OVERALLOC).max(MIN_SLOTS));
+        let size = slots_for(n);
         // A zeroed AtomicU64 is the EMPTY sentinel, so the policy-aware
         // zeroed buffer is already a valid empty table.
         ConcurrentLinearTable {
@@ -398,6 +571,52 @@ mod tests {
         let spec = TableSpec::hashed(tuples.len());
         check_join_table::<StLinearTable<IdentityHash>>(&spec, &tuples, &probes);
         check_join_table::<StLinearTable<crate::MurmurHash>>(&spec, &tuples, &probes);
+    }
+
+    /// Each packed table answers like the owned table of its capacity
+    /// and shift, the block is exactly the tables' charge, and a table
+    /// of no tuples or one never cleared answers no probe.
+    #[test]
+    fn packed_tables_answer_like_owned_ones() {
+        // Keys of radix partition p of 8: p + 8, p + 16, ...
+        let part = |p: u32, n: u32| -> Vec<Tuple> {
+            (1..=n).map(|k| Tuple::new(k << 3 | p, k + 7)).collect()
+        };
+        let caps = [1_000, 0, 40, 2_000, 3, 0, 700, 1];
+        let mut packed = PackedLinearTables::<IdentityHash>::new(&caps, 3);
+        let charged: usize = caps
+            .iter()
+            .filter(|&&n| n > 0)
+            .map(|&n| TableSpec::hashed_partition(n, 3).table_bytes())
+            .sum();
+        assert_eq!(packed.memory_bytes(), charged);
+        let ranges = packed.split_mut();
+        for (p, range) in ranges.into_iter().enumerate() {
+            assert_eq!(range.is_some(), caps[p] > 0, "table {p}");
+            // Table 6 is left uncleared, as a cut-short build leaves it.
+            if let Some(range) = range.filter(|_| p != 6) {
+                range.clear().insert_batch(&part(p as u32, caps[p] as u32));
+            }
+        }
+        for (p, &cap) in caps.iter().enumerate() {
+            let Some(table) = packed.get(p) else {
+                assert!(cap == 0 || p == 6, "table {p}");
+                continue;
+            };
+            let tuples = part(p as u32, cap as u32);
+            let mut owned = StLinearTable::<IdentityHash>::with_capacity_shift(cap, 3);
+            owned.insert_batch(&tuples);
+            let probes: Vec<Tuple> = (0..2_100)
+                .map(|k| Tuple::new(k << 3 | p as u32, k))
+                .collect();
+            for unique in [false, true] {
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                table.probe_batch(&probes, unique, |t, bp| a.push((t.key, bp)));
+                owned.probe_batch(&probes, unique, |t, bp| b.push((t.key, bp)));
+                assert_eq!(a, b, "table {p} unique={unique}");
+                assert_eq!(a.len(), tuples.len(), "table {p}");
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //!   already-faulted pages instead of paying the kernel's fault + zero
 //!   cost per query.
 //!
+//! Under the `thp` and `hugetlb` page policies a mapped buffer is
+//! rounded up to whole 2 MiB pages: one of 64 KiB to 2 MiB still costs
+//! a whole huge page. A caller that allocates per partition packs its
+//! partitions into one buffer instead (SHHJ's resident tables,
+//! `PackedLinearTables` in `mmjoin-hashtable`).
+//!
 //! Design constraints mirror [`crate::perf`]:
 //!
 //! * **No dependencies.** The workspace has no `libc`; `mmap`,

@@ -15,6 +15,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use mmjoin::core::reference::reference_join;
 use mmjoin::core::{Algorithm, Join, JoinConfig, JoinError, JoinResult};
 use mmjoin::datagen::{gen_build_dense, gen_probe_fk};
+use mmjoin::hashtable::TableSpec;
+use mmjoin::partition::{histogram::histogram, RadixFn};
 use mmjoin::util::mem::{self, AllocPolicy, FAIL_HUGETLB, FAIL_MBIND, FAIL_MMAP};
 use mmjoin::util::{Placement, Relation};
 
@@ -160,6 +162,57 @@ fn concurrent_joins_do_not_bill_each_other() {
         });
         assert_eq!(arena_bytes(&crowded), alone);
     });
+}
+
+/// Unbudgeted SHHJ under THP keeps its resident state in one packed
+/// block of tables and one buffer of R's tuples per worker, where it
+/// used to map a 2 MiB page for every partition's table: at 64
+/// partitions of 64 KiB tables its partition phase leases at most
+/// 1 + workers blocks, and no more bytes than the residency plan
+/// charges (tuples and tables, plus the routing scratch) and one
+/// rounding page per block.
+#[test]
+fn unbudgeted_shhj_packs_its_resident_partitions() {
+    let _guard = lock();
+    let (threads, bits) = (2, 6);
+    // 4 Ki tuples a partition: a 64 KiB table each.
+    let n = 64 * 4096;
+    let placement = Placement::Chunked { parts: threads };
+    let r = gen_build_dense(n, 93, placement);
+    let s = gen_probe_fk(2 * n, n, 94, placement);
+    let mut c = cfg(threads);
+    c.radix_bits = Some(bits);
+    let res = mem::with_policy(AllocPolicy::THP, || {
+        Join::new(Algorithm::Shhj).with_config(c).run(&r, &s)
+    })
+    .expect("SHHJ under thp");
+    let expect = reference_join(&r, &s);
+    assert_eq!((res.matches, res.checksum), (expect.count, expect.digest));
+
+    let f = RadixFn::new(bits);
+    let tables: Vec<(usize, usize)> = histogram(r.tuples(), f)
+        .into_iter()
+        .map(|n| (n, TableSpec::hashed_partition(n, bits).table_bytes()))
+        .collect();
+    assert!(tables.iter().all(|&(_, bytes)| bytes >= 64 << 10));
+    let plan: usize = tables.iter().map(|&(n, bytes)| n * 8 + bytes).sum();
+    // At most a 128 Ki-tuple block and fan-out + 1 bounds a worker.
+    let scratch = threads * ((128 << 10) + f.fanout() + 1) * 8;
+    let blocks = 1 + threads;
+    let alloc = res
+        .phases
+        .iter()
+        .find(|p| p.name == "partition")
+        .expect("a partition phase")
+        .alloc;
+    assert!(
+        alloc.mapped_blocks + alloc.pool_hits <= blocks as u64,
+        "{alloc:?}"
+    );
+    assert!(
+        alloc.mapped_bytes + alloc.pool_hit_bytes <= (plan + scratch + blocks * (2 << 20)) as u64,
+        "{alloc:?}, plan {plan}"
+    );
 }
 
 #[test]
