@@ -22,7 +22,7 @@ const ALGOS: [Algorithm; 5] = [
 ];
 
 /// Sim ns per input tuple of `alg` with `bits` radix bits.
-fn ns_per_tuple(alg: Algorithm, r: &Relation, s: &Relation, opts: &HarnessOpts, bits: u32) -> f64 {
+fn ns_per_input(alg: Algorithm, r: &Relation, s: &Relation, opts: &HarnessOpts, bits: u32) -> f64 {
     let mut cfg = opts.cfg();
     cfg.radix_bits = Some(bits);
     run_alg(alg, r, s, &cfg).total_sim() * 1e9 / (r.len() + s.len()) as f64
@@ -61,7 +61,7 @@ pub fn run(opts: &HarnessOpts) -> Vec<Table> {
                     let target = r_n as f64 * 8.0 / (0.5 * cfg.topology.l2_bytes() as f64);
                     (target.log2().ceil().max(1.0) as u32).clamp(1, 18)
                 };
-                let at_l2 = ns_per_tuple(alg, &r, &s, opts, l2fit_bits);
+                let at_l2 = ns_per_input(alg, &r, &s, opts, l2fit_bits);
                 // Search ±2 bits around the heuristic for the optimum.
                 let mut best = (l2fit_bits, at_l2);
                 for delta in [-2i32, -1, 1, 2] {
@@ -69,7 +69,7 @@ pub fn run(opts: &HarnessOpts) -> Vec<Table> {
                     if !(1..=18).contains(&b) {
                         continue;
                     }
-                    let ns = ns_per_tuple(alg, &r, &s, opts, b as u32);
+                    let ns = ns_per_input(alg, &r, &s, opts, b as u32);
                     if ns < best.1 {
                         best = (b as u32, ns);
                     }

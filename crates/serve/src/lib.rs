@@ -80,8 +80,8 @@ pub struct ServeConfig {
     pub cache_bytes: usize,
     /// Parent directory for degraded joins' spill runs (`None` = system tmp).
     pub spill_dir: Option<PathBuf>,
-    /// Telemetry knobs: SLO windows, flight recorder, slow-query log,
-    /// regression watch (see [`telemetry::TelemetryConfig`]).
+    /// Telemetry knobs: SLO windows, flight recorder, slow-query log
+    /// (see [`telemetry::TelemetryConfig`]).
     pub telemetry: telemetry::TelemetryConfig,
     /// Serve a Prometheus text exposition over plain HTTP at this
     /// address (`None` disables; the `metrics` wire op always works).
@@ -272,14 +272,34 @@ impl Shared {
 
     /// The `op:"stat"` document body. Its join outcomes are what
     /// `Telemetry::record_join` counted: a tenant's `completed`,
-    /// `errored` and `degraded` are read from the registry, and `joins`
-    /// is their sum over tenants.
+    /// `errored` and `degraded` are read from the registry, `joins` is
+    /// their sum over tenants, and the telemetry section renders the
+    /// same read.
+    ///
+    /// The registry is read once, before the admission snapshot. A job
+    /// leaves its queue and drops its lease before its answer is
+    /// recorded, so a join counted as finished here is out of the
+    /// snapshot's `queued` and `budget.used` too (the admission and
+    /// registry locks order the reads); one that ends between the two
+    /// reads counts as unfinished. A refusal is counted in `rejected`
+    /// before its error is recorded, so one that lands between the reads
+    /// can make `errored` read one short, never one over.
     pub(crate) fn stat_json(&self) -> String {
+        self.render_stat(&self.telemetry.joins())
+    }
+
+    /// [`Shared::stat_json`] over `joins`, a telemetry read made before
+    /// this takes the admission snapshot.
+    fn render_stat(&self, joins: &[telemetry::TenantJoins]) -> String {
         let mut tenants = String::new();
         let (mut ok, mut err, mut degraded) = (0, 0, 0);
         for (i, t) in self.admission.snapshot().iter().enumerate() {
-            let (latency, errors, t_degraded) = self.telemetry.joins(&t.name);
-            let completed = latency.count.saturating_sub(errors);
+            // A tenant whose first answer is not yet recorded has none.
+            let (answered, errors, t_degraded) = joins
+                .iter()
+                .find(|j| j.name == t.name)
+                .map_or((0, 0, 0), |j| (j.latency.count, j.errors, j.degraded));
+            let completed = answered.saturating_sub(errors);
             // Every refusal is answered, and counted, as an error too.
             let errored = errors.saturating_sub(t.rejected);
             ok += completed;
@@ -340,7 +360,7 @@ impl Shared {
             ));
         }
         out.push_str("],\"telemetry\":");
-        out.push_str(&self.telemetry.stat_fragment());
+        out.push_str(&self.telemetry.stat_fragment(joins));
         out.push('}');
         out
     }
@@ -457,12 +477,12 @@ impl Server {
         self.shared.metrics_text()
     }
 
-    /// Close every tenant's live SLO window and run the regression
-    /// watch — what the background sampler does each `slo_window_secs`.
-    /// Public so tests (and embedders with their own clocks) can drive
-    /// window rotation deterministically.
+    /// Close every tenant's live SLO window — what the background
+    /// sampler does each `slo_window_secs`. Public so tests (and
+    /// embedders with their own clocks) can drive window rotation
+    /// deterministically.
     pub fn telemetry_tick(&self) {
-        self.shared.telemetry.rotate_and_watch();
+        self.shared.telemetry.rotate();
     }
 
     /// The same JSON body a `stat` request returns, for embedders and
@@ -492,15 +512,15 @@ fn runner_loop(shared: Arc<Shared>) {
     }
 }
 
-/// Background SLO sampler: rotate windows + run the regression watch
-/// every `window`, polling the stop flag at 50ms granularity.
+/// Background SLO sampler: rotate windows every `window`, polling the
+/// stop flag at 50ms granularity.
 fn sampler_loop(shared: Arc<Shared>, window: std::time::Duration) {
     let tick = std::time::Duration::from_millis(50);
     let mut last = Instant::now();
     while !shared.stop.load(Ordering::Acquire) {
         std::thread::sleep(tick.min(window));
         if last.elapsed() >= window {
-            shared.telemetry.rotate_and_watch();
+            shared.telemetry.rotate();
             last = Instant::now();
         }
     }
@@ -623,5 +643,74 @@ mod tests {
         assert_eq!(codes[2], codes[3], "PRO and NOP checksums");
         assert_eq!(codes[5..7], ["bad_frame", "bad_frame"]);
         assert!(via_blocking[7].0, "connection survives garbage");
+    }
+
+    /// Wherever a join's end lands against `stat`'s two reads (the
+    /// telemetry, then the admission snapshot), a tenant whose admitted
+    /// joins all read as finished has none queued and no lease left.
+    #[test]
+    fn stat_counts_a_join_finished_only_once_its_lease_is_back() {
+        use mmjoin_core::prelude::{Algorithm, CancelToken};
+
+        let n = |v: &Value, k: &str| v.get(k).and_then(Value::as_num).unwrap();
+        for ends in ["before both reads", "between the reads", "after both reads"] {
+            let shared = Shared::new(ServeConfig::default());
+            let job = admission::Job {
+                conn: 1,
+                seq: 1,
+                id: None,
+                tenant: "t".to_string(),
+                spec: protocol::JoinSpec {
+                    algorithm: Algorithm::Pro,
+                    build: "r".into(),
+                    probe: "s".into(),
+                    deadline_ms: None,
+                    radix_bits: None,
+                    cache: true,
+                },
+                received: Instant::now(),
+                expires: None,
+                cancel: CancelToken::new(),
+                queue_depth: 0,
+            };
+            shared.admission.submit(job).unwrap();
+            let adm = shared.admission.next().expect("admitted");
+            let lease = 1 << 20;
+            adm.budget.try_reserve(lease).unwrap();
+            adm.global.try_reserve(lease).unwrap();
+            // `engine::execute`'s order: the lease goes, then the answer
+            // is recorded.
+            let end = || {
+                adm.budget.release(lease);
+                adm.global.release(lease);
+                let answer = telemetry::QueryRecord::new(&adm.job, 0.0, Err("cancelled"));
+                shared.telemetry.record_join(answer);
+            };
+            if ends == "before both reads" {
+                end();
+            }
+            let joins = shared.telemetry.joins();
+            if ends == "between the reads" {
+                end();
+            }
+            let body = shared.render_stat(&joins);
+            if ends == "after both reads" {
+                end();
+            }
+
+            let stat = jsonv::parse(&body).expect("stat parses");
+            let t = &stat.get("tenants").and_then(Value::as_arr).unwrap()[0];
+            let finished = n(t, "completed") + n(t, "errored");
+            assert_eq!(n(t, "admitted"), 1.0, "{ends}");
+            if finished == n(t, "admitted") {
+                assert_eq!(n(t, "queued"), 0.0, "{ends}: {body}");
+                assert_eq!(n(t.get("budget").unwrap(), "used"), 0.0, "{ends}: {body}");
+                let global = stat.get("global_budget").unwrap();
+                assert_eq!(n(global, "used"), 0.0, "{ends}: {body}");
+            }
+            // Only a join that ended before the registry read counts.
+            let counted = ends == "before both reads";
+            assert_eq!(finished, counted as u8 as f64, "{ends}: {body}");
+        }
     }
 }

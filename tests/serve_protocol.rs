@@ -119,15 +119,6 @@ fn validate_stat(stat: &Value) {
     let overall = tel.get("overall").expect("overall");
     n(overall, "count");
     n(overall, "p99_ms");
-    let watch = tel.get("watch").expect("watch");
-    let status = watch
-        .get("status")
-        .and_then(|s| s.as_str())
-        .expect("status");
-    assert!(status == "clean" || status == "regressed");
-    n(watch, "rotations");
-    n(watch, "flags_total");
-    assert!(watch.get("flags").and_then(|f| f.as_arr()).is_some());
     assert_outcomes_reconcile(stat);
 }
 
