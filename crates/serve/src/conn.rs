@@ -1,5 +1,5 @@
-//! Per-connection protocol state, shared by the Linux epoll reactor and
-//! the portable blocking fallback: frame reassembly in, response bytes
+//! Per-connection protocol state behind the front end's reader and
+//! writer threads (see `front`): frame reassembly in, response bytes
 //! out, and the in-flight cancel bookkeeping between them.
 //!
 //! `load`/`stat`/`flush` are answered inline (they are catalog/metadata
@@ -8,6 +8,8 @@
 //! join never head-of-line-blocks the other requests multiplexed on the
 //! same connection.
 
+use std::io::{self, Write};
+use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -19,24 +21,11 @@ use crate::protocol::{self, Frame, FrameReader, ProtoError, Request, MAX_FRAME};
 use crate::telemetry::QueryRecord;
 use crate::Shared;
 
-/// A connection may buffer at most this much un-sent response data
-/// before it is declared overloaded and closed (a reader this far
-/// behind is not coming back).
-const MAX_OUT_BUFFER: usize = 64 << 20;
-
-/// What [`ConnState::ingest`] tells the driver.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct IngestOutcome {
-    /// Buffers exceeded sane bounds; close the connection.
-    pub overloaded: bool,
-}
-
 pub(crate) struct ConnState {
     id: u64,
     reader: FrameReader,
+    /// Framed responses not yet written.
     out: Vec<u8>,
-    /// Bytes of `out` already written to the socket.
-    out_pos: usize,
     /// Joins submitted but not yet completed: `(seq, cancel)`.
     inflight: Vec<(u64, CancelToken)>,
 }
@@ -47,14 +36,14 @@ impl ConnState {
             id,
             reader: FrameReader::new(),
             out: Vec::new(),
-            out_pos: 0,
             inflight: Vec::new(),
         }
     }
 
     /// Feed freshly read bytes; parses and dispatches every complete
-    /// frame they finish.
-    pub(crate) fn ingest(&mut self, chunk: &[u8], shared: &Arc<Shared>) -> IngestOutcome {
+    /// frame they finish. False when the unparsed rest passes its bound:
+    /// close the connection.
+    pub(crate) fn ingest(&mut self, chunk: &[u8], shared: &Arc<Shared>) -> bool {
         self.reader.push(chunk);
         while let Some(frame) = self.reader.next_frame() {
             shared.stats.frames.fetch_add(1, Ordering::Relaxed);
@@ -72,10 +61,7 @@ impl ConnState {
                 Frame::Payload(p) => self.handle_payload(&p, shared),
             }
         }
-        IngestOutcome {
-            overloaded: self.out.len() - self.out_pos > MAX_OUT_BUFFER
-                || self.reader.buffered() > 2 * MAX_FRAME,
-        }
+        self.reader.buffered() <= 2 * MAX_FRAME
     }
 
     fn handle_payload(&mut self, payload: &[u8], shared: &Arc<Shared>) {
@@ -171,15 +157,7 @@ impl ConnState {
     }
 
     /// Frame a rendered JSON payload onto the write queue.
-    pub(crate) fn enqueue_response(&mut self, payload: &str) {
-        // Compact the consumed prefix before it grows unbounded.
-        if self.out_pos > 0 && self.out_pos == self.out.len() {
-            self.out.clear();
-            self.out_pos = 0;
-        } else if self.out_pos > 1 << 20 {
-            self.out.drain(..self.out_pos);
-            self.out_pos = 0;
-        }
+    fn enqueue_response(&mut self, payload: &str) {
         self.out.extend_from_slice(&protocol::encode_frame(payload));
     }
 
@@ -189,14 +167,19 @@ impl ConnState {
         self.enqueue_response(payload);
     }
 
-    /// Response bytes not yet written.
-    pub(crate) fn pending_out(&self) -> &[u8] {
-        &self.out[self.out_pos..]
-    }
-
-    pub(crate) fn consume_out(&mut self, n: usize) {
-        self.out_pos += n;
-        debug_assert!(self.out_pos <= self.out.len());
+    /// Write every queued response byte, blocking until the socket
+    /// takes them all: the write is the backpressure.
+    pub(crate) fn flush(&mut self, mut stream: &TcpStream, shared: &Shared) -> io::Result<()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        stream.write_all(&self.out)?;
+        shared
+            .stats
+            .bytes_out
+            .fetch_add(self.out.len() as u64, Ordering::Relaxed);
+        self.out.clear();
+        Ok(())
     }
 
     /// The connection is gone: stop every join still probing for it.

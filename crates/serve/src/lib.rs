@@ -1,9 +1,9 @@
 //! `mmjoin-serve`: an async multi-tenant join service over the
 //! `mmjoin_core::prelude` API (DESIGN.md §15).
 //!
-//! The front-end is a single-threaded epoll reactor over raw syscalls
-//! (the repo's no-libc idiom; see `reactor`) speaking a length-prefixed
-//! JSON protocol (see [`protocol`]). Joins are scheduled through an
+//! The front end serves each connection on its own blocking threads
+//! (see `front`), speaking a length-prefixed JSON protocol (see
+//! [`protocol`]). Joins are scheduled through an
 //! admission controller — bounded fair queues per tenant, per-tenant
 //! memory budgets carved from a global budget, degradation to the
 //! spilling hybrid hash join instead of rejection (see [`admission`] and
@@ -25,27 +25,26 @@
 //!
 //! [`BuildSide::prepare`]: mmjoin_core::prelude::BuildSide::prepare
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod cache;
 pub mod catalog;
 pub mod client;
 mod conn;
 pub mod engine;
+mod front;
 pub mod protocol;
 pub mod telemetry;
 
-#[cfg(any(not(target_os = "linux"), test))]
-mod blocking;
-#[cfg(target_os = "linux")]
-mod reactor;
-
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mmjoin_util::jsonv;
 
@@ -193,7 +192,16 @@ pub(crate) struct ServerStats {
     pub bytes_out: AtomicU64,
 }
 
-/// Everything the front-end, runners, and `stat` share.
+/// A live connection in [`Shared::conns`].
+struct Live {
+    /// Its socket, for [`Server::shutdown`] to close.
+    stream: Arc<TcpStream>,
+    /// Where its finished joins' `(seq, response)` go (none for a
+    /// metrics scrape).
+    done: Option<Sender<(u64, String)>>,
+}
+
+/// Everything the front end, runners, and `stat` share.
 pub(crate) struct Shared {
     pub cfg: ServeConfig,
     pub catalog: catalog::Catalog,
@@ -204,15 +212,11 @@ pub(crate) struct Shared {
     pub stop: AtomicBool,
     pub started: Instant,
     pub next_seq: AtomicU64,
-    /// Finished joins waiting for the reactor: `(conn, seq, payload)`.
-    #[cfg(target_os = "linux")]
-    pub completions: Mutex<Vec<(u64, u64, String)>>,
-    /// Write end of the reactor's self-wake pipe.
-    #[cfg(target_os = "linux")]
-    pub waker: Mutex<Option<std::os::unix::net::UnixStream>>,
-    /// Fallback front-end: per-connection completion channels.
-    #[cfg(any(not(target_os = "linux"), test))]
-    pub routes: Mutex<HashMap<u64, std::sync::mpsc::Sender<(u64, String)>>>,
+    /// Every live connection of both ports, by id. `stop` is set under
+    /// this lock, so a connection registers before shutdown closes the
+    /// lot or sees the flag and does not register.
+    conns: Mutex<HashMap<u64, Live>>,
+    next_conn: AtomicU64,
 }
 
 impl Shared {
@@ -236,37 +240,58 @@ impl Shared {
             stop: AtomicBool::new(false),
             started,
             next_seq: AtomicU64::new(1),
-            #[cfg(target_os = "linux")]
-            completions: Mutex::new(Vec::new()),
-            #[cfg(target_os = "linux")]
-            waker: Mutex::new(None),
-            #[cfg(any(not(target_os = "linux"), test))]
-            routes: Mutex::new(HashMap::new()),
+            conns: Mutex::new(HashMap::new()),
+            next_conn: AtomicU64::new(1),
             cfg,
         }
     }
 
-    /// Route a finished join's response back to its connection: through
-    /// the fallback front-end's channel when it owns the connection, to
-    /// the reactor otherwise.
+    /// Send a finished join's response to its connection's writer. A
+    /// connection gone before its join finished drops it (its cancel
+    /// token has already fired).
     pub(crate) fn complete(&self, conn: u64, seq: u64, payload: String) {
-        #[cfg(any(not(target_os = "linux"), test))]
-        if let Some(tx) = self.routes.lock().unwrap().get(&conn) {
-            let _ = tx.send((seq, payload));
-            return;
-        }
-        #[cfg(target_os = "linux")]
+        if let Some(Live { done: Some(tx), .. }) = self
+            .conns
+            .lock()
+            .expect("connection registry poisoned")
+            .get(&conn)
         {
-            self.completions.lock().unwrap().push((conn, seq, payload));
-            self.wake();
+            let _ = tx.send((seq, payload));
         }
     }
 
-    fn wake(&self) {
-        #[cfg(target_os = "linux")]
-        if let Some(w) = self.waker.lock().unwrap().as_ref() {
-            use std::io::Write;
-            let _ = (&mut &*w).write(&[1u8]);
+    /// Register an accepted connection and return its id, or `None` once
+    /// the server is stopping.
+    pub(crate) fn register(
+        &self,
+        stream: &Arc<TcpStream>,
+        done: Option<Sender<(u64, String)>>,
+    ) -> Option<u64> {
+        let mut conns = self.conns.lock().expect("connection registry poisoned");
+        if self.stop.load(Ordering::Acquire) {
+            return None;
+        }
+        let id = self.next_conn.fetch_add(1, Ordering::Relaxed);
+        let stream = Arc::clone(stream);
+        conns.insert(id, Live { stream, done });
+        Some(id)
+    }
+
+    /// The connection is closing: it gets no more answers.
+    pub(crate) fn unregister(&self, id: u64) {
+        self.conns
+            .lock()
+            .expect("connection registry poisoned")
+            .remove(&id);
+    }
+
+    /// Set `stop` and close every live connection, which ends each
+    /// blocked read and write on it.
+    fn stop_and_close_all(&self) {
+        let conns = self.conns.lock().expect("connection registry poisoned");
+        self.stop.store(true, Ordering::Release);
+        for c in conns.values() {
+            let _ = c.stream.shutdown(Shutdown::Both);
         }
     }
 
@@ -382,7 +407,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind, spawn the front-end and the runner pool, return immediately.
+    /// Bind, spawn the front end and the runner pool, return immediately.
     /// A config no server can run — no runners, or an SLO window no
     /// `Duration` holds — is refused with `InvalidInput`.
     pub fn spawn(cfg: ServeConfig) -> io::Result<Server> {
@@ -391,7 +416,7 @@ impl Server {
             return Err(invalid("runners must be at least 1".to_string()));
         }
         let secs = cfg.telemetry.slo_window_secs;
-        let window = std::time::Duration::try_from_secs_f64(secs)
+        let window = Duration::try_from_secs_f64(secs)
             .map_err(|e| invalid(format!("slo_window_secs {secs}: {e}")))?;
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
@@ -415,26 +440,13 @@ impl Server {
                     .expect("spawn runner"),
             );
         }
-        #[cfg(target_os = "linux")]
-        {
-            let r = reactor::Reactor::new(listener, Arc::clone(&shared))?;
-            threads.push(
-                std::thread::Builder::new()
-                    .name("mmjoin-serve-epoll".to_string())
-                    .spawn(move || r.run())
-                    .expect("spawn reactor"),
-            );
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            let sh = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("mmjoin-serve-accept".to_string())
-                    .spawn(move || blocking::run(listener, sh))
-                    .expect("spawn acceptor"),
-            );
-        }
+        let sh = Arc::clone(&shared);
+        threads.push(
+            std::thread::Builder::new()
+                .name("mmjoin-serve-accept".to_string())
+                .spawn(move || front::accept_loop(listener, sh, front::conn_loop))
+                .expect("spawn acceptor"),
+        );
         if !window.is_zero() {
             let sh = Arc::clone(&shared);
             threads.push(
@@ -449,7 +461,7 @@ impl Server {
             threads.push(
                 std::thread::Builder::new()
                     .name("mmjoin-serve-metrics".to_string())
-                    .spawn(move || metrics_loop(l, sh))
+                    .spawn(move || front::accept_loop(l, sh, front::scrape))
                     .expect("spawn metrics"),
             );
         }
@@ -491,15 +503,31 @@ impl Server {
         self.shared.stat_json()
     }
 
-    /// Stop accepting, cancel queued work, join every thread.
+    /// Stop accepting, close every connection, cancel queued work, join
+    /// every thread.
     pub fn shutdown(mut self) {
-        self.shared.stop.store(true, Ordering::Release);
+        self.shared.stop_and_close_all();
         self.shared.admission.stop();
-        self.shared.wake();
+        for addr in std::iter::once(self.addr).chain(self.metrics_addr) {
+            wake_accept(addr);
+        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
     }
+}
+
+/// Connect once to a listener of this server, so that its accept loop
+/// returns and sees the stop flag. A wildcard address is reached through
+/// the loopback interface.
+fn wake_accept(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
 }
 
 /// A runner's joins all run on its thread's own worker pool
@@ -514,45 +542,14 @@ fn runner_loop(shared: Arc<Shared>) {
 
 /// Background SLO sampler: rotate windows every `window`, polling the
 /// stop flag at 50ms granularity.
-fn sampler_loop(shared: Arc<Shared>, window: std::time::Duration) {
-    let tick = std::time::Duration::from_millis(50);
+fn sampler_loop(shared: Arc<Shared>, window: Duration) {
+    let tick = Duration::from_millis(50);
     let mut last = Instant::now();
     while !shared.stop.load(Ordering::Acquire) {
         std::thread::sleep(tick.min(window));
         if last.elapsed() >= window {
             shared.telemetry.rotate();
             last = Instant::now();
-        }
-    }
-}
-
-/// Minimal Prometheus scrape endpoint: every connection gets the text
-/// exposition as an `HTTP/1.0 200`, whatever it asked (the path is not
-/// inspected — this serves exactly one document).
-fn metrics_loop(listener: TcpListener, shared: Arc<Shared>) {
-    use std::io::{Read, Write};
-    listener
-        .set_nonblocking(true)
-        .expect("metrics listener nonblocking");
-    let tick = std::time::Duration::from_millis(50);
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((mut sock, _)) => {
-                let _ = sock.set_read_timeout(Some(std::time::Duration::from_millis(500)));
-                // Drain the request line + headers (best effort).
-                let mut buf = [0u8; 4096];
-                let _ = sock.read(&mut buf);
-                let body = shared.metrics_text();
-                let resp = format!(
-                    "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
-                     Content-Length: {}\r\nConnection: close\r\n\r\n{}",
-                    body.len(),
-                    body
-                );
-                let _ = sock.write_all(resp.as_bytes());
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(tick),
-            Err(_) => std::thread::sleep(tick),
         }
     }
 }
@@ -567,8 +564,7 @@ mod tests {
     /// code)` per response.
     fn drive(addr: SocketAddr) -> Vec<(bool, Option<f64>, String)> {
         let mut c = Client::connect(addr).expect("connect");
-        c.set_timeout(Some(std::time::Duration::from_secs(60)))
-            .unwrap();
+        c.set_timeout(Some(Duration::from_secs(60))).unwrap();
         let seen = |v: Value| {
             let ok = v.get("ok").and_then(Value::as_bool) == Some(true);
             let matches = v.get("matches").and_then(Value::as_num);
@@ -605,44 +601,23 @@ mod tests {
         out
     }
 
-    /// The portable fallback front-end speaks the protocol exactly as
-    /// the epoll reactor does: the same script gets the same answers.
+    /// The front end answers a scripted connection: loads and joins
+    /// succeed, PRO and NOP agree, garbage is a typed `bad_frame` and
+    /// the connection survives it; after shutdown no connection is open.
     #[test]
-    fn front_ends_agree() {
-        let cfg = || ServeConfig::default().with_runners(1);
-
-        let reactor = Server::spawn(cfg()).unwrap();
-        let via_reactor = drive(reactor.addr());
-        reactor.shutdown();
-
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let shared = Arc::new(Shared::new(cfg()));
-        let threads = [
-            std::thread::spawn({
-                let sh = Arc::clone(&shared);
-                move || runner_loop(sh)
-            }),
-            std::thread::spawn({
-                let sh = Arc::clone(&shared);
-                move || blocking::run(listener, sh)
-            }),
-        ];
-        let via_blocking = drive(addr);
-        shared.stop.store(true, Ordering::Release);
-        shared.admission.stop();
-        for t in threads {
-            t.join().expect("front-end thread");
-        }
+    fn front_end_answers_the_script() {
+        let server = Server::spawn(ServeConfig::default().with_runners(1)).unwrap();
+        let shared = Arc::clone(&server.shared);
+        let seen = drive(server.addr());
+        server.shutdown();
         assert_eq!(shared.stats.open.load(Ordering::Relaxed), 0);
 
-        assert_eq!(via_blocking, via_reactor);
-        let codes: Vec<&str> = via_blocking.iter().map(|s| s.2.as_str()).collect();
-        assert!(via_blocking[..5].iter().all(|s| s.0), "{via_blocking:?}");
-        assert_eq!(via_blocking[2].1, Some(16384.0));
+        let codes: Vec<&str> = seen.iter().map(|s| s.2.as_str()).collect();
+        assert!(seen[..5].iter().all(|s| s.0), "{seen:?}");
+        assert_eq!(seen[2].1, Some(16384.0));
         assert_eq!(codes[2], codes[3], "PRO and NOP checksums");
         assert_eq!(codes[5..7], ["bad_frame", "bad_frame"]);
-        assert!(via_blocking[7].0, "connection survives garbage");
+        assert!(seen[7].0, "connection survives garbage");
     }
 
     /// Wherever a join's end lands against `stat`'s two reads (the

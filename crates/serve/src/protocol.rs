@@ -256,8 +256,9 @@ fn parse_load(v: &Value) -> Result<LoadSpec, ProtoError> {
         "probe_zipf" => LoadKind::ProbeZipf,
         other => return Err(bad(format!("unknown load kind '{other}'"))),
     };
-    // The generators assert these; an assert on the reactor thread would
-    // take the whole service down, so refuse the frame instead.
+    // The generators assert these; an assert on a connection's reader
+    // thread would end it and leave the client without an answer, so
+    // refuse the frame instead.
     if !matches!(kind, LoadKind::Build) && domain == 0 {
         return Err(bad("'domain' must be positive for a probe relation"));
     }

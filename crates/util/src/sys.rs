@@ -1,7 +1,7 @@
 //! The workspace's one raw-syscall shim (Linux x86-64 / aarch64): the
 //! `syscall` / `svc 0` instruction behind [`syscall6`] and the syscall
-//! numbers its callers use — the perf counters ([`crate::perf`]), the
-//! mmap arenas ([`crate::mem`]) and `mmjoin-serve`'s epoll reactor.
+//! numbers its callers use — the perf counters ([`crate::perf`]) and
+//! the mmap arenas ([`crate::mem`]).
 //! The workspace links no libc crate; everything that needs the kernel
 //! directly goes through here.
 
@@ -13,19 +13,13 @@ pub mod nr {
     pub const MMAP: usize = 9;
     pub const MUNMAP: usize = 11;
     pub const MADVISE: usize = 28;
-    pub const EPOLL_CTL: usize = 233;
     pub const MBIND: usize = 237;
-    pub const EPOLL_PWAIT: usize = 281;
-    pub const EPOLL_CREATE1: usize = 291;
     pub const PERF_EVENT_OPEN: usize = 298;
 }
 
 /// Syscall numbers, per architecture.
 #[cfg(target_arch = "aarch64")]
 pub mod nr {
-    pub const EPOLL_CREATE1: usize = 20;
-    pub const EPOLL_CTL: usize = 21;
-    pub const EPOLL_PWAIT: usize = 22;
     pub const CLOSE: usize = 57;
     pub const READ: usize = 63;
     pub const MUNMAP: usize = 215;

@@ -371,10 +371,11 @@ fn malformed_frames_get_protocol_errors_not_panics() {
 
 /// `load` parameters the generators would assert on (a Zipf θ outside
 /// [0, 1), an empty probe domain) are refused with a typed error; they
-/// used to panic on the reactor thread and take the listener with it,
-/// so the proof is a good `stat` on a *second* connection afterwards.
+/// once panicked on the thread that owned every socket and took the
+/// listener with it, so the proof is a good `stat` on a *second*
+/// connection afterwards.
 #[test]
-fn out_of_range_load_parameters_are_typed_errors_not_reactor_panics() {
+fn out_of_range_load_parameters_are_typed_errors_not_front_end_panics() {
     let server = Server::spawn(ServeConfig::default().with_runners(1)).unwrap();
     for bad_load in [
         r#"{"op":"load","name":"z","kind":"probe_zipf","rows":100,"domain":50,"theta":1.5}"#,

@@ -1,12 +1,16 @@
 //! Threads accounted for (ROADMAP aim 1): a worker pool belongs to the
 //! thread that submits joins to it and is joined when that thread exits,
 //! so a plain thread that ran a join, and a server after `shutdown`,
-//! leave the process with the threads it had before them.
+//! leave the process with the threads it had before them — even when a
+//! client has stopped reading and the server is blocked writing to it.
 //!
 //! Alone in its binary, as one test: it counts the process's live
 //! threads (`/proc/self/task`), which any other test's pools would move.
 #![cfg(target_os = "linux")]
 
+use std::io::Write;
+use std::net::TcpStream;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use mmjoin::core::{Algorithm, Join, JoinConfig};
@@ -54,7 +58,8 @@ fn joins_leave_no_threads_behind() {
         ServeConfig::default()
             .with_runners(2)
             .with_join_threads(2)
-            .with_tenant_budget("tiny", 256 << 10),
+            .with_tenant_budget("tiny", 256 << 10)
+            .with_metrics_addr("127.0.0.1:0"),
     )
     .unwrap();
     let mut c = Client::connect(server.addr()).expect("connect");
@@ -93,6 +98,31 @@ fn joins_leave_no_threads_behind() {
     }
     assert!(live_threads() > baseline, "a running server has threads");
     drop(c);
-    server.shutdown();
+
+    // A client that sends `stat` requests and never reads their answers:
+    // the server's writes to it block, then its reads, then the client's
+    // own sends. Shutdown must still return.
+    let mut stalled = TcpStream::connect(server.addr()).expect("connect");
+    stalled
+        .set_write_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    let stat = br#"{"op":"stat"}"#;
+    let mut frame = (stat.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(stat);
+    let batch = frame.repeat(1024);
+    let mut sent = 0usize;
+    while stalled.write_all(&batch).is_ok() {
+        sent += 1024;
+        assert!(sent < 1 << 26, "the server read {sent} requests unanswered");
+    }
+    let (done, shut) = mpsc::channel();
+    let shutting = std::thread::spawn(move || {
+        server.shutdown();
+        done.send(()).unwrap();
+    });
+    shut.recv_timeout(Duration::from_secs(10))
+        .expect("shutdown returns while a client is not reading");
+    shutting.join().unwrap();
+    drop(stalled);
     assert_back_to(baseline, "a server after shutdown");
 }
