@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use mmjoin_numamodel::{CostModel, Topology};
+use mmjoin_numamodel::Topology;
 use mmjoin_partition::{predict_radix_bits, BitsInput};
 
 use crate::executor::Executor;
@@ -36,8 +36,6 @@ pub struct JoinConfig {
     pub sim_threads: Option<usize>,
     /// The simulated machine (defaults to the paper's 4-socket box).
     pub topology: Topology,
-    /// NUMA cost-model parameters.
-    pub cost: CostModel,
     /// Compute simulated phase times and bandwidth timelines.
     pub simulate: bool,
     /// Override the number of radix bits (otherwise Equation (1)).
@@ -105,7 +103,6 @@ impl JoinConfig {
             threads: threads.max(1),
             sim_threads: None,
             topology: Topology::paper_machine(),
-            cost: CostModel::paper_machine(),
             simulate: true,
             radix_bits: None,
             key_domain: 0,

@@ -141,8 +141,8 @@ fn phase_fields(p: &PhaseStat, sim: bool) -> String {
         "\"wall_ms\": {:.3}, {sim_ms}\"tasks\": {}, \"steals\": {}, \"idle_ms\": {:.3}, \
          \"bytes_spilled\": {}, \"partitions_spilled\": {}, \"spill_recursion_depth\": {}, \
          \"alloc\": {{\"mapped_blocks\": {}, \"mapped_bytes\": {}, \"pool_hits\": {}, \
-         \"pool_hit_bytes\": {}, \"degraded_page\": {}, \"degraded_numa\": {}, \
-         \"heap_fallback\": {}}}, {}",
+         \"pool_hit_bytes\": {}, \"degraded_page\": {}, \"heap_fallback\": {}}}, \
+         {}",
         p.wall.as_secs_f64() * 1e3,
         p.exec.tasks,
         p.exec.steals,
@@ -155,7 +155,6 @@ fn phase_fields(p: &PhaseStat, sim: bool) -> String {
         a.pool_hits,
         a.pool_hit_bytes,
         a.degraded_page,
-        a.degraded_numa,
         a.heap_fallback,
         counters_json(&p.counter_totals())
     )

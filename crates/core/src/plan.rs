@@ -286,7 +286,8 @@ impl Join {
 
 /// Front-door validation shared by [`Join::run`] and
 /// [`crate::pipeline::BuildSide::prepare`]: array joins index a payload
-/// array by key, so a build key beyond the domain would be an
+/// array by key, one payload per key, so they refuse a build side not
+/// declared unique; a build key beyond the domain would be an
 /// out-of-bounds write deep in the build loop.
 pub(crate) fn check_dense_domain(
     algorithm: Algorithm,
@@ -295,6 +296,13 @@ pub(crate) fn check_dense_domain(
 ) -> Result<(), JoinError> {
     if !algorithm.needs_dense_domain() {
         return Ok(());
+    }
+    if !cfg.unique_build_keys {
+        return Err(JoinError::InvalidConfig {
+            field: "unique_build_keys",
+            value: 0,
+            reason: "an array join holds one payload per key",
+        });
     }
     let domain = cfg.domain(r.len());
     match r.tuples().iter().map(|t| t.key).max() {

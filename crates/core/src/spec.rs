@@ -15,7 +15,7 @@
 //!   per cache line (Section 5.1) — and huge pages shrink the TLB to 32
 //!   entries, which is exactly why PRB degrades with huge pages (Fig. 8).
 
-use mmjoin_numamodel::{simulate_phase, PhaseSim, TaskSpec};
+use mmjoin_numamodel::{simulate_phase, CostModel, PhaseSim, TaskSpec};
 use mmjoin_partition::task::node_of_partition;
 use mmjoin_util::{Placement, Relation, TUPLES_PER_CACHELINE};
 
@@ -118,8 +118,8 @@ pub fn run_phase(cfg: &JoinConfig, tasks: &[TaskSpec], order: &[usize]) -> (f64,
     if !cfg.simulate || tasks.is_empty() {
         return (0.0, PhaseSim::empty(cfg.topology.nodes));
     }
-    let (topo, threads) = (&cfg.topology, cfg.sim_threads());
-    let sim = simulate_phase(topo, &cfg.cost, threads, tasks, order, cfg.keep_timelines);
+    let (topo, threads, cost) = (&cfg.topology, cfg.sim_threads(), CostModel::paper_machine());
+    let sim = simulate_phase(topo, &cost, threads, tasks, order, cfg.keep_timelines);
     (sim.duration, sim)
 }
 

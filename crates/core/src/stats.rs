@@ -48,10 +48,8 @@ pub struct AllocCounters {
     pub pool_hits: u64,
     /// Bytes served from the pool.
     pub pool_hit_bytes: u64,
-    /// Page-policy downgrades (hugetlb/THP unavailable → small pages).
+    /// Page downgrades (`madvise(MADV_HUGEPAGE)` refused → small pages).
     pub degraded_page: u64,
-    /// NUMA-placement downgrades (`mbind` failed → first-touch).
-    pub degraded_numa: u64,
     /// Mapped requests that fell all the way back to the heap.
     pub heap_fallback: u64,
 }
@@ -64,7 +62,6 @@ impl AllocCounters {
             pool_hits: d.pool_hits,
             pool_hit_bytes: d.pool_hit_bytes,
             degraded_page: d.degraded_page,
-            degraded_numa: d.degraded_numa,
             heap_fallback: d.heap_fallback,
         }
     }
@@ -75,14 +72,13 @@ impl AllocCounters {
         self.pool_hits += other.pool_hits;
         self.pool_hit_bytes += other.pool_hit_bytes;
         self.degraded_page += other.degraded_page;
-        self.degraded_numa += other.degraded_numa;
         self.heap_fallback += other.heap_fallback;
     }
 
     /// Whether any backend degraded during this phase (fallback ladder
     /// took a downgrade step; see DESIGN.md §14).
     pub fn degraded(&self) -> bool {
-        self.degraded_page > 0 || self.degraded_numa > 0 || self.heap_fallback > 0
+        self.degraded_page > 0 || self.heap_fallback > 0
     }
 }
 

@@ -32,14 +32,12 @@
 //! shares private caches).
 
 pub mod cost;
-pub mod host;
 pub mod sim;
 pub mod task;
 pub mod topology;
 pub mod traffic;
 
 pub use cost::CostModel;
-pub use host::{host_topology, HostTopology};
 pub use sim::{simulate_phase, PhaseSim};
 pub use task::TaskSpec;
 pub use topology::Topology;

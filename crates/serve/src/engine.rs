@@ -112,6 +112,7 @@ fn base_config(
     cfg.simulate = false;
     cfg.key_domain = build.domain;
     cfg.probe_theta = probe.theta;
+    cfg.unique_build_keys = build.unique_keys;
     cfg.radix_bits = spec.radix_bits;
     cfg.cancel = cancel;
     cfg.deadline = job_deadline;
@@ -196,7 +197,7 @@ pub(crate) fn execute(shared: &Shared, adm: &Admitted) -> String {
 
     let want = estimate_bytes(job.spec.algorithm, build.rel.len(), probe.rel.len());
     let mut degraded = false;
-    let lease = match reserve(adm, want) {
+    let mut lease = match reserve(adm, want) {
         Some(l) => Some(l),
         None => {
             degraded = true;
@@ -221,9 +222,14 @@ pub(crate) fn execute(shared: &Shared, adm: &Admitted) -> String {
         match run_resident(shared, &job.spec, &cfg, &build, &probe) {
             // A classic plan that outgrew its reservation mid-run:
             // retry once, degraded, rather than surfacing the budget
-            // error to a client that never asked for a budget.
+            // error to a client that never asked for a budget. The
+            // failed lease goes back first; the retry reserves as the
+            // up-front degraded path does, never below the floor.
             Err(JoinError::MemoryBudgetExceeded { .. }) => {
                 degraded = true;
+                drop(lease.take());
+                lease = reserve_degraded(adm, want);
+                let grant = lease.as_ref().map(|l| l.bytes).unwrap_or(SPILL_FLOOR);
                 run_degraded(shared, &cfg, grant, &build, &probe)
             }
             other => other,

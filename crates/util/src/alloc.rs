@@ -7,9 +7,9 @@
 //!
 //! Since the memory subsystem landed, large buffers additionally route
 //! through [`crate::mem`]: when the process-global
-//! [`crate::mem::AllocPolicy`] is a mapped one, any request of at least
+//! [`crate::mem::AllocPolicy`] is `Thp`, any request of at least
 //! [`crate::mem::MAP_THRESHOLD`] bytes is served from an mmap-backed
-//! arena (huge pages, NUMA placement, pooled reuse), transparently to
+//! arena (transparent huge pages, pooled reuse), transparently to
 //! every consumer. The portable heap path is both the default and the
 //! fallback when mapping is unavailable.
 
@@ -464,7 +464,7 @@ mod tests {
     fn oversized_request_panics_under_mapped_policy() {
         let _policy = crate::mem::policy_test_lock();
         let r = std::panic::catch_unwind(|| {
-            crate::mem::with_policy(crate::mem::AllocPolicy::THP, || {
+            crate::mem::with_policy(crate::mem::AllocPolicy::Thp, || {
                 AlignedBuf::<u64>::zeroed(usize::MAX / 8 + 1)
             })
         });
@@ -474,7 +474,7 @@ mod tests {
     #[test]
     fn mapped_policy_round_trip_contents() {
         let _policy = crate::mem::policy_test_lock();
-        crate::mem::with_policy(crate::mem::AllocPolicy::THP, || {
+        crate::mem::with_policy(crate::mem::AllocPolicy::Thp, || {
             let n = crate::PAGE_2M / 8;
             let mut buf = AlignedBuf::<u64>::zeroed(n);
             assert!(buf.as_slice().iter().all(|&x| x == 0));

@@ -4,11 +4,12 @@
 //! micro-architectural instructions that a portable reproduction cannot
 //! express in safe Rust:
 //!
-//! * **non-temporal streaming stores** (`_mm_stream_si128` /
-//!   `_mm256_stream_si256`) for SWWCB flushes — full cache lines of
-//!   partitioned tuples bypass the cache hierarchy on their way to DRAM,
-//!   so scattering does not evict the very buffers that make write
-//!   combining work, and
+//! * **non-temporal streaming stores** (`_mm_stream_si128`) for SWWCB
+//!   flushes — full cache lines of partitioned tuples bypass the cache
+//!   hierarchy on their way to DRAM, so scattering does not evict the
+//!   very buffers that make write combining work (the scatter issues
+//!   them inline, `mmjoin-partition`'s `swwcb`; [`stream_cacheline`] is
+//!   the same store for one line), and
 //! * **software prefetches** (`_mm_prefetch`) issued a group of probes
 //!   ahead, so a hash-table walk overlaps several DRAM misses instead of
 //!   stalling on each one.
@@ -148,52 +149,28 @@ pub fn effective_mode() -> KernelMode {
 
 /// Copy one 64-byte cache line with non-temporal (streaming) stores.
 ///
-/// Portable-mode and non-x86 builds fall back to `copy_nonoverlapping`.
+/// SSE2's `_mm_stream_si128`, the store the SWWCB scatter issues;
+/// portable-mode and non-x86 builds fall back to `copy_nonoverlapping`.
 /// Streamed stores are weakly ordered; callers must execute [`sfence`]
-/// before other threads read the destination (in the joins: once per
-/// SWWCB bank at the end of the scatter, ahead of the phase barrier).
+/// before other threads read the destination.
 ///
 /// # Safety
 /// `src` and `dst` must be valid for 64 bytes and 64-byte aligned
-/// (alignment is debug-asserted; the SWWCB line buffers and
-/// `AlignedBuf` destinations guarantee it).
+/// (alignment is debug-asserted).
 #[inline]
 pub unsafe fn stream_cacheline(dst: *mut u8, src: *const u8) {
     debug_assert_eq!(dst as usize % CACHE_LINE, 0, "unaligned stream dst");
     debug_assert_eq!(src as usize % CACHE_LINE, 0, "unaligned stream src");
     #[cfg(target_arch = "x86_64")]
-    {
-        if simd_active() {
-            if std::arch::is_x86_feature_detected!("avx") {
-                stream_cacheline_avx(dst, src);
-            } else {
-                stream_cacheline_sse2(dst, src);
-            }
-            return;
+    if simd_active() {
+        use std::arch::x86_64::{__m128i, _mm_load_si128, _mm_stream_si128};
+        let (s, d) = (src as *const __m128i, dst as *mut __m128i);
+        for i in 0..4 {
+            _mm_stream_si128(d.add(i), _mm_load_si128(s.add(i)));
         }
+        return;
     }
     std::ptr::copy_nonoverlapping(src, dst, CACHE_LINE);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn stream_cacheline_avx(dst: *mut u8, src: *const u8) {
-    use std::arch::x86_64::{__m256i, _mm256_load_si256, _mm256_stream_si256};
-    let s = src as *const __m256i;
-    let d = dst as *mut __m256i;
-    _mm256_stream_si256(d, _mm256_load_si256(s));
-    _mm256_stream_si256(d.add(1), _mm256_load_si256(s.add(1)));
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn stream_cacheline_sse2(dst: *mut u8, src: *const u8) {
-    use std::arch::x86_64::{__m128i, _mm_load_si128, _mm_stream_si128};
-    let s = src as *const __m128i;
-    let d = dst as *mut __m128i;
-    for i in 0..4 {
-        _mm_stream_si128(d.add(i), _mm_load_si128(s.add(i)));
-    }
 }
 
 /// Order all preceding streaming stores before subsequent memory

@@ -1,39 +1,37 @@
-//! Policy-aware memory subsystem: mmap-backed arenas with huge pages
-//! and NUMA placement.
+//! Policy-aware memory subsystem: mmap-backed arenas advised for
+//! transparent huge pages.
 //!
 //! The paper attributes large swings between the thirteen joins to TLB
-//! misses and NUMA effects. This module lets a run opt into the memory
-//! layouts those effects depend on:
+//! misses and NUMA effects. This module lets a run opt into the page
+//! size those effects depend on:
 //!
-//! * **Page policy** — plain 4 KiB pages, transparent huge pages
-//!   (`madvise(MADV_HUGEPAGE)`), or explicit 2 MiB `MAP_HUGETLB`
-//!   mappings.
-//! * **NUMA policy** — first-touch (the kernel default), interleave
-//!   across all detected nodes, or bind to one node, applied per region
-//!   with the raw `mbind` syscall.
+//! * **Transparent huge pages** — an anonymous mapping advised with
+//!   `madvise(MADV_HUGEPAGE)`, rounded up to whole 2 MiB pages: one
+//!   buffer of 64 KiB to 2 MiB still costs a whole huge page. A caller
+//!   that allocates per partition packs its partitions into one buffer
+//!   instead (SHHJ's resident tables, `PackedLinearTables` in
+//!   `mmjoin-hashtable`).
 //! * **Arena pool** — released blocks are kept mapped (bounded by
 //!   `MMJOIN_ARENA_POOL_MB`, default 256) so back-to-back joins reuse
 //!   already-faulted pages instead of paying the kernel's fault + zero
 //!   cost per query.
 //!
-//! Under the `thp` and `hugetlb` page policies a mapped buffer is
-//! rounded up to whole 2 MiB pages: one of 64 KiB to 2 MiB still costs
-//! a whole huge page. A caller that allocates per partition packs its
-//! partitions into one buffer instead (SHHJ's resident tables,
-//! `PackedLinearTables` in `mmjoin-hashtable`).
+//! NUMA placement is per buffer in the paper (chunked inputs,
+//! node-local partitions) and is reproduced by `mmjoin-numamodel`'s
+//! simulated `Placement`; the arenas leave placement to the kernel's
+//! first touch.
 //!
 //! Design constraints mirror [`crate::perf`]:
 //!
 //! * **No dependencies.** The workspace has no `libc`; `mmap`,
-//!   `munmap`, `madvise`, `mbind` and `set_mempolicy` are issued
-//!   through [`crate::sys`], gated to Linux on x86-64/aarch64. Elsewhere a
-//!   stub backend reports every mapping as unavailable.
-//! * **Graceful fallback, never an error.** No free 2 MiB hugetlb
-//!   pages → transparent huge pages → plain pages; `mbind`
-//!   ENOSYS/EPERM → first-touch; no mmap backend at all → the portable
-//!   heap allocator. Every downgrade only increments a degradation
-//!   counter (surfaced per phase in `PhaseStat` and in the metrics
-//!   exporters) — behaviour and results are identical.
+//!   `munmap` and `madvise` are issued through [`crate::sys`], gated to
+//!   Linux on x86-64/aarch64. Elsewhere a stub backend reports every
+//!   mapping as unavailable.
+//! * **Graceful fallback, never an error.** `madvise` refused → plain
+//!   pages; no mmap backend at all → the portable heap allocator. Every
+//!   downgrade only increments a degradation counter (surfaced per
+//!   phase in `PhaseStat` and in the metrics exporters) — behaviour and
+//!   results are identical.
 //!
 //! The active policy is a process setting, exactly like
 //! [`crate::kernels`]: an explicit [`set_policy`] at start-up (the
@@ -56,31 +54,9 @@ use crate::{PAGE_2M, PAGE_4K};
 pub const MAP_THRESHOLD: usize = 64 * 1024;
 
 // ---------------------------------------------------------------------------
-// Policy types
+// Policy type and the process-global policy cell (same shape as
+// kernels::set_mode)
 // ---------------------------------------------------------------------------
-
-/// Page size/backing for mapped arenas.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum PagePolicy {
-    /// Plain 4 KiB pages.
-    Small,
-    /// Transparent huge pages: plain mapping + `madvise(MADV_HUGEPAGE)`.
-    Thp,
-    /// Explicit 2 MiB `MAP_HUGETLB` pages (needs reserved hugepages).
-    HugeTlb,
-}
-
-/// NUMA placement for mapped arenas.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum NumaPolicy {
-    /// Kernel default: pages land on the node of the first-touching
-    /// thread.
-    FirstTouch,
-    /// `mbind(MPOL_INTERLEAVE)` across all detected nodes.
-    Interleave,
-    /// `mbind(MPOL_BIND)` to one node.
-    Bind(u16),
-}
 
 /// How join buffers are allocated.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
@@ -89,130 +65,49 @@ pub enum AllocPolicy {
     /// touches mmap. This is the default.
     #[default]
     Portable,
-    /// mmap-backed arenas with the given page and NUMA placement.
-    Mapped { pages: PagePolicy, numa: NumaPolicy },
+    /// mmap-backed arenas advised for transparent huge pages.
+    Thp,
 }
 
 impl AllocPolicy {
-    /// Shorthand for transparent-huge-page arenas with first-touch
-    /// placement — the usual first thing to try.
-    pub const THP: AllocPolicy = AllocPolicy::Mapped {
-        pages: PagePolicy::Thp,
-        numa: NumaPolicy::FirstTouch,
-    };
-
-    /// Parse a policy string: a page token (`portable`, `mapped`,
-    /// `thp`, `hugetlb`) and/or a NUMA token (`firsttouch`,
-    /// `interleave`, `bind:N`) joined with `+`. A NUMA token alone
-    /// implies plain mapped pages (`interleave` ==
-    /// `mapped+interleave`).
+    /// Parse a policy string: `portable` (alias `heap`) or `thp` (alias
+    /// `transparent`), case-insensitive. Anything else is refused.
     pub fn parse(s: &str) -> Result<AllocPolicy, String> {
-        let mut pages: Option<PagePolicy> = None;
-        let mut numa: Option<NumaPolicy> = None;
-        let mut portable = false;
-        for tok in s.split('+') {
-            let t = tok.trim().to_ascii_lowercase();
-            match t.as_str() {
-                "portable" | "heap" => portable = true,
-                "mapped" | "small" => pages = Some(PagePolicy::Small),
-                "thp" | "transparent" => pages = Some(PagePolicy::Thp),
-                "hugetlb" | "huge" => pages = Some(PagePolicy::HugeTlb),
-                "firsttouch" | "first-touch" => numa = Some(NumaPolicy::FirstTouch),
-                "interleave" => numa = Some(NumaPolicy::Interleave),
-                _ => {
-                    if let Some(n) = t.strip_prefix("bind:") {
-                        let node: u16 = n
-                            .parse()
-                            .map_err(|_| format!("invalid NUMA node in {tok:?}"))?;
-                        numa = Some(NumaPolicy::Bind(node));
-                    } else {
-                        return Err(format!(
-                            "unknown alloc policy token {tok:?} \
-                             (expected portable|mapped|thp|hugetlb|firsttouch|interleave|bind:N)"
-                        ));
-                    }
-                }
-            }
+        match s.trim().to_ascii_lowercase().as_str() {
+            "portable" | "heap" => Ok(AllocPolicy::Portable),
+            "thp" | "transparent" => Ok(AllocPolicy::Thp),
+            _ => Err(format!(
+                "unknown alloc policy {s:?} (expected portable|thp)"
+            )),
         }
-        if portable {
-            if pages.is_some() || numa.is_some() {
-                return Err(format!(
-                    "portable cannot be combined with other tokens: {s:?}"
-                ));
-            }
-            return Ok(AllocPolicy::Portable);
-        }
-        if pages.is_none() && numa.is_none() {
-            return Err(format!("empty alloc policy {s:?}"));
-        }
-        Ok(AllocPolicy::Mapped {
-            pages: pages.unwrap_or(PagePolicy::Small),
-            numa: numa.unwrap_or(NumaPolicy::FirstTouch),
-        })
     }
 
     /// Canonical name; round-trips through [`AllocPolicy::parse`].
     pub fn name(&self) -> String {
-        match *self {
-            AllocPolicy::Portable => "portable".to_string(),
-            AllocPolicy::Mapped { pages, numa } => {
-                let p = match pages {
-                    PagePolicy::Small => "mapped",
-                    PagePolicy::Thp => "thp",
-                    PagePolicy::HugeTlb => "hugetlb",
-                };
-                match numa {
-                    NumaPolicy::FirstTouch => p.to_string(),
-                    NumaPolicy::Interleave => format!("{p}+interleave"),
-                    NumaPolicy::Bind(n) => format!("{p}+bind:{n}"),
-                }
-            }
+        match self {
+            AllocPolicy::Portable => "portable",
+            AllocPolicy::Thp => "thp",
         }
+        .to_string()
     }
 }
 
-// ---------------------------------------------------------------------------
-// Process-global policy cell (same shape as kernels::set_mode)
-// ---------------------------------------------------------------------------
-
-/// 0 = unresolved; otherwise `encode_policy() + 1`-style packing, see
-/// `encode_policy`.
+/// 0 = unresolved, 1 = portable, 2 = THP.
 static POLICY: AtomicU32 = AtomicU32::new(0);
 
 fn encode_policy(p: AllocPolicy) -> u32 {
     match p {
         AllocPolicy::Portable => 1,
-        AllocPolicy::Mapped { pages, numa } => {
-            let pg = match pages {
-                PagePolicy::Small => 0u32,
-                PagePolicy::Thp => 1,
-                PagePolicy::HugeTlb => 2,
-            };
-            let (nk, node) = match numa {
-                NumaPolicy::FirstTouch => (0u32, 0u32),
-                NumaPolicy::Interleave => (1, 0),
-                NumaPolicy::Bind(n) => (2, n as u32),
-            };
-            2 | (pg << 2) | (nk << 4) | (node << 8)
-        }
+        AllocPolicy::Thp => 2,
     }
 }
 
 fn decode_policy(v: u32) -> AllocPolicy {
-    if v == 1 {
-        return AllocPolicy::Portable;
+    if v == 2 {
+        AllocPolicy::Thp
+    } else {
+        AllocPolicy::Portable
     }
-    let pages = match (v >> 2) & 0x3 {
-        0 => PagePolicy::Small,
-        1 => PagePolicy::Thp,
-        _ => PagePolicy::HugeTlb,
-    };
-    let numa = match (v >> 4) & 0x3 {
-        0 => NumaPolicy::FirstTouch,
-        1 => NumaPolicy::Interleave,
-        _ => NumaPolicy::Bind(((v >> 8) & 0xffff) as u16),
-    };
-    AllocPolicy::Mapped { pages, numa }
 }
 
 /// Install `p` process-wide: every subsequent policy-eligible
@@ -328,9 +223,8 @@ stat_counters!(
     // Pool reuse (block handed back without a fresh mapping).
     pool_hits,
     pool_hit_bytes,
-    // Policy downgrades: hugetlb/THP unavailable, mbind refused.
+    // Page downgrades: `madvise(MADV_HUGEPAGE)` refused.
     degraded_page,
-    degraded_numa,
     // Mapped path entirely unavailable → portable heap served it.
     heap_fallback,
 );
@@ -352,12 +246,8 @@ macro_rules! bump {
 // Fault injection for the fallback tests
 // ---------------------------------------------------------------------------
 
-/// Bit in the force-fail mask: pretend `MAP_HUGETLB` mappings fail.
-pub const FAIL_HUGETLB: u32 = 1;
-/// Bit: pretend `madvise(MADV_HUGEPAGE)` fails.
+/// Bit in the force-fail mask: pretend `madvise(MADV_HUGEPAGE)` fails.
 pub const FAIL_MADVISE: u32 = 2;
-/// Bit: pretend `mbind` fails (the ENOSYS/EPERM container case).
-pub const FAIL_MBIND: u32 = 4;
 /// Bit: pretend every `mmap` fails (forces the heap fallback).
 pub const FAIL_MMAP: u32 = 8;
 
@@ -394,7 +284,6 @@ pub fn round_up(n: usize, gran: usize) -> Option<usize> {
 pub struct Block {
     ptr: NonNull<u8>,
     len: usize,
-    key: u32,
     fresh: bool,
 }
 
@@ -424,13 +313,13 @@ impl Block {
 
 impl Drop for Block {
     fn drop(&mut self) {
-        pool_put(self.ptr, self.len, self.key);
+        pool_put(self.ptr, self.len);
     }
 }
 
 struct PoolInner {
-    /// `(policy key, len, ptr)` of idle mapped blocks, LIFO per class.
-    blocks: Vec<(u32, usize, usize)>,
+    /// `(len, ptr)` of idle mapped blocks, LIFO per length.
+    blocks: Vec<(usize, usize)>,
     bytes: usize,
 }
 
@@ -454,24 +343,21 @@ fn pool_cap_bytes() -> usize {
     })
 }
 
-fn pool_take(key: u32, len: usize) -> Option<NonNull<u8>> {
+fn pool_take(len: usize) -> Option<NonNull<u8>> {
     let mut pool = pool_lock();
-    // LIFO within the (key, len) class: the most recently released
-    // block has the warmest pages.
-    let idx = pool
-        .blocks
-        .iter()
-        .rposition(|&(k, l, _)| k == key && l == len)?;
-    let (_, l, ptr) = pool.blocks.swap_remove(idx);
-    pool.bytes -= l;
+    // LIFO within the length class: the most recently released block
+    // has the warmest pages.
+    let idx = pool.blocks.iter().rposition(|&(l, _)| l == len)?;
+    let (_, ptr) = pool.blocks.swap_remove(idx);
+    pool.bytes -= len;
     NonNull::new(ptr as *mut u8)
 }
 
-fn pool_put(ptr: NonNull<u8>, len: usize, key: u32) {
+fn pool_put(ptr: NonNull<u8>, len: usize) {
     {
         let mut pool = pool_lock();
         if pool.bytes + len <= pool_cap_bytes() {
-            pool.blocks.push((key, len, ptr.as_ptr() as usize));
+            pool.blocks.push((len, ptr.as_ptr() as usize));
             pool.bytes += len;
             return;
         }
@@ -479,52 +365,42 @@ fn pool_put(ptr: NonNull<u8>, len: usize, key: u32) {
     imp::munmap(ptr, len);
 }
 
-/// Unmap every pooled block. Benches call this between policy cells so
-/// one policy's warm pages cannot serve another's timing.
+/// Unmap every pooled block, so a cold-arena timing starts from no warm
+/// pages.
 pub fn pool_clear() {
-    let drained: Vec<(u32, usize, usize)> = {
+    let drained: Vec<(usize, usize)> = {
         let mut pool = pool_lock();
         pool.bytes = 0;
         std::mem::take(&mut pool.blocks)
     };
-    for (_, len, ptr) in drained {
+    for (len, ptr) in drained {
         if let Some(p) = NonNull::new(ptr as *mut u8) {
             imp::munmap(p, len);
         }
     }
 }
 
-/// Try to serve `bytes` (alignment `align`) from a policy-aware mapped
-/// arena. `None` when the active policy is portable, the request is
-/// too small to map, the alignment exceeds a page, or no mmap backend
-/// exists — callers fall back to the heap.
+/// Try to serve `bytes` (alignment `align`) from a THP arena. `None`
+/// when the active policy is portable, the request is too small to map,
+/// the alignment exceeds a page, or no mmap backend exists — callers
+/// fall back to the heap.
 pub fn acquire(bytes: usize, align: usize) -> Option<Block> {
-    let p = policy();
-    let AllocPolicy::Mapped { pages, numa } = p else {
-        return None;
-    };
-    if bytes < MAP_THRESHOLD || align > PAGE_4K {
+    if policy() != AllocPolicy::Thp || bytes < MAP_THRESHOLD || align > PAGE_4K {
         return None;
     }
-    // Size to huge-page granularity whenever huge pages are in play so
-    // the kernel can actually back the whole region with 2 MiB frames.
-    let gran = match pages {
-        PagePolicy::Small => PAGE_4K,
-        PagePolicy::Thp | PagePolicy::HugeTlb => PAGE_2M,
-    };
-    let len = round_up(bytes, gran)?;
-    let key = encode_policy(p);
-    if let Some(ptr) = pool_take(key, len) {
+    // Whole huge pages, so the kernel can back the whole region with
+    // 2 MiB frames.
+    let len = round_up(bytes, PAGE_2M)?;
+    if let Some(ptr) = pool_take(len) {
         bump!(pool_hits, 1);
         bump!(pool_hit_bytes, len as u64);
         return Some(Block {
             ptr,
             len,
-            key,
             fresh: false,
         });
     }
-    let ptr = map_block(pages, numa, len).or_else(|| {
+    let ptr = map_block(len).or_else(|| {
         bump!(heap_fallback, 1);
         None
     })?;
@@ -533,61 +409,20 @@ pub fn acquire(bytes: usize, align: usize) -> Option<Block> {
     Some(Block {
         ptr,
         len,
-        key,
         fresh: true,
     })
 }
 
-/// Map one block under the fallback ladder: hugetlb → THP → plain
-/// pages; NUMA binding failure degrades to first-touch. Only a failure
-/// of the *plain* anonymous mmap (no backend, forced failure) returns
-/// `None`.
-fn map_block(pages: PagePolicy, numa: NumaPolicy, len: usize) -> Option<NonNull<u8>> {
-    let mut ptr: Option<NonNull<u8>> = None;
-    if pages == PagePolicy::HugeTlb {
-        if !forced(FAIL_HUGETLB) {
-            ptr = imp::mmap_anon(len, imp::MAP_HUGETLB | imp::MAP_HUGE_2MB);
-        }
-        if ptr.is_none() {
-            bump!(degraded_page, 1);
-        }
+/// Map one block and advise it for huge pages; a refused `madvise`
+/// degrades to plain pages. Only a failed mmap (no backend, forced
+/// failure) returns `None`.
+fn map_block(len: usize) -> Option<NonNull<u8>> {
+    if forced(FAIL_MMAP) {
+        return None;
     }
-    if ptr.is_none() {
-        if forced(FAIL_MMAP) {
-            return None;
-        }
-        ptr = imp::mmap_anon(len, 0);
-        let got = ptr?;
-        if pages == PagePolicy::Thp {
-            let ok = !forced(FAIL_MADVISE) && imp::madvise_hugepage(got, len);
-            if !ok {
-                bump!(degraded_page, 1);
-            }
-        }
-    }
-    let got = ptr?;
-    match numa {
-        NumaPolicy::FirstTouch => {}
-        NumaPolicy::Interleave => {
-            let nodes = host_topology().nodes.min(64);
-            let mask: u64 = if nodes >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << nodes) - 1
-            };
-            let ok = !forced(FAIL_MBIND) && imp::mbind(got, len, imp::MPOL_INTERLEAVE, mask);
-            if !ok {
-                bump!(degraded_numa, 1);
-            }
-        }
-        NumaPolicy::Bind(node) => {
-            let ok = node < 64
-                && !forced(FAIL_MBIND)
-                && imp::mbind(got, len, imp::MPOL_BIND, 1u64 << node);
-            if !ok {
-                bump!(degraded_numa, 1);
-            }
-        }
+    let got = imp::mmap_anon(len)?;
+    if forced(FAIL_MADVISE) || !imp::madvise_hugepage(got, len) {
+        bump!(degraded_page, 1);
     }
     Some(got)
 }
@@ -605,7 +440,7 @@ pub struct HostTopology {
     pub nodes: usize,
     /// Transparent huge pages enabled (`[always]` or `[madvise]`).
     pub thp_enabled: bool,
-    /// Free pre-reserved 2 MiB hugetlb pages.
+    /// Free pre-reserved 2 MiB pages (`hugepages-2048kB/free_hugepages`).
     pub free_hugepages_2m: u64,
     /// False when `/sys` was absent and every field is a fallback.
     pub detected: bool,
@@ -706,20 +541,15 @@ mod imp {
 
     use crate::sys::{nr, syscall6};
 
-    pub const MAP_HUGETLB: usize = 0x40000;
-    pub const MAP_HUGE_2MB: usize = 21 << 26;
-    pub const MPOL_BIND: usize = 2;
-    pub const MPOL_INTERLEAVE: usize = 3;
-
     const PROT_READ: usize = 0x1;
     const PROT_WRITE: usize = 0x2;
     const MAP_PRIVATE: usize = 0x02;
     const MAP_ANONYMOUS: usize = 0x20;
     const MADV_HUGEPAGE: usize = 14;
 
-    /// Anonymous private read/write mapping; `extra` adds hugetlb
-    /// flags. `None` on any error (negative return = `-errno`).
-    pub(super) fn mmap_anon(len: usize, extra: usize) -> Option<NonNull<u8>> {
+    /// Anonymous private read/write mapping. `None` on any error
+    /// (negative return = `-errno`).
+    pub(super) fn mmap_anon(len: usize) -> Option<NonNull<u8>> {
         // SAFETY: a new anonymous mapping at an address the kernel picks
         // (addr 0, no MAP_FIXED) overlaps no memory the process uses, and
         // no argument is a pointer the kernel reads.
@@ -729,7 +559,7 @@ mod imp {
                 0,
                 len,
                 PROT_READ | PROT_WRITE,
-                MAP_PRIVATE | MAP_ANONYMOUS | extra,
+                MAP_PRIVATE | MAP_ANONYMOUS,
                 usize::MAX, // fd = -1
                 0,
             )
@@ -765,27 +595,6 @@ mod imp {
         };
         ret == 0
     }
-
-    /// `mbind(addr, len, mode, &nodemask, maxnode=64, flags=0)`.
-    pub(super) fn mbind(ptr: NonNull<u8>, len: usize, mode: usize, nodemask: u64) -> bool {
-        let mask = [nodemask];
-        // SAFETY: the kernel reads 64 bits of node mask through the
-        // pointer, and `mask` is a live local `[u64; 1]` for the whole
-        // call; a memory policy moves pages between nodes but keeps the
-        // range's contents and addresses.
-        let ret = unsafe {
-            syscall6(
-                nr::MBIND,
-                ptr.as_ptr() as usize,
-                len,
-                mode,
-                mask.as_ptr() as usize,
-                65, // bits in the mask, +1 as libnuma does
-                0,
-            )
-        };
-        ret == 0
-    }
 }
 
 #[cfg(not(all(
@@ -795,24 +604,15 @@ mod imp {
 mod imp {
     use std::ptr::NonNull;
 
-    pub const MAP_HUGETLB: usize = 0;
-    pub const MAP_HUGE_2MB: usize = 0;
-    pub const MPOL_BIND: usize = 2;
-    pub const MPOL_INTERLEAVE: usize = 3;
-
-    /// Stub backend: no mapping is ever available, so every mapped
-    /// policy silently degrades to the portable heap.
-    pub(super) fn mmap_anon(_len: usize, _extra: usize) -> Option<NonNull<u8>> {
+    /// Stub backend: no mapping is ever available, so the THP policy
+    /// silently degrades to the portable heap.
+    pub(super) fn mmap_anon(_len: usize) -> Option<NonNull<u8>> {
         None
     }
 
     pub(super) fn munmap(_ptr: NonNull<u8>, _len: usize) {}
 
     pub(super) fn madvise_hugepage(_ptr: NonNull<u8>, _len: usize) -> bool {
-        false
-    }
-
-    pub(super) fn mbind(_ptr: NonNull<u8>, _len: usize, _mode: usize, _mask: u64) -> bool {
         false
     }
 }
@@ -832,61 +632,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_round_trips() {
-        for s in [
-            "portable",
-            "mapped",
-            "thp",
-            "hugetlb",
-            "mapped+interleave",
-            "thp+interleave",
-            "thp+bind:3",
-            "hugetlb+bind:0",
-        ] {
-            let p = AllocPolicy::parse(s).unwrap();
-            assert_eq!(p.name(), s, "round trip of {s:?}");
+    fn parse_round_trips_and_refuses_removed_tokens() {
+        for p in [AllocPolicy::Portable, AllocPolicy::Thp] {
             assert_eq!(AllocPolicy::parse(&p.name()).unwrap(), p);
-        }
-    }
-
-    #[test]
-    fn parse_aliases_and_errors() {
-        assert_eq!(
-            AllocPolicy::parse("interleave").unwrap(),
-            AllocPolicy::Mapped {
-                pages: PagePolicy::Small,
-                numa: NumaPolicy::Interleave
-            }
-        );
-        assert_eq!(
-            AllocPolicy::parse("HUGE").unwrap(),
-            AllocPolicy::Mapped {
-                pages: PagePolicy::HugeTlb,
-                numa: NumaPolicy::FirstTouch
-            }
-        );
-        assert!(AllocPolicy::parse("").is_err());
-        assert!(AllocPolicy::parse("bogus").is_err());
-        assert!(AllocPolicy::parse("bind:x").is_err());
-        assert!(AllocPolicy::parse("portable+thp").is_err());
-    }
-
-    #[test]
-    fn encode_decode_round_trips() {
-        for p in [
-            AllocPolicy::Portable,
-            AllocPolicy::THP,
-            AllocPolicy::Mapped {
-                pages: PagePolicy::HugeTlb,
-                numa: NumaPolicy::Bind(17),
-            },
-            AllocPolicy::Mapped {
-                pages: PagePolicy::Small,
-                numa: NumaPolicy::Interleave,
-            },
-        ] {
             assert_eq!(decode_policy(encode_policy(p)), p);
             assert_ne!(encode_policy(p), 0, "0 is the unresolved marker");
+        }
+        assert_eq!(AllocPolicy::parse(" HEAP ").unwrap(), AllocPolicy::Portable);
+        assert_eq!(AllocPolicy::parse("Transparent").unwrap(), AllocPolicy::Thp);
+        for s in [
+            "",
+            "bogus",
+            "mapped",
+            "small",
+            "huge",
+            "firsttouch",
+            "interleave",
+            "bind:0",
+            "thp+interleave",
+            "portable+thp",
+        ] {
+            assert!(AllocPolicy::parse(s).is_err(), "{s:?} must be refused");
         }
     }
 
@@ -909,7 +675,7 @@ mod tests {
     #[test]
     fn small_requests_stay_on_heap() {
         let _g = lock();
-        with_policy(AllocPolicy::THP, || {
+        with_policy(AllocPolicy::Thp, || {
             assert!(acquire(MAP_THRESHOLD - 1, 64).is_none());
         });
     }
@@ -917,7 +683,7 @@ mod tests {
     #[test]
     fn mapped_acquire_and_pool_reuse() {
         let _g = lock();
-        with_policy(AllocPolicy::THP, || {
+        with_policy(AllocPolicy::Thp, || {
             pool_clear();
             let before = stats();
             // A size class of its own: tests outside `lock` allocate
@@ -952,7 +718,7 @@ mod tests {
     #[test]
     fn forced_mmap_failure_falls_back_to_heap() {
         let _g = lock();
-        with_policy(AllocPolicy::THP, || {
+        with_policy(AllocPolicy::Thp, || {
             set_force_fail(FAIL_MMAP);
             let before = stats();
             let mine = thread_stats();
@@ -968,44 +734,21 @@ mod tests {
     }
 
     #[test]
-    fn forced_hugetlb_failure_degrades_not_fails() {
+    fn forced_madvise_failure_degrades_not_fails() {
         let _g = lock();
-        let p = AllocPolicy::Mapped {
-            pages: PagePolicy::HugeTlb,
-            numa: NumaPolicy::FirstTouch,
-        };
-        with_policy(p, || {
+        with_policy(AllocPolicy::Thp, || {
             pool_clear();
-            set_force_fail(FAIL_HUGETLB);
-            let before = stats();
-            let got = acquire(PAGE_2M, 64);
-            let d = stats().delta(&before);
-            assert!(d.degraded_page >= 1, "hugetlb refusal must be recorded");
+            set_force_fail(FAIL_MADVISE);
+            let mine = thread_stats();
+            // A size class of its own, so no pooled block serves it.
+            let got = acquire(5 * PAGE_2M, 64);
+            let d = thread_stats().delta(&mine);
             if got.is_some() {
                 // Linux: plain pages served it anyway.
+                assert_eq!(d.degraded_page, 1, "madvise refusal must be recorded");
                 assert_eq!(d.heap_fallback, 0);
-            }
-            set_force_fail(0);
-            drop(got);
-            pool_clear();
-        });
-    }
-
-    #[test]
-    fn forced_mbind_failure_degrades_numa() {
-        let _g = lock();
-        let p = AllocPolicy::Mapped {
-            pages: PagePolicy::Small,
-            numa: NumaPolicy::Interleave,
-        };
-        with_policy(p, || {
-            pool_clear();
-            set_force_fail(FAIL_MBIND);
-            let before = stats();
-            let got = acquire(PAGE_2M, 64);
-            let d = stats().delta(&before);
-            if got.is_some() {
-                assert!(d.degraded_numa >= 1, "mbind refusal must be recorded");
+            } else {
+                assert_eq!(d.heap_fallback, 1);
             }
             set_force_fail(0);
             drop(got);

@@ -13,7 +13,6 @@ pub mod nr {
     pub const MMAP: usize = 9;
     pub const MUNMAP: usize = 11;
     pub const MADVISE: usize = 28;
-    pub const MBIND: usize = 237;
     pub const PERF_EVENT_OPEN: usize = 298;
 }
 
@@ -25,7 +24,6 @@ pub mod nr {
     pub const MUNMAP: usize = 215;
     pub const MMAP: usize = 222;
     pub const MADVISE: usize = 233;
-    pub const MBIND: usize = 235;
     pub const PERF_EVENT_OPEN: usize = 241;
 }
 

@@ -100,10 +100,7 @@ fn usage() -> ! {
     eprintln!("        [--queue-depth N] [--cache-mb MB] [--spill-dir DIR] [--stat-secs S]");
     eprintln!("        [--metrics-addr HOST:PORT] [--slo-window-secs S]");
     eprintln!("        [--slow-query-ms MS] [--slow-query-log FILE]");
-    eprintln!(
-        "alloc policies: portable | mapped | thp | hugetlb, optionally \
-         +firsttouch | +interleave | +bind:N (also via MMJOIN_ALLOC)"
-    );
+    eprintln!("alloc policies: portable | thp (also via MMJOIN_ALLOC)");
     eprintln!(
         "algorithms: {}",
         Algorithm::WITH_EXTENSIONS.map(|a| a.name()).join(" ")
@@ -130,6 +127,20 @@ fn workload(args: &Args) -> (mmjoin::util::Relation, mmjoin::util::Relation, f64
     (r, s, theta)
 }
 
+/// The allocation policy is a process setting, not a join's: install
+/// `--alloc` once, before the command allocates its inputs.
+fn install_alloc(args: &Args) {
+    if let Some(policy) = args.get_str("alloc") {
+        match mmjoin::util::mem::AllocPolicy::parse(policy) {
+            Ok(p) => mmjoin::util::mem::set_policy(p),
+            Err(e) => {
+                eprintln!("invalid value for --alloc: {e}");
+                usage();
+            }
+        }
+    }
+}
+
 fn config(args: &Args, theta: f64) -> JoinConfig {
     let mut cfg = JoinConfig::new(4);
     // Set directly: `new` would clamp the 0 that `validate` refuses.
@@ -149,17 +160,6 @@ fn config(args: &Args, theta: f64) -> JoinConfig {
     }
     cfg.spill_dir = args.get_str("spill-dir").map(Into::into);
     cfg.spill = !args.has("no-spill");
-    // The allocation policy is a process setting, not a join's: install
-    // it once, before the command's first join allocates.
-    if let Some(policy) = args.get_str("alloc") {
-        match mmjoin::util::mem::AllocPolicy::parse(policy) {
-            Ok(p) => mmjoin::util::mem::set_policy(p),
-            Err(e) => {
-                eprintln!("invalid value for --alloc: {e}");
-                usage();
-            }
-        }
-    }
     // --trace-out / --metrics-out are pointless without spans, so either
     // one implies --profile.
     if args.has("profile")
@@ -211,6 +211,7 @@ fn main() {
                 eprintln!("{e}");
                 usage()
             });
+            install_alloc(&args);
             let (r, s, theta) = workload(&args);
             let cfg = config(&args, theta);
             let started = std::time::Instant::now();
@@ -276,13 +277,12 @@ fn main() {
             if alloc.mapped_blocks > 0 || alloc.pool_hits > 0 || alloc.degraded() {
                 println!(
                     "  alloc [{}]: {} blocks mapped ({:.1} MiB), {} pool hits, \
-                     degraded page/numa/heap {}/{}/{}",
+                     degraded page/heap {}/{}",
                     mmjoin::util::mem::policy_name(),
                     alloc.mapped_blocks,
                     alloc.mapped_bytes as f64 / (1024.0 * 1024.0),
                     alloc.pool_hits,
                     alloc.degraded_page,
-                    alloc.degraded_numa,
                     alloc.heap_fallback
                 );
             }
@@ -319,6 +319,7 @@ fn main() {
                 ],
                 &["skew-handling", "no-spill"],
             );
+            install_alloc(&args);
             let (r, s, theta) = workload(&args);
             let cfg = config(&args, theta);
             // A race is a sweep: one algorithm blowing its deadline or

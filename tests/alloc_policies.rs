@@ -1,10 +1,9 @@
 //! Integration: the allocation policy must never change a join's
 //! answer, only where its buffers live. All fourteen drivers are run
-//! under the portable heap, THP arenas, and interleaved arenas and must
-//! produce identical checksums; forced syscall failures (hugepages
-//! unavailable, `mbind` ENOSYS/EPERM, mmap refused) must degrade
-//! silently — the join succeeds, the fallback is recorded in the
-//! result's per-phase alloc counters, never an error.
+//! under the portable heap and THP arenas and must produce identical
+//! checksums; forced syscall failures (`madvise` refused, mmap refused)
+//! must degrade silently — the join succeeds, the fallback is recorded
+//! in the result's per-phase alloc counters, never an error.
 //!
 //! The policy cell and the failure-injection mask are process-global,
 //! so every test here serializes on one mutex and restores the portable
@@ -17,7 +16,7 @@ use mmjoin::core::{Algorithm, Join, JoinConfig, JoinError, JoinResult};
 use mmjoin::datagen::{gen_build_dense, gen_probe_fk};
 use mmjoin::hashtable::TableSpec;
 use mmjoin::partition::{histogram::histogram, RadixFn};
-use mmjoin::util::mem::{self, AllocPolicy, FAIL_HUGETLB, FAIL_MBIND, FAIL_MMAP};
+use mmjoin::util::mem::{self, AllocPolicy, FAIL_MADVISE, FAIL_MMAP};
 use mmjoin::util::{Placement, Relation};
 
 /// Serialize tests and guarantee clean global state on exit (including
@@ -72,12 +71,7 @@ fn all_drivers_identical_checksums_across_policies() {
     let threads = 4;
     let (r, s) = workload(threads);
     let expect = reference_join(&r, &s);
-    let policies = [
-        AllocPolicy::Portable,
-        AllocPolicy::THP,
-        AllocPolicy::parse("thp+interleave").unwrap(),
-    ];
-    for policy in policies {
+    for policy in [AllocPolicy::Portable, AllocPolicy::Thp] {
         for alg in Algorithm::WITH_EXTENSIONS {
             let res = run_under(alg, threads, policy, &r, &s)
                 .unwrap_or_else(|e| panic!("{} under {}: {e}", alg.name(), policy.name()));
@@ -105,7 +99,7 @@ fn mapped_policy_actually_maps_and_pools() {
     mem::pool_clear();
     let (r, s) = workload(2);
     let before = mem::stats();
-    let run = || run_under(Algorithm::Pro, 2, AllocPolicy::THP, &r, &s).expect("join under thp");
+    let run = || run_under(Algorithm::Pro, 2, AllocPolicy::Thp, &r, &s).expect("join under thp");
     run();
     let cold = mem::stats().delta(&before);
     assert!(cold.mapped_blocks > 0, "no arenas mapped under thp");
@@ -137,7 +131,7 @@ fn concurrent_joins_do_not_bill_each_other() {
             .with_config(cfg(threads))
             .run(&r, &s)
     };
-    mem::with_policy(AllocPolicy::THP, || {
+    mem::with_policy(AllocPolicy::Thp, || {
         let alone = arena_bytes(&nop().expect("NOP alone"));
         assert!(alone > 0, "NOP's table must come out of an arena");
         let stop = AtomicBool::new(false);
@@ -182,7 +176,7 @@ fn unbudgeted_shhj_packs_its_resident_partitions() {
     let s = gen_probe_fk(2 * n, n, 94, placement);
     let mut c = cfg(threads);
     c.radix_bits = Some(bits);
-    let res = mem::with_policy(AllocPolicy::THP, || {
+    let res = mem::with_policy(AllocPolicy::Thp, || {
         Join::new(Algorithm::Shhj).with_config(c).run(&r, &s)
     })
     .expect("SHHJ under thp");
@@ -220,12 +214,13 @@ fn hugepage_unavailable_degrades_silently_into_phase_stats() {
     let _guard = lock();
     let (r, s) = workload(2);
     let expect = reference_join(&r, &s);
-    // A host with no reserved hugepages: MAP_HUGETLB fails, the arena
-    // falls back to plain (THP-advised) pages, the join still answers.
-    mem::set_force_fail(FAIL_HUGETLB);
-    let policy = AllocPolicy::parse("hugetlb").unwrap();
-    let res = run_under(Algorithm::Pro, 2, policy, &r, &s)
-        .expect("hugetlb fallback must not fail the join");
+    // A kernel that refuses MADV_HUGEPAGE (THP `never`, seccomp): the
+    // arena keeps its plain pages, the join still answers. No pooled
+    // block may serve it: only a fresh mapping is advised.
+    mem::pool_clear();
+    mem::set_force_fail(FAIL_MADVISE);
+    let res = run_under(Algorithm::Pro, 2, AllocPolicy::Thp, &r, &s)
+        .expect("madvise fallback must not fail the join");
     mem::set_force_fail(0);
     assert_eq!(res.checksum, expect.digest);
     let totals = res.alloc_totals();
@@ -238,25 +233,6 @@ fn hugepage_unavailable_degrades_silently_into_phase_stats() {
 }
 
 #[test]
-fn mbind_failure_degrades_to_first_touch() {
-    let _guard = lock();
-    let (r, s) = workload(2);
-    let expect = reference_join(&r, &s);
-    // mbind returning ENOSYS/EPERM (container seccomp, CONFIG_NUMA=n):
-    // placement degrades to first-touch, pages still arrive.
-    mem::set_force_fail(FAIL_MBIND);
-    let policy = AllocPolicy::parse("thp+interleave").unwrap();
-    let res = run_under(Algorithm::Pro, 2, policy, &r, &s)
-        .expect("mbind fallback must not fail the join");
-    mem::set_force_fail(0);
-    assert_eq!(res.checksum, expect.digest);
-    assert!(
-        res.alloc_totals().degraded_numa > 0,
-        "NUMA downgrade not recorded"
-    );
-}
-
-#[test]
 fn mmap_refused_falls_back_to_heap() {
     let _guard = lock();
     let (r, s) = workload(2);
@@ -264,7 +240,7 @@ fn mmap_refused_falls_back_to_heap() {
     // mmap itself refused (strict rlimits, exotic kernels): every
     // would-be arena quietly becomes a heap allocation.
     mem::set_force_fail(FAIL_MMAP);
-    let res = run_under(Algorithm::Pro, 2, AllocPolicy::THP, &r, &s)
+    let res = run_under(Algorithm::Pro, 2, AllocPolicy::Thp, &r, &s)
         .expect("heap fallback must not fail the join");
     mem::set_force_fail(0);
     assert_eq!(res.checksum, expect.digest);
@@ -292,7 +268,7 @@ fn join_index_round_trips_under_mapped_policy() {
     let portable = mem::with_policy(AllocPolicy::Portable, || {
         mmjoin::core::materialize::join_index(&r, &s, &c).expect("portable index")
     });
-    let mapped = mem::with_policy(AllocPolicy::THP, || {
+    let mapped = mem::with_policy(AllocPolicy::Thp, || {
         mmjoin::core::materialize::join_index(&r, &s, &c).expect("mapped index")
     });
     assert_eq!(portable.len() as u64, expect.count);

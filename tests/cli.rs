@@ -88,6 +88,14 @@ fn malformed_command_lines_exit_2_with_a_message() {
             "--build 1024 --probe 4096 --algo NOP --alloc bogus",
             "invalid value for --alloc",
         ),
+        (
+            "--build 1024 --probe 4096 --algo NOP --alloc hugetlb",
+            "invalid value for --alloc",
+        ),
+        (
+            "--build 1024 --probe 4096 --algo NOP --alloc thp+interleave",
+            "invalid value for --alloc",
+        ),
     ];
     for (args, message) in cases {
         let (code, stdout, stderr) = join(args);

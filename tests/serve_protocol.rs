@@ -495,6 +495,111 @@ fn cached_build_side_matches_cold_run_checksums() {
     server.shutdown();
 }
 
+/// A join may name any catalog relation as its build side, and a probe
+/// distribution repeats its keys. Over such a side every hash and sort
+/// join, cached or not, answers the reference join; the array joins,
+/// which hold one payload per key, refuse it as `invalid_config`.
+#[test]
+fn duplicate_key_build_sides_match_the_reference_or_are_refused() {
+    use mmjoin::core::reference::reference_join;
+    use mmjoin::core::Algorithm;
+    use mmjoin::datagen::{gen_build_dense, gen_probe_fk};
+    use mmjoin::util::{Placement, Relation, Tuple};
+
+    let server = Server::spawn(ServeConfig::default().with_runners(2)).unwrap();
+    let mut c = client(&server);
+    for load in [
+        r#"{"op":"load","name":"fk","rows":20000,"kind":"probe_fk","domain":5000,"seed":11}"#,
+        r#"{"op":"load","name":"pk","rows":5000,"kind":"build","seed":12}"#,
+        r#"{"op":"load","name":"dup","tuples":[[5,1],[5,2],[7,3]]}"#,
+        r#"{"op":"load","name":"few","tuples":[[5,9],[7,8]]}"#,
+    ] {
+        let v = c.request(load).unwrap();
+        assert!(ok(&v), "{load}: {v:?}");
+    }
+    let p = Placement::Interleaved;
+    let tuples = |t: &[(u32, u32)]| {
+        let t: Vec<Tuple> = t.iter().map(|&(k, v)| Tuple::new(k, v)).collect();
+        Relation::from_tuples(&t, p)
+    };
+    let fk = gen_probe_fk(20_000, 5_000, 11, p);
+    let pk = gen_build_dense(5_000, 12, p);
+    let dup = tuples(&[(5, 1), (5, 2), (7, 3)]);
+    let few = tuples(&[(5, 9), (7, 8)]);
+    for (build, probe, r, s, count) in [
+        ("fk", "pk", &fk, &pk, 20_000),
+        ("dup", "few", &dup, &few, 3),
+    ] {
+        let expect = reference_join(r, s);
+        assert_eq!(expect.count, count);
+        for alg in Algorithm::WITH_EXTENSIONS {
+            for cache in [true, false] {
+                let v = c
+                    .request(&format!(
+                        r#"{{"op":"join","algo":"{}","build":"{build}","probe":"{probe}","cache":{cache}}}"#,
+                        alg.name()
+                    ))
+                    .unwrap();
+                let what = format!("{} {build}x{probe} cache {cache}: {v:?}", alg.name());
+                if alg.needs_dense_domain() {
+                    assert_eq!(err_code(&v), "invalid_config", "{what}");
+                    continue;
+                }
+                assert!(ok(&v), "{what}");
+                assert_eq!(
+                    v.get("matches").and_then(|m| m.as_num()),
+                    Some(expect.count as f64),
+                    "{what}"
+                );
+                assert_eq!(
+                    u64::from_str_radix(checksum(&v), 16).ok(),
+                    Some(expect.digest),
+                    "{what}"
+                );
+            }
+        }
+    }
+    server.shutdown();
+}
+
+/// A join that outgrows its lease mid-run is retried degraded under a
+/// lease of at least the spill floor, as the up-front degraded path
+/// takes: a 3-row build against a 2-row probe leases ~100 bytes for
+/// PRO or MWAY, too little for SHHJ as well.
+#[test]
+fn a_tiny_join_over_its_lease_retries_degraded_above_the_floor() {
+    let server = Server::spawn(ServeConfig::default().with_runners(1)).unwrap();
+    let mut c = client(&server);
+    for load in [
+        r#"{"op":"load","name":"r3","tuples":[[1,10],[2,20],[3,30]]}"#,
+        r#"{"op":"load","name":"s2","tuples":[[1,5],[3,6]]}"#,
+    ] {
+        let v = c.request(load).unwrap();
+        assert!(ok(&v), "{load}: {v:?}");
+    }
+    for algo in ["PRO", "MWAY"] {
+        for cache in [true, false] {
+            let v = c
+                .request(&format!(
+                    r#"{{"op":"join","algo":"{algo}","build":"r3","probe":"s2","cache":{cache}}}"#
+                ))
+                .unwrap();
+            assert!(ok(&v), "{algo} cache {cache}: {v:?}");
+            assert_eq!(
+                v.get("matches").and_then(|m| m.as_num()),
+                Some(2.0),
+                "{v:?}"
+            );
+            assert_eq!(
+                v.get("degraded").and_then(|d| d.as_bool()),
+                Some(true),
+                "{v:?}"
+            );
+        }
+    }
+    server.shutdown();
+}
+
 /// Queue overflow rejects synchronously with a typed error instead of
 /// buffering unbounded work.
 #[test]
