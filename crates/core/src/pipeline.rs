@@ -35,21 +35,17 @@ use mmjoin_hashtable::{
     ConciseHashTable, ConcurrentArrayTable, ConcurrentLinearTable, IdentityHash, MultiplicativeHash,
 };
 use mmjoin_partition::swwcb;
-use mmjoin_partition::{
-    partition_parallel_on, route_into, PartitionedRelation, RadixFn, ScatterMode,
-};
+use mmjoin_partition::{partition_parallel_on, route_into, RadixFn, ScatterMode};
 use mmjoin_util::checksum::JoinChecksum;
 use mmjoin_util::pool::{into_inner_recover, lock_recover, WorkerPool};
-use mmjoin_util::trace::NoTracer;
 use mmjoin_util::tuple::{Payload, Tuple};
 use mmjoin_util::Relation;
 
 use crate::config::{JoinConfig, TableKind};
-use crate::exec::{morsel_map, MORSEL};
-use crate::executor::QueuePolicy;
+use crate::exec::MORSEL;
 use crate::plan::JoinError;
-use crate::pro::{BuiltTable, CoPartitions, PartTable};
-use crate::run::{contain_panics, JoinRun, RunCtx};
+use crate::pro::{CoPartitions, PackedPartTables, PartTable};
+use crate::run::{contain_panics, JoinRun};
 use crate::spec::{self, ops, FusedStageModel, PartitionLayout, PartitionWrites, PhaseModel};
 use crate::stats::{JoinResult, PhaseStat};
 use crate::Algorithm;
@@ -94,7 +90,7 @@ enum BuildInner {
     /// PRO/PRL/PRA: per-partition tables; probes are radix-routed.
     Partitioned {
         radix: RadixFn,
-        tables: Vec<BuiltTable>,
+        tables: PackedPartTables,
     },
 }
 
@@ -131,7 +127,10 @@ impl BuildSide {
         self.algorithm
     }
 
-    /// Bytes resident in the frozen table(s).
+    /// Bytes the frozen table(s) hold: of a partitioned side, the one
+    /// block its per-partition tables are packed in. Under huge-page
+    /// arenas that is what is resident, give or take the block's last
+    /// page, so a cache bounding these bytes bounds its memory.
     pub fn memory_bytes(&self) -> usize {
         self.memory_bytes
     }
@@ -182,12 +181,7 @@ impl BuildSide {
             BuildInner::Partitioned { radix, tables } => {
                 let routed = &mut staged[..input.len()];
                 route_into(input, *radix, bounds, routed, stamp);
-                for (p, w) in bounds.windows(2).enumerate() {
-                    if w[0] < w[1] {
-                        tables[p].probe_batch(&routed[w[0]..w[1]], unique, &mut NoTracer, &mut f);
-                    }
-                }
-                return;
+                return tables.probe_routed(bounds, routed, unique, f);
             }
             _ if first_rid.is_some() => {
                 staged.clear();
@@ -309,7 +303,8 @@ fn prepare_inner(
                 },
             )?;
 
-            // Build phase: one table per partition off the morsel queue.
+            // Build phase: one table per partition off the morsel queue,
+            // all of them packed in one block.
             run.reserve(
                 "build",
                 (0..parts)
@@ -318,7 +313,10 @@ fn prepare_inner(
             )?;
             let tables = run.phase(
                 "build",
-                |p| Ok(build_tables(p, &pr, table)),
+                |p| {
+                    let slices = |part| std::iter::once(pr.partition(part));
+                    Ok(table.build_packed(p, &pr.sizes(), slices))
+                },
                 |_| {
                     let (cpu_build, cpu_probe) = table.cpu();
                     PhaseModel::pass(spec::join_task_specs(
@@ -346,7 +344,7 @@ fn prepare_inner(
         BuildInner::Linear(t) => t.memory_bytes(),
         BuildInner::Array(t) => t.memory_bytes(),
         BuildInner::Concise(t) => t.memory_bytes(),
-        BuildInner::Partitioned { tables, .. } => tables.iter().map(|t| t.memory_bytes()).sum(),
+        BuildInner::Partitioned { tables, .. } => tables.memory_bytes(),
     };
     Ok(Arc::new(BuildSide {
         algorithm,
@@ -357,33 +355,6 @@ fn prepare_inner(
         accesses_per_probe: accesses,
         cpu_per_probe: cpu,
     }))
-}
-
-/// One built table per partition of `pr`, off the morsel queue.
-fn build_tables(p: &RunCtx, pr: &PartitionedRelation, table: PartTable) -> Vec<BuiltTable> {
-    let parts = pr.parts();
-    let order: Vec<usize> = (0..parts).collect();
-    let mut tabs = morsel_map(
-        p,
-        &order,
-        parts,
-        QueuePolicy::Shared,
-        || (),
-        |_, part| {
-            // A stopped run leaves its tables empty.
-            let tuples = if p.tick() {
-                &[][..]
-            } else {
-                pr.partition(part)
-            };
-            let mut built = table.unbuilt();
-            let r_slices = std::iter::once(tuples);
-            table.build(&mut built, pr.part_len(part), r_slices, &mut NoTracer);
-            (part, built)
-        },
-    );
-    tabs.sort_unstable_by_key(|t| t.0);
-    tabs.into_iter().map(|(_, t)| t).collect()
 }
 
 /// A fused multi-join pipeline: probe tuples flow through every staged

@@ -11,8 +11,11 @@
 //!   slices (large sequential, possibly remote reads) instead of having
 //!   partitioned them with random remote writes.
 
+use std::sync::Mutex;
+
 use mmjoin_hashtable::{
-    ArrayTable, IdentityHash, JoinTable, StChainedTable, StLinearTable, TableSpec,
+    ArrayTable, IdentityHash, JoinTable, Packable, PackedTables, StChainedTable, StLinearTable,
+    TableSpec,
 };
 use mmjoin_partition::swwcb;
 use mmjoin_partition::{
@@ -20,13 +23,13 @@ use mmjoin_partition::{
     PartitionedRelation, RadixFn, ScatterMode, ScheduleOrder,
 };
 use mmjoin_util::checksum::JoinChecksum;
-use mmjoin_util::pool::WorkerPool;
+use mmjoin_util::pool::{lock_recover, WorkerPool};
 use mmjoin_util::trace::{MemTracer, NoTracer};
 use mmjoin_util::tuple::{Key, Payload, Tuple};
 use mmjoin_util::Relation;
 
 use crate::config::{JoinConfig, TableKind};
-use crate::exec::join_morsels;
+use crate::exec::{join_morsels, morsel_map};
 use crate::executor::QueuePolicy;
 use crate::fault::MemCharge;
 use crate::plan::JoinError;
@@ -70,8 +73,9 @@ impl PartTable {
     }
 
     /// A table of this kind with nothing in it and next to no memory,
-    /// for [`PartTable::build`] to fill — the only place in the workspace
-    /// that constructs a per-partition table from a [`TableKind`].
+    /// for [`PartTable::build`] to fill. This and
+    /// `PartTable::build_packed` are the only places in the workspace
+    /// that construct a per-partition table from a [`TableKind`].
     pub fn unbuilt(&self) -> BuiltTable {
         let spec = TableSpec::hashed_partition(0, self.bits);
         match self.kind {
@@ -111,6 +115,23 @@ impl PartTable {
             (TableKind::Linear, BuiltTable::Linear(t)) => refill(t, &spec, r_slices, tr),
             (TableKind::Array, BuiltTable::Array(t)) => refill(t, &spec, r_slices, tr),
             (kind, _) => panic!("a {kind:?} table is built into its own `unbuilt()` storage"),
+        }
+    }
+
+    /// One table of this kind per partition of `sizes` build tuples,
+    /// packed in one block and built off `ctx`'s morsel queue from each
+    /// partition's `slices` ([`build_packed`]): a cached PR* build side.
+    pub(crate) fn build_packed<'a, I: IntoIterator<Item = &'a [Tuple]>>(
+        &self,
+        ctx: &RunCtx,
+        sizes: &[usize],
+        slices: impl Fn(usize) -> I + Sync,
+    ) -> PackedPartTables {
+        let spec = |n| self.spec(n);
+        match self.kind {
+            TableKind::Chained => PackedPartTables::Chained(build_packed(ctx, sizes, spec, slices)),
+            TableKind::Linear => PackedPartTables::Linear(build_packed(ctx, sizes, spec, slices)),
+            TableKind::Array => PackedPartTables::Array(build_packed(ctx, sizes, spec, slices)),
         }
     }
 
@@ -184,6 +205,89 @@ impl BuiltTable {
             BuiltTable::Array(t) => t.memory_bytes(),
         }
     }
+}
+
+/// A cached partitioned build side's tables ([`PartTable::build_packed`]),
+/// one per partition with build tuples, packed in one block of its kind.
+pub(crate) enum PackedPartTables {
+    Chained(PackedTables<StChainedTable<IdentityHash>>),
+    Linear(PackedTables<StLinearTable<IdentityHash>>),
+    Array(PackedTables<ArrayTable>),
+}
+
+impl PackedPartTables {
+    /// Probe each partition's window `routed[bounds[p]..bounds[p + 1]]`
+    /// against its table.
+    pub(crate) fn probe_routed<F: FnMut(&Tuple, Payload)>(
+        &self,
+        bounds: &[usize],
+        routed: &[Tuple],
+        unique: bool,
+        f: F,
+    ) {
+        fn each<K: Packable>(
+            tables: &PackedTables<K>,
+            bounds: &[usize],
+            routed: &[Tuple],
+            unique: bool,
+            mut f: impl FnMut(&Tuple, Payload),
+        ) {
+            for (p, w) in bounds.windows(2).enumerate() {
+                if w[0] < w[1] {
+                    tables.probe_batch(p, &routed[w[0]..w[1]], unique, &mut f);
+                }
+            }
+        }
+        match self {
+            PackedPartTables::Chained(t) => each(t, bounds, routed, unique, f),
+            PackedPartTables::Linear(t) => each(t, bounds, routed, unique, f),
+            PackedPartTables::Array(t) => each(t, bounds, routed, unique, f),
+        }
+    }
+
+    /// Bytes of the block.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        match self {
+            PackedPartTables::Chained(t) => t.memory_bytes(),
+            PackedPartTables::Linear(t) => t.memory_bytes(),
+            PackedPartTables::Array(t) => t.memory_bytes(),
+        }
+    }
+}
+
+/// One table of kind `K` per partition of `capacities` build tuples (none
+/// for 0), of `spec(capacity)`, packed in one block and built off the
+/// morsel queue: each task clears its own range, then — unless the run
+/// was stopped, which leaves the table empty — inserts its partition's
+/// `slices`. What the cached PR* build sides and SHHJ's resident
+/// partitions keep their tables in.
+pub(crate) fn build_packed<'a, K: Packable, I: IntoIterator<Item = &'a [Tuple]>>(
+    ctx: &RunCtx,
+    capacities: &[usize],
+    spec: impl Fn(usize) -> TableSpec,
+    slices: impl Fn(usize) -> I + Sync,
+) -> PackedTables<K> {
+    let mut tables = PackedTables::new(capacities, spec);
+    let ranges: Vec<_> = tables.split_mut().into_iter().map(Mutex::new).collect();
+    let order: Vec<usize> = (0..capacities.len())
+        .filter(|&p| capacities[p] > 0)
+        .collect();
+    morsel_map(
+        ctx,
+        &order,
+        capacities.len(),
+        QueuePolicy::Shared,
+        || (),
+        |_, p| {
+            let range = lock_recover(&ranges[p]).take();
+            let mut table = range.expect("one morsel per table").clear();
+            if !ctx.tick() {
+                slices(p).into_iter().for_each(|s| table.insert_batch(s));
+            }
+        },
+    );
+    drop(ranges);
+    tables
 }
 
 /// A partitioned relation as the join phase reads it: partition `p` is

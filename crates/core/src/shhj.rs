@@ -31,7 +31,7 @@ use std::io;
 use std::sync::Mutex;
 
 use mmjoin_hashtable::{
-    IdentityHash, JoinTable, PackedLinearTables, StLinearTable, TableSpec, PROBE_GROUP,
+    IdentityHash, JoinTable, PackedTables, StLinearTable, TableSpec, PROBE_GROUP,
 };
 use mmjoin_partition::histogram::histogram;
 use mmjoin_partition::{route_into, RadixFn};
@@ -43,11 +43,11 @@ use mmjoin_util::tuple::Tuple;
 use mmjoin_util::Relation;
 
 use crate::config::JoinConfig;
-use crate::exec::{merge_checksums, morsel_map, parallel_chunks, MORSEL};
-use crate::executor::QueuePolicy;
+use crate::exec::{merge_checksums, parallel_chunks, MORSEL};
 use crate::fault::MemCharge;
 use crate::pipeline::{ROUTE_MAX, ROUTE_RUN};
 use crate::plan::JoinError;
+use crate::pro::build_packed;
 use crate::run::{JoinRun, RunCtx};
 use crate::spec::PhaseModel;
 use crate::stats::{JoinResult, SpillCounters};
@@ -134,7 +134,7 @@ struct Partitioned {
     /// spill phase drops both.
     r_resident: Vec<ResidentR>,
     /// The resident partitions' tables, packed in one block.
-    tables: PackedLinearTables<IdentityHash>,
+    tables: PackedTables<StLinearTable<IdentityHash>>,
 }
 
 /// One worker's resident R tuples, partition by partition: partition
@@ -274,23 +274,13 @@ pub(crate) fn join_shhj(
             let caps: Vec<usize> = (0..parts)
                 .map(|p| if resident[p] { hist[p] } else { 0 })
                 .collect();
-            let mut tables = PackedLinearTables::new(&caps, bits);
-            let ranges: Vec<_> = tables.split_mut().into_iter().map(Mutex::new).collect();
-            let build_order: Vec<usize> = (0..parts).filter(|&p| caps[p] > 0).collect();
-            morsel_map(
+            let tables = build_packed(
                 ctx,
-                &build_order,
-                parts,
-                QueuePolicy::Shared,
-                || (),
-                |_, p| {
-                    let range = lock_recover(&ranges[p]).take();
-                    let mut table = range.expect("one morsel per resident partition").clear();
-                    if !ctx.tick() {
-                        for out in &r_resident {
-                            table.insert_batch(&out.tuples[out.bounds[p]..out.bounds[p + 1]]);
-                        }
-                    }
+                &caps,
+                |n| TableSpec::hashed_partition(n, bits),
+                |p| {
+                    let windows = r_resident.iter();
+                    windows.map(move |out| &out.tuples[out.bounds[p]..out.bounds[p + 1]])
                 },
             );
             ctx.add_spill(SpillCounters {
@@ -328,9 +318,8 @@ pub(crate) fn join_shhj(
                     &part.resident,
                     &part.s_writers,
                     |p, ts| {
-                        if let Some(table) = part.tables.get(p) {
-                            table.probe_batch(ts, unique, |t, bp| c.add(t.key, bp, t.payload));
-                        }
+                        part.tables
+                            .probe_batch(p, ts, unique, |t, bp| c.add(t.key, bp, t.payload))
                     },
                 );
                 c

@@ -10,6 +10,7 @@
 //! ("holes in the key range") uses the same structure over a domain `k`
 //! times larger than the relation.
 
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use mmjoin_util::alloc::AlignedBuf;
@@ -17,19 +18,23 @@ use mmjoin_util::kernels;
 use mmjoin_util::trace::{MemTracer, NoTracer};
 use mmjoin_util::tuple::{Key, Payload, Tuple};
 
+use crate::packed::Packable;
 use crate::{group_ahead, JoinTable, TableSpec};
 
 /// Sentinel payload marking an unoccupied slot.
 pub const EMPTY: u32 = u32::MAX;
 
-/// Single-threaded array table for one co-partition join (PRA/CPRA).
+/// Single-threaded array table for one co-partition join (PRA/CPRA),
+/// over payload slots it owns (the default `S`) or over one table's
+/// range of a [`PackedTables`](crate::PackedTables) block (a cached PRA
+/// build side's partitions).
 ///
 /// Keys of a radix partition share their low `key_shift` bits, so
 /// `key >> key_shift` indexes densely.
-pub struct ArrayTable {
-    /// The table is the first `len` slots; a table reset for a shorter
-    /// array keeps the longer buffer.
-    payloads: AlignedBuf<u32>,
+pub struct ArrayTable<S = AlignedBuf<u32>> {
+    /// The table is the first `len` slots; an owned table reset for a
+    /// shorter array keeps the longer buffer.
+    payloads: S,
     len: usize,
     key_shift: u32,
 }
@@ -42,7 +47,9 @@ impl ArrayTable {
             key_shift,
         }
     }
+}
 
+impl<S: Deref<Target = [u32]>> ArrayTable<S> {
     #[inline]
     fn slot(&self, key: Key) -> usize {
         (key >> self.key_shift) as usize
@@ -55,6 +62,40 @@ impl ArrayTable {
         self.payloads.as_ptr().wrapping_add(self.slot(key))
     }
 
+    /// The probe: one load, none for a key past the array's end.
+    #[inline]
+    fn look<Tr: MemTracer>(&self, key: Key, tr: &mut Tr, mut f: impl FnMut(Payload)) {
+        tr.ops(2);
+        if let Some(p) = self.payloads[..self.len].get(self.slot(key)) {
+            tr.read_of(p);
+            if *p != EMPTY {
+                f(*p);
+            }
+        }
+    }
+
+    /// An array probe touches exactly one line, so prefetching a group
+    /// ahead overlaps the misses of random out-of-cache lookups.
+    #[inline]
+    fn look_batch<Tr: MemTracer, F: FnMut(&Tuple, Payload)>(
+        &self,
+        probes: &[Tuple],
+        tr: &mut Tr,
+        mut f: F,
+    ) {
+        let touch = |s: &&Self, t: &Tuple| kernels::prefetch_read(s.slot_addr(t.key));
+        group_ahead(self, probes, tr, touch, |s, t, tr| {
+            s.look(t.key, tr, |p| f(t, p))
+        })
+    }
+
+    #[inline]
+    pub fn probe<F: FnMut(Payload)>(&self, key: Key, f: F) {
+        self.look(key, &mut NoTracer, f)
+    }
+}
+
+impl<S: DerefMut<Target = [u32]>> ArrayTable<S> {
     /// The insert: one store.
     #[inline]
     fn put<Tr: MemTracer>(&mut self, t: Tuple, tr: &mut Tr) {
@@ -70,26 +111,16 @@ impl ArrayTable {
         *slot = t.payload;
     }
 
-    /// The probe: one load, none for a key past the array's end.
+    /// Target slots prefetched with write intent a group ahead.
     #[inline]
-    fn look<Tr: MemTracer>(&self, key: Key, tr: &mut Tr, mut f: impl FnMut(Payload)) {
-        tr.ops(2);
-        if let Some(p) = self.payloads[..self.len].get(self.slot(key)) {
-            tr.read_of(p);
-            if *p != EMPTY {
-                f(*p);
-            }
-        }
+    fn put_batch<Tr: MemTracer>(&mut self, tuples: &[Tuple], tr: &mut Tr) {
+        let touch = |s: &&mut Self, t: &Tuple| kernels::prefetch_write(s.slot_addr(t.key));
+        group_ahead(self, tuples, tr, touch, |s, t, tr| s.put(*t, tr))
     }
 
     #[inline]
     pub fn insert(&mut self, t: Tuple) {
         self.put(t, &mut NoTracer)
-    }
-
-    #[inline]
-    pub fn probe<F: FnMut(Payload)>(&self, key: Key, f: F) {
-        self.look(key, &mut NoTracer, f)
     }
 }
 
@@ -117,30 +148,63 @@ impl JoinTable for ArrayTable {
         ArrayTable::probe(self, key, f)
     }
 
-    /// Target slots prefetched with write intent a group ahead.
     fn insert_batch_with<Tr: MemTracer>(&mut self, tuples: &[Tuple], tr: &mut Tr) {
-        let touch = |s: &&mut Self, t: &Tuple| kernels::prefetch_write(s.slot_addr(t.key));
-        group_ahead(self, tuples, tr, touch, |s, t, tr| s.put(*t, tr))
+        self.put_batch(tuples, tr)
     }
 
-    /// An array probe touches exactly one line, so prefetching a group
-    /// ahead overlaps the misses of random out-of-cache lookups. A slot
-    /// holds at most one payload: `unique` is implied.
+    /// A slot holds at most one payload: `unique` is implied.
     fn probe_batch_with<Tr: MemTracer, F: FnMut(&Tuple, Payload)>(
         &self,
         probes: &[Tuple],
         _unique: bool,
         tr: &mut Tr,
-        mut f: F,
+        f: F,
     ) {
-        let touch = |s: &&Self, t: &Tuple| kernels::prefetch_read(s.slot_addr(t.key));
-        group_ahead(self, probes, tr, touch, |s, t, tr| {
-            s.look(t.key, tr, |p| f(t, p))
-        })
+        self.look_batch(probes, tr, f)
     }
 
     fn memory_bytes(&self) -> usize {
         self.payloads.len() * 4
+    }
+}
+
+/// A packed array table is the [`ArrayTable`] of its spec's
+/// `array_len`, in a range of the block.
+// SAFETY: `clear` writes `EMPTY` to every slot of the range.
+unsafe impl Packable for ArrayTable {
+    type Word = u32;
+
+    fn words(spec: &TableSpec) -> usize {
+        spec.array_len
+    }
+
+    fn clear(range: &mut [u32], _: &TableSpec) {
+        range.fill(EMPTY);
+    }
+
+    fn insert_batch(range: &mut [u32], spec: &TableSpec, _: usize, tuples: &[Tuple]) {
+        over(range, spec).put_batch(tuples, &mut NoTracer)
+    }
+
+    #[inline]
+    fn probe_batch<F: FnMut(&Tuple, Payload)>(
+        range: &[u32],
+        spec: &TableSpec,
+        probes: &[Tuple],
+        _unique: bool,
+        f: F,
+    ) {
+        over(range, spec).look_batch(probes, &mut NoTracer, f)
+    }
+}
+
+/// The table of `spec` over all of `payloads`.
+#[inline]
+fn over<S: Deref<Target = [u32]>>(payloads: S, spec: &TableSpec) -> ArrayTable<S> {
+    ArrayTable {
+        len: payloads.len(),
+        payloads,
+        key_shift: spec.key_shift,
     }
 }
 

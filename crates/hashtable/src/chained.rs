@@ -13,10 +13,14 @@
 //! to a cached build side) they are two dependent misses, so batches
 //! smaller than the table are probed a group at a time, prefetching.
 //!
-//! The whole table is *one* allocation, `[heads | tuples | next]`: the
-//! arena allocator rounds every buffer of 64 KiB or more up to a huge
-//! page, so three vectors would triple a cached build side's footprint.
+//! A table is *one* run of words, `[heads | tuples | next]`: a buffer
+//! of its own ([`StChainedTable`]), or one table's range of a
+//! [`PackedTables`](crate::PackedTables) block, where a cached build
+//! side keeps all of its partitions' tables (under huge-page arenas a
+//! buffer per table, let alone three, costs a 2 MiB page each).
 //! Single-threaded: one thread builds and probes a co-partition's table.
+
+use std::ops::{Deref, DerefMut};
 
 use mmjoin_util::alloc::AlignedBuf;
 use mmjoin_util::kernels;
@@ -25,14 +29,16 @@ use mmjoin_util::trace::{MemTracer, NoTracer};
 use mmjoin_util::tuple::{Key, Payload, Tuple};
 
 use crate::hashfn::{IdentityHash, KeyHash};
+use crate::packed::Packable;
 use crate::{JoinTable, TableSpec, PROBE_GROUP};
 
-/// Single-threaded chained table for one co-partition join (PRB/PRO).
-pub struct StChainedTable<H: KeyHash = IdentityHash> {
+/// Single-threaded chained table over the words `S`: a buffer of its
+/// own ([`StChainedTable`]) or one table's range of a packed block.
+pub struct ChainedTable<S, H: KeyHash = IdentityHash> {
     /// `mask + 1` head words, then `cap` tuples as `(key, payload)` word
     /// pairs, then `cap` link words. Heads are zeroed; tuple `i` and
     /// link `i` are written when tuple `i` is inserted (`i < len`).
-    buf: AlignedBuf<u32>,
+    buf: S,
     mask: u32,
     cap: usize,
     len: usize,
@@ -41,21 +47,38 @@ pub struct StChainedTable<H: KeyHash = IdentityHash> {
     shift: u32,
 }
 
+/// The chained table that owns its words, for one co-partition join
+/// (PRB/PRO); inserting past its capacity grows it.
+pub type StChainedTable<H = IdentityHash> = ChainedTable<AlignedBuf<u32>, H>;
+
+/// Words of a table for `cap` tuples: `next_pow2(cap)` heads, as the
+/// original sizes it, and three words a tuple.
+fn words_for(cap: usize) -> usize {
+    // Heads and links hold tuple indices + 1 in 32 bits.
+    assert!(cap < u32::MAX as usize, "chained table capacity overflow");
+    next_pow2(cap) + 3 * cap
+}
+
+/// Zero the heads of a table for `cap` tuples at the start of `words`
+/// and return the head mask.
+fn clear_heads(words: &mut [u32], cap: usize) -> u32 {
+    let heads = next_pow2(cap);
+    words[..heads].fill(0);
+    (heads - 1) as u32
+}
+
 /// Lay `buf` out for `cap` tuples, heads zeroed, and return the head
 /// mask; a buffer too short for them is replaced, a longer one kept (a
 /// join worker resets one table from co-partition to co-partition).
 fn layout(buf: &mut AlignedBuf<u32>, cap: usize) -> u32 {
-    // Heads and links hold tuple indices + 1 in 32 bits.
-    assert!(cap < u32::MAX as usize, "chained table capacity overflow");
-    let heads = next_pow2(cap);
-    if buf.len() < heads + 3 * cap {
+    let words = words_for(cap);
+    if buf.len() < words {
         // SAFETY: the heads are zeroed right below; tuple and link `i` are
         // written by the insert that makes `i < len`, and only slots below
         // `len` are ever read (a head or link word names an inserted tuple).
-        *buf = unsafe { AlignedBuf::<u32>::unfilled(heads + 3 * cap) };
+        *buf = unsafe { AlignedBuf::<u32>::unfilled(words) };
     }
-    buf[..heads].fill(0);
-    (heads - 1) as u32
+    clear_heads(buf, cap)
 }
 
 /// Walk the chain from `at`, newest tuple first, handing `f` the payload
@@ -98,7 +121,7 @@ impl<H: KeyHash + Default> StChainedTable<H> {
     pub fn with_capacity_shift(n: usize, shift: u32) -> Self {
         let mut buf = AlignedBuf::zeroed(0);
         let mask = layout(&mut buf, n);
-        StChainedTable {
+        ChainedTable {
             buf,
             mask,
             cap: n,
@@ -110,32 +133,6 @@ impl<H: KeyHash + Default> StChainedTable<H> {
 }
 
 impl<H: KeyHash> StChainedTable<H> {
-    /// The three regions of the buffer: heads, tuples, links.
-    #[inline]
-    fn regions(&self) -> (&[u32], &[Tuple], &[u32]) {
-        let (heads, rest) = self.buf.split_at(self.mask as usize + 1);
-        let (words, next) = rest.split_at(2 * self.cap);
-        // SAFETY: `Tuple` is `repr(C)` of two `u32`s (size 8, align 4)
-        // and `words` is `2 * cap` initialized-or-unread `u32`s, so the
-        // same bytes are `cap` tuples at a valid alignment.
-        let tuples = unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), self.cap) };
-        (heads, tuples, next)
-    }
-
-    /// Thread the stored tuples `from..to` onto their buckets' chains.
-    #[inline]
-    fn link(&mut self, from: usize, to: usize) {
-        let (hash, shift, mask) = (self.hash, self.shift, self.mask);
-        let (heads, rest) = self.buf.split_at_mut(mask as usize + 1);
-        let (words, next) = rest.split_at_mut(2 * self.cap);
-        let stored = words[2 * from..2 * to].chunks_exact(2);
-        for (at, (t, link)) in (from as u32 + 1..).zip(stored.zip(&mut next[from..to])) {
-            let head = &mut heads[hash.index(t[0] >> shift, mask) as usize];
-            *link = *head;
-            *head = at;
-        }
-    }
-
     /// Re-lay the table out for at least `need` tuples (at least double
     /// the capacity) and re-thread every chain over the wider heads.
     #[cold]
@@ -150,39 +147,32 @@ impl<H: KeyHash> StChainedTable<H> {
         self.link(0, self.len);
     }
 
+    /// [`ChainedTable::append`], grown first if the tuples do not fit.
     #[inline]
-    pub fn insert(&mut self, t: Tuple) {
-        self.append(std::slice::from_ref(&t), &mut NoTracer);
+    fn grow_append<Tr: MemTracer>(&mut self, tuples: &[Tuple], tr: &mut Tr) {
+        if self.len + tuples.len() > self.cap {
+            self.grow(self.len + tuples.len());
+        }
+        self.append(tuples, tr)
     }
 
-    /// Append `tuples` and chain them: the state one-by-one inserts leave.
     #[inline]
-    fn append<Tr: MemTracer>(&mut self, tuples: &[Tuple], tr: &mut Tr) {
-        let (from, to) = (self.len, self.len + tuples.len());
-        if to > self.cap {
-            self.grow(to);
-        }
-        let stored = &mut self.buf[self.mask as usize + 1..][2 * from..2 * to];
-        for (w, t) in stored.chunks_exact_mut(2).zip(tuples) {
-            (w[0], w[1]) = (t.key, t.payload);
-        }
-        self.len = to;
-        self.link(from, to);
-        // What one-by-one inserts touch, a tuple at a time: the tuple and
-        // its head word read, the stored tuple, its link and the head word
-        // written. By address only: an untraced build has no loop left here.
-        let heads = self.buf.as_ptr();
-        let stored = heads.wrapping_add(self.mask as usize + 1);
-        let next = stored.wrapping_add(2 * self.cap);
-        for (at, t) in (from..to).zip(tuples) {
-            let head = heads.wrapping_add(self.home(t.key)) as usize;
-            tr.read_of(t);
-            tr.read(head, 4);
-            tr.write(stored.wrapping_add(2 * at) as usize, 8);
-            tr.write(next.wrapping_add(at) as usize, 4);
-            tr.write(head, 4);
-            tr.ops(7);
-        }
+    pub fn insert(&mut self, t: Tuple) {
+        self.grow_append(std::slice::from_ref(&t), &mut NoTracer);
+    }
+}
+
+impl<S: Deref<Target = [u32]>, H: KeyHash> ChainedTable<S, H> {
+    /// The three regions of the words: heads, tuples, links.
+    #[inline]
+    fn regions(&self) -> (&[u32], &[Tuple], &[u32]) {
+        let (heads, rest) = self.buf.split_at(self.mask as usize + 1);
+        let (words, next) = rest.split_at(2 * self.cap);
+        // SAFETY: `Tuple` is `repr(C)` of two `u32`s (size 8, align 4)
+        // and `words` is `2 * cap` initialized-or-unread `u32`s, so the
+        // same bytes are `cap` tuples at a valid alignment.
+        let tuples = unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), self.cap) };
+        (heads, tuples, next)
     }
 
     /// The probe: the head word of `key`'s bucket, then its chain.
@@ -205,6 +195,31 @@ impl<H: KeyHash> StChainedTable<H> {
     #[inline]
     pub fn probe_first<F: FnMut(Payload)>(&self, key: Key, f: F) {
         self.find::<true>(key, &mut NoTracer, f)
+    }
+
+    /// The batch probe ([`JoinTable::probe_batch_with`]).
+    #[inline]
+    fn find_batch<Tr: MemTracer, F: FnMut(&Tuple, Payload)>(
+        &self,
+        probes: &[Tuple],
+        unique: bool,
+        tr: &mut Tr,
+        mut f: F,
+    ) {
+        if !unique {
+            for t in probes {
+                tr.read_of(t);
+                self.find::<false>(t.key, tr, |p| f(t, p));
+            }
+        } else if probes.len() < self.len {
+            // Fewer probes than tuples: this batch cannot warm the table.
+            self.probe_first_grouped(probes, tr, f)
+        } else {
+            for t in probes {
+                tr.read_of(t);
+                self.find::<true>(t.key, tr, |p| f(t, p));
+            }
+        }
     }
 
     /// First-match probes a group at a time in three passes (load the head
@@ -263,6 +278,51 @@ impl<H: KeyHash> StChainedTable<H> {
     }
 }
 
+impl<S: DerefMut<Target = [u32]>, H: KeyHash> ChainedTable<S, H> {
+    /// Thread the stored tuples `from..to` onto their buckets' chains.
+    #[inline]
+    fn link(&mut self, from: usize, to: usize) {
+        let (hash, shift, mask) = (self.hash, self.shift, self.mask);
+        let (heads, rest) = self.buf.split_at_mut(mask as usize + 1);
+        let (words, next) = rest.split_at_mut(2 * self.cap);
+        let stored = words[2 * from..2 * to].chunks_exact(2);
+        for (at, (t, link)) in (from as u32 + 1..).zip(stored.zip(&mut next[from..to])) {
+            let head = &mut heads[hash.index(t[0] >> shift, mask) as usize];
+            *link = *head;
+            *head = at;
+        }
+    }
+
+    /// Append `tuples` and chain them: the state one-by-one inserts leave.
+    /// They must fit the capacity (an owned table grows first).
+    #[inline]
+    fn append<Tr: MemTracer>(&mut self, tuples: &[Tuple], tr: &mut Tr) {
+        let (from, to) = (self.len, self.len + tuples.len());
+        assert!(to <= self.cap, "chained table full");
+        let stored = &mut self.buf[self.mask as usize + 1..][2 * from..2 * to];
+        for (w, t) in stored.chunks_exact_mut(2).zip(tuples) {
+            (w[0], w[1]) = (t.key, t.payload);
+        }
+        self.len = to;
+        self.link(from, to);
+        // What one-by-one inserts touch, a tuple at a time: the tuple and
+        // its head word read, the stored tuple, its link and the head word
+        // written. By address only: an untraced build has no loop left here.
+        let heads = self.buf.as_ptr();
+        let stored = heads.wrapping_add(self.mask as usize + 1);
+        let next = stored.wrapping_add(2 * self.cap);
+        for (at, t) in (from..to).zip(tuples) {
+            let head = heads.wrapping_add(self.home(t.key)) as usize;
+            tr.read_of(t);
+            tr.read(head, 4);
+            tr.write(stored.wrapping_add(2 * at) as usize, 8);
+            tr.write(next.wrapping_add(at) as usize, 4);
+            tr.write(head, 4);
+            tr.ops(7);
+        }
+    }
+}
+
 impl<H: KeyHash + Default> JoinTable for StChainedTable<H> {
     fn with_spec(spec: &TableSpec) -> Self {
         Self::with_capacity_shift(spec.capacity, spec.key_shift)
@@ -280,17 +340,17 @@ impl<H: KeyHash + Default> JoinTable for StChainedTable<H> {
 
     #[inline]
     fn probe<F: FnMut(Payload)>(&self, key: Key, f: F) {
-        StChainedTable::probe(self, key, f)
+        ChainedTable::probe(self, key, f)
     }
 
     #[inline]
     fn probe_unique<F: FnMut(Payload)>(&self, key: Key, f: F) {
-        StChainedTable::probe_first(self, key, f)
+        self.probe_first(key, f)
     }
 
     #[inline]
     fn insert_batch_with<Tr: MemTracer>(&mut self, tuples: &[Tuple], tr: &mut Tr) {
-        self.append(tuples, tr)
+        self.grow_append(tuples, tr)
     }
 
     #[inline]
@@ -299,26 +359,59 @@ impl<H: KeyHash + Default> JoinTable for StChainedTable<H> {
         probes: &[Tuple],
         unique: bool,
         tr: &mut Tr,
-        mut f: F,
+        f: F,
     ) {
-        if !unique {
-            for t in probes {
-                tr.read_of(t);
-                self.find::<false>(t.key, tr, |p| f(t, p));
-            }
-        } else if probes.len() < self.len {
-            // Fewer probes than tuples: this batch cannot warm the table.
-            self.probe_first_grouped(probes, tr, f)
-        } else {
-            for t in probes {
-                tr.read_of(t);
-                self.find::<true>(t.key, tr, |p| f(t, p));
-            }
-        }
+        self.find_batch(probes, unique, tr, f)
     }
 
     fn memory_bytes(&self) -> usize {
         std::mem::size_of_val(&*self.buf)
+    }
+}
+
+/// A packed chained table is the [`StChainedTable`] of its spec's
+/// capacity, in a range of the block: it cannot grow.
+// SAFETY: `clear` zeroes the heads; a head or link word names a tuple
+// only once the insert that wrote the tuple and its link has run, and
+// probes read tuples and links only through those words.
+unsafe impl<H: KeyHash + Default> Packable for StChainedTable<H> {
+    type Word = u32;
+
+    fn words(spec: &TableSpec) -> usize {
+        words_for(spec.capacity)
+    }
+
+    fn clear(range: &mut [u32], spec: &TableSpec) {
+        clear_heads(range, spec.capacity);
+    }
+
+    fn insert_batch(range: &mut [u32], spec: &TableSpec, len: usize, tuples: &[Tuple]) {
+        over::<_, H>(range, spec, len).append(tuples, &mut NoTracer)
+    }
+
+    #[inline]
+    fn probe_batch<F: FnMut(&Tuple, Payload)>(
+        range: &[u32],
+        spec: &TableSpec,
+        probes: &[Tuple],
+        unique: bool,
+        f: F,
+    ) {
+        // A built packed table holds its capacity.
+        over::<_, H>(range, spec, spec.capacity).find_batch(probes, unique, &mut NoTracer, f)
+    }
+}
+
+/// The table of `spec` over `words`, holding `len` tuples.
+#[inline]
+fn over<S, H: KeyHash + Default>(words: S, spec: &TableSpec, len: usize) -> ChainedTable<S, H> {
+    ChainedTable {
+        buf: words,
+        mask: (next_pow2(spec.capacity) - 1) as u32,
+        cap: spec.capacity,
+        len,
+        hash: H::default(),
+        shift: spec.key_shift,
     }
 }
 

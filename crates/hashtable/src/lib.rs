@@ -9,7 +9,7 @@
 //! |------|---------|-------------|
 //! | [`StChainedTable`] | PRB/PRO join phase (per partition) | single writer |
 //! | [`StLinearTable`] | PRL/CPRL join phase | single writer |
-//! | [`PackedLinearTables`] | SHHJ resident partitions (one block) | one writer per table |
+//! | [`PackedTables`] | cached PRO/PRL/PRA build sides, SHHJ resident partitions (one block of any of the three above) | one writer per table |
 //! | [`ArrayTable`] | PRA/CPRA join phase | single writer |
 //! | [`ConcurrentLinearTable`] | NOP global table | lock-free CAS inserts |
 //! | [`ConcurrentArrayTable`] | NOPA global table | atomic stores |
@@ -36,14 +36,14 @@ pub mod chained;
 pub mod cht;
 pub mod hashfn;
 pub mod linear;
+pub mod packed;
 
 pub use array::{ArrayTable, ConcurrentArrayTable};
-pub use chained::StChainedTable;
+pub use chained::{ChainedTable, StChainedTable};
 pub use cht::ConciseHashTable;
 pub use hashfn::{CrcHash, IdentityHash, KeyHash, MultiplicativeHash, MurmurHash};
-pub use linear::{
-    ConcurrentLinearTable, LinearTable, PackedLinearTables, PackedRange, StLinearTable,
-};
+pub use linear::{ConcurrentLinearTable, LinearTable, StLinearTable};
+pub use packed::{Packable, PackedTables};
 
 use mmjoin_util::trace::{MemTracer, NoTracer};
 use mmjoin_util::tuple::{Key, Payload, Tuple};
@@ -239,6 +239,16 @@ mod tests {
             let array = TableSpec::array(0, n);
             let in_array = held::<ArrayTable>(&array, n);
             assert!(in_array <= array.table_bytes(), "array n={n}: {in_array}");
+            // A packed table takes what its owned twin holds when built.
+            let packed = <StChainedTable<IdentityHash> as Packable>::words(&hashed) * 4;
+            assert_eq!(packed, chained, "packed chained n={n}");
+            let packed = <StLinearTable<IdentityHash> as Packable>::words(&hashed) * 8;
+            assert_eq!(packed, linear, "packed linear n={n}");
+            assert_eq!(
+                <ArrayTable as Packable>::words(&array) * 4,
+                in_array,
+                "n={n}"
+            );
         }
     }
     /// A reset table is the table `with_spec` would have allocated —

@@ -3,8 +3,8 @@
 //! * [`LinearTable`] — the single-threaded open-addressing table, over
 //!   slots it owns ([`StLinearTable`], the join phase of PRL/PRLiS/CPRL:
 //!   "CPRL uses the same linear probing hash table as PRL", Section 6.1)
-//!   or over one table's range of a [`PackedLinearTables`] block (SHHJ's
-//!   resident partitions, all of them in one block).
+//!   or over one table's range of a [`PackedTables`](crate::PackedTables)
+//!   block (a cached PRL build side's partitions, SHHJ's resident ones).
 //! * [`ConcurrentLinearTable`] — the lock-free table of the NOP join (Lang
 //!   et al.): inserts claim slots with a compare-and-swap, probes are
 //!   entirely synchronization-free.
@@ -30,6 +30,7 @@ use mmjoin_util::tuple::{Key, Payload, Tuple};
 use mmjoin_util::{next_pow2, CACHE_LINE};
 
 use crate::hashfn::{IdentityHash, KeyHash};
+use crate::packed::Packable;
 use crate::{group_ahead, JoinTable, TableSpec};
 
 /// Slots per tuple: capacity = next_pow2(2 * n) gives a load factor ≤ 50%,
@@ -48,9 +49,8 @@ pub(crate) fn slots_for(n: usize) -> usize {
 }
 
 /// Single-threaded linear-probing table over the slots `S`: a buffer of
-/// its own ([`StLinearTable`]) or one table's range of a
-/// [`PackedLinearTables`] block. Every such table inserts and walks
-/// through the methods here.
+/// its own ([`StLinearTable`]) or one table's range of a packed block.
+/// Every such table inserts and walks through the methods here.
 pub struct LinearTable<S, H: KeyHash = IdentityHash> {
     /// The table is the first `mask + 1` slots; an owned table reset for a
     /// smaller partition keeps the longer buffer.
@@ -260,139 +260,49 @@ impl<H: KeyHash + Default> JoinTable for StLinearTable<H> {
     }
 }
 
-/// Linear tables packed end to end in one block, one per partition of a
-/// radix fan-out (SHHJ's resident partitions): table `p` is the
-/// [`StLinearTable`] of `capacities[p]` tuples, in a range of the block
-/// instead of a buffer of its own. Under huge-page arenas a buffer of its
-/// own costs a whole 2 MiB page however small the table; the block costs
-/// at most one page beyond its tables.
-///
-/// The block is allocated unfilled. [`PackedLinearTables::split_mut`]
-/// hands each range to the task that builds its table, and
-/// [`PackedRange::clear`] zeroes it there: the clear runs in the build's
-/// parallel tasks, not in one pass before them.
-pub struct PackedLinearTables<H: KeyHash = IdentityHash> {
-    /// Unfilled: a range is read only once its table was cleared.
-    slots: AlignedBuf<u64>,
-    /// Per table, `None` for a capacity of 0.
-    tables: Vec<Option<Packed>>,
-    shift: u32,
-    hash: H,
-}
+/// A packed linear table is the [`StLinearTable`] of its spec's
+/// capacity, in a range of the block.
+// SAFETY: `clear` zeroes every slot of the range.
+unsafe impl<H: KeyHash + Default> Packable for StLinearTable<H> {
+    type Word = u64;
 
-/// Where one packed table lies, and whether its range was zeroed.
-struct Packed {
-    start: usize,
-    mask: u32,
-    cleared: bool,
-}
-
-impl<H: KeyHash + Default> PackedLinearTables<H> {
-    /// One table per capacity, each hashing `key >> shift` like a radix
-    /// partition's; a capacity of 0 has no table.
-    pub fn new(capacities: &[usize], shift: u32) -> Self {
-        let mut end = 0;
-        let tables = capacities
-            .iter()
-            .map(|&n| {
-                (n > 0).then(|| {
-                    let start = end;
-                    end += slots_for(n);
-                    let mask = (end - start - 1) as u32;
-                    Packed {
-                        start,
-                        mask,
-                        cleared: false,
-                    }
-                })
-            })
-            .collect();
-        PackedLinearTables {
-            // SAFETY: nothing reads a range before `PackedRange::clear`
-            // has zeroed it: `get` hands out only cleared tables.
-            slots: unsafe { AlignedBuf::unfilled(end) },
-            tables,
-            shift,
-            hash: H::default(),
-        }
-    }
-}
-
-impl<H: KeyHash> PackedLinearTables<H> {
-    /// Every table's range, for the task that builds it, in the order of
-    /// the capacities: `None` where the capacity was 0.
-    pub fn split_mut(&mut self) -> Vec<Option<PackedRange<'_, H>>> {
-        let (shift, hash) = (self.shift, self.hash);
-        let mut rest = self.slots.as_mut_slice();
-        self.tables
-            .iter_mut()
-            .map(|t| {
-                let t = t.as_mut()?;
-                let (slots, tail) = std::mem::take(&mut rest).split_at_mut(t.mask as usize + 1);
-                rest = tail;
-                let table = LinearTable {
-                    slots,
-                    mask: t.mask,
-                    hash,
-                    len: 0,
-                    shift,
-                };
-                Some(PackedRange {
-                    table,
-                    cleared: &mut t.cleared,
-                })
-            })
-            .collect()
+    fn words(spec: &TableSpec) -> usize {
+        slots_for(spec.capacity)
     }
 
-    /// Table `p`, to probe: `None` where the capacity was 0 or the range
-    /// was never cleared (its build was cut short).
+    fn clear(range: &mut [u64], _: &TableSpec) {
+        range.fill(0);
+    }
+
+    fn insert_batch(range: &mut [u64], spec: &TableSpec, len: usize, tuples: &[Tuple]) {
+        over::<_, H>(range, spec, len).put_batch(tuples, &mut NoTracer)
+    }
+
     #[inline]
-    pub fn get(&self, p: usize) -> Option<LinearTable<&[u64], H>> {
-        let t = self.tables[p].as_ref().filter(|t| t.cleared)?;
-        Some(LinearTable {
-            slots: &self.slots[t.start..=t.start + t.mask as usize],
-            mask: t.mask,
-            hash: self.hash,
-            len: 0,
-            shift: self.shift,
-        })
-    }
-
-    /// Bytes of the block: the sum of the tables' [`TableSpec::table_bytes`].
-    pub fn memory_bytes(&self) -> usize {
-        self.slots.len() * 8
+    fn probe_batch<F: FnMut(&Tuple, Payload)>(
+        range: &[u64],
+        spec: &TableSpec,
+        probes: &[Tuple],
+        unique: bool,
+        f: F,
+    ) {
+        over::<_, H>(range, spec, 0).walk_batch(probes, unique, &mut NoTracer, f)
     }
 }
 
-/// One table's range of a [`PackedLinearTables`] block, not yet zeroed.
-pub struct PackedRange<'a, H: KeyHash = IdentityHash> {
-    table: LinearTable<&'a mut [u64], H>,
-    cleared: &'a mut bool,
-}
-
-impl<'a, H: KeyHash> PackedRange<'a, H> {
-    /// Zero the range: the empty table, to build.
-    pub fn clear(self) -> LinearTable<&'a mut [u64], H> {
-        let table = self.table;
-        table.slots.fill(0);
-        *self.cleared = true;
-        table
-    }
-}
-
-impl<H: KeyHash> LinearTable<&mut [u64], H> {
-    /// [`JoinTable::insert_batch`] on a packed table.
-    pub fn insert_batch(&mut self, tuples: &[Tuple]) {
-        self.put_batch(tuples, &mut NoTracer)
-    }
-}
-
-impl<H: KeyHash> LinearTable<&[u64], H> {
-    /// [`JoinTable::probe_batch`] on a packed table.
-    #[inline]
-    pub fn probe_batch<F: FnMut(&Tuple, Payload)>(&self, probes: &[Tuple], unique: bool, f: F) {
-        self.walk_batch(probes, unique, &mut NoTracer, f)
+/// The table of `spec` over all of `slots`, holding `len` tuples.
+#[inline]
+fn over<S: Deref<Target = [u64]>, H: KeyHash + Default>(
+    slots: S,
+    spec: &TableSpec,
+    len: usize,
+) -> LinearTable<S, H> {
+    LinearTable {
+        mask: (slots.len() - 1) as u32,
+        slots,
+        hash: H::default(),
+        len,
+        shift: spec.key_shift,
     }
 }
 
@@ -571,52 +481,6 @@ mod tests {
         let spec = TableSpec::hashed(tuples.len());
         check_join_table::<StLinearTable<IdentityHash>>(&spec, &tuples, &probes);
         check_join_table::<StLinearTable<crate::MurmurHash>>(&spec, &tuples, &probes);
-    }
-
-    /// Each packed table answers like the owned table of its capacity
-    /// and shift, the block is exactly the tables' charge, and a table
-    /// of no tuples or one never cleared answers no probe.
-    #[test]
-    fn packed_tables_answer_like_owned_ones() {
-        // Keys of radix partition p of 8: p + 8, p + 16, ...
-        let part = |p: u32, n: u32| -> Vec<Tuple> {
-            (1..=n).map(|k| Tuple::new(k << 3 | p, k + 7)).collect()
-        };
-        let caps = [1_000, 0, 40, 2_000, 3, 0, 700, 1];
-        let mut packed = PackedLinearTables::<IdentityHash>::new(&caps, 3);
-        let charged: usize = caps
-            .iter()
-            .filter(|&&n| n > 0)
-            .map(|&n| TableSpec::hashed_partition(n, 3).table_bytes())
-            .sum();
-        assert_eq!(packed.memory_bytes(), charged);
-        let ranges = packed.split_mut();
-        for (p, range) in ranges.into_iter().enumerate() {
-            assert_eq!(range.is_some(), caps[p] > 0, "table {p}");
-            // Table 6 is left uncleared, as a cut-short build leaves it.
-            if let Some(range) = range.filter(|_| p != 6) {
-                range.clear().insert_batch(&part(p as u32, caps[p] as u32));
-            }
-        }
-        for (p, &cap) in caps.iter().enumerate() {
-            let Some(table) = packed.get(p) else {
-                assert!(cap == 0 || p == 6, "table {p}");
-                continue;
-            };
-            let tuples = part(p as u32, cap as u32);
-            let mut owned = StLinearTable::<IdentityHash>::with_capacity_shift(cap, 3);
-            owned.insert_batch(&tuples);
-            let probes: Vec<Tuple> = (0..2_100)
-                .map(|k| Tuple::new(k << 3 | p as u32, k))
-                .collect();
-            for unique in [false, true] {
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                table.probe_batch(&probes, unique, |t, bp| a.push((t.key, bp)));
-                owned.probe_batch(&probes, unique, |t, bp| b.push((t.key, bp)));
-                assert_eq!(a, b, "table {p} unique={unique}");
-                assert_eq!(a.len(), tuples.len(), "table {p}");
-            }
-        }
     }
 
     #[test]

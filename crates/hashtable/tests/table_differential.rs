@@ -20,12 +20,13 @@ use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 use mmjoin_hashtable::{
-    ArrayTable, ConcurrentArrayTable, ConcurrentLinearTable, IdentityHash, JoinTable,
-    StChainedTable, StLinearTable, TableSpec,
+    ArrayTable, ConcurrentArrayTable, ConcurrentLinearTable, IdentityHash, JoinTable, Packable,
+    PackedTables, StChainedTable, StLinearTable, TableSpec,
 };
 use mmjoin_util::kernels::{with_mode, KernelMode};
 use mmjoin_util::trace::CountingTracer;
 use mmjoin_util::tuple::{Key, Payload, Tuple};
+use mmjoin_util::CACHE_LINE;
 use proptest::prelude::*;
 
 use common::{keys_around, multiset, reference_probe};
@@ -304,6 +305,105 @@ fn array_every_layout_boundary() {
         |table, at| assert_eq!(table.memory_bytes(), 4 * spec.array_len, "{at}"),
         |_, _, _| (),
     );
+}
+
+/// One block of a table of `spec(n)` for every build length `n` of
+/// [`LENS`], each followed by a zero capacity, every table a dense radix
+/// partition of its own built in two batches — but for the longest,
+/// left uncleared as a build cut short leaves it — and each probed, in
+/// both kernel modes, all-matches and first-match, against its owned
+/// twin built from the same spec and tuples. A zero capacity gets no
+/// range, and a range probed before its clear matches nothing: under
+/// Miri, a read of its unfilled words would be reported.
+fn packed_answers_like_owned<T: JoinTable + Packable>(
+    what: &str,
+    spec: impl Fn(usize) -> TableSpec,
+) -> (usize, usize, usize) {
+    let bits = 6;
+    let word = std::mem::size_of::<T::Word>();
+    let mut sizes = (0, 0, 0);
+    let caps: Vec<usize> = LENS.iter().flat_map(|&n| [n, 0]).collect();
+    let uncleared = caps.len() - 2;
+    let builds: Vec<Vec<Tuple>> = (0..caps.len())
+        .map(|p| partition_keys(caps[p], bits, p as u32))
+        .collect();
+    // Present keys and absent ones of each table's partition.
+    let probes: Vec<Vec<Tuple>> = (0..caps.len())
+        .map(|p| {
+            numbered(
+                partition_keys(caps[p] + 40, bits, p as u32)
+                    .iter()
+                    .map(|t| t.key),
+            )
+        })
+        .collect();
+    let hits = |packed: &PackedTables<T>, p: usize, unique: bool| {
+        let mut hits = Vec::new();
+        packed.probe_batch(p, &probes[p], unique, |t, bp| hits.push((t.payload, bp)));
+        hits
+    };
+    let _turn = MODE.lock().unwrap_or_else(|e| e.into_inner());
+    for &mode in MODES {
+        with_mode(mode, || {
+            let mut packed = PackedTables::<T>::new(&caps, &spec);
+            for p in 0..caps.len() {
+                assert!(hits(&packed, p, false).is_empty(), "{what}, table {p}");
+            }
+            for (p, range) in packed.split_mut().into_iter().enumerate() {
+                assert_eq!(range.is_some(), caps[p] > 0, "{what}, table {p}");
+                if let Some(range) = range.filter(|_| p != uncleared) {
+                    let mut table = range.clear();
+                    let (a, b) = builds[p].split_at(caps[p] / 3);
+                    table.insert_batch(a);
+                    table.insert_batch(b);
+                }
+            }
+            let (mut owned_bytes, mut charged) = (0, 0);
+            for (p, tuples) in builds.iter().enumerate() {
+                let at = format!("{what}, table {p} of {} tuples, {mode:?}", caps[p]);
+                let mut owned = T::with_spec(&spec(caps[p]));
+                owned.insert_batch(tuples);
+                if caps[p] > 0 {
+                    // A packed table takes the words its owned twin holds,
+                    // never more than its spec charges.
+                    let bytes = T::words(&spec(caps[p])) * word;
+                    assert_eq!(owned.memory_bytes(), bytes, "{at}");
+                    assert!(bytes <= spec(caps[p]).table_bytes(), "{at}");
+                    owned_bytes += bytes;
+                    charged += spec(caps[p]).table_bytes();
+                }
+                for unique in [false, true] {
+                    let mut expect = Vec::new();
+                    owned.probe_batch(&probes[p], unique, |t, bp| expect.push((t.payload, bp)));
+                    assert_eq!(expect.len(), tuples.len(), "{at}, unique={unique}");
+                    if p == uncleared {
+                        expect.clear();
+                    }
+                    assert_eq!(hits(&packed, p, unique), expect, "{at}, unique={unique}");
+                }
+            }
+            // The block is exactly its tables' words, each table starting
+            // on a cache line, and not a byte more.
+            let block = caps.iter().filter(|&&n| n > 0).fold(0, |end: usize, &n| {
+                end.next_multiple_of(CACHE_LINE) + T::words(&spec(n)) * word
+            });
+            assert_eq!(packed.memory_bytes(), block, "{what}, {mode:?}");
+            sizes = (block, owned_bytes, charged);
+        });
+    }
+    sizes
+}
+
+#[test]
+fn packed_tables_answer_like_owned_ones() {
+    packed_answers_like_owned::<Chained>("chained", |n| TableSpec::hashed_partition(n, 6));
+    // Linear ranges are whole cache lines (`MIN_SLOTS`): no padding, the
+    // block is exactly the owned tables' bytes and what their specs
+    // charge — SHHJ's resident block too.
+    let (block, owned, charged) =
+        packed_answers_like_owned::<Linear>("linear", |n| TableSpec::hashed_partition(n, 6));
+    assert_eq!((block, owned), (charged, charged), "linear");
+    packed_answers_like_owned::<ArrayTable>("array", |n| TableSpec::array(6, (n + 37) << 6));
 }
 
 /// What the two concurrent global tables share for

@@ -3,10 +3,12 @@
 //!
 //! Keyed on `(relation name, relation version, algorithm, radix bits)` —
 //! exactly the inputs that determine the frozen partition + build
-//! output. Byte-bounded LRU over [`BuildSide::memory_bytes`]; resident
-//! cache bytes are a server-owned carve, deliberately *not* charged to
-//! any tenant's budget (a shared side has no single owner — see the
-//! invariants in DESIGN.md §15).
+//! output. Byte-bounded LRU over [`BuildSide::memory_bytes`], which is
+//! what a side keeps resident (a partitioned side's tables are one
+//! packed block, not a huge page per partition), so the bound bounds
+//! resident bytes; resident cache bytes are a server-owned carve,
+//! deliberately *not* charged to any tenant's budget (a shared side has
+//! no single owner — see the invariants in DESIGN.md §15).
 //!
 //! Concurrent misses on the same key may both prepare; the second insert
 //! wins and the loser's side is dropped when its probe finishes. That

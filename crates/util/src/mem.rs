@@ -8,9 +8,9 @@
 //! * **Transparent huge pages** — an anonymous mapping advised with
 //!   `madvise(MADV_HUGEPAGE)`, rounded up to whole 2 MiB pages: one
 //!   buffer of 64 KiB to 2 MiB still costs a whole huge page. A caller
-//!   that allocates per partition packs its partitions into one buffer
-//!   instead (SHHJ's resident tables, `PackedLinearTables` in
-//!   `mmjoin-hashtable`).
+//!   that keeps a table per partition packs them into one buffer
+//!   instead (`PackedTables` in `mmjoin-hashtable`: SHHJ's resident
+//!   tables, the cached PRO/PRL/PRA build sides).
 //! * **Arena pool** — released blocks are kept mapped (bounded by
 //!   `MMJOIN_ARENA_POOL_MB`, default 256) so back-to-back joins reuse
 //!   already-faulted pages instead of paying the kernel's fault + zero

@@ -108,23 +108,19 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn workload(args: &Args) -> (mmjoin::util::Relation, mmjoin::util::Relation, f64) {
+/// R and S for `join` and `race`, generated for the configuration
+/// `config` has validated: `--threads` places them, `--zipf` skews S.
+fn workload(args: &Args, cfg: &JoinConfig) -> (mmjoin::util::Relation, mmjoin::util::Relation) {
     let build: usize = args.get("build", 1_000_000);
     let probe: usize = args.get("probe", build * 10);
-    let threads: usize = args.get("threads", 4);
-    let theta: f64 = args.get("zipf", 0.0);
-    if !(0.0..1.0).contains(&theta) {
-        eprintln!("invalid value {theta} for --zipf: must be in [0, 1)");
-        std::process::exit(2);
-    }
-    let placement = Placement::Chunked { parts: threads };
+    let placement = Placement::Chunked { parts: cfg.threads };
     let r = gen_build_dense(build, 42, placement);
-    let s = if theta > 0.0 {
-        gen_probe_zipf(probe, build, theta, 43, placement)
+    let s = if cfg.probe_theta > 0.0 {
+        gen_probe_zipf(probe, build, cfg.probe_theta, 43, placement)
     } else {
         gen_probe_fk(probe, build, 43, placement)
     };
-    (r, s, theta)
+    (r, s)
 }
 
 /// The allocation policy is a process setting, not a join's: install
@@ -141,7 +137,12 @@ fn install_alloc(args: &Args) {
     }
 }
 
-fn config(args: &Args, theta: f64) -> JoinConfig {
+fn config(args: &Args) -> JoinConfig {
+    let theta: f64 = args.get("zipf", 0.0);
+    if !(0.0..1.0).contains(&theta) {
+        eprintln!("invalid value {theta} for --zipf: must be in [0, 1)");
+        std::process::exit(2);
+    }
     let mut cfg = JoinConfig::new(4);
     // Set directly: `new` would clamp the 0 that `validate` refuses.
     cfg.threads = args.get("threads", 4);
@@ -212,8 +213,8 @@ fn main() {
                 usage()
             });
             install_alloc(&args);
-            let (r, s, theta) = workload(&args);
-            let cfg = config(&args, theta);
+            let cfg = config(&args);
+            let (r, s) = workload(&args, &cfg);
             let started = std::time::Instant::now();
             let res = Join::new(alg)
                 .with_config(cfg.clone())
@@ -320,8 +321,8 @@ fn main() {
                 &["skew-handling", "no-spill"],
             );
             install_alloc(&args);
-            let (r, s, theta) = workload(&args);
-            let cfg = config(&args, theta);
+            let cfg = config(&args);
+            let (r, s) = workload(&args, &cfg);
             // A race is a sweep: one algorithm blowing its deadline or
             // budget (or panicking) drops out of the leaderboard instead
             // of killing the race.

@@ -11,12 +11,16 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
+use mmjoin::core::pro::PartTable;
 use mmjoin::core::reference::reference_join;
-use mmjoin::core::{Algorithm, Join, JoinConfig, JoinError, JoinResult};
+use mmjoin::core::{
+    Algorithm, BuildSide, Join, JoinConfig, JoinError, JoinResult, Pipeline, TableKind,
+};
 use mmjoin::datagen::{gen_build_dense, gen_probe_fk};
 use mmjoin::hashtable::TableSpec;
 use mmjoin::partition::{histogram::histogram, RadixFn};
 use mmjoin::util::mem::{self, AllocPolicy, FAIL_MADVISE, FAIL_MMAP};
+use mmjoin::util::trace::NoTracer;
 use mmjoin::util::{Placement, Relation};
 
 /// Serialize tests and guarantee clean global state on exit (including
@@ -207,6 +211,71 @@ fn unbudgeted_shhj_packs_its_resident_partitions() {
         alloc.mapped_bytes + alloc.pool_hit_bytes <= (plan + scratch + blocks * (2 << 20)) as u64,
         "{alloc:?}, plan {plan}"
     );
+}
+
+/// A cached PRO/PRL/PRA build side under THP keeps its per-partition
+/// tables in one packed block, where it used to map a 2 MiB page for
+/// every table of 64 KiB or more: over 1 Mi dense rows `prepare` leases
+/// the partition copy, the table block and a block a worker at most,
+/// `memory_bytes()` counts at least what the partitions' own tables
+/// would hold, and the arena holds no more than those bytes, the
+/// partition copy and one rounding page — what a cache bounding
+/// `memory_bytes()` keeps resident is what it counts.
+#[test]
+fn cached_partitioned_build_sides_pack_their_tables() {
+    let _guard = lock();
+    let threads = 2;
+    let n = 1 << 20;
+    let placement = Placement::Chunked { parts: threads };
+    let r = gen_build_dense(n, 95, placement);
+    let s = gen_probe_fk(n, n, 96, placement);
+    let expect = reference_join(&r, &s);
+    let c = cfg(threads);
+    for (alg, kind) in [
+        (Algorithm::Pro, TableKind::Chained),
+        (Algorithm::Prl, TableKind::Linear),
+        (Algorithm::Pra, TableKind::Array),
+    ] {
+        let before = mem::stats();
+        let side = mem::with_policy(AllocPolicy::Thp, || BuildSide::prepare(alg, &r, &c))
+            .unwrap_or_else(|e| panic!("{alg} under thp: {e}"));
+        let d = mem::stats().delta(&before);
+
+        // What each partition's own table of this kind holds built.
+        let table = PartTable::for_join(&c, kind, n);
+        assert_eq!(side.radix_bits(), Some(table.bits), "{alg}");
+        let tables: usize = histogram(r.tuples(), RadixFn::new(table.bits))
+            .into_iter()
+            .filter(|&m| m > 0)
+            .map(|m| {
+                let mut built = table.unbuilt();
+                table.build(&mut built, m, std::iter::empty(), &mut NoTracer);
+                built.memory_bytes()
+            })
+            .sum();
+        let held = side.memory_bytes();
+        assert!(
+            d.mapped_blocks + d.pool_hits <= 2 + threads as u64,
+            "{alg}: {d:?}"
+        );
+        assert!(held >= tables, "{alg}: {held} < {tables}");
+        let copy = n * 8;
+        assert!(
+            d.mapped_bytes + d.pool_hit_bytes <= (held + copy + (2 << 20)) as u64,
+            "{alg}: {d:?}, memory_bytes {held}"
+        );
+
+        let res = Pipeline::new()
+            .with_stage(side)
+            .with_config(c.clone())
+            .run(&s)
+            .unwrap_or_else(|e| panic!("{alg} probe: {e}"));
+        assert_eq!(
+            (res.matches, res.checksum),
+            (expect.count, expect.digest),
+            "{alg}"
+        );
+    }
 }
 
 #[test]

@@ -80,6 +80,12 @@ fn malformed_command_lines_exit_2_with_a_message() {
             "--build 1024 --probe 4096 --algo NOP --threads 0",
             "threads = 0",
         ),
+        // Refused before the workload is generated: R of `usize::MAX`
+        // tuples would panic in its allocation first.
+        (
+            "--build 18446744073709551615 --probe 1 --algo NOP --threads 0",
+            "invalid configuration: invalid threads = 0",
+        ),
         (
             "--build 1024 --probe 4096 --algo NOP --zipf 1.5",
             "must be in [0, 1)",
