@@ -14,12 +14,19 @@
 //!    build the resident partitions' tables.
 //! 2. **probe** — stream S once: resident partitions probe their
 //!    table, evicted ones are appended to S-side runs.
-//! 3. **spill** — join each evicted partition pair from disk. The
-//!    *smaller* side becomes the build side (role reversal); a pair
-//!    whose smaller side still exceeds the budget is recursively
-//!    repartitioned on the next-higher key bits (skew-safe) up to
-//!    [`SPILL_RECURSION_LIMIT`], past which the typed
-//!    [`JoinError::SpillRecursionLimit`] is returned.
+//! 3. **spill** — join the evicted partition pairs from disk, as a
+//!    task queue on the run's workers. A pair builds its table from R's
+//!    run when the build keys are unique and that run fits the budget
+//!    (first-match probes), else from the smaller run (role reversal);
+//!    "fits" is judged against the budget's limit, as if the pair ran
+//!    alone. Each loading pair reserves its own bytes; one the others'
+//!    reservations crowd out waits for the budget gate and runs alone.
+//!    A pair whose smaller side exceeds the budget also runs alone and
+//!    is recursively repartitioned on the next-higher key bits
+//!    (skew-safe) up to [`SPILL_RECURSION_LIMIT`], past which the typed
+//!    [`JoinError::SpillRecursionLimit`] is returned. Which pairs load
+//!    and which recurse, and so the spill counters, do not depend on
+//!    the thread count or on timing.
 //!
 //! Both scans route a block of a worker's chunk by radix digit and act
 //! once per partition window. All spill files live in one [`SpillDir`]
@@ -28,7 +35,7 @@
 //! and per spill I/O page; I/O failures surface as [`JoinError::Io`].
 
 use std::io;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError, RwLock};
 
 use mmjoin_hashtable::{
     IdentityHash, JoinTable, PackedTables, StLinearTable, TableSpec, PROBE_GROUP,
@@ -43,7 +50,8 @@ use mmjoin_util::tuple::Tuple;
 use mmjoin_util::Relation;
 
 use crate::config::JoinConfig;
-use crate::exec::{merge_checksums, parallel_chunks, MORSEL};
+use crate::exec::{merge_checksums, morsel_map, parallel_chunks, MORSEL};
+use crate::executor::QueuePolicy;
 use crate::fault::MemCharge;
 use crate::pipeline::{ROUTE_MAX, ROUTE_RUN};
 use crate::plan::JoinError;
@@ -97,24 +105,6 @@ fn io_error(ctx: &RunCtx, e: &io::Error) -> JoinError {
         source: e.to_string(),
     }
 }
-
-/// Fine-grained spill failpoints (`SHHJ.spill.write` / `.read` /
-/// `.recurse`), resolved on the submitting thread where the sequential
-/// spill phase runs — `arm_local` works. Worker-side loops are covered
-/// by the per-phase keys (`SHHJ.partition` etc.) through
-/// [`RunCtx::tick`] like every other driver.
-#[cfg(feature = "failpoints")]
-fn spill_failpoint(point: &str) {
-    use crate::fault::failpoints::{active, FailAction};
-    match active(&format!("SHHJ.spill.{point}")) {
-        Some(FailAction::Panic) => panic!("failpoint SHHJ.spill.{point} fired"),
-        Some(FailAction::Sleep(ms)) => std::thread::sleep(std::time::Duration::from_millis(ms)),
-        None => {}
-    }
-}
-
-#[cfg(not(feature = "failpoints"))]
-fn spill_failpoint(_point: &str) {}
 
 /// What the partition phase leaves behind for the probe and spill
 /// phases.
@@ -334,60 +324,71 @@ pub(crate) fn join_shhj(
         |_| PhaseModel::none(),
     )?;
 
-    // ---- spill phase: join the evicted partitions from disk ----------
+    // ---- spill phase: join the evicted pairs on the run's workers ----
     let spilled = run.phase(
         "spill",
         |ctx| {
             let mut part = part;
             // The resident tables and slices are done; hand their bytes
-            // back so the recursion below can use the whole budget.
+            // back so the pairs below can use the whole budget.
             drop(part.tables);
             drop(part.r_resident);
             ctx.budget().release(part.resident_bytes);
-            let mut spill_counters = SpillCounters::default();
+            let Some(dir) = &part.spilldir else {
+                ctx.budget().release(part.overhead_bytes);
+                return Ok(JoinChecksum::new());
+            };
+            let mut pairs = Vec::with_capacity(part.spilled_parts.len());
+            for &p in &part.spilled_parts {
+                let finish = |w: &mut Option<Mutex<SpillWriter>>| {
+                    let w = w.take().expect("writer for spilled partition");
+                    into_inner_recover(w)
+                        .finish()
+                        .map_err(|e| io_error(ctx, &e))
+                };
+                // The initial eviction bytes were counted in the
+                // partition and probe phases; this phase counts only
+                // recursion writes.
+                let r_run = finish(&mut part.r_writers[p])?;
+                let s_run = finish(&mut part.s_writers[p])?;
+                pairs.push((p, r_run, s_run));
+            }
+            // Writers are finished; their buffers are gone.
+            ctx.budget().release(part.overhead_bytes);
+            // Largest pairs first, so the last ones a worker starts are
+            // short.
+            pairs.sort_by_key(|(_, r, s)| std::cmp::Reverse(r.tuples() + s.tuples()));
+            let order: Vec<usize> = (0..pairs.len()).collect();
+            let pairs: Vec<Mutex<Option<_>>> =
+                pairs.into_iter().map(|x| Mutex::new(Some(x))).collect();
+            let spill = Spill {
+                ctx,
+                dir,
+                unique,
+                failpoints: SpillFailpoints::armed(),
+                gate: RwLock::new(()),
+            };
+            let joined = morsel_map(
+                ctx,
+                &order,
+                pairs.len(),
+                QueuePolicy::Shared,
+                || (),
+                |_, i| {
+                    let (p, r_run, s_run) = lock_recover(&pairs[i])
+                        .take()
+                        .expect("each pair is joined once");
+                    spill.join_pair(p, r_run, s_run, bits).unwrap_or_else(|e| {
+                        ctx.trip(e);
+                        Default::default()
+                    })
+                },
+            );
             let mut checksum = JoinChecksum::new();
-            if let Some(dir) = &part.spilldir {
-                let mut pairs: Vec<(usize, SpillRun, SpillRun)> =
-                    Vec::with_capacity(part.spilled_parts.len());
-                for &p in &part.spilled_parts {
-                    let rw = part.r_writers[p]
-                        .take()
-                        .expect("writer for spilled partition");
-                    let sw = part.s_writers[p]
-                        .take()
-                        .expect("writer for spilled partition");
-                    // The initial eviction bytes were counted in the
-                    // partition and probe phases; this phase counts only
-                    // recursion writes.
-                    let r_run = into_inner_recover(rw)
-                        .finish()
-                        .map_err(|e| io_error(ctx, &e))?;
-                    let s_run = into_inner_recover(sw)
-                        .finish()
-                        .map_err(|e| io_error(ctx, &e))?;
-                    pairs.push((p, r_run, s_run));
-                }
-                // Writers are finished; their buffers are gone.
-                ctx.budget().release(part.overhead_bytes);
-                for (p, r_run, s_run) in pairs {
-                    if ctx.tick() {
-                        break;
-                    }
-                    let c = join_spilled(
-                        ctx,
-                        dir,
-                        r_run,
-                        s_run,
-                        bits,
-                        0,
-                        p,
-                        unique,
-                        &mut spill_counters,
-                    )?;
-                    checksum.merge(c);
-                }
-            } else {
-                ctx.budget().release(part.overhead_bytes);
+            let mut spill_counters = SpillCounters::default();
+            for (c, counters) in joined {
+                checksum.merge(c);
+                spill_counters.merge(counters);
             }
             ctx.add_spill(spill_counters);
             debug_assert_eq!(ctx.budget().used(), 0, "SHHJ holds budget past its phases");
@@ -492,173 +493,301 @@ fn flush_stage(
     res.map_err(|e| ctx.trip(io_error(ctx, &e))).is_ok()
 }
 
-/// Join one spilled partition pair: load the smaller side if it fits
-/// (role reversal), else recursively repartition both runs on the next
-/// [`SPILL_SUB_BITS`] key bits.
-#[allow(clippy::too_many_arguments)]
-fn join_spilled(
-    ctx: &RunCtx,
-    dir: &SpillDir,
-    r_run: SpillRun,
-    s_run: SpillRun,
-    consumed_bits: u32,
-    depth: u32,
-    partition: usize,
-    unique: bool,
-    counters: &mut SpillCounters,
-) -> Result<JoinChecksum, JoinError> {
-    counters.recursion_depth = counters.recursion_depth.max(depth);
-    let mut c = JoinChecksum::new();
-    if r_run.is_empty() || s_run.is_empty() || ctx.should_stop() {
-        return Ok(c);
-    }
-
-    // Role reversal: build from whichever side is smaller. The checksum
-    // is (key, R payload, S payload) regardless of orientation, and a
-    // reversed build side (S) can hold duplicate keys even under the
-    // PK assumption, so reversed probes always scan all matches.
-    let reverse = s_run.tuples() < r_run.tuples();
-    let (build_run, probe_run) = if reverse {
-        (&s_run, &r_run)
-    } else {
-        (&r_run, &s_run)
-    };
-    let build_len = build_run.tuples() as usize;
-    let spec = TableSpec::hashed_partition(build_len, consumed_bits.min(31));
-    let need = build_len * 8 + spec.table_bytes() + 2 * READER_BYTES;
-    if ctx.budget().try_reserve(need).is_ok() {
-        let res = (|| -> Result<(), JoinError> {
-            spill_failpoint("read");
-            let build = build_run.read_all().map_err(|e| io_error(ctx, &e))?;
-            let mut table = StLinearTable::<IdentityHash>::with_spec(&spec);
-            table.insert_batch(&build);
-            let probe_unique = if reverse { false } else { unique };
-            let mut reader = probe_run.reader().map_err(|e| io_error(ctx, &e))?;
-            while let Some(page) = reader.next_page().map_err(|e| io_error(ctx, &e))? {
-                if ctx.tick() {
-                    break;
-                }
-                if reverse {
-                    table.probe_batch(page, probe_unique, |t, bp| c.add(t.key, t.payload, bp));
-                } else {
-                    table.probe_batch(page, probe_unique, |t, bp| c.add(t.key, bp, t.payload));
-                }
-            }
-            Ok(())
-        })();
-        ctx.budget().release(need);
-        res?;
-        return Ok(c);
-    }
-
-    // Too big to load: recursively repartition on fresh key bits.
-    if depth >= SPILL_RECURSION_LIMIT || consumed_bits >= 32 {
-        return Err(JoinError::SpillRecursionLimit {
-            partition,
-            depth,
-            limit: SPILL_RECURSION_LIMIT,
-        });
-    }
-    spill_failpoint("recurse");
-    // Sub-fanout the budget can afford: 2 run writers per sub-partition
-    // plus the parent reader must fit. Floor of 2 (below that the
-    // charge fails loudly); ceiling of SPILL_SUB_BITS.
-    let limit = ctx.budget().limit();
-    let affordable = limit
-        .saturating_sub(READER_BYTES)
-        .checked_div(2 * WRITER_BYTES)
-        .unwrap_or(0)
-        .max(2);
-    let afford_bits = usize::BITS - 1 - affordable.leading_zeros();
-    let sub_bits = SPILL_SUB_BITS
-        .min(afford_bits)
-        .max(1)
-        .min(32 - consumed_bits);
-    let f = RadixFn::pass(sub_bits, consumed_bits);
-    let overhead = 2 * f.fanout() * WRITER_BYTES + READER_BYTES;
-    // Held until both runs are split; an error in between ends the run
-    // and its budget with it.
-    ctx.budget()
-        .try_reserve(overhead)
-        .map_err(|be| ctx.budget_error(overhead, be))?;
-    counters.partitions_spilled += 1;
-    let sub_r = repartition(
-        ctx,
-        dir,
-        &r_run,
-        f,
-        &format!("p{partition}-d{depth}-r"),
-        counters,
-    )?;
-    let sub_s = repartition(
-        ctx,
-        dir,
-        &s_run,
-        f,
-        &format!("p{partition}-d{depth}-s"),
-        counters,
-    )?;
-    // Parent runs delete their files now; sub-runs replace them, so the
-    // disk high-water mark stays ~2x the spilled data per level.
-    drop(r_run);
-    drop(s_run);
-    ctx.budget().release(overhead);
-    for (rr, ss) in sub_r.into_iter().zip(sub_s) {
-        if ctx.should_stop() {
-            break;
-        }
-        let sub = join_spilled(
-            ctx,
-            dir,
-            rr,
-            ss,
-            consumed_bits + sub_bits,
-            depth + 1,
-            partition,
-            unique,
-            counters,
-        )?;
-        c.merge(sub);
-    }
-    Ok(c)
+/// Which run of a spilled pair to build the table from, and what
+/// loading it reserves: the build run's tuples, its table, and one
+/// reader each for the build and the probe run.
+#[derive(Debug)]
+struct Load {
+    /// Build from S's run, probe with R's.
+    reverse: bool,
+    spec: TableSpec,
+    need: usize,
 }
 
-/// Split one run into `f.fanout()` sub-runs on the pass's key bits.
-fn repartition(
-    ctx: &RunCtx,
-    dir: &SpillDir,
-    run: &SpillRun,
-    f: RadixFn,
-    tag: &str,
-    counters: &mut SpillCounters,
-) -> Result<Vec<SpillRun>, JoinError> {
-    let fanout = f.fanout();
-    let mut writers: Vec<SpillWriter> = Vec::with_capacity(fanout);
-    for i in 0..fanout {
-        writers.push(
-            dir.writer(&format!("{tag}-{i}"))
-                .map_err(|e| io_error(ctx, &e))?,
-        );
-    }
-    let mut reader = run.reader().map_err(|e| io_error(ctx, &e))?;
-    while let Some(page) = reader.next_page().map_err(|e| io_error(ctx, &e))? {
-        if ctx.tick() {
-            break;
+/// How to load a pair whose runs hold `r_len` and `s_len` tuples, if it
+/// fits a budget of `limit` bytes on its own: from R's run when the
+/// build keys are unique and it fits (its probes stop at the first
+/// match, where a table of S's duplicate keys has every probe scan
+/// its whole cluster), else from the smaller run (role reversal).
+/// `None` when even the smaller run does not fit: the pair is
+/// repartitioned. Whether a pair loads or recurses therefore depends on
+/// its sizes and the limit alone, never on what other pairs hold.
+fn plan_load(
+    r_len: u64,
+    s_len: u64,
+    consumed_bits: u32,
+    unique: bool,
+    limit: usize,
+) -> Option<Load> {
+    let load = |reverse: bool| {
+        let n = if reverse { s_len } else { r_len } as usize;
+        let spec = TableSpec::hashed_partition(n, consumed_bits.min(31));
+        let need = n * 8 + spec.table_bytes() + 2 * READER_BYTES;
+        (need <= limit).then_some(Load {
+            reverse,
+            spec,
+            need,
+        })
+    };
+    if unique {
+        if let Some(l) = load(false) {
+            return Some(l);
         }
-        spill_failpoint("write");
-        for t in page {
-            writers[f.part(t.key)]
-                .push(*t)
-                .map_err(|e| io_error(ctx, &e))?;
+    }
+    load(s_len < r_len)
+}
+
+/// The fine-grained spill failpoints.
+#[derive(Clone, Copy)]
+enum SpillPoint {
+    Read,
+    Recurse,
+    Write,
+}
+
+#[cfg(feature = "failpoints")]
+const SPILL_POINTS: [&str; 3] = ["read", "recurse", "write"];
+
+/// `SHHJ.spill.read` / `.recurse` / `.write`, resolved once on the
+/// submitting thread — where `arm_local` arms them — and fired by the
+/// workers that join the pairs. The spill phase's own key
+/// (`SHHJ.spill`) fires through [`RunCtx::tick`] like every other
+/// phase's.
+#[derive(Clone, Copy)]
+struct SpillFailpoints {
+    #[cfg(feature = "failpoints")]
+    armed: [Option<crate::fault::failpoints::FailAction>; 3],
+}
+
+impl SpillFailpoints {
+    #[cfg(feature = "failpoints")]
+    fn armed() -> Self {
+        let key = |p| crate::fault::failpoints::active(&format!("SHHJ.spill.{p}"));
+        SpillFailpoints {
+            armed: SPILL_POINTS.map(key),
         }
     }
-    let mut runs = Vec::with_capacity(fanout);
-    for w in writers {
-        let r = w.finish().map_err(|e| io_error(ctx, &e))?;
-        counters.bytes_spilled += r.bytes();
-        runs.push(r);
+
+    #[cfg(not(feature = "failpoints"))]
+    fn armed() -> Self {
+        SpillFailpoints {}
     }
-    Ok(runs)
+
+    #[cfg(feature = "failpoints")]
+    fn fire(&self, point: SpillPoint) {
+        use crate::fault::failpoints::FailAction;
+        let name = SPILL_POINTS[point as usize];
+        match self.armed[point as usize] {
+            Some(FailAction::Panic) => panic!("failpoint SHHJ.spill.{name} fired"),
+            Some(FailAction::Sleep(ms)) => std::thread::sleep(std::time::Duration::from_millis(ms)),
+            None => {}
+        }
+    }
+
+    #[cfg(not(feature = "failpoints"))]
+    fn fire(&self, _: SpillPoint) {}
+}
+
+/// The spill phase's shared state: what every worker joining pairs
+/// needs.
+struct Spill<'a> {
+    ctx: &'a RunCtx,
+    dir: &'a SpillDir,
+    unique: bool,
+    failpoints: SpillFailpoints,
+    /// Held shared by a pair that loads under its own reservation
+    /// beside others, exclusively by one that runs alone: a pair whose
+    /// reservation the others' refused, or one that recurses. Alone, a
+    /// pair has the whole budget, as every pair had when they ran one
+    /// after another, so it loads or recurses exactly as it did then.
+    gate: RwLock<()>,
+}
+
+impl Spill<'_> {
+    /// Join top-level pair `p` on a worker: load it beside the pairs
+    /// other workers hold if the budget admits it now, else wait to run
+    /// alone and join it as [`Spill::join_spilled`] does.
+    fn join_pair(
+        &self,
+        p: usize,
+        r_run: SpillRun,
+        s_run: SpillRun,
+        bits: u32,
+    ) -> Result<(JoinChecksum, SpillCounters), JoinError> {
+        let ctx = self.ctx;
+        let mut counters = SpillCounters::default();
+        if ctx.tick() || r_run.is_empty() || s_run.is_empty() {
+            return Ok((JoinChecksum::new(), counters));
+        }
+        {
+            let _shared = self.gate.read().unwrap_or_else(PoisonError::into_inner);
+            let (r_len, s_len, limit) = (r_run.tuples(), s_run.tuples(), ctx.budget().limit());
+            if let Some(load) = plan_load(r_len, s_len, bits, self.unique, limit) {
+                if ctx.budget().try_reserve(load.need).is_ok() {
+                    let _charge = MemCharge::new(ctx.budget(), load.need);
+                    return Ok((self.load(&load, &r_run, &s_run)?, counters));
+                }
+            }
+        }
+        let _alone = self.gate.write().unwrap_or_else(PoisonError::into_inner);
+        let c = self.join_spilled(r_run, s_run, bits, 0, p, &mut counters)?;
+        Ok((c, counters))
+    }
+
+    /// Join one spilled pair that has the budget to itself: load it per
+    /// [`plan_load`], else recursively repartition both runs on the
+    /// next [`SPILL_SUB_BITS`] key bits and join the sub-pairs in turn.
+    fn join_spilled(
+        &self,
+        r_run: SpillRun,
+        s_run: SpillRun,
+        consumed_bits: u32,
+        depth: u32,
+        partition: usize,
+        counters: &mut SpillCounters,
+    ) -> Result<JoinChecksum, JoinError> {
+        let ctx = self.ctx;
+        counters.recursion_depth = counters.recursion_depth.max(depth);
+        let mut c = JoinChecksum::new();
+        if r_run.is_empty() || s_run.is_empty() || ctx.should_stop() {
+            return Ok(c);
+        }
+        let (r_len, s_len, limit) = (r_run.tuples(), s_run.tuples(), ctx.budget().limit());
+        if let Some(load) = plan_load(r_len, s_len, consumed_bits, self.unique, limit) {
+            let _charge = reserve(ctx, load.need)?;
+            return self.load(&load, &r_run, &s_run);
+        }
+
+        // Too big to load: recursively repartition on fresh key bits.
+        if depth >= SPILL_RECURSION_LIMIT || consumed_bits >= 32 {
+            return Err(JoinError::SpillRecursionLimit {
+                partition,
+                depth,
+                limit: SPILL_RECURSION_LIMIT,
+            });
+        }
+        self.failpoints.fire(SpillPoint::Recurse);
+        // Sub-fanout the budget can afford: 2 run writers per sub-partition
+        // plus the parent reader must fit. Floor of 2 (below that the
+        // charge fails loudly); ceiling of SPILL_SUB_BITS.
+        let affordable = limit
+            .saturating_sub(READER_BYTES)
+            .checked_div(2 * WRITER_BYTES)
+            .unwrap_or(0)
+            .max(2);
+        let afford_bits = usize::BITS - 1 - affordable.leading_zeros();
+        let sub_bits = SPILL_SUB_BITS
+            .min(afford_bits)
+            .max(1)
+            .min(32 - consumed_bits);
+        let f = RadixFn::pass(sub_bits, consumed_bits);
+        // Held until both runs are split.
+        let overhead = reserve(ctx, 2 * f.fanout() * WRITER_BYTES + READER_BYTES)?;
+        counters.partitions_spilled += 1;
+        let tag = format!("p{partition}-d{depth}");
+        let sub_r = self.repartition(&r_run, f, &format!("{tag}-r"), counters)?;
+        let sub_s = self.repartition(&s_run, f, &format!("{tag}-s"), counters)?;
+        // Parent runs delete their files now; sub-runs replace them, so the
+        // disk high-water mark stays ~2x the spilled data per level.
+        drop(r_run);
+        drop(s_run);
+        drop(overhead);
+        for (rr, ss) in sub_r.into_iter().zip(sub_s) {
+            if ctx.should_stop() {
+                break;
+            }
+            let sub = self.join_spilled(
+                rr,
+                ss,
+                consumed_bits + sub_bits,
+                depth + 1,
+                partition,
+                counters,
+            )?;
+            c.merge(sub);
+        }
+        Ok(c)
+    }
+
+    /// Build `load`'s table from its build run and stream the other run
+    /// through it; the caller holds `load.need`.
+    fn load(
+        &self,
+        load: &Load,
+        r_run: &SpillRun,
+        s_run: &SpillRun,
+    ) -> Result<JoinChecksum, JoinError> {
+        let ctx = self.ctx;
+        let io = |e: io::Error| io_error(ctx, &e);
+        let (build_run, probe_run) = if load.reverse {
+            (s_run, r_run)
+        } else {
+            (r_run, s_run)
+        };
+        self.failpoints.fire(SpillPoint::Read);
+        let build = build_run.read_all().map_err(io)?;
+        let mut table = StLinearTable::<IdentityHash>::with_spec(&load.spec);
+        table.insert_batch(&build);
+        // The checksum is (key, R payload, S payload) in either
+        // orientation. A reversed build side (S) can hold duplicate keys
+        // even under the PK assumption, so reversed probes scan every
+        // match.
+        let mut c = JoinChecksum::new();
+        let mut reader = probe_run.reader().map_err(io)?;
+        while let Some(page) = reader.next_page().map_err(io)? {
+            if ctx.tick() {
+                break;
+            }
+            if load.reverse {
+                table.probe_batch(page, false, |t, bp| c.add(t.key, t.payload, bp));
+            } else {
+                table.probe_batch(page, self.unique, |t, bp| c.add(t.key, bp, t.payload));
+            }
+        }
+        Ok(c)
+    }
+
+    /// Split one run into `f.fanout()` sub-runs on the pass's key bits.
+    fn repartition(
+        &self,
+        run: &SpillRun,
+        f: RadixFn,
+        tag: &str,
+        counters: &mut SpillCounters,
+    ) -> Result<Vec<SpillRun>, JoinError> {
+        let ctx = self.ctx;
+        let io = |e: io::Error| io_error(ctx, &e);
+        let mut writers: Vec<SpillWriter> = (0..f.fanout())
+            .map(|i| self.dir.writer(&format!("{tag}-{i}")))
+            .collect::<Result<_, _>>()
+            .map_err(io)?;
+        let mut reader = run.reader().map_err(io)?;
+        while let Some(page) = reader.next_page().map_err(io)? {
+            if ctx.tick() {
+                break;
+            }
+            self.failpoints.fire(SpillPoint::Write);
+            for t in page {
+                writers[f.part(t.key)].push(*t).map_err(io)?;
+            }
+        }
+        let mut runs = Vec::with_capacity(writers.len());
+        for w in writers {
+            let r = w.finish().map_err(io)?;
+            counters.bytes_spilled += r.bytes();
+            runs.push(r);
+        }
+        Ok(runs)
+    }
+}
+
+/// Reserve `bytes` for a pair that runs alone; refused, it is the typed
+/// budget error.
+fn reserve(ctx: &RunCtx, bytes: usize) -> Result<MemCharge<'_>, JoinError> {
+    ctx.budget()
+        .try_reserve(bytes)
+        .map_err(|be| ctx.budget_error(bytes, be))?;
+    Ok(MemCharge::new(ctx.budget(), bytes))
 }
 
 #[cfg(test)]
@@ -736,6 +865,34 @@ mod tests {
         let res = join_shhj(&r, &s, &cfg(threads, bits, plan - 1)).expect("one evicted");
         assert_matches_reference("plan - 1", &r, &s, &res);
         assert!(res.spill_totals().partitions_spilled >= 1, "one byte short");
+    }
+
+    /// A pair is built from R's run whenever the build keys are unique
+    /// and it fits the budget on its own, even where S's run is the
+    /// smaller (as in `probe_heavy`'s service pair); otherwise from the
+    /// smaller run if that fits; otherwise it is repartitioned.
+    #[test]
+    fn pairs_build_on_the_unique_side_when_it_fits() {
+        let need = |n: u64| {
+            let n = n as usize;
+            n * 8 + TableSpec::hashed_partition(n, 4).table_bytes() + 2 * READER_BYTES
+        };
+        let (r, s) = (64 << 10, 40 << 10);
+        let plan = |unique, limit| plan_load(r, s, 4, unique, limit).map(|l| (l.reverse, l.need));
+        assert_eq!(plan(true, need(r)), Some((false, need(r))), "R fits");
+        assert_eq!(
+            plan(false, need(r)),
+            Some((true, need(s))),
+            "duplicate keys"
+        );
+        assert_eq!(plan(true, need(r) - 1), Some((true, need(s))), "R short");
+        assert_eq!(plan(true, need(s) - 1), None, "neither fits");
+        // R's run the smaller: built from R with or without the PK
+        // assumption.
+        for unique in [true, false] {
+            let l = plan_load(s, r, 4, unique, need(s)).expect("fits");
+            assert!(!l.reverse, "unique {unique}");
+        }
     }
 
     /// `n` distinct keys of partition `p` under radix bits 3, each

@@ -138,10 +138,11 @@ impl TableSpec {
     /// estimate covers the largest of the table kinds the spec can build
     /// (linear: pow2(2n) 8 B slots, one cache line at least; chained:
     /// pow2(n) 4 B heads + 12 B per tuple, never more than linear; array:
-    /// 4 B payload + occupancy bit per slot).
+    /// one 4 B payload per slot, an empty slot holding the `EMPTY`
+    /// sentinel).
     pub fn table_bytes(&self) -> usize {
         if self.array_len > 0 {
-            self.array_len * 5
+            self.array_len * 4
         } else {
             linear::slots_for(self.capacity) * 8
         }
@@ -214,7 +215,8 @@ mod tests {
 
     /// The budget contract of the partitioned join phase: a task charges
     /// `spec.table_bytes()` *before* it builds, so no table kind may hold
-    /// more than that once `capacity` tuples are in.
+    /// more than that once `capacity` tuples are in; an array table, of
+    /// fixed size, holds exactly that, owned or packed.
     #[test]
     fn table_bytes_bounds_every_kind_at_capacity() {
         fn held<T: JoinTable>(spec: &TableSpec, n: usize) -> usize {
@@ -238,7 +240,11 @@ mod tests {
             assert!(linear <= bound, "linear n={n}: {linear} > {bound}");
             let array = TableSpec::array(0, n);
             let in_array = held::<ArrayTable>(&array, n);
-            assert!(in_array <= array.table_bytes(), "array n={n}: {in_array}");
+            assert_eq!(
+                in_array,
+                array.table_bytes(),
+                "array n={n}: charged as held"
+            );
             // A packed table takes what its owned twin holds when built.
             let packed = <StChainedTable<IdentityHash> as Packable>::words(&hashed) * 4;
             assert_eq!(packed, chained, "packed chained n={n}");
@@ -246,8 +252,8 @@ mod tests {
             assert_eq!(packed, linear, "packed linear n={n}");
             assert_eq!(
                 <ArrayTable as Packable>::words(&array) * 4,
-                in_array,
-                "n={n}"
+                array.table_bytes(),
+                "packed array n={n}"
             );
         }
     }

@@ -7,21 +7,35 @@
 //! runs ([`SpillRun`]) also delete their backing file when dropped, which
 //! bounds disk usage during recursive repartitioning.
 //!
-//! Writes happen in whole 4 KiB pages ([`PAGE_4K`]): tuples are buffered
-//! in memory until a page fills, then the page is appended with one
-//! `write_all`. The final page is zero-padded so every run file is a
-//! page multiple; the exact tuple count travels in the [`SpillRun`]
-//! metadata, never in the file. Each run carries an order-dependent
-//! digest of its tuples that the reader re-derives and verifies, so a
-//! torn or corrupted spill file surfaces as a typed I/O error instead of
-//! a wrong join result.
+//! A run is a sequence of whole 4 KiB pages ([`PAGE_4K`]) holding the
+//! tuples in their native `repr(C)` layout — the bytes of the `&[Tuple]`
+//! the writer was handed, with no encode or decode step. Runs are
+//! scratch files of one process and never leave the host, so the
+//! layout's byte order is the host's. Tuples are buffered until a page
+//! fills, then appended with one `write_all`; the final page is
+//! zero-padded so every run file is a page multiple, and the exact
+//! tuple count travels in the [`SpillRun`] metadata, never in the file.
+//! [`SpillRun::read_all`] reads a whole run with one `read_exact`
+//! straight into its `Vec<Tuple>`; [`SpillReader`] streams it two pages
+//! a read and hands them out a page at a time.
 //!
-//! Memory for the page buffers is the caller's to account: each writer
-//! holds [`WRITER_BYTES`] and each reader [`READER_BYTES`] of heap;
-//! `mmjoin-core` charges these against the join's `MemBudget`.
+//! Each run carries an order-dependent digest of its tuples that the
+//! reader re-derives and verifies, so a torn, truncated, reordered or
+//! corrupted spill file surfaces as a typed `InvalidData` error instead
+//! of a wrong join result. The digest is eight interleaved SplitMix64
+//! chains — tuple `i` extends chain `i % 8` — folded in order at the
+//! end: the independent chains' multiplies overlap, which folds about
+//! twice the bytes a second of one serial chain, and a tuple moved to
+//! any other position still changes the result. The reader also checks
+//! the file's length and that the final page's padding is zero.
+//!
+//! Memory for the buffers is the caller's to account: `mmjoin-core`
+//! charges [`WRITER_BYTES`] per open writer and [`READER_BYTES`] per
+//! reader against the join's `MemBudget`.
 
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
+use std::mem::size_of;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -29,27 +43,71 @@ use crate::tuple::Tuple;
 use crate::PAGE_4K;
 
 /// Tuples per 4 KiB spill page (512 for the paper's 8-byte tuples).
-pub const TUPLES_PER_PAGE: usize = PAGE_4K / std::mem::size_of::<Tuple>();
+pub const TUPLES_PER_PAGE: usize = PAGE_4K / size_of::<Tuple>();
 
-/// Heap bytes held by one [`SpillWriter`] (tuple buffer + encode buffer).
+/// Budget bytes charged for one [`SpillWriter`]. It holds one page of
+/// tuples; the charge is two pages, the size `mmjoin-core`'s residency
+/// plan and recursion fan-out are computed from.
 pub const WRITER_BYTES: usize = 2 * PAGE_4K;
 
-/// Heap bytes held by one [`SpillReader`] (decode buffer + tuple page).
+/// Heap bytes held by one [`SpillReader`]: a two-page tuple buffer.
 pub const READER_BYTES: usize = 2 * PAGE_4K;
+
+/// Tuples a reader reads at once.
+const READ_TUPLES: usize = READER_BYTES / size_of::<Tuple>();
+const _: () = assert!(READ_TUPLES.is_multiple_of(TUPLES_PER_PAGE));
+
+// The byte views below rely on this: two `u32`s, no padding.
+const _: () = assert!(size_of::<Tuple>() == 8 && std::mem::align_of::<Tuple>() == 4);
+
+/// The bytes of `ts` as they lie in memory.
+fn bytes_of(ts: &[Tuple]) -> &[u8] {
+    // SAFETY: `Tuple` is `repr(C)` of two `u32`s (asserted above: 8
+    // bytes, no padding), so the slice is `size_of_val(ts)` initialized
+    // bytes, and `u8` has no alignment to meet.
+    unsafe { std::slice::from_raw_parts(ts.as_ptr().cast::<u8>(), std::mem::size_of_val(ts)) }
+}
+
+/// The bytes of `ts`, writable: any bytes written are valid tuples.
+fn bytes_of_mut(ts: &mut [Tuple]) -> &mut [u8] {
+    // SAFETY: as in `bytes_of`; besides, every bit pattern is a valid
+    // pair of `u32`s, so whatever is written through the view leaves
+    // valid tuples behind, and the view borrows `ts` mutably.
+    unsafe {
+        std::slice::from_raw_parts_mut(ts.as_mut_ptr().cast::<u8>(), std::mem::size_of_val(ts))
+    }
+}
+
+/// The typed corruption error for the run at `path`.
+fn invalid(path: &Path, what: &str) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("spill run {what} in {}", path.display()),
+    )
+}
 
 /// Injectable I/O failures for fault testing ("io failpoints").
 ///
 /// Unlike the cfg-gated panic/sleep failpoints in `mmjoin-core`, these
-/// are always compiled: the check is one mutex probe per *page* of I/O,
-/// noise against an actual file write. Arming is scoped by a path
-/// substring so concurrent tests (each join spills under its own unique
-/// [`SpillDir`]) cannot trip each other's faults.
+/// are always compiled: with nothing armed the check is one atomic load
+/// per file operation, and the lock is taken only while a failpoint is
+/// armed. Arming is scoped by a path substring so concurrent tests
+/// (each join spills under its own unique [`SpillDir`]) cannot trip
+/// each other's faults.
 pub mod iofail {
     use std::io;
     use std::path::Path;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Mutex;
 
     static ARMED: Mutex<Option<(String, u64)>> = Mutex::new(None);
+
+    /// Whether `ARMED` holds a failpoint; written under its lock. Only
+    /// a hint for skipping the lock: the failpoint itself is read under
+    /// the lock. The `Release` store pairs with `check`'s `Acquire`
+    /// load; a join started after `arm` returns sees the flag set,
+    /// since starting its workers synchronizes with the arming thread.
+    static ANY_ARMED: AtomicBool = AtomicBool::new(false);
 
     /// Disarms the failpoint when dropped (RAII for tests).
     pub struct Guard;
@@ -60,28 +118,34 @@ pub mod iofail {
         }
     }
 
+    fn set(armed: Option<(String, u64)>) {
+        let mut g = ARMED
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        ANY_ARMED.store(armed.is_some(), Ordering::Release);
+        *g = armed;
+    }
+
     /// Arm: the `(skip + 1)`-th I/O operation on any spill file whose
     /// path contains `path_substring` fails with an injected
     /// `io::Error`, as do all later matching operations until the
     /// returned [`Guard`] drops (persistent failure models a dead disk,
     /// and keeps retry paths deterministic).
     pub fn arm(path_substring: &str, skip: u64) -> Guard {
-        *ARMED
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) =
-            Some((path_substring.to_string(), skip));
+        set(Some((path_substring.to_string(), skip)));
         Guard
     }
 
     /// Remove any armed failpoint.
     pub fn disarm() {
-        *ARMED
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
+        set(None);
     }
 
     /// Called by the spill layer before each file operation.
     pub(crate) fn check(path: &Path) -> io::Result<()> {
+        if !ANY_ARMED.load(Ordering::Acquire) {
+            return Ok(());
+        }
         let mut g = ARMED
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -100,15 +164,59 @@ pub mod iofail {
     }
 }
 
-/// Order-dependent digest over a run's tuples (SplitMix64 finalizer over
-/// the packed tuple, chained so insert order matters — a run is read
-/// back in exactly the order it was written).
+/// Chains of the run digest; tuple `i` extends chain `i % LANES`.
+const LANES: usize = 8;
+
+/// Fold `v` into chain state `z`: SplitMix64's finalizer over
+/// `z ^ (v + γ)`.
 #[inline]
-fn mix_digest(digest: u64, t: Tuple) -> u64 {
-    let mut z = digest ^ t.pack().wrapping_add(0x9E37_79B9_7F4A_7C15);
+fn mix(z: u64, v: u64) -> u64 {
+    let mut z = z ^ v.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Order-dependent digest over a run's tuples, in [`LANES`] independent
+/// SplitMix64 chains so consecutive tuples' multiplies overlap. Moving a
+/// tuple to another position changes its own chain's order, or two
+/// chains' contents; [`RunDigest::finish`] folds the chains in order.
+#[derive(Debug)]
+struct RunDigest {
+    lanes: [u64; LANES],
+    tuples: u64,
+}
+
+impl RunDigest {
+    fn new() -> Self {
+        RunDigest {
+            lanes: std::array::from_fn(|l| l as u64),
+            tuples: 0,
+        }
+    }
+
+    /// Fold in the run's next tuples. Every slice but a run's last is a
+    /// whole number of pages, so each starts at chain 0.
+    fn update(&mut self, ts: &[Tuple]) {
+        debug_assert!(
+            self.tuples.is_multiple_of(LANES as u64),
+            "only a run's last slice may end mid-group"
+        );
+        let mut groups = ts.chunks_exact(LANES);
+        for g in &mut groups {
+            for (lane, t) in self.lanes.iter_mut().zip(g) {
+                *lane = mix(*lane, t.pack());
+            }
+        }
+        for (lane, t) in self.lanes.iter_mut().zip(groups.remainder()) {
+            *lane = mix(*lane, t.pack());
+        }
+        self.tuples += ts.len() as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.lanes.iter().fold(self.tuples, |d, &l| mix(d, l))
+    }
 }
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -162,11 +270,11 @@ impl Drop for SpillDir {
 pub struct SpillWriter {
     path: PathBuf,
     file: File,
+    /// Up to a page of tuples not yet written.
     buf: Vec<Tuple>,
-    encode: Vec<u8>,
     tuples: u64,
     bytes: u64,
-    digest: u64,
+    digest: RunDigest,
     finished: bool,
 }
 
@@ -178,67 +286,69 @@ impl SpillWriter {
             path,
             file,
             buf: Vec::with_capacity(TUPLES_PER_PAGE),
-            encode: vec![0u8; PAGE_4K],
             tuples: 0,
             bytes: 0,
-            digest: 0,
+            digest: RunDigest::new(),
             finished: false,
         })
     }
 
-    /// Number of tuples appended so far.
+    /// Number of tuples written to the file so far: those in whole
+    /// pages until [`SpillWriter::finish`] writes the last one.
     pub fn tuples(&self) -> u64 {
         self.tuples
     }
 
-    /// Append one tuple, flushing a full page to disk when the buffer
-    /// fills.
+    /// Append one tuple, writing the page out when it fills.
     #[inline]
     pub fn push(&mut self, t: Tuple) -> io::Result<()> {
         self.buf.push(t);
         if self.buf.len() == TUPLES_PER_PAGE {
-            self.flush_page()?;
+            self.flush()?;
         }
         Ok(())
     }
 
     /// Append a slice of tuples.
-    pub fn push_slice(&mut self, ts: &[Tuple]) -> io::Result<()> {
-        for &t in ts {
-            self.push(t)?;
+    pub fn push_slice(&mut self, mut ts: &[Tuple]) -> io::Result<()> {
+        while !ts.is_empty() {
+            let (now, rest) = ts.split_at(ts.len().min(TUPLES_PER_PAGE - self.buf.len()));
+            self.buf.extend_from_slice(now);
+            ts = rest;
+            if self.buf.len() == TUPLES_PER_PAGE {
+                self.flush()?;
+            }
         }
         Ok(())
     }
 
-    /// Write the buffered tuples as one zero-padded 4 KiB page.
-    fn flush_page(&mut self) -> io::Result<()> {
+    /// Write the buffered tuples out as one zero-padded page.
+    fn flush(&mut self) -> io::Result<()> {
         if self.buf.is_empty() {
             return Ok(());
         }
         iofail::check(&self.path)?;
-        self.encode.fill(0);
-        for (i, t) in self.buf.iter().enumerate() {
-            self.encode[i * 8..i * 8 + 8].copy_from_slice(&t.pack().to_le_bytes());
-            self.digest = mix_digest(self.digest, *t);
-        }
-        self.file.write_all(&self.encode)?;
-        self.tuples += self.buf.len() as u64;
+        let n = self.buf.len();
+        self.digest.update(&self.buf);
+        self.buf.resize(TUPLES_PER_PAGE, Tuple::default());
+        self.file.write_all(bytes_of(&self.buf))?;
+        self.tuples += n as u64;
         self.bytes += PAGE_4K as u64;
         self.buf.clear();
         Ok(())
     }
 
-    /// Flush the final partial page and seal the run. The writer's file
+    /// Write the final partial page and seal the run. The writer's file
     /// handle is dropped; the returned [`SpillRun`] owns the file.
     pub fn finish(mut self) -> io::Result<SpillRun> {
-        self.flush_page()?;
+        self.flush()?;
         self.file.flush()?;
         self.finished = true;
         Ok(SpillRun {
             path: std::mem::take(&mut self.path),
             tuples: self.tuples,
             bytes: self.bytes,
-            digest: self.digest,
+            digest: self.digest.finish(),
         })
     }
 }
@@ -279,28 +389,30 @@ impl SpillRun {
         self.tuples == 0
     }
 
-    /// Stream the run back one page at a time.
+    /// Stream the run back one page at a time. A file whose length is
+    /// not the run's is `InvalidData` here already.
     pub fn reader(&self) -> io::Result<SpillReader<'_>> {
         iofail::check(&self.path)?;
         let file = File::open(&self.path)?;
+        if file.metadata()?.len() != self.bytes {
+            return Err(invalid(&self.path, "length mismatch"));
+        }
         Ok(SpillReader {
             run: self,
             file,
             remaining: self.tuples,
-            digest: 0,
-            decode: vec![0u8; PAGE_4K],
-            page: Vec::with_capacity(TUPLES_PER_PAGE),
+            digest: RunDigest::new(),
+            buf: Vec::with_capacity(READ_TUPLES),
+            at: 0,
         })
     }
 
-    /// Read the whole run into memory, verifying the digest. The caller
-    /// is responsible for having reserved `tuples * 8` bytes of budget.
+    /// Read the whole run into memory with one `read_exact`, verifying
+    /// the digest. The caller is responsible for having reserved
+    /// `tuples * 8` bytes of budget.
     pub fn read_all(&self) -> io::Result<Vec<Tuple>> {
-        let mut out = Vec::with_capacity(self.tuples as usize);
-        let mut r = self.reader()?;
-        while let Some(page) = r.next_page()? {
-            out.extend_from_slice(page);
-        }
+        let mut out = vec![Tuple::default(); self.tuples as usize];
+        self.reader()?.fill(&mut out)?;
         Ok(out)
     }
 }
@@ -312,44 +424,62 @@ impl Drop for SpillRun {
 }
 
 /// Streaming page reader over a [`SpillRun`]; verifies the run digest
-/// when the last page has been consumed.
+/// when the last page has been read.
 #[derive(Debug)]
 pub struct SpillReader<'a> {
     run: &'a SpillRun,
     file: File,
+    /// Tuples of the run not yet read from the file.
     remaining: u64,
-    digest: u64,
-    decode: Vec<u8>,
-    page: Vec<Tuple>,
+    digest: RunDigest,
+    /// The tuples of the last read; `buf[at..]` not yet handed out.
+    buf: Vec<Tuple>,
+    at: usize,
 }
 
 impl SpillReader<'_> {
-    /// Next page of tuples, or `None` after the last. The final call
-    /// that drains the run re-checks the digest and reports corruption
-    /// as `io::ErrorKind::InvalidData`.
+    /// Next page of tuples, or `None` after the last. The call that
+    /// reads the run's last bytes re-checks the digest and the final
+    /// page's padding and reports corruption as
+    /// `io::ErrorKind::InvalidData`.
     pub fn next_page(&mut self) -> io::Result<Option<&[Tuple]>> {
-        if self.remaining == 0 {
-            return Ok(None);
+        if self.at == self.buf.len() {
+            if self.remaining == 0 {
+                return Ok(None);
+            }
+            let mut buf = std::mem::take(&mut self.buf);
+            self.at = 0;
+            buf.resize((self.remaining as usize).min(READ_TUPLES), Tuple::default());
+            self.fill(&mut buf)?;
+            self.buf = buf;
         }
+        let page = self.at..self.buf.len().min(self.at + TUPLES_PER_PAGE);
+        self.at = page.end;
+        Ok(Some(&self.buf[page]))
+    }
+
+    /// Read the run's next `out.len()` tuples and fold them into the
+    /// digest; when that drains the run, read the padding of its final
+    /// page too and verify both.
+    fn fill(&mut self, out: &mut [Tuple]) -> io::Result<()> {
+        debug_assert!(out.len() as u64 <= self.remaining, "read past the run");
         iofail::check(&self.run.path)?;
-        self.file.read_exact(&mut self.decode)?;
-        let n = (self.remaining as usize).min(TUPLES_PER_PAGE);
-        self.page.clear();
-        for i in 0..n {
-            let mut raw = [0u8; 8];
-            raw.copy_from_slice(&self.decode[i * 8..i * 8 + 8]);
-            let t = Tuple::unpack(u64::from_le_bytes(raw));
-            self.digest = mix_digest(self.digest, t);
-            self.page.push(t);
+        self.file.read_exact(bytes_of_mut(out))?;
+        self.digest.update(out);
+        self.remaining -= out.len() as u64;
+        if self.remaining > 0 {
+            return Ok(());
         }
-        self.remaining -= n as u64;
-        if self.remaining == 0 && self.digest != self.run.digest {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("spill run checksum mismatch in {}", self.run.path.display()),
-            ));
+        let mut pad = [Tuple::default(); TUPLES_PER_PAGE];
+        let pad = &mut pad[..(self.run.bytes / 8 - self.run.tuples) as usize];
+        self.file.read_exact(bytes_of_mut(pad))?;
+        if pad.iter().any(|&t| t != Tuple::default()) {
+            return Err(invalid(&self.run.path, "padding corrupted"));
         }
-        Ok(Some(&self.page))
+        if self.digest.finish() != self.run.digest {
+            return Err(invalid(&self.run.path, "checksum mismatch"));
+        }
+        Ok(())
     }
 }
 
@@ -430,6 +560,69 @@ mod tests {
         fs::write(&run.path, &raw).unwrap();
         let err = run.read_all().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// Every tuple of a run through the streaming reader.
+    fn stream(run: &SpillRun) -> io::Result<Vec<Tuple>> {
+        let mut r = run.reader()?;
+        let mut got = Vec::new();
+        while let Some(page) = r.next_page()? {
+            got.extend_from_slice(page);
+        }
+        Ok(got)
+    }
+
+    /// Seal a run of `n` tuples, rewrite its file through `edit`, and
+    /// check that both read paths refuse it as `InvalidData`.
+    fn assert_detected(label: &str, n: usize, edit: impl FnOnce(&mut Vec<u8>)) {
+        let dir = SpillDir::create(None).unwrap();
+        let mut w = dir.writer("m").unwrap();
+        let input = tuples(n, 5);
+        w.push_slice(&input).unwrap();
+        let run = w.finish().unwrap();
+        assert_eq!(stream(&run).unwrap(), input, "{label}: intact run");
+        let mut raw = fs::read(&run.path).unwrap();
+        edit(&mut raw);
+        fs::write(&run.path, &raw).unwrap();
+        for (path, res) in [("read_all", run.read_all()), ("reader", stream(&run))] {
+            let err = res.expect_err(&format!("{label}: {path} accepted a damaged run"));
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::InvalidData,
+                "{label}: {path}: {err}"
+            );
+        }
+    }
+
+    /// Swap tuples `a` and `b` in a run file's bytes.
+    fn swap(raw: &mut [u8], a: usize, b: usize) {
+        for i in 0..8 {
+            raw.swap(a * 8 + i, b * 8 + i);
+        }
+    }
+
+    #[test]
+    fn run_digest_refuses_every_mutation() {
+        let n = 3 * TUPLES_PER_PAGE + 100;
+        assert_detected("flipped bit", n, |raw| raw[8 * 700 + 5] ^= 0x10);
+        assert_detected("swap in one lane", n, |raw| swap(raw, 3, 3 + LANES));
+        assert_detected("swap across lanes", n, |raw| swap(raw, 3, 4));
+        assert_detected("swap across pages", n, |raw| {
+            swap(raw, 5, 5 + TUPLES_PER_PAGE)
+        });
+        assert_detected("truncated final page", n, |raw| {
+            raw.truncate(raw.len() - PAGE_4K / 2)
+        });
+        assert_detected("page copied over the next", n, |raw| {
+            raw.copy_within(0..PAGE_4K, PAGE_4K)
+        });
+        assert_detected("page inserted twice", n, |raw| {
+            let page = raw[PAGE_4K..2 * PAGE_4K].to_vec();
+            raw.splice(PAGE_4K..PAGE_4K, page);
+        });
+        assert_detected("non-zero padding", n, |raw| *raw.last_mut().unwrap() = 1);
+        // A partial first group: the digest's lanes past the last tuple.
+        assert_detected("short run", 5, |raw| swap(raw, 1, 3));
     }
 
     #[test]

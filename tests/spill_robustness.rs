@@ -319,6 +319,58 @@ fn spill_counters_attribute_bytes_to_phases() {
     assert!(total.recursion_depth >= 1, "1/8 budget must recurse");
 }
 
+/// Spilled pairs run on every worker, each under a reservation of its
+/// own. At a budget that admits one loaded pair at a time, beside a
+/// pair too big to load at all (it recurses, alone), 3 threads give the
+/// reference's result and the 1-thread run's spill counters, and leave
+/// no spill file behind; the driver's debug assertion checks that the
+/// budget is back at zero after the spill phase.
+#[test]
+fn pairs_on_workers_spill_as_one_thread_does() {
+    const BITS: u32 = 4;
+    // 16 Ki dense keys per partition, and 24 Ki more in partition 0.
+    const N: u32 = 1 << 18;
+    let mut keys: Vec<u32> = (1..=N).collect();
+    keys.extend((1..=24 << 10).map(|i| N + 16 * i));
+    let build: Vec<Tuple> = keys.iter().map(|&k| Tuple::new(k, k ^ 0x5555)).collect();
+    // Every key probed twice, in a scattered order.
+    let probe: Vec<Tuple> = (0..2 * keys.len())
+        .map(|i| Tuple::new(keys[i * 7919 % keys.len()], i as u32))
+        .collect();
+    let part = 16 << 10;
+    let need = |n: usize| {
+        let table = mmjoin::hashtable::TableSpec::hashed_partition(n, BITS).table_bytes();
+        n * 8 + table + 2 * mmjoin::util::spill::READER_BYTES
+    };
+    let budget = need(part) + (16 << 10);
+    assert!(budget < 2 * need(part) && need(part + (24 << 10)) > budget);
+
+    let mut totals = Vec::new();
+    for threads in [1, 3] {
+        let placement = Placement::Chunked { parts: threads };
+        let r = Relation::from_tuples(&build, placement);
+        let s = Relation::from_tuples(&probe, placement);
+        let scratch = ScratchDir::new(&format!("workers-{threads}"));
+        let mut c = JoinConfig::new(threads);
+        c.simulate = false;
+        c.mem_limit = Some(budget);
+        c.radix_bits = Some(BITS);
+        c.spill_dir = Some(scratch.0.clone());
+        let label = format!("{threads} threads");
+        let res = run(Algorithm::Shhj, &r, &s, &c).unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_matches_reference(&label, &reference_join(&r, &s), &res);
+        scratch.assert_empty(&label);
+        let spill = res.spill_totals();
+        assert_eq!(
+            spill.partitions_spilled, 17,
+            "{label}: 16 evicted, 1 recursed"
+        );
+        assert_eq!(spill.recursion_depth, 1, "{label}");
+        totals.push(spill);
+    }
+    assert_eq!(totals[0], totals[1], "3 threads spill as 1 does");
+}
+
 #[cfg(feature = "failpoints")]
 mod failpoints {
     use super::*;
