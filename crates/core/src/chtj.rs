@@ -48,6 +48,7 @@ pub(crate) fn join_chtj(
     s: &Relation,
     cfg: &JoinConfig,
 ) -> Result<JoinResult, JoinError> {
+    let unique = r.unique_keys();
     let mut run = JoinRun::begin(Algorithm::Chtj, cfg);
     let cht = build_chtj(&mut run, r)?;
     // Probe: every lookup touches the bitmap word *and* the dense array —
@@ -56,9 +57,7 @@ pub(crate) fn join_chtj(
     // Table 4).
     let table_bytes = cht.memory_bytes() as f64;
     let checksum = probe_global(&mut run, s, table_bytes, 2.0, ops::CHT_PROBE, |block, c| {
-        cht.probe_op(block, cfg.unique_build_keys, |t, bp| {
-            c.add(t.key, bp, t.payload)
-        })
+        cht.probe_op(block, unique, |t, bp| c.add(t.key, bp, t.payload))
     })?;
     Ok(run.finish(checksum, None))
 }

@@ -55,11 +55,6 @@ pub struct JoinConfig {
     /// `mmjoin_core::skew`). Off by default: the paper's algorithms rely
     /// on task-queue balancing only.
     pub skew_handling: bool,
-    /// Whether the build relation's keys are unique (the study's
-    /// standing primary-key assumption, Section 7.1). When true, NOP's
-    /// linear probes stop at the first match; set to false for general
-    /// multiset builds (probes then scan the full collision run).
-    pub unique_build_keys: bool,
     /// Wall-clock bound on the whole join; checked at morsel granularity
     /// and at every phase boundary. Exceeding it makes the join return
     /// `JoinError::Timedout` with the `PhaseStat`s completed so far.
@@ -109,7 +104,6 @@ impl JoinConfig {
             keep_timelines: false,
             probe_theta: 0.0,
             skew_handling: false,
-            unique_build_keys: true,
             deadline: None,
             mem_limit: None,
             cancel: CancelToken::new(),

@@ -33,8 +33,9 @@ use crate::config::TableKind;
 use crate::pro::{join_co_partition, PartTable};
 use crate::Algorithm;
 
-/// First-match probes: the study's PK assumption, as
-/// `JoinConfig::unique_build_keys` defaults.
+/// First-match probes: the replays take the study's dense, unique build
+/// keys (Table 4's inputs come from `gen_build_dense`), as the drivers
+/// do wherever `Relation::unique_keys` holds.
 const UNIQUE: bool = true;
 
 /// Counters of the two phases Table 4 reports.

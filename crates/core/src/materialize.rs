@@ -10,10 +10,11 @@
 //! `join_index` produces exactly that with CPRL's own phases — chunk-local
 //! partitioning, then `pro::join_co_partition` per co-partition with a
 //! match consumer that pushes triples where the driver's adds to a
-//! checksum — so it returns what `Join::run(Cprl)` counts, under the same
-//! configuration (`unique_build_keys` included). Every algorithm in this
-//! crate yields the same match multiset (enforced by the integration
-//! tests), so materialization does not need to be offered per algorithm.
+//! checksum — so it returns what `Join::run(Cprl)` counts under the same
+//! configuration: every match, whether or not the build keys repeat.
+//! Every algorithm in this crate yields the same match multiset
+//! (enforced by the integration tests), so materialization does not need
+//! to be offered per algorithm.
 
 use mmjoin_partition::{chunked_partition_on, RadixFn, ScatterMode};
 use mmjoin_util::alloc::AlignedVec;
@@ -44,8 +45,8 @@ pub struct JoinMatch {
 /// a semantic guarantee; sort or hash downstream as needed.
 ///
 /// Runs CPRL's phases and honours what the thirteen drivers honour:
-/// `cfg.unique_build_keys` (a build side with duplicate keys needs it
-/// off, as with [`crate::Join`]), `cfg.deadline`, `cfg.cancel`, and
+/// first-match probes only where the build keys are unique
+/// ([`Relation::unique_keys`]), `cfg.deadline`, `cfg.cancel`, and
 /// `cfg.mem_limit` (which here also covers the materialized output —
 /// the one allocation the checksum-only drivers never make).
 pub fn join_index(
@@ -54,6 +55,7 @@ pub fn join_index(
     cfg: &JoinConfig,
 ) -> Result<Vec<JoinMatch>, JoinError> {
     cfg.validate()?;
+    let unique = r.unique_keys();
     let mut run = JoinRun::begin(Algorithm::Cprl, cfg);
     let table = PartTable::for_join(cfg, TableKind::Linear, r.len());
     let f = RadixFn::new(table.bits);
@@ -93,7 +95,7 @@ pub fn join_index(
                 let mut out = AlignedVec::with_capacity(cs.part_len(p));
                 join_co_partition(
                     table,
-                    cfg.unique_build_keys,
+                    unique,
                     built,
                     part_r_len,
                     cr.slices(p),
@@ -151,7 +153,8 @@ pub fn chain_two_step(
     final_alg: Algorithm,
     cfg: &JoinConfig,
 ) -> Result<crate::stats::JoinResult, JoinError> {
-    // `join_index` validates `cfg` before anything runs.
+    cfg.validate()?;
+    crate::plan::check_dense_domain(final_alg, second, cfg)?;
     let idx = join_index(first, s, cfg)?;
     let mid: Vec<Tuple> = idx
         .iter()
@@ -192,10 +195,11 @@ mod tests {
     }
 
     /// `join_index` is CPRL with another match consumer: what `Join::run`
-    /// counts is what it returns, whatever the build side's shape, the
-    /// probe mode and the fan-out — 2^12 partitions are more bits than a
-    /// partition's table has slot bits, where a table hashed on the low
-    /// bits would hold every key at one home slot.
+    /// counts is what it returns, and that is the reference join,
+    /// whatever the build side's shape (and so its probe mode) and the
+    /// fan-out — 2^12 partitions are more bits than a partition's table
+    /// has slot bits, where a table hashed on the low bits would hold
+    /// every key at one home slot.
     #[test]
     fn index_agrees_with_the_cprl_driver() {
         let n = 3_000u32;
@@ -214,22 +218,17 @@ mod tests {
                 .map(|i| Tuple::new(build[(i as usize * 31) % build.len()].key, i))
                 .collect();
             let s = Relation::from_tuples(&probe, Placement::Chunked { parts: 4 });
-            for unique in [true, false] {
-                for bits in [None, Some(2), Some(12)] {
-                    let mut cfg = JoinConfig::new(3);
-                    cfg.simulate = false;
-                    cfg.unique_build_keys = unique;
-                    cfg.radix_bits = bits;
-                    let idx = join_index(&r, &s, &cfg).unwrap();
-                    let join = crate::Join::new(Algorithm::Cprl).with_config(cfg);
-                    let res = join.run(&r, &s).unwrap();
-                    let at = format!("{shape} unique={unique} bits={bits:?}");
-                    assert_eq!(idx.len() as u64, res.matches, "{at}");
-                    assert_eq!(checksum_of(&idx).digest, res.checksum, "{at}");
-                    if !unique {
-                        assert_eq!(checksum_of(&idx), reference_join(&r, &s), "{at}");
-                    }
-                }
+            for bits in [None, Some(2), Some(12)] {
+                let mut cfg = JoinConfig::new(3);
+                cfg.simulate = false;
+                cfg.radix_bits = bits;
+                let idx = join_index(&r, &s, &cfg).unwrap();
+                let join = crate::Join::new(Algorithm::Cprl).with_config(cfg);
+                let res = join.run(&r, &s).unwrap();
+                let at = format!("{shape} bits={bits:?}");
+                assert_eq!(idx.len() as u64, res.matches, "{at}");
+                assert_eq!(checksum_of(&idx).digest, res.checksum, "{at}");
+                assert_eq!(checksum_of(&idx), reference_join(&r, &s), "{at}");
             }
         }
     }
@@ -259,11 +258,19 @@ mod tests {
         let mut cfg = JoinConfig::new(2);
         cfg.simulate = false;
         cfg.radix_bits = Some(2);
-        cfg.unique_build_keys = false;
         let mut idx = join_index(&r, &s, &cfg).unwrap();
         idx.sort();
         assert_eq!(idx.len(), 6);
         assert!(idx.iter().all(|m| m.key == 7));
+        // An array join refuses the repeated keys as the chain's second
+        // build side, as it does at every other front door.
+        match chain_two_step(&s, &r, &s, Algorithm::Nopa, &cfg) {
+            Err(JoinError::InvalidConfig {
+                field: "unique_keys",
+                ..
+            }) => {}
+            other => panic!("expected the repeated-key refusal, got {other:?}"),
+        }
     }
 
     #[test]

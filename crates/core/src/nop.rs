@@ -137,13 +137,12 @@ pub(crate) fn join_nop(
     s: &Relation,
     cfg: &JoinConfig,
 ) -> Result<JoinResult, JoinError> {
+    let unique = r.unique_keys();
     let mut run = JoinRun::begin(Algorithm::Nop, cfg);
     let table = build_nop(&mut run, r)?;
     let table_bytes = table.memory_bytes() as f64;
     let checksum = probe_global(&mut run, s, table_bytes, 1.0, ops::PROBE, |block, c| {
-        table.probe_batch(block, cfg.unique_build_keys, |t, bp| {
-            c.add(t.key, bp, t.payload)
-        })
+        table.probe_batch(block, unique, |t, bp| c.add(t.key, bp, t.payload))
     })?;
     Ok(run.finish(checksum, None))
 }

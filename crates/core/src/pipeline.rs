@@ -75,6 +75,9 @@ pub struct BuildSide {
     phases: Vec<PhaseStat>,
     radix_bits: Option<u32>,
     memory_bytes: usize,
+    /// Whether the build relation's keys are unique: probes stop at
+    /// their first match.
+    unique: bool,
     /// Cost-model shape of one probe into this side.
     accesses_per_probe: f64,
     cpu_per_probe: f64,
@@ -169,9 +172,9 @@ impl BuildSide {
         input: &[Tuple],
         first_rid: Option<u32>,
         scratch: &mut StageScratch,
-        unique: bool,
         mut f: F,
     ) {
+        let unique = self.unique;
         let StageScratch { bounds, staged, .. } = scratch;
         let stamp = |i: usize, t: Tuple| match first_rid {
             Some(first) => Tuple::new(t.key, first + i as u32),
@@ -260,6 +263,7 @@ fn prepare_inner(
         return Err(JoinError::PipelineUnsupported { algorithm });
     }
     crate::plan::check_dense_domain(algorithm, r, cfg)?;
+    let unique = r.unique_keys();
 
     let mut run = JoinRun::begin(algorithm, cfg);
     let mut radix_bits = None;
@@ -352,6 +356,7 @@ fn prepare_inner(
         phases: run.finish(JoinChecksum::new(), radix_bits).phases,
         radix_bits,
         memory_bytes,
+        unique,
         accesses_per_probe: accesses,
         cpu_per_probe: cpu,
     }))
@@ -463,7 +468,6 @@ impl Pipeline {
                     let mut worker = lock_recover(&parked).pop().unwrap_or_else(|| Worker {
                         stages,
                         s_tuples,
-                        unique: cfg.unique_build_keys,
                         scratch: shapes.iter().map(|&s| StageScratch::new(s)).collect(),
                         checksum: JoinChecksum::new(),
                         inter: vec![0; stages.len() - 1],
@@ -522,7 +526,6 @@ impl Pipeline {
 struct Worker<'a> {
     stages: &'a [Arc<BuildSide>],
     s_tuples: &'a [Tuple],
-    unique: bool,
     scratch: Vec<StageScratch>,
     checksum: JoinChecksum,
     /// Matches that left each non-sink stage.
@@ -537,16 +540,16 @@ impl Worker<'_> {
     /// takes; the sink gathers `s_tuples[rid].payload` and folds into
     /// the checksum.
     fn push(&mut self, depth: usize, input: &[Tuple], first_rid: Option<u32>) {
-        let (side, s_tuples, unique) = (&self.stages[depth], self.s_tuples, self.unique);
+        let (side, s_tuples) = (&self.stages[depth], self.s_tuples);
         let scratch = &mut self.scratch[depth];
         if depth + 1 == self.stages.len() {
             let c = &mut self.checksum;
-            return side.probe_batch(input, first_rid, scratch, unique, |t, bp| {
+            return side.probe_batch(input, first_rid, scratch, |t, bp| {
                 c.add(t.key, bp, s_tuples[t.payload as usize].payload)
             });
         }
         let mut out = std::mem::take(&mut scratch.out);
-        side.probe_batch(input, first_rid, scratch, unique, |t, bp| {
+        side.probe_batch(input, first_rid, scratch, |t, bp| {
             out.push(Tuple::new(bp, t.payload))
         });
         let full = out.len() >= self.scratch[depth + 1].take;

@@ -284,11 +284,13 @@ impl Join {
     }
 }
 
-/// Front-door validation shared by [`Join::run`] and
-/// [`crate::pipeline::BuildSide::prepare`]: array joins index a payload
-/// array by key, one payload per key, so they refuse a build side not
-/// declared unique; a build key beyond the domain would be an
-/// out-of-bounds write deep in the build loop.
+/// Front-door validation shared by [`Join::run`],
+/// [`crate::pipeline::BuildSide::prepare`],
+/// [`crate::materialize::chain_two_step`] and
+/// [`crate::pro::join_pro_two_pass`]: array joins index a payload array
+/// by key, one payload per key, so they refuse a build side whose keys
+/// repeat ([`Relation::unique_keys`]); a build key beyond the domain
+/// would be an out-of-bounds write deep in the build loop.
 pub(crate) fn check_dense_domain(
     algorithm: Algorithm,
     r: &Relation,
@@ -297,11 +299,11 @@ pub(crate) fn check_dense_domain(
     if !algorithm.needs_dense_domain() {
         return Ok(());
     }
-    if !cfg.unique_build_keys {
+    if !r.unique_keys() {
         return Err(JoinError::InvalidConfig {
-            field: "unique_build_keys",
+            field: "unique_keys",
             value: 0,
-            reason: "an array join holds one payload per key",
+            reason: "a build key repeats, and an array join holds one payload per key",
         });
     }
     let domain = cfg.domain(r.len());

@@ -358,17 +358,19 @@ pub fn join_co_partition<'a, Tr: MemTracer>(
 /// into one buffer, charged to the budget at the largest it has been,
 /// and merges one checksum — then, with skew handling, the oversized
 /// partitions one at a time, all threads probing (extension: the paper
-/// leaves this unexploited, Appendix A).
+/// leaves this unexploited, Appendix A). `unique` is whether the build
+/// keys are: it selects first-match probes.
+#[allow(clippy::too_many_arguments)]
 fn join_co_partitions<P: CoPartitions>(
     p: &RunCtx,
     cfg: &JoinConfig,
+    unique: bool,
     table: PartTable,
     policy: QueuePolicy,
     r: &P,
     s: &P,
     order: &[usize],
 ) -> JoinChecksum {
-    let unique = cfg.unique_build_keys;
     let (queue_order, skewed) = if cfg.skew_handling {
         let (_, skewed) = crate::skew::classify_partitions(&s.sizes(), cfg.threads);
         let filtered: Vec<usize> = order
@@ -502,6 +504,7 @@ pub(crate) fn join_pro(
         (TableKind::Linear, true) => Algorithm::PrlIs,
         (TableKind::Array, true) => Algorithm::PraIs,
     };
+    let unique = r.unique_keys();
     let mut run = JoinRun::begin(alg, cfg);
     let table = PartTable::for_join(cfg, kind, r.len());
     let f = RadixFn::new(table.bits);
@@ -532,7 +535,11 @@ pub(crate) fn join_pro(
     let order = task_order(parts, order_kind);
     let checksum = run.phase(
         "join",
-        |p| Ok(join_co_partitions(p, cfg, table, policy, &pr, &ps, &order)),
+        |p| {
+            Ok(join_co_partitions(
+                p, cfg, unique, table, policy, &pr, &ps, &order,
+            ))
+        },
         |_| {
             let layout = PartitionLayout::Contiguous;
             let split = cfg.skew_handling;
@@ -545,7 +552,8 @@ pub(crate) fn join_pro(
 /// PRO with *two-pass* partitioning (total bits split evenly across the
 /// passes) — the configuration Figure 2 compares against single-pass
 /// partitioning, and the one driver variant [`crate::Join`] does not
-/// reach: validated and fault-contained like `Join::run`.
+/// reach: validated and fault-contained like `Join::run`, and with the
+/// array table refused a build side as PRA is.
 pub fn join_pro_two_pass(
     r: &Relation,
     s: &Relation,
@@ -553,6 +561,9 @@ pub fn join_pro_two_pass(
     kind: TableKind,
 ) -> Result<JoinResult, JoinError> {
     cfg.validate()?;
+    if kind == TableKind::Array {
+        crate::plan::check_dense_domain(Algorithm::Pra, r, cfg)?;
+    }
     let mut table = PartTable::for_join(cfg, kind, r.len());
     table.bits = table.bits.max(2);
     contain_panics(|| two_pass_join(Algorithm::Pro, r, s, cfg, table, ScatterMode::Swwcb))
@@ -569,6 +580,7 @@ pub(crate) fn two_pass_join(
     table: PartTable,
     mode: ScatterMode,
 ) -> Result<JoinResult, JoinError> {
+    let unique = r.unique_keys();
     let mut run = JoinRun::begin(alg, cfg);
     let bits1 = table.bits / 2;
     let bits2 = table.bits - bits1;
@@ -603,7 +615,11 @@ pub(crate) fn two_pass_join(
     let policy = QueuePolicy::Shared;
     let checksum = run.phase(
         "join",
-        |p| Ok(join_co_partitions(p, cfg, table, policy, &pr, &ps, &order)),
+        |p| {
+            Ok(join_co_partitions(
+                p, cfg, unique, table, policy, &pr, &ps, &order,
+            ))
+        },
         |_| {
             let layout = PartitionLayout::Contiguous;
             join_model(cfg, table, layout, &pr, &ps, order.clone(), false)
@@ -624,6 +640,7 @@ pub(crate) fn join_cpr(
         TableKind::Array => Algorithm::Cpra,
         TableKind::Chained => Algorithm::Cprl, // not a paper variant; linear is canonical
     };
+    let unique = r.unique_keys();
     let mut run = JoinRun::begin(alg, cfg);
     let table = PartTable::for_join(cfg, kind, r.len());
     let f = RadixFn::new(table.bits);
@@ -644,7 +661,11 @@ pub(crate) fn join_cpr(
     let policy = QueuePolicy::Shared;
     let checksum = run.phase(
         "join",
-        |p| Ok(join_co_partitions(p, cfg, table, policy, &cr, &cs, &order)),
+        |p| {
+            Ok(join_co_partitions(
+                p, cfg, unique, table, policy, &cr, &cs, &order,
+            ))
+        },
         |_| {
             let layout = PartitionLayout::Spread;
             let split = cfg.skew_handling;

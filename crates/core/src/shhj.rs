@@ -152,11 +152,11 @@ pub(crate) fn join_shhj(
     s: &Relation,
     cfg: &JoinConfig,
 ) -> Result<JoinResult, JoinError> {
+    let unique = r.unique_keys();
     let mut run = JoinRun::begin(Algorithm::Shhj, cfg);
     let bits = shhj_bits(cfg, r.len());
     let f = RadixFn::new(bits);
     let parts = f.fanout();
-    let unique = cfg.unique_build_keys;
 
     // ---- partition phase: histogram, residency plan, scatter, build --
     let part = run.phase(
@@ -522,6 +522,9 @@ fn plan_load(
     let load = |reverse: bool| {
         let n = if reverse { s_len } else { r_len } as usize;
         let spec = TableSpec::hashed_partition(n, consumed_bits.min(31));
+        // `n * 8` is a copy of the build run that `Spill::load` no longer
+        // makes (it streams the run into the table); still charged, so
+        // that plans and spill counters stay what they were.
         let need = n * 8 + spec.table_bytes() + 2 * READER_BYTES;
         (need <= limit).then_some(Load {
             reverse,
@@ -725,12 +728,18 @@ impl Spill<'_> {
             (r_run, s_run)
         };
         self.failpoints.fire(SpillPoint::Read);
-        let build = build_run.read_all().map_err(io)?;
+        // Built a page at a time through the reader the probe loop uses.
         let mut table = StLinearTable::<IdentityHash>::with_spec(&load.spec);
-        table.insert_batch(&build);
+        let mut reader = build_run.reader().map_err(io)?;
+        while let Some(page) = reader.next_page().map_err(io)? {
+            if ctx.tick() {
+                break;
+            }
+            table.insert_batch(page);
+        }
         // The checksum is (key, R payload, S payload) in either
         // orientation. A reversed build side (S) can hold duplicate keys
-        // even under the PK assumption, so reversed probes scan every
+        // even where R's are unique, so reversed probes scan every
         // match.
         let mut c = JoinChecksum::new();
         let mut reader = probe_run.reader().map_err(io)?;
@@ -942,7 +951,6 @@ mod tests {
             let slack = 40_000;
             assert!(slack + per_spilled < cost(2) && cost(2) < cost(1));
             let mut c = cfg(threads, 3, cost(0) + cost(3) + 2 * per_spilled + slack);
-            c.unique_build_keys = false;
             let dir = std::env::temp_dir().join(format!(
                 "mmjoin-shhj-routed-{threads}-{}",
                 std::process::id()

@@ -13,6 +13,10 @@
 //! * "Holes" workloads (Appendix C) draw |R| distinct keys from a domain
 //!   `k·|R|` to study array joins on non-dense domains.
 //!
+//! The build generators record that their keys are unique, so
+//! `Relation::unique_keys` answers for them without a pass; the probe
+//! generators record nothing.
+//!
 //! Everything is deterministic in the seed.
 
 pub mod fk;
@@ -33,7 +37,7 @@ pub fn gen_build_dense(n: usize, seed: u64, placement: Placement) -> Relation {
     let mut tuples: Vec<Tuple> = (0..n).map(|i| Tuple::new(i as u32 + 1, i as u32)).collect();
     let mut rng = Xoshiro256::new(seed);
     rng.shuffle(&mut tuples);
-    Relation::from_tuples(&tuples, placement)
+    Relation::from_unique_tuples(&tuples, placement)
 }
 
 /// Generate a build relation whose payloads are themselves foreign keys
@@ -50,7 +54,7 @@ pub fn gen_build_linked(n: usize, link_domain: usize, seed: u64, placement: Plac
         .map(|i| Tuple::new(i as u32 + 1, rng.below(domain) as u32 + 1))
         .collect();
     rng.shuffle(&mut tuples);
-    Relation::from_tuples(&tuples, placement)
+    Relation::from_unique_tuples(&tuples, placement)
 }
 
 /// Generate a build relation *in key order* (not shuffled): models
@@ -58,7 +62,7 @@ pub fn gen_build_linked(n: usize, link_domain: usize, seed: u64, placement: Plac
 /// (Section 8 notes this gives NOPA an ideal sequential build pattern).
 pub fn gen_build_sorted(n: usize, placement: Placement) -> Relation {
     let tuples: Vec<Tuple> = (0..n).map(|i| Tuple::new(i as u32 + 1, i as u32)).collect();
-    Relation::from_tuples(&tuples, placement)
+    Relation::from_unique_tuples(&tuples, placement)
 }
 
 #[cfg(test)]
@@ -111,6 +115,16 @@ mod tests {
         let a = gen_build_linked(100, 50, 3, Placement::Interleaved);
         let b = gen_build_linked(100, 50, 3, Placement::Interleaved);
         assert_eq!(a.tuples(), b.tuples());
+    }
+
+    #[test]
+    fn build_relations_are_recorded_unique() {
+        let p = Placement::Interleaved;
+        assert!(gen_build_dense(1000, 1, p).unique_keys());
+        assert!(gen_build_sorted(1000, p).unique_keys());
+        assert!(gen_build_linked(1000, 10, 2, p).unique_keys());
+        assert!(gen_build_sparse(1000, 8000, 3, p).0.unique_keys());
+        assert!(!gen_probe_fk(1000, 100, 4, p).unique_keys());
     }
 
     #[test]

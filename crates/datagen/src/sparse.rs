@@ -45,7 +45,10 @@ pub fn gen_build_sparse(
         .map(|(i, k)| Tuple::new(k, i as u32))
         .collect();
     rng.shuffle(&mut tuples);
-    (Relation::from_tuples(&tuples, placement), sorted_keys)
+    (
+        Relation::from_unique_tuples(&tuples, placement),
+        sorted_keys,
+    )
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! version, so stale cached sides become unreachable on reload and age
 //! out through LRU (DESIGN.md §15).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -36,10 +36,6 @@ pub struct CatalogEntry {
     pub theta: f64,
     /// `"build" | "probe_fk" | "probe_zipf" | "inline"` — for `stat`.
     pub kind: &'static str,
-    /// No key occurs twice: true for `build`, false for the probe
-    /// distributions, checked for `inline`. A join built on this side
-    /// runs with `unique_build_keys` set to it.
-    pub unique_keys: bool,
 }
 
 impl std::fmt::Debug for CatalogEntry {
@@ -51,7 +47,6 @@ impl std::fmt::Debug for CatalogEntry {
             .field("domain", &self.domain)
             .field("theta", &self.theta)
             .field("kind", &self.kind)
-            .field("unique_keys", &self.unique_keys)
             .finish()
     }
 }
@@ -90,35 +85,30 @@ impl Catalog {
         let placement = Placement::Chunked {
             parts: placement_parts.max(1),
         };
-        let (rel, domain, kind, unique_keys) = match &spec.kind {
+        // Whether the keys are unique is the relation's own fact: the
+        // `build` generator records it, and any other relation finds it
+        // with one pass on its first use as a build side, never here.
+        let (rel, domain, kind) = match &spec.kind {
             LoadKind::Build => (
                 gen_build_dense(spec.rows, spec.seed, placement),
                 spec.rows,
                 "build",
-                true,
             ),
             LoadKind::ProbeFk => (
                 gen_probe_fk(spec.rows, spec.domain, spec.seed, placement),
                 spec.domain,
                 "probe_fk",
-                false,
             ),
             LoadKind::ProbeZipf => (
                 gen_probe_zipf(spec.rows, spec.domain, spec.theta, spec.seed, placement),
                 spec.domain,
                 "probe_zipf",
-                false,
             ),
-            // Bounded by the frame size, so checked as it arrives.
-            LoadKind::Inline(tuples) => {
-                let mut seen = HashSet::with_capacity(tuples.len());
-                (
-                    Relation::from_tuples(tuples, placement),
-                    spec.domain,
-                    "inline",
-                    tuples.iter().all(|t| seen.insert(t.key)),
-                )
-            }
+            LoadKind::Inline(tuples) => (
+                Relation::from_tuples(tuples, placement),
+                spec.domain,
+                "inline",
+            ),
         };
         let version = self.next_version.fetch_add(1, Ordering::Relaxed) + 1;
         let entry = Arc::new(CatalogEntry {
@@ -128,7 +118,6 @@ impl Catalog {
             domain,
             theta: spec.theta,
             kind,
-            unique_keys,
         });
         self.map
             .write()

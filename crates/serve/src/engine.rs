@@ -112,7 +112,6 @@ fn base_config(
     cfg.simulate = false;
     cfg.key_domain = build.domain;
     cfg.probe_theta = probe.theta;
-    cfg.unique_build_keys = build.unique_keys;
     cfg.radix_bits = spec.radix_bits;
     cfg.cancel = cancel;
     cfg.deadline = job_deadline;

@@ -15,9 +15,8 @@
 //! fills, then appended with one `write_all`; the final page is
 //! zero-padded so every run file is a page multiple, and the exact
 //! tuple count travels in the [`SpillRun`] metadata, never in the file.
-//! [`SpillRun::read_all`] reads a whole run with one `read_exact`
-//! straight into its `Vec<Tuple>`; [`SpillReader`] streams it two pages
-//! a read and hands them out a page at a time.
+//! A [`SpillReader`] is the one way back: it streams a run two pages a
+//! read into one reused buffer and hands them out a page at a time.
 //!
 //! Each run carries an order-dependent digest of its tuples that the
 //! reader re-derives and verifies, so a torn, truncated, reordered or
@@ -406,15 +405,6 @@ impl SpillRun {
             at: 0,
         })
     }
-
-    /// Read the whole run into memory with one `read_exact`, verifying
-    /// the digest. The caller is responsible for having reserved
-    /// `tuples * 8` bytes of budget.
-    pub fn read_all(&self) -> io::Result<Vec<Tuple>> {
-        let mut out = vec![Tuple::default(); self.tuples as usize];
-        self.reader()?.fill(&mut out)?;
-        Ok(out)
-    }
 }
 
 impl Drop for SpillRun {
@@ -493,6 +483,16 @@ mod tests {
             .collect()
     }
 
+    /// Every tuple of a run through the streaming reader.
+    fn stream(run: &SpillRun) -> io::Result<Vec<Tuple>> {
+        let mut r = run.reader()?;
+        let mut got = Vec::new();
+        while let Some(page) = r.next_page()? {
+            got.extend_from_slice(page);
+        }
+        Ok(got)
+    }
+
     #[test]
     fn round_trips_across_page_boundaries() {
         let dir = SpillDir::create(None).unwrap();
@@ -509,7 +509,7 @@ mod tests {
             let run = w.finish().unwrap();
             assert_eq!(run.tuples(), n as u64);
             assert_eq!(run.bytes() % PAGE_4K as u64, 0, "runs are page multiples");
-            assert_eq!(run.read_all().unwrap(), input);
+            assert_eq!(stream(&run).unwrap(), input);
         }
     }
 
@@ -558,22 +558,12 @@ mod tests {
         let mut raw = fs::read(&run.path).unwrap();
         raw[100] ^= 0xFF;
         fs::write(&run.path, &raw).unwrap();
-        let err = run.read_all().unwrap_err();
+        let err = stream(&run).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
-    /// Every tuple of a run through the streaming reader.
-    fn stream(run: &SpillRun) -> io::Result<Vec<Tuple>> {
-        let mut r = run.reader()?;
-        let mut got = Vec::new();
-        while let Some(page) = r.next_page()? {
-            got.extend_from_slice(page);
-        }
-        Ok(got)
-    }
-
     /// Seal a run of `n` tuples, rewrite its file through `edit`, and
-    /// check that both read paths refuse it as `InvalidData`.
+    /// check that the reader refuses it as `InvalidData`.
     fn assert_detected(label: &str, n: usize, edit: impl FnOnce(&mut Vec<u8>)) {
         let dir = SpillDir::create(None).unwrap();
         let mut w = dir.writer("m").unwrap();
@@ -584,14 +574,8 @@ mod tests {
         let mut raw = fs::read(&run.path).unwrap();
         edit(&mut raw);
         fs::write(&run.path, &raw).unwrap();
-        for (path, res) in [("read_all", run.read_all()), ("reader", stream(&run))] {
-            let err = res.expect_err(&format!("{label}: {path} accepted a damaged run"));
-            assert_eq!(
-                err.kind(),
-                io::ErrorKind::InvalidData,
-                "{label}: {path}: {err}"
-            );
-        }
+        let err = stream(&run).expect_err(&format!("{label}: accepted a damaged run"));
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{label}: {err}");
     }
 
     /// Swap tuples `a` and `b` in a run file's bytes.

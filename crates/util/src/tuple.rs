@@ -7,6 +7,8 @@
 //! materialization). We keep exactly that layout so cache/TLB arithmetic
 //! (8 tuples per cache line) matches the paper.
 
+use std::sync::OnceLock;
+
 /// Join key type. The paper's build relations hold *dense, unique* keys
 /// `1..=|R|`; key `0` is reserved as the EMPTY sentinel of the lock-free
 /// linear-probing table (like the original NOP implementation).
@@ -82,32 +84,51 @@ impl Placement {
     }
 }
 
-/// A relation: a flat tuple buffer plus its NUMA placement tag.
+/// A relation: a flat tuple buffer, its NUMA placement tag, and whether
+/// its keys are unique.
 ///
 /// The buffer is cache-line aligned (required for the SWWCB flush path,
 /// which copies whole cache lines).
 pub struct Relation {
     data: crate::alloc::AlignedBuf<Tuple>,
     placement: Placement,
+    /// Whether no key occurs twice: recorded at construction by the
+    /// generators that guarantee it, else filled by the first
+    /// [`Relation::unique_keys`] call.
+    unique: OnceLock<bool>,
 }
 
 impl Relation {
-    /// Allocate an uninitialized-then-zeroed relation of `n` tuples.
-    pub fn zeroed(n: usize, placement: Placement) -> Self {
-        Relation {
-            data: crate::alloc::AlignedBuf::zeroed(n),
-            placement,
-        }
-    }
-
-    /// Build a relation from an existing tuple vector.
+    /// Build a relation from an existing tuple vector. Whether its keys
+    /// are unique is left for [`Relation::unique_keys`] to find out.
     pub fn from_tuples(tuples: &[Tuple], placement: Placement) -> Self {
         let mut buf = crate::alloc::AlignedBuf::zeroed(tuples.len());
         buf.as_mut_slice().copy_from_slice(tuples);
         Relation {
             data: buf,
             placement,
+            unique: OnceLock::new(),
         }
+    }
+
+    /// Build a relation whose keys are unique by construction (a
+    /// generated primary key), recording that so no
+    /// [`Relation::unique_keys`] call scans it. Debug builds verify the
+    /// claim and panic on a repeated key.
+    pub fn from_unique_tuples(tuples: &[Tuple], placement: Placement) -> Self {
+        debug_assert!(keys_unique(tuples), "a key of a unique relation repeats");
+        let mut rel = Relation::from_tuples(tuples, placement);
+        rel.unique = OnceLock::from(true);
+        rel
+    }
+
+    /// Whether no key occurs twice. A hash join's probe stops at its
+    /// first match only then, and an array join, which holds one payload
+    /// per key, refuses a build side without it. Unless the relation was
+    /// built unique, the first call answers with one exact pass over the
+    /// keys and every later call with its result.
+    pub fn unique_keys(&self) -> bool {
+        *self.unique.get_or_init(|| keys_unique(self.tuples()))
     }
 
     #[inline]
@@ -129,6 +150,28 @@ impl Relation {
     pub fn placement(&self) -> Placement {
         self.placement
     }
+}
+
+/// Whether no key of `tuples` occurs twice, with at most 4 B of scratch
+/// a tuple: a bitmap over `0..=max key` when it is no larger (it stops
+/// at the first repeat), else a sorted copy of the keys.
+fn keys_unique(tuples: &[Tuple]) -> bool {
+    let Some(max) = tuples.iter().map(|t| t.key as usize).max() else {
+        return true;
+    };
+    let words = max / 64 + 1;
+    if words * 8 <= tuples.len() * 4 {
+        let mut seen = vec![0u64; words];
+        return tuples.iter().all(|t| {
+            let (word, bit) = (&mut seen[t.key as usize / 64], 1u64 << (t.key % 64));
+            let fresh = *word & bit == 0;
+            *word |= bit;
+            fresh
+        });
+    }
+    let mut keys: Vec<Key> = tuples.iter().map(|t| t.key).collect();
+    keys.sort_unstable();
+    keys.windows(2).all(|w| w[0] != w[1])
 }
 
 impl std::fmt::Debug for Relation {
@@ -181,5 +224,56 @@ mod tests {
         let r = Relation::from_tuples(&ts, Placement::Interleaved);
         assert_eq!(r.len(), 100);
         assert_eq!(r.tuples(), &ts[..]);
+    }
+
+    fn relation_of(keys: &[Key]) -> Relation {
+        let ts: Vec<Tuple> = (0..).zip(keys).map(|(i, &k)| Tuple::new(k, i)).collect();
+        Relation::from_tuples(&ts, Placement::Interleaved)
+    }
+
+    #[test]
+    fn unique_keys_is_exact() {
+        assert!(relation_of(&[]).unique_keys());
+        assert!(relation_of(&[7]).unique_keys());
+        assert!(relation_of(&[u32::MAX]).unique_keys());
+        assert!(!relation_of(&[0, 0]).unique_keys());
+        assert!(!relation_of(&[3, 1, 3]).unique_keys());
+        // Dense keys take the bitmap, keys spread over `u32` the sorted
+        // copy; one repeat anywhere is found either way.
+        let dense: Vec<Key> = (1..=1000).rev().collect();
+        let wide: Vec<Key> = (0..1000u32).map(|i| i.wrapping_mul(0x9E37_79B1)).collect();
+        for keys in [dense, wide] {
+            assert!(relation_of(&keys).unique_keys());
+            for at in [0, 500, 999] {
+                let mut dup = keys.clone();
+                dup.insert(at, keys[999 - at]);
+                assert!(!relation_of(&dup).unique_keys(), "repeat at {at}");
+            }
+        }
+    }
+
+    /// The pass runs once: the first call fills the cell, and a filled
+    /// cell is what every later call returns without reading a key.
+    #[test]
+    fn unique_keys_scans_once() {
+        let r = relation_of(&[4, 4]);
+        assert_eq!(r.unique.get(), None);
+        assert!(!r.unique_keys());
+        assert_eq!(r.unique.get(), Some(&false));
+        let cached = Relation {
+            unique: OnceLock::from(true),
+            ..r
+        };
+        assert!(cached.unique_keys(), "a second call rescanned");
+        let known = Relation::from_unique_tuples(&[Tuple::new(1, 0)], Placement::Interleaved);
+        assert_eq!(known.unique.get(), Some(&true));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a key of a unique relation repeats")]
+    fn a_false_uniqueness_claim_panics_in_debug_builds() {
+        let ts = [Tuple::new(9, 0), Tuple::new(9, 1)];
+        Relation::from_unique_tuples(&ts, Placement::Interleaved);
     }
 }

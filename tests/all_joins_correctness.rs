@@ -150,11 +150,18 @@ fn more_threads_than_tuples() {
 /// partition only, whether the one before it was larger, smaller, empty
 /// or all one key. PRB (chained), two-pass PRO (all three tables) and
 /// `join_index` (linear), from 4 partitions to PRB's 2^14.
+///
+/// Whether a shape's build keys repeat is the relation's to say, not the
+/// configuration's: under the default configuration every hash and sort
+/// driver, and a pipeline over every ported build side, answers the
+/// reference join whatever the shape, and the array joins refuse a build
+/// side whose keys repeat.
 #[test]
 fn co_partition_joins_with_one_table_per_worker() {
     use mmjoin::core::materialize::join_index;
+    use mmjoin::core::pipeline::PORTED;
     use mmjoin::core::pro::join_pro_two_pass;
-    use mmjoin::core::TableKind;
+    use mmjoin::core::{BuildSide, JoinError, Pipeline, TableKind};
     use mmjoin::util::checksum::JoinChecksum;
 
     let rel = |tuples: Vec<Tuple>| Relation::from_tuples(&tuples, Placement::Chunked { parts: 4 });
@@ -167,7 +174,15 @@ fn co_partition_joins_with_one_table_per_worker() {
     // Holes: every third key, so partitions hold 0 to a few hundred
     // build tuples and a worker's table shrinks and grows as it goes.
     let holes: Vec<Tuple> = (0..5_000).map(|i| Tuple::new(i * 3 + 1, i)).collect();
-    let shapes: [(&str, Relation, Relation, bool); 4] = [
+    // Each of 4,096 keys twice, spread over a 2^20 domain (an odd
+    // multiplier permutes it) so that linear-probe clusters stay short;
+    // 16 Ki probes, about one in six beyond the build's keys.
+    let spread = |i: u32| (i.wrapping_mul(0x9E37_79B1) & ((1 << 20) - 1)) + 1;
+    let twice: Vec<Tuple> = (0..8_192)
+        .map(|i| Tuple::new(spread(i % 4_096), i))
+        .collect();
+    // Label, build, probe, and whether the build keys are unique.
+    let shapes: [(&str, Relation, Relation, bool); 5] = [
         ("empty", rel(Vec::new()), probes(&mut (1..=300)), true),
         (
             "single row",
@@ -182,15 +197,52 @@ fn co_partition_joins_with_one_table_per_worker() {
             false,
         ),
         ("holes", rel(holes), probes(&mut (1..=20_000)), true),
+        (
+            "every key twice",
+            rel(twice),
+            probes(&mut (0..16_384).map(|i| spread(i * 7 % 5_000))),
+            false,
+        ),
     ];
     for (label, r, s, unique) in &shapes {
-        let expect = reference_join(r, s);
-        for bits in [2, 7, 14] {
-            for threads in [1, 3, 8] {
-                let mut c = cfg(threads);
+        let (expect, unique) = (reference_join(r, s), *unique);
+        for threads in [1, 3, 8] {
+            let mut c = cfg(threads);
+            // Covers every shape's keys: an array join refuses a build
+            // side for its repeated keys alone.
+            c.key_domain = 1 << 21;
+            let at = format!("{label}, {threads} threads");
+            let refused = |what: &str, res: Result<(u64, u64), JoinError>| match res {
+                Err(JoinError::InvalidConfig {
+                    field: "unique_keys",
+                    ..
+                }) => {}
+                other => panic!("{what}: {at}: expected the repeated-key refusal, got {other:?}"),
+            };
+            for alg in Algorithm::WITH_EXTENSIONS {
+                let res = Join::new(alg).with_config(c.clone()).run(r, s);
+                let res = res.map(|res| (res.matches, res.checksum));
+                if alg.needs_dense_domain() && !unique {
+                    refused(alg.name(), res);
+                } else {
+                    assert_eq!(res, Ok((expect.count, expect.digest)), "{alg}: {at}");
+                }
+            }
+            for alg in PORTED {
+                let res = BuildSide::prepare(alg, r, &c).and_then(|side| {
+                    let pipeline = Pipeline::new().with_stage(side);
+                    pipeline.with_config(c.clone()).run(s)
+                });
+                let res = res.map(|res| (res.matches, res.checksum));
+                if alg.needs_dense_domain() && !unique {
+                    refused(&format!("{alg} build side"), res);
+                } else {
+                    let want = Ok((expect.count, expect.digest));
+                    assert_eq!(res, want, "{alg} build side: {at}");
+                }
+            }
+            for bits in [2, 7, 14] {
                 c.radix_bits = Some(bits);
-                c.unique_build_keys = *unique;
-                c.key_domain = 20_000;
                 let at = format!("{label}, {bits} bits, {threads} threads");
                 let same = |what: &str, count: u64, digest: u64| {
                     assert_eq!(
@@ -202,11 +254,15 @@ fn co_partition_joins_with_one_table_per_worker() {
                 let prb = run_join(Algorithm::Prb, r, s, &c);
                 same("PRB", prb.matches, prb.checksum);
                 for kind in [TableKind::Chained, TableKind::Linear, TableKind::Array] {
+                    let what = format!("two-pass PRO {kind:?}");
+                    let res = join_pro_two_pass(r, s, &c, kind);
+                    let res = res.map(|res| (res.matches, res.checksum));
                     if kind == TableKind::Array && !unique {
-                        continue; // an array slot holds one payload
+                        refused(&what, res); // an array slot holds one payload
+                    } else {
+                        let (count, digest) = res.expect("valid plan");
+                        same(&what, count, digest);
                     }
-                    let pro = join_pro_two_pass(r, s, &c, kind).expect("valid plan");
-                    same(&format!("two-pass PRO {kind:?}"), pro.matches, pro.checksum);
                 }
                 let mut index = JoinChecksum::new();
                 for m in join_index(r, s, &c).expect("valid plan") {

@@ -15,8 +15,6 @@ fn cfg(threads: usize, bits: Option<u32>) -> JoinConfig {
     let mut c = JoinConfig::new(threads);
     c.simulate = false;
     c.radix_bits = bits;
-    // These tests feed duplicate build keys; disable the PK assumption.
-    c.unique_build_keys = false;
     c
 }
 
@@ -244,15 +242,13 @@ fn runtime_limits_honored_by_all_thirteen() {
         let name = alg.name();
 
         let mut c = cfg(4, Some(5));
-        c.unique_build_keys = true;
         c.deadline = Some(std::time::Duration::ZERO);
         match Join::new(alg).with_config(c).run(&r, &s) {
             Err(JoinError::Timedout { .. }) => {}
             other => panic!("{name}: expected Timedout with zero deadline, got {other:?}"),
         }
 
-        let mut c = cfg(4, Some(5));
-        c.unique_build_keys = true;
+        let c = cfg(4, Some(5));
         c.cancel.cancel();
         match Join::new(alg).with_config(c).run(&r, &s) {
             Err(JoinError::Cancelled { .. }) => {}
@@ -260,7 +256,6 @@ fn runtime_limits_honored_by_all_thirteen() {
         }
 
         let mut c = cfg(4, Some(5));
-        c.unique_build_keys = true;
         c.mem_limit = Some(1);
         match Join::new(alg).with_config(c).run(&r, &s) {
             Err(JoinError::MemoryBudgetExceeded {
@@ -566,8 +561,7 @@ fn pipeline_budget_counts_the_probe_scratch() {
     let r2 = mmjoin::datagen::gen_build_dense(2_000, 28, place);
     let s = mmjoin::datagen::gen_probe_fk(40_000, 6_000, 29, place);
     let (threads, bits) = (2, 7);
-    let mut unlimited = cfg(threads, Some(bits));
-    unlimited.unique_build_keys = true;
+    let unlimited = cfg(threads, Some(bits));
     let expect = chain_two_step(&r1, &r2, &s, Algorithm::Prl, &unlimited).unwrap();
     let first = BuildSide::prepare(Algorithm::Pro, &r1, &unlimited).unwrap();
     let second = BuildSide::prepare(Algorithm::Prl, &r2, &unlimited).unwrap();
@@ -606,8 +600,7 @@ fn cancelled_probe_is_typed_and_its_service_lease_returns_to_zero() {
     let place = Placement::Chunked { parts: 2 };
     let r = mmjoin::datagen::gen_build_dense(5_000, 31, place);
     let s = mmjoin::datagen::gen_probe_fk(50_000, 5_000, 32, place);
-    let mut c = cfg(2, Some(6));
-    c.unique_build_keys = true;
+    let c = cfg(2, Some(6));
     let side = BuildSide::prepare(Algorithm::Pro, &r, &c).unwrap();
     let probe = |c: JoinConfig| {
         Pipeline::new()

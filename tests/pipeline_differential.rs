@@ -41,10 +41,9 @@ fn mode_lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn chain_cfg(unique: bool) -> JoinConfig {
+fn chain_cfg() -> JoinConfig {
     let mut cfg = JoinConfig::new(THREADS);
     cfg.simulate = false;
-    cfg.unique_build_keys = unique;
     cfg
 }
 
@@ -56,11 +55,10 @@ fn assert_fused_equals_two_step(
     r1: &Relation,
     r2: &Relation,
     s: &Relation,
-    unique: bool,
     mode: KernelMode,
     tag: &str,
 ) {
-    let cfg = chain_cfg(unique);
+    let cfg = chain_cfg();
     let (base, fused) = kernels::with_mode(mode, || {
         // `Simd` degrades to `Portable` on CPUs without the kernels.
         let installed = kernels::effective_mode();
@@ -110,7 +108,7 @@ fn uniform_chain_all_ported_drivers_both_kernel_modes() {
     let s = gen_probe_fk(M, N1, 103, Placement::Chunked { parts: 4 });
     for alg in PORTED {
         for mode in MODES {
-            assert_fused_equals_two_step(alg, &r1, &r2, &s, true, mode, "uniform");
+            assert_fused_equals_two_step(alg, &r1, &r2, &s, mode, "uniform");
         }
     }
 }
@@ -122,7 +120,7 @@ fn skewed_chain_all_ported_drivers_both_kernel_modes() {
     let s = gen_probe_zipf(M, N1, 0.99, 104, Placement::Chunked { parts: 4 });
     for alg in PORTED {
         for mode in MODES {
-            assert_fused_equals_two_step(alg, &r1, &r2, &s, true, mode, "zipf-0.99");
+            assert_fused_equals_two_step(alg, &r1, &r2, &s, mode, "zipf-0.99");
         }
     }
 }
@@ -136,7 +134,7 @@ fn duplicate_probe_key_chain_all_ported_drivers_both_kernel_modes() {
     let s = gen_probe_fk(M, 97, 105, Placement::Chunked { parts: 4 });
     for alg in PORTED {
         for mode in MODES {
-            assert_fused_equals_two_step(alg, &r1, &r2, &s, true, mode, "dup-probe");
+            assert_fused_equals_two_step(alg, &r1, &r2, &s, mode, "dup-probe");
         }
     }
 }
@@ -147,7 +145,8 @@ fn duplicate_build_key_chain_multiset_drivers_both_kernel_modes() {
     // Multiset build: every stage-1 key appears several times, so one
     // probe fans out into several chained probes. Only the hash-table
     // drivers accept duplicate build keys (array and concise-hash sides
-    // hold one payload per key), and the PK assumption must be off.
+    // hold one payload per key); their probes find every match because
+    // the relation's keys repeat.
     let dup: Vec<Tuple> = (0..N1)
         .map(|i| Tuple::new((i % 600) as u32 + 1, (i * 31 % N2) as u32 + 1))
         .collect();
@@ -156,7 +155,7 @@ fn duplicate_build_key_chain_multiset_drivers_both_kernel_modes() {
     let s = gen_probe_fk(M / 4, 600, 107, Placement::Chunked { parts: 4 });
     for alg in [Algorithm::Nop, Algorithm::Pro, Algorithm::Prl] {
         for mode in MODES {
-            assert_fused_equals_two_step(alg, &r1, &r2, &s, false, mode, "dup-build");
+            assert_fused_equals_two_step(alg, &r1, &r2, &s, mode, "dup-build");
         }
     }
 }
@@ -173,7 +172,7 @@ fn pipeline_run_returns_the_join_result_of_its_chain() {
     use mmjoin::core::Join;
     let (r1, r2) = chain_builds();
     let s = gen_probe_fk(M, N1, 109, Placement::Chunked { parts: 4 });
-    let cfg = chain_cfg(true);
+    let cfg = chain_cfg();
     for alg in PORTED {
         let first = BuildSide::prepare(alg, &r1, &cfg).expect("stage 1");
         let second = BuildSide::prepare(alg, &r2, &cfg).expect("stage 2");
@@ -285,7 +284,7 @@ fn routed_probe_grid_matches_reference() {
             .iter()
             .map(|(_, s)| {
                 let one = reference_join(&r1, s);
-                let two = chain_two_step(&r1, &r2, s, Algorithm::Prl, &chain_cfg(unique))
+                let two = chain_two_step(&r1, &r2, s, Algorithm::Prl, &chain_cfg())
                     .expect("two-step baseline");
                 [(one.count, one.digest), (two.matches, two.checksum)]
             })
@@ -295,7 +294,6 @@ fn routed_probe_grid_matches_reference() {
                 let cfg = |batch: usize| {
                     let mut cfg = JoinConfig::new(threads);
                     cfg.simulate = false;
-                    cfg.unique_build_keys = unique;
                     cfg.radix_bits = Some(bits);
                     cfg.pipeline_batch = batch;
                     cfg

@@ -78,32 +78,28 @@ fn assert_matches_reference(label: &str, expect: &JoinChecksum, res: &JoinResult
 
 #[test]
 fn shhj_matches_reference_across_budget_tiers() {
-    let workloads: Vec<(&str, bool, Relation, Relation)> = vec![
+    let workloads: Vec<(&str, Relation, Relation)> = vec![
         (
             "uniform",
-            true,
             gen_build_dense(BUILD_N, 11, placement()),
             gen_probe_fk(3 * BUILD_N, BUILD_N, 12, placement()),
         ),
         (
             "zipf",
-            true,
             gen_build_dense(BUILD_N, 11, placement()),
             gen_probe_zipf(3 * BUILD_N, BUILD_N, 0.9, 13, placement()),
         ),
         (
             "dup-key",
-            false,
             gen_build_dup(BUILD_N / 2),
             gen_probe_fk(BUILD_N, BUILD_N / 2, 14, placement()),
         ),
     ];
-    for (name, unique, r, s) in workloads {
+    for (name, r, s) in workloads {
         let expect = reference_join(&r, &s);
         let build_bytes = r.len() * 8;
         for (tier, budget) in budget_tiers(build_bytes) {
-            let mut c = cfg(budget);
-            c.unique_build_keys = unique;
+            let c = cfg(budget);
             let label = format!("{name}@{tier}");
             let res = run(Algorithm::Shhj, &r, &s, &c)
                 .unwrap_or_else(|e| panic!("{label}: SHHJ failed: {e}"));
@@ -280,7 +276,6 @@ fn unseparable_skew_hits_typed_recursion_limit() {
     let mut c = cfg(Some(80 * 1024));
     c.spill_dir = Some(scratch.0.clone());
     c.radix_bits = Some(2);
-    c.unique_build_keys = false;
     match run(Algorithm::Shhj, &r, &s, &c) {
         Err(JoinError::SpillRecursionLimit { depth, limit, .. }) => {
             assert_eq!(limit, SPILL_RECURSION_LIMIT);
