@@ -522,10 +522,9 @@ fn plan_load(
     let load = |reverse: bool| {
         let n = if reverse { s_len } else { r_len } as usize;
         let spec = TableSpec::hashed_partition(n, consumed_bits.min(31));
-        // `n * 8` is a copy of the build run that `Spill::load` no longer
-        // makes (it streams the run into the table); still charged, so
-        // that plans and spill counters stay what they were.
-        let need = n * 8 + spec.table_bytes() + 2 * READER_BYTES;
+        // The table and the two runs' readers: the build run streams
+        // into the table a page at a time, so no copy of it is held.
+        let need = spec.table_bytes() + 2 * READER_BYTES;
         (need <= limit).then_some(Load {
             reverse,
             spec,
@@ -882,11 +881,11 @@ mod tests {
     /// smaller run if that fits; otherwise it is repartitioned.
     #[test]
     fn pairs_build_on_the_unique_side_when_it_fits() {
-        let need = |n: u64| {
-            let n = n as usize;
-            n * 8 + TableSpec::hashed_partition(n, 4).table_bytes() + 2 * READER_BYTES
-        };
-        let (r, s) = (64 << 10, 40 << 10);
+        let need =
+            |n: u64| TableSpec::hashed_partition(n as usize, 4).table_bytes() + 2 * READER_BYTES;
+        // S's table half of R's: tables are sized by powers of two.
+        let (r, s) = (64 << 10, 24 << 10);
+        assert!(need(s) < need(r));
         let plan = |unique, limit| plan_load(r, s, 4, unique, limit).map(|l| (l.reverse, l.need));
         assert_eq!(plan(true, need(r)), Some((false, need(r))), "R fits");
         assert_eq!(
@@ -902,6 +901,36 @@ mod tests {
             let l = plan_load(s, r, 4, unique, need(s)).expect("fits");
             assert!(!l.reverse, "unique {unique}");
         }
+    }
+
+    /// A phase's `bytes_spilled` is every tuple its runs took, each
+    /// run's last partial page included. 16,000 dense rows at radix bits
+    /// 4 are 1,000 a partition, and the budget is the plan that evicts
+    /// eight of them (the highest-numbered, all costing the same) plus
+    /// the routing floor: the partition phase spills 64,000 B, of which
+    /// whole pages hold 32,768. The probe phase spills S's tuples of
+    /// those partitions.
+    #[test]
+    fn bytes_spilled_counts_every_spilled_tuple() {
+        let (threads, bits) = (2, 4);
+        let placement = Placement::Chunked { parts: threads };
+        let r = gen_build_dense(16_000, 5, placement);
+        let s = gen_probe_fk(48_000, 16_000, 6, placement);
+        let fanout = RadixFn::new(bits).fanout();
+        let per_spilled = 2 * WRITER_BYTES + threads * STAGE_TUPLES * 8;
+        let plan = |evicted: usize| {
+            (fanout - evicted) * partition_cost(1_000, bits) + evicted * per_spilled
+        };
+        let floor = threads * (PROBE_GROUP + fanout + 1) * 8;
+        assert!(plan(8) + floor < plan(7));
+
+        let res = join_shhj(&r, &s, &cfg(threads, bits, plan(8) + floor)).expect("spills");
+        assert_matches_reference("eight evicted", &r, &s, &res);
+        let phase = |name| res.phases.iter().find(|p| p.name == name).unwrap().spill;
+        assert_eq!(phase("partition").partitions_spilled, 8);
+        assert_eq!(phase("partition").bytes_spilled, 64_000);
+        let s_spilled = s.tuples().iter().filter(|t| t.key % 16 >= 8).count();
+        assert_eq!(phase("probe").bytes_spilled, s_spilled as u64 * 8);
     }
 
     /// `n` distinct keys of partition `p` under radix bits 3, each

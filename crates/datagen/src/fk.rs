@@ -8,10 +8,9 @@ use mmjoin_util::{Placement, Relation, Tuple};
 pub fn gen_probe_fk(n: usize, build_n: usize, seed: u64, placement: Placement) -> Relation {
     assert!(build_n > 0 || n == 0, "probe into empty build domain");
     let mut rng = Xoshiro256::new(seed ^ 0xF0E1_D2C3_B4A5_9687);
-    let tuples: Vec<Tuple> = (0..n)
-        .map(|i| Tuple::new(rng.below(build_n as u64) as u32 + 1, i as u32))
-        .collect();
-    Relation::from_tuples(&tuples, placement)
+    Relation::from_fn(n, placement, |i| {
+        Tuple::new(rng.below(build_n as u64) as u32 + 1, i as u32)
+    })
 }
 
 /// Generate a probe relation drawing keys uniformly from an explicit key
@@ -20,10 +19,9 @@ pub fn gen_probe_fk(n: usize, build_n: usize, seed: u64, placement: Placement) -
 pub fn gen_probe_of_keys(n: usize, keys: &[u32], seed: u64, placement: Placement) -> Relation {
     assert!(!keys.is_empty() || n == 0);
     let mut rng = Xoshiro256::new(seed ^ 0x1234_5678_9ABC_DEF0);
-    let tuples: Vec<Tuple> = (0..n)
-        .map(|i| Tuple::new(keys[rng.below(keys.len() as u64) as usize], i as u32))
-        .collect();
-    Relation::from_tuples(&tuples, placement)
+    Relation::from_fn(n, placement, |i| {
+        Tuple::new(keys[rng.below(keys.len() as u64) as usize], i as u32)
+    })
 }
 
 #[cfg(test)]

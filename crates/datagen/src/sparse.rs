@@ -38,17 +38,9 @@ pub fn gen_build_sparse(
         remaining -= 1;
     }
     debug_assert_eq!(keys.len(), n);
-    let sorted_keys = keys.clone();
-    let mut tuples: Vec<Tuple> = keys
-        .into_iter()
-        .enumerate()
-        .map(|(i, k)| Tuple::new(k, i as u32))
-        .collect();
-    rng.shuffle(&mut tuples);
-    (
-        Relation::from_unique_tuples(&tuples, placement),
-        sorted_keys,
-    )
+    let mut r = Relation::from_fn(n, placement, |i| Tuple::new(keys[i], i as u32));
+    rng.shuffle(r.tuples_mut());
+    (r.with_unique_keys(), keys)
 }
 
 #[cfg(test)]

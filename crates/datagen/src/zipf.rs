@@ -94,18 +94,15 @@ pub fn gen_probe_zipf(
     let hot: Vec<u32> = (0..HOT_REMAP)
         .map(|_| rng.below(domain as u64) as u32 + 1)
         .collect();
-    let tuples: Vec<Tuple> = (0..n)
-        .map(|i| {
-            let rank = zipf.sample(&mut rng);
-            let key = if rank as usize <= HOT_REMAP && domain > HOT_REMAP {
-                hot[rank as usize - 1]
-            } else {
-                rank as u32
-            };
-            Tuple::new(key, i as u32)
-        })
-        .collect();
-    Relation::from_tuples(&tuples, placement)
+    Relation::from_fn(n, placement, |i| {
+        let rank = zipf.sample(&mut rng);
+        let key = if rank as usize <= HOT_REMAP && domain > HOT_REMAP {
+            hot[rank as usize - 1]
+        } else {
+            rank as u32
+        };
+        Tuple::new(key, i as u32)
+    })
 }
 
 #[cfg(test)]

@@ -14,7 +14,12 @@
 //! * **Arena pool** — released blocks are kept mapped (bounded by
 //!   `MMJOIN_ARENA_POOL_MB`, default 256) so back-to-back joins reuse
 //!   already-faulted pages instead of paying the kernel's fault + zero
-//!   cost per query.
+//!   cost per query. The pool is a list of idle ranges ordered by
+//!   address: a request takes the head of the smallest idle range that
+//!   holds it and leaves the rest idle, and a released block merges
+//!   with its idle neighbours. So a join of any shape reuses the pages
+//!   the last one left, and a leased block is still exactly its
+//!   rounded request.
 //!
 //! NUMA placement is per buffer in the paper (chunked inputs,
 //! node-local partitions) and is reproduced by `mmjoin-numamodel`'s
@@ -41,6 +46,7 @@
 //! join sets it; [`with_policy`] is the scoped override for
 //! single-threaded A/B tests.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -278,16 +284,16 @@ pub fn round_up(n: usize, gran: usize) -> Option<usize> {
     Some(n.checked_add(gran - 1)? & !(gran - 1))
 }
 
-/// One mapped arena block. Dropping it returns the pages to the pool
-/// (or unmaps them when the pool is full), so `AlignedBuf` can own one
-/// like a `Layout`.
+/// One mapped arena block: a range of whole 2 MiB pages. Dropping it
+/// returns the range to the pool (or unmaps that range alone when the
+/// pool is full), so `AlignedBuf` can own one like a `Layout`.
 pub struct Block {
     ptr: NonNull<u8>,
     len: usize,
     fresh: bool,
 }
 
-// SAFETY: a Block uniquely owns its mapping.
+// SAFETY: a Block uniquely owns its range of mapped pages.
 unsafe impl Send for Block {}
 // SAFETY: a Block's `&self` methods only read its pointer, length and
 // flags; they never touch the mapped bytes.
@@ -313,23 +319,69 @@ impl Block {
 
 impl Drop for Block {
     fn drop(&mut self) {
-        pool_put(self.ptr, self.len);
+        put(&POOL, self.ptr, self.len, pool_cap_bytes());
     }
 }
 
-struct PoolInner {
-    /// `(len, ptr)` of idle mapped blocks, LIFO per length.
-    blocks: Vec<(usize, usize)>,
+/// The pool's idle mapped ranges, keyed by start address. Adjacent idle
+/// ranges are merged as they are released, so no two entries touch.
+struct Ranges {
+    idle: BTreeMap<usize, usize>,
     bytes: usize,
 }
 
-static POOL: Mutex<PoolInner> = Mutex::new(PoolInner {
-    blocks: Vec::new(),
-    bytes: 0,
-});
+impl Ranges {
+    const fn new() -> Ranges {
+        Ranges {
+            idle: BTreeMap::new(),
+            bytes: 0,
+        }
+    }
 
-fn pool_lock() -> std::sync::MutexGuard<'static, PoolInner> {
-    POOL.lock().unwrap_or_else(|e| e.into_inner())
+    /// Best fit: the head of the smallest idle range that holds `len`
+    /// bytes (the lowest such range among equals). The rest of the range
+    /// stays idle.
+    fn carve(&mut self, len: usize) -> Option<usize> {
+        let (&addr, &have) = self
+            .idle
+            .iter()
+            .filter(|&(_, &have)| have >= len)
+            .min_by_key(|&(_, &have)| have)?;
+        self.idle.remove(&addr);
+        if have > len {
+            self.idle.insert(addr + len, have - len);
+        }
+        self.bytes -= len;
+        Some(addr)
+    }
+
+    /// Take `[addr, addr + len)` back idle, merged with its idle
+    /// neighbours. `false`, and nothing kept, when the pool would then
+    /// hold more than `cap` idle bytes: the caller unmaps that range.
+    fn release(&mut self, addr: usize, len: usize, cap: usize) -> bool {
+        if self.bytes + len > cap {
+            return false;
+        }
+        self.bytes += len;
+        let (mut start, mut end) = (addr, addr + len);
+        if let Some((&before, &n)) = self.idle.range(..addr).next_back() {
+            if before + n == addr {
+                self.idle.remove(&before);
+                start = before;
+            }
+        }
+        if let Some(n) = self.idle.remove(&end) {
+            end += n;
+        }
+        self.idle.insert(start, end - start);
+        true
+    }
+}
+
+static POOL: Mutex<Ranges> = Mutex::new(Ranges::new());
+
+fn lock_ranges(pool: &Mutex<Ranges>) -> std::sync::MutexGuard<'_, Ranges> {
+    pool.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn pool_cap_bytes() -> usize {
@@ -343,41 +395,41 @@ fn pool_cap_bytes() -> usize {
     })
 }
 
-fn pool_take(len: usize) -> Option<NonNull<u8>> {
-    let mut pool = pool_lock();
-    // LIFO within the length class: the most recently released block
-    // has the warmest pages.
-    let idx = pool.blocks.iter().rposition(|&(l, _)| l == len)?;
-    let (_, ptr) = pool.blocks.swap_remove(idx);
-    pool.bytes -= len;
-    NonNull::new(ptr as *mut u8)
+fn take(pool: &Mutex<Ranges>, len: usize) -> Option<NonNull<u8>> {
+    NonNull::new(lock_ranges(pool).carve(len)? as *mut u8)
 }
 
-fn pool_put(ptr: NonNull<u8>, len: usize) {
-    {
-        let mut pool = pool_lock();
-        if pool.bytes + len <= pool_cap_bytes() {
-            pool.blocks.push((len, ptr.as_ptr() as usize));
-            pool.bytes += len;
-            return;
-        }
+/// Return a leased range to `pool`; past `cap` idle bytes it is
+/// unmapped instead. Whether the pool kept it.
+fn put(pool: &Mutex<Ranges>, ptr: NonNull<u8>, len: usize, cap: usize) -> bool {
+    let kept = lock_ranges(pool).release(ptr.as_ptr() as usize, len, cap);
+    if !kept {
+        imp::munmap(ptr, len);
     }
-    imp::munmap(ptr, len);
+    kept
 }
 
-/// Unmap every pooled block, so a cold-arena timing starts from no warm
-/// pages.
-pub fn pool_clear() {
-    let drained: Vec<(usize, usize)> = {
-        let mut pool = pool_lock();
-        pool.bytes = 0;
-        std::mem::take(&mut pool.blocks)
+/// Unmap every idle range of `pool`; the bytes unmapped.
+fn clear(pool: &Mutex<Ranges>) -> usize {
+    let (idle, bytes) = {
+        let mut ranges = lock_ranges(pool);
+        (
+            std::mem::take(&mut ranges.idle),
+            std::mem::take(&mut ranges.bytes),
+        )
     };
-    for (len, ptr) in drained {
-        if let Some(p) = NonNull::new(ptr as *mut u8) {
+    for (addr, len) in idle {
+        if let Some(p) = NonNull::new(addr as *mut u8) {
             imp::munmap(p, len);
         }
     }
+    bytes
+}
+
+/// Unmap every idle range of the pool, so a cold-arena timing starts
+/// from no warm pages.
+pub fn pool_clear() {
+    clear(&POOL);
 }
 
 /// Try to serve `bytes` (alignment `align`) from a THP arena. `None`
@@ -391,7 +443,7 @@ pub fn acquire(bytes: usize, align: usize) -> Option<Block> {
     // Whole huge pages, so the kernel can back the whole region with
     // 2 MiB frames.
     let len = round_up(bytes, PAGE_2M)?;
-    if let Some(ptr) = pool_take(len) {
+    if let Some(ptr) = take(&POOL, len) {
         bump!(pool_hits, 1);
         bump!(pool_hit_bytes, len as u64);
         return Some(Block {
@@ -571,9 +623,11 @@ mod imp {
     }
 
     pub(super) fn munmap(ptr: NonNull<u8>, len: usize) {
-        // SAFETY: the only callers, `pool_put` and `pool_clear`, pass a
-        // whole mapping from `mmap_anon` whose Block is gone and which
-        // the pool has given up, so nothing references its pages.
+        // SAFETY: the only callers, the pool's `put` and `clear`, pass a
+        // range of pages from `mmap_anon` (part of one mapping, or
+        // adjacent mappings merged) that no Block leases any more and
+        // that the pool has just given up, so nothing references its
+        // pages. Unmapping part of a mapping leaves the rest mapped.
         unsafe {
             syscall6(nr::MUNMAP, ptr.as_ptr() as usize, len, 0, 0, 0, 0);
         }
@@ -707,10 +761,15 @@ mod tests {
             drop(b); // → pool
             let b2 = acquire(3 * PAGE_2M, 64).expect("pool must serve the same class");
             assert!(!b2.is_fresh(), "second acquire must be a pool hit");
-            assert_eq!(b2.ptr().as_ptr() as usize, addr, "LIFO reuse of the block");
+            assert_eq!(
+                b2.ptr().as_ptr() as usize,
+                addr,
+                "the released range serves it"
+            );
             let d = stats().delta(&before);
             assert!(d.pool_hits >= 1);
             assert!(d.mapped_blocks >= 1);
+            drop(b2);
             pool_clear();
         });
     }
@@ -719,6 +778,9 @@ mod tests {
     fn forced_mmap_failure_falls_back_to_heap() {
         let _g = lock();
         with_policy(AllocPolicy::Thp, || {
+            // An empty pool: any idle range of 2 MiB or more would serve
+            // the request without a mapping.
+            pool_clear();
             set_force_fail(FAIL_MMAP);
             let before = stats();
             let mine = thread_stats();
@@ -816,5 +878,185 @@ mod tests {
             let (b, a) = (before.unwrap(), after.unwrap());
             assert!(a >= b);
         }
+    }
+
+    /// Fake addresses: the range list never touches the bytes.
+    fn ranges_of(idle: &[(usize, usize)]) -> Ranges {
+        let mut r = Ranges::new();
+        for &(addr, len) in idle {
+            assert!(r.release(addr, len, usize::MAX));
+        }
+        r
+    }
+
+    fn idle_of(r: &Ranges) -> Vec<(usize, usize)> {
+        r.idle.iter().map(|(&a, &l)| (a, l)).collect()
+    }
+
+    const M: usize = PAGE_2M;
+
+    #[test]
+    fn best_fit_takes_the_smallest_range_that_holds_the_request() {
+        let mut r = ranges_of(&[
+            (0, 8 * M),
+            (20 * M, 4 * M),
+            (40 * M, 6 * M),
+            (60 * M, 4 * M),
+        ]);
+        // Four pages: the two ranges of exactly four tie, the lower serves.
+        assert_eq!(r.carve(4 * M), Some(20 * M));
+        // Six pages: the six-page range, not the first range that holds it.
+        assert_eq!(r.carve(6 * M), Some(40 * M));
+        assert_eq!(r.carve(10 * M), None, "no range holds it");
+        assert_eq!(idle_of(&r), [(0, 8 * M), (60 * M, 4 * M)]);
+        assert_eq!(r.bytes, 12 * M);
+    }
+
+    #[test]
+    fn a_split_leaves_the_tail_idle() {
+        let mut r = ranges_of(&[(10 * M, 8 * M)]);
+        assert_eq!(r.carve(2 * M), Some(10 * M), "the head is leased");
+        assert_eq!(idle_of(&r), [(12 * M, 6 * M)]);
+        assert_eq!(r.carve(6 * M), Some(12 * M));
+        assert!(idle_of(&r).is_empty());
+        assert_eq!(r.bytes, 0);
+    }
+
+    #[test]
+    fn a_release_merges_with_both_neighbours() {
+        let mut r = ranges_of(&[(0, 2 * M), (4 * M, 2 * M), (10 * M, 2 * M)]);
+        assert!(r.release(2 * M, 2 * M, usize::MAX));
+        assert_eq!(idle_of(&r), [(0, 6 * M), (10 * M, 2 * M)]);
+        // Touching only the one above.
+        assert!(r.release(8 * M, 2 * M, usize::MAX));
+        assert_eq!(idle_of(&r), [(0, 6 * M), (8 * M, 4 * M)]);
+        assert!(r.release(6 * M, 2 * M, usize::MAX));
+        assert_eq!(idle_of(&r), [(0, 12 * M)]);
+        assert_eq!(r.bytes, 12 * M);
+        assert_eq!(r.carve(12 * M), Some(0), "one range again");
+    }
+
+    #[test]
+    fn a_release_past_the_cap_unmaps_only_its_own_range() {
+        let Some(base) = imp::mmap_anon(3 * M) else {
+            return; // stub backend
+        };
+        let a = base.as_ptr() as usize;
+        let pool = Mutex::new(Ranges::new());
+        for i in 0..3 {
+            // SAFETY: the three one-page pieces tile the mapping above.
+            let piece = unsafe { base.add(i * M) };
+            assert_eq!(put(&pool, piece, M, 2 * M), i < 2, "piece {i}");
+        }
+        assert_eq!(idle_of(&lock_ranges(&pool)), [(a, 2 * M)]);
+        assert_eq!(lock_ranges(&pool).bytes, 2 * M);
+        // The first two pages are still mapped and writable; `put`
+        // unmapped the third alone.
+        // SAFETY: `[a, a + 2 pages)` is mapped and idle in a pool of this
+        // test's own.
+        unsafe { std::ptr::write_bytes(a as *mut u8, 7, 2 * M) };
+        assert_eq!(clear(&pool), 2 * M);
+        assert!(idle_of(&lock_ranges(&pool)).is_empty());
+    }
+
+    #[test]
+    fn pool_clear_unmaps_every_idle_range() {
+        let _g = lock();
+        with_policy(AllocPolicy::Thp, || {
+            pool_clear();
+            let blocks: Vec<Block> = [3 * M, M, 5 * M]
+                .iter()
+                .filter_map(|&n| acquire(n, 64))
+                .collect();
+            let leased: usize = blocks.iter().map(Block::len).sum();
+            drop(blocks);
+            assert_eq!(lock_ranges(&POOL).bytes, leased);
+            // `pool_clear` is `clear(&POOL)`, which reports what it unmapped.
+            assert_eq!(clear(&POOL), leased);
+            assert!(lock_ranges(&POOL).idle.is_empty());
+            assert_eq!(lock_ranges(&POOL).bytes, 0);
+        });
+    }
+
+    /// Threads carve and release pieces of 64 KiB to 40 MiB from one
+    /// pool whose cap makes some releases unmap, stamping each piece at
+    /// both ends. No two live pieces may overlap, no stamp may be
+    /// overwritten, and once every piece is back the idle bytes are the
+    /// mapped bytes, in ranges that neither touch nor overlap.
+    #[test]
+    fn concurrent_carves_never_overlap_and_every_byte_comes_back() {
+        use std::sync::atomic::AtomicUsize;
+        if imp::mmap_anon(M).map(|p| imp::munmap(p, M)).is_none() {
+            return; // stub backend
+        }
+        let pool = Mutex::new(Ranges::new());
+        let cap = 48 << 20;
+        let live: Mutex<BTreeMap<usize, usize>> = Mutex::new(BTreeMap::new());
+        let mapped_bytes = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for t in 0..3u64 {
+                let (pool, live, mapped_bytes) = (&pool, &live, &mapped_bytes);
+                scope.spawn(move || {
+                    let mut rng = crate::rng::Xoshiro256::new(t + 1);
+                    let mut mine: Vec<(NonNull<u8>, usize, u64)> = Vec::new();
+                    for i in 0..150u64 {
+                        if mine.len() == 2 || (!mine.is_empty() && rng.below(3) == 0) {
+                            let (ptr, len, stamp) =
+                                mine.swap_remove(rng.below(2) as usize % mine.len());
+                            let words = ptr.cast::<u64>();
+                            // SAFETY: this thread leases `[ptr, ptr + len)`
+                            // and wrote both end words when it took it.
+                            let ends = unsafe { (words.read(), words.add(len / 8 - 1).read()) };
+                            assert_eq!(ends, (stamp, stamp), "a stamp was overwritten");
+                            live.lock().unwrap().remove(&(ptr.as_ptr() as usize));
+                            if !put(pool, ptr, len, cap) {
+                                mapped_bytes.fetch_sub(len, Ordering::Relaxed);
+                            }
+                            continue;
+                        }
+                        let want = (64 << 10) + rng.below(40 << 20) as usize;
+                        let len = round_up(want, M).unwrap();
+                        let ptr = take(pool, len).unwrap_or_else(|| {
+                            mapped_bytes.fetch_add(len, Ordering::Relaxed);
+                            imp::mmap_anon(len).expect("mmap")
+                        });
+                        let addr = ptr.as_ptr() as usize;
+                        {
+                            let mut live = live.lock().unwrap();
+                            if let Some((&a, &n)) = live.range(..addr + len).next_back() {
+                                assert!(a + n <= addr, "{addr:#x}+{len} overlaps {a:#x}+{n}");
+                            }
+                            live.insert(addr, len);
+                        }
+                        let stamp = (t << 32) | i;
+                        let words = ptr.cast::<u64>();
+                        // SAFETY: the pool leased `[ptr, ptr + len)` to
+                        // this thread alone (checked just above).
+                        unsafe {
+                            words.write(stamp);
+                            words.add(len / 8 - 1).write(stamp);
+                        }
+                        mine.push((ptr, len, stamp));
+                    }
+                    for (ptr, len, _) in mine {
+                        live.lock().unwrap().remove(&(ptr.as_ptr() as usize));
+                        if !put(pool, ptr, len, cap) {
+                            mapped_bytes.fetch_sub(len, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        let ranges = lock_ranges(&pool);
+        assert!(ranges.bytes <= cap);
+        assert_eq!(ranges.bytes, mapped_bytes.load(Ordering::Relaxed));
+        assert_eq!(ranges.idle.values().sum::<usize>(), ranges.bytes);
+        let idle = idle_of(&ranges);
+        for w in idle.windows(2) {
+            assert!(w[0].0 + w[0].1 < w[1].0, "{w:?} touch or overlap");
+        }
+        drop(ranges);
+        clear(&pool);
+        assert_eq!(lock_ranges(&pool).bytes, 0);
     }
 }

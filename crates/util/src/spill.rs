@@ -44,10 +44,10 @@ use crate::PAGE_4K;
 /// Tuples per 4 KiB spill page (512 for the paper's 8-byte tuples).
 pub const TUPLES_PER_PAGE: usize = PAGE_4K / size_of::<Tuple>();
 
-/// Budget bytes charged for one [`SpillWriter`]. It holds one page of
-/// tuples; the charge is two pages, the size `mmjoin-core`'s residency
-/// plan and recursion fan-out are computed from.
-pub const WRITER_BYTES: usize = 2 * PAGE_4K;
+/// Budget bytes charged for one [`SpillWriter`]: the one page of tuples
+/// it buffers. `mmjoin-core`'s residency plan and recursion fan-out are
+/// computed from it.
+pub const WRITER_BYTES: usize = PAGE_4K;
 
 /// Heap bytes held by one [`SpillReader`]: a two-page tuple buffer.
 pub const READER_BYTES: usize = 2 * PAGE_4K;
@@ -292,10 +292,10 @@ impl SpillWriter {
         })
     }
 
-    /// Number of tuples written to the file so far: those in whole
-    /// pages until [`SpillWriter::finish`] writes the last one.
+    /// Number of tuples appended so far, the buffered ones included:
+    /// what the run will hold if nothing more is appended.
     pub fn tuples(&self) -> u64 {
-        self.tuples
+        self.tuples + self.buf.len() as u64
     }
 
     /// Append one tuple, writing the page out when it fills.

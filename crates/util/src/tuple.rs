@@ -99,27 +99,53 @@ pub struct Relation {
 }
 
 impl Relation {
-    /// Build a relation from an existing tuple vector. Whether its keys
-    /// are unique is left for [`Relation::unique_keys`] to find out.
-    pub fn from_tuples(tuples: &[Tuple], placement: Placement) -> Self {
-        let mut buf = crate::alloc::AlignedBuf::zeroed(tuples.len());
-        buf.as_mut_slice().copy_from_slice(tuples);
+    fn of(data: crate::alloc::AlignedBuf<Tuple>, placement: Placement) -> Self {
         Relation {
-            data: buf,
+            data,
             placement,
             unique: OnceLock::new(),
         }
     }
 
-    /// Build a relation whose keys are unique by construction (a
-    /// generated primary key), recording that so no
+    /// Build a relation from an existing tuple vector. Whether its keys
+    /// are unique is left for [`Relation::unique_keys`] to find out.
+    pub fn from_tuples(tuples: &[Tuple], placement: Placement) -> Self {
+        // SAFETY: the copy writes every slot before anything reads one.
+        let mut buf = unsafe { crate::alloc::AlignedBuf::unfilled(tuples.len()) };
+        buf.as_mut_slice().copy_from_slice(tuples);
+        Relation::of(buf, placement)
+    }
+
+    /// Build a relation of `n` tuples in its own buffer: slot `i` is
+    /// `f(i)`, called for `i = 0, 1, ..` in order, so a generator that
+    /// draws from a random stream draws in row order.
+    pub fn from_fn(n: usize, placement: Placement, mut f: impl FnMut(usize) -> Tuple) -> Self {
+        // SAFETY: the loop writes every slot before anything reads one;
+        // a panicking `f` drops the buffer unread.
+        let mut buf = unsafe { crate::alloc::AlignedBuf::unfilled(n) };
+        for (i, slot) in buf.as_mut_slice().iter_mut().enumerate() {
+            *slot = f(i);
+        }
+        Relation::of(buf, placement)
+    }
+
+    /// Record that no key repeats (a generated primary key), so no
     /// [`Relation::unique_keys`] call scans it. Debug builds verify the
     /// claim and panic on a repeated key.
-    pub fn from_unique_tuples(tuples: &[Tuple], placement: Placement) -> Self {
-        debug_assert!(keys_unique(tuples), "a key of a unique relation repeats");
-        let mut rel = Relation::from_tuples(tuples, placement);
-        rel.unique = OnceLock::from(true);
-        rel
+    pub fn with_unique_keys(mut self) -> Self {
+        debug_assert!(
+            keys_unique(self.tuples()),
+            "a key of a unique relation repeats"
+        );
+        self.unique = OnceLock::from(true);
+        self
+    }
+
+    /// The tuples, to rearrange in place (a generator's shuffle).
+    /// Whatever was known of the keys' uniqueness is forgotten.
+    pub fn tuples_mut(&mut self) -> &mut [Tuple] {
+        self.unique = OnceLock::new();
+        self.data.as_mut_slice()
     }
 
     /// Whether no key occurs twice. A hash join's probe stops at its
@@ -265,7 +291,8 @@ mod tests {
             ..r
         };
         assert!(cached.unique_keys(), "a second call rescanned");
-        let known = Relation::from_unique_tuples(&[Tuple::new(1, 0)], Placement::Interleaved);
+        let known =
+            Relation::from_tuples(&[Tuple::new(1, 0)], Placement::Interleaved).with_unique_keys();
         assert_eq!(known.unique.get(), Some(&true));
     }
 
@@ -274,6 +301,6 @@ mod tests {
     #[should_panic(expected = "a key of a unique relation repeats")]
     fn a_false_uniqueness_claim_panics_in_debug_builds() {
         let ts = [Tuple::new(9, 0), Tuple::new(9, 1)];
-        Relation::from_unique_tuples(&ts, Placement::Interleaved);
+        Relation::from_tuples(&ts, Placement::Interleaved).with_unique_keys();
     }
 }

@@ -346,3 +346,36 @@ fn join_index_round_trips_under_mapped_policy() {
         "materialized output must be bit-identical"
     );
 }
+
+/// The pool serves a request from any idle range that holds it, not
+/// only from a block of its exact length: after a PRO join of one shape
+/// releases its buffers, a join of a smaller shape, whose buffers round
+/// to other lengths, is carved from the released bytes and maps no new
+/// block.
+#[test]
+fn a_smaller_join_is_carved_from_what_a_larger_one_released() {
+    let _guard = lock();
+    let threads = 2;
+    let placement = Placement::Chunked { parts: threads };
+    let shape = |n: usize, seed: u64| {
+        let r = gen_build_dense(n, seed, placement);
+        let s = gen_probe_fk(4 * n, n, seed + 1, placement);
+        (r, s)
+    };
+    let (r1, s1) = shape(300_000, 71);
+    let (r2, s2) = shape(200_000, 73);
+    mem::pool_clear();
+    let first = run_under(Algorithm::Pro, threads, AllocPolicy::Thp, &r1, &s1).expect("first join");
+    let second =
+        run_under(Algorithm::Pro, threads, AllocPolicy::Thp, &r2, &s2).expect("second join");
+    let expect = reference_join(&r2, &s2);
+    assert_eq!(second.checksum, expect.digest);
+    let (a, b) = (first.alloc_totals(), second.alloc_totals());
+    assert!(a.mapped_blocks > 0, "the first join maps its buffers");
+    assert_eq!(
+        b.mapped_blocks, 0,
+        "the second join mapped {} B",
+        b.mapped_bytes
+    );
+    assert!(b.pool_hits > 0);
+}

@@ -335,7 +335,7 @@ fn pairs_on_workers_spill_as_one_thread_does() {
     let part = 16 << 10;
     let need = |n: usize| {
         let table = mmjoin::hashtable::TableSpec::hashed_partition(n, BITS).table_bytes();
-        n * 8 + table + 2 * mmjoin::util::spill::READER_BYTES
+        table + 2 * mmjoin::util::spill::READER_BYTES
     };
     let budget = need(part) + (16 << 10);
     assert!(budget < 2 * need(part) && need(part + (24 << 10)) > budget);
