@@ -3,12 +3,15 @@
 //!
 //! Sweeps the memory budget from unlimited down to 1/8 of the build
 //! side's tuple bytes. At every tier SHHJ must reproduce the checksum
-//! of an unconstrained PRO run; the interesting output is the price —
+//! of the reference join (`core::reference::reference_join`), which
+//! shares no code with any driver; the interesting output is the price —
 //! throughput vs. budget, bytes spilled, partitions evicted, recursion
 //! depth — alongside the classic driver's behavior at the same budget
 //! (it aborts once the budget refuses its partition buffers).
 
+use mmjoin_core::reference::reference_join;
 use mmjoin_core::{Algorithm, Join, JoinConfig, JoinError, JoinResult, SpillCounters};
+use mmjoin_util::checksum::JoinChecksum;
 use mmjoin_util::Relation;
 
 use crate::harness::{HarnessOpts, Table};
@@ -55,7 +58,7 @@ struct TierOk {
     /// SHHJ wall seconds.
     secs: f64,
     spill: SpillCounters,
-    /// SHHJ checksum equals the unconstrained reference's.
+    /// SHHJ's count and checksum equal the reference join's.
     checksum_ok: bool,
 }
 
@@ -72,9 +75,9 @@ struct TierRun {
     classic: Result<f64, JoinError>,
 }
 
-/// Sweep all tiers once. `reference` is an unconstrained run whose
-/// checksum every feasible tier must reproduce.
-fn sweep(r: &Relation, s: &Relation, threads: usize, reference: &JoinResult) -> Vec<TierRun> {
+/// Sweep all tiers once. `reference` is the reference join's answer,
+/// which every feasible tier must reproduce.
+fn sweep(r: &Relation, s: &Relation, threads: usize, reference: JoinChecksum) -> Vec<TierRun> {
     TIERS
         .iter()
         .map(|&(label, frac)| {
@@ -82,7 +85,7 @@ fn sweep(r: &Relation, s: &Relation, threads: usize, reference: &JoinResult) -> 
             let shhj = run_at(Algorithm::Shhj, r, s, threads, budget).map(|res| TierOk {
                 secs: res.total_wall().as_secs_f64(),
                 spill: res.spill_totals(),
-                checksum_ok: res.checksum == reference.checksum && res.matches == reference.matches,
+                checksum_ok: res.checksum == reference.digest && res.matches == reference.count,
             });
             if let Err(e) = &shhj {
                 assert!(
@@ -104,9 +107,7 @@ fn sweep(r: &Relation, s: &Relation, threads: usize, reference: &JoinResult) -> 
 
 pub fn run(opts: &HarnessOpts) -> Vec<Table> {
     let (r, s) = opts.workload(16, 64, 0x5B1);
-    let reference =
-        run_at(Algorithm::Pro, &r, &s, opts.threads, None).expect("unconstrained PRO reference");
-    let runs = sweep(&r, &s, opts.threads, &reference);
+    let runs = sweep(&r, &s, opts.threads, reference_join(&r, &s));
 
     let mut table = Table::new(
         "Extension — SHHJ graceful degradation vs memory budget (host wall ms)",
@@ -168,7 +169,7 @@ pub fn run(opts: &HarnessOpts) -> Vec<Table> {
         }
     }
     table.note(
-        "every feasible tier reproduces the unconstrained PRO checksum; the curve is the cost",
+        "every feasible tier reproduces the reference join's checksum; the curve is the cost",
     );
     table.note("PRO column: classic in-memory driver at the same budget (abort = budget refused)");
     vec![table]
