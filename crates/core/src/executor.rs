@@ -26,6 +26,9 @@
 //!   profiled run, to the [`ExecSink`] the phase was submitted with.
 //!   The pool itself remembers nothing between phases, so joins sharing
 //!   it cannot see each other's numbers.
+//! * **The submitter's switches**: every worker runs a phase under the
+//!   [`Scope`] (kernel mode, alloc policy, injected faults) of the
+//!   thread that submitted it, whatever another thread has set.
 //! * **Panic containment**: the pool outlives the join — every later
 //!   join of its thread runs on it — so a panicking morsel task must not
 //!   take it down. Every phase closure runs under `catch_unwind`; a
@@ -65,6 +68,7 @@ use mmjoin_partition::task::node_of_partition;
 use mmjoin_util::mem;
 use mmjoin_util::perf::{CounterDelta, CounterGroup};
 use mmjoin_util::pool::{lock_recover, ExecCounters, WorkerPhaseStat, WorkerPool};
+use mmjoin_util::scope::Scope;
 
 use crate::fault::{panic_message, WorkerPanic};
 use crate::stats::AllocCounters;
@@ -148,6 +152,9 @@ struct Control {
     start: Instant,
     /// Whether workers should take PMU snapshots for the current epoch.
     profile: bool,
+    /// The submitter's switches (kernel mode, alloc policy, injected
+    /// faults), which every worker runs the current phase under.
+    scope: Scope,
     /// Panic messages captured from workers during the current phase.
     panics: Vec<String>,
     /// What the workers' threads allocated while running the current
@@ -273,6 +280,7 @@ impl Executor {
                 remaining: 0,
                 start: Instant::now(),
                 profile: false,
+                scope: Scope::default(),
                 panics: Vec::new(),
                 alloc: AllocCounters::default(),
                 shutdown: false,
@@ -499,6 +507,7 @@ impl Executor {
             ctl.remaining = self.workers;
             ctl.start = Instant::now();
             ctl.profile = profile_epoch.is_some();
+            ctl.scope = Scope::current();
             ctl.panics.clear();
             ctl.alloc = AllocCounters::default();
             self.shared.work_cv.notify_all();
@@ -596,7 +605,7 @@ fn worker_loop(shared: &Shared, w: usize) {
     IN_WORKER.with(|c| c.set(true));
     let mut seen_epoch = 0;
     loop {
-        let (job, start, profile) = {
+        let (job, start, profile, scope) = {
             let mut ctl = lock_recover(&shared.ctl);
             loop {
                 if ctl.shutdown {
@@ -605,7 +614,7 @@ fn worker_loop(shared: &Shared, w: usize) {
                 if ctl.epoch > seen_epoch {
                     seen_epoch = ctl.epoch;
                     let job = ctl.job.as_ref().expect("phase epoch without job").0;
-                    break (job, ctl.start, ctl.profile);
+                    break (job, ctl.start, ctl.profile, ctl.scope.clone());
                 }
                 ctl = shared
                     .work_cv
@@ -626,13 +635,15 @@ fn worker_loop(shared: &Shared, w: usize) {
         // panic again, outside any guard. The unwind cannot leave `f`'s
         // data in a state the caller misreads — the submitting thread
         // re-raises the panic before looking at any phase output.
-        let (failed, alloc) =
-            catch_unwind(AssertUnwindSafe(|| run_task(shared, w, f, start, profile)))
-                .unwrap_or_else(|payload| {
-                    let msg = panic_message(payload.as_ref());
-                    std::mem::forget(payload);
-                    (Some(msg), AllocCounters::default())
-                });
+        let (failed, alloc) = catch_unwind(AssertUnwindSafe(|| {
+            let _in = scope.enter();
+            run_task(shared, w, f, start, profile)
+        }))
+        .unwrap_or_else(|payload| {
+            let msg = panic_message(payload.as_ref());
+            std::mem::forget(payload);
+            (Some(msg), AllocCounters::default())
+        });
         let mut ctl = lock_recover(&shared.ctl);
         ctl.panics.extend(failed);
         ctl.alloc.merge(alloc);

@@ -22,10 +22,8 @@
 //!   the limit yields [`JoinError::MemoryBudgetExceeded`] instead of an
 //!   abort.
 //! * Failpoints (`--features failpoints`) — deterministic fault
-//!   injection into every phase of every algorithm, armed per test
-//!   thread (`failpoints::arm_local`) or process-wide via the
-//!   `MMJOIN_FAILPOINTS` environment variable
-//!   (`"NOP.build=panic,PRO.join=sleep:25"`).
+//!   injection into every phase of every algorithm, armed for the joins
+//!   one thread submits (`failpoints::arm_local`).
 
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -193,18 +191,13 @@ impl Drop for MemCharge<'_> {
 /// `Panic` makes every worker of that phase panic, `Sleep(ms)` delays
 /// each morsel (for exercising deadlines deterministically).
 ///
-/// Arming is either *process-wide* ([`failpoints::arm`]/
-/// [`failpoints::disarm`], seeded from the `MMJOIN_FAILPOINTS`
-/// environment variable on first use) or *local to the submitting
-/// thread* ([`failpoints::arm_local`]) — the latter is what tests
-/// use, so concurrently running tests cannot see each other's faults.
+/// Arming is local to the submitting thread
+/// ([`failpoints::arm_local`]), so concurrently running tests cannot
+/// see each other's faults.
 #[cfg(feature = "failpoints")]
 pub mod failpoints {
     use std::cell::RefCell;
     use std::collections::HashMap;
-    use std::sync::{Mutex, OnceLock};
-
-    use mmjoin_util::pool::lock_recover;
 
     /// What an armed failpoint does when a worker reaches it.
     #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -215,53 +208,9 @@ pub mod failpoints {
         Sleep(u64),
     }
 
-    static GLOBAL: OnceLock<Mutex<HashMap<String, FailAction>>> = OnceLock::new();
-
     thread_local! {
         static LOCAL: RefCell<HashMap<String, FailAction>> =
             RefCell::new(HashMap::new());
-    }
-
-    fn global() -> &'static Mutex<HashMap<String, FailAction>> {
-        GLOBAL.get_or_init(|| {
-            Mutex::new(parse(
-                std::env::var("MMJOIN_FAILPOINTS")
-                    .ok()
-                    .as_deref()
-                    .unwrap_or(""),
-            ))
-        })
-    }
-
-    /// Parse `"name=panic,name=sleep:25"`; unknown actions are ignored.
-    pub(crate) fn parse(spec: &str) -> HashMap<String, FailAction> {
-        let mut map = HashMap::new();
-        for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
-            let Some((name, action)) = entry.split_once('=') else {
-                continue;
-            };
-            let action = if action.eq_ignore_ascii_case("panic") {
-                Some(FailAction::Panic)
-            } else if let Some(ms) = action.strip_prefix("sleep:") {
-                ms.parse().ok().map(FailAction::Sleep)
-            } else {
-                None
-            };
-            if let Some(a) = action {
-                map.insert(name.trim().to_string(), a);
-            }
-        }
-        map
-    }
-
-    /// Arm a failpoint process-wide.
-    pub fn arm(name: &str, action: FailAction) {
-        lock_recover(global()).insert(name.to_string(), action);
-    }
-
-    /// Disarm a process-wide failpoint.
-    pub fn disarm(name: &str) {
-        lock_recover(global()).remove(name);
     }
 
     /// Arm a failpoint for joins submitted from *this thread* only;
@@ -285,25 +234,14 @@ pub mod failpoints {
         }
     }
 
-    /// The action armed for `name`, thread-local arming first.
+    /// The action this thread armed for `name`.
     pub(crate) fn active(name: &str) -> Option<FailAction> {
-        if let Some(a) = LOCAL.with(|l| l.borrow().get(name).copied()) {
-            return Some(a);
-        }
-        lock_recover(global()).get(name).copied()
+        LOCAL.with(|l| l.borrow().get(name).copied())
     }
 
     #[cfg(test)]
     mod tests {
         use super::*;
-
-        #[test]
-        fn spec_parsing() {
-            let m = parse("NOP.build=panic, PRO.join=sleep:25,bad,x=frob");
-            assert_eq!(m.get("NOP.build"), Some(&FailAction::Panic));
-            assert_eq!(m.get("PRO.join"), Some(&FailAction::Sleep(25)));
-            assert_eq!(m.len(), 2);
-        }
 
         #[test]
         fn local_arming_is_scoped() {

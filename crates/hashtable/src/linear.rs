@@ -592,38 +592,33 @@ mod tests {
 
     #[test]
     fn concurrent_batch_from_many_threads() {
-        // Batched build from 4 threads, then batched probes from 4
-        // threads — the pattern NOP runs under the executor. Exercised
-        // under TSan in CI with the prefetch kernels forced on.
-        use mmjoin_util::kernels::{with_mode, KernelMode};
+        // Batched build on 4 threads, then batched probes on 4 threads —
+        // the pattern NOP runs under the executor. Exercised under TSan
+        // in CI with the prefetch kernels forced on: the scoped pool
+        // carries the mode into every thread it spawns.
+        use mmjoin_util::kernels::{effective_mode, with_mode, KernelMode};
+        use mmjoin_util::pool::{broadcast_map, ScopedPool, WorkerPool};
         let n = 8_000usize;
         let tuples: Vec<Tuple> = (0..n).map(|i| Tuple::new(i as u32 + 1, i as u32)).collect();
         let table = ConcurrentLinearTable::<IdentityHash>::with_capacity(n);
+        let pool = ScopedPool::new(4);
+        let chunk = |w| &tuples[mmjoin_util::chunk_range(n, 4, w)];
         with_mode(KernelMode::Simd, || {
-            std::thread::scope(|s| {
-                for chunk in tuples.chunks(n / 4) {
-                    let table = &table;
-                    s.spawn(move || table.insert_batch(chunk));
-                }
+            let forced = effective_mode();
+            pool.broadcast(&|w| {
+                assert_eq!(effective_mode(), forced);
+                table.insert_batch(chunk(w));
             });
-            let total: usize = std::thread::scope(|s| {
-                let handles: Vec<_> = tuples
-                    .chunks(n / 4)
-                    .map(|chunk| {
-                        let table = &table;
-                        s.spawn(move || {
-                            let mut cnt = 0usize;
-                            table.probe_batch(chunk, true, |p, bp| {
-                                assert_eq!(p.payload, bp);
-                                cnt += 1;
-                            });
-                            cnt
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).sum()
+            let counts = broadcast_map(&pool, 4, |w| {
+                assert_eq!(effective_mode(), forced);
+                let mut cnt = 0usize;
+                table.probe_batch(chunk(w), true, |p, bp| {
+                    assert_eq!(p.payload, bp);
+                    cnt += 1;
+                });
+                cnt
             });
-            assert_eq!(total, n);
+            assert_eq!(counts.iter().sum::<usize>(), n);
         });
     }
 

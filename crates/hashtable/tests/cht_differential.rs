@@ -11,8 +11,6 @@
 
 mod common;
 
-use std::sync::Mutex;
-
 use mmjoin_hashtable::cht::{PROBE_WINDOW, REGION_SHIFT};
 use mmjoin_hashtable::{ConciseHashTable, KeyHash, MultiplicativeHash};
 use mmjoin_util::kernels::{with_mode, KernelMode};
@@ -31,10 +29,6 @@ const MODES: &[KernelMode] = if cfg!(miri) {
 };
 /// The most tuples a table of one region holds (8 positions a tuple).
 const ONE_REGION: usize = 1 << (REGION_SHIFT - 3);
-
-/// `with_mode` sets a process-wide cell; the tests of this file take
-/// turns at it.
-static MODE: Mutex<()> = Mutex::new(());
 
 fn dense(n: usize) -> Vec<Tuple> {
     (1..=n as u32).map(|k| Tuple::new(k, k ^ 0x5a5a)).collect()
@@ -87,7 +81,6 @@ fn assert_matches_reference(what: &str, tuples: &[Tuple], probes: &[Key]) {
         v.sort_unstable();
         v
     };
-    let _turn = MODE.lock().unwrap_or_else(|e| e.into_inner());
     // What the first table built reported, in the order it did.
     let mut first_table: Option<Vec<(Payload, Payload)>> = None;
     for &w in &workers {

@@ -16,7 +16,7 @@
 mod common;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Mutex};
+use std::sync::mpsc;
 use std::time::Duration;
 
 use mmjoin_hashtable::{
@@ -24,6 +24,7 @@ use mmjoin_hashtable::{
     PackedTables, StChainedTable, StLinearTable, TableSpec,
 };
 use mmjoin_util::kernels::{with_mode, KernelMode};
+use mmjoin_util::scope::Scope;
 use mmjoin_util::trace::CountingTracer;
 use mmjoin_util::tuple::{Key, Payload, Tuple};
 use mmjoin_util::CACHE_LINE;
@@ -46,10 +47,6 @@ const N: usize = if cfg!(miri) { 96 } else { 4096 };
 /// loop (groups of `PROBE_GROUP` = 16, one group resolved while the next
 /// is touched), and one odd length many groups long.
 const LENS: [usize; 8] = [0, 1, 15, 16, 17, 32, 33, if cfg!(miri) { 97 } else { 1031 }];
-
-/// `with_mode` sets a process-wide cell; the tests of this file take
-/// turns at it.
-static MODE: Mutex<()> = Mutex::new(());
 
 /// The `n` smallest keys of radix partition `digit` under `bits` low
 /// bits, each once: what a dense primary key leaves in one partition.
@@ -89,7 +86,6 @@ fn assert_matches_reference<T: JoinTable>(
     let n = tuples.len();
     let probes = numbered(probes.iter().copied());
 
-    let _turn = MODE.lock().unwrap_or_else(|e| e.into_inner());
     for &mode in MODES {
         for batched in [true, false] {
             let at = format!("{what}, n={n}, {mode:?}, batched build={batched}");
@@ -342,7 +338,6 @@ fn packed_answers_like_owned<T: JoinTable + Packable>(
         packed.probe_batch(p, &probes[p], unique, |t, bp| hits.push((t.payload, bp)));
         hits
     };
-    let _turn = MODE.lock().unwrap_or_else(|e| e.into_inner());
     for &mode in MODES {
         with_mode(mode, || {
             let mut packed = PackedTables::<T>::new(&caps, &spec);
@@ -460,7 +455,6 @@ fn assert_global_matches_reference<G: Global>(
     probes: &[Tuple],
 ) {
     let share = |len: usize, threads: usize| len.div_ceil(threads).max(1);
-    let _turn = MODE.lock().unwrap_or_else(|e| e.into_inner());
     for &mode in MODES {
         for (threads, batched) in [(1, true), (1, false), (4, true), (4, false)] {
             let at = format!(
@@ -469,11 +463,15 @@ fn assert_global_matches_reference<G: Global>(
                 probes.len()
             );
             with_mode(mode, || {
+                // Threads spawned by hand start from the default mode:
+                // each enters this thread's scope.
+                let scope = Scope::current();
                 let table = make();
                 std::thread::scope(|s| {
                     for part in tuples.chunks(share(tuples.len(), threads)) {
-                        let table = &table;
+                        let (table, scope) = (&table, scope.clone());
                         s.spawn(move || {
+                            let _in = scope.enter();
                             if batched {
                                 table.put_batch(part)
                             } else {
@@ -489,8 +487,9 @@ fn assert_global_matches_reference<G: Global>(
                     let probing: Vec<_> = probes
                         .chunks(share(probes.len(), threads))
                         .map(|part| {
-                            let (table, at) = (&table, &at);
+                            let (table, at, scope) = (&table, &at, scope.clone());
                             s.spawn(move || {
+                                let _in = scope.enter();
                                 let (mut all, mut first) = (Vec::new(), Vec::new());
                                 table.find_batch(part, false, |p, bp| all.push((p.payload, bp)));
                                 table.find_batch(part, true, |p, bp| first.push((p.payload, bp)));
@@ -609,16 +608,18 @@ impl Probing for ConcurrentLinearTable<IdentityHash> {
 }
 
 /// Fill a table of eight slots with all the tuples it takes and probe
-/// it, on a thread of its own: a walk that ends only at an empty slot
-/// never comes back from a table that has none, which the caller sees as
-/// a timeout. Returns the hits of (the key inserted last, an absent key)
+/// it, on a thread of its own under the caller's kernel mode: a walk
+/// that ends only at an empty slot never comes back from a table that
+/// has none, which the caller sees as a timeout. Returns the hits of (the key inserted last, an absent key)
 /// and the message the next insert panics with.
 fn fill_and_probe<T: Probing>(
     batched: bool,
     unique: bool,
 ) -> Option<(Vec<Payload>, Vec<Payload>, String)> {
     let (tx, rx) = mpsc::channel();
+    let scope = Scope::current();
     std::thread::spawn(move || {
+        let _in = scope.enter();
         // One home slot for all: the cluster wraps past the last slot.
         let key = |i: u32| 3 + 8 * i;
         let tuples: Vec<Tuple> = (0..T::ROOM).map(|i| Tuple::new(key(i), i)).collect();
@@ -680,7 +681,6 @@ fn full_linear_tables_answer_and_refuse() {
             }
         }
     }
-    let _turn = MODE.lock().unwrap_or_else(|e| e.into_inner());
     check::<Linear>("linear");
     check::<ConcurrentLinearTable<IdentityHash>>("clinear");
 }

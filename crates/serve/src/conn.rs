@@ -18,7 +18,7 @@ use mmjoin_core::prelude::CancelToken;
 
 use crate::admission::Job;
 use crate::protocol::{self, Frame, FrameReader, ProtoError, Request, MAX_FRAME};
-use crate::telemetry::QueryRecord;
+use crate::telemetry::{QueryRecord, FLIGHT_CAPACITY};
 use crate::Shared;
 
 pub(crate) struct ConnState {
@@ -107,7 +107,7 @@ impl ConnState {
             }
             Request::Trace(spec) => {
                 let (events, count, dropped) = shared.telemetry.render_trace(spec.max, spec.drain);
-                let capacity = shared.telemetry.config().flight_capacity;
+                let capacity = FLIGHT_CAPACITY;
                 self.record_op(shared, &env.tenant, "trace", inline_started, true);
                 self.enqueue_response(&protocol::trace_response(
                     env.id, count, dropped, capacity, &events,

@@ -39,8 +39,6 @@ pub struct TelemetryConfig {
     /// the background sampler. `0` disables the sampler (rotation only
     /// via explicit ticks).
     pub slo_window_secs: f64,
-    /// Flight-recorder capacity (older records are dropped).
-    pub flight_capacity: usize,
     /// Queries at or above this total latency are written to the
     /// slow-query log. `None` disables the log.
     pub slow_query_ms: Option<f64>,
@@ -52,7 +50,6 @@ impl Default for TelemetryConfig {
     fn default() -> TelemetryConfig {
         TelemetryConfig {
             slo_window_secs: 5.0,
-            flight_capacity: 1024,
             slow_query_ms: None,
             slow_query_log: None,
         }
@@ -62,6 +59,9 @@ impl Default for TelemetryConfig {
 /// Closed windows kept per tenant, all merged into the rolling
 /// `p50/p99/p999`.
 const SLO_WINDOWS: usize = 4;
+
+/// Records the flight recorder keeps; older ones are dropped.
+pub const FLIGHT_CAPACITY: usize = 1024;
 
 /// One answered join: what the flight recorder keeps and what
 /// `Telemetry::record_join` counts.
@@ -275,10 +275,6 @@ impl Telemetry {
         }
     }
 
-    pub(crate) fn config(&self) -> &TelemetryConfig {
-        &self.cfg
-    }
-
     /// The server's metric registry (counters and histograms, labeled
     /// tenant × op × algorithm).
     pub fn registry(&self) -> &Arc<Registry> {
@@ -336,7 +332,7 @@ impl Telemetry {
         }
 
         let mut f = self.flight.lock().unwrap();
-        if f.len() >= self.cfg.flight_capacity.max(1) {
+        if f.len() >= FLIGHT_CAPACITY {
             f.pop_front();
             self.flight_dropped.fetch_add(1, Ordering::Relaxed);
         }
@@ -511,7 +507,7 @@ impl Telemetry {
             "\"window_secs\":{},\"flight\":{{\"len\":{},\"capacity\":{},\"dropped\":{}}}",
             fmt_ms(self.cfg.slo_window_secs),
             self.flight_len(),
-            self.cfg.flight_capacity,
+            FLIGHT_CAPACITY,
             self.flight_dropped.load(Ordering::Relaxed)
         ));
         // Per-tenant SLO view, first-seen order.
@@ -613,21 +609,18 @@ mod tests {
 
     #[test]
     fn flight_recorder_bounded_and_drained() {
-        let cfg = TelemetryConfig {
-            flight_capacity: 4,
-            ..TelemetryConfig::default()
-        };
-        let tel = Telemetry::new(cfg, Instant::now());
-        for i in 0..10 {
+        let tel = Telemetry::new(TelemetryConfig::default(), Instant::now());
+        for i in 0..FLIGHT_CAPACITY as u64 + 6 {
             let mut f = facts("t0", 1.0 + i as f64);
             f.seq = i;
             tel.record_join(f);
         }
-        assert_eq!(tel.flight_len(), 4);
+        assert_eq!(tel.flight_len(), FLIGHT_CAPACITY);
         let (events, count, dropped) = tel.render_trace(Some(2), true);
         assert_eq!(count, 2);
-        // 6 evicted by the bounded ring + 2 discarded by the capped drain.
-        assert_eq!(dropped, 8);
+        // 6 evicted by the bounded ring + the rest discarded by the
+        // capped drain.
+        assert_eq!(dropped, 6 + FLIGHT_CAPACITY as u64 - 2);
         assert_eq!(tel.flight_len(), 0);
         // Valid JSON array with X and M events.
         let v = mmjoin_util::jsonv::parse(&events).expect("trace events parse");

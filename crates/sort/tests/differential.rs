@@ -9,8 +9,6 @@
 //! Miri, where `RUN_LEN` shrinks so that the same boundaries stay
 //! reachable (portable only: the interpreter has no AVX-512).
 
-use std::sync::{Mutex, MutexGuard};
-
 use mmjoin_sort::mergesort::RUN_LEN;
 use mmjoin_sort::multiway::merge_runs_into;
 use mmjoin_sort::sort_packed;
@@ -28,16 +26,8 @@ const MODES: &[KernelMode] = if cfg!(miri) {
     &[KernelMode::Portable, KernelMode::Simd]
 };
 
-/// The kernel mode is a process setting; the tests of this file run on
-/// parallel threads, so each holds this while it switches the mode.
-fn mode_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Run `f` under every kernel mode in turn.
 fn in_every_mode(f: impl Fn(KernelMode)) {
-    let _mode = mode_lock();
     for &mode in MODES {
         with_mode(mode, || f(mode));
     }

@@ -462,7 +462,6 @@ mod tests {
     /// the arena rounding is overflow-checked too.
     #[test]
     fn oversized_request_panics_under_mapped_policy() {
-        let _policy = crate::mem::policy_test_lock();
         let r = std::panic::catch_unwind(|| {
             crate::mem::with_policy(crate::mem::AllocPolicy::Thp, || {
                 AlignedBuf::<u64>::zeroed(usize::MAX / 8 + 1)

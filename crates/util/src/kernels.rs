@@ -23,28 +23,26 @@
 //!
 //! # Selecting a mode
 //!
-//! Resolution order, first match wins:
+//! The process default comes from the `MMJOIN_KERNELS` environment
+//! variable (`portable` | `simd` | `auto`), else from auto-detection
+//! (`simd` on `x86_64` with SSE2, else `portable`); it is resolved once.
+//! [`with_mode`] overrides it for the calling thread and the phases that
+//! thread submits (see [`crate::scope`]), never for another thread.
 //!
-//! 1. a programmatic override installed with [`set_mode`] at start-up
-//!    (no join sets it; [`with_mode`] is the scoped form for
-//!    single-threaded A/B tests),
-//! 2. the `MMJOIN_KERNELS` environment variable
-//!    (`portable` | `simd` | `auto`),
-//! 3. auto-detection (`simd` on `x86_64` with SSE2, else `portable`).
-//!
-//! The resolved mode is a process-wide property, cached in one atomic:
-//! reading it in a hot loop costs a single relaxed load. Forcing `simd`
-//! on a CPU without the required features silently degrades to
-//! `portable` rather than faulting.
+//! The resolved mode is cached per thread: reading it in a hot loop
+//! costs one thread-local load. Forcing `simd` on a CPU without the
+//! required features silently degrades to `portable` rather than
+//! faulting.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::OnceLock;
 
+use crate::scope::{Scope, KERNELS, KERNELS_PORTABLE, KERNELS_SIMD};
 use crate::CACHE_LINE;
 
 /// Kernel selection policy.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum KernelMode {
-    /// Resolve from `MMJOIN_KERNELS`, falling back to CPU detection.
+    /// The process default: `MMJOIN_KERNELS`, else CPU detection.
     Auto,
     /// Force the portable fallbacks (plain copies, no prefetch).
     Portable,
@@ -64,14 +62,6 @@ impl KernelMode {
     }
 }
 
-/// Packed state of the process-wide mode cell: 0 = unresolved, else
-/// 1 + discriminant of the *resolved* (Portable/Simd) mode.
-const UNRESOLVED: u8 = 0;
-const RESOLVED_PORTABLE: u8 = 1;
-const RESOLVED_SIMD: u8 = 2;
-
-static MODE: AtomicU8 = AtomicU8::new(UNRESOLVED);
-
 /// True when this build/CPU can run the streaming + prefetch kernels.
 #[inline]
 fn cpu_has_simd() -> bool {
@@ -88,54 +78,42 @@ fn cpu_has_simd() -> bool {
     }
 }
 
-fn resolve_from_env() -> u8 {
-    let requested = std::env::var("MMJOIN_KERNELS")
-        .ok()
-        .and_then(|v| KernelMode::parse(&v))
-        .unwrap_or(KernelMode::Auto);
-    resolve(requested)
-}
-
+/// The mode `mode` stands for on this CPU; `Auto` is the process
+/// default.
 fn resolve(mode: KernelMode) -> u8 {
     match mode {
-        KernelMode::Portable => RESOLVED_PORTABLE,
-        KernelMode::Simd | KernelMode::Auto => {
-            if cpu_has_simd() {
-                RESOLVED_SIMD
-            } else {
-                RESOLVED_PORTABLE
-            }
-        }
+        KernelMode::Portable => KERNELS_PORTABLE,
+        KernelMode::Simd if cpu_has_simd() => KERNELS_SIMD,
+        KernelMode::Simd => KERNELS_PORTABLE,
+        KernelMode::Auto => process_default(),
     }
 }
 
-/// Install a process-wide kernel mode, overriding the environment.
-/// `Auto` re-resolves from `MMJOIN_KERNELS` / CPU detection.
-pub fn set_mode(mode: KernelMode) {
-    let state = match mode {
-        KernelMode::Auto => resolve_from_env(),
-        other => resolve(other),
-    };
-    MODE.store(state, Ordering::Relaxed);
+/// `MMJOIN_KERNELS` on this CPU, read once.
+fn process_default() -> u8 {
+    static DEFAULT: OnceLock<u8> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        let requested = std::env::var("MMJOIN_KERNELS").ok();
+        match requested.as_deref().and_then(KernelMode::parse) {
+            Some(KernelMode::Portable) => KERNELS_PORTABLE,
+            _ => resolve(KernelMode::Simd),
+        }
+    })
 }
 
-/// True when the streaming/prefetch kernels are active; false means every
-/// dispatched kernel takes its portable fallback.
+/// True when the streaming/prefetch kernels are active on this thread;
+/// false means every dispatched kernel takes its portable fallback.
 #[inline]
 pub fn simd_active() -> bool {
-    match MODE.load(Ordering::Relaxed) {
-        RESOLVED_SIMD => true,
-        RESOLVED_PORTABLE => false,
+    KERNELS.with(|c| match c.get() {
+        KERNELS_SIMD => true,
+        KERNELS_PORTABLE => false,
         _ => {
-            // Fill the cell only if it is still unresolved: a
-            // `set_mode`/`with_mode` that landed meanwhile wins.
-            let state = resolve_from_env();
-            match MODE.compare_exchange(UNRESOLVED, state, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => state == RESOLVED_SIMD,
-                Err(installed) => installed == RESOLVED_SIMD,
-            }
+            let mode = process_default();
+            c.set(mode);
+            mode == KERNELS_SIMD
         }
-    }
+    })
 }
 
 /// The currently effective mode, post-resolution.
@@ -269,19 +247,18 @@ pub fn avx512_active() -> bool {
     }
 }
 
-/// Run `f` under a forced kernel mode, restoring the previous mode after.
-///
-/// The mode is a *process-wide* property: concurrently running joins see
-/// the forced mode too. That is benign for correctness (both paths are
-/// bit-identical) but matters for benchmarking — A/B harnesses should
-/// not overlap runs. Intended for single-threaded differential tests
-/// and micro-benchmarks.
+/// Run `f` under a forced kernel mode on the calling thread — and on
+/// the workers of every phase it submits — restoring the thread's
+/// switches after. Another thread's mode never changes: two
+/// threads can A/B the two modes at once.
 pub fn with_mode<R>(mode: KernelMode, f: impl FnOnce() -> R) -> R {
-    let before = MODE.load(Ordering::Relaxed);
-    set_mode(mode);
-    let out = f();
-    MODE.store(before, Ordering::Relaxed);
-    out
+    let kernels = resolve(mode);
+    let _in = Scope {
+        kernels,
+        ..Scope::current()
+    }
+    .enter();
+    f()
 }
 
 #[cfg(test)]

@@ -8,6 +8,9 @@
 //! * [`alloc::AlignedBuf`] — cache-line / page aligned buffers.
 //! * [`kernels`] — runtime-dispatched hardware kernels (non-temporal
 //!   streaming stores, software prefetch) with portable fallbacks.
+//! * [`scope`] — the per-thread switches (kernel mode, alloc-policy
+//!   override, forced failures, spill I/O faults) a worker pool carries
+//!   from a phase's submitter into its workers.
 //! * [`rng`] — small deterministic PRNGs (SplitMix64 / Xoshiro256**).
 //! * [`checksum`] — order-independent join-result checksums used to verify
 //!   that all thirteen algorithms produce identical results.
@@ -23,6 +26,7 @@ pub mod mem;
 pub mod perf;
 pub mod pool;
 pub mod rng;
+pub mod scope;
 pub mod spill;
 pub mod stats;
 #[cfg(all(

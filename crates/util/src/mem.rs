@@ -38,20 +38,23 @@
 //!   phase in `PhaseStat` and in the metrics exporters) — behaviour and
 //!   results are identical.
 //!
-//! The active policy is a process setting, exactly like
-//! [`crate::kernels`]: an explicit [`set_policy`] at start-up (the
-//! CLI's `--alloc`, the wall-clock benchmark) wins over the
-//! `MMJOIN_ALLOC` environment variable, which wins over the default
+//! The process's policy is set once: an explicit [`set_policy`] at
+//! start-up (the CLI's `--alloc`, the wall-clock benchmark) wins over
+//! the `MMJOIN_ALLOC` environment variable, which wins over the default
 //! ([`AllocPolicy::Portable`] — the pre-existing aligned heap path). No
-//! join sets it; [`with_policy`] is the scoped override for
-//! single-threaded A/B tests.
+//! join sets it. [`with_policy`] overrides it for the calling thread and
+//! the phases that thread submits ([`crate::scope`]), so two threads can
+//! A/B the two policies at once; the arena pool they draw on stays one
+//! per process.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
+use crate::scope::{Scope, FAIL_MASK, POLICY_OVERRIDE};
 use crate::{PAGE_2M, PAGE_4K};
 
 /// Buffers below this many bytes always use the portable heap
@@ -60,8 +63,7 @@ use crate::{PAGE_2M, PAGE_4K};
 pub const MAP_THRESHOLD: usize = 64 * 1024;
 
 // ---------------------------------------------------------------------------
-// Policy type and the process-global policy cell (same shape as
-// kernels::set_mode)
+// Policy type, the process's policy cell and the per-thread override
 // ---------------------------------------------------------------------------
 
 /// How join buffers are allocated.
@@ -98,45 +100,34 @@ impl AllocPolicy {
     }
 }
 
-/// 0 = unresolved, 1 = portable, 2 = THP.
-static POLICY: AtomicU32 = AtomicU32::new(0);
-
-fn encode_policy(p: AllocPolicy) -> u32 {
-    match p {
-        AllocPolicy::Portable => 1,
-        AllocPolicy::Thp => 2,
-    }
-}
-
-fn decode_policy(v: u32) -> AllocPolicy {
-    if v == 2 {
-        AllocPolicy::Thp
-    } else {
-        AllocPolicy::Portable
-    }
-}
+/// The process's policy: 0 until set or resolved, else 1 + its
+/// discriminant.
+static POLICY: AtomicU8 = AtomicU8::new(0);
 
 /// Install `p` process-wide: every subsequent policy-eligible
 /// allocation uses it. A start-up call, before the first join: joins
 /// running at the time would allocate under a mix of both policies.
 pub fn set_policy(p: AllocPolicy) {
-    POLICY.store(encode_policy(p), Ordering::Release);
+    POLICY.store(p as u8 + 1, Ordering::Release);
 }
 
-/// The active policy: the last [`set_policy`] if any, else
-/// `MMJOIN_ALLOC` (invalid values warn once and fall back), else
-/// [`AllocPolicy::Portable`].
+/// The calling thread's policy: its [`with_policy`] override if any,
+/// else the last [`set_policy`], else `MMJOIN_ALLOC` (invalid values
+/// warn once and fall back), else [`AllocPolicy::Portable`].
 pub fn policy() -> AllocPolicy {
-    let v = POLICY.load(Ordering::Acquire);
-    if v != 0 {
-        return decode_policy(v);
+    if let Some(p) = POLICY_OVERRIDE.with(Cell::get) {
+        return p;
     }
-    // Fill the cell only if it is still unset: a `set_policy` /
-    // `with_policy` that landed meanwhile wins.
-    let p = policy_from_env();
-    match POLICY.compare_exchange(0, encode_policy(p), Ordering::AcqRel, Ordering::Acquire) {
-        Ok(_) => p,
-        Err(installed) => decode_policy(installed),
+    match POLICY.load(Ordering::Acquire) {
+        0 => {
+            // Fill the cell only if it is still unset: a `set_policy`
+            // that landed meanwhile wins.
+            let env = policy_from_env() as u8 + 1;
+            let _ = POLICY.compare_exchange(0, env, Ordering::AcqRel, Ordering::Acquire);
+            policy()
+        }
+        1 => AllocPolicy::Portable,
+        _ => AllocPolicy::Thp,
     }
 }
 
@@ -156,18 +147,16 @@ fn policy_from_env() -> AllocPolicy {
     }
 }
 
-/// Run `f` under `p`, restoring the previous policy state afterwards —
-/// the A/B hook for single-threaded differential tests and
-/// micro-benchmarks.
+/// Run `f` under `p` on the calling thread — and on the workers of
+/// every phase it submits — restoring the thread's switches afterwards:
+/// the A/B hook for differential tests and micro-benchmarks. Another
+/// thread's policy never changes.
 pub fn with_policy<R>(p: AllocPolicy, f: impl FnOnce() -> R) -> R {
-    let prev = POLICY.swap(encode_policy(p), Ordering::AcqRel);
-    struct Restore(u32);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            POLICY.store(self.0, Ordering::Release);
-        }
+    let _in = Scope {
+        policy: Some(p),
+        ..Scope::current()
     }
-    let _restore = Restore(prev);
+    .enter();
     f()
 }
 
@@ -257,18 +246,17 @@ pub const FAIL_MADVISE: u32 = 2;
 /// Bit: pretend every `mmap` fails (forces the heap fallback).
 pub const FAIL_MMAP: u32 = 8;
 
-static FORCE_FAIL: AtomicU32 = AtomicU32::new(0);
-
 /// Make the named syscalls report failure, deterministically, so the
-/// fallback ladder can be exercised on any host. Testing hook; 0
-/// restores normal operation.
+/// fallback ladder can be exercised on any host: on the calling thread
+/// and the workers of the phases it submits, until it sets another
+/// mask. Testing hook; 0 restores normal operation.
 #[doc(hidden)]
 pub fn set_force_fail(mask: u32) {
-    FORCE_FAIL.store(mask, Ordering::Release);
+    FAIL_MASK.with(|c| c.set(mask));
 }
 
 fn forced(bit: u32) -> bool {
-    FORCE_FAIL.load(Ordering::Acquire) & bit != 0
+    FAIL_MASK.with(Cell::get) & bit != 0
 }
 
 // ---------------------------------------------------------------------------
@@ -671,9 +659,10 @@ mod imp {
     }
 }
 
-/// Every test of this crate that sets the process-global policy cell,
-/// forces a failure or clears the pool holds this while it does: the
-/// three are shared by all test threads of the binary.
+/// Every test of this crate that clears the arena pool, or needs a
+/// request served by a fresh mapping rather than by the pool, holds
+/// this while it does: the pool is shared by all test threads of the
+/// binary.
 #[cfg(test)]
 pub(crate) fn policy_test_lock() -> std::sync::MutexGuard<'static, ()> {
     static M: Mutex<()> = Mutex::new(());
@@ -689,8 +678,6 @@ mod tests {
     fn parse_round_trips_and_refuses_removed_tokens() {
         for p in [AllocPolicy::Portable, AllocPolicy::Thp] {
             assert_eq!(AllocPolicy::parse(&p.name()).unwrap(), p);
-            assert_eq!(decode_policy(encode_policy(p)), p);
-            assert_ne!(encode_policy(p), 0, "0 is the unresolved marker");
         }
         assert_eq!(AllocPolicy::parse(" HEAP ").unwrap(), AllocPolicy::Portable);
         assert_eq!(AllocPolicy::parse("Transparent").unwrap(), AllocPolicy::Thp);
@@ -720,7 +707,6 @@ mod tests {
 
     #[test]
     fn portable_policy_never_maps() {
-        let _g = lock();
         with_policy(AllocPolicy::Portable, || {
             assert!(acquire(PAGE_2M, 64).is_none());
         });
@@ -728,7 +714,6 @@ mod tests {
 
     #[test]
     fn small_requests_stay_on_heap() {
-        let _g = lock();
         with_policy(AllocPolicy::Thp, || {
             assert!(acquire(MAP_THRESHOLD - 1, 64).is_none());
         });
@@ -741,8 +726,8 @@ mod tests {
             pool_clear();
             let before = stats();
             // A size class of its own: tests outside `lock` allocate
-            // under this policy meanwhile, and would take a 2 MiB block
-            // parked in the pool (and count their own hits).
+            // under their own `thp` meanwhile, and would take a 2 MiB
+            // block parked in the pool (and count their own hits).
             let Some(b) = acquire(3 * PAGE_2M, 64) else {
                 // Stub backend (non-Linux): fallback must be counted.
                 assert!(stats().delta(&before).heap_fallback >= 1);
@@ -785,10 +770,9 @@ mod tests {
             let before = stats();
             let mine = thread_stats();
             assert!(acquire(PAGE_2M, 64).is_none());
-            // Counted once for this thread — the policy and the forced
-            // failure are process-wide, so other tests' allocations move
-            // the process-wide counter meanwhile — and where `stats`
-            // reports it.
+            // Counted once for this thread — other tests' allocations
+            // move the process-wide counter meanwhile — and where
+            // `stats` reports it.
             assert_eq!(thread_stats().delta(&mine).heap_fallback, 1);
             assert!(stats().delta(&before).heap_fallback >= 1);
             set_force_fail(0);

@@ -11,6 +11,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use crate::perf::CounterDelta;
+use crate::scope::Scope;
 
 /// Lock a mutex, recovering from poison.
 ///
@@ -125,10 +126,16 @@ impl WorkerPool for ScopedPool {
         self.workers
     }
 
+    /// Every thread runs under the caller's [`Scope`].
     fn broadcast(&self, f: &(dyn Fn(usize) + Sync)) {
+        let scope = Scope::current();
         std::thread::scope(|s| {
             for w in 0..self.workers {
-                s.spawn(move || f(w));
+                let scope = scope.clone();
+                s.spawn(move || {
+                    let _in = scope.enter();
+                    f(w)
+                });
             }
         });
     }

@@ -85,79 +85,59 @@ fn invalid(path: &Path, what: &str) -> io::Error {
     )
 }
 
-/// Injectable I/O failures for fault testing ("io failpoints").
-///
-/// Unlike the cfg-gated panic/sleep failpoints in `mmjoin-core`, these
-/// are always compiled: with nothing armed the check is one atomic load
-/// per file operation, and the lock is taken only while a failpoint is
-/// armed. Arming is scoped by a path substring so concurrent tests
-/// (each join spills under its own unique [`SpillDir`]) cannot trip
-/// each other's faults.
+/// Injectable I/O failures for fault testing ("io failpoints"), always
+/// compiled: with nothing armed the check is one thread-local read per
+/// file operation. A fault is armed on the calling thread and carried
+/// with its [`crate::scope::Scope`] into the workers of the phases it
+/// submits; the path substring narrows it to the files of one
+/// [`SpillDir`].
 pub mod iofail {
     use std::io;
     use std::path::Path;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Mutex;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
-    static ARMED: Mutex<Option<(String, u64)>> = Mutex::new(None);
+    use crate::scope::{Entered, Scope, IO_FAULT};
 
-    /// Whether `ARMED` holds a failpoint; written under its lock. Only
-    /// a hint for skipping the lock: the failpoint itself is read under
-    /// the lock. The `Release` store pairs with `check`'s `Acquire`
-    /// load; a join started after `arm` returns sees the flag set,
-    /// since starting its workers synchronizes with the arming thread.
-    static ANY_ARMED: AtomicBool = AtomicBool::new(false);
-
-    /// Disarms the failpoint when dropped (RAII for tests).
-    pub struct Guard;
-
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            disarm();
-        }
+    /// An armed fault: a path substring and the matching operations
+    /// still to let through, one countdown for every thread it is
+    /// carried to.
+    #[derive(Debug)]
+    pub(crate) struct Fault {
+        pattern: String,
+        skip: AtomicU64,
     }
 
-    fn set(armed: Option<(String, u64)>) {
-        let mut g = ARMED
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        ANY_ARMED.store(armed.is_some(), Ordering::Release);
-        *g = armed;
-    }
-
-    /// Arm: the `(skip + 1)`-th I/O operation on any spill file whose
-    /// path contains `path_substring` fails with an injected
-    /// `io::Error`, as do all later matching operations until the
-    /// returned [`Guard`] drops (persistent failure models a dead disk,
+    /// Arm, on this thread: the `(skip + 1)`-th I/O operation on any
+    /// spill file whose path contains `path_substring` fails with an
+    /// injected `io::Error`, as do all later matching operations until
+    /// the returned guard drops (persistent failure models a dead disk,
     /// and keeps retry paths deterministic).
-    pub fn arm(path_substring: &str, skip: u64) -> Guard {
-        set(Some((path_substring.to_string(), skip)));
-        Guard
-    }
-
-    /// Remove any armed failpoint.
-    pub fn disarm() {
-        set(None);
+    pub fn arm(path_substring: &str, skip: u64) -> Entered {
+        let fault = Fault {
+            pattern: path_substring.to_string(),
+            skip: AtomicU64::new(skip),
+        };
+        Scope {
+            io_fault: Some(Arc::new(fault)),
+            ..Scope::current()
+        }
+        .enter()
     }
 
     /// Called by the spill layer before each file operation.
     pub(crate) fn check(path: &Path) -> io::Result<()> {
-        if !ANY_ARMED.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        let mut g = ARMED
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some((pat, left)) = g.as_mut() {
-            if path.to_string_lossy().contains(pat.as_str()) {
-                if *left == 0 {
-                    return Err(io::Error::other(format!(
-                        "injected spill I/O failure on {}",
-                        path.display()
-                    )));
-                }
-                *left -= 1;
-            }
+        let trips = |f: &Fault| {
+            path.to_string_lossy().contains(f.pattern.as_str())
+                && (f.skip)
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+                    .is_err()
+        };
+        if IO_FAULT.with(|c| c.borrow().as_deref().is_some_and(trips)) {
+            return Err(io::Error::other(format!(
+                "injected spill I/O failure on {}",
+                path.display()
+            )));
         }
         Ok(())
     }

@@ -5,9 +5,10 @@
 //! must degrade silently — the join succeeds, the fallback is recorded
 //! in the result's per-phase alloc counters, never an error.
 //!
-//! The policy cell and the failure-injection mask are process-global,
-//! so every test here serializes on one mutex and restores the portable
-//! default before releasing it.
+//! The policy override and the failure-injection mask are the test
+//! thread's own, carried into the workers of its joins; the arena pool
+//! is the process's, so every test here serializes on one mutex and
+//! empties the pool before releasing it.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -23,14 +24,12 @@ use mmjoin::util::mem::{self, AllocPolicy, FAIL_MADVISE, FAIL_MMAP};
 use mmjoin::util::trace::NoTracer;
 use mmjoin::util::{Placement, Relation};
 
-/// Serialize tests and guarantee clean global state on exit (including
+/// Serialize tests and leave the pool empty on exit (including
 /// panicking exits — the guard's Drop runs either way).
 struct PolicyLock(#[allow(dead_code)] MutexGuard<'static, ()>);
 
 impl Drop for PolicyLock {
     fn drop(&mut self) {
-        mem::set_force_fail(0);
-        mem::set_policy(AllocPolicy::Portable);
         mem::pool_clear();
     }
 }
@@ -55,8 +54,7 @@ fn cfg(threads: usize) -> JoinConfig {
     c
 }
 
-/// One join of `alg` under `policy`, through the scoped override (the
-/// policy is a process setting; the caller holds [`lock`]).
+/// One join of `alg` under `policy`, through the scoped override.
 fn run_under(
     alg: Algorithm,
     threads: usize,
@@ -144,13 +142,17 @@ fn concurrent_joins_do_not_bill_each_other() {
         let started = std::sync::Barrier::new(4);
         let crowded = std::thread::scope(|scope| {
             for _ in 0..3 {
+                // A thread of its own takes the process policy: the
+                // neighbours set `thp` themselves, to draw on the arenas.
                 scope.spawn(|| {
-                    let prb = Join::new(Algorithm::Prb).with_config(cfg(threads));
-                    prb.run(&r, &s).expect("PRB neighbour");
-                    started.wait();
-                    while !stop.load(Ordering::Relaxed) {
+                    mem::with_policy(AllocPolicy::Thp, || {
+                        let prb = Join::new(Algorithm::Prb).with_config(cfg(threads));
                         prb.run(&r, &s).expect("PRB neighbour");
-                    }
+                        started.wait();
+                        while !stop.load(Ordering::Relaxed) {
+                            prb.run(&r, &s).expect("PRB neighbour");
+                        }
+                    })
                 });
             }
             started.wait();

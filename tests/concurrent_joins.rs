@@ -15,6 +15,8 @@
 //!
 //! And for the process: kernel mode and allocation policy are settings
 //! no join writes, so they read the same after the storm as before it.
+//! Two submitters that set opposite ones for themselves at once each run
+//! every phase under their own.
 
 use std::sync::{Arc, Barrier, Mutex};
 
@@ -22,7 +24,10 @@ use mmjoin::core::executor::Executor;
 use mmjoin::core::reference::reference_join;
 use mmjoin::core::{Algorithm, BuildSide, Join, JoinConfig, JoinResult, Pipeline};
 use mmjoin::datagen::{gen_build_dense, gen_probe_fk};
-use mmjoin::util::{kernels, mem, Placement};
+use mmjoin::util::kernels::{self, KernelMode};
+use mmjoin::util::mem::{self, AllocPolicy};
+use mmjoin::util::pool::WorkerPool;
+use mmjoin::util::Placement;
 
 const THREADS: usize = 3;
 const SUBMITTERS: usize = 4;
@@ -111,5 +116,86 @@ fn concurrent_joins_keep_their_own_counters_and_spans() {
         (kernels::effective_mode(), mem::policy()),
         settings_before,
         "a join wrote a process-wide setting"
+    );
+}
+
+/// Two submitters at once, one under the portable kernels and the
+/// `portable` policy, one under the SIMD kernels and `thp`: both answer
+/// as the reference does, every worker of every phase either submits
+/// runs under its submitter's mode and policy, and only the `thp`
+/// joins' phases draw on the arenas.
+#[test]
+fn two_scopes_at_once_keep_their_own_mode_and_policy() {
+    let placement = Placement::Chunked { parts: THREADS };
+    // Big enough that the partition outputs and tables are mapped.
+    let r = gen_build_dense(20_000, 0xC2C0, placement);
+    let s = gen_probe_fk(80_000, 20_000, 0xC2C1, placement);
+    let expect = reference_join(&r, &s);
+    let start = Barrier::new(2);
+    let settings_before = (kernels::effective_mode(), mem::policy());
+
+    std::thread::scope(|scope| {
+        for (mode, policy) in [
+            (KernelMode::Portable, AllocPolicy::Portable),
+            (KernelMode::Simd, AllocPolicy::Thp),
+        ] {
+            let (r, s, expect, start) = (&r, &s, &expect, &start);
+            scope.spawn(move || {
+                kernels::with_mode(mode, || {
+                    mem::with_policy(policy, || {
+                        // `Simd` is `Portable` on a CPU without the kernels.
+                        let want = (kernels::effective_mode(), policy);
+                        let pool = Executor::shared(THREADS);
+                        // What every worker of a broadcast and of a
+                        // morsel phase on this thread's pool runs under.
+                        let seen = || {
+                            let seen = Mutex::new(Vec::new());
+                            let note = || {
+                                let got = (kernels::effective_mode(), mem::policy());
+                                seen.lock().unwrap().push(got);
+                            };
+                            pool.broadcast(&|_| note());
+                            pool.run_morsels(&[(0..4 * THREADS).collect()], &|_, _| note());
+                            seen.into_inner().unwrap()
+                        };
+                        start.wait();
+                        let mut arena = 0;
+                        for round in 0..ROUNDS {
+                            for alg in Algorithm::WITH_EXTENSIONS {
+                                let tag = format!("{alg} {policy:?} round={round}");
+                                let mut cfg = JoinConfig::new(THREADS);
+                                cfg.simulate = false;
+                                cfg.radix_bits = Some(4);
+                                let res = Join::new(alg)
+                                    .with_config(cfg)
+                                    .run(r, s)
+                                    .expect("valid plan");
+                                assert_eq!(res.matches, expect.count, "{tag}");
+                                assert_eq!(res.checksum, expect.digest, "{tag}");
+                                for p in &res.phases {
+                                    let drawn = p.alloc.mapped_blocks + p.alloc.pool_hits;
+                                    if policy == AllocPolicy::Portable {
+                                        assert_eq!(drawn, 0, "{tag}/{}: {:?}", p.name, p.alloc);
+                                    }
+                                    arena += drawn;
+                                }
+                                let seen = seen();
+                                assert_eq!(seen.len(), THREADS + 4 * THREADS, "{tag}");
+                                assert!(seen.iter().all(|&s| s == want), "{tag}: {seen:?}");
+                            }
+                        }
+                        if policy == AllocPolicy::Thp && cfg!(target_os = "linux") {
+                            assert!(arena > 0, "no thp join drew on the arenas");
+                        }
+                    })
+                })
+            });
+        }
+    });
+
+    assert_eq!(
+        (kernels::effective_mode(), mem::policy()),
+        settings_before,
+        "a scope leaked into the calling thread"
     );
 }

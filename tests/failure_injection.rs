@@ -9,7 +9,6 @@ use mmjoin::core::{Algorithm, Join, JoinConfig, JoinError, JoinResult};
 use mmjoin::partition::{chunked_partition_on, partition_parallel_on, RadixFn, ScatterMode};
 use mmjoin::util::pool::ScopedPool;
 use mmjoin::util::{Placement, Relation, Tuple};
-use std::sync::{Mutex, MutexGuard};
 
 fn cfg(threads: usize, bits: Option<u32>) -> JoinConfig {
     let mut c = JoinConfig::new(threads);
@@ -23,14 +22,6 @@ fn run_join(alg: Algorithm, r: &Relation, s: &Relation, c: &JoinConfig) -> JoinR
         .with_config(c.clone())
         .run(r, s)
         .expect("valid plan")
-}
-
-/// The kernel mode is a process setting and the tests of this file run
-/// on parallel threads: a test that switches it, or whose figures
-/// depend on it (MWAY's sort reservation), holds this.
-fn mode_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Algorithms that tolerate arbitrary key multisets (array joins need
@@ -160,7 +151,6 @@ fn mway_identical_in_both_kernel_modes_through_the_multiway_merge() {
     // default, partitions this small hold one run.
     use mmjoin::sort::mergesort::RUN_LEN;
     use mmjoin::util::kernels::{with_mode, KernelMode};
-    let _mode = mode_lock();
     let n_r = 4 * 3 * RUN_LEN + 4_000;
     assert!(n_r / 8 > RUN_LEN);
     let r = mmjoin::datagen::gen_build_dense(n_r, 41, Placement::Chunked { parts: 4 });
@@ -300,7 +290,6 @@ fn mway_budget_counts_the_sort_scratch() {
     // fan-out, whose bits the result reports; in both kernel modes.
     use mmjoin::sort::mergesort::{scratch_len, RUN_LEN};
     use mmjoin::util::kernels::{with_mode, KernelMode};
-    let _mode = mode_lock();
     let threads = 2;
     let check = |r: &Relation, s: &Relation, fan_out: Option<u32>| {
         let expect = reference_join(r, s);

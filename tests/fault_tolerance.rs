@@ -7,8 +7,8 @@
 //! correct checksum (the pool survived, every worker thread alive).
 //!
 //! Failpoints are armed thread-locally (`arm_local`), so these tests
-//! can run concurrently with every other test sharing the process-wide
-//! executor pools without leaking faults into them.
+//! can run concurrently with every other test of the binary without
+//! leaking faults into them.
 #![cfg(feature = "failpoints")]
 
 use std::time::Duration;
@@ -19,17 +19,6 @@ use mmjoin::core::{Algorithm, Join, JoinConfig, JoinError};
 use mmjoin::util::{Placement, Relation};
 
 const THREADS: usize = 4;
-
-/// Serializes the tests that arm (or could observe) a *process-wide*
-/// failpoint on NOPA: global arming is visible to every thread, so the
-/// unarmed follow-up joins of the full-matrix test must not overlap it.
-static GLOBAL_ARMING: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn serialize_global() -> std::sync::MutexGuard<'static, ()> {
-    GLOBAL_ARMING
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 fn workload() -> (Relation, Relation) {
     let n = 3_000;
@@ -101,7 +90,6 @@ fn panic_isolated_in_every_phase_of_headline_algorithms() {
 /// injected panic and its pool survives.
 #[test]
 fn panic_isolated_in_every_phase_of_all_thirteen() {
-    let _serial = serialize_global();
     let (r, s) = workload();
     for alg in Algorithm::ALL {
         for &phase in alg.phases() {
@@ -133,23 +121,4 @@ fn sleep_failpoint_trips_a_real_deadline() {
         }
         other => panic!("expected Timedout, got {other:?}"),
     }
-}
-
-/// Process-wide arming (the `MMJOIN_FAILPOINTS` path) works through the
-/// public arm/disarm API too.
-#[test]
-fn global_arming_round_trip() {
-    use mmjoin::core::fault::failpoints::{arm, disarm};
-    let _serial = serialize_global();
-    let (r, s) = workload();
-    arm("NOPA.probe", FailAction::Panic);
-    let got = run(Algorithm::Nopa, &r, &s);
-    disarm("NOPA.probe");
-    match got {
-        Err(JoinError::WorkerPanicked { phase, .. }) => assert_eq!(phase, "probe"),
-        other => panic!("expected WorkerPanicked, got {other:?}"),
-    }
-    let expect = reference_join(&r, &s);
-    let res = run(Algorithm::Nopa, &r, &s).expect("join after disarm");
-    assert_eq!(res.checksum, expect.digest);
 }

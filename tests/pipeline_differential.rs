@@ -12,12 +12,9 @@
 //! thread count for its spawn-counter assertions, and this suite wants
 //! its own.
 //!
-//! The kernel mode is a process setting; a chain runs under the scoped
-//! `kernels::with_mode` override, and every test that sets it holds
-//! [`mode_lock`] so parallel test threads cannot overwrite each other's
-//! mode mid-chain.
-
-use std::sync::{Mutex, MutexGuard};
+//! A chain runs under the scoped `kernels::with_mode` override, which
+//! holds for the calling thread and the phases it submits: parallel
+//! test threads cannot overwrite each other's mode mid-chain.
 
 use mmjoin::core::materialize::chain_two_step;
 use mmjoin::core::pipeline::{BuildSide, Pipeline, PORTED};
@@ -36,11 +33,6 @@ const M: usize = 8_000;
 
 const MODES: [KernelMode; 2] = [KernelMode::Portable, KernelMode::Simd];
 
-fn mode_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 fn chain_cfg() -> JoinConfig {
     let mut cfg = JoinConfig::new(THREADS);
     cfg.simulate = false;
@@ -49,7 +41,7 @@ fn chain_cfg() -> JoinConfig {
 
 /// Fused two-stage pipeline vs. materialized two-step plan under
 /// `mode`: identical matches and checksum, and the fused run reports the
-/// intermediate tuples it never wrote. The caller holds [`mode_lock`].
+/// intermediate tuples it never wrote.
 fn assert_fused_equals_two_step(
     alg: Algorithm,
     r1: &Relation,
@@ -103,7 +95,6 @@ fn chain_builds() -> (Relation, Relation) {
 
 #[test]
 fn uniform_chain_all_ported_drivers_both_kernel_modes() {
-    let _mode = mode_lock();
     let (r1, r2) = chain_builds();
     let s = gen_probe_fk(M, N1, 103, Placement::Chunked { parts: 4 });
     for alg in PORTED {
@@ -115,7 +106,6 @@ fn uniform_chain_all_ported_drivers_both_kernel_modes() {
 
 #[test]
 fn skewed_chain_all_ported_drivers_both_kernel_modes() {
-    let _mode = mode_lock();
     let (r1, r2) = chain_builds();
     let s = gen_probe_zipf(M, N1, 0.99, 104, Placement::Chunked { parts: 4 });
     for alg in PORTED {
@@ -127,7 +117,6 @@ fn skewed_chain_all_ported_drivers_both_kernel_modes() {
 
 #[test]
 fn duplicate_probe_key_chain_all_ported_drivers_both_kernel_modes() {
-    let _mode = mode_lock();
     let (r1, r2) = chain_builds();
     // Every probe key drawn from the 97 hottest slots of R1's domain:
     // massive probe-side duplication, every probe a hit.
@@ -141,7 +130,6 @@ fn duplicate_probe_key_chain_all_ported_drivers_both_kernel_modes() {
 
 #[test]
 fn duplicate_build_key_chain_multiset_drivers_both_kernel_modes() {
-    let _mode = mode_lock();
     // Multiset build: every stage-1 key appears several times, so one
     // probe fans out into several chained probes. Only the hash-table
     // drivers accept duplicate build keys (array and concise-hash sides

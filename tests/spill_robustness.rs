@@ -13,6 +13,8 @@
 //! * **Typed errors** — spill-file I/O failures surface as
 //!   `JoinError::Io`; unseparable skew as `JoinError::SpillRecursionLimit`.
 
+use std::sync::Barrier;
+
 use mmjoin::core::reference::reference_join;
 use mmjoin::core::shhj::SPILL_RECURSION_LIMIT;
 use mmjoin::core::{Algorithm, Join, JoinConfig, JoinError, JoinResult};
@@ -260,6 +262,52 @@ fn injected_io_error_surfaces_typed_and_clean() {
     let res = run(Algorithm::Shhj, &r, &s, &c).expect("join after disarm");
     assert_matches_reference("post-iofail", &expect, &res);
     scratch.assert_empty("post-iofail");
+}
+
+/// An I/O fault is armed on one thread: that thread's SHHJ fails with
+/// `JoinError::Io` and leaves its spill directory empty, while an SHHJ
+/// running at the same time on another thread, whose spill files match
+/// the same pattern, returns the reference checksum.
+#[test]
+fn an_io_fault_fails_only_the_thread_that_armed_it() {
+    let r = gen_build_dense(BUILD_N, 53, placement());
+    let s = gen_probe_fk(2 * BUILD_N, BUILD_N, 54, placement());
+    let expect = reference_join(&r, &s);
+    let (start, done) = (Barrier::new(2), Barrier::new(2));
+    std::thread::scope(|scope| {
+        for armed in [true, false] {
+            let (r, s, expect, start, done) = (&r, &s, &expect, &start, &done);
+            scope.spawn(move || {
+                let tag = if armed { "armed" } else { "bystander" };
+                let scratch = ScratchDir::new(&format!("iofail-{tag}"));
+                let mut c = cfg(Some(r.len()));
+                c.spill_dir = Some(scratch.0.clone());
+                // Every spill file of every test matches: only the
+                // thread's scope keeps the fault from the bystander. It
+                // stays armed until both joins are done.
+                let _fault = armed.then(|| mmjoin::util::spill::iofail::arm("mmjoin-spill", 3));
+                start.wait();
+                let res = run(Algorithm::Shhj, r, s, &c);
+                done.wait();
+                if armed {
+                    match res {
+                        Err(JoinError::Io { source, .. }) => {
+                            assert!(source.contains("injected"), "{source}")
+                        }
+                        other => panic!("expected JoinError::Io, got {other:?}"),
+                    }
+                } else {
+                    let res = res.expect("the bystander's join");
+                    assert!(
+                        res.spill_totals().bytes_spilled > 0,
+                        "the bystander spilled"
+                    );
+                    assert_matches_reference(tag, expect, &res);
+                }
+                scratch.assert_empty(tag);
+            });
+        }
+    });
 }
 
 #[test]
